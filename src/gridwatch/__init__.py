@@ -51,7 +51,6 @@ from .robust import (
     Chi2State,
     ShewhartConfig,
     algorithm2_step,
-    chi2_sample,
     cosine_step,
     euclidean_step,
     np_cusum_step,

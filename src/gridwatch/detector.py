@@ -253,8 +253,7 @@ class Algorithm1Step:
     classification: MeterClassification
     beta: float
     x_post_pred: np.ndarray  # prediction the residual block was built on
-    pre_innovation: Optional[np.ndarray] = None  # y - H x_pre_pred (flat)
-    pre_factor: object = None  # Cholesky of the pre-filter innovation covariance
+    pre_innovation: np.ndarray  # y - H x_pre_pred as (K, lam)
 
 
 def algorithm1_step(
@@ -264,7 +263,7 @@ def algorithm1_step(
     cfg: DetectorConfig,
     y: MeasurementBatch,
     t: int,
-    capture_pre_solve: bool = False,
+    pre_step: Optional[kalman.GainStep] = None,
 ) -> Algorithm1Step:
     """One full detection-and-estimation iteration.
 
@@ -273,29 +272,36 @@ def algorithm1_step(
     on the pre-filter update, advance the CUSUM, and re-sync the post filter
     if the statistic hit zero.
 
-    With ``capture_pre_solve`` the pre-filter innovation and its covariance
-    factorization are kept on the result; the goodness-of-fit layer reuses
-    them since its normalizing matrix equals the pre-filter innovation
-    covariance.
+    ``pre_step`` is the pre filter's schedule entry for step t; without it
+    the entry is computed from the pre filter's own covariance.
     """
-    pre = kalman.kf_predict(model, bank.pre)
-    post = kalman.kf_predict(model, bank.post)
+    pre = kalman.kf_predict(model, bank.pre, pre_step)
+    if pre_step is None:
+        pre_step = kalman.pre_gain_step(model, pre.P_pred)
+    shared = pre_step if bank.post_shares_pre else None
+    post = kalman.kf_predict(model, bank.post, shared)
 
     rb = residual_block(model, y, post.x_pred, cfg)
     costs = hypothesis_costs(rb, model, cfg)
     classification = classify_meters(costs)
     est = mle_attack_params(rb, classification, cfg, model)
 
-    pre, pre_factor, pre_innovation = kalman.kf_update_pre_full(model, pre, y)
-    post = kalman.kf_update_post(model, post, y, est.a_hat, est.sigma_hat)
+    pre, pre_innovation = kalman.kf_update_pre_full(model, pre, y, pre_step)
+    post = kalman.kf_update_post(model, post, y, est.a_hat, est.sigma_hat, shared)
 
     r_pre = y.values - (model.meter_rows @ pre.x_upd)[:, None]
     beta = gllr(r_pre, costs, classification, model)
 
     new_cs, sync = cusum_step(cs, beta, cfg, t)
-    new_bank = kalman.DualFilterBank(pre=pre, post=post, tau_hat=bank.tau_hat)
     if sync:
-        new_bank = kalman.sync_post_to_pre(new_bank, t)
+        new_bank = kalman.sync_post_to_pre(kalman.DualFilterBank(pre=pre, post=post), t)
+    else:
+        new_bank = kalman.DualFilterBank(
+            pre=pre,
+            post=post,
+            tau_hat=bank.tau_hat,
+            post_shares_pre=shared is not None and not est.sigma_hat.any(),
+        )
     return Algorithm1Step(
         bank=new_bank,
         cusum=new_cs,
@@ -303,6 +309,5 @@ def algorithm1_step(
         classification=classification,
         beta=beta,
         x_post_pred=post.x_pred,
-        pre_innovation=pre_innovation if capture_pre_solve else None,
-        pre_factor=pre_factor if capture_pre_solve else None,
+        pre_innovation=pre_innovation,
     )

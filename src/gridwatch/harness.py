@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -55,6 +58,7 @@ class RunContext:
     cosine_d: Optional[float]
     np_clamp: bool
     mu0: Optional[float]
+    schedule: kalman.PreSchedule  # pre-filter steps shared by every trial
 
     @property
     def enabled(self) -> "list[str]":
@@ -94,6 +98,7 @@ def prepare(cfg: ExperimentConfig, mu0_cache: "str | Path | None" = None) -> Run
     model = build_model(topology, cfg.model.lam, cfg.model.sigma_v2, cfg.model.sigma_w2, a_choice)
     x0 = _resolve_x0(cfg, model, topology)
     p0 = cfg.model.p0 if cfg.model.p0 is not None else model.sigma_v2
+    schedule = kalman.PreSchedule(model, p0)
 
     d = cfg.detector
     h = d.h if d.h is not None else max(d.h_list)
@@ -110,7 +115,7 @@ def prepare(cfg: ExperimentConfig, mu0_cache: "str | Path | None" = None) -> Run
     if d.np_q is not None:
         cache = mu0_cache if mu0_cache is not None else d.mu0_cache
         mu0 = innovation_norm_baseline(
-            model, x0, p0, samples=d.mu0_samples, cache=cache
+            model, x0, p0, samples=d.mu0_samples, cache=cache, schedule=schedule
         )
 
     sim_model_post = model
@@ -132,6 +137,7 @@ def prepare(cfg: ExperimentConfig, mu0_cache: "str | Path | None" = None) -> Run
         cosine_d=d.cosine_d,
         np_clamp=d.np_clamp,
         mu0=mu0,
+        schedule=schedule,
     )
 
 
@@ -147,6 +153,42 @@ def _cache_key(model: GridModel, x0, p0, samples, seed) -> str:
     return h.hexdigest()[:24]
 
 
+def _load_mu0_cache(path: Path) -> "dict[str, float]":
+    """Entries of the sidecar, first one per key. Malformed lines, such as
+    a value cut short by an interrupted write, are skipped, so their key is
+    recomputed."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        return {}
+    entries: "dict[str, float]" = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) != 2:
+            continue
+        try:
+            entries.setdefault(parts[0], float(parts[1]))
+        except ValueError:
+            continue
+    return entries
+
+
+def _store_mu0(path: Path, key: str, mu0: float) -> None:
+    """Add an entry by rewriting the sidecar to a temporary sibling and
+    renaming it over the original, so no reader ever sees a partial line."""
+    entries = _load_mu0_cache(path)
+    entries[key] = mu0
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{k} {v!r}\n" for k, v in entries.items())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def innovation_norm_baseline(
     model: GridModel,
     x0,
@@ -154,12 +196,13 @@ def innovation_norm_baseline(
     samples: int = 100_000,
     seed: int = 923_001,
     cache: "str | Path | None" = "auto",
+    schedule: Optional[kalman.PreSchedule] = None,
 ) -> float:
     """Clean-operation mean of ||y - H x_pre_pred|| by Monte Carlo.
 
-    The covariance recursion is data independent, so once the pre-filter
-    covariance has converged the gain is frozen and the remaining samples run
-    as matrix-vector work only. The value is memoized in a plain-text sidecar
+    The pre filter runs on ``schedule`` (built from model and p0 when not
+    given), so once its covariance has settled each sample is
+    matrix-vector work only. The value is memoized in a plain-text sidecar
     keyed by a model fingerprint; any model change invalidates the entry.
     """
     key = _cache_key(model, x0, p0, samples, seed)
@@ -168,44 +211,33 @@ def innovation_norm_baseline(
         cache_path = Path.home() / ".cache" / "gridwatch" / "mu0.txt"
     elif cache not in (None, "none"):
         cache_path = Path(cache)
-    if cache_path is not None and cache_path.exists():
-        for line in cache_path.read_text().splitlines():
-            parts = line.split()
-            if len(parts) == 2 and parts[0] == key:
-                return float(parts[1])
+    if cache_path is not None:
+        cached = _load_mu0_cache(cache_path).get(key)
+        if cached is not None:
+            return cached
 
+    if schedule is None:
+        schedule = kalman.PreSchedule(model, p0)
     rng = np.random.default_rng(seed)
     state = initial_sim_state(model, x0, rng)
-    ks = kalman.initial_state(x0, p0)
-    H = model.H
+    x_hat = np.array(x0, dtype=float)
     total = 0.0
-    frozen_gain = None
-    x_hat = ks.x_upd
-    for t in range(1, samples + 1):
+    step = gain = None
+    for next_step in islice(schedule, samples):
+        if next_step is not step:
+            # the meter-mean gain spread over the lam samples of each meter:
+            # one matrix-vector product per sample once the schedule settles
+            step = next_step
+            gain = np.repeat(step.gain / model.lam, model.lam, axis=1)
         state, y = simulate_step(model, state)
-        if frozen_gain is None:
-            pred = kalman.kf_predict(model, ks)
-            upd, factor, innovation = kalman.kf_update_pre_full(model, pred, y)
-            if np.max(np.abs(upd.P_upd - ks.P_upd)) <= 1e-13 * max(
-                1e-30, float(np.trace(upd.P_upd))
-            ):
-                from scipy.linalg import cho_solve
-
-                PHt = pred.P_pred @ H.T
-                frozen_gain = cho_solve(factor, PHt.T, check_finite=False).T
-                x_hat = upd.x_upd
-            ks = upd
-        else:
-            x_pred = model.A @ x_hat
-            innovation = y.flat - H @ x_pred
-            x_hat = x_pred + frozen_gain @ innovation
-        total += float(np.linalg.norm(innovation))
+        x_pred = model.A @ x_hat
+        innovation = y.flat - model.H @ x_pred
+        x_hat = x_pred + gain @ innovation
+        total += math.sqrt(innovation @ innovation)  # the 2-norm, as np.linalg.norm
     mu0 = total / samples
 
     if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(cache_path, "a", encoding="utf-8") as fh:
-            fh.write(f"{key} {mu0!r}\n")
+        _store_mu0(cache_path, key, mu0)
     return mu0
 
 
@@ -262,14 +294,6 @@ def trial_entropy(master_seed: int, index: int) -> tuple:
     return (int(master_seed), int(index))
 
 
-def _first_crossing(path: np.ndarray, n: int, threshold: float, direction: int = +1) -> float:
-    """1-based first step where the rule fires, inf when it never does."""
-    seg = path[:n]
-    hits = seg >= threshold if direction > 0 else seg <= threshold
-    idx = np.flatnonzero(hits)
-    return float(idx[0] + 1) if idx.size else INF
-
-
 def run_trial(
     cfg_or_ctx,
     seed,
@@ -298,6 +322,7 @@ def run_trial(
     jam_rng = np.random.default_rng(jam_ss)
 
     bank = kalman.initial_bank(ctx.x0, ctx.p0)
+    pre_steps = iter(ctx.schedule)
     cs = detector.CusumState()
     chi2_state = None
     if ctx.chi2 is not None:
@@ -333,9 +358,8 @@ def run_trial(
         y = apply_attack(model, y_clean, real, jam_rng)
         hasher.update(y.flat.tobytes())
 
-        step = detector.algorithm1_step(
-            bank, cs, model, ctx.det_cfg, y, t, capture_pre_solve=True
-        )
+        pre_step = next(pre_steps)
+        step = detector.algorithm1_step(bank, cs, model, ctx.det_cfg, y, t, pre_step)
         bank, cs = step.bank, step.cusum
         i = t - 1
         P.g[i] = cs.g
@@ -345,7 +369,7 @@ def run_trial(
         innovation = step.pre_innovation
         dist = float(np.linalg.norm(innovation))
         if ctx.chi2 is not None:
-            c = robust.chi2_sample_from_innovation(innovation, step.pre_factor)
+            c = robust.chi2_sample_from_innovation(innovation, pre_step.white, model.sigma_w2)
             chi2_state, chi_stat, _ = robust.pearson_step(chi2_state, c, ctx.chi2)
             P.c[i] = c
             P.chi[i] = chi_stat
@@ -356,7 +380,7 @@ def run_trial(
         if ctx.euclid_d is not None:
             P.euclid[i] = dist
         if ctx.cosine_d is not None:
-            P.cosine[i] = robust.cosine_similarity(y.flat, y.flat - innovation)
+            P.cosine[i] = robust.cosine_similarity(y.flat, y.flat - innovation.reshape(-1))
         if log_steps:
             P.mse0[i] = float(np.mean((bank.pre.x_upd - sim_state.x) ** 2))
             P.mse1[i] = float(np.mean((bank.post.x_upd - sim_state.x) ** 2))

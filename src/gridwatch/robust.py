@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.stats import chi2
 
 from .grid_model import GridModel, MeasurementBatch
-from .kalman import InnovationSolveError, KalmanState
 
 
 @dataclass(frozen=True)
@@ -115,22 +113,20 @@ def _pearson(counts: np.ndarray, cfg: Chi2Config) -> float:
     return float(((counts - expected) ** 2 / expected).sum())
 
 
-def chi2_sample(model: GridModel, pre_filter: KalmanState, y: MeasurementBatch) -> float:
+def chi2_sample_from_innovation(r: np.ndarray, white: np.ndarray, sigma_w2: float) -> float:
     """Normalized innovation energy c_t = r^T Q^{-1} r against the pre-filter
-    prediction; chi-squared with K*lam degrees of freedom under no attack."""
-    r = y.flat - model.H @ pre_filter.x_pred
-    Q = model.H @ pre_filter.P_pred @ model.H.T
-    Q.flat[:: Q.shape[0] + 1] += model.sigma_w2
-    try:
-        factor = cho_factor(0.5 * (Q + Q.T), lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise InnovationSolveError(f"chi-squared Q solve failed: {exc}") from exc
-    return float(r @ cho_solve(factor, r, check_finite=False))
+    prediction; chi-squared with K*lam degrees of freedom under no attack.
 
-
-def chi2_sample_from_innovation(r: np.ndarray, factor) -> float:
-    """Same statistic when the innovation and its factorization are at hand."""
-    return float(r @ cho_solve(factor, r, check_finite=False))
+    r is the (K, lam) innovation and ``white`` the inverse W of the lower
+    Cholesky factor of the meter-mean innovation covariance
+    Sbar = M P_pred M^T + (sigma_w2/lam) I. Q = H P_pred H^T + sigma_w2 I acts
+    as sigma_w2 I on the within-meter deviations and as lam Sbar on the
+    meter means, so c_t = ||r - rbar kron 1||^2 / sigma_w2 + ||W rbar||^2.
+    """
+    rbar = r.sum(axis=1) / r.shape[1]
+    spread = r - rbar[:, None]
+    z = white @ rbar
+    return float(np.vdot(spread, spread) / sigma_w2 + z @ z)
 
 
 def pearson_step(st: Chi2State, c_new: float, cfg: Chi2Config) -> "tuple[Chi2State, float, bool]":

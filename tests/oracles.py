@@ -7,8 +7,17 @@ required to reach 1e-6 cost accuracy at sigma_w2 = 1e-4 scales). None of the
 branch logic of the production code is reused.
 """
 
+import hashlib
+import math
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import cho_factor, cho_solve
+
+from gridwatch import detector, robust
+from gridwatch.attacks import apply_attack, realize_attack
+from gridwatch.grid_model import initial_sim_state, simulate_step
+from gridwatch.kalman import KalmanState, initial_state
 
 
 def _chunked(n, size=2000):
@@ -145,6 +154,125 @@ def dense_predict_oracle(A, P, sigma_v2):
                     acc += A[i, k] * P[k, l] * A[j, l]
             out[i, j] = acc + (sigma_v2 if i == j else 0.0)
     return out
+
+
+def dense_predict(model, ks):
+    """Covariance prediction A P A^T + sigma_v2 I at the full state size."""
+    P_pred = model.A @ ks.P_upd @ model.A.T + model.sigma_v2 * np.eye(model.N)
+    return KalmanState(model.A @ ks.x_upd, 0.5 * (P_pred + P_pred.T), ks.x_upd, ks.P_upd)
+
+
+def dense_update(model, ks, y_flat, bias, noise_diag):
+    """Kalman update at the full K*lam measurement size, Joseph form.
+
+    S = H P H^T + diag(noise) is applied through a Cholesky solve. Returns
+    (state, factor of S, innovation y - H x_pred - bias).
+    """
+    H = model.H
+    PHt = ks.P_pred @ H.T
+    S = H @ PHt
+    S.flat[:: S.shape[0] + 1] += noise_diag
+    factor = cho_factor(0.5 * (S + S.T), lower=True, check_finite=False)
+    G = cho_solve(factor, PHt.T, check_finite=False).T
+    innovation = y_flat - H @ ks.x_pred - bias
+    x_upd = ks.x_pred + G @ innovation
+    IGH = np.eye(model.N) - G @ H
+    P_upd = IGH @ ks.P_pred @ IGH.T + (G * noise_diag) @ G.T
+    return KalmanState(ks.x_pred, ks.P_pred, x_upd, 0.5 * (P_upd + P_upd.T)), factor, innovation
+
+
+def chi2_sample(model, pre_filter, y):
+    """c_t = r^T Q^{-1} r with Q = H P_pred H^T + sigma_w2 I built in full."""
+    r = y.flat - model.H @ pre_filter.x_pred
+    Q = model.H @ pre_filter.P_pred @ model.H.T
+    Q.flat[:: Q.shape[0] + 1] += model.sigma_w2
+    factor = cho_factor(0.5 * (Q + Q.T), lower=True, check_finite=False)
+    return float(r @ cho_solve(factor, r, check_finite=False))
+
+
+def dense_trial(ctx, seed):
+    """Replay of one harness trial over its whole horizon on the dense
+    filters above, never freezing a covariance.
+
+    Same seed streams and draw order as harness.run_trial; the detector
+    math is the production one. Returns the measurement hash, the statistic
+    paths keyed like TrialPaths fields (enabled detectors only) and the
+    stopping times as first crossings of those paths.
+    """
+    model, cfg, det = ctx.model, ctx.cfg, ctx.det_cfg
+    n_meas = model.K * model.lam
+    sim_ss, atk_ss, jam_ss, chi2_ss = np.random.SeedSequence(seed).spawn(4)
+    sim = initial_sim_state(model, ctx.x0, sim_ss)
+    atk_rng, jam_rng = np.random.default_rng(atk_ss), np.random.default_rng(jam_ss)
+    window = None
+    if ctx.chi2 is not None:
+        window = robust.Chi2State.initialize(ctx.chi2, n_meas, np.random.default_rng(chi2_ss))
+    clean_noise = np.full(n_meas, model.sigma_w2)
+    pre = initial_state(ctx.x0, ctx.p0)
+    post = pre.copy()
+    g = S = 0.0
+    tau_hat = 1
+    hasher = hashlib.sha256()
+    paths = {name: [] for name in ("g", "beta", "tau_hat", "c", "chi", "np_S", "euclid", "cosine")}
+    attack = cfg.attack
+    for t in range(1, cfg.run.horizon + 1):
+        faulted = attack.kind == "topology-fault" and t >= attack.tau
+        sim, y = simulate_step(ctx.sim_model_post if faulted else model, sim)
+        y = apply_attack(model, y, realize_attack(attack, t, atk_rng, model.K), jam_rng)
+        hasher.update(y.flat.tobytes())
+
+        pre, post = dense_predict(model, pre), dense_predict(model, post)
+        rb = detector.residual_block(model, y, post.x_pred, det)
+        costs = detector.hypothesis_costs(rb, model, det)
+        labels = detector.classify_meters(costs)
+        est = detector.mle_attack_params(rb, labels, det, model)
+        pre, factor, r = dense_update(model, pre, y.flat, 0.0, clean_noise)
+        inflated = clean_noise + model.expand(est.sigma_hat)
+        post = dense_update(model, post, y.flat, model.expand(est.a_hat), inflated)[0]
+        beta = detector.gllr(y.flat - model.H @ pre.x_upd, costs, labels, model)
+        g = max(0.0, g + beta)
+        if g == 0.0:
+            post, tau_hat = pre.copy(), t
+
+        dist = float(np.linalg.norm(r))
+        paths["g"].append(g)
+        paths["beta"].append(beta)
+        paths["tau_hat"].append(tau_hat)
+        if window is not None:
+            c = float(r @ cho_solve(factor, r, check_finite=False))
+            window, chi, _ = robust.pearson_step(window, c, ctx.chi2)
+            paths["c"].append(c)
+            paths["chi"].append(chi)
+        if ctx.np_q is not None:
+            S = S + dist - ctx.mu0
+            S = max(0.0, S) if ctx.np_clamp else S
+            paths["np_S"].append(S)
+        if ctx.euclid_d is not None:
+            paths["euclid"].append(dist)
+        if ctx.cosine_d is not None:
+            paths["cosine"].append(robust.cosine_similarity(y.flat, y.flat - r))
+    paths = {k: np.array(v) for k, v in paths.items() if v}
+
+    rules = {
+        "alg1": ("g", ctx.h, +1),
+        "shewhart": ("beta", ctx.shewhart.phi if ctx.shewhart else None, +1),
+        "chi2": ("chi", ctx.chi2.varphi if ctx.chi2 else None, +1),
+        "np_cusum": ("np_S", ctx.np_q, +1),
+        "euclidean": ("euclid", ctx.euclid_d, +1),
+        "cosine": ("cosine", ctx.cosine_d, -1),
+    }
+    stops = {}
+    for name, (field, threshold, direction) in rules.items():
+        if name not in ctx.enabled:
+            continue
+        path = paths[field]
+        hits = np.flatnonzero(path >= threshold if direction > 0 else path <= threshold)
+        stops[name] = float(hits[0] + 1) if hits.size else math.inf
+    if "alg2" in ctx.enabled:
+        stops["alg2"] = min(
+            stops["alg1"], stops.get("shewhart", math.inf), stops.get("chi2", math.inf)
+        )
+    return {"meas_hash": hasher.hexdigest(), "paths": paths, "stops": stops}
 
 
 def chi2_cdf_oracle(x, dof):

@@ -7,6 +7,8 @@ from gridwatch import harness, load_config
 from gridwatch.detector import CusumState, DetectorConfig, cusum_step
 from gridwatch.robust import Chi2State, pearson_step
 
+from oracles import dense_trial
+
 BASE = """
 [model]
 topology = ieee14
@@ -63,6 +65,7 @@ def make_cfg(tmp_path, attack="kind = none", h=8.0, np_q=6.0, euclid_d=0.35,
 
 
 CASE1 = "kind = fdi\np = 0.5\nfdi_uniform = 0.02"
+HYBRID = "kind = hybrid\np = 0.5\nfdi_uniform = 0.02\njam_uniform = 2e-4,4e-4"
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +331,61 @@ def test_workers_do_not_change_results(tmp_path, mu0_cache):
     par = harness.run_trials(ctx, workers=4)
     assert [r.stops for r in seq] == [r.stops for r in par]
     assert [r.meas_hash for r in seq] == [r.meas_hash for r in par]
+
+
+def assert_trial_matches_oracle(ctx, seed):
+    res = harness.run_trial(ctx, seed, full_paths=True)
+    quick = harness.run_trial(ctx, seed)
+    oracle = dense_trial(ctx, seed)
+    assert res.meas_hash == quick.meas_hash == oracle["meas_hash"]
+    assert res.stops == quick.stops == oracle["stops"]
+    assert set(oracle["paths"]) == {
+        name for name in ("g", "beta", "tau_hat", "c", "chi", "np_S", "euclid", "cosine")
+        if not np.all(np.isnan(getattr(res.paths, name)))
+    }
+    for name, want in oracle["paths"].items():
+        got = getattr(res.paths, name)
+        np.testing.assert_allclose(
+            got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max(), err_msg=name
+        )
+
+
+@pytest.mark.parametrize(
+    "attack, seed, horizon",
+    [(CASE1, (9, 0), 260), ("kind = none", (11, 0), 400), (HYBRID, (4, 1), 220)],
+)
+def test_run_trial_matches_dense_oracle(tmp_path, mu0_cache, attack, seed, horizon):
+    # structured filter core (settled pre schedule, K x K post updates,
+    # post-gain reuse) against full-size dense updates that never freeze
+    cfg = make_cfg(tmp_path, attack=attack, horizon=horizon, cache=mu0_cache)
+    assert_trial_matches_oracle(harness.prepare(cfg), seed)
+
+
+def test_rank_deficient_network_trial_matches_dense_oracle(tmp_path):
+    # flow meters that never touch the reference bus: the common angle is
+    # unobservable, so the pre covariance grows forever and the schedule
+    # must never settle
+    (tmp_path / "iso.grid").write_text(
+        "[buses]\n1 ref\n2\n3\n4\n[branches]\n1 2 3 1.5\n2 3 4 2.5\n"
+        "[meters]\n1 flow 1 +\n2 flow 2 +\n"
+    )
+    text = BASE.format(
+        attack=CASE1, h=8.0, np_q=6.0, euclid_d=0.35, trials=1, horizon=300, tau=100,
+        seed=3, cache="none",
+    ).replace("topology = ieee14", "topology = iso.grid").replace("lambda = 5", "lambda = 2")
+    (tmp_path / "iso.cfg").write_text(text)
+    ctx = harness.prepare(load_config(tmp_path / "iso.cfg"))
+    assert not ctx.schedule.settled
+    assert_trial_matches_oracle(ctx, (5, 0))
+
+
+def test_mu0_cache_skips_truncated_line(tmp_path, ieee14_model, ieee14_topology):
+    x0 = ieee14_topology.initial_state()
+    fresh = harness.innovation_norm_baseline(ieee14_model, x0, 1e-4, samples=500, cache=None)
+    key = harness._cache_key(ieee14_model, x0, 1e-4, 500, 923_001)
+    cache = tmp_path / "mu0.txt"
+    cache.write_text(f"other 0.5\n{key} 0.12e\n")  # a write cut short
+    got = harness.innovation_norm_baseline(ieee14_model, x0, 1e-4, samples=500, cache=cache)
+    assert got == fresh
+    assert cache.read_text().splitlines() == ["other 0.5", f"{key} {fresh!r}"]
+    assert list(tmp_path.iterdir()) == [cache]  # no temporary file left behind

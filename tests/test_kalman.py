@@ -1,13 +1,33 @@
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_discrete_are
 
-from gridwatch import initial_bank, kf_predict, kf_update_post, kf_update_pre, sync_post_to_pre
+from gridwatch import (
+    build_model,
+    initial_bank,
+    initial_sim_state,
+    kf_predict,
+    kf_update_post,
+    kf_update_pre,
+    simulate_step,
+    sync_post_to_pre,
+)
 from gridwatch.grid_model import GridModel, MeasurementBatch
-from gridwatch.kalman import KalmanState, initial_state, kf_update_pre_full, min_eigenvalue_ratio
+from gridwatch.kalman import (
+    InnovationSolveError,
+    KalmanState,
+    PreSchedule,
+    initial_state,
+    kf_update_pre_full,
+    min_eigenvalue_ratio,
+    pre_gain_step,
+)
+from gridwatch.robust import chi2_sample_from_innovation
 
-from oracles import dense_predict_oracle
+from oracles import dense_predict, dense_predict_oracle, dense_update
 
 
 def scalar_model(sigma_w2=1.0, sigma_v2=1.0):
@@ -181,6 +201,111 @@ def test_update_factors_expose_innovation(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     ks = kf_predict(ieee14_model, initial_state(x0, 1e-4))
     y = MeasurementBatch.from_flat(1, ieee14_model.H @ x0 + 0.01, 5)
-    _, factor, innovation = kf_update_pre_full(ieee14_model, ks, y)
-    np.testing.assert_allclose(innovation, y.flat - ieee14_model.H @ ks.x_pred)
-    assert factor is not None
+    _, innovation = kf_update_pre_full(ieee14_model, ks, y)
+    np.testing.assert_allclose(innovation.reshape(-1), y.flat - ieee14_model.H @ ks.x_pred)
+    # the step whitens the meter-mean innovation covariance: W Sbar W^T = I
+    M = ieee14_model.meter_rows
+    W = pre_gain_step(ieee14_model, ks.P_pred).white
+    Sbar = M @ ks.P_pred @ M.T + (ieee14_model.sigma_w2 / ieee14_model.lam) * np.eye(23)
+    np.testing.assert_allclose(W @ Sbar @ W.T, np.eye(23), rtol=0, atol=1e-12)
+
+
+def assert_rel_close(got, want, rel=1e-9):
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("lam", [5, 1])
+@pytest.mark.parametrize("ratio", [1e-4, 1.0, 1e4])
+def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
+    # meter-mean pre/post updates and c_t against the full K*lam dense
+    # update over a trajectory, with random attack estimates (sigma_hat all
+    # zero on half the steps, so post-gain reuse runs) and periodic syncs
+    model = build_model(ieee14_topology, lam, 1e-4, 1e-4 * ratio)
+    K = model.K
+    x0 = ieee14_topology.initial_state()
+    rng = np.random.default_rng([lam, int(np.log10(ratio)) + 10])
+    state = initial_sim_state(model, x0, seed=17)
+    pre, post = initial_state(x0, 1e-4), initial_state(x0, 1e-4)
+    pre_d, post_d = initial_state(x0, 1e-4), initial_state(x0, 1e-4)
+    clean_noise = np.full(K * lam, model.sigma_w2)
+    shares = True
+    for t, step in zip(range(1, 241), PreSchedule(model, 1e-4)):
+        state, y = simulate_step(model, state)
+        a_hat = np.where(rng.random(K) < 0.5, rng.uniform(-0.1, 0.1, K), 0.0)
+        sigma_hat = np.where(rng.random(K) < 0.5, rng.uniform(1.0, 2.0, K), 0.0)
+        if rng.random() < 0.5:
+            sigma_hat[:] = 0.0
+
+        shared = step if shares else None
+        pre, r = kf_update_pre_full(model, kf_predict(model, pre, step), y, step)
+        post = kf_update_post(model, kf_predict(model, post, shared), y, a_hat, sigma_hat, shared)
+        shares = shares and not sigma_hat.any()
+        c = chi2_sample_from_innovation(r, step.white, model.sigma_w2)
+
+        pre_d, factor, r_d = dense_update(
+            model, dense_predict(model, pre_d), y.flat, 0.0, clean_noise
+        )
+        post_d = dense_update(
+            model, dense_predict(model, post_d), y.flat, model.expand(a_hat),
+            clean_noise + model.expand(sigma_hat),
+        )[0]
+        c_d = float(r_d @ cho_solve(factor, r_d))
+
+        assert_rel_close(r.reshape(-1), r_d)
+        assert_rel_close(pre.x_upd, pre_d.x_upd)
+        assert_rel_close(pre.P_upd, pre_d.P_upd)
+        assert_rel_close(post.x_upd, post_d.x_upd)
+        assert_rel_close(post.P_upd, post_d.P_upd)
+        assert c == pytest.approx(c_d, rel=1e-9)
+        if t % 40 == 0:
+            post, post_d, shares = pre.copy(), pre_d.copy(), True
+
+
+def test_schedule_settles_at_riccati_fixed_point(ieee14_model):
+    schedule = PreSchedule(ieee14_model, 1e-4)
+    assert schedule.settled
+    frozen = schedule.steps[-1]
+    M = ieee14_model.meter_rows
+    X = solve_discrete_are(
+        ieee14_model.A.T,
+        M.T,
+        ieee14_model.sigma_v2 * np.eye(ieee14_model.N),
+        ieee14_model.sigma_w2 / ieee14_model.lam * np.eye(ieee14_model.K),
+    )
+    assert_rel_close(frozen.P_pred, X)
+    later = list(islice(schedule, len(schedule.steps) + 3))[len(schedule.steps) - 1 :]
+    assert all(step is frozen for step in later)
+
+
+def test_unsettled_schedule_covers_every_step(ieee14_topology):
+    # at sigma_w2/sigma_v2 = 1e4 the recursion is still far from its fixed
+    # point after 3000 steps: nothing may be frozen, and past the stored
+    # prefix the iterator continues the recursion step for step
+    model = build_model(ieee14_topology, 5, 1e-4, 1.0)
+    schedule = PreSchedule(model, 1e-4)
+    assert not schedule.settled and len(schedule.steps) < 3000
+    ks = initial_state(np.zeros(model.N), 1e-4)
+    for step in islice(schedule, 3000):
+        ks = kf_predict(model, ks)
+        expected = pre_gain_step(model, ks.P_pred)
+        np.testing.assert_array_equal(step.P_pred, expected.P_pred)
+        np.testing.assert_array_equal(step.P_upd, expected.P_upd)
+        ks = dataclasses.replace(ks, P_upd=expected.P_upd)
+    M = model.meter_rows
+    X = solve_discrete_are(
+        model.A.T,
+        M.T,
+        model.sigma_v2 * np.eye(model.N),
+        model.sigma_w2 / model.lam * np.eye(model.K),
+    )
+    assert np.linalg.norm(step.P_pred - X) > 1e-6 * np.linalg.norm(X)
+
+
+def test_failed_factorization_raises_typed_error(ieee14_model, ieee14_topology):
+    x0 = ieee14_topology.initial_state()
+    broken = KalmanState(x0, -np.eye(13), x0, -np.eye(13))  # not a covariance
+    y = MeasurementBatch.from_flat(1, ieee14_model.H @ x0, 5)
+    with pytest.raises(InnovationSolveError):
+        kf_update_pre(ieee14_model, broken, y)
+    with pytest.raises(InnovationSolveError):
+        kf_update_post(ieee14_model, broken, y, np.zeros(23), np.full(23, 1.0))

@@ -8,7 +8,6 @@ from gridwatch import (
     Chi2State,
     ShewhartConfig,
     algorithm2_step,
-    chi2_sample,
     cosine_step,
     euclidean_step,
     np_cusum_step,
@@ -19,7 +18,7 @@ from gridwatch.grid_model import GridModel, MeasurementBatch
 from gridwatch.kalman import KalmanState
 from gridwatch.robust import BenchmarkState, cosine_similarity
 
-from oracles import chi2_cdf_oracle
+from oracles import chi2_cdf_oracle, chi2_sample
 
 PAPER_EDGES = (102.081, 110.5475, 118.2061, 127.531)
 VARPHI = 25.0133
