@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import stat
 import struct
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -115,7 +116,7 @@ def prepare(cfg: ExperimentConfig, mu0_cache: "str | Path | None" = None) -> Run
     if d.np_q is not None:
         cache = mu0_cache if mu0_cache is not None else d.mu0_cache
         mu0 = innovation_norm_baseline(
-            model, x0, p0, samples=d.mu0_samples, cache=cache, schedule=schedule
+            model, x0, p0, samples=d.mu0_samples, cache=cache
         )
 
     sim_model_post = model
@@ -154,15 +155,16 @@ def _cache_key(model: GridModel, x0, p0, samples, seed) -> str:
 
 
 def _load_mu0_cache(path: Path) -> "dict[str, float]":
-    """Entries of the sidecar, first one per key. Malformed lines, such as
-    a value cut short by an interrupted write, are skipped, so their key is
-    recomputed."""
+    """Entries of the sidecar, first one per key. Every writer ends an entry
+    with a newline, so a last line without one was cut short (its value may
+    still parse, e.g. 0.0123 from 0.0123456...) and is dropped; other
+    malformed lines are skipped too, so their key is recomputed."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8").split("\n")
     except FileNotFoundError:
         return {}
     entries: "dict[str, float]" = {}
-    for line in lines:
+    for line in lines[:-1]:  # the piece after the last newline is incomplete
         parts = line.split()
         if len(parts) != 2:
             continue
@@ -179,10 +181,17 @@ def _store_mu0(path: Path, key: str, mu0: float) -> None:
     entries = _load_mu0_cache(path)
     entries[key] = mu0
     path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        mode = stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(f"{k} {v!r}\n" for k, v in entries.items())
+        os.chmod(tmp, mode)  # mkstemp makes it owner-only; keep the sidecar's mode
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -196,14 +205,13 @@ def innovation_norm_baseline(
     samples: int = 100_000,
     seed: int = 923_001,
     cache: "str | Path | None" = "auto",
-    schedule: Optional[kalman.PreSchedule] = None,
 ) -> float:
     """Clean-operation mean of ||y - H x_pre_pred|| by Monte Carlo.
 
-    The pre filter runs on ``schedule`` (built from model and p0 when not
-    given), so once its covariance has settled each sample is
-    matrix-vector work only. The value is memoized in a plain-text sidecar
-    keyed by a model fingerprint; any model change invalidates the entry.
+    The pre filter runs on a ``kalman.PreSchedule`` of model and p0, so once
+    its covariance has settled each sample is matrix-vector work only. The
+    value is memoized in a plain-text sidecar keyed by a model fingerprint;
+    any model change invalidates the entry.
     """
     key = _cache_key(model, x0, p0, samples, seed)
     cache_path: Optional[Path] = None
@@ -216,8 +224,7 @@ def innovation_norm_baseline(
         if cached is not None:
             return cached
 
-    if schedule is None:
-        schedule = kalman.PreSchedule(model, p0)
+    schedule = kalman.PreSchedule(model, p0)
     rng = np.random.default_rng(seed)
     state = initial_sim_state(model, x0, rng)
     x_hat = np.array(x0, dtype=float)

@@ -1,4 +1,5 @@
 import math
+import stat
 
 import numpy as np
 import pytest
@@ -389,3 +390,23 @@ def test_mu0_cache_skips_truncated_line(tmp_path, ieee14_model, ieee14_topology)
     assert got == fresh
     assert cache.read_text().splitlines() == ["other 0.5", f"{key} {fresh!r}"]
     assert list(tmp_path.iterdir()) == [cache]  # no temporary file left behind
+
+
+def test_mu0_cache_drops_unterminated_last_line(tmp_path, ieee14_model, ieee14_topology):
+    x0 = ieee14_topology.initial_state()
+    fresh = harness.innovation_norm_baseline(ieee14_model, x0, 1e-4, samples=500, cache=None)
+    key = harness._cache_key(ieee14_model, x0, 1e-4, 500, 923_001)
+    cache = tmp_path / "mu0.txt"
+    cache.write_text(f"other 0.5\n{key} 0.12")  # parses, but the write was cut short
+    got = harness.innovation_norm_baseline(ieee14_model, x0, 1e-4, samples=500, cache=cache)
+    assert got == fresh
+    assert cache.read_text() == f"other 0.5\n{key} {fresh!r}\n"
+
+
+def test_mu0_cache_rewrite_keeps_file_mode(tmp_path):
+    cache = tmp_path / "mu0.txt"
+    cache.write_text("other 0.5\n")
+    cache.chmod(0o644)
+    harness._store_mu0(cache, "key", 0.25)
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o644
+    assert cache.read_text() == "other 0.5\nkey 0.25\n"

@@ -15,8 +15,8 @@ from gridwatch import (
     shewhart_step,
 )
 from gridwatch.grid_model import GridModel, MeasurementBatch
-from gridwatch.kalman import KalmanState
-from gridwatch.robust import BenchmarkState, cosine_similarity
+from gridwatch.kalman import KalmanState, kf_update_pre_full, pre_gain_step
+from gridwatch.robust import BenchmarkState, chi2_sample_from_innovation, cosine_similarity
 
 from oracles import chi2_cdf_oracle, chi2_sample
 
@@ -36,6 +36,10 @@ def test_chi2_sample_zero_residual(ieee14_model, ieee14_topology):
     ks = KalmanState(x0, 1e-4 * np.eye(13), x0, 1e-4 * np.eye(13))
     y = MeasurementBatch.from_flat(1, ieee14_model.H @ x0, 5)
     assert chi2_sample(ieee14_model, ks, y) == pytest.approx(0.0, abs=1e-20)
+    step = pre_gain_step(ieee14_model, ks.P_pred)
+    _, r = kf_update_pre_full(ieee14_model, ks, y, step)
+    c = chi2_sample_from_innovation(r, step.white, ieee14_model.sigma_w2)
+    assert c == pytest.approx(0.0, abs=1e-20)
 
 
 def test_chi2_sample_scalar_arithmetic():
@@ -53,6 +57,9 @@ def test_chi2_sample_scalar_arithmetic():
     ks = KalmanState(np.zeros(1), np.array([[1.5]]), np.zeros(1), np.array([[1.5]]))
     y = MeasurementBatch.from_flat(1, np.array([3.0]), 1)
     assert chi2_sample(model, ks, y) == pytest.approx(4.5)
+    step = pre_gain_step(model, ks.P_pred)
+    _, r = kf_update_pre_full(model, ks, y, step)
+    assert chi2_sample_from_innovation(r, step.white, model.sigma_w2) == pytest.approx(4.5)
 
 
 def test_equiprobable_intervals_match_published_values():
