@@ -17,17 +17,23 @@ against the pre-attack filter's *updated* state; this asymmetry (update on
 the clean side, prediction on the attacked side) blocks same-step attack
 influence on the bias/variance estimates and is asserted by tests rather
 than symmetrized away.
+
+Every statistic takes a leading trial axis: residual blocks of B trials are
+(B, K, lam) and the per-meter statistics (B, K). ``algorithm1_step``
+advances a whole batch one step and applies the scalar CUSUM rule
+``cusum_step`` once per trial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_model import GridModel, MeasurementBatch
+from .grid_model import GridModel, MeasurementBatch, matvec, vecdot
 from . import kalman
 
 HYPOTHESES = ("clean", "fdi", "jam", "both")
@@ -46,14 +52,37 @@ class DetectorConfig:
 
 @dataclass
 class ResidualBlock:
-    """Residuals vs the post-filter prediction plus sufficient statistics."""
+    """Residuals vs the post-filter prediction plus sufficient statistics.
 
-    e: np.ndarray  # (K, lam)
+    ``e`` is (..., K, lam); the statistics are (..., K). The derived
+    quantities below are formed on first use and shared by the costs, the
+    attack estimates and the post-filter update.
+    """
+
+    e: np.ndarray  # (..., K, lam)
     delta: np.ndarray
     zeta: np.ndarray
     rho: np.ndarray  # sum (e + gamma)^2
     pi: np.ndarray  # sum (e - gamma)^2
     gamma: float
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """Per-meter residual mean delta/lam: the post filter's meter-mean
+        innovation."""
+        return self.delta / self.e.shape[-1]
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """|mean| >= gamma: the bias MLE is the mean itself."""
+        return np.abs(self.mean) >= self.gamma
+
+    @cached_property
+    def ssr_f(self) -> np.ndarray:
+        """Bias-constrained SSR: sum (e - mean)^2 when the mean is interior,
+        else the SSR at the nearer boundary +/- gamma."""
+        centered = np.maximum(self.zeta - self.delta * self.mean, 0.0)  # >= 0 up to roundoff
+        return np.where(self.interior, centered, np.where(self.mean >= 0.0, self.pi, self.rho))
 
 
 @dataclass
@@ -64,13 +93,17 @@ class HypothesisCosts:
     ufj: np.ndarray
 
     def stacked(self) -> np.ndarray:
-        """(4, K) in tie-precedence order."""
-        return np.vstack([self.u0, self.uf, self.uj, self.ufj])
+        """(..., 4, K) in tie-precedence order."""
+        return self._stacked
+
+    @cached_property
+    def _stacked(self) -> np.ndarray:  # shared by the classification and the GLLR
+        return np.stack([self.u0, self.uf, self.uj, self.ufj], axis=-2)
 
 
 @dataclass
 class MeterClassification:
-    labels: np.ndarray  # (K,) ints indexing HYPOTHESES
+    labels: np.ndarray  # (..., K) ints indexing HYPOTHESES
 
     def sets(self) -> "tuple[set, set, set, set]":
         idx = np.arange(self.labels.size)
@@ -115,9 +148,9 @@ def residual_block(
     x_post_pred must be the prediction, never the update: the update already
     depends on this step's attack estimates.
     """
-    e = y.values - (model.meter_rows @ x_post_pred)[:, None]
-    delta = e.sum(axis=1)
-    zeta = (e * e).sum(axis=1)
+    e = y.values - matvec(model.meter_rows, x_post_pred)[..., None]
+    delta = e.sum(axis=-1)
+    zeta = (e * e).sum(axis=-1)
     g = cfg.gamma
     lam = model.lam
     # Expansions of sum (e +/- gamma)^2; one pass over samples per meter.
@@ -130,31 +163,26 @@ def hypothesis_costs(rb: ResidualBlock, model: GridModel, cfg: DetectorConfig) -
     lam = model.lam
     sw2 = model.sigma_w2
     floor = sw2 + cfg.sigma2_min
-    mean = rb.delta / lam
-    centered = rb.zeta - rb.delta * mean  # sum (e - mean)^2, >= 0 up to roundoff
-    centered = np.maximum(centered, 0.0)
 
     u0 = lam * math.log(sw2) + rb.zeta / sw2
 
-    # Bias-only: the constrained SSR is centered when |mean| >= gamma, else
-    # evaluated at the nearer boundary +/- gamma.
-    interior = np.abs(mean) >= cfg.gamma
-    ssr_f = np.where(interior, centered, np.where(mean >= 0.0, rb.pi, rb.rho))
-    uf = lam * math.log(sw2) + ssr_f / sw2
+    # Bias-only: the constrained SSR (centered, or at the nearer boundary).
+    uf = lam * math.log(sw2) + rb.ssr_f / sw2
 
-    # Jamming-only: variance MLE zeta/lam when it clears the floor.
-    uj = np.where(
-        rb.zeta / lam >= floor,
-        lam * np.log(np.maximum(rb.zeta / lam, 1e-300)) + lam,
-        lam * math.log(floor) + rb.zeta / floor,
-    )
+    # Jamming-only: variance MLE zeta/lam when it clears the floor, else the
+    # floor. (The log is taken of the floored MLE, so it is finite in the
+    # branch that is not used.)
+    def floored_fit(ssr: np.ndarray) -> np.ndarray:
+        var = ssr / lam
+        return np.where(
+            var >= floor,
+            lam * np.log(np.maximum(var, floor)) + lam,
+            lam * math.log(floor) + ssr / floor,
+        )
 
+    uj = floored_fit(rb.zeta)
     # Both: same constrained SSR as the bias case, variance then floored.
-    ufj = np.where(
-        ssr_f / lam >= floor,
-        lam * np.log(np.maximum(ssr_f / lam, 1e-300)) + lam,
-        lam * math.log(floor) + ssr_f / floor,
-    )
+    ufj = floored_fit(rb.ssr_f)
     return HypothesisCosts(u0=u0, uf=uf, uj=uj, ufj=ufj)
 
 
@@ -166,7 +194,7 @@ def classify_meters(costs: HypothesisCosts) -> MeterClassification:
     stacked = costs.stacked()
     if not np.all(np.isfinite(stacked)):
         raise ValueError("hypothesis costs must be finite")
-    return MeterClassification(labels=np.argmin(stacked, axis=0))
+    return MeterClassification(labels=np.argmin(stacked, axis=-2))
 
 
 def mle_attack_params(
@@ -181,23 +209,14 @@ def mle_attack_params(
     (delta = 0 maps to +gamma); the variance estimate is the per-branch
     sample variance minus sigma_w2, floored at sigma2_min.
     """
-    lam = model.lam
-    mean = rb.delta / lam
+    mean = rb.mean
     labels = classification.labels
 
-    a_hat = np.where(
-        np.abs(mean) >= cfg.gamma,
-        mean,
-        np.where(mean >= 0.0, cfg.gamma, -cfg.gamma),
-    )
+    a_hat = np.where(rb.interior, mean, np.where(mean >= 0.0, cfg.gamma, -cfg.gamma))
     a_hat = np.where((labels == 1) | (labels == 3), a_hat, 0.0)
 
-    centered = np.maximum(rb.zeta - rb.delta * mean, 0.0)
-    ssr_f = np.where(
-        np.abs(mean) >= cfg.gamma, centered, np.where(mean >= 0.0, rb.pi, rb.rho)
-    )
-    var_jam_only = np.maximum(rb.zeta / lam - model.sigma_w2, cfg.sigma2_min)
-    var_both = np.maximum(ssr_f / lam - model.sigma_w2, cfg.sigma2_min)
+    var_jam_only = np.maximum(rb.zeta / model.lam - model.sigma_w2, cfg.sigma2_min)
+    var_both = np.maximum(rb.ssr_f / model.lam - model.sigma_w2, cfg.sigma2_min)
     sigma_hat = np.where(labels == 2, var_jam_only, np.where(labels == 3, var_both, 0.0))
     return AttackEstimate(a_hat=a_hat, sigma_hat=sigma_hat)
 
@@ -207,20 +226,19 @@ def gllr(
     costs: HypothesisCosts,
     classification: MeterClassification,
     model: GridModel,
-) -> float:
-    """Generalized log-likelihood ratio for the interval.
+) -> "float | np.ndarray":
+    """Generalized log-likelihood ratio for the interval, one per trial.
 
     ``rb_pre`` holds the residuals y - h_k^T x_pre_upd against the pre-filter
-    *measurement update* (shape (K, lam) or flat).
+    *measurement update*, shape (..., K, lam).
     """
     K, lam, sw2 = model.K, model.lam, model.sigma_w2
-    r = np.asarray(rb_pre).reshape(-1)
+    r = np.asarray(rb_pre)
+    r = r.reshape(r.shape[:-2] + (K * lam,))
     chosen = np.take_along_axis(
-        costs.stacked(), classification.labels[None, :], axis=0
-    )[0]
-    return float(
-        0.5 * K * lam * math.log(sw2) + 0.5 * (r @ r) / sw2 - 0.5 * chosen.sum()
-    )
+        costs.stacked(), classification.labels[..., None, :], axis=-2
+    )[..., 0, :]
+    return (0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1))[()]
 
 
 def cusum_step(cs: CusumState, beta: float, cfg: DetectorConfig, t: int) -> "tuple[CusumState, bool]":
@@ -248,17 +266,17 @@ def cusum_step(cs: CusumState, beta: float, cfg: DetectorConfig, t: int) -> "tup
 @dataclass
 class Algorithm1Step:
     bank: kalman.DualFilterBank
-    cusum: CusumState
+    cusum: "CusumState | list[CusumState]"
     estimate: AttackEstimate
     classification: MeterClassification
-    beta: float
+    beta: "float | np.ndarray"
     x_post_pred: np.ndarray  # prediction the residual block was built on
-    pre_innovation: np.ndarray  # y - H x_pre_pred as (K, lam)
+    pre_innovation: np.ndarray  # y - H x_pre_pred as (..., K, lam)
 
 
 def algorithm1_step(
     bank: kalman.DualFilterBank,
-    cs: CusumState,
+    cs: "CusumState | Sequence[CusumState]",
     model: GridModel,
     cfg: DetectorConfig,
     y: MeasurementBatch,
@@ -272,14 +290,16 @@ def algorithm1_step(
     on the pre-filter update, advance the CUSUM, and re-sync the post filter
     if the statistic hit zero.
 
-    ``pre_step`` is the pre filter's schedule entry for step t; without it
-    the entry is computed from the pre filter's own covariance.
+    For a batch, the bank and y carry a trial axis and ``cs`` holds one
+    CusumState per trial; the returned ``cusum`` is then a list. ``pre_step``
+    is the pre filter's schedule entry for step t; without it the entry is
+    computed from the pre filter's own covariance.
     """
     pre = kalman.kf_predict(model, bank.pre, pre_step)
     if pre_step is None:
         pre_step = kalman.pre_gain_step(model, pre.P_pred)
-    shared = pre_step if bank.post_shares_pre else None
-    post = kalman.kf_predict(model, bank.post, shared)
+    shares = bank.post_shares_pre
+    post = kalman.kf_predict(model, bank.post, pre_step, shares)
 
     rb = residual_block(model, y, post.x_pred, cfg)
     costs = hypothesis_costs(rb, model, cfg)
@@ -287,24 +307,30 @@ def algorithm1_step(
     est = mle_attack_params(rb, classification, cfg, model)
 
     pre, pre_innovation = kalman.kf_update_pre_full(model, pre, y, pre_step)
-    post = kalman.kf_update_post(model, post, y, est.a_hat, est.sigma_hat, shared)
+    post = kalman.kf_update_post(model, post, rb.mean, est.a_hat, est.sigma_hat, pre_step, shares)
 
-    r_pre = y.values - (model.meter_rows @ pre.x_upd)[:, None]
+    r_pre = y.values - matvec(model.meter_rows, pre.x_upd)[..., None]
     beta = gllr(r_pre, costs, classification, model)
 
-    new_cs, sync = cusum_step(cs, beta, cfg, t)
-    if sync:
-        new_bank = kalman.sync_post_to_pre(kalman.DualFilterBank(pre=pre, post=post), t)
-    else:
-        new_bank = kalman.DualFilterBank(
+    single = isinstance(cs, CusumState)
+    stepped = [
+        cusum_step(c, b, cfg, t) for c, b in zip([cs] if single else cs, np.ravel(beta).tolist())
+    ]
+    new_cs = [c for c, _ in stepped]
+    sync = np.array([flag for _, flag in stepped]).reshape(np.shape(beta))
+    new_bank = kalman.sync_post_to_pre(
+        kalman.DualFilterBank(
             pre=pre,
             post=post,
             tau_hat=bank.tau_hat,
-            post_shares_pre=shared is not None and not est.sigma_hat.any(),
-        )
+            post_shares_pre=shares & ~est.sigma_hat.any(axis=-1),
+        ),
+        t,
+        sync,
+    )
     return Algorithm1Step(
         bank=new_bank,
-        cusum=new_cs,
+        cusum=new_cs[0] if single else new_cs,
         estimate=est,
         classification=classification,
         beta=beta,

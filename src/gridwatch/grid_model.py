@@ -333,8 +333,9 @@ class SimState:
 class MeasurementBatch:
     """One interval of measurements, addressable as values[k][i].
 
-    ``values`` has shape (K, lam); ``flat`` is the stacked (K*lam,) view
-    matching H's row layout.
+    ``values`` has shape (K, lam), or (B, K, lam) for B trials at the same
+    interval; ``flat`` is the stacked (K*lam,) view matching H's row layout
+    (per trial).
     """
 
     t: int
@@ -342,11 +343,26 @@ class MeasurementBatch:
 
     @property
     def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
+        return self.values.reshape(self.values.shape[:-2] + (-1,))
 
     @classmethod
     def from_flat(cls, t: int, flat: np.ndarray, lam: int) -> "MeasurementBatch":
-        return cls(t=t, values=np.asarray(flat, dtype=float).reshape(-1, lam))
+        flat = np.asarray(flat, dtype=float)
+        return cls(t=t, values=flat.reshape(flat.shape[:-1] + (-1, lam)))
+
+
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for every vector along the last axis of x.
+
+    numpy runs one BLAS matrix-vector product per vector, so each result
+    has the bits of the unbatched A @ x; the matrix product x @ A.T does not.
+    """
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last axis, one BLAS dot product per leading index."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def initial_sim_state(model: GridModel, x0: Sequence[float], seed) -> SimState:

@@ -6,8 +6,17 @@ paths are threshold-free where possible -- the CUSUM recursion, the
 nonparametric CUSUM, and all instantaneous statistics do not depend on their
 thresholds -- so stopping times for whole threshold grids are derived from
 one recorded path per trial. Aggregation uses sums and counts only, making
-trial order irrelevant and trials safe to distribute across worker threads
-with per-trial derived seeds.
+trial order irrelevant.
+
+The trial engine advances all trials of a ``run_trials`` call in lock-step,
+one step at a time, on a leading trial axis B. Each trial keeps its own
+random streams, draw order, simulation, attack and measurement hash; the
+filters and detector statistics of the whole batch are computed once per
+step on (B, K) and (B,) arrays, sharing the step's pre-filter schedule
+entry. Without recorded paths a trial leaves the batch (the batch is
+compacted) once every detector except alg2 has fired, and the engine holds
+O(B) state; (B, horizon) path arrays exist only when paths are requested.
+``run_trial`` is the same engine on a batch of one.
 """
 
 from __future__ import annotations
@@ -29,8 +38,17 @@ import numpy as np
 from . import detector, kalman, robust
 from .attacks import AttackSpec, apply_attack, realize_attack, topology_fault
 from .expconfig import ExperimentConfig
-from .grid_model import GridModel, build_model, initial_sim_state, load_topology, simulate_step
-from .robust import BenchmarkState, Chi2Config, Chi2State, ShewhartConfig
+from .grid_model import (
+    GridModel,
+    MeasurementBatch,
+    SimState,
+    build_model,
+    initial_sim_state,
+    load_topology,
+    simulate_step,
+    vecdot,
+)
+from .robust import Chi2Config, Chi2State, ShewhartConfig
 
 INF = math.inf
 
@@ -267,19 +285,6 @@ class TrialPaths:
     mse0: Optional[np.ndarray] = None
     mse1: Optional[np.ndarray] = None
 
-    def verdict(self, t: int) -> robust.Verdict:
-        i = t - 1
-        return robust.Verdict(
-            t=t,
-            beta=float(self.beta[i]),
-            g=float(self.g[i]),
-            c=float(self.c[i]),
-            chi=float(self.chi[i]),
-            np_S=float(self.np_S[i]),
-            euclid=float(self.euclid[i]),
-            cosine=float(self.cosine[i]),
-        )
-
 
 @dataclass
 class TrialResult:
@@ -309,135 +314,11 @@ def run_trial(
 ) -> TrialResult:
     """Simulate one trajectory and evaluate every configured detector on it.
 
-    Deterministic in ``seed``: four child streams (simulation, attack
-    realization, attack application, chi-squared window init) are derived in
-    that documented order. Unless ``full_paths`` or step logging is on, the
-    loop exits early once every enabled detector has fired.
+    Deterministic in ``seed`` (see ``_Streams.spawn``); the trial engine
+    on a batch of one, see ``run_trials``.
     """
     ctx = cfg_or_ctx if isinstance(cfg_or_ctx, RunContext) else prepare(cfg_or_ctx)
-    cfg = ctx.cfg
-    model = ctx.model
-    horizon = cfg.run.horizon
-    if log_steps is None:
-        log_steps = cfg.run.log_steps
-    want_paths = log_steps or full_paths
-
-    ss = np.random.SeedSequence(seed)
-    sim_ss, atk_ss, jam_ss, chi2_ss = ss.spawn(4)
-    sim_state = initial_sim_state(model, ctx.x0, sim_ss)
-    atk_rng = np.random.default_rng(atk_ss)
-    jam_rng = np.random.default_rng(jam_ss)
-
-    bank = kalman.initial_bank(ctx.x0, ctx.p0)
-    pre_steps = iter(ctx.schedule)
-    cs = detector.CusumState()
-    chi2_state = None
-    if ctx.chi2 is not None:
-        chi2_state = Chi2State.initialize(ctx.chi2, model.K * model.lam, np.random.default_rng(chi2_ss))
-    bench = BenchmarkState(mu0=ctx.mu0 if ctx.mu0 is not None else 0.0)
-
-    attack = cfg.attack
-    tau = attack.tau
-
-    P = TrialPaths(
-        g=np.zeros(horizon),
-        beta=np.zeros(horizon),
-        c=np.full(horizon, np.nan),
-        chi=np.full(horizon, np.nan),
-        np_S=np.full(horizon, np.nan),
-        euclid=np.full(horizon, np.nan),
-        cosine=np.full(horizon, np.nan),
-        tau_hat=np.ones(horizon, dtype=np.int64),
-        mse0=np.full(horizon, np.nan) if log_steps else None,
-        mse1=np.full(horizon, np.nan) if log_steps else None,
-    )
-
-    # Live stopping bookkeeping (first crossing per detector).
-    stops = {name: INF for name in ctx.enabled}
-    need_alg2 = "alg2" in stops
-    hasher = hashlib.sha256()
-
-    steps_run = 0
-    for t in range(1, horizon + 1):
-        sim_model = ctx.sim_model_post if (attack.kind == "topology-fault" and t >= tau) else model
-        sim_state, y_clean = simulate_step(sim_model, sim_state)
-        real = realize_attack(attack, t, atk_rng, model.K)
-        y = apply_attack(model, y_clean, real, jam_rng)
-        hasher.update(y.flat.tobytes())
-
-        pre_step = next(pre_steps)
-        step = detector.algorithm1_step(bank, cs, model, ctx.det_cfg, y, t, pre_step)
-        bank, cs = step.bank, step.cusum
-        i = t - 1
-        P.g[i] = cs.g
-        P.beta[i] = step.beta
-        P.tau_hat[i] = cs.tau_hat
-
-        innovation = step.pre_innovation
-        dist = float(np.linalg.norm(innovation))
-        if ctx.chi2 is not None:
-            c = robust.chi2_sample_from_innovation(innovation, pre_step.white, model.sigma_w2)
-            chi2_state, chi_stat, _ = robust.pearson_step(chi2_state, c, ctx.chi2)
-            P.c[i] = c
-            P.chi[i] = chi_stat
-        if ctx.np_q is not None:
-            s_new = bench.S + dist - bench.mu0
-            bench.S = max(0.0, s_new) if ctx.np_clamp else s_new
-            P.np_S[i] = bench.S
-        if ctx.euclid_d is not None:
-            P.euclid[i] = dist
-        if ctx.cosine_d is not None:
-            P.cosine[i] = robust.cosine_similarity(y.flat, y.flat - innovation.reshape(-1))
-        if log_steps:
-            P.mse0[i] = float(np.mean((bank.pre.x_upd - sim_state.x) ** 2))
-            P.mse1[i] = float(np.mean((bank.post.x_upd - sim_state.x) ** 2))
-
-        if stops["alg1"] == INF and cs.g >= ctx.h:
-            stops["alg1"] = t
-        if ctx.shewhart is not None and stops["shewhart"] == INF and robust.shewhart_step(
-            step.beta, ctx.shewhart
-        ):
-            stops["shewhart"] = t
-        if ctx.chi2 is not None and stops["chi2"] == INF and P.chi[i] >= ctx.chi2.varphi:
-            stops["chi2"] = t
-        if ctx.np_q is not None and stops["np_cusum"] == INF and bench.S >= ctx.np_q:
-            stops["np_cusum"] = t
-        if ctx.euclid_d is not None and stops["euclidean"] == INF and dist >= ctx.euclid_d:
-            stops["euclidean"] = t
-        if ctx.cosine_d is not None and stops["cosine"] == INF and P.cosine[i] <= ctx.cosine_d:
-            stops["cosine"] = t
-
-        steps_run = t
-        if not want_paths and all(
-            s < INF for name, s in stops.items() if name != "alg2"
-        ):
-            break
-
-    if need_alg2:
-        stops["alg2"] = min(stops["alg1"], stops.get("shewhart", INF), stops.get("chi2", INF))
-    t_tilde = stops.get("alg2", stops["alg1"])
-    fired = frozenset(
-        name
-        for name in ("alg1", "shewhart", "chi2")
-        if stops.get(name, INF) == t_tilde and t_tilde < INF
-    )
-
-    tau_hat = None
-    if stops["alg1"] < INF:
-        tau_hat = int(P.tau_hat[int(stops["alg1"]) - 1])
-    elif steps_run > 0:
-        tau_hat = int(P.tau_hat[steps_run - 1])
-
-    return TrialResult(
-        seed=seed,
-        stops=stops,
-        t_tilde=t_tilde,
-        fired_first=fired,
-        tau_hat=tau_hat,
-        steps_run=steps_run,
-        meas_hash=hasher.hexdigest(),
-        paths=P if want_paths else None,
-    )
+    return _run_batch(ctx, [seed], log_steps, full_paths)[0]
 
 
 def run_trials(
@@ -448,19 +329,241 @@ def run_trials(
     log_steps: Optional[bool] = None,
     full_paths: bool = False,
 ) -> "list[TrialResult]":
-    """Run independent trials with per-trial derived seeds."""
+    """Run independent trials with per-trial derived seeds, advanced together
+    as one batch. With ``workers`` > 1 the trials are split into that many
+    contiguous batches, run on a thread pool; the results do not depend on
+    the split."""
     cfg = ctx.cfg
     n = trials if trials is not None else cfg.run.trials
     master = master_seed if master_seed is not None else cfg.run.seed
-    nworkers = workers if workers is not None else cfg.run.workers
+    nbatches = min(workers if workers is not None else cfg.run.workers, n)
+    seeds = [trial_entropy(master, i) for i in range(n)]
 
-    def one(i: int) -> TrialResult:
-        return run_trial(ctx, trial_entropy(master, i), log_steps=log_steps, full_paths=full_paths)
+    def batch(part: "list[tuple]") -> "list[TrialResult]":
+        return _run_batch(ctx, part, log_steps, full_paths)
 
-    if nworkers and nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            return list(pool.map(one, range(n)))
-    return [one(i) for i in range(n)]
+    if nbatches > 1:
+        bounds = [n * j // nbatches for j in range(nbatches + 1)]
+        parts = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        with ThreadPoolExecutor(max_workers=nbatches) as pool:
+            return [r for results in pool.map(batch, parts) for r in results]
+    return batch(seeds)
+
+
+@dataclass
+class _Streams:
+    """One trial's own state outside the batched filters: its simulation and
+    attack streams, its measurement hash, and its initial chi-squared window
+    (drawn from the fourth stream; the engine stacks the windows of a batch)."""
+
+    index: int
+    seed: object
+    sim: SimState
+    atk_rng: np.random.Generator
+    jam_rng: np.random.Generator
+    window: Optional[Chi2State]
+    hasher: "hashlib._Hash"
+
+    @classmethod
+    def spawn(cls, ctx: RunContext, index: int, seed) -> "_Streams":
+        """The four child streams derived from ``seed`` in their documented order."""
+        sim_ss, atk_ss, jam_ss, chi2_ss = np.random.SeedSequence(seed).spawn(4)
+        window = None
+        if ctx.chi2 is not None:
+            dof = ctx.model.K * ctx.model.lam
+            window = Chi2State.initialize(ctx.chi2, dof, np.random.default_rng(chi2_ss))
+        return cls(
+            index=index,
+            seed=seed,
+            sim=initial_sim_state(ctx.model, ctx.x0, sim_ss),
+            atk_rng=np.random.default_rng(atk_ss),
+            jam_rng=np.random.default_rng(jam_ss),
+            window=window,
+            hasher=hashlib.sha256(),
+        )
+
+
+def _new_paths(B: int, horizon: int, log_steps: bool) -> TrialPaths:
+    shape = (B, horizon)
+    return TrialPaths(
+        g=np.zeros(shape),
+        beta=np.zeros(shape),
+        c=np.full(shape, np.nan),
+        chi=np.full(shape, np.nan),
+        np_S=np.full(shape, np.nan),
+        euclid=np.full(shape, np.nan),
+        cosine=np.full(shape, np.nan),
+        tau_hat=np.ones(shape, dtype=np.int64),
+        mse0=np.full(shape, np.nan) if log_steps else None,
+        mse1=np.full(shape, np.nan) if log_steps else None,
+    )
+
+
+def _run_batch(
+    ctx: RunContext, seeds: Sequence, log_steps: Optional[bool], full_paths: bool
+) -> "list[TrialResult]":
+    """The trial engine: advance the trials of ``seeds`` in lock-step.
+
+    Per trial and in its own streams: the simulation step, the attack
+    realization and application, and the measurement hash. Batched, once
+    per step: algorithm 1 (both filters, the detector statistics and one
+    CUSUM step per trial), the chi-squared window, the benchmark
+    statistics and the stopping rules. Unless paths are recorded (full
+    paths or step logging), a trial leaves the batch once every enabled
+    detector but alg2 has fired.
+    """
+    cfg, model = ctx.cfg, ctx.model
+    horizon = cfg.run.horizon
+    if log_steps is None:
+        log_steps = cfg.run.log_steps
+    want_paths = log_steps or full_paths
+    attack = cfg.attack
+
+    live = [_Streams.spawn(ctx, i, seed) for i, seed in enumerate(seeds)]
+    B = len(live)
+    if B == 0:
+        return []
+    results: "list[Optional[TrialResult]]" = [None] * B
+    paths = _new_paths(B, horizon, log_steps) if want_paths else None
+    bank = kalman.initial_bank(np.tile(ctx.x0, (B, 1)), ctx.p0)
+    cs = [detector.CusumState() for _ in live]
+    window = Chi2State.stack([st.window for st in live]) if ctx.chi2 is not None else None
+    mu0 = ctx.mu0 if ctx.mu0 is not None else 0.0
+    np_S = np.zeros(B)
+    # first crossing per detector (alg2 is derived; alg1 is row 0), and
+    # tau_hat at alg1's
+    names = [name for name in ctx.enabled if name != "alg2"]
+    stops = np.full((len(names), B), INF)
+    tau_at_alg1 = np.ones(B, dtype=np.int64)
+    pre_steps = iter(ctx.schedule)
+    if horizon < 1:
+        return [_trial_result(ctx, st, dict.fromkeys(names, INF), None, 0, paths) for st in live]
+
+    for t in range(1, horizon + 1):
+        faulted = attack.kind == "topology-fault" and t >= attack.tau
+        sim_model = ctx.sim_model_post if faulted else model
+        b = len(live)
+        Y = np.empty((b, model.K, model.lam))
+        for j, st in enumerate(live):
+            st.sim, y_clean = simulate_step(sim_model, st.sim)
+            real = realize_attack(attack, t, st.atk_rng, model.K)
+            y = apply_attack(model, y_clean, real, st.jam_rng)
+            st.hasher.update(y.flat.tobytes())
+            Y[j] = y.values
+
+        pre_step = next(pre_steps)
+        ys = MeasurementBatch(t, Y)
+        step = detector.algorithm1_step(bank, cs, model, ctx.det_cfg, ys, t, pre_step)
+        bank, cs = step.bank, step.cusum
+        g = np.array([c.g for c in cs])
+        beta = step.beta
+        r = step.pre_innovation.reshape(b, -1)
+        dist = np.sqrt(vecdot(r, r))  # the 2-norm, as np.linalg.norm
+
+        hits = [g >= ctx.h]  # in the order of names
+        if ctx.shewhart is not None:
+            hits.append(robust.shewhart_step(beta, ctx.shewhart))
+        if ctx.chi2 is not None:
+            c = robust.chi2_sample_from_innovation(step.pre_innovation, pre_step.white, model.sigma_w2)
+            window, chi, _ = robust.pearson_step(window, c, ctx.chi2)
+            hits.append(chi >= ctx.chi2.varphi)
+        if ctx.np_q is not None:
+            np_S = np_S + dist - mu0
+            if ctx.np_clamp:
+                np_S = np.maximum(0.0, np_S)
+            hits.append(np_S >= ctx.np_q)
+        if ctx.euclid_d is not None:
+            hits.append(dist >= ctx.euclid_d)
+        if ctx.cosine_d is not None:
+            y_flat = Y.reshape(b, -1)
+            cos = robust.cosine_similarity(y_flat, y_flat - r)
+            hits.append(cos <= ctx.cosine_d)
+
+        first = np.array(hits) & (stops == INF)
+        stops[first] = t
+        if first[0].any():
+            tau_at_alg1[first[0]] = [cs[j].tau_hat for j in np.flatnonzero(first[0])]
+
+        if paths is not None:
+            i = t - 1
+            paths.g[:, i] = g
+            paths.beta[:, i] = beta
+            paths.tau_hat[:, i] = [c.tau_hat for c in cs]
+            if ctx.chi2 is not None:
+                paths.c[:, i] = c
+                paths.chi[:, i] = chi
+            if ctx.np_q is not None:
+                paths.np_S[:, i] = np_S
+            if ctx.euclid_d is not None:
+                paths.euclid[:, i] = dist
+            if ctx.cosine_d is not None:
+                paths.cosine[:, i] = cos
+            if log_steps:
+                x_true = np.array([st.sim.x for st in live])
+                paths.mse0[:, i] = np.mean((bank.pre.x_upd - x_true) ** 2, axis=-1)
+                paths.mse1[:, i] = np.mean((bank.post.x_upd - x_true) ** 2, axis=-1)
+
+        if t == horizon:
+            done = np.ones(b, dtype=bool)
+        elif want_paths:
+            continue
+        else:
+            done = (stops < INF).all(axis=0)
+            if not done.any():
+                continue
+        for j in np.flatnonzero(done):
+            st = live[j]
+            trial_stops = {name: (int(s) if s < INF else INF) for name, s in zip(names, stops[:, j])}
+            tau_hat = int(tau_at_alg1[j]) if trial_stops["alg1"] < INF else cs[j].tau_hat
+            results[st.index] = _trial_result(ctx, st, trial_stops, tau_hat, t, paths)
+        keep = ~done
+        live = [st for st, k in zip(live, keep) if k]
+        if not live:
+            break
+        cs = [c for c, k in zip(cs, keep) if k]
+        bank = bank.take(keep)
+        if window is not None:
+            window = window.take(keep)
+        np_S = np_S[keep]
+        stops = stops[:, keep]
+        tau_at_alg1 = tau_at_alg1[keep]
+    return results
+
+
+def _trial_result(
+    ctx: RunContext,
+    st: _Streams,
+    stops: dict,
+    tau_hat: Optional[int],
+    steps_run: int,
+    paths: Optional[TrialPaths],
+) -> TrialResult:
+    if "alg2" in ctx.enabled:
+        stops["alg2"] = min(stops["alg1"], stops.get("shewhart", INF), stops.get("chi2", INF))
+    stops = {name: stops[name] for name in ctx.enabled}
+    t_tilde = stops.get("alg2", stops["alg1"])
+    fired = frozenset(
+        name
+        for name in ("alg1", "shewhart", "chi2")
+        if stops.get(name, INF) == t_tilde and t_tilde < INF
+    )
+    own_paths = None
+    if paths is not None:
+        rows = {
+            name: None if path is None else path[st.index]
+            for name, path in vars(paths).items()
+        }
+        own_paths = TrialPaths(**rows)
+    return TrialResult(
+        seed=st.seed,
+        stops=stops,
+        t_tilde=t_tilde,
+        fired_first=fired,
+        tau_hat=tau_hat,
+        steps_run=steps_run,
+        meas_hash=st.hasher.hexdigest(),
+        paths=own_paths,
+    )
 
 
 def no_attack_context(ctx: RunContext, horizon: Optional[int] = None) -> RunContext:

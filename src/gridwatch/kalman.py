@@ -29,6 +29,18 @@ every step has its own entry. The post filter reuses step t's pre entry
 the last sync or the start, because its covariance then equals the pre
 filter's; otherwise it runs the same meter-mean update on its own
 covariance.
+
+Every function takes a leading trial axis: the harness advances B trials in
+lock-step, so states hold x as (B, N) and covariances as (B, N, N), or as
+one (N, N) array that all trials share. All trials sit at the same step, so
+the pre filter's covariance is always the schedule's shared entry and its
+update is one stacked matrix-vector product. The post filter carries a
+per-trial "shares pre" mask (``DualFilterBank.post_shares_pre``): trials
+with the flag set take the pre entry's covariance and gain, and only the
+others run the K x K update, on their stacked covariances. An unbatched
+call is the same code with no trial axis. Products go through
+``grid_model.matvec``, so each trial's numbers have the bits of an
+unbatched run.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from typing import Iterator, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from .grid_model import GridModel, MeasurementBatch
+from .grid_model import GridModel, MeasurementBatch, matvec
 
 # The pre-filter recursion is frozen once max|P_upd(t) - P_upd(t-1)| is at
 # most this times trace(P_upd(t)): about a hundred times the last-bit jitter
@@ -59,6 +71,9 @@ class InnovationSolveError(RuntimeError):
 
 @dataclass
 class KalmanState:
+    """x arrays are (..., N); P arrays (..., N, N), or (N, N) when shared by
+    every trial of a batch."""
+
     x_pred: np.ndarray
     P_pred: np.ndarray
     x_upd: np.ndarray
@@ -69,15 +84,36 @@ class KalmanState:
             self.x_pred.copy(), self.P_pred.copy(), self.x_upd.copy(), self.P_upd.copy()
         )
 
+    def take(self, keep) -> "KalmanState":
+        """The trials selected by ``keep`` (an index or mask on the trial axis)."""
+        return KalmanState(
+            self.x_pred[keep],
+            _take_cov(self.P_pred, keep),
+            self.x_upd[keep],
+            _take_cov(self.P_upd, keep),
+        )
+
+
+def _take_cov(P: np.ndarray, keep) -> np.ndarray:
+    return P[keep] if P.ndim > 2 else P
+
 
 @dataclass
 class DualFilterBank:
     pre: KalmanState
     post: KalmanState
-    tau_hat: int = 1
+    tau_hat: "int | np.ndarray" = 1
     # True while the post covariance is the pre filter's: from the start or
-    # the last sync until sigma_hat is first nonzero.
-    post_shares_pre: bool = False
+    # the last sync until sigma_hat is first nonzero. One flag per trial.
+    post_shares_pre: "bool | np.ndarray" = False
+
+    def take(self, keep) -> "DualFilterBank":
+        return DualFilterBank(
+            self.pre.take(keep),
+            self.post.take(keep),
+            np.asarray(self.tau_hat)[keep],
+            np.asarray(self.post_shares_pre)[keep],
+        )
 
 
 @dataclass(frozen=True)
@@ -91,37 +127,69 @@ class GainStep:
 
 
 def initial_state(x0: np.ndarray, p0: "float | np.ndarray") -> KalmanState:
-    """Filters start converged at the configured state with P = p0 * I."""
+    """Filters start converged at the configured state with P = p0 * I.
+
+    x0 may carry a trial axis; a scalar p0 gives one shared covariance.
+    """
     x0 = np.asarray(x0, dtype=float)
     P = np.asarray(p0, dtype=float)
     if P.ndim == 0:
-        P = float(P) * np.eye(x0.size)
+        P = float(P) * np.eye(x0.shape[-1])
     return KalmanState(x_pred=x0.copy(), P_pred=P.copy(), x_upd=x0.copy(), P_upd=P.copy())
 
 
 def initial_bank(x0: np.ndarray, p0: "float | np.ndarray") -> DualFilterBank:
+    batch = np.shape(x0)[:-1]
     return DualFilterBank(
-        pre=initial_state(x0, p0), post=initial_state(x0, p0), tau_hat=1, post_shares_pre=True
+        pre=initial_state(x0, p0),
+        post=initial_state(x0, p0),
+        tau_hat=np.ones(batch, dtype=np.int64)[()],
+        post_shares_pre=np.ones(batch, dtype=bool)[()],
     )
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
+    return 0.5 * (P + np.swapaxes(P, -1, -2))
 
 
-def kf_predict(model: GridModel, ks: KalmanState, step: Optional[GainStep] = None) -> KalmanState:
+def _add_diagonal(S: np.ndarray, d) -> None:
+    """S[..., i, i] += d[..., i] in place. S is a fresh (C-contiguous)
+    product at every call, so the reshape is a view."""
+    n = S.shape[-1]
+    S.reshape(S.shape[:-2] + (n * n,))[..., :: n + 1] += d
+
+
+def _per_trial(P: np.ndarray, batch: tuple) -> np.ndarray:
+    """P with the trial axes ``batch``, broadcasting a shared covariance
+    (read-only) and returning a per-trial one as it is."""
+    return P if P.shape[:-2] == batch else np.broadcast_to(P, batch + P.shape[-2:])
+
+
+def kf_predict(
+    model: GridModel, ks: KalmanState, step: Optional[GainStep] = None, shares=True
+) -> KalmanState:
     """x_pred = A x_upd, P_pred = A P_upd A^T + sigma_v2 I.
 
-    With ``step``, the filter's covariance is the pre-filter schedule's and
-    P_pred is taken from the step instead of recomputed.
+    With ``step``, the trials flagged in ``shares`` (all by default) have the
+    pre-filter schedule's covariance and take P_pred from the step instead
+    of recomputing it; the others predict their own covariance.
     """
-    P_pred = step.P_pred if step is not None else _predict_cov(model, ks.P_upd)
-    return KalmanState(x_pred=model.A @ ks.x_upd, P_pred=P_pred, x_upd=ks.x_upd, P_upd=ks.P_upd)
+    x_pred = matvec(model.A, ks.x_upd)
+    batch = x_pred.shape[:-1]
+    own = ~np.asarray(shares, dtype=bool) if step is not None else np.True_
+    if own.all():
+        P_pred = _predict_cov(model, _per_trial(ks.P_upd, batch))
+    elif own.any():
+        P_pred = _per_trial(step.P_pred, batch).copy()
+        P_pred[own] = _predict_cov(model, _per_trial(ks.P_upd, batch)[own])
+    else:
+        P_pred = step.P_pred
+    return KalmanState(x_pred=x_pred, P_pred=P_pred, x_upd=ks.x_upd, P_upd=ks.P_upd)
 
 
 def _predict_cov(model: GridModel, P_upd: np.ndarray) -> np.ndarray:
     P_pred = model.A @ P_upd @ model.A.T
-    P_pred.flat[:: model.N + 1] += model.sigma_v2
+    _add_diagonal(P_pred, model.sigma_v2)
     return _symmetrize(P_pred)
 
 
@@ -129,26 +197,35 @@ def gain_step(model: GridModel, P_pred: np.ndarray, noise: np.ndarray) -> GainSt
     """Meter-mean gain and Joseph-form covariance update for per-meter
     measurement noise variances ``noise`` (length K).
 
-    Sbar is applied through the inverse W of its lower Cholesky factor
-    (Sbar^{-1} = W^T W), never through an inverse of Sbar itself.
+    P_pred may be a stack (..., N, N) with noise (..., K); the step's arrays
+    then carry the same leading axes. Sbar is applied through the inverse W
+    of its lower Cholesky factor (Sbar^{-1} = W^T W), never through an
+    inverse of Sbar itself.
     """
     M = model.meter_rows
-    noise_mean = noise / model.lam  # variance of a meter-mean noise sample
+    noise_mean = np.asarray(noise / model.lam)  # variance of a meter-mean noise sample
     PMt = P_pred @ M.T
     S = M @ PMt
-    S.flat[:: model.K + 1] += noise_mean
-    chol, info = dpotrf(S, lower=1, clean=1)
-    if info == 0:
-        white, info = dtrtri(chol, lower=1)
-    if info != 0:
-        raise InnovationSolveError(
-            f"innovation covariance factorization failed (LAPACK info {info}; diag "
-            f"min={S.diagonal().min():.3e} max={S.diagonal().max():.3e})"
-        )
-    G = (PMt @ white.T) @ white
+    _add_diagonal(S, noise_mean)
+    # Fortran order per matrix, as dtrtri returns it; the layout decides
+    # which BLAS kernel later products use, and so their last bits.
+    white = np.swapaxes(np.empty_like(S), -1, -2)
+    for i in np.ndindex(S.shape[:-2]):  # LAPACK factors one matrix per call
+        chol, info = dpotrf(S[i], lower=1, clean=1)
+        if info == 0:
+            white[i], info = dtrtri(chol, lower=1)
+        if info != 0:
+            raise InnovationSolveError(
+                f"innovation covariance factorization failed (LAPACK info {info}; diag "
+                f"min={S[i].diagonal().min():.3e} max={S[i].diagonal().max():.3e})"
+            )
+    G = (PMt @ np.swapaxes(white, -1, -2)) @ white
     IGM = -(G @ M)
-    IGM.flat[:: model.N + 1] += 1.0
-    P_upd = _symmetrize(IGM @ P_pred @ IGM.T + (G * noise_mean) @ G.T)
+    _add_diagonal(IGM, 1.0)
+    P_upd = _symmetrize(
+        IGM @ P_pred @ np.swapaxes(IGM, -1, -2)
+        + (G * noise_mean[..., None, :]) @ np.swapaxes(G, -1, -2)
+    )
     return GainStep(P_pred=P_pred, P_upd=P_upd, gain=G, white=white)
 
 
@@ -206,15 +283,15 @@ def kf_update_pre(model: GridModel, ks: KalmanState, y: MeasurementBatch) -> Kal
 def kf_update_pre_full(
     model: GridModel, ks: KalmanState, y: MeasurementBatch, step: Optional[GainStep] = None
 ):
-    """Pre-attack update returning (state, innovation y - H x_pred as (K, lam)).
+    """Pre-attack update returning (state, innovation y - H x_pred as (..., K, lam)).
 
     ``step`` is the schedule entry for this step (computed from ks.P_pred
-    when absent).
+    when absent), shared by every trial.
     """
     if step is None:
         step = pre_gain_step(model, ks.P_pred)
-    innovation = y.values - (model.meter_rows @ ks.x_pred)[:, None]
-    x_upd = ks.x_pred + step.gain @ (innovation.sum(axis=1) / model.lam)
+    innovation = y.values - matvec(model.meter_rows, ks.x_pred)[..., None]
+    x_upd = ks.x_pred + matvec(step.gain, innovation.sum(axis=-1) / model.lam)
     state = KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=step.P_upd)
     return state, innovation
 
@@ -222,31 +299,66 @@ def kf_update_pre_full(
 def kf_update_post(
     model: GridModel,
     ks: KalmanState,
-    y: MeasurementBatch,
+    residual_mean: np.ndarray,
     a_hat: np.ndarray,
     sigma_hat: np.ndarray,
     pre_step: Optional[GainStep] = None,
+    shares=True,
 ) -> KalmanState:
     """Measurement update against the estimated attack.
 
-    a_hat and sigma_hat are per-meter (length K). ``pre_step`` is the pre
-    filter's step, passed while the post covariance equals the pre
-    covariance; with sigma_hat all zero its gain and covariance are reused.
+    ``residual_mean`` holds the per-meter means of y - H x_pred against this
+    filter's prediction (``ResidualBlock.mean``); a_hat and sigma_hat are
+    per-meter (length K), all with the trial axes of ks. ``pre_step`` is the
+    pre filter's step, and ``shares`` flags the trials whose post
+    covariance equals the pre covariance (all by default): those with
+    sigma_hat all zero reuse its gain and covariance, and only the rest run
+    the K x K update, stacked.
     """
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if np.any(sigma_hat < 0):
         raise ValueError("sigma_hat must be >= 0")
-    step = pre_step
-    if step is None or sigma_hat.any():
-        step = gain_step(model, ks.P_pred, model.sigma_w2 + sigma_hat)
-    innovation = y.values - (model.meter_rows @ ks.x_pred)[:, None]
-    x_upd = ks.x_pred + step.gain @ (innovation.sum(axis=1) / model.lam - a_hat)
-    return KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=step.P_upd)
+    innovation = residual_mean - a_hat
+    own = sigma_hat.any(axis=-1)
+    if pre_step is not None:
+        own = own | ~np.asarray(shares, dtype=bool)
+        if not own.any():
+            x_upd = ks.x_pred + matvec(pre_step.gain, innovation)
+            return KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=pre_step.P_upd)
+    batch = ks.x_pred.shape[:-1]
+    P_pred = _per_trial(ks.P_pred, batch)
+    noise = model.sigma_w2 + sigma_hat
+    if pre_step is None or own.all():
+        step = gain_step(model, P_pred, noise)
+        x_upd = ks.x_pred + matvec(step.gain, innovation)
+        return KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=step.P_upd)
+    step = gain_step(model, P_pred[own], noise[own])
+    x_upd = ks.x_pred + matvec(pre_step.gain, innovation)
+    x_upd[own] = ks.x_pred[own] + matvec(step.gain, innovation[own])
+    P_upd = _per_trial(pre_step.P_upd, batch).copy()
+    P_upd[own] = step.P_upd
+    return KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=P_upd)
 
 
-def sync_post_to_pre(bank: DualFilterBank, t: int) -> DualFilterBank:
-    """Reset coupling: post := pre and the change-point estimate moves to t."""
-    return DualFilterBank(pre=bank.pre, post=bank.pre.copy(), tau_hat=t, post_shares_pre=True)
+def sync_post_to_pre(bank: DualFilterBank, t: int, sync=True) -> DualFilterBank:
+    """Reset coupling for the trials flagged in ``sync`` (all by default):
+    post := pre (a copy) and the change-point estimate moves to t."""
+    sync = np.asarray(sync, dtype=bool)
+    if not sync.any():
+        return bank
+    vec, mat = sync[..., None], sync[..., None, None]
+    pre, post = bank.pre, bank.post
+    return DualFilterBank(
+        pre=pre,
+        post=KalmanState(
+            np.where(vec, pre.x_pred, post.x_pred),
+            np.where(mat, pre.P_pred, post.P_pred),
+            np.where(vec, pre.x_upd, post.x_upd),
+            np.where(mat, pre.P_upd, post.P_upd),
+        ),
+        tau_hat=np.where(sync, t, bank.tau_hat)[()],
+        post_shares_pre=(sync | bank.post_shares_pre)[()],
+    )
 
 
 def min_eigenvalue_ratio(P: np.ndarray) -> float:

@@ -11,6 +11,11 @@ earliest of the stopping times:
   values flags any distributional drift, parametric or not;
 * benchmarks from the evaluation: a nonparametric CUSUM on the innovation
   norm, plus Euclidean-distance and cosine-similarity outlier detectors.
+
+The statistics the harness computes every step (c_t, the Pearson window,
+cosine similarity) take a leading trial axis; the Pearson windows of a
+batch share one ring-buffer head, because all its trials are at the same
+step.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
-from .grid_model import GridModel, MeasurementBatch
+from .grid_model import GridModel, MeasurementBatch, matvec, vecdot
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,10 @@ class Chi2Config:
 
     @classmethod
     def equiprobable(cls, dof: int, M: int, L: int, varphi: float) -> "Chi2Config":
-        """Cells of equal probability under the chi-squared(dof) null."""
-        edges = tuple(float(chi2.ppf(j / M, dof)) for j in range(1, M))
+        """Cells of equal probability under the chi-squared(dof) null: the
+        j/M quantiles, 2 P^{-1}(dof/2, j/M) with P the regularized lower
+        incomplete gamma function."""
+        edges = tuple(float(2.0 * gammaincinv(dof / 2.0, j / M)) for j in range(1, M))
         return cls(edges=edges, p=(1.0 / M,) * M, L=L, varphi=varphi)
 
     def cell_of(self, c: float) -> int:
@@ -83,13 +90,17 @@ class Chi2Config:
 
 @dataclass
 class Chi2State:
-    """Ring buffer of cell indices with incrementally maintained counts."""
+    """Ring buffer of cell indices with incrementally maintained counts.
+
+    A batch stacks the windows of B trials: cells (B, L), counts (B, M) and
+    chi_stat (B,), with the head shared.
+    """
 
     cfg: Chi2Config
-    cells: np.ndarray  # (L,) ints
-    counts: np.ndarray  # (M,)
+    cells: np.ndarray  # (..., L) ints
+    counts: np.ndarray  # (..., M)
     head: int = 0
-    chi_stat: float = 0.0
+    chi_stat: "float | np.ndarray" = 0.0
 
     @classmethod
     def from_samples(cls, cfg: Chi2Config, samples: Sequence[float]) -> "Chi2State":
@@ -105,48 +116,63 @@ class Chi2State:
     @classmethod
     def initialize(cls, cfg: Chi2Config, dof: int, rng: np.random.Generator) -> "Chi2State":
         """Seed the window with draws from the chi-squared(dof) null."""
-        return cls.from_samples(cfg, chi2.rvs(dof, size=cfg.L, random_state=rng))
+        return cls.from_samples(cfg, rng.chisquare(dof, cfg.L))
+
+    @classmethod
+    def stack(cls, states: "Sequence[Chi2State]") -> "Chi2State":
+        """One batch of windows at the same head, trial axis first."""
+        if len({st.head for st in states}) != 1:
+            raise ValueError("stacked windows must share their head")
+        return cls(
+            cfg=states[0].cfg,
+            cells=np.stack([st.cells for st in states]),
+            counts=np.stack([st.counts for st in states]),
+            head=states[0].head,
+            chi_stat=np.array([st.chi_stat for st in states]),
+        )
+
+    def take(self, keep) -> "Chi2State":
+        """The windows of the trials selected by ``keep``."""
+        return Chi2State(self.cfg, self.cells[keep], self.counts[keep], self.head, self.chi_stat[keep])
 
 
-def _pearson(counts: np.ndarray, cfg: Chi2Config) -> float:
+def _pearson(counts: np.ndarray, cfg: Chi2Config) -> "float | np.ndarray":
     expected = cfg.L * np.asarray(cfg.p)
-    return float(((counts - expected) ** 2 / expected).sum())
+    return (((counts - expected) ** 2 / expected).sum(axis=-1))[()]
 
 
-def chi2_sample_from_innovation(r: np.ndarray, white: np.ndarray, sigma_w2: float) -> float:
+def chi2_sample_from_innovation(
+    r: np.ndarray, white: np.ndarray, sigma_w2: float
+) -> "float | np.ndarray":
     """Normalized innovation energy c_t = r^T Q^{-1} r against the pre-filter
     prediction; chi-squared with K*lam degrees of freedom under no attack.
 
-    r is the (K, lam) innovation and ``white`` the inverse W of the lower
-    Cholesky factor of the meter-mean innovation covariance
+    r is the (..., K, lam) innovation and ``white`` the inverse W of the
+    lower Cholesky factor of the meter-mean innovation covariance
     Sbar = M P_pred M^T + (sigma_w2/lam) I. Q = H P_pred H^T + sigma_w2 I acts
     as sigma_w2 I on the within-meter deviations and as lam Sbar on the
     meter means, so c_t = ||r - rbar kron 1||^2 / sigma_w2 + ||W rbar||^2.
     """
-    rbar = r.sum(axis=1) / r.shape[1]
-    spread = r - rbar[:, None]
-    z = white @ rbar
-    return float(np.vdot(spread, spread) / sigma_w2 + z @ z)
+    rbar = r.sum(axis=-1) / r.shape[-1]
+    spread = r - rbar[..., None]
+    spread = spread.reshape(spread.shape[:-2] + (-1,))
+    z = matvec(white, rbar)
+    return (vecdot(spread, spread) / sigma_w2 + vecdot(z, z))[()]
 
 
-def pearson_step(st: Chi2State, c_new: float, cfg: Chi2Config) -> "tuple[Chi2State, float, bool]":
-    """Evict the oldest sample, insert c_new, update counts in O(1)."""
-    cell = cfg.cell_of(c_new)
-    old = st.cells[st.head]
-    st.counts[old] -= 1.0
-    st.counts[cell] += 1.0
-    st.cells[st.head] = cell
+def pearson_step(st: Chi2State, c_new, cfg: Chi2Config) -> "tuple[Chi2State, float, bool]":
+    """Evict the oldest sample, insert c_new, update counts in O(1).
+
+    c_new has the trial axes of the window (none for a single window).
+    """
+    cell = np.searchsorted(cfg.edges, c_new, side="right")
+    bins = np.arange(cfg.M)
+    st.counts -= bins == st.cells[..., st.head, None]
+    st.counts += bins == np.asarray(cell)[..., None]
+    st.cells[..., st.head] = cell
     st.head = (st.head + 1) % cfg.L
     st.chi_stat = _pearson(st.counts, cfg)
     return st, st.chi_stat, st.chi_stat >= cfg.varphi
-
-
-@dataclass
-class BenchmarkConfig:
-    np_q: float = math.inf
-    euclid_d: float = math.inf
-    cosine_d: float = -math.inf
-    np_clamp: bool = False  # the printed recursion has no max{0, .}
 
 
 @dataclass
@@ -154,7 +180,6 @@ class BenchmarkState:
     mu0: float
     S: float = 0.0
     last_distance: float = 0.0
-    last_cosine: float = 1.0
 
 
 def np_cusum_step(
@@ -183,34 +208,18 @@ def euclidean_step(y: np.ndarray, y_pred: np.ndarray, threshold: float) -> bool:
     return float(np.linalg.norm(np.asarray(y) - np.asarray(y_pred))) >= threshold
 
 
-def cosine_similarity(y: np.ndarray, y_pred: np.ndarray) -> float:
-    """Cosine of the angle; a zero vector counts as maximal dissimilarity."""
+def cosine_similarity(y: np.ndarray, y_pred: np.ndarray) -> "float | np.ndarray":
+    """Cosine of the angle over the last axis, one per trial; a zero vector
+    counts as maximal dissimilarity."""
     y = np.asarray(y, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
-    ny, np_ = np.linalg.norm(y), np.linalg.norm(y_pred)
-    if ny == 0.0 or np_ == 0.0:
-        return -1.0
-    return float(y @ y_pred / (ny * np_))
+    ny, np_ = np.sqrt(vecdot(y, y)), np.sqrt(vecdot(y_pred, y_pred))
+    cos = vecdot(y, y_pred)
+    return np.divide(cos, ny * np_, out=np.full_like(cos, -1.0), where=(ny != 0.0) & (np_ != 0.0))[()]
 
 
 def cosine_step(y: np.ndarray, y_pred: np.ndarray, threshold: float) -> bool:
     return cosine_similarity(y, y_pred) <= threshold
-
-
-@dataclass
-class Verdict:
-    """Per-step record of every statistic and which detectors have fired."""
-
-    t: int
-    beta: float
-    g: float
-    c: float
-    chi: float
-    np_S: float = math.nan
-    euclid: float = math.nan
-    cosine: float = math.nan
-    fired: frozenset = frozenset()
-    stopped: bool = False
 
 
 def algorithm2_step(

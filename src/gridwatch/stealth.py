@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def cusum_drift_audit(
         slopes[i] = float(tc @ g) / denom
     mean = float(slopes.mean())
     spread = float(slopes.std(ddof=1))
-    tq = float(student_t.ppf(0.975, paths - 1))
+    tq = float(stdtrit(paths - 1, 0.975))  # Student-t 97.5% quantile
     return SlopeAudit(
         slope_mean=mean,
         ci_lo=mean - tq * spread,

@@ -195,9 +195,11 @@ def dense_trial(ctx, seed):
     filters above, never freezing a covariance.
 
     Same seed streams and draw order as harness.run_trial; the detector
-    math is the production one. Returns the measurement hash, the statistic
-    paths keyed like TrialPaths fields (enabled detectors only) and the
-    stopping times as first crossings of those paths.
+    math is the production one, on a single trial. Returns the measurement
+    hash, the hash after each step (what a trial that stopped early
+    reports), the statistic paths keyed like TrialPaths fields (enabled
+    detectors only) and the stopping times as first crossings of those
+    paths.
     """
     model, cfg, det = ctx.model, ctx.cfg, ctx.det_cfg
     n_meas = model.K * model.lam
@@ -213,6 +215,7 @@ def dense_trial(ctx, seed):
     g = S = 0.0
     tau_hat = 1
     hasher = hashlib.sha256()
+    hashes = []
     paths = {name: [] for name in ("g", "beta", "tau_hat", "c", "chi", "np_S", "euclid", "cosine")}
     attack = cfg.attack
     for t in range(1, cfg.run.horizon + 1):
@@ -220,6 +223,7 @@ def dense_trial(ctx, seed):
         sim, y = simulate_step(ctx.sim_model_post if faulted else model, sim)
         y = apply_attack(model, y, realize_attack(attack, t, atk_rng, model.K), jam_rng)
         hasher.update(y.flat.tobytes())
+        hashes.append(hasher.hexdigest())
 
         pre, post = dense_predict(model, pre), dense_predict(model, post)
         rb = detector.residual_block(model, y, post.x_pred, det)
@@ -229,7 +233,7 @@ def dense_trial(ctx, seed):
         pre, factor, r = dense_update(model, pre, y.flat, 0.0, clean_noise)
         inflated = clean_noise + model.expand(est.sigma_hat)
         post = dense_update(model, post, y.flat, model.expand(est.a_hat), inflated)[0]
-        beta = detector.gllr(y.flat - model.H @ pre.x_upd, costs, labels, model)
+        beta = detector.gllr(y.values - (model.meter_rows @ pre.x_upd)[:, None], costs, labels, model)
         g = max(0.0, g + beta)
         if g == 0.0:
             post, tau_hat = pre.copy(), t
@@ -272,7 +276,7 @@ def dense_trial(ctx, seed):
         stops["alg2"] = min(
             stops["alg1"], stops.get("shewhart", math.inf), stops.get("chi2", math.inf)
         )
-    return {"meas_hash": hasher.hexdigest(), "paths": paths, "stops": stops}
+    return {"meas_hash": hasher.hexdigest(), "hashes": hashes, "paths": paths, "stops": stops}
 
 
 def chi2_cdf_oracle(x, dof):

@@ -122,6 +122,34 @@ def test_costs_match_oracle_quick(ieee14_model):
         np.testing.assert_array_equal(labels, oracle["labels"])
 
 
+def test_batched_statistics_match_single_trial_calls(ieee14_model):
+    # a leading trial axis changes no bits: each trial of a batch gets what
+    # the same call on that trial alone returns
+    rng = np.random.default_rng(11)
+    B = 4
+    scale = 10.0 ** rng.uniform(-3, -1, (B, 23, 1))
+    y = MeasurementBatch(1, rng.standard_normal((B, 23, 5)) * scale)
+    x = rng.standard_normal((B, 13)) * 0.01
+    rb = residual_block(ieee14_model, y, x, CFG)
+    costs = hypothesis_costs(rb, ieee14_model, CFG)
+    cls = classify_meters(costs)
+    est = mle_attack_params(rb, cls, CFG, ieee14_model)
+    beta = gllr(rb.e, costs, cls, ieee14_model)
+    assert len(set(cls.labels.ravel())) == 4  # every hypothesis occurs
+    for i in range(B):
+        rb1 = residual_block(ieee14_model, MeasurementBatch(1, y.values[i]), x[i], CFG)
+        costs1 = hypothesis_costs(rb1, ieee14_model, CFG)
+        cls1 = classify_meters(costs1)
+        est1 = mle_attack_params(rb1, cls1, CFG, ieee14_model)
+        for got, want in [
+            (rb.e[i], rb1.e), (rb.mean[i], rb1.mean), (rb.ssr_f[i], rb1.ssr_f),
+            (costs.stacked()[i], costs1.stacked()), (cls.labels[i], cls1.labels),
+            (est.a_hat[i], est1.a_hat), (est.sigma_hat[i], est1.sigma_hat),
+        ]:
+            np.testing.assert_array_equal(got, want)
+        assert beta[i] == gllr(rb1.e, costs1, cls1, ieee14_model)
+
+
 # ---------------------------------------------------------------------------
 # classify_meters
 

@@ -1,5 +1,6 @@
 import math
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ sigma2_min = 1e-2
 h = {h}
 np_q = {np_q}
 euclid_d = {euclid_d}
-cosine_d = -0.5
+cosine_d = {cosine_d}
 mu0_samples = 4000
 mu0_cache = {cache}
 
@@ -48,12 +49,14 @@ seed = {seed}
 
 
 def make_cfg(tmp_path, attack="kind = none", h=8.0, np_q=6.0, euclid_d=0.35,
-             trials=2, horizon=220, tau=100, seed=3, name="exp.cfg", cache=None):
+             trials=2, horizon=220, tau=100, seed=3, name="exp.cfg", cache=None,
+             cosine_d=-0.5):
     text = BASE.format(
         attack=attack,
         h=h,
         np_q=np_q,
         euclid_d=euclid_d,
+        cosine_d=cosine_d,
         trials=trials,
         horizon=horizon,
         tau=tau,
@@ -67,6 +70,7 @@ def make_cfg(tmp_path, attack="kind = none", h=8.0, np_q=6.0, euclid_d=0.35,
 
 CASE1 = "kind = fdi\np = 0.5\nfdi_uniform = 0.02"
 HYBRID = "kind = hybrid\np = 0.5\nfdi_uniform = 0.02\njam_uniform = 2e-4,4e-4"
+STRONG_FDI = "kind = fdi\np = 0.5\nfdi_uniform = 0.05"
 
 
 @pytest.fixture(scope="module")
@@ -325,20 +329,59 @@ def test_topology_fault_detected(tmp_path, mu0_cache):
     assert finite_post >= 10  # detected in nearly every trial at desk scale
 
 
+def assert_same_trials(got, want):
+    assert [r.meas_hash for r in got] == [r.meas_hash for r in want]
+    assert [r.stops for r in got] == [r.stops for r in want]
+    assert [r.steps_run for r in got] == [r.steps_run for r in want]
+    assert [r.tau_hat for r in got] == [r.tau_hat for r in want]
+    for a, b in zip(got, want):
+        for name in ("g", "beta", "tau_hat", "c", "chi", "np_S", "euclid", "cosine", "mse0", "mse1"):
+            np.testing.assert_array_equal(getattr(a.paths, name), getattr(b.paths, name), err_msg=name)
+
+
 def test_workers_do_not_change_results(tmp_path, mu0_cache):
-    cfg = make_cfg(tmp_path, attack=CASE1, trials=4, horizon=150, cache=mu0_cache)
+    # one batch of 5, five batches of one and two batches (3 + 2 trials on
+    # the thread pool) give the same trials, paths included, bit for bit
+    cfg = make_cfg(tmp_path, attack=CASE1, trials=5, horizon=150, cache=mu0_cache)
     ctx = harness.prepare(cfg)
-    seq = harness.run_trials(ctx, workers=1)
-    par = harness.run_trials(ctx, workers=4)
-    assert [r.stops for r in seq] == [r.stops for r in par]
-    assert [r.meas_hash for r in seq] == [r.meas_hash for r in par]
+    batch = harness.run_trials(ctx, workers=1, log_steps=True)
+    alone = [
+        harness.run_trial(ctx, harness.trial_entropy(3, i), log_steps=True) for i in range(5)
+    ]
+    split = harness.run_trials(ctx, workers=2, log_steps=True)
+    assert [r.seed for r in batch] == [r.seed for r in split] == [(3, i) for i in range(5)]
+    assert_same_trials(alone, batch)
+    assert_same_trials(split, batch)
+    quick = harness.run_trials(ctx, workers=4)
+    assert [r.stops for r in quick] == [r.stops for r in batch]
 
 
-def assert_trial_matches_oracle(ctx, seed):
-    res = harness.run_trial(ctx, seed, full_paths=True)
-    quick = harness.run_trial(ctx, seed)
-    oracle = dense_trial(ctx, seed)
-    assert res.meas_hash == quick.meas_hash == oracle["meas_hash"]
+def test_batch_without_paths_keeps_o_b_memory(tmp_path):
+    # (B, horizon) path arrays for 8 x 20000 steps would take about 10 MB;
+    # without paths the engine holds only per-trial state. Only alg1 is
+    # enabled, so that the run stays short under tracemalloc.
+    (tmp_path / "lean.cfg").write_text(
+        "[model]\ntopology = ieee14\nlambda = 5\nsigma_v2 = 1e-4\nsigma_w2 = 1e-4\n"
+        "[detector]\ngamma = 0.022\nsigma2_min = 1e-2\nh = 1e9\n"
+        "[attack]\nkind = none\n[run]\ntrials = 8\nhorizon = 20000\nseed = 3\n"
+    )
+    ctx = harness.prepare(load_config(tmp_path / "lean.cfg"))
+    tracemalloc.start()
+    try:
+        results = harness.run_trials(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.steps_run for r in results] == [20_000] * 8
+    assert all(r.paths is None for r in results)
+    assert peak < 4 << 20, f"peak allocation {peak / 2**20:.1f} MiB"
+
+
+def assert_matches_oracle(res, quick, oracle):
+    """A full-path trial and an early-exit run of the same seed against the
+    dense oracle: hash and stopping times exactly, paths to 1e-9."""
+    assert res.meas_hash == oracle["meas_hash"]
+    assert quick.meas_hash == oracle["hashes"][quick.steps_run - 1]
     assert res.stops == quick.stops == oracle["stops"]
     assert set(oracle["paths"]) == {
         name for name in ("g", "beta", "tau_hat", "c", "chi", "np_S", "euclid", "cosine")
@@ -351,15 +394,35 @@ def assert_trial_matches_oracle(ctx, seed):
         )
 
 
+def assert_trial_matches_oracle(ctx, seed):
+    res = harness.run_trial(ctx, seed, full_paths=True)
+    quick = harness.run_trial(ctx, seed)
+    assert_matches_oracle(res, quick, dense_trial(ctx, seed))
+
+
 @pytest.mark.parametrize(
     "attack, seed, horizon",
-    [(CASE1, (9, 0), 260), ("kind = none", (11, 0), 400), (HYBRID, (4, 1), 220)],
+    [(CASE1, (9, 0), 260), ("kind = none", (11, 0), 400), (HYBRID, (4, 1), 220), (STRONG_FDI, 1, 200)],
 )
 def test_run_trial_matches_dense_oracle(tmp_path, mu0_cache, attack, seed, horizon):
     # structured filter core (settled pre schedule, K x K post updates,
-    # post-gain reuse) against full-size dense updates that never freeze
-    cfg = make_cfg(tmp_path, attack=attack, horizon=horizon, cache=mu0_cache)
-    assert_trial_matches_oracle(harness.prepare(cfg), seed)
+    # post-gain reuse) against full-size dense updates that never freeze.
+    # An int seed is the master seed of a batch of 4 trials, where every
+    # detector fires in some trials, which leave the batch early, and not in
+    # others.
+    if isinstance(seed, tuple):
+        cfg = make_cfg(tmp_path, attack=attack, horizon=horizon, cache=mu0_cache)
+        assert_trial_matches_oracle(harness.prepare(cfg), seed)
+        return
+    cfg = make_cfg(tmp_path, attack=attack, horizon=horizon, cache=mu0_cache, trials=4,
+                   seed=seed, h=4.0, np_q=0.5, euclid_d=0.3, cosine_d=0.8)
+    ctx = harness.prepare(cfg)
+    full = harness.run_trials(ctx, full_paths=True)
+    quick = harness.run_trials(ctx)
+    steps = [r.steps_run for r in quick]
+    assert min(steps) < horizon == max(steps), steps
+    for res, fast in zip(full, quick):
+        assert_matches_oracle(res, fast, dense_trial(ctx, res.seed))
 
 
 def test_rank_deficient_network_trial_matches_dense_oracle(tmp_path):
@@ -371,7 +434,7 @@ def test_rank_deficient_network_trial_matches_dense_oracle(tmp_path):
         "[meters]\n1 flow 1 +\n2 flow 2 +\n"
     )
     text = BASE.format(
-        attack=CASE1, h=8.0, np_q=6.0, euclid_d=0.35, trials=1, horizon=300, tau=100,
+        attack=CASE1, h=8.0, np_q=6.0, euclid_d=0.35, cosine_d=-0.5, trials=1, horizon=300, tau=100,
         seed=3, cache="none",
     ).replace("topology = ieee14", "topology = iso.grid").replace("lambda = 5", "lambda = 2")
     (tmp_path / "iso.cfg").write_text(text)

@@ -30,6 +30,12 @@ from gridwatch.robust import chi2_sample_from_innovation
 from oracles import dense_predict, dense_predict_oracle, dense_update
 
 
+def post_mean(model, ks, y):
+    """Per-meter means of y - H x_pred, the residual means the post update
+    takes from the detector's residual block."""
+    return (y.values - (model.meter_rows @ ks.x_pred)[:, None]).sum(axis=1) / model.lam
+
+
 def scalar_model(sigma_w2=1.0, sigma_v2=1.0):
     return GridModel(
         A=np.eye(1),
@@ -111,7 +117,7 @@ def test_post_with_zero_estimates_is_bitwise_pre(ieee14_model, ieee14_topology):
     rng = np.random.default_rng(3)
     y = MeasurementBatch.from_flat(1, ieee14_model.H @ x0 + rng.standard_normal(115) * 0.01, 5)
     pre = kf_update_pre(ieee14_model, ks, y)
-    post = kf_update_post(ieee14_model, ks, y, np.zeros(23), np.zeros(23))
+    post = kf_update_post(ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), np.zeros(23))
     np.testing.assert_array_equal(pre.x_upd, post.x_upd)
     np.testing.assert_array_equal(pre.P_upd, post.P_upd)
 
@@ -121,7 +127,7 @@ def test_post_perfectly_explained_bias():
     ks = KalmanState(np.array([0.2]), np.eye(1), np.array([0.2]), np.eye(1))
     a_hat = np.array([0.6])
     y = MeasurementBatch.from_flat(1, model.H @ ks.x_pred + a_hat, 1)
-    out = kf_update_post(model, ks, y, a_hat, np.zeros(1))
+    out = kf_update_post(model, ks, post_mean(model, ks, y), a_hat, np.zeros(1))
     np.testing.assert_allclose(out.x_upd, ks.x_pred, atol=1e-12)
 
 
@@ -129,7 +135,7 @@ def test_post_scalar_inflated_gain_third():
     model = scalar_model(sigma_w2=1.0)
     ks = KalmanState(np.array([0.0]), np.eye(1), np.array([0.0]), np.eye(1))
     y = MeasurementBatch.from_flat(1, np.array([3.0]), 1)
-    out = kf_update_post(model, ks, y, np.zeros(1), np.array([1.0]))
+    out = kf_update_post(model, ks, post_mean(model, ks, y), np.zeros(1), np.array([1.0]))
     # gain = P / (P + sigma_w2 + sigma_hat) = 1/3
     assert out.x_upd[0] == pytest.approx(1.0)
 
@@ -145,7 +151,7 @@ def test_post_expansion_convention(ieee14_model, ieee14_topology):
     y = MeasurementBatch.from_flat(1, y_flat, 5)
     sigma = np.zeros(23)
     sigma[3] = 1e9
-    out = kf_update_post(ieee14_model, ks, y, np.zeros(23), sigma)
+    out = kf_update_post(ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), sigma)
     assert np.linalg.norm(out.x_upd - x0) < 1e-3
     out_bad = kf_update_pre(ieee14_model, ks, y)
     assert np.linalg.norm(out_bad.x_upd - x0) > 10 * np.linalg.norm(out.x_upd - x0)
@@ -178,7 +184,8 @@ def test_pre_post_trajectories_identical_with_zero_estimates(ieee14_model, ieee1
     for _ in range(50):
         state, y = simulate_step(ieee14_model, state)
         pre = kf_update_pre(ieee14_model, kf_predict(ieee14_model, pre), y)
-        post = kf_update_post(ieee14_model, kf_predict(ieee14_model, post), y, zeros, zeros)
+        post = kf_predict(ieee14_model, post)
+        post = kf_update_post(ieee14_model, post, post_mean(ieee14_model, post, y), zeros, zeros)
         np.testing.assert_array_equal(pre.x_upd, post.x_upd)
         np.testing.assert_array_equal(pre.P_upd, post.P_upd)
 
@@ -238,7 +245,8 @@ def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
 
         shared = step if shares else None
         pre, r = kf_update_pre_full(model, kf_predict(model, pre, step), y, step)
-        post = kf_update_post(model, kf_predict(model, post, shared), y, a_hat, sigma_hat, shared)
+        post = kf_predict(model, post, shared)
+        post = kf_update_post(model, post, post_mean(model, post, y), a_hat, sigma_hat, shared)
         shares = shares and not sigma_hat.any()
         c = chi2_sample_from_innovation(r, step.white, model.sigma_w2)
 
@@ -308,4 +316,49 @@ def test_failed_factorization_raises_typed_error(ieee14_model, ieee14_topology):
     with pytest.raises(InnovationSolveError):
         kf_update_pre(ieee14_model, broken, y)
     with pytest.raises(InnovationSolveError):
-        kf_update_post(ieee14_model, broken, y, np.zeros(23), np.full(23, 1.0))
+        kf_update_post(ieee14_model, broken, post_mean(ieee14_model, broken, y), np.zeros(23), np.full(23, 1.0))
+    # a stacked post update where one trial of three is broken, alone among
+    # the trials that run their own update or together with all of them
+    step = PreSchedule(ieee14_model, 1e-4).steps[0]
+    P = np.stack([step.P_pred, -np.eye(13), step.P_pred])
+    xs = np.tile(x0, (3, 1))
+    stacked = KalmanState(xs, P, xs, P)
+    mean = np.zeros((3, 23))
+    sigma_hat = np.zeros((3, 23))
+    sigma_hat[1:, 0] = 1.0
+    for shares in (np.array([True, False, False]), np.array([False, False, False])):
+        with pytest.raises(InnovationSolveError):
+            kf_update_post(ieee14_model, stacked, mean, np.zeros((3, 23)), sigma_hat, step, shares)
+
+
+def test_batched_filter_matches_single_trial_calls(ieee14_model, ieee14_topology):
+    # a batch of trials with mixed "shares pre" flags and attack estimates:
+    # every trial's predict and post update have the bits of the same call
+    # on that trial alone
+    model = ieee14_model
+    x0 = ieee14_topology.initial_state()
+    rng = np.random.default_rng(8)
+    steps = list(islice(PreSchedule(model, 1e-4), 3))
+    B = 5
+    xs = x0 + 1e-3 * rng.standard_normal((B, 13))
+    own_P = np.stack([steps[0].P_upd * (1.0 + 0.1 * i) for i in range(B)])
+    shares = np.array([True, False, True, False, True])
+    post = KalmanState(xs, own_P, xs, own_P)
+    for step in steps[1:]:
+        means = 1e-2 * rng.standard_normal((B, 23))
+        a_hat = np.where(rng.random((B, 23)) < 0.3, 0.05, 0.0)
+        sigma_hat = np.where(rng.random((B, 23)) < 0.2, 1.5, 0.0)
+        sigma_hat[0] = sigma_hat[3] = 0.0
+        pred = kf_predict(model, post, step, shares)
+        upd = kf_update_post(model, pred, means, a_hat, sigma_hat, step, shares)
+        for i in range(B):
+            alone = KalmanState(post.x_pred[i], post.P_pred[i], post.x_upd[i], post.P_upd[i])
+            shared = step if shares[i] else None
+            want_pred = kf_predict(model, alone, shared)
+            want = kf_update_post(model, want_pred, means[i], a_hat[i], sigma_hat[i], shared)
+            np.testing.assert_array_equal(np.broadcast_to(pred.P_pred, (B, 13, 13))[i], want_pred.P_pred)
+            np.testing.assert_array_equal(pred.x_pred[i], want_pred.x_pred)
+            np.testing.assert_array_equal(upd.x_upd[i], want.x_upd)
+            np.testing.assert_array_equal(np.broadcast_to(upd.P_upd, (B, 13, 13))[i], want.P_upd)
+        post = upd
+        shares = shares & ~sigma_hat.any(axis=1)

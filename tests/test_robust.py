@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from gridwatch import (
     Chi2Config,
@@ -62,6 +65,32 @@ def test_chi2_sample_scalar_arithmetic():
     assert chi2_sample_from_innovation(r, step.white, model.sigma_w2) == pytest.approx(4.5)
 
 
+def test_batched_statistics_match_single_windows(ieee14_model, ieee14_topology):
+    # c_t, the Pearson window and the cosine similarity of a batch equal the
+    # same statistics of each trial alone, bit for bit
+    rng = np.random.default_rng(4)
+    B = 3
+    cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
+    windows = [Chi2State.initialize(cfg, 115, np.random.default_rng(i)) for i in range(B)]
+    batch = Chi2State.stack([Chi2State.initialize(cfg, 115, np.random.default_rng(i)) for i in range(B)])
+    x0 = ieee14_topology.initial_state()
+    ks = KalmanState(x0, 1e-4 * np.eye(13), x0, 1e-4 * np.eye(13))
+    white = pre_gain_step(ieee14_model, ks.P_pred).white
+    for _ in range(200):
+        r = rng.standard_normal((B, 23, 5)) * 0.01 * rng.uniform(0.5, 2.0)
+        c = chi2_sample_from_innovation(r, white, ieee14_model.sigma_w2)
+        batch, chi, fired = pearson_step(batch, c, cfg)
+        y = rng.standard_normal((B, 115))
+        cos = cosine_similarity(y, y - r.reshape(B, -1))
+        for i in range(B):
+            assert c[i] == chi2_sample_from_innovation(r[i], white, ieee14_model.sigma_w2)
+            windows[i], chi_i, fired_i = pearson_step(windows[i], float(c[i]), cfg)
+            assert (chi[i], fired[i]) == (chi_i, fired_i)
+            np.testing.assert_array_equal(batch.counts[i], windows[i].counts)
+            assert cos[i] == cosine_similarity(y[i], y[i] - r[i].reshape(-1))
+    assert cosine_similarity(np.zeros((2, 3)), np.ones((2, 3))).tolist() == [-1.0, -1.0]
+
+
 def test_equiprobable_intervals_match_published_values():
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
     np.testing.assert_allclose(cfg.edges, PAPER_EDGES, atol=5e-4)
@@ -70,6 +99,35 @@ def test_equiprobable_intervals_match_published_values():
     np.testing.assert_allclose(probs, [0.2, 0.4, 0.6, 0.8], atol=1e-6)
     # the Pearson threshold sits at the 5e-5 tail of chi-squared with M-1 dof
     assert 1.0 - chi2_cdf_oracle(VARPHI, 4) == pytest.approx(5e-5, rel=1e-3)
+
+
+def test_special_functions_match_scipy_stats():
+    # gridwatch avoids importing scipy.stats; its replacements must give the
+    # same bits: chi-squared quantiles, Student-t quantiles, chi-squared draws
+    for dof in (5, 23, 115):
+        for M in (5, 8):
+            cfg = Chi2Config.equiprobable(dof=dof, M=M, L=80, varphi=VARPHI)
+            assert cfg.edges == tuple(float(stats.chi2.ppf(j / M, dof)) for j in range(1, M))
+    df = np.arange(1, 500)
+    np.testing.assert_array_equal(special.stdtrit(df, 0.975), stats.t.ppf(0.975, df))
+    cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
+    for seed in range(5):
+        for dof in (5, 23, 115):
+            np.testing.assert_array_equal(
+                np.random.default_rng(seed).chisquare(dof, 80),
+                stats.chi2.rvs(dof, size=80, random_state=np.random.default_rng(seed)),
+            )
+        got = Chi2State.initialize(cfg, 115, np.random.default_rng(seed))
+        want = Chi2State.from_samples(
+            cfg, stats.chi2.rvs(115, size=80, random_state=np.random.default_rng(seed))
+        )
+        np.testing.assert_array_equal(got.cells, want.cells)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, gridwatch; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_interval_membership_half_open():
