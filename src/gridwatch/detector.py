@@ -92,12 +92,10 @@ class HypothesisCosts:
     uj: np.ndarray
     ufj: np.ndarray
 
-    def stacked(self) -> np.ndarray:
-        """(..., 4, K) in tie-precedence order."""
-        return self._stacked
-
     @cached_property
-    def _stacked(self) -> np.ndarray:  # shared by the classification and the GLLR
+    def stacked(self) -> np.ndarray:
+        """(..., 4, K) in tie-precedence order; shared by the classification
+        and the GLLR."""
         return np.stack([self.u0, self.uf, self.uj, self.ufj], axis=-2)
 
 
@@ -191,7 +189,7 @@ def classify_meters(costs: HypothesisCosts) -> MeterClassification:
 
     np.argmin returns the first minimum, which is exactly that precedence.
     """
-    stacked = costs.stacked()
+    stacked = costs.stacked
     if not np.all(np.isfinite(stacked)):
         raise ValueError("hypothesis costs must be finite")
     return MeterClassification(labels=np.argmin(stacked, axis=-2))
@@ -226,7 +224,7 @@ def gllr(
     costs: HypothesisCosts,
     classification: MeterClassification,
     model: GridModel,
-) -> "float | np.ndarray":
+) -> np.ndarray:
     """Generalized log-likelihood ratio for the interval, one per trial.
 
     ``rb_pre`` holds the residuals y - h_k^T x_pre_upd against the pre-filter
@@ -236,9 +234,9 @@ def gllr(
     r = np.asarray(rb_pre)
     r = r.reshape(r.shape[:-2] + (K * lam,))
     chosen = np.take_along_axis(
-        costs.stacked(), classification.labels[..., None, :], axis=-2
+        costs.stacked, classification.labels[..., None, :], axis=-2
     )[..., 0, :]
-    return (0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1))[()]
+    return 0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1)
 
 
 def cusum_step(cs: CusumState, beta: float, cfg: DetectorConfig, t: int) -> "tuple[CusumState, bool]":
@@ -266,17 +264,17 @@ def cusum_step(cs: CusumState, beta: float, cfg: DetectorConfig, t: int) -> "tup
 @dataclass
 class Algorithm1Step:
     bank: kalman.DualFilterBank
-    cusum: "CusumState | list[CusumState]"
+    cusum: "list[CusumState]"
     estimate: AttackEstimate
     classification: MeterClassification
-    beta: "float | np.ndarray"
+    beta: np.ndarray
     x_post_pred: np.ndarray  # prediction the residual block was built on
     pre_innovation: np.ndarray  # y - H x_pre_pred as (..., K, lam)
 
 
 def algorithm1_step(
     bank: kalman.DualFilterBank,
-    cs: "CusumState | Sequence[CusumState]",
+    cs: "Sequence[CusumState]",
     model: GridModel,
     cfg: DetectorConfig,
     y: MeasurementBatch,
@@ -290,9 +288,9 @@ def algorithm1_step(
     on the pre-filter update, advance the CUSUM, and re-sync the post filter
     if the statistic hit zero.
 
-    For a batch, the bank and y carry a trial axis and ``cs`` holds one
-    CusumState per trial; the returned ``cusum`` is then a list. ``pre_step``
-    is the pre filter's schedule entry for step t; without it the entry is
+    The bank and y carry a leading trial axis and ``cs`` holds one
+    CusumState per trial (a single trial is a batch of one). ``pre_step`` is
+    the pre filter's schedule entry for step t; without it the entry is
     computed from the pre filter's own covariance.
     """
     pre = kalman.kf_predict(model, bank.pre, pre_step)
@@ -312,12 +310,9 @@ def algorithm1_step(
     r_pre = y.values - matvec(model.meter_rows, pre.x_upd)[..., None]
     beta = gllr(r_pre, costs, classification, model)
 
-    single = isinstance(cs, CusumState)
-    stepped = [
-        cusum_step(c, b, cfg, t) for c, b in zip([cs] if single else cs, np.ravel(beta).tolist())
-    ]
+    stepped = [cusum_step(c, b, cfg, t) for c, b in zip(cs, beta.tolist(), strict=True)]
     new_cs = [c for c, _ in stepped]
-    sync = np.array([flag for _, flag in stepped]).reshape(np.shape(beta))
+    sync = np.array([flag for _, flag in stepped], dtype=bool)
     new_bank = kalman.sync_post_to_pre(
         kalman.DualFilterBank(
             pre=pre,
@@ -330,7 +325,7 @@ def algorithm1_step(
     )
     return Algorithm1Step(
         bank=new_bank,
-        cusum=new_cs[0] if single else new_cs,
+        cusum=new_cs,
         estimate=est,
         classification=classification,
         beta=beta,

@@ -162,7 +162,6 @@ class RunSection:
     eta: int
     seed: int
     log_steps: bool
-    workers: int
 
 
 @dataclass
@@ -295,8 +294,10 @@ def load_config(path) -> ExperimentConfig:
         eta=_get(rsec, "eta", int, default=50),
         seed=_get(rsec, "seed", int, default=0),
         log_steps=_get(rsec, "log_steps", _bool, default=False),
-        workers=_get(rsec, "workers", int, default=1),
     )
+    # accepted for existing configs and checked, but unused: every run is
+    # one batch of trials (see harness.run_trials)
+    _get(rsec, "workers", int, default=1)
     if run.trials < 1:
         raise ConfigError("trials must be >= 1")
     if run.eta < 1:

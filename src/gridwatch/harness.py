@@ -16,7 +16,8 @@ step on (B, K) and (B,) arrays, sharing the step's pre-filter schedule
 entry. Without recorded paths a trial leaves the batch (the batch is
 compacted) once every detector except alg2 has fired, and the engine holds
 O(B) state; (B, horizon) path arrays exist only when paths are requested.
-``run_trial`` is the same engine on a batch of one.
+``run_trials`` passes all its trials to ``run_trial`` as one batch; a
+single seed is the batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import os
 import stat
 import struct
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -306,18 +306,26 @@ def trial_entropy(master_seed: int, index: int) -> tuple:
     return (int(master_seed), int(index))
 
 
+class SeedBatch(tuple):
+    """Seeds of trials that the engine advances together (see ``run_trial``)."""
+
+
 def run_trial(
     cfg_or_ctx,
     seed,
     log_steps: Optional[bool] = None,
     full_paths: bool = False,
-) -> TrialResult:
+) -> "TrialResult | list[TrialResult]":
     """Simulate one trajectory and evaluate every configured detector on it.
 
-    Deterministic in ``seed`` (see ``_Streams.spawn``); the trial engine
-    on a batch of one, see ``run_trials``.
+    Deterministic in ``seed`` (see ``_Streams.spawn``). Given a ``SeedBatch``
+    instead, the engine advances those trials together and returns their
+    results in order; ``run_trials`` runs that way, and one seed is the
+    batch of one.
     """
     ctx = cfg_or_ctx if isinstance(cfg_or_ctx, RunContext) else prepare(cfg_or_ctx)
+    if isinstance(seed, SeedBatch):
+        return _run_batch(ctx, seed, log_steps, full_paths)
     return _run_batch(ctx, [seed], log_steps, full_paths)[0]
 
 
@@ -330,24 +338,18 @@ def run_trials(
     full_paths: bool = False,
 ) -> "list[TrialResult]":
     """Run independent trials with per-trial derived seeds, advanced together
-    as one batch. With ``workers`` > 1 the trials are split into that many
-    contiguous batches, run on a thread pool; the results do not depend on
-    the split."""
+    as one batch.
+
+    ``workers`` (and the ``run.workers`` key) is accepted and ignored: one
+    batch amortizes each step's filter and detector work over every trial,
+    and splitting it across threads was measured slower, since the small
+    numpy calls serialize on the interpreter lock.
+    """
     cfg = ctx.cfg
     n = trials if trials is not None else cfg.run.trials
     master = master_seed if master_seed is not None else cfg.run.seed
-    nbatches = min(workers if workers is not None else cfg.run.workers, n)
-    seeds = [trial_entropy(master, i) for i in range(n)]
-
-    def batch(part: "list[tuple]") -> "list[TrialResult]":
-        return _run_batch(ctx, part, log_steps, full_paths)
-
-    if nbatches > 1:
-        bounds = [n * j // nbatches for j in range(nbatches + 1)]
-        parts = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        with ThreadPoolExecutor(max_workers=nbatches) as pool:
-            return [r for results in pool.map(batch, parts) for r in results]
-    return batch(seeds)
+    seeds = SeedBatch(trial_entropy(master, i) for i in range(n))
+    return run_trial(ctx, seeds, log_steps, full_paths)
 
 
 @dataclass

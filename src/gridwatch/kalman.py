@@ -37,8 +37,8 @@ the pre filter's covariance is always the schedule's shared entry and its
 update is one stacked matrix-vector product. The post filter carries a
 per-trial "shares pre" mask (``DualFilterBank.post_shares_pre``): trials
 with the flag set take the pre entry's covariance and gain, and only the
-others run the K x K update, on their stacked covariances. An unbatched
-call is the same code with no trial axis. Products go through
+others run the K x K update, on their stacked covariances. A single trial
+is a batch of one. Products go through
 ``grid_model.matvec``, so each trial's numbers have the bits of an
 unbatched run.
 """
@@ -102,17 +102,17 @@ def _take_cov(P: np.ndarray, keep) -> np.ndarray:
 class DualFilterBank:
     pre: KalmanState
     post: KalmanState
-    tau_hat: "int | np.ndarray" = 1
+    tau_hat: np.ndarray  # one change-point estimate per trial
     # True while the post covariance is the pre filter's: from the start or
     # the last sync until sigma_hat is first nonzero. One flag per trial.
-    post_shares_pre: "bool | np.ndarray" = False
+    post_shares_pre: np.ndarray
 
     def take(self, keep) -> "DualFilterBank":
         return DualFilterBank(
             self.pre.take(keep),
             self.post.take(keep),
-            np.asarray(self.tau_hat)[keep],
-            np.asarray(self.post_shares_pre)[keep],
+            self.tau_hat[keep],
+            self.post_shares_pre[keep],
         )
 
 
@@ -143,8 +143,8 @@ def initial_bank(x0: np.ndarray, p0: "float | np.ndarray") -> DualFilterBank:
     return DualFilterBank(
         pre=initial_state(x0, p0),
         post=initial_state(x0, p0),
-        tau_hat=np.ones(batch, dtype=np.int64)[()],
-        post_shares_pre=np.ones(batch, dtype=bool)[()],
+        tau_hat=np.ones(batch, dtype=np.int64),
+        post_shares_pre=np.ones(batch, dtype=bool),
     )
 
 
@@ -153,10 +153,9 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
 
 
 def _add_diagonal(S: np.ndarray, d) -> None:
-    """S[..., i, i] += d[..., i] in place. S is a fresh (C-contiguous)
-    product at every call, so the reshape is a view."""
-    n = S.shape[-1]
-    S.reshape(S.shape[:-2] + (n * n,))[..., :: n + 1] += d
+    """S[..., i, i] += d[..., i] in place."""
+    diagonal = np.einsum("...ii->...i", S)  # a writeable view whatever the layout of S
+    diagonal += d
 
 
 def _per_trial(P: np.ndarray, batch: tuple) -> np.ndarray:
@@ -356,8 +355,8 @@ def sync_post_to_pre(bank: DualFilterBank, t: int, sync=True) -> DualFilterBank:
             np.where(vec, pre.x_upd, post.x_upd),
             np.where(mat, pre.P_upd, post.P_upd),
         ),
-        tau_hat=np.where(sync, t, bank.tau_hat)[()],
-        post_shares_pre=(sync | bank.post_shares_pre)[()],
+        tau_hat=np.where(sync, t, bank.tau_hat),
+        post_shares_pre=sync | bank.post_shares_pre,
     )
 
 

@@ -136,14 +136,14 @@ class Chi2State:
         return Chi2State(self.cfg, self.cells[keep], self.counts[keep], self.head, self.chi_stat[keep])
 
 
-def _pearson(counts: np.ndarray, cfg: Chi2Config) -> "float | np.ndarray":
+def _pearson(counts: np.ndarray, cfg: Chi2Config) -> np.ndarray:
     expected = cfg.L * np.asarray(cfg.p)
-    return (((counts - expected) ** 2 / expected).sum(axis=-1))[()]
+    return ((counts - expected) ** 2 / expected).sum(axis=-1)
 
 
 def chi2_sample_from_innovation(
     r: np.ndarray, white: np.ndarray, sigma_w2: float
-) -> "float | np.ndarray":
+) -> np.ndarray:
     """Normalized innovation energy c_t = r^T Q^{-1} r against the pre-filter
     prediction; chi-squared with K*lam degrees of freedom under no attack.
 
@@ -157,10 +157,12 @@ def chi2_sample_from_innovation(
     spread = r - rbar[..., None]
     spread = spread.reshape(spread.shape[:-2] + (-1,))
     z = matvec(white, rbar)
-    return (vecdot(spread, spread) / sigma_w2 + vecdot(z, z))[()]
+    return vecdot(spread, spread) / sigma_w2 + vecdot(z, z)
 
 
-def pearson_step(st: Chi2State, c_new, cfg: Chi2Config) -> "tuple[Chi2State, float, bool]":
+def pearson_step(
+    st: Chi2State, c_new, cfg: Chi2Config
+) -> "tuple[Chi2State, np.ndarray, np.ndarray]":
     """Evict the oldest sample, insert c_new, update counts in O(1).
 
     c_new has the trial axes of the window (none for a single window).
@@ -208,14 +210,14 @@ def euclidean_step(y: np.ndarray, y_pred: np.ndarray, threshold: float) -> bool:
     return float(np.linalg.norm(np.asarray(y) - np.asarray(y_pred))) >= threshold
 
 
-def cosine_similarity(y: np.ndarray, y_pred: np.ndarray) -> "float | np.ndarray":
+def cosine_similarity(y: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
     """Cosine of the angle over the last axis, one per trial; a zero vector
     counts as maximal dissimilarity."""
     y = np.asarray(y, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     ny, np_ = np.sqrt(vecdot(y, y)), np.sqrt(vecdot(y_pred, y_pred))
     cos = vecdot(y, y_pred)
-    return np.divide(cos, ny * np_, out=np.full_like(cos, -1.0), where=(ny != 0.0) & (np_ != 0.0))[()]
+    return np.divide(cos, ny * np_, out=np.full_like(cos, -1.0), where=(ny != 0.0) & (np_ != 0.0))
 
 
 def cosine_step(y: np.ndarray, y_pred: np.ndarray, threshold: float) -> bool:

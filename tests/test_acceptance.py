@@ -182,7 +182,7 @@ def test_criterion_1_mle_oracle_equivalence():
         ):
             worst_cost = max(worst_cost, float(np.max(np.abs(mine - theirs))))
         label_mismatches += int((cls.labels != oracle["labels"]).sum())
-        chosen = costs.stacked()[cls.labels, np.arange(n)]
+        chosen = costs.stacked[cls.labels, np.arange(n)]
         worst_cost = max(worst_cost, float(np.max(np.abs(chosen - oracle["chosen"]))))
         # estimates agree wherever the hypothesis agrees (it always does)
         np.testing.assert_allclose(est.a_hat, oracle["a_hat"], atol=1e-6)
@@ -392,7 +392,7 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     csv_ok = out1.read_bytes() == out2.read_bytes()
 
     # covariances stay PSD over 1e4 steps (both filters, attacked regime)
-    from gridwatch import initial_bank, initial_sim_state, simulate_step
+    from gridwatch import MeasurementBatch, initial_bank, initial_sim_state, simulate_step
     from gridwatch.detector import CusumState, algorithm1_step
     from gridwatch.attacks import apply_attack, realize_attack
 
@@ -410,18 +410,18 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     sim_ss, a_ss, j_ss, _ = ss.spawn(4)
     st = initial_sim_state(model, ctx2.x0, sim_ss)
     arng, jrng = np.random.default_rng(a_ss), np.random.default_rng(j_ss)
-    bank = initial_bank(ctx2.x0, ctx2.p0)
-    cs = CusumState()
+    bank = initial_bank(ctx2.x0[None], ctx2.p0)  # a batch of one trial
+    cs = [CusumState()]
     det = DetectorConfig(GAMMA, SIGMA2_MIN, math.inf)
     psd_ok = True
     for t in range(1, 10_001):
         st, y = simulate_step(model, st)
         y = apply_attack(model, y, realize_attack(ctx2.cfg.attack, t, arng, model.K), jrng)
-        step = algorithm1_step(bank, cs, model, det, y, t)
+        step = algorithm1_step(bank, cs, model, det, MeasurementBatch(t, y.values[None]), t)
         bank, cs = step.bank, step.cusum
         if t % 200 == 0:
-            psd_ok &= min_eigenvalue_ratio(bank.pre.P_upd) >= -1e-10
-            psd_ok &= min_eigenvalue_ratio(bank.post.P_upd) >= -1e-10
+            psd_ok &= min_eigenvalue_ratio(bank.pre.P_upd[0]) >= -1e-10
+            psd_ok &= min_eigenvalue_ratio(bank.post.P_upd[0]) >= -1e-10
 
     ok = g_ok and partition_ok and min_ok and csv_ok and psd_ok
     report(

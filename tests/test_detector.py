@@ -143,7 +143,7 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
         est1 = mle_attack_params(rb1, cls1, CFG, ieee14_model)
         for got, want in [
             (rb.e[i], rb1.e), (rb.mean[i], rb1.mean), (rb.ssr_f[i], rb1.ssr_f),
-            (costs.stacked()[i], costs1.stacked()), (cls.labels[i], cls1.labels),
+            (costs.stacked[i], costs1.stacked), (cls.labels[i], cls1.labels),
             (est.a_hat[i], est1.a_hat), (est.sigma_hat[i], est1.sigma_hat),
         ]:
             np.testing.assert_array_equal(got, want)
@@ -359,30 +359,31 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
     # meter yields a_hat equal to the mean residual against the *prediction*,
     # unaffected by this step's own update
     x0 = ieee14_topology.initial_state()
-    bank = initial_bank(x0, 1e-4)
-    cs = CusumState()
+    bank = initial_bank(x0[None], 1e-4)  # a batch of one trial
     y_flat = ieee14_model.H @ x0
     y_flat = y_flat.copy()
     y_flat[0:5] += 0.5
-    y = MeasurementBatch.from_flat(1, y_flat, 5)
-    step = algorithm1_step(bank, cs, ieee14_model, DetectorConfig(GAMMA, SIGMA2_MIN, math.inf), y, 1)
-    np.testing.assert_array_equal(step.x_post_pred, x0)  # A = I, prediction is x0
-    assert step.estimate.a_hat[0] == pytest.approx(0.5, rel=1e-9)
+    y = MeasurementBatch.from_flat(1, y_flat[None], 5)
+    cfg = DetectorConfig(GAMMA, SIGMA2_MIN, math.inf)
+    step = algorithm1_step(bank, [CusumState()], ieee14_model, cfg, y, 1)
+    np.testing.assert_array_equal(step.x_post_pred[0], x0)  # A = I, prediction is x0
+    assert step.estimate.a_hat[0, 0] == pytest.approx(0.5, rel=1e-9)
     # had the residuals used the post *update* (which subtracts the explained
     # bias), the estimate could not equal the injected 0.5; meanwhile the
     # recovery leaves the post state at x0 while the pre filter gets dragged
-    np.testing.assert_allclose(step.bank.post.x_upd, x0, atol=1e-12)
-    assert np.linalg.norm(step.bank.pre.x_upd - x0) > 1e-4
+    np.testing.assert_allclose(step.bank.post.x_upd[0], x0, atol=1e-12)
+    assert np.linalg.norm(step.bank.pre.x_upd[0] - x0) > 1e-4
 
 
 def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
-    bank = initial_bank(x0, 1e-4)
+    bank = initial_bank(x0[None], 1e-4)  # a batch of one trial
     bank.post.x_upd[:] += 0.05
-    cs = CusumState()
-    y = MeasurementBatch.from_flat(1, ieee14_model.H @ x0, 5)
-    step = algorithm1_step(bank, cs, ieee14_model, DetectorConfig(GAMMA, SIGMA2_MIN, math.inf), y, 1)
-    if step.cusum.g == 0.0:
+    y = MeasurementBatch.from_flat(1, (ieee14_model.H @ x0)[None], 5)
+    cfg = DetectorConfig(GAMMA, SIGMA2_MIN, math.inf)
+    step = algorithm1_step(bank, [CusumState()], ieee14_model, cfg, y, 1)
+    (cs,) = step.cusum
+    if cs.g == 0.0:
         np.testing.assert_array_equal(step.bank.post.x_upd, step.bank.pre.x_upd)
-        assert step.cusum.tau_hat == 1
-        assert step.bank.tau_hat == 1
+        assert cs.tau_hat == 1
+        assert step.bank.tau_hat.tolist() == [1]

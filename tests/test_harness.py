@@ -340,8 +340,8 @@ def assert_same_trials(got, want):
 
 
 def test_workers_do_not_change_results(tmp_path, mu0_cache):
-    # one batch of 5, five batches of one and two batches (3 + 2 trials on
-    # the thread pool) give the same trials, paths included, bit for bit
+    # one batch of 5 and five batches of one give the same trials, paths
+    # included, bit for bit; workers is accepted and changes nothing
     cfg = make_cfg(tmp_path, attack=CASE1, trials=5, horizon=150, cache=mu0_cache)
     ctx = harness.prepare(cfg)
     batch = harness.run_trials(ctx, workers=1, log_steps=True)

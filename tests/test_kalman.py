@@ -20,6 +20,7 @@ from gridwatch.kalman import (
     InnovationSolveError,
     KalmanState,
     PreSchedule,
+    _add_diagonal,
     initial_state,
     kf_update_pre_full,
     min_eigenvalue_ratio,
@@ -62,6 +63,16 @@ def test_predict_additive_noise_only():
     ks = initial_state(np.array([0.0]), np.array([[0.0]]))
     out = kf_predict(model, ks)
     np.testing.assert_allclose(out.P_pred, 1e-4 * np.eye(1))
+
+
+def test_add_diagonal_writes_through_any_layout():
+    # a transposed stack is not C-contiguous; the write must still reach it
+    rng = np.random.default_rng(0)
+    d = rng.standard_normal((3, 4))
+    for S in (rng.standard_normal((3, 4, 4)), np.swapaxes(rng.standard_normal((3, 4, 4)), -1, -2)):
+        want = S + d[..., None] * np.eye(4)
+        _add_diagonal(S, d)
+        np.testing.assert_array_equal(S, want)
 
 
 def test_predict_matches_dense_oracle():
