@@ -50,12 +50,7 @@ from .robust import (
     Chi2Config,
     Chi2State,
     ShewhartConfig,
-    algorithm2_step,
-    cosine_step,
-    euclidean_step,
-    np_cusum_step,
     pearson_step,
-    shewhart_step,
 )
 from .stealth import (
     GaussianPdf,

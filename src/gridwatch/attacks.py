@@ -76,16 +76,16 @@ class AttackSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.tau != math.inf and self.tau < 1:
-            raise ValueError("onset tau must be >= 1")
+            raise ValueError(f"onset tau must be >= 1, got {self.tau}")
         if (self.t_on is None) != (self.t_off is None):
             raise ValueError("t_on and t_off must be given together")
         if self.t_on is not None and (self.t_on < 1 or self.t_off < 0):
-            raise ValueError("need t_on >= 1 and t_off >= 0")
+            raise ValueError(f"need t_on >= 1 and t_off >= 0, got {self.t_on} and {self.t_off}")
         mode = self.selection[0]
         if mode == "bernoulli":
             p = self.selection[1]
             if not 0.0 <= p <= 1.0:
-                raise ValueError("selection probability must be in [0, 1]")
+                raise ValueError(f"selection probability p must be in [0, 1], got {p}")
         elif mode != "fixed":
             raise ValueError(f"unknown selection mode {mode!r}")
         if self.kind == "topology-fault" and not self.fault_meters:

@@ -20,8 +20,9 @@ than symmetrized away.
 
 Every statistic takes a leading trial axis: residual blocks of B trials are
 (B, K, lam) and the per-meter statistics (B, K). ``algorithm1_step``
-advances a whole batch one step and applies the scalar CUSUM rule
-``cusum_step`` once per trial.
+advances a whole batch one step and applies the scalar CUSUM recursion
+``cusum_step`` once per trial. The recursion has no threshold: the caller
+stops at the first step g reaches h, like every other detector.
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ HYPOTHESES = ("clean", "fdi", "jam", "both")
 class DetectorConfig:
     gamma: float
     sigma2_min: float
-    h: float
 
     def __post_init__(self):
-        if not (self.gamma > 0 and self.sigma2_min > 0 and self.h > 0):
-            raise ValueError("gamma, sigma2_min and h must all be > 0")
+        if not (self.gamma > 0 and self.sigma2_min > 0):
+            raise ValueError("gamma and sigma2_min must both be > 0")
 
 
 @dataclass
@@ -107,22 +107,6 @@ class MeterClassification:
         idx = np.arange(self.labels.size)
         return tuple(set(idx[self.labels == j]) for j in range(4))
 
-    @property
-    def clean(self):
-        return set(np.flatnonzero(self.labels == 0))
-
-    @property
-    def fdi(self):
-        return set(np.flatnonzero(self.labels == 1))
-
-    @property
-    def jam(self):
-        return set(np.flatnonzero(self.labels == 2))
-
-    @property
-    def both(self):
-        return set(np.flatnonzero(self.labels == 3))
-
 
 @dataclass
 class AttackEstimate:
@@ -133,9 +117,7 @@ class AttackEstimate:
 @dataclass
 class CusumState:
     g: float = 0.0
-    tau_hat: int = 1
-    stopped: bool = False
-    T: Optional[int] = None
+    tau_hat: int = 1  # the last step g was clamped to zero (1 before any)
 
 
 def residual_block(
@@ -239,26 +221,17 @@ def gllr(
     return 0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1)
 
 
-def cusum_step(cs: CusumState, beta: float, cfg: DetectorConfig, t: int) -> "tuple[CusumState, bool]":
-    """One CUSUM recursion step; returns the new state and a sync flag.
+def cusum_step(cs: CusumState, beta: float, t: int) -> "tuple[CusumState, bool]":
+    """One step of g_t = max(0, g_{t-1} + beta_t) at step t; returns the new
+    state and a sync flag.
 
     The sync flag is raised exactly when the statistic was clamped to zero,
-    which must trigger sync_post_to_pre and the tau_hat update.
+    which must trigger sync_post_to_pre; tau_hat then moves to t. The
+    recursion is threshold-free, so it runs on past any h.
     """
-    if cs.stopped:
-        raise RuntimeError("cusum_step called after the detector stopped")
     g_new = max(0.0, cs.g + beta)
-    stopped = g_new >= cfg.h
     sync = g_new == 0.0
-    return (
-        CusumState(
-            g=g_new,
-            tau_hat=t if sync else cs.tau_hat,
-            stopped=stopped,
-            T=t if stopped else None,
-        ),
-        sync,
-    )
+    return CusumState(g=g_new, tau_hat=t if sync else cs.tau_hat), sync
 
 
 @dataclass
@@ -310,17 +283,13 @@ def algorithm1_step(
     r_pre = y.values - matvec(model.meter_rows, pre.x_upd)[..., None]
     beta = gllr(r_pre, costs, classification, model)
 
-    stepped = [cusum_step(c, b, cfg, t) for c, b in zip(cs, beta.tolist(), strict=True)]
+    stepped = [cusum_step(c, b, t) for c, b in zip(cs, beta.tolist(), strict=True)]
     new_cs = [c for c, _ in stepped]
     sync = np.array([flag for _, flag in stepped], dtype=bool)
     new_bank = kalman.sync_post_to_pre(
         kalman.DualFilterBank(
-            pre=pre,
-            post=post,
-            tau_hat=bank.tau_hat,
-            post_shares_pre=shares & ~est.sigma_hat.any(axis=-1),
+            pre=pre, post=post, post_shares_pre=shares & ~est.sigma_hat.any(axis=-1)
         ),
-        t,
         sync,
     )
     return Algorithm1Step(

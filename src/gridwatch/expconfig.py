@@ -121,6 +121,19 @@ def _ints(text: str) -> "list[int]":
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
+def _symmetric_law(text: str) -> MagnitudeLaw:
+    return MagnitudeLaw.uniform(-float(text), float(text))
+
+
+def _interval_law(text: str) -> MagnitudeLaw:
+    lo, hi = _floats(text)
+    return MagnitudeLaw.uniform(lo, hi)
+
+
+def _fixed_law(text: str) -> MagnitudeLaw:
+    return MagnitudeLaw.fixed(float(text))
+
+
 @dataclass
 class ModelSection:
     topology_path: Path
@@ -200,37 +213,30 @@ def _attack_spec(sec: dict, tau: float) -> AttackSpec:
         return AttackSpec(tau=math.inf, kind="none")
 
     if "meters" in sec:
-        selection = ("fixed", tuple(_ints(sec["meters"])))
+        selection = ("fixed", tuple(_get(sec, "meters", _ints)))
     else:
         selection = ("bernoulli", _get(sec, "p", float, default=0.5))
 
-    fdi_law = jam_law = None
-    if "fdi_uniform" in sec:
-        theta = float(sec["fdi_uniform"])
-        fdi_law = MagnitudeLaw.uniform(-theta, theta)
-    elif "fdi_fixed" in sec:
-        fdi_law = MagnitudeLaw.fixed(float(sec["fdi_fixed"]))
-    if "jam_uniform" in sec:
-        lo, hi = _floats(sec["jam_uniform"])
-        jam_law = MagnitudeLaw.uniform(lo, hi)
-    elif "jam_fixed" in sec:
-        jam_law = MagnitudeLaw.fixed(float(sec["jam_fixed"]))
-
-    fault = tuple(_ints(sec["fault_meters"])) if "fault_meters" in sec else ()
+    fdi_law = _get(sec, "fdi_uniform", _symmetric_law) or _get(sec, "fdi_fixed", _fixed_law)
+    jam_law = _get(sec, "jam_uniform", _interval_law) or _get(sec, "jam_fixed", _fixed_law)
+    fault = tuple(_get(sec, "fault_meters", _ints, default=()))
     if kind in ("fdi", "hybrid") and fdi_law is None:
         raise ConfigError(f"kind = {kind} requires fdi_uniform or fdi_fixed")
     if kind in ("jamming", "hybrid") and jam_law is None:
         raise ConfigError(f"kind = {kind} requires jam_uniform or jam_fixed")
-    return AttackSpec(
-        tau=tau,
-        kind=kind,
-        selection=selection,
-        fdi_law=fdi_law,
-        jam_law=jam_law,
-        t_on=t_on,
-        t_off=t_off,
-        fault_meters=fault,
-    )
+    try:
+        return AttackSpec(
+            tau=tau,
+            kind=kind,
+            selection=selection,
+            fdi_law=fdi_law,
+            jam_law=jam_law,
+            t_on=t_on,
+            t_off=t_off,
+            fault_meters=fault,
+        )
+    except ValueError as exc:  # its messages name the offending key
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path) -> ExperimentConfig:

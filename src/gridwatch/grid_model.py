@@ -322,7 +322,8 @@ def build_model(
 
 @dataclass
 class SimState:
-    """Single-owner trajectory state; advanced by exactly one thread."""
+    """One trial's trajectory state and simulation stream; each trial owns
+    one and advances it a step at a time with ``simulate_step``."""
 
     t: int
     x: np.ndarray

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import detector, kalman, robust
 from .attacks import AttackSpec, apply_attack, realize_attack, topology_fault
-from .expconfig import ExperimentConfig
+from .expconfig import ConfigError, ExperimentConfig
 from .grid_model import (
     GridModel,
     MeasurementBatch,
@@ -52,7 +52,21 @@ from .robust import Chi2Config, Chi2State, ShewhartConfig
 
 INF = math.inf
 
-DETECTORS = ("alg1", "shewhart", "chi2", "alg2", "np_cusum", "euclidean", "cosine")
+# The detectors that stop at the first step their statistic path reaches the
+# threshold (inclusive), as (name, TrialPaths field, direction): upward, or
+# downward for cosine, which fires on a low similarity. Algorithm 2 (alg2)
+# stops at the earliest stop of the ALG2 rules, which lead the table.
+PATH_DETECTORS = (
+    ("alg1", "g", +1),
+    ("shewhart", "beta", +1),
+    ("chi2", "chi", +1),
+    ("np_cusum", "np_S", +1),
+    ("euclidean", "euclid", +1),
+    ("cosine", "cosine", -1),
+)
+PATH_FIELD = {name: field for name, field, _ in PATH_DETECTORS}
+PATH_DIRECTION = {name: direction for name, _, direction in PATH_DETECTORS}
+ALG2 = ("alg1", "shewhart", "chi2")
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +75,15 @@ DETECTORS = ("alg1", "shewhart", "chi2", "alg2", "np_cusum", "euclidean", "cosin
 
 @dataclass
 class RunContext:
-    """Everything immutable a trial needs; shareable across worker threads."""
+    """What every trial of a run shares and none changes: the model, the
+    detector thresholds, the pre-filter schedule and the mu0 baseline."""
 
     cfg: ExperimentConfig
     model: GridModel
     sim_model_post: GridModel  # faulted copy for topology faults, else model
     x0: np.ndarray
     p0: float
-    det_cfg: detector.DetectorConfig  # engine copy with h = inf (path mode)
+    det_cfg: detector.DetectorConfig
     h: Optional[float]
     shewhart: Optional[ShewhartConfig]
     chi2: Optional[Chi2Config]
@@ -80,21 +95,25 @@ class RunContext:
     schedule: kalman.PreSchedule  # pre-filter steps shared by every trial
 
     @property
+    def thresholds(self) -> "dict[str, float]":
+        """The threshold of every configured path detector, in table order."""
+        given = {
+            "alg1": self.h,
+            "shewhart": None if self.shewhart is None else self.shewhart.phi,
+            "chi2": None if self.chi2 is None else self.chi2.varphi,
+            "np_cusum": self.np_q,
+            "euclidean": self.euclid_d,
+            "cosine": self.cosine_d,
+        }
+        return {name: thr for name, thr in given.items() if thr is not None}
+
+    @property
     def enabled(self) -> "list[str]":
-        names = ["alg1"]
-        if self.shewhart is not None:
-            names.append("shewhart")
-        if self.chi2 is not None:
-            names.append("chi2")
-        if self.shewhart is not None or self.chi2 is not None:
-            names.append("alg2")
-        if self.np_q is not None:
-            names.append("np_cusum")
-        if self.euclid_d is not None:
-            names.append("euclidean")
-        if self.cosine_d is not None:
-            names.append("cosine")
-        return names
+        """The path detectors, with alg2 right after its rules when it has
+        more than alg1."""
+        names = list(self.thresholds)
+        parts = sum(name in ALG2 for name in names)
+        return names[:parts] + ["alg2"] + names[parts:] if parts > 1 else names
 
 
 def _resolve_x0(cfg: ExperimentConfig, model: GridModel, topology) -> np.ndarray:
@@ -115,13 +134,17 @@ def prepare(cfg: ExperimentConfig, mu0_cache: "str | Path | None" = None) -> Run
     if isinstance(a_choice, Path):
         a_choice = np.loadtxt(a_choice, delimiter=",")
     model = build_model(topology, cfg.model.lam, cfg.model.sigma_v2, cfg.model.sigma_w2, a_choice)
+    fixed = cfg.attack.selection[1] if cfg.attack.selection[0] == "fixed" else ()
+    for m in (*fixed, *cfg.attack.fault_meters):
+        if not 0 <= m < model.K:  # numpy would wrap a negative index
+            raise ConfigError(f"attack meters: unknown meter index {m} (K = {model.K})")
     x0 = _resolve_x0(cfg, model, topology)
     p0 = cfg.model.p0 if cfg.model.p0 is not None else model.sigma_v2
     schedule = kalman.PreSchedule(model, p0)
 
     d = cfg.detector
     h = d.h if d.h is not None else max(d.h_list)
-    det_cfg = detector.DetectorConfig(gamma=d.gamma, sigma2_min=d.sigma2_min, h=INF)
+    det_cfg = detector.DetectorConfig(gamma=d.gamma, sigma2_min=d.sigma2_min)
 
     shewhart = ShewhartConfig(cfg.shewhart_phi) if cfg.shewhart_phi is not None else None
     chi2_cfg = None
@@ -291,7 +314,6 @@ class TrialResult:
     seed: object
     stops: dict
     t_tilde: float
-    fired_first: frozenset
     tau_hat: Optional[int]
     steps_run: int
     meas_hash: str
@@ -432,9 +454,10 @@ def _run_batch(
     window = Chi2State.stack([st.window for st in live]) if ctx.chi2 is not None else None
     mu0 = ctx.mu0 if ctx.mu0 is not None else 0.0
     np_S = np.zeros(B)
-    # first crossing per detector (alg2 is derived; alg1 is row 0), and
-    # tau_hat at alg1's
-    names = [name for name in ctx.enabled if name != "alg2"]
+    # first crossing per path detector (alg1 is row 0), and tau_hat at alg1's
+    thresholds = ctx.thresholds
+    names = list(thresholds)
+    rules = [(PATH_FIELD[name], PATH_DIRECTION[name], thr) for name, thr in thresholds.items()]
     stops = np.full((len(names), B), INF)
     tau_at_alg1 = np.ones(B, dtype=np.int64)
     pre_steps = iter(ctx.schedule)
@@ -457,53 +480,40 @@ def _run_batch(
         ys = MeasurementBatch(t, Y)
         step = detector.algorithm1_step(bank, cs, model, ctx.det_cfg, ys, t, pre_step)
         bank, cs = step.bank, step.cusum
-        g = np.array([c.g for c in cs])
-        beta = step.beta
         r = step.pre_innovation.reshape(b, -1)
         dist = np.sqrt(vecdot(r, r))  # the 2-norm, as np.linalg.norm
 
-        hits = [g >= ctx.h]  # in the order of names
-        if ctx.shewhart is not None:
-            hits.append(robust.shewhart_step(beta, ctx.shewhart))
+        # this step's statistics, keyed by TrialPaths field
+        stats = {"g": np.array([c.g for c in cs]), "beta": step.beta}
         if ctx.chi2 is not None:
             c = robust.chi2_sample_from_innovation(step.pre_innovation, pre_step.white, model.sigma_w2)
-            window, chi, _ = robust.pearson_step(window, c, ctx.chi2)
-            hits.append(chi >= ctx.chi2.varphi)
-        if ctx.np_q is not None:
+            window, chi = robust.pearson_step(window, c, ctx.chi2)
+            stats.update(c=c, chi=chi)
+        if "np_cusum" in thresholds:
             np_S = np_S + dist - mu0
             if ctx.np_clamp:
                 np_S = np.maximum(0.0, np_S)
-            hits.append(np_S >= ctx.np_q)
-        if ctx.euclid_d is not None:
-            hits.append(dist >= ctx.euclid_d)
-        if ctx.cosine_d is not None:
+            stats["np_S"] = np_S
+        if "euclidean" in thresholds:
+            stats["euclid"] = dist
+        if "cosine" in thresholds:
             y_flat = Y.reshape(b, -1)
-            cos = robust.cosine_similarity(y_flat, y_flat - r)
-            hits.append(cos <= ctx.cosine_d)
+            stats["cosine"] = robust.cosine_similarity(y_flat, y_flat - r)
 
+        hits = [stats[f] >= thr if d > 0 else stats[f] <= thr for f, d, thr in rules]
         first = np.array(hits) & (stops == INF)
         stops[first] = t
         if first[0].any():
             tau_at_alg1[first[0]] = [cs[j].tau_hat for j in np.flatnonzero(first[0])]
 
         if paths is not None:
-            i = t - 1
-            paths.g[:, i] = g
-            paths.beta[:, i] = beta
-            paths.tau_hat[:, i] = [c.tau_hat for c in cs]
-            if ctx.chi2 is not None:
-                paths.c[:, i] = c
-                paths.chi[:, i] = chi
-            if ctx.np_q is not None:
-                paths.np_S[:, i] = np_S
-            if ctx.euclid_d is not None:
-                paths.euclid[:, i] = dist
-            if ctx.cosine_d is not None:
-                paths.cosine[:, i] = cos
+            stats["tau_hat"] = [c.tau_hat for c in cs]
             if log_steps:
                 x_true = np.array([st.sim.x for st in live])
-                paths.mse0[:, i] = np.mean((bank.pre.x_upd - x_true) ** 2, axis=-1)
-                paths.mse1[:, i] = np.mean((bank.post.x_upd - x_true) ** 2, axis=-1)
+                stats["mse0"] = np.mean((bank.pre.x_upd - x_true) ** 2, axis=-1)
+                stats["mse1"] = np.mean((bank.post.x_upd - x_true) ** 2, axis=-1)
+            for field, values in stats.items():
+                getattr(paths, field)[:, t - 1] = values
 
         if t == horizon:
             done = np.ones(b, dtype=bool)
@@ -540,15 +550,11 @@ def _trial_result(
     steps_run: int,
     paths: Optional[TrialPaths],
 ) -> TrialResult:
-    if "alg2" in ctx.enabled:
-        stops["alg2"] = min(stops["alg1"], stops.get("shewhart", INF), stops.get("chi2", INF))
-    stops = {name: stops[name] for name in ctx.enabled}
+    enabled = ctx.enabled
+    if "alg2" in enabled:
+        stops["alg2"] = min(stops.get(name, INF) for name in ALG2)
+    stops = {name: stops[name] for name in enabled}
     t_tilde = stops.get("alg2", stops["alg1"])
-    fired = frozenset(
-        name
-        for name in ("alg1", "shewhart", "chi2")
-        if stops.get(name, INF) == t_tilde and t_tilde < INF
-    )
     own_paths = None
     if paths is not None:
         rows = {
@@ -560,7 +566,6 @@ def _trial_result(
         seed=st.seed,
         stops=stops,
         t_tilde=t_tilde,
-        fired_first=fired,
         tau_hat=tau_hat,
         steps_run=steps_run,
         meas_hash=st.hasher.hexdigest(),
@@ -756,25 +761,6 @@ def calibrate_threshold(
     return thr, summary
 
 
-PATH_DIRECTION = {
-    "alg1": +1,
-    "shewhart": +1,
-    "chi2": +1,
-    "np_cusum": +1,
-    "euclidean": +1,
-    "cosine": -1,
-}
-
-PATH_FIELD = {
-    "alg1": "g",
-    "shewhart": "beta",
-    "chi2": "chi",
-    "np_cusum": "np_S",
-    "euclidean": "euclid",
-    "cosine": "cosine",
-}
-
-
 def detector_paths(results: Sequence[TrialResult], name: str):
     arrs = [getattr(r.paths, PATH_FIELD[name]) for r in results]
     lengths = [r.steps_run for r in results]
@@ -835,12 +821,7 @@ def sweep_tradeoff(
         g_paths, lengths = detector_paths(results, "alg1")
         stops = stopping_times_for_grid(g_paths, lengths, grid)
         if which == "alg2":
-            others = np.array(
-                [
-                    min(r.stop("shewhart"), r.stop("chi2"))
-                    for r in results
-                ]
-            )
+            others = np.array([min(r.stop(name) for name in ALG2[1:]) for r in results])
             stops = np.minimum(stops, others[:, None])
         return stops
 

@@ -5,7 +5,8 @@ explains measurements with the current maximum-likelihood attack estimates:
 its innovation is y - H x_pred - a_hat and its innovation covariance is
 inflated by the estimated per-meter jamming variances. Whenever the
 detection statistic is clamped to zero the post filter is re-synchronized
-to the pre filter and the change-point estimate moves to the current time.
+to the pre filter (the change-point estimate that moves with it lives in
+``detector.CusumState``).
 
 Both updates work in meter-mean form. H = M kron 1_lam and the lam noise
 samples of a meter are i.i.d., so the meter means ybar_k are a sufficient
@@ -102,7 +103,6 @@ def _take_cov(P: np.ndarray, keep) -> np.ndarray:
 class DualFilterBank:
     pre: KalmanState
     post: KalmanState
-    tau_hat: np.ndarray  # one change-point estimate per trial
     # True while the post covariance is the pre filter's: from the start or
     # the last sync until sigma_hat is first nonzero. One flag per trial.
     post_shares_pre: np.ndarray
@@ -111,7 +111,6 @@ class DualFilterBank:
         return DualFilterBank(
             self.pre.take(keep),
             self.post.take(keep),
-            self.tau_hat[keep],
             self.post_shares_pre[keep],
         )
 
@@ -143,7 +142,6 @@ def initial_bank(x0: np.ndarray, p0: "float | np.ndarray") -> DualFilterBank:
     return DualFilterBank(
         pre=initial_state(x0, p0),
         post=initial_state(x0, p0),
-        tau_hat=np.ones(batch, dtype=np.int64),
         post_shares_pre=np.ones(batch, dtype=bool),
     )
 
@@ -248,7 +246,7 @@ class PreSchedule:
     Iterating yields step t's ``GainStep`` at iteration t: the stored steps
     first, then the settled step forever, or, when the recursion had not
     settled within ``SCHEDULE_MAX_BYTES``, the continued recursion (frozen
-    once it settles). Iterators share no state, so trials on worker threads
+    once it settles). Iterators share no state, so any number of callers
     may each hold one.
     """
 
@@ -339,9 +337,9 @@ def kf_update_post(
     return KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=P_upd)
 
 
-def sync_post_to_pre(bank: DualFilterBank, t: int, sync=True) -> DualFilterBank:
+def sync_post_to_pre(bank: DualFilterBank, sync=True) -> DualFilterBank:
     """Reset coupling for the trials flagged in ``sync`` (all by default):
-    post := pre (a copy) and the change-point estimate moves to t."""
+    post := pre (a copy)."""
     sync = np.asarray(sync, dtype=bool)
     if not sync.any():
         return bank
@@ -355,7 +353,6 @@ def sync_post_to_pre(bank: DualFilterBank, t: int, sync=True) -> DualFilterBank:
             np.where(vec, pre.x_upd, post.x_upd),
             np.where(mat, pre.P_upd, post.P_upd),
         ),
-        tau_hat=np.where(sync, t, bank.tau_hat),
         post_shares_pre=sync | bank.post_shares_pre,
     )
 

@@ -12,22 +12,24 @@ earliest of the stopping times:
 * benchmarks from the evaluation: a nonparametric CUSUM on the innovation
   norm, plus Euclidean-distance and cosine-similarity outlier detectors.
 
-The statistics the harness computes every step (c_t, the Pearson window,
-cosine similarity) take a leading trial axis; the Pearson windows of a
-batch share one ring-buffer head, because all its trials are at the same
-step.
+This module holds the statistics that need more than one line: c_t, the
+Pearson window and the cosine similarity. Each takes a leading trial axis;
+the Pearson windows of a batch share one ring-buffer head, because all its
+trials are at the same step. The Shewhart statistic is the GLLR itself, and
+the harness forms the innovation norm and the nonparametric CUSUM inline
+and applies every threshold with one first-crossing rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaincinv
 
-from .grid_model import GridModel, MeasurementBatch, matvec, vecdot
+from .grid_model import matvec, vecdot
 
 
 @dataclass(frozen=True)
@@ -37,11 +39,6 @@ class ShewhartConfig:
     def __post_init__(self):
         if not self.phi > 0:
             raise ValueError("phi must be > 0")
-
-
-def shewhart_step(beta: float, cfg: ShewhartConfig) -> bool:
-    """Stateless repeated GLLR test; the threshold is inclusive."""
-    return beta >= cfg.phi
 
 
 @dataclass(frozen=True)
@@ -160,10 +157,9 @@ def chi2_sample_from_innovation(
     return vecdot(spread, spread) / sigma_w2 + vecdot(z, z)
 
 
-def pearson_step(
-    st: Chi2State, c_new, cfg: Chi2Config
-) -> "tuple[Chi2State, np.ndarray, np.ndarray]":
-    """Evict the oldest sample, insert c_new, update counts in O(1).
+def pearson_step(st: Chi2State, c_new, cfg: Chi2Config) -> "tuple[Chi2State, np.ndarray]":
+    """Evict the oldest sample, insert c_new, update counts in O(1); returns
+    the window and its Pearson statistic.
 
     c_new has the trial axes of the window (none for a single window).
     """
@@ -174,40 +170,7 @@ def pearson_step(
     st.cells[..., st.head] = cell
     st.head = (st.head + 1) % cfg.L
     st.chi_stat = _pearson(st.counts, cfg)
-    return st, st.chi_stat, st.chi_stat >= cfg.varphi
-
-
-@dataclass
-class BenchmarkState:
-    mu0: float
-    S: float = 0.0
-    last_distance: float = 0.0
-
-
-def np_cusum_step(
-    st: BenchmarkState,
-    y: MeasurementBatch,
-    x_pre_pred: np.ndarray,
-    model: GridModel,
-    q: float,
-    clamp: bool = False,
-) -> "tuple[BenchmarkState, bool]":
-    """Nonparametric CUSUM on the innovation norm centered by its clean mean.
-
-    As printed the recursion carries no clamp at zero; the original method it
-    adapts does clamp, so the toggle is exposed.
-    """
-    dist = float(np.linalg.norm(y.flat - model.H @ x_pre_pred))
-    s_new = st.S + dist - st.mu0
-    if clamp:
-        s_new = max(0.0, s_new)
-    st.S = s_new
-    st.last_distance = dist
-    return st, s_new >= q
-
-
-def euclidean_step(y: np.ndarray, y_pred: np.ndarray, threshold: float) -> bool:
-    return float(np.linalg.norm(np.asarray(y) - np.asarray(y_pred))) >= threshold
+    return st, st.chi_stat
 
 
 def cosine_similarity(y: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
@@ -218,25 +181,3 @@ def cosine_similarity(y: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
     ny, np_ = np.sqrt(vecdot(y, y)), np.sqrt(vecdot(y_pred, y_pred))
     cos = vecdot(y, y_pred)
     return np.divide(cos, ny * np_, out=np.full_like(cos, -1.0), where=(ny != 0.0) & (np_ != 0.0))
-
-
-def cosine_step(y: np.ndarray, y_pred: np.ndarray, threshold: float) -> bool:
-    return cosine_similarity(y, y_pred) <= threshold
-
-
-def algorithm2_step(
-    alg1_fired: bool,
-    beta: float,
-    shewhart_cfg: Optional[ShewhartConfig],
-    chi2_fired: bool,
-    t: int,
-) -> "tuple[bool, frozenset]":
-    """Combine the three stopping rules; several may fire simultaneously."""
-    fired = set()
-    if alg1_fired:
-        fired.add("alg1")
-    if shewhart_cfg is not None and shewhart_step(beta, shewhart_cfg):
-        fired.add("shewhart")
-    if chi2_fired:
-        fired.add("chi2")
-    return bool(fired), frozenset(fired)

@@ -244,7 +244,7 @@ def dense_trial(ctx, seed):
         paths["tau_hat"].append(tau_hat)
         if window is not None:
             c = float(r @ cho_solve(factor, r, check_finite=False))
-            window, chi, _ = robust.pearson_step(window, c, ctx.chi2)
+            window, chi = robust.pearson_step(window, c, ctx.chi2)
             paths["c"].append(c)
             paths["chi"].append(chi)
         if ctx.np_q is not None:

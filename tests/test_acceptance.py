@@ -147,7 +147,7 @@ def test_criterion_1_mle_oracle_equivalence():
     """Closed forms match the brute-force constrained minimizer on 1e5 blocks."""
     t0 = time.time()
     rng = np.random.default_rng(20_260_101)
-    cfg = DetectorConfig(GAMMA, SIGMA2_MIN, 1.0)
+    cfg = DetectorConfig(GAMMA, SIGMA2_MIN)
     worst_cost = 0.0
     label_mismatches = 0
     for lam, n in ((1, 50_000), (5, 50_000)):
@@ -412,7 +412,7 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     arng, jrng = np.random.default_rng(a_ss), np.random.default_rng(j_ss)
     bank = initial_bank(ctx2.x0[None], ctx2.p0)  # a batch of one trial
     cs = [CusumState()]
-    det = DetectorConfig(GAMMA, SIGMA2_MIN, math.inf)
+    det = DetectorConfig(GAMMA, SIGMA2_MIN)
     psd_ok = True
     for t in range(1, 10_001):
         st, y = simulate_step(model, st)

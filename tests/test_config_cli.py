@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gridwatch import load_config
+from gridwatch import harness, load_config
 from gridwatch.cli import main
 from gridwatch.expconfig import ConfigError
 
@@ -124,6 +124,45 @@ def test_attack_requires_matching_law(tmp_path, two_bus_path):
     )
     with pytest.raises(ConfigError, match="fdi_uniform or fdi_fixed"):
         load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "attack, tau, key",
+    [
+        ("kind = fdi\nfdi_uniform = abc", 20, "fdi_uniform"),
+        ("kind = jamming\njam_uniform = 1e-4", 20, "jam_uniform"),
+        ("kind = jamming\njam_uniform = 4e-4,2e-4", 20, "jam_uniform"),
+        ("kind = fdi\nfdi_fixed = 0.1\nmeters = x", 20, "meters"),
+        ("kind = fdi\nfdi_fixed = 0.1\np = 2", 20, "p"),
+        ("kind = bogus", 20, "kind"),
+        ("kind = onoff\ninner = fdi\nfdi_fixed = 0.1\nt_on = 0\nt_off = 1", 20, "t_on"),
+        ("kind = fdi\nfdi_fixed = 0.1", 0, "tau"),
+    ],
+)
+def test_bad_attack_value_names_its_key(tmp_path, two_bus_path, attack, tau, key):
+    text = MINIMAL.format(
+        topology=two_bus_path, extra_detector="", attack=attack, trials=1, horizon=50,
+    ).replace("tau = 20", f"tau = {tau}")
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "attack, meter",
+    [
+        ("kind = fdi\nfdi_fixed = 0.1\nmeters = {}", -1),
+        ("kind = fdi\nfdi_fixed = 0.1\nmeters = {}", 1),
+        ("kind = topology-fault\nfault_meters = {}", 1),
+    ],
+)
+def test_meters_outside_model_rejected(tmp_path, two_bus_path, attack, meter):
+    # the two-bus model has one meter: fixed meters -1 would silently attack
+    # it, and 1 would raise IndexError at the onset, partway through a run
+    text = MINIMAL.format(
+        topology=two_bus_path, extra_detector="", attack=attack.format(meter), trials=1, horizon=50,
+    )
+    with pytest.raises(ConfigError, match=f"unknown meter index {meter}"):
+        harness.prepare(load_config(write(tmp_path, text)))
 
 
 def test_horizon_must_exceed_tau(tmp_path, two_bus_path):

@@ -23,7 +23,7 @@ from gridwatch.grid_model import MeasurementBatch
 from conftest import GAMMA, SIGMA2_MIN, SIGMA_W2
 from oracles import brute_force_costs, random_residual_blocks
 
-CFG = DetectorConfig(gamma=GAMMA, sigma2_min=SIGMA2_MIN, h=10.0)
+CFG = DetectorConfig(gamma=GAMMA, sigma2_min=SIGMA2_MIN)
 
 
 def block_from_e(model, e_row, cfg=CFG):
@@ -302,32 +302,29 @@ def test_gllr_positive_for_huge_bias(ieee14_model):
 
 
 def test_cusum_clamp_and_sync_flag():
-    cs, sync = cusum_step(CusumState(g=0.0), -1.0, CFG, t=4)
+    cs, sync = cusum_step(CusumState(g=0.0), -1.0, t=4)
     assert cs.g == 0.0
     assert sync
     assert cs.tau_hat == 4
 
 
 def test_cusum_threshold_crossing():
-    cs, sync = cusum_step(CusumState(g=8.0), 3.0, CFG, t=11)
-    assert cs.stopped and cs.T == 11
-    assert cs.g == pytest.approx(11.0)
-    assert not sync
-
-
-def test_cusum_step_after_stop_rejected():
-    cs, _ = cusum_step(CusumState(g=8.0), 3.0, CFG, t=11)
-    with pytest.raises(RuntimeError):
-        cusum_step(cs, 0.1, CFG, t=12)
+    # the recursion has no threshold: it runs on past any h (the caller
+    # stops at the first step g reaches h), keeping tau_hat until a clamp
+    cs, sync = cusum_step(CusumState(g=8.0, tau_hat=3), 3.0, t=11)
+    assert (cs.g, cs.tau_hat, sync) == (11.0, 3, False)
+    cs, sync = cusum_step(cs, 0.5, t=12)
+    assert (cs.g, cs.tau_hat, sync) == (11.5, 3, False)
+    cs, sync = cusum_step(cs, -20.0, t=13)
+    assert (cs.g, cs.tau_hat, sync) == (0.0, 13, True)
 
 
 def test_cusum_negative_drift_returns_to_zero_often():
     rng = np.random.default_rng(8)
-    cfg = DetectorConfig(gamma=GAMMA, sigma2_min=SIGMA2_MIN, h=math.inf)
     cs = CusumState()
     zeros = 0
     for t in range(1, 10_001):
-        cs, sync = cusum_step(cs, rng.normal(-0.5, 1.0), cfg, t)
+        cs, sync = cusum_step(cs, rng.normal(-0.5, 1.0), t)
         zeros += sync
     assert zeros >= 100  # at least once per 100 steps on average
 
@@ -364,8 +361,7 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
     y_flat = y_flat.copy()
     y_flat[0:5] += 0.5
     y = MeasurementBatch.from_flat(1, y_flat[None], 5)
-    cfg = DetectorConfig(GAMMA, SIGMA2_MIN, math.inf)
-    step = algorithm1_step(bank, [CusumState()], ieee14_model, cfg, y, 1)
+    step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1)
     np.testing.assert_array_equal(step.x_post_pred[0], x0)  # A = I, prediction is x0
     assert step.estimate.a_hat[0, 0] == pytest.approx(0.5, rel=1e-9)
     # had the residuals used the post *update* (which subtracts the explained
@@ -380,10 +376,8 @@ def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
     bank = initial_bank(x0[None], 1e-4)  # a batch of one trial
     bank.post.x_upd[:] += 0.05
     y = MeasurementBatch.from_flat(1, (ieee14_model.H @ x0)[None], 5)
-    cfg = DetectorConfig(GAMMA, SIGMA2_MIN, math.inf)
-    step = algorithm1_step(bank, [CusumState()], ieee14_model, cfg, y, 1)
+    step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1)
     (cs,) = step.cusum
     if cs.g == 0.0:
         np.testing.assert_array_equal(step.bank.post.x_upd, step.bank.pre.x_upd)
         assert cs.tau_hat == 1
-        assert step.bank.tau_hat.tolist() == [1]

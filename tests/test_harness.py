@@ -1,13 +1,14 @@
 import math
 import stat
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridwatch import harness, load_config
-from gridwatch.detector import CusumState, DetectorConfig, cusum_step
-from gridwatch.robust import Chi2State, pearson_step
+from gridwatch.detector import CusumState, cusum_step
+from gridwatch.robust import Chi2State, ShewhartConfig, pearson_step
 
 from oracles import dense_trial
 
@@ -25,6 +26,7 @@ h = {h}
 np_q = {np_q}
 euclid_d = {euclid_d}
 cosine_d = {cosine_d}
+np_clamp = {np_clamp}
 mu0_samples = 4000
 mu0_cache = {cache}
 
@@ -50,13 +52,14 @@ seed = {seed}
 
 def make_cfg(tmp_path, attack="kind = none", h=8.0, np_q=6.0, euclid_d=0.35,
              trials=2, horizon=220, tau=100, seed=3, name="exp.cfg", cache=None,
-             cosine_d=-0.5):
+             cosine_d=-0.5, np_clamp=False):
     text = BASE.format(
         attack=attack,
         h=h,
         np_q=np_q,
         euclid_d=euclid_d,
         cosine_d=cosine_d,
+        np_clamp=str(np_clamp).lower(),
         trials=trials,
         horizon=horizon,
         tau=tau,
@@ -115,10 +118,9 @@ def test_t_tilde_is_min_and_replay_consistent(tmp_path, mu0_cache):
     # replay the CUSUM recursion over the recorded GLLR stream with the
     # contract op; the g path and the h-crossing must match exactly
     cs = CusumState()
-    cfg_inf = DetectorConfig(0.022, 1e-2, math.inf)
     g_replay = np.empty(n)
     for t in range(1, n + 1):
-        cs, _ = cusum_step(cs, float(res.paths.beta[t - 1]), cfg_inf, t)
+        cs, _ = cusum_step(cs, float(res.paths.beta[t - 1]), t)
         g_replay[t - 1] = cs.g
     np.testing.assert_array_equal(g_replay, res.paths.g[:n])
     crossing = np.flatnonzero(res.paths.g[:n] >= ctx.h)
@@ -132,7 +134,7 @@ def test_t_tilde_is_min_and_replay_consistent(tmp_path, mu0_cache):
     st = Chi2State.initialize(ctx.chi2, 115, np.random.default_rng(chi2_ss))
     chi_replay = np.empty(n)
     for t in range(1, n + 1):
-        st, chi, _ = pearson_step(st, float(res.paths.c[t - 1]), ctx.chi2)
+        st, chi = pearson_step(st, float(res.paths.c[t - 1]), ctx.chi2)
         chi_replay[t - 1] = chi
     np.testing.assert_array_equal(chi_replay, res.paths.chi[:n])
 
@@ -191,7 +193,7 @@ def test_first_detector_ratio_examples():
     def fake(stops):
         return harness.TrialResult(
             seed=0, stops=stops, t_tilde=min(stops.values()),
-            fired_first=frozenset(), tau_hat=1, steps_run=10, meas_hash="",
+            tau_hat=1, steps_run=10, meas_hash="",
         )
 
     names = ["alg1", "chi2"]
@@ -225,10 +227,44 @@ def test_geometric_false_alarm_law():
 
 def test_stopping_times_grid_directions():
     path = np.array([0.1, 0.5, 0.3, 0.9])
-    up = harness.stopping_times_for_grid([path], [4], np.array([0.4, 0.85, 2.0]))
-    np.testing.assert_array_equal(up[0], [2.0, 4.0, math.inf])
+    up = harness.stopping_times_for_grid([path], [4], np.array([0.4, 0.5, 0.85, 2.0]))
+    np.testing.assert_array_equal(up[0], [2.0, 2.0, 4.0, math.inf])  # 0.5 reached at step 2
     down = harness.stopping_times_for_grid([path], [4], np.array([0.1, 0.05]), direction=-1)
     np.testing.assert_array_equal(down[0], [1.0, math.inf])
+
+
+def test_stopping_rule_inclusive_at_recorded_values(tmp_path, mu0_cache):
+    # paths do not depend on thresholds: rerun a trial with each threshold at
+    # the extreme of its own recorded path. Every path detector, cosine's
+    # downward rule included, must stop at the first step with that value
+    # (a strict rule would never stop), as stopping_times_for_grid says.
+    cfg = make_cfg(tmp_path, attack=CASE1, horizon=260, cache=mu0_cache)
+    ctx = harness.prepare(cfg)
+    ref = harness.run_trial(ctx, (9, 0), full_paths=True)
+    first, thr = {}, {}
+    for name, field, direction in harness.PATH_DETECTORS:
+        path = getattr(ref.paths, field)
+        first[name] = int(np.argmax(path) if direction > 0 else np.argmin(path))
+        thr[name] = path[first[name]]
+    ctx = replace(
+        ctx,
+        h=thr["alg1"],
+        shewhart=ShewhartConfig(thr["shewhart"]),
+        chi2=replace(ctx.chi2, varphi=thr["chi2"]),
+        np_q=thr["np_cusum"],
+        euclid_d=thr["euclidean"],
+        cosine_d=thr["cosine"],
+    )
+    assert ctx.thresholds == thr
+    res = harness.run_trial(ctx, (9, 0), full_paths=True)
+    for name, field, direction in harness.PATH_DETECTORS:
+        path = getattr(res.paths, field)
+        np.testing.assert_array_equal(path, getattr(ref.paths, field), err_msg=name)
+        assert res.stop(name) == first[name] + 1, name
+        grid = harness.stopping_times_for_grid([path], [res.steps_run], [thr[name]], direction)
+        assert res.stop(name) == grid[0, 0], name
+    assert res.stop("alg2") == min(res.stop(name) for name in harness.ALG2)
+    assert harness.run_trial(ctx, (9, 0)).stops == res.stops  # early exit too
 
 
 def test_calibrate_threshold_hits_target():
@@ -425,6 +461,16 @@ def test_run_trial_matches_dense_oracle(tmp_path, mu0_cache, attack, seed, horiz
         assert_matches_oracle(res, fast, dense_trial(ctx, res.seed))
 
 
+def test_np_clamp_trial_matches_dense_oracle(tmp_path, mu0_cache):
+    # the clamped nonparametric CUSUM (np_clamp = true) against the oracle's
+    # max(0, S); the path does hit the clamp
+    cfg = make_cfg(tmp_path, attack=CASE1, horizon=260, cache=mu0_cache, np_clamp=True)
+    ctx = harness.prepare(cfg)
+    assert ctx.np_clamp
+    assert_trial_matches_oracle(ctx, (9, 0))
+    assert harness.run_trial(ctx, (9, 0), full_paths=True).paths.np_S.min() == 0.0
+
+
 def test_rank_deficient_network_trial_matches_dense_oracle(tmp_path):
     # flow meters that never touch the reference bus: the common angle is
     # unobservable, so the pre covariance grows forever and the schedule
@@ -434,8 +480,8 @@ def test_rank_deficient_network_trial_matches_dense_oracle(tmp_path):
         "[meters]\n1 flow 1 +\n2 flow 2 +\n"
     )
     text = BASE.format(
-        attack=CASE1, h=8.0, np_q=6.0, euclid_d=0.35, cosine_d=-0.5, trials=1, horizon=300, tau=100,
-        seed=3, cache="none",
+        attack=CASE1, h=8.0, np_q=6.0, euclid_d=0.35, cosine_d=-0.5, np_clamp="false", trials=1,
+        horizon=300, tau=100, seed=3, cache="none",
     ).replace("topology = ieee14", "topology = iso.grid").replace("lambda = 5", "lambda = 2")
     (tmp_path / "iso.cfg").write_text(text)
     ctx = harness.prepare(load_config(tmp_path / "iso.cfg"))

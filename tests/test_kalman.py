@@ -171,15 +171,17 @@ def test_post_expansion_convention(ieee14_model, ieee14_topology):
 def test_sync_post_to_pre():
     bank = initial_bank(np.array([0.1, 0.2]), 1e-4)
     bank.post.x_upd[:] = 99.0
-    bank = sync_post_to_pre(bank, 7)
+    bank = sync_post_to_pre(bank)
     np.testing.assert_array_equal(bank.post.x_upd, bank.pre.x_upd)
     np.testing.assert_array_equal(bank.post.P_upd, bank.pre.P_upd)
-    assert bank.tau_hat == 7
-    bank = sync_post_to_pre(bank, 5)
-    assert bank.tau_hat == 5  # last write wins
     # sync copies: later post mutation must not leak into pre
     bank.post.x_upd[0] = -1.0
     assert bank.pre.x_upd[0] == 0.1
+    # in a batch only the flagged trials sync
+    batch = initial_bank(np.array([[0.1, 0.2], [0.3, 0.4]]), 1e-4)
+    batch.post.x_upd[:] = 99.0
+    batch = sync_post_to_pre(batch, np.array([False, True]))
+    assert batch.post.x_upd.tolist() == [[99.0, 99.0], [0.3, 0.4]]
 
 
 def test_pre_post_trajectories_identical_with_zero_estimates(ieee14_model, ieee14_topology):

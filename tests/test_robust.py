@@ -6,32 +6,15 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from gridwatch import (
-    Chi2Config,
-    Chi2State,
-    ShewhartConfig,
-    algorithm2_step,
-    cosine_step,
-    euclidean_step,
-    np_cusum_step,
-    pearson_step,
-    shewhart_step,
-)
+from gridwatch import Chi2Config, Chi2State, pearson_step
 from gridwatch.grid_model import GridModel, MeasurementBatch
 from gridwatch.kalman import KalmanState, kf_update_pre_full, pre_gain_step
-from gridwatch.robust import BenchmarkState, chi2_sample_from_innovation, cosine_similarity
+from gridwatch.robust import chi2_sample_from_innovation, cosine_similarity
 
 from oracles import chi2_cdf_oracle, chi2_sample
 
 PAPER_EDGES = (102.081, 110.5475, 118.2061, 127.531)
 VARPHI = 25.0133
-
-
-def test_shewhart_boundary_inclusive():
-    cfg = ShewhartConfig(phi=10.0)
-    assert not shewhart_step(0.0, cfg)
-    assert not shewhart_step(9.999, cfg)
-    assert shewhart_step(10.0, cfg)
 
 
 def test_chi2_sample_zero_residual(ieee14_model, ieee14_topology):
@@ -79,13 +62,13 @@ def test_batched_statistics_match_single_windows(ieee14_model, ieee14_topology):
     for _ in range(200):
         r = rng.standard_normal((B, 23, 5)) * 0.01 * rng.uniform(0.5, 2.0)
         c = chi2_sample_from_innovation(r, white, ieee14_model.sigma_w2)
-        batch, chi, fired = pearson_step(batch, c, cfg)
+        batch, chi = pearson_step(batch, c, cfg)
         y = rng.standard_normal((B, 115))
         cos = cosine_similarity(y, y - r.reshape(B, -1))
         for i in range(B):
             assert c[i] == chi2_sample_from_innovation(r[i], white, ieee14_model.sigma_w2)
-            windows[i], chi_i, fired_i = pearson_step(windows[i], float(c[i]), cfg)
-            assert (chi[i], fired[i]) == (chi_i, fired_i)
+            windows[i], chi_i = pearson_step(windows[i], float(c[i]), cfg)
+            assert chi[i] == chi_i
             np.testing.assert_array_equal(batch.counts[i], windows[i].counts)
             assert cos[i] == cosine_similarity(y[i], y[i] - r[i].reshape(-1))
     assert cosine_similarity(np.zeros((2, 3)), np.ones((2, 3))).tolist() == [-1.0, -1.0]
@@ -155,10 +138,9 @@ def test_pearson_perfect_fit_and_concentrated():
 def test_pearson_step_evicts_and_counts():
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
     st = Chi2State.from_samples(cfg, np.full(80, 1.0))
-    st, chi, stop = pearson_step(st, 1e6, cfg)
+    st, chi = pearson_step(st, 1e6, cfg)
     assert st.counts[0] == 79 and st.counts[4] == 1
-    assert chi < 320.0
-    assert stop  # still wildly off the null
+    assert VARPHI <= chi < 320.0  # still wildly off the null
 
 
 def test_ring_buffer_matches_recount():
@@ -169,7 +151,7 @@ def test_ring_buffer_matches_recount():
     window = list(init)
     samples = rng.chisquare(115, size=100_000)
     for i, c in enumerate(samples):
-        st, chi, _ = pearson_step(st, float(c), cfg)
+        st, chi = pearson_step(st, float(c), cfg)
         window.pop(0)
         window.append(float(c))
         if i % 979 == 0:
@@ -180,54 +162,13 @@ def test_ring_buffer_matches_recount():
     np.testing.assert_array_equal(st.counts, recount)
 
 
-def test_np_cusum_zero_drift_and_stopping(two_bus_model):
-    st = BenchmarkState(mu0=1.0)
-    y = MeasurementBatch.from_flat(1, np.array([1.0]), 1)
-    x_pred = np.zeros(1)
-    # dist = 1 = mu0 -> S stays 0, never stops for q > 0
-    for _ in range(50):
-        st, stop = np_cusum_step(st, y, x_pred, two_bus_model, q=10.0)
-        assert not stop
-    assert st.S == pytest.approx(0.0)
-    # dist - mu0 = 1 each step with mu0 = 0 -> stops exactly at t = 10
-    st = BenchmarkState(mu0=0.0)
-    stops_at = None
-    for t in range(1, 20):
-        st, stop = np_cusum_step(st, y, x_pred, two_bus_model, q=10.0)
-        if stop:
-            stops_at = t
-            break
-    assert stops_at == 10
-
-
-def test_np_cusum_clamp_toggle(two_bus_model):
-    y = MeasurementBatch.from_flat(1, np.array([0.0]), 1)
-    x_pred = np.zeros(1)
-    st = BenchmarkState(mu0=2.0)
-    st, _ = np_cusum_step(st, y, x_pred, two_bus_model, q=10.0)
-    assert st.S == pytest.approx(-2.0)  # as printed: drifts negative
-    st = BenchmarkState(mu0=2.0)
-    st, _ = np_cusum_step(st, y, x_pred, two_bus_model, q=10.0, clamp=True)
-    assert st.S == 0.0
-
-
 def test_euclidean_and_cosine_trivial_geometry():
+    # the Euclidean detector's statistic is the innovation norm, formed in
+    # the harness; its thresholding is tested with every path detector's
     y = np.array([1.0, 2.0])
-    assert not euclidean_step(y, y, threshold=0.1)
-    assert euclidean_step(y, np.zeros(2), threshold=1.0)
     assert cosine_similarity(y, y) == pytest.approx(1.0)
     assert cosine_similarity(y, -y) == pytest.approx(-1.0)
     assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-    assert cosine_step(y, -y, threshold=-0.99)
-    assert not cosine_step(y, y, threshold=0.99)
     # zero vector counts as maximal dissimilarity
-    assert cosine_step(np.zeros(2), y, threshold=-1.0)
-
-
-def test_algorithm2_combination_rule():
-    stop, fired = algorithm2_step(False, 0.0, ShewhartConfig(10.0), chi2_fired=True, t=5)
-    assert stop and fired == frozenset({"chi2"})
-    stop, fired = algorithm2_step(True, 12.0, ShewhartConfig(10.0), chi2_fired=False, t=5)
-    assert stop and fired == frozenset({"alg1", "shewhart"})
-    stop, fired = algorithm2_step(False, 0.0, None, chi2_fired=False, t=5)
-    assert not stop and fired == frozenset()
+    assert cosine_similarity(np.zeros(2), y) == -1.0
+    assert cosine_similarity(y, np.zeros(2)) == -1.0
