@@ -69,6 +69,12 @@ PATH_DIRECTION = {name: direction for name, _, direction in PATH_DETECTORS}
 ALG2 = ("alg1", "shewhart", "chi2")
 
 
+def crossed(values, threshold: float, direction: int):
+    """The stopping rule of every path detector: the statistic reaches the
+    threshold, inclusive, upward (direction +1) or downward (-1)."""
+    return values >= threshold if direction > 0 else values <= threshold
+
+
 # ---------------------------------------------------------------------------
 # Preparation
 
@@ -490,9 +496,7 @@ def _run_batch(
             window, chi = robust.pearson_step(window, c, ctx.chi2)
             stats.update(c=c, chi=chi)
         if "np_cusum" in thresholds:
-            np_S = np_S + dist - mu0
-            if ctx.np_clamp:
-                np_S = np.maximum(0.0, np_S)
+            np_S = robust.np_cusum_step(np_S, dist, mu0, ctx.np_clamp)
             stats["np_S"] = np_S
         if "euclidean" in thresholds:
             stats["euclid"] = dist
@@ -500,7 +504,7 @@ def _run_batch(
             y_flat = Y.reshape(b, -1)
             stats["cosine"] = robust.cosine_similarity(y_flat, y_flat - r)
 
-        hits = [stats[f] >= thr if d > 0 else stats[f] <= thr for f, d, thr in rules]
+        hits = [crossed(stats[f], thr, d) for f, d, thr in rules]
         first = np.array(hits) & (stops == INF)
         stops[first] = t
         if first[0].any():

@@ -173,6 +173,13 @@ def pearson_step(st: Chi2State, c_new, cfg: Chi2Config) -> "tuple[Chi2State, np.
     return st, st.chi_stat
 
 
+def np_cusum_step(S, dist, mu0: float, clamp: bool = False):
+    """One step of the nonparametric CUSUM on the innovation norm: S + dist
+    - mu0, floored at 0 when clamp is set."""
+    S = S + dist - mu0
+    return np.maximum(0.0, S) if clamp else S
+
+
 def cosine_similarity(y: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
     """Cosine of the angle over the last axis, one per trial; a zero vector
     counts as maximal dissimilarity."""

@@ -6,15 +6,24 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from gridwatch import Chi2Config, Chi2State, pearson_step
+from gridwatch import Chi2Config, Chi2State, ShewhartConfig, harness, pearson_step
 from gridwatch.grid_model import GridModel, MeasurementBatch
 from gridwatch.kalman import KalmanState, kf_update_pre_full, pre_gain_step
-from gridwatch.robust import chi2_sample_from_innovation, cosine_similarity
+from gridwatch.robust import chi2_sample_from_innovation, cosine_similarity, np_cusum_step
 
 from oracles import chi2_cdf_oracle, chi2_sample
 
 PAPER_EDGES = (102.081, 110.5475, 118.2061, 127.531)
 VARPHI = 25.0133
+
+
+def test_shewhart_boundary_inclusive():
+    cfg = ShewhartConfig(phi=10.0)
+    up = harness.PATH_DIRECTION["shewhart"]
+    beta = np.array([0.0, 9.999, 10.0, 3.0])
+    assert harness.crossed(beta, cfg.phi, up).tolist() == [False, False, True, False]
+    stops = harness.stopping_times_for_grid([beta], [4], [cfg.phi, 10.001], up)
+    assert stops.tolist() == [[3.0, math.inf]]
 
 
 def test_chi2_sample_zero_residual(ieee14_model, ieee14_topology):
@@ -160,6 +169,27 @@ def test_ring_buffer_matches_recount():
             np.testing.assert_array_equal(st.counts, recount)
     recount = np.bincount([cfg.cell_of(v) for v in window], minlength=5)
     np.testing.assert_array_equal(st.counts, recount)
+
+
+def test_np_cusum_zero_drift_and_stopping():
+    q, up = 10.0, harness.PATH_DIRECTION["np_cusum"]
+    # dist = 1 = mu0 -> S stays 0, never stops for q > 0
+    S, path = 0.0, []
+    for _ in range(50):
+        S = np_cusum_step(S, 1.0, mu0=1.0)
+        path.append(S)
+    assert S == pytest.approx(0.0)
+    assert not harness.crossed(np.array(path), q, up).any()
+    # dist - mu0 = 1 each step with mu0 = 0 -> stops exactly at t = 10
+    S, path = np.zeros(2), []
+    for _ in range(19):
+        S = np_cusum_step(S, np.ones(2), mu0=0.0)
+        path.append(S)
+    path = np.array(path).T
+    assert harness.stopping_times_for_grid(list(path), [19, 19], [q], up).tolist() == [[10.0]] * 2
+    # clamped, a negative drift holds S at 0
+    assert np_cusum_step(0.0, 0.0, mu0=2.0) == pytest.approx(-2.0)
+    assert np_cusum_step(0.0, 0.0, mu0=2.0, clamp=True) == 0.0
 
 
 def test_euclidean_and_cosine_trivial_geometry():
