@@ -17,6 +17,7 @@ from .grid_model import (
 from .attacks import (
     AttackRealization,
     AttackSpec,
+    AttackStreams,
     MagnitudeLaw,
     apply_attack,
     realize_attack,

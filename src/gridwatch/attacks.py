@@ -4,8 +4,8 @@ An attack program says *when* (onset, optional on/off schedule), *where*
 (fixed meter set or per-step Bernoulli selection), and *how strong*
 (bias law for injected false data, variance law for jamming noise).
 Realizing it at time t yields per-meter biases a_k and jamming variances
-sigma2_k; applying a realization adds the bias identically to all lam
-samples of a meter and fresh white noise per sample:
+sigma2_k for every trial of a batch; applying a realization adds the bias
+identically to all lam samples of a meter and fresh white noise per sample:
 
     y[k][i] += a_k + n_{k,i},    n_{k,i} ~ N(0, jam_var_k) i.i.d.
 
@@ -22,34 +22,42 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_model import GridModel, MeasurementBatch
+from .grid_model import BLOCK_STEPS, GridModel, MeasurementBatch
 
 KINDS = ("none", "fdi", "jamming", "hybrid", "topology-fault")
 
 
 @dataclass(frozen=True)
 class MagnitudeLaw:
-    """Either uniform on a symmetric/positive interval or a fixed value."""
+    """Either uniform on a symmetric/positive interval or a fixed value.
+
+    Bounds and values must be finite, and a uniform law's width hi - lo too.
+    """
 
     mode: str  # "uniform" or "fixed"
     lo: float = 0.0
     hi: float = 0.0
     value: float = 0.0
 
+    def __post_init__(self):
+        if self.mode == "uniform":
+            if not math.isfinite(self.hi - self.lo):
+                raise ValueError(f"uniform law needs finite bounds, got {self.lo} and {self.hi}")
+            if self.hi < self.lo:
+                raise ValueError("uniform law needs lo <= hi")
+        elif self.mode == "fixed":
+            if not math.isfinite(self.value):
+                raise ValueError(f"fixed law needs a finite value, got {self.value}")
+        else:
+            raise ValueError(f"unknown law mode {self.mode!r}")
+
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "MagnitudeLaw":
-        if hi < lo:
-            raise ValueError("uniform law needs lo <= hi")
         return cls(mode="uniform", lo=float(lo), hi=float(hi))
 
     @classmethod
     def fixed(cls, value: float) -> "MagnitudeLaw":
         return cls(mode="fixed", value=float(value))
-
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.mode == "uniform":
-            return rng.uniform(self.lo, self.hi, size=count)
-        return np.full(count, self.value)
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,10 @@ class AttackSpec:
             raise ValueError(f"unknown selection mode {mode!r}")
         if self.kind == "topology-fault" and not self.fault_meters:
             raise ValueError("topology-fault needs a nonempty meter set")
+        jam = self.jam_law
+        least = None if jam is None else jam.lo if jam.mode == "uniform" else jam.value
+        if least is not None and least < 0:
+            raise ValueError(f"jam_uniform/jam_fixed: jamming variances must be >= 0, got {least}")
 
     @property
     def uses_fdi(self) -> bool:
@@ -102,21 +114,21 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class AttackRealization:
-    """Per-step sampled attack: zero vectors off-attack and in off periods."""
+    """One step's sampled attack for a batch of B trials: (B, K) biases and
+    jamming variances, zero off-attack and in off periods. ``active`` depends
+    on the step only, so it is one flag for the whole batch."""
 
     t: int
     a: np.ndarray
     jam_var: np.ndarray
     active: bool
 
-    def meter_sets(self) -> "tuple[set, set, set, set]":
-        """Partition of meters implied by the zero/nonzero pattern.
-
-        Returns (clean, bias only, jamming only, both).
-        """
-        fdi = self.a != 0.0
-        jam = self.jam_var != 0.0
-        idx = np.arange(self.a.size)
+    def meter_sets(self, trial: int) -> "tuple[set, set, set, set]":
+        """Partition of trial ``trial``'s meters implied by the zero/nonzero
+        pattern: (clean, bias only, jamming only, both)."""
+        fdi = self.a[trial] != 0.0
+        jam = self.jam_var[trial] != 0.0
+        idx = np.arange(fdi.size)
         return (
             set(idx[~fdi & ~jam]),
             set(idx[fdi & ~jam]),
@@ -125,10 +137,78 @@ class AttackRealization:
         )
 
 
-def _zero(spec_k: int, t: int, active: bool = False) -> AttackRealization:
-    return AttackRealization(
-        t=t, a=np.zeros(spec_k), jam_var=np.zeros(spec_k), active=active
-    )
+class _Blocks:
+    """One stream's draws for every trial of a batch, drawn ahead in blocks.
+
+    ``values[j, pos[j]:]`` are trial j's next unused draws, in stream order.
+    A trial with fewer left than a step may need keeps them, moved to the
+    front of its block, and draws the rest of the block in one call of its
+    generator's ``method`` ("random" or "standard_normal"); numpy's
+    Generator fills any request from one sequence, so the values do not
+    depend on how the stream was cut into blocks.
+    """
+
+    def __init__(self, rngs: list, method: str, size: int):
+        self.rngs = rngs
+        self.method = method
+        self.size = size
+        self.values: Optional[np.ndarray] = None  # allocated at the first draw
+        self.pos = np.full(len(rngs), size)
+
+    def ready(self, need: int) -> "tuple[np.ndarray, np.ndarray]":
+        """(flat, start): ``flat[start[j] + i]`` is trial j's i-th next
+        unused draw, for every i < ``need``. They stay unused until
+        ``advance``."""
+        if self.values is None:
+            self.values = np.empty((len(self.rngs), self.size))
+        if self.pos.max() > self.size - need:
+            for j in np.flatnonzero(self.pos > self.size - need):
+                kept = self.size - self.pos[j]
+                self.values[j, :kept] = self.values[j, self.pos[j] :]
+                getattr(self.rngs[j], self.method)(out=self.values[j, kept:])
+                self.pos[j] = 0
+        base = np.arange(0, self.values.size, self.size)
+        return self.values.reshape(-1), base + self.pos
+
+    def advance(self, used: np.ndarray) -> None:
+        """Mark ``used[j]`` more draws of trial j as used."""
+        self.pos += used
+
+    def take(self, keep: np.ndarray) -> "_Blocks":
+        out = _Blocks([rng for rng, k in zip(self.rngs, keep) if k], self.method, self.size)
+        out.pos = self.pos[keep]
+        if self.values is not None:
+            out.values = self.values[keep]
+        return out
+
+
+@dataclass
+class AttackStreams:
+    """The attack-realization and attack-application streams of a batch of
+    trials: per trial, one stream of doubles for selection bits and
+    magnitudes and one of standard normals for jamming noise, both drawn
+    ahead in blocks of BLOCK_STEPS steps' worst-case use."""
+
+    atk: _Blocks
+    jam: _Blocks
+
+    @classmethod
+    def spawn(cls, atk_seeds, jam_seeds, K: int, lam: int) -> "AttackStreams":
+        """One trial per entry of the seed lists (anything
+        ``np.random.default_rng`` accepts)."""
+        return cls(
+            atk=_Blocks([np.random.default_rng(s) for s in atk_seeds], "random", BLOCK_STEPS * 4 * K),
+            jam=_Blocks(
+                [np.random.default_rng(s) for s in jam_seeds], "standard_normal", BLOCK_STEPS * K * lam
+            ),
+        )
+
+    def __len__(self) -> int:
+        return len(self.atk.rngs)
+
+    def take(self, keep: np.ndarray) -> "AttackStreams":
+        """The trials where the boolean mask ``keep`` is true."""
+        return AttackStreams(self.atk.take(keep), self.jam.take(keep))
 
 
 def is_active(spec: AttackSpec, t: int) -> bool:
@@ -140,36 +220,57 @@ def is_active(spec: AttackSpec, t: int) -> bool:
     return (t - int(spec.tau)) % (spec.t_on + spec.t_off) < spec.t_on
 
 
-def _select(spec: AttackSpec, k: int, rng: np.random.Generator) -> np.ndarray:
-    mode = spec.selection[0]
-    if mode == "fixed":
-        mask = np.zeros(k, dtype=bool)
-        mask[list(spec.selection[1])] = True
-        return mask
-    return rng.random(k) < spec.selection[1]
+def realize_attack(spec: AttackSpec, t: int, streams: AttackStreams, K: int) -> AttackRealization:
+    """Sample the attack parameters of every trial of the batch for time t.
 
-
-def realize_attack(spec: AttackSpec, t: int, rng: np.random.Generator, K: int) -> AttackRealization:
-    """Sample the attack parameters for time t.
-
-    Draw order (documented for reproducibility): FDI selection bits, jamming
-    selection bits, FDI magnitudes for selected meters in ascending index
-    order, jamming variances likewise. No draws are consumed before the
-    onset or during off periods.
+    Draw order per trial (documented for reproducibility): FDI selection
+    bits, jamming selection bits, FDI magnitudes for selected meters in
+    ascending index order, jamming variances likewise. No draws are
+    consumed before the onset, during off periods, or for fixed selections
+    and fixed laws. Each draw is the next double u of the trial's attack
+    stream: a selection bit is u < p and a uniform magnitude
+    lo + (hi - lo) * u, the values ``rng.random`` and ``rng.uniform`` give
+    (numpy computes uniform(lo, hi) as exactly that; the tests pin it). The
+    doubles are drawn ahead in blocks (``AttackStreams``), which changes
+    neither the values a step receives nor this order.
     """
     if t < 1:
         raise ValueError("time index must be >= 1")
+    B = len(streams)
+    a = np.zeros((B, K))
+    jam = np.zeros((B, K))
     if not is_active(spec, t):
-        return _zero(K, t)
+        return AttackRealization(t=t, a=a, jam_var=jam, active=False)
 
-    a = np.zeros(K)
-    jam = np.zeros(K)
-    fdi_mask = _select(spec, K, rng) if spec.uses_fdi else np.zeros(K, dtype=bool)
-    jam_mask = _select(spec, K, rng) if spec.uses_jamming else np.zeros(K, dtype=bool)
-    if spec.uses_fdi and fdi_mask.any():
-        a[fdi_mask] = spec.fdi_law.draw(rng, int(fdi_mask.sum()))
-    if spec.uses_jamming and jam_mask.any():
-        jam[jam_mask] = spec.jam_law.draw(rng, int(jam_mask.sum()))
+    laws = []
+    if spec.uses_fdi:
+        laws.append((spec.fdi_law, a))
+    if spec.uses_jamming:
+        laws.append((spec.jam_law, jam))
+    bernoulli = spec.selection[0] == "bernoulli"
+    coins = K * len(laws) if bernoulli else 0
+    need = coins + K * sum(law.mode == "uniform" for law, _ in laws)
+    if need:
+        flat, start = streams.atk.ready(need)
+        start = start[:, None]
+    if bernoulli:
+        u = flat[start + np.arange(coins)]
+        masks = [u[:, i * K : (i + 1) * K] < spec.selection[1] for i in range(len(laws))]
+    else:
+        fixed = np.zeros(K, dtype=bool)
+        fixed[list(spec.selection[1])] = True
+        masks = [fixed] * len(laws)
+    used = coins  # draws each trial has used this step
+    for (law, out), mask in zip(laws, masks):
+        if law.mode == "fixed":
+            np.copyto(out, law.value, where=mask)
+            continue
+        rank = mask.cumsum(axis=-1)  # the i-th selected meter takes draw used + i - 1
+        picked = flat[start + (used - 1) + rank]
+        np.copyto(out, law.lo + (law.hi - law.lo) * picked, where=mask)
+        used = used + rank[..., -1:]
+    if need:
+        streams.atk.advance(np.reshape(used, -1))
     return AttackRealization(t=t, a=a, jam_var=jam, active=True)
 
 
@@ -177,26 +278,33 @@ def apply_attack(
     model: GridModel,
     clean: MeasurementBatch,
     real: AttackRealization,
-    rng: np.random.Generator,
+    streams: AttackStreams,
 ) -> MeasurementBatch:
-    """Add the realized bias and jamming noise to clean measurements.
+    """Add the realized bias and jamming noise to every trial's clean
+    (B, K, lam) measurements.
 
     The bias a_k shifts all lam samples of meter k identically; jamming
-    noise is drawn i.i.d. per sample. Draws are consumed only for meters
-    with nonzero jamming variance (ascending index order), so a zero
-    realization leaves both the measurements and the stream untouched.
+    noise is drawn i.i.d. per sample from the trial's jamming stream, lam
+    normals per meter with nonzero variance in ascending meter order, and
+    is added at those meters only, so no other entry changes. The normals
+    are drawn ahead in blocks (``AttackStreams``); each step receives the
+    values drawing them at that step would give. An inactive step returns
+    ``clean`` and draws nothing.
     """
-    if clean.values.shape != (model.K, model.lam):
-        raise ValueError("measurement batch does not match the model")
-    if np.any(real.jam_var < 0):
-        raise ValueError("jamming variances must be >= 0")
+    if clean.values.shape != real.a.shape + (model.lam,) or real.a.shape[-1] != model.K:
+        raise ValueError("measurement batch does not match the model and realization")
     if not real.active:
         return clean
-    values = clean.values + real.a[:, None]
-    jammed = np.flatnonzero(real.jam_var > 0)
-    if jammed.size:
-        noise = rng.standard_normal((jammed.size, model.lam))
-        values[jammed] += noise * np.sqrt(real.jam_var[jammed])[:, None]
+    values = clean.values + real.a[..., None]
+    jammed = real.jam_var > 0
+    if jammed.any():
+        lam = model.lam
+        flat, start = streams.jam.ready(model.K * lam)
+        rank = jammed.cumsum(axis=1)  # the i-th jammed meter takes normals (i - 1) lam ...
+        first = start[:, None] + (rank - 1) * lam
+        noise = flat[first[..., None] + np.arange(lam)]
+        np.add(values, noise * np.sqrt(real.jam_var)[..., None], out=values, where=jammed[..., None])
+        streams.jam.advance(lam * rank[:, -1])
     return MeasurementBatch(t=clean.t, values=values)
 
 

@@ -320,14 +320,34 @@ def build_model(
     )
 
 
+# Steps of standard normals each trial's simulation stream draws per call
+# (see SimState). A block holds BLOCK_STEPS * (N + K*lam) doubles per trial:
+# 32 KiB on ieee14 at lam = 5.
+BLOCK_STEPS = 32
+
+
 @dataclass
 class SimState:
-    """One trial's trajectory state and simulation stream; each trial owns
-    one and advances it a step at a time with ``simulate_step``."""
+    """Trajectory states and simulation streams of a batch of B trials,
+    advanced a step at a time, in place, by ``simulate_step``.
+
+    ``x`` is (B, N). Each trial draws its standard normals ahead from its
+    own stream, BLOCK_STEPS steps per call: ``noise[j, s]`` holds the
+    N + K*lam normals of trial j for the step at block row s, and ``row`` is
+    the next unused row. All trials of a batch use the same number of
+    draws per step, so they share the row.
+    """
 
     t: int
     x: np.ndarray
-    rng: np.random.Generator
+    rngs: list
+    noise: np.ndarray
+    row: int
+
+    def take(self, keep: np.ndarray) -> "SimState":
+        """The trials where the boolean mask ``keep`` is true."""
+        rngs = [rng for rng, k in zip(self.rngs, keep) if k]
+        return SimState(self.t, self.x[keep], rngs, self.noise[keep], self.row)
 
 
 @dataclass
@@ -366,25 +386,40 @@ def vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def initial_sim_state(model: GridModel, x0: Sequence[float], seed) -> SimState:
+def initial_sim_state(model: GridModel, x0: Sequence[float], seeds) -> SimState:
+    """A batch with one trial per entry of ``seeds`` (anything
+    ``np.random.default_rng`` accepts), every trial starting at ``x0``."""
     x = np.array(x0, dtype=float)
     if x.shape != (model.N,):
         raise ValueError(f"x0 must have length {model.N}")
-    return SimState(t=0, x=x, rng=np.random.default_rng(seed))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    noise = np.empty((len(rngs), BLOCK_STEPS, model.N + model.K * model.lam))
+    return SimState(t=0, x=np.tile(x, (len(rngs), 1)), rngs=rngs, noise=noise, row=BLOCK_STEPS)
 
 
-def simulate_step(model: GridModel, state: SimState) -> "tuple[SimState, MeasurementBatch]":
-    """Advance one interval; consumes exactly N + K*lam Gaussian draws.
+def simulate_step(model: GridModel, sim: SimState) -> MeasurementBatch:
+    """Advance every trial of ``sim`` one interval, in place, and return the
+    batch's (B, K, lam) measurements.
 
+    Each trial uses N + K*lam standard normals of its own stream per step.
     Draw order is part of the determinism contract: state noise first, then
     measurement noise. Zero variances still consume draws so trajectories
-    stay aligned across noise settings.
+    stay aligned across noise settings. The normals are drawn ahead,
+    BLOCK_STEPS steps per trial and call; numpy's Generator fills any
+    request from one sequence, so every step receives exactly the values
+    that drawing N and then K*lam normals at that step would give.
     """
-    v = state.rng.standard_normal(model.N) * np.sqrt(model.sigma_v2)
-    x_new = model.A @ state.x + v
-    w = state.rng.standard_normal(model.K * model.lam) * np.sqrt(model.sigma_w2)
-    y = model.H @ x_new + w
-    if not np.all(np.isfinite(x_new)):
+    N = model.N
+    if sim.row == sim.noise.shape[1]:
+        for rng, block in zip(sim.rngs, sim.noise):
+            rng.standard_normal(out=block)
+        sim.row = 0
+    z = sim.noise[:, sim.row]
+    sim.row += 1
+    x = matvec(model.A, sim.x) + z[:, :N] * np.sqrt(model.sigma_v2)
+    y = matvec(model.H, x) + z[:, N:] * np.sqrt(model.sigma_w2)
+    if not np.isfinite(x).all():
         raise FloatingPointError("state diverged; check the model configuration")
-    new_state = SimState(t=state.t + 1, x=x_new, rng=state.rng)
-    return new_state, MeasurementBatch.from_flat(new_state.t, y, model.lam)
+    sim.x = x
+    sim.t += 1
+    return MeasurementBatch(sim.t, y.reshape(len(y), model.K, model.lam))

@@ -10,12 +10,15 @@ trial order irrelevant.
 
 The trial engine advances all trials of a ``run_trials`` call in lock-step,
 one step at a time, on a leading trial axis B. Each trial keeps its own
-random streams, draw order, simulation, attack and measurement hash; the
-filters and detector statistics of the whole batch are computed once per
-step on (B, K) and (B,) arrays, sharing the step's pre-filter schedule
-entry. Without recorded paths a trial leaves the batch (the batch is
-compacted) once every detector except alg2 has fired, and the engine holds
-O(B) state; (B, horizon) path arrays exist only when paths are requested.
+random streams, draw order and measurement hash. Everything else runs once
+per step for the whole batch: the simulation, the attack realization and
+its application, on (B, ...) arrays fed by streams drawn ahead in blocks
+(every step receives the values that drawing at that step would give),
+then the filters and detector statistics on (B, K) and (B,) arrays,
+sharing the step's pre-filter schedule entry. Without recorded paths a
+trial leaves the batch (the batch is compacted) once every detector except
+alg2 has fired, and the engine holds O(B) state; (B, horizon) path arrays
+exist only when paths are requested.
 ``run_trials`` passes all its trials to ``run_trial`` as one batch; a
 single seed is the batch of one.
 """
@@ -36,11 +39,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import detector, kalman, robust
-from .attacks import AttackSpec, apply_attack, realize_attack, topology_fault
+from .attacks import AttackSpec, AttackStreams, apply_attack, realize_attack, topology_fault
 from .expconfig import ConfigError, ExperimentConfig
 from .grid_model import (
     GridModel,
-    MeasurementBatch,
     SimState,
     build_model,
     initial_sim_state,
@@ -272,8 +274,7 @@ def innovation_norm_baseline(
             return cached
 
     schedule = kalman.PreSchedule(model, p0)
-    rng = np.random.default_rng(seed)
-    state = initial_sim_state(model, x0, rng)
+    sim = initial_sim_state(model, x0, [seed])  # a batch of one trajectory
     x_hat = np.array(x0, dtype=float)
     total = 0.0
     step = gain = None
@@ -283,9 +284,9 @@ def innovation_norm_baseline(
             # one matrix-vector product per sample once the schedule settles
             step = next_step
             gain = np.repeat(step.gain / model.lam, model.lam, axis=1)
-        state, y = simulate_step(model, state)
+        y = simulate_step(model, sim).values.reshape(-1)
         x_pred = model.A @ x_hat
-        innovation = y.flat - model.H @ x_pred
+        innovation = y - model.H @ x_pred
         x_hat = x_pred + gain @ innovation
         total += math.sqrt(innovation @ innovation)  # the 2-norm, as np.linalg.norm
     mu0 = total / samples
@@ -382,34 +383,51 @@ def run_trials(
 
 @dataclass
 class _Streams:
-    """One trial's own state outside the batched filters: its simulation and
-    attack streams, its measurement hash, and its initial chi-squared window
-    (drawn from the fourth stream; the engine stacks the windows of a batch)."""
+    """A batch's own state outside the batched filters: per trial, its place
+    in the run, seed, measurement hash and random streams.
 
-    index: int
-    seed: object
+    Each trial derives four child streams from its seed, in their documented
+    order: simulation, attack realization, attack application (jamming
+    noise) and the chi-squared window's initial draws. The first three are
+    drawn ahead in blocks for the whole batch (``grid_model.SimState``,
+    ``attacks.AttackStreams``); each step still receives exactly the values
+    that drawing in the documented order at that step would give. The
+    window is drawn at spawn time and returned stacked.
+    """
+
+    index: list
+    seeds: list
+    hashers: list
     sim: SimState
-    atk_rng: np.random.Generator
-    jam_rng: np.random.Generator
-    window: Optional[Chi2State]
-    hasher: "hashlib._Hash"
+    attack: AttackStreams
 
     @classmethod
-    def spawn(cls, ctx: RunContext, index: int, seed) -> "_Streams":
-        """The four child streams derived from ``seed`` in their documented order."""
-        sim_ss, atk_ss, jam_ss, chi2_ss = np.random.SeedSequence(seed).spawn(4)
+    def spawn(cls, ctx: RunContext, seeds: Sequence) -> "tuple[_Streams, Optional[Chi2State]]":
+        model = ctx.model
+        sim_ss, atk_ss, jam_ss, chi2_ss = zip(*(np.random.SeedSequence(s).spawn(4) for s in seeds))
         window = None
         if ctx.chi2 is not None:
-            dof = ctx.model.K * ctx.model.lam
-            window = Chi2State.initialize(ctx.chi2, dof, np.random.default_rng(chi2_ss))
-        return cls(
-            index=index,
-            seed=seed,
-            sim=initial_sim_state(ctx.model, ctx.x0, sim_ss),
-            atk_rng=np.random.default_rng(atk_ss),
-            jam_rng=np.random.default_rng(jam_ss),
-            window=window,
-            hasher=hashlib.sha256(),
+            dof = model.K * model.lam
+            window = Chi2State.stack(
+                [Chi2State.initialize(ctx.chi2, dof, np.random.default_rng(ss)) for ss in chi2_ss]
+            )
+        streams = cls(
+            index=list(range(len(seeds))),
+            seeds=list(seeds),
+            hashers=[hashlib.sha256() for _ in seeds],
+            sim=initial_sim_state(model, ctx.x0, sim_ss),
+            attack=AttackStreams.spawn(atk_ss, jam_ss, model.K, model.lam),
+        )
+        return streams, window
+
+    def take(self, keep: np.ndarray) -> "_Streams":
+        """The trials where the boolean mask ``keep`` is true."""
+        return _Streams(
+            index=[i for i, k in zip(self.index, keep) if k],
+            seeds=[s for s, k in zip(self.seeds, keep) if k],
+            hashers=[h for h, k in zip(self.hashers, keep) if k],
+            sim=self.sim.take(keep),
+            attack=self.attack.take(keep),
         )
 
 
@@ -434,11 +452,11 @@ def _run_batch(
 ) -> "list[TrialResult]":
     """The trial engine: advance the trials of ``seeds`` in lock-step.
 
-    Per trial and in its own streams: the simulation step, the attack
-    realization and application, and the measurement hash. Batched, once
-    per step: algorithm 1 (both filters, the detector statistics and one
-    CUSUM step per trial), the chi-squared window, the benchmark
-    statistics and the stopping rules. Unless paths are recorded (full
+    Per trial: the measurement hash. Batched, once per step: the
+    simulation step, the attack realization and application (each trial
+    drawing from its own streams), algorithm 1 (both filters, the detector
+    statistics and one CUSUM step per trial), the chi-squared window, the
+    benchmark statistics and the stopping rules. Unless paths are recorded (full
     paths or step logging), a trial leaves the batch once every enabled
     detector but alg2 has fired.
     """
@@ -449,15 +467,14 @@ def _run_batch(
     want_paths = log_steps or full_paths
     attack = cfg.attack
 
-    live = [_Streams.spawn(ctx, i, seed) for i, seed in enumerate(seeds)]
-    B = len(live)
+    B = len(seeds)
     if B == 0:
         return []
+    streams, window = _Streams.spawn(ctx, seeds)
     results: "list[Optional[TrialResult]]" = [None] * B
     paths = _new_paths(B, horizon, log_steps) if want_paths else None
     bank = kalman.initial_bank(np.tile(ctx.x0, (B, 1)), ctx.p0)
-    cs = [detector.CusumState() for _ in live]
-    window = Chi2State.stack([st.window for st in live]) if ctx.chi2 is not None else None
+    cs = [detector.CusumState() for _ in range(B)]
     mu0 = ctx.mu0 if ctx.mu0 is not None else 0.0
     np_S = np.zeros(B)
     # first crossing per path detector (alg1 is row 0), and tau_hat at alg1's
@@ -468,22 +485,22 @@ def _run_batch(
     tau_at_alg1 = np.ones(B, dtype=np.int64)
     pre_steps = iter(ctx.schedule)
     if horizon < 1:
-        return [_trial_result(ctx, st, dict.fromkeys(names, INF), None, 0, paths) for st in live]
+        return [
+            _trial_result(ctx, streams, j, dict.fromkeys(names, INF), None, 0, paths)
+            for j in range(B)
+        ]
 
     for t in range(1, horizon + 1):
         faulted = attack.kind == "topology-fault" and t >= attack.tau
-        sim_model = ctx.sim_model_post if faulted else model
-        b = len(live)
-        Y = np.empty((b, model.K, model.lam))
-        for j, st in enumerate(live):
-            st.sim, y_clean = simulate_step(sim_model, st.sim)
-            real = realize_attack(attack, t, st.atk_rng, model.K)
-            y = apply_attack(model, y_clean, real, st.jam_rng)
-            st.hasher.update(y.flat.tobytes())
-            Y[j] = y.values
+        y = simulate_step(ctx.sim_model_post if faulted else model, streams.sim)
+        real = realize_attack(attack, t, streams.attack, model.K)
+        ys = apply_attack(model, y, real, streams.attack)
+        Y = ys.values
+        for hasher, y_j in zip(streams.hashers, Y):
+            hasher.update(y_j.tobytes())
+        b = len(Y)
 
         pre_step = next(pre_steps)
-        ys = MeasurementBatch(t, Y)
         step = detector.algorithm1_step(bank, cs, model, ctx.det_cfg, ys, t, pre_step)
         bank, cs = step.bank, step.cusum
         r = step.pre_innovation.reshape(b, -1)
@@ -513,7 +530,7 @@ def _run_batch(
         if paths is not None:
             stats["tau_hat"] = [c.tau_hat for c in cs]
             if log_steps:
-                x_true = np.array([st.sim.x for st in live])
+                x_true = streams.sim.x
                 stats["mse0"] = np.mean((bank.pre.x_upd - x_true) ** 2, axis=-1)
                 stats["mse1"] = np.mean((bank.post.x_upd - x_true) ** 2, axis=-1)
             for field, values in stats.items():
@@ -528,14 +545,13 @@ def _run_batch(
             if not done.any():
                 continue
         for j in np.flatnonzero(done):
-            st = live[j]
             trial_stops = {name: (int(s) if s < INF else INF) for name, s in zip(names, stops[:, j])}
             tau_hat = int(tau_at_alg1[j]) if trial_stops["alg1"] < INF else cs[j].tau_hat
-            results[st.index] = _trial_result(ctx, st, trial_stops, tau_hat, t, paths)
+            results[streams.index[j]] = _trial_result(ctx, streams, j, trial_stops, tau_hat, t, paths)
         keep = ~done
-        live = [st for st, k in zip(live, keep) if k]
-        if not live:
+        if not keep.any():
             break
+        streams = streams.take(keep)
         cs = [c for c, k in zip(cs, keep) if k]
         bank = bank.take(keep)
         if window is not None:
@@ -548,7 +564,8 @@ def _run_batch(
 
 def _trial_result(
     ctx: RunContext,
-    st: _Streams,
+    streams: _Streams,
+    j: int,
     stops: dict,
     tau_hat: Optional[int],
     steps_run: int,
@@ -562,17 +579,17 @@ def _trial_result(
     own_paths = None
     if paths is not None:
         rows = {
-            name: None if path is None else path[st.index]
+            name: None if path is None else path[streams.index[j]]
             for name, path in vars(paths).items()
         }
         own_paths = TrialPaths(**rows)
     return TrialResult(
-        seed=st.seed,
+        seed=streams.seeds[j],
         stops=stops,
         t_tilde=t_tilde,
         tau_hat=tau_hat,
         steps_run=steps_run,
-        meas_hash=st.hasher.hexdigest(),
+        meas_hash=streams.hashers[j].hexdigest(),
         paths=own_paths,
     )
 

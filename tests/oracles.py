@@ -9,15 +9,24 @@ branch logic of the production code is reused.
 
 import hashlib
 import math
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 
-from gridwatch import detector, robust
-from gridwatch.attacks import apply_attack, realize_attack
-from gridwatch.grid_model import initial_sim_state, simulate_step
+from gridwatch import detector, kalman, robust
+from gridwatch.attacks import AttackRealization, is_active
+from gridwatch.grid_model import MeasurementBatch
 from gridwatch.kalman import KalmanState, initial_state
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and bytes; unlike assert_array_equal, -0.0 != 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def _chunked(n, size=2000):
@@ -190,12 +199,114 @@ def chi2_sample(model, pre_filter, y):
     return float(r @ cho_solve(factor, r, check_finite=False))
 
 
+# ---------------------------------------------------------------------------
+# One trial at a time: the simulation and attack kernels as they draw from
+# their streams step by step, in the documented draw order. The batched,
+# block-drawn kernels of gridwatch must give the same bits.
+
+
+@dataclass
+class SimState:
+    """One trial's trajectory state and simulation stream."""
+
+    t: int
+    x: np.ndarray
+    rng: np.random.Generator
+
+
+def initial_sim_state(model, x0, seed):
+    x = np.array(x0, dtype=float)
+    if x.shape != (model.N,):
+        raise ValueError(f"x0 must have length {model.N}")
+    return SimState(t=0, x=x, rng=np.random.default_rng(seed))
+
+
+def simulate_step(model, state):
+    """Advance one interval; consumes exactly N + K*lam Gaussian draws,
+    state noise first, then measurement noise. Returns (state, (K, lam)
+    measurements)."""
+    v = state.rng.standard_normal(model.N) * np.sqrt(model.sigma_v2)
+    x_new = model.A @ state.x + v
+    w = state.rng.standard_normal(model.K * model.lam) * np.sqrt(model.sigma_w2)
+    y = model.H @ x_new + w
+    if not np.all(np.isfinite(x_new)):
+        raise FloatingPointError("state diverged; check the model configuration")
+    new_state = SimState(t=state.t + 1, x=x_new, rng=state.rng)
+    return new_state, MeasurementBatch.from_flat(new_state.t, y, model.lam)
+
+
+def _select(spec, k, rng):
+    if spec.selection[0] == "fixed":
+        mask = np.zeros(k, dtype=bool)
+        mask[list(spec.selection[1])] = True
+        return mask
+    return rng.random(k) < spec.selection[1]
+
+
+def _draw(law, rng, count):
+    if law.mode == "uniform":
+        return rng.uniform(law.lo, law.hi, size=count)
+    return np.full(count, law.value)
+
+
+def realize_attack(spec, t, rng, K):
+    """One trial's attack at time t, with (K,) arrays: FDI selection bits,
+    jamming selection bits, FDI magnitudes of the selected meters in
+    ascending order, jamming variances likewise; nothing drawn while the
+    attack is inactive."""
+    a = np.zeros(K)
+    jam = np.zeros(K)
+    if not is_active(spec, t):
+        return AttackRealization(t=t, a=a, jam_var=jam, active=False)
+    fdi_mask = _select(spec, K, rng) if spec.uses_fdi else np.zeros(K, dtype=bool)
+    jam_mask = _select(spec, K, rng) if spec.uses_jamming else np.zeros(K, dtype=bool)
+    if spec.uses_fdi and fdi_mask.any():
+        a[fdi_mask] = _draw(spec.fdi_law, rng, int(fdi_mask.sum()))
+    if spec.uses_jamming and jam_mask.any():
+        jam[jam_mask] = _draw(spec.jam_law, rng, int(jam_mask.sum()))
+    return AttackRealization(t=t, a=a, jam_var=jam, active=True)
+
+
+def apply_attack(model, clean, real, rng):
+    """Bias on all lam samples of a meter, then lam fresh normals per
+    jammed meter in ascending order, scaled by the jamming deviation."""
+    if not real.active:
+        return clean
+    values = clean.values + real.a[:, None]
+    jammed = np.flatnonzero(real.jam_var > 0)
+    if jammed.size:
+        noise = rng.standard_normal((jammed.size, model.lam))
+        values[jammed] += noise * np.sqrt(real.jam_var[jammed])[:, None]
+    return MeasurementBatch(t=clean.t, values=values)
+
+
+def innovation_norm_baseline(model, x0, p0, samples, seed=923_001):
+    """mu0 from one trajectory simulated a step at a time; the running total
+    is a sequential float sum."""
+    rng = np.random.default_rng(seed)
+    state = initial_sim_state(model, x0, rng)
+    x_hat = np.array(x0, dtype=float)
+    total = 0.0
+    step = gain = None
+    for next_step in islice(kalman.PreSchedule(model, p0), samples):
+        if next_step is not step:
+            step = next_step
+            gain = np.repeat(step.gain / model.lam, model.lam, axis=1)
+        state, y = simulate_step(model, state)
+        x_pred = model.A @ x_hat
+        innovation = y.flat - model.H @ x_pred
+        x_hat = x_pred + gain @ innovation
+        total += math.sqrt(innovation @ innovation)
+    return total / samples
+
+
 def dense_trial(ctx, seed):
     """Replay of one harness trial over its whole horizon on the dense
     filters above, never freezing a covariance.
 
-    Same seed streams and draw order as harness.run_trial; the detector
-    math is the production one, on a single trial. Returns the measurement
+    Same seed streams and draw order as harness.run_trial, drawn a step at
+    a time by the one-trial kernels above; the detector math is the
+    production one, on a single trial. Returns the measurement
     hash, the hash after each step (what a trial that stopped early
     reports), the statistic paths keyed like TrialPaths fields (enabled
     detectors only) and the stopping times as first crossings of those

@@ -392,7 +392,7 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     csv_ok = out1.read_bytes() == out2.read_bytes()
 
     # covariances stay PSD over 1e4 steps (both filters, attacked regime)
-    from gridwatch import MeasurementBatch, initial_bank, initial_sim_state, simulate_step
+    from gridwatch import AttackStreams, initial_bank, initial_sim_state, simulate_step
     from gridwatch.detector import CusumState, algorithm1_step
     from gridwatch.attacks import apply_attack, realize_attack
 
@@ -408,16 +408,16 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     model = ctx2.model
     ss = np.random.SeedSequence((55, 0))
     sim_ss, a_ss, j_ss, _ = ss.spawn(4)
-    st = initial_sim_state(model, ctx2.x0, sim_ss)
-    arng, jrng = np.random.default_rng(a_ss), np.random.default_rng(j_ss)
-    bank = initial_bank(ctx2.x0[None], ctx2.p0)  # a batch of one trial
+    sim = initial_sim_state(model, ctx2.x0, [sim_ss])  # a batch of one trial
+    streams = AttackStreams.spawn([a_ss], [j_ss], model.K, model.lam)
+    bank = initial_bank(ctx2.x0[None], ctx2.p0)
     cs = [CusumState()]
     det = DetectorConfig(GAMMA, SIGMA2_MIN)
     psd_ok = True
     for t in range(1, 10_001):
-        st, y = simulate_step(model, st)
-        y = apply_attack(model, y, realize_attack(ctx2.cfg.attack, t, arng, model.K), jrng)
-        step = algorithm1_step(bank, cs, model, det, MeasurementBatch(t, y.values[None]), t)
+        y = simulate_step(model, sim)
+        y = apply_attack(model, y, realize_attack(ctx2.cfg.attack, t, streams, model.K), streams)
+        step = algorithm1_step(bank, cs, model, det, y, t)
         bank, cs = step.bank, step.cusum
         if t % 200 == 0:
             psd_ok &= min_eigenvalue_ratio(bank.pre.P_upd[0]) >= -1e-10

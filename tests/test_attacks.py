@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from gridwatch import (
+    AttackRealization,
     AttackSpec,
+    AttackStreams,
     MagnitudeLaw,
     apply_attack,
+    initial_sim_state,
     realize_attack,
+    simulate_step,
     topology_fault,
 )
 from gridwatch.attacks import is_active
-from gridwatch.grid_model import MeasurementBatch
+from gridwatch.grid_model import BLOCK_STEPS, MeasurementBatch
 
+import oracles
 from conftest import SIGMA_W2
+from oracles import assert_same_bits
 
 
 def hybrid_spec(tau=100, p=0.5, theta=0.02, jam_lo=2e-4, jam_hi=4e-4, t_on=None, t_off=None):
@@ -28,14 +34,23 @@ def hybrid_spec(tau=100, p=0.5, theta=0.02, jam_lo=2e-4, jam_hi=4e-4, t_on=None,
     )
 
 
+def streams(B, K, lam, seed=0):
+    """Attack streams of B trials with seeds (seed, j) and (seed + 1, j)."""
+    return AttackStreams.spawn(
+        [(seed, j) for j in range(B)], [(seed + 1, j) for j in range(B)], K, lam
+    )
+
+
 def test_pre_onset_all_zero():
-    rng = np.random.default_rng(0)
-    real = realize_attack(hybrid_spec(tau=100), 50, rng, K=23)
+    st = streams(2, 23, 5)
+    real = realize_attack(hybrid_spec(tau=100), 50, st, K=23)
     assert not real.active
+    assert real.a.shape == real.jam_var.shape == (2, 23)
     assert not real.a.any()
     assert not real.jam_var.any()
     # no draws consumed before the onset
-    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    fresh = np.random.default_rng((0, 0)).bit_generator.state
+    assert st.atk.rngs[0].bit_generator.state == fresh
 
 
 def test_onoff_schedule_case4_pattern():
@@ -54,51 +69,48 @@ def test_onoff_duty_cycle_fraction():
 
 
 def test_apply_identity_on_zero_realization(two_bus_model):
-    clean = MeasurementBatch.from_flat(1, np.array([0.5]), 1)
-    rng = np.random.default_rng(1)
-    real = realize_attack(hybrid_spec(tau=10), 5, rng, K=1)
-    out = apply_attack(two_bus_model, clean, real, rng)
+    clean = MeasurementBatch.from_flat(1, np.array([[0.5]]), 1)
+    st = streams(1, 1, 1, seed=1)
+    real = realize_attack(hybrid_spec(tau=10), 5, st, K=1)
+    out = apply_attack(two_bus_model, clean, real, st)
     np.testing.assert_array_equal(out.flat, clean.flat)
 
 
 def test_fixed_bias_shifts_all_lambda_samples(ieee14_model):
-    from gridwatch.attacks import AttackRealization
-
-    clean = MeasurementBatch.from_flat(1, np.zeros(115), 5)
-    a = np.zeros(23)
-    a[7] = 0.1
-    real = AttackRealization(t=1, a=a, jam_var=np.zeros(23), active=True)
-    out = apply_attack(ieee14_model, clean, real, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.values[7], 0.1 * np.ones(5))
+    clean = MeasurementBatch.from_flat(1, np.zeros((1, 115)), 5)
+    a = np.zeros((1, 23))
+    a[0, 7] = 0.1
+    real = AttackRealization(t=1, a=a, jam_var=np.zeros((1, 23)), active=True)
+    out = apply_attack(ieee14_model, clean, real, streams(1, 23, 5))
+    np.testing.assert_array_equal(out.values[0, 7], 0.1 * np.ones(5))
     mask = np.ones(23, dtype=bool)
     mask[7] = False
-    assert not out.values[mask].any()
+    assert not out.values[0, mask].any()
 
 
 def test_jamming_noise_moments(ieee14_model):
-    from gridwatch.attacks import AttackRealization
-
-    jam = np.zeros(23)
-    jam[3] = 1e-2
-    rng = np.random.default_rng(2)
+    jam = np.zeros((1, 23))
+    jam[0, 3] = 1e-2
+    st = streams(1, 23, 5, seed=2)
     samples = []
-    clean = MeasurementBatch.from_flat(1, np.zeros(115), 5)
+    clean = MeasurementBatch.from_flat(1, np.zeros((1, 115)), 5)
     for _ in range(20_000):
-        real = AttackRealization(t=1, a=np.zeros(23), jam_var=jam, active=True)
-        out = apply_attack(ieee14_model, clean, real, rng)
-        samples.append(out.values[3])
+        real = AttackRealization(t=1, a=np.zeros((1, 23)), jam_var=jam, active=True)
+        out = apply_attack(ieee14_model, clean, real, st)
+        samples.append(out.values[0, 3])
     flat = np.concatenate(samples)
     assert flat.var() == pytest.approx(1e-2, rel=0.03)
     assert abs(flat.mean()) < 3e-3
 
 
 def test_hybrid_realization_frequencies_and_ranges():
+    # 10 trials x 10_000 steps: 100_000 realizations of 23 meters
     spec = hybrid_spec(tau=1, p=0.5, theta=0.02, jam_lo=2e-4, jam_hi=4e-4)
-    rng = np.random.default_rng(3)
+    st = streams(10, 23, 5, seed=3)
     n = 100_000
     fdi_hits = jam_hits = 0
-    for t in range(1, n + 1):
-        real = realize_attack(spec, t, rng, K=23)
+    for t in range(1, n // 10 + 1):
+        real = realize_attack(spec, t, st, K=23)
         fdi_on = real.a != 0
         jam_on = real.jam_var != 0
         fdi_hits += fdi_on.sum()
@@ -115,12 +127,14 @@ def test_hybrid_realization_frequencies_and_ranges():
 
 def test_realization_partitions_meters():
     spec = hybrid_spec(tau=1, p=0.4)
-    rng = np.random.default_rng(4)
+    st = streams(3, 23, 5, seed=4)
     for t in range(1, 500):
-        sets = realize_attack(spec, t, rng, K=23).meter_sets()
-        union = set().union(*sets)
-        assert union == set(range(23))
-        assert sum(len(s) for s in sets) == 23  # pairwise disjoint
+        real = realize_attack(spec, t, st, K=23)
+        for j in range(3):
+            sets = real.meter_sets(j)
+            union = set().union(*sets)
+            assert union == set(range(23))
+            assert sum(len(s) for s in sets) == 23  # pairwise disjoint
 
 
 def test_fixed_selection_mode():
@@ -130,9 +144,9 @@ def test_fixed_selection_mode():
         selection=("fixed", (2, 5)),
         fdi_law=MagnitudeLaw.fixed(0.1),
     )
-    real = realize_attack(spec, 1, np.random.default_rng(0), K=8)
-    np.testing.assert_array_equal(np.flatnonzero(real.a), [2, 5])
-    assert set(real.a[[2, 5]]) == {0.1}
+    real = realize_attack(spec, 1, streams(1, 8, 1), K=8)
+    np.testing.assert_array_equal(np.flatnonzero(real.a[0]), [2, 5])
+    assert set(real.a[0, [2, 5]]) == {0.1}
 
 
 def test_topology_fault_validation(two_bus_model):
@@ -148,13 +162,11 @@ def test_topology_fault_zeroes_true_rows_only(two_bus_model):
     # original model untouched (detector side)
     assert two_bus_model.H[0, 0] == 1.0
     # simulated measurement for the faulted meter is pure sensor noise
-    from gridwatch import initial_sim_state, simulate_step
-
-    state = initial_sim_state(faulted, [0.5], seed=9)
+    sim = initial_sim_state(faulted, [0.5], [9])
     vals = []
     for _ in range(4000):
-        state, y = simulate_step(faulted, state)
-        vals.append(y.flat[0])
+        y = simulate_step(faulted, sim)
+        vals.append(y.flat[0, 0])
     vals = np.array(vals)
     assert abs(vals.mean()) < 4 * math.sqrt(SIGMA_W2 / 4000) * 2
     assert vals.var() == pytest.approx(SIGMA_W2, rel=0.1)
@@ -169,3 +181,72 @@ def test_spec_validation_errors():
         AttackSpec(tau=1, kind="fdi", selection=("bernoulli", 1.5))
     with pytest.raises(ValueError, match="unknown attack kind"):
         AttackSpec(tau=1, kind="dos")
+    for bad in (MagnitudeLaw.uniform(-1.0, -0.5), MagnitudeLaw.fixed(-1e-4)):
+        with pytest.raises(ValueError, match="jamming variances must be >= 0"):
+            AttackSpec(tau=1, kind="jamming", jam_law=bad)
+    for lo, hi in ((math.nan, 1.0), (-math.inf, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            MagnitudeLaw.uniform(lo, hi)
+    with pytest.raises(ValueError, match="finite"):
+        MagnitudeLaw.fixed(math.inf)
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.02, 0.02), (2e-4, 4e-4), (0.0, 1.0), (-3.5, 1e3), (0.25, 0.25)])
+def test_uniform_is_lo_plus_width_times_random(lo, hi):
+    # what the attack kernel computes from its block of doubles
+    want = np.random.default_rng(8).uniform(lo, hi, size=1000)
+    assert_same_bits(lo + (hi - lo) * np.random.default_rng(8).random(1000), want)
+
+
+def fixed_meters(kind, **laws):
+    return AttackSpec(tau=5, kind=kind, selection=("fixed", (1, 4, 4, 17)), **laws)
+
+
+ORACLE_SPECS = {
+    "none": AttackSpec(),
+    "fdi": AttackSpec(tau=5, kind="fdi", fdi_law=MagnitudeLaw.uniform(-0.02, 0.02)),
+    "jamming": AttackSpec(tau=5, kind="jamming", selection=("bernoulli", 0.3),
+                          jam_law=MagnitudeLaw.uniform(2e-4, 4e-4)),
+    "hybrid": hybrid_spec(tau=5),
+    "onoff": hybrid_spec(tau=5, t_on=2, t_off=3),
+    "fixed_meters": fixed_meters("hybrid", fdi_law=MagnitudeLaw.uniform(-0.05, 0.05),
+                                 jam_law=MagnitudeLaw.uniform(1e-4, 2e-4)),
+    "fixed_laws": fixed_meters("hybrid", fdi_law=MagnitudeLaw.fixed(0.1),
+                               jam_law=MagnitudeLaw.fixed(3e-4)),
+    "bernoulli_fixed_laws": AttackSpec(tau=5, kind="hybrid", selection=("bernoulli", 0.7),
+                                       fdi_law=MagnitudeLaw.fixed(-0.1),
+                                       jam_law=MagnitudeLaw.fixed(2e-4)),
+    "topology_fault": AttackSpec(tau=5, kind="topology-fault", fault_meters=(3,)),
+}
+
+
+@pytest.mark.parametrize("B", [1, 5])
+@pytest.mark.parametrize("name", list(ORACLE_SPECS))
+def test_attack_kernels_match_one_trial_oracle(ieee14_model, name, B):
+    # the batched, block-drawn realize/apply against the one-trial kernels
+    # drawing a step at a time: over 4 block lengths, so both streams refill
+    # several times, with trials leaving the batch along the way
+    spec = ORACLE_SPECS[name]
+    model, K, lam = ieee14_model, ieee14_model.K, ieee14_model.lam
+    st = streams(B, K, lam, seed=40)
+    atk = [np.random.default_rng((40, j)) for j in range(B)]
+    jam = [np.random.default_rng((41, j)) for j in range(B)]
+    inputs = np.random.default_rng(99)
+    live = list(range(B))
+    for t in range(1, 4 * BLOCK_STEPS + 1):
+        clean = MeasurementBatch(t, inputs.standard_normal((len(live), K, lam)))
+        real = realize_attack(spec, t, st, K)
+        out = apply_attack(model, clean, real, st)
+        assert real.active == is_active(spec, t)
+        if not real.active:
+            assert out is clean
+        for row, j in enumerate(live):
+            want = oracles.realize_attack(spec, t, atk[j], K)
+            assert_same_bits(real.a[row], want.a)
+            assert_same_bits(real.jam_var[row], want.jam_var)
+            one = MeasurementBatch(t, clean.values[row])
+            assert_same_bits(out.values[row], oracles.apply_attack(model, one, want, jam[j]).values)
+        if t % 40 == 0 and len(live) > 1:
+            keep = np.arange(len(live)) != 1
+            st = st.take(keep)
+            live = [j for j, k in zip(live, keep) if k]

@@ -137,6 +137,10 @@ def test_attack_requires_matching_law(tmp_path, two_bus_path):
         ("kind = bogus", 20, "kind"),
         ("kind = onoff\ninner = fdi\nfdi_fixed = 0.1\nt_on = 0\nt_off = 1", 20, "t_on"),
         ("kind = fdi\nfdi_fixed = 0.1", 0, "tau"),
+        ("kind = fdi\nfdi_uniform = nan", 20, "fdi_uniform"),
+        ("kind = fdi\nfdi_fixed = inf", 20, "fdi_fixed"),
+        ("kind = jamming\njam_uniform = -1,-0.5", 20, "jam_uniform"),
+        ("kind = hybrid\nfdi_fixed = 0.1\njam_fixed = -1e-4", 20, "jam_fixed"),
     ],
 )
 def test_bad_attack_value_names_its_key(tmp_path, two_bus_path, attack, tau, key):

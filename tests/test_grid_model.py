@@ -3,10 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridwatch import TopologyError, build_model, initial_sim_state, load_topology, simulate_step
-from gridwatch.grid_model import MeasurementBatch
+from gridwatch import (
+    TopologyError,
+    build_model,
+    initial_sim_state,
+    load_topology,
+    simulate_step,
+    topology_fault,
+)
+from gridwatch.grid_model import BLOCK_STEPS, MeasurementBatch
 
+import oracles
 from conftest import SIGMA_V2, SIGMA_W2
+from oracles import assert_same_bits
 
 
 def test_two_bus_smallest_legal(two_bus_path):
@@ -97,46 +106,94 @@ def test_explicit_A_dimension_check(two_bus_path):
 
 def test_noiseless_simulation_is_exactly_linear(two_bus_model):
     model = dataclasses.replace(two_bus_model, sigma_v2=0.0, sigma_w2=0.0)
-    state = initial_sim_state(model, [0.3], seed=0)
-    state, y = simulate_step(model, state)
-    np.testing.assert_array_equal(state.x, [0.3])
-    np.testing.assert_array_equal(y.flat, model.H @ state.x)
+    sim = initial_sim_state(model, [0.3], [0])
+    y = simulate_step(model, sim)
+    np.testing.assert_array_equal(sim.x, [[0.3]])
+    np.testing.assert_array_equal(y.flat[0], model.H @ sim.x[0])
 
 
 def test_fixed_seed_trajectories_bit_identical(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     runs = []
     for _ in range(2):
-        state = initial_sim_state(ieee14_model, x0, seed=1234)
+        sim = initial_sim_state(ieee14_model, x0, [1234])
         xs, ys = [], []
         for _ in range(50):
-            state, y = simulate_step(ieee14_model, state)
-            xs.append(state.x.copy())
-            ys.append(y.flat.copy())
+            y = simulate_step(ieee14_model, sim)
+            xs.append(sim.x[0].copy())
+            ys.append(y.flat[0].copy())
         runs.append((np.array(xs), np.array(ys)))
     np.testing.assert_array_equal(runs[0][0], runs[1][0])
     np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
 
 def test_draw_count_contract(two_bus_model):
-    # Consumes exactly N + K*lam draws: a fresh generator must land at the
-    # same point as one advanced by hand.
-    state = initial_sim_state(two_bus_model, [0.1], seed=77)
-    rng2 = np.random.default_rng(77)
-    state, _ = simulate_step(two_bus_model, state)
-    rng2.standard_normal(two_bus_model.N + two_bus_model.K * two_bus_model.lam)
-    assert state.rng.standard_normal() == rng2.standard_normal()
+    # Step s uses the trial's normals (s-1)(N+K*lam) .. s(N+K*lam) - 1,
+    # state noise first, however far ahead they were drawn: a generator
+    # advanced by hand gives the same values, across block refills.
+    model = two_bus_model
+    sim = initial_sim_state(model, [0.1], [77])
+    rng = np.random.default_rng(77)
+    x = np.array([0.1])
+    for _ in range(2 * BLOCK_STEPS + 3):
+        y = simulate_step(model, sim)
+        x = model.A @ x + rng.standard_normal(model.N) * np.sqrt(model.sigma_v2)
+        w = rng.standard_normal(model.K * model.lam) * np.sqrt(model.sigma_w2)
+        assert_same_bits(sim.x[0], x)
+        assert_same_bits(y.flat[0], model.H @ x + w)
+
+
+def test_generator_fills_any_request_from_one_sequence():
+    # What drawing ahead relies on: numpy's Generator gives the same values
+    # whether a run of draws is requested at once, in pieces of any shape,
+    # or into a preallocated array.
+    for method in ("standard_normal", "random"):
+        whole = getattr(np.random.default_rng(5), method)(144)
+        rng = np.random.default_rng(5)
+        draw = getattr(rng, method)
+        pieces = [draw(13), draw(115), draw((3, 5)).ravel(), np.array([draw()])]
+        assert_same_bits(np.concatenate(pieces), whole)
+        out = np.empty((2, 72))
+        getattr(np.random.default_rng(5), method)(out=out[0])
+        assert_same_bits(out[0], whole[:72])
+
+
+@pytest.mark.parametrize("B", [1, 5])
+def test_simulation_matches_one_trial_oracle(ieee14_model, ieee14_topology, B):
+    # the block-drawn batch kernel against the one-trial kernel drawing a
+    # step at a time: several block refills, a topology fault whose onset
+    # falls inside a block, and trials that leave the batch early
+    model = ieee14_model
+    faulted = topology_fault(model, [3, 15])
+    tau = BLOCK_STEPS + 7
+    x0 = ieee14_topology.initial_state()
+    seeds = [(21, i) for i in range(B)]
+    sim = initial_sim_state(model, x0, seeds)
+    ref = [oracles.initial_sim_state(model, x0, s) for s in seeds]
+    live = list(range(B))
+    for t in range(1, 3 * BLOCK_STEPS + 10):
+        sim_model = faulted if t >= tau else model
+        y = simulate_step(sim_model, sim)
+        assert y.t == sim.t == t and y.values.shape == (len(live), model.K, model.lam)
+        for row, j in enumerate(live):
+            ref[j], want = oracles.simulate_step(sim_model, ref[j])
+            assert_same_bits(y.values[row], want.values)
+            assert_same_bits(sim.x[row], ref[j].x)
+        if t % 25 == 0 and len(live) > 1:
+            keep = np.arange(len(live)) % 2 == 1
+            sim = sim.take(keep)
+            live = [j for j, k in zip(live, keep) if k]
 
 
 def test_process_noise_moments(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
-    state = initial_sim_state(ieee14_model, x0, seed=5)
+    sim = initial_sim_state(ieee14_model, x0, [5])
     diffs = []
-    prev = state.x
+    prev = sim.x[0]
     for _ in range(10_000):
-        state, _ = simulate_step(ieee14_model, state)
-        diffs.append(state.x - prev)
-        prev = state.x
+        simulate_step(ieee14_model, sim)
+        diffs.append(sim.x[0] - prev)
+        prev = sim.x[0]
     cov = np.cov(np.array(diffs).T)
     diag = np.diag(cov)
     np.testing.assert_allclose(diag, ieee14_model.sigma_v2, rtol=0.05)

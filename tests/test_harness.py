@@ -1,15 +1,19 @@
+import importlib
+import importlib.util
 import math
 import stat
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridwatch import harness, load_config
+from gridwatch import build_model, harness, kalman, load_config
 from gridwatch.detector import CusumState, cusum_step
 from gridwatch.robust import Chi2State, ShewhartConfig, pearson_step
 
+import oracles
 from oracles import dense_trial
 
 BASE = """
@@ -471,6 +475,23 @@ def test_np_clamp_trial_matches_dense_oracle(tmp_path, mu0_cache):
     assert harness.run_trial(ctx, (9, 0), full_paths=True).paths.np_S.min() == 0.0
 
 
+def test_horizon_cut_leaks_nothing(tmp_path, mu0_cache):
+    # streams are drawn ahead in blocks: a run cut at 130 steps (inside a
+    # block) sees exactly the first 130 steps of a 600-step run, and both
+    # hashes are the oracle's, which draws a step at a time
+    short = harness.prepare(make_cfg(tmp_path, attack=HYBRID, horizon=130, cache=mu0_cache))
+    long = harness.prepare(make_cfg(tmp_path, attack=HYBRID, horizon=600, cache=mu0_cache))
+    cut = harness.run_trial(short, (4, 1), full_paths=True)
+    full = harness.run_trial(long, (4, 1), full_paths=True)
+    oracle = dense_trial(long, (4, 1))
+    assert cut.meas_hash == oracle["hashes"][129]
+    assert full.meas_hash == oracle["meas_hash"]
+    assert cut.stops == {n: (T if T <= 130 else math.inf) for n, T in full.stops.items()}
+    for name, path in vars(cut.paths).items():
+        if path is not None:
+            np.testing.assert_array_equal(path, getattr(full.paths, name)[:130], err_msg=name)
+
+
 def test_rank_deficient_network_trial_matches_dense_oracle(tmp_path):
     # flow meters that never touch the reference bus: the common angle is
     # unobservable, so the pre covariance grows forever and the schedule
@@ -519,3 +540,33 @@ def test_mu0_cache_rewrite_keeps_file_mode(tmp_path):
     harness._store_mu0(cache, "key", 0.25)
     assert stat.S_IMODE(cache.stat().st_mode) == 0o644
     assert cache.read_text() == "other 0.5\nkey 0.25\n"
+
+
+@pytest.mark.parametrize(
+    "ratio, samples", [(1.0, 10_000), (1.0, 100_000), (1e4, 10_000)]
+)
+def test_mu0_matches_step_by_step_oracle(ieee14_topology, ratio, samples):
+    # the block-drawn baseline against the loop that draws a step at a
+    # time; at sigma_w2 / sigma_v2 = 1e4 the pre schedule does not settle
+    # within its cap, so the gain changes on every sample it covers
+    model = build_model(ieee14_topology, 5, 1e-4, 1e-4 * ratio)
+    assert kalman.PreSchedule(model, 1e-4).settled == (ratio == 1.0)
+    x0 = ieee14_topology.initial_state()
+    got = harness.innovation_norm_baseline(model, x0, 1e-4, samples=samples, cache=None)
+    assert got == oracles.innovation_norm_baseline(model, x0, 1e-4, samples)
+
+
+def test_traced_functions_resolve():
+    # perfbench/tracing.py patches these (module, attribute) pairs by name;
+    # a renamed function would drop out of the per-layer figures unnoticed
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [
+        f"{module}.{attr}"
+        for _, module, attr in tracing.TARGETS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

@@ -8,11 +8,9 @@ from scipy.linalg import cho_solve, solve_discrete_are
 from gridwatch import (
     build_model,
     initial_bank,
-    initial_sim_state,
     kf_predict,
     kf_update_post,
     kf_update_pre,
-    simulate_step,
     sync_post_to_pre,
 )
 from gridwatch.grid_model import GridModel, MeasurementBatch
@@ -28,7 +26,7 @@ from gridwatch.kalman import (
 )
 from gridwatch.robust import chi2_sample_from_innovation
 
-from oracles import dense_predict, dense_predict_oracle, dense_update
+from oracles import dense_predict, dense_predict_oracle, dense_update, initial_sim_state, simulate_step
 
 
 def post_mean(model, ks, y):
@@ -187,8 +185,6 @@ def test_sync_post_to_pre():
 def test_pre_post_trajectories_identical_with_zero_estimates(ieee14_model, ieee14_topology):
     # feeding zero attack estimates, the post filter must shadow the pre
     # filter bitwise over a whole trajectory
-    from gridwatch import initial_sim_state, simulate_step
-
     x0 = ieee14_topology.initial_state()
     state = initial_sim_state(ieee14_model, x0, seed=13)
     pre = initial_state(x0, 1e-4)
@@ -204,8 +200,6 @@ def test_pre_post_trajectories_identical_with_zero_estimates(ieee14_model, ieee1
 
 
 def test_covariances_stay_psd_under_iteration(ieee14_model, ieee14_topology):
-    from gridwatch import initial_sim_state, simulate_step
-
     x0 = ieee14_topology.initial_state()
     state = initial_sim_state(ieee14_model, x0, seed=21)
     ks = initial_state(x0, 1e-4)
