@@ -6,7 +6,6 @@ stealth design, benchmark detectors, and a Monte Carlo evaluation harness."""
 from .grid_model import (
     GridModel,
     GridTopology,
-    MeasurementBatch,
     SimState,
     TopologyError,
     build_model,

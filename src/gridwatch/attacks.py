@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_model import BLOCK_STEPS, GridModel, MeasurementBatch
+from .grid_model import BLOCK_STEPS, GridModel
 
 KINDS = ("none", "fdi", "jamming", "hybrid", "topology-fault")
 
@@ -115,26 +115,13 @@ class AttackSpec:
 @dataclass(frozen=True)
 class AttackRealization:
     """One step's sampled attack for a batch of B trials: (B, K) biases and
-    jamming variances, zero off-attack and in off periods. ``active`` depends
-    on the step only, so it is one flag for the whole batch."""
+    jamming variances, zero off-attack and in off periods, so ``a != 0`` and
+    ``jam_var != 0`` mark the attacked meters. ``active`` depends on the
+    step only, so it is one flag for the whole batch."""
 
-    t: int
     a: np.ndarray
     jam_var: np.ndarray
     active: bool
-
-    def meter_sets(self, trial: int) -> "tuple[set, set, set, set]":
-        """Partition of trial ``trial``'s meters implied by the zero/nonzero
-        pattern: (clean, bias only, jamming only, both)."""
-        fdi = self.a[trial] != 0.0
-        jam = self.jam_var[trial] != 0.0
-        idx = np.arange(fdi.size)
-        return (
-            set(idx[~fdi & ~jam]),
-            set(idx[fdi & ~jam]),
-            set(idx[~fdi & jam]),
-            set(idx[fdi & jam]),
-        )
 
 
 class _Blocks:
@@ -240,7 +227,7 @@ def realize_attack(spec: AttackSpec, t: int, streams: AttackStreams, K: int) -> 
     a = np.zeros((B, K))
     jam = np.zeros((B, K))
     if not is_active(spec, t):
-        return AttackRealization(t=t, a=a, jam_var=jam, active=False)
+        return AttackRealization(a=a, jam_var=jam, active=False)
 
     laws = []
     if spec.uses_fdi:
@@ -271,31 +258,31 @@ def realize_attack(spec: AttackSpec, t: int, streams: AttackStreams, K: int) -> 
         used = used + rank[..., -1:]
     if need:
         streams.atk.advance(np.reshape(used, -1))
-    return AttackRealization(t=t, a=a, jam_var=jam, active=True)
+    return AttackRealization(a=a, jam_var=jam, active=True)
 
 
 def apply_attack(
     model: GridModel,
-    clean: MeasurementBatch,
+    clean: np.ndarray,
     real: AttackRealization,
     streams: AttackStreams,
-) -> MeasurementBatch:
+) -> np.ndarray:
     """Add the realized bias and jamming noise to every trial's clean
-    (B, K, lam) measurements.
+    (B, K, lam) measurement array.
 
     The bias a_k shifts all lam samples of meter k identically; jamming
     noise is drawn i.i.d. per sample from the trial's jamming stream, lam
     normals per meter with nonzero variance in ascending meter order, and
     is added at those meters only, so no other entry changes. The normals
     are drawn ahead in blocks (``AttackStreams``); each step receives the
-    values drawing them at that step would give. An inactive step returns
-    ``clean`` and draws nothing.
+    values drawing them at that step would give. An active step returns a
+    new array; an inactive one returns ``clean`` itself and draws nothing.
     """
-    if clean.values.shape != real.a.shape + (model.lam,) or real.a.shape[-1] != model.K:
-        raise ValueError("measurement batch does not match the model and realization")
+    if clean.shape != real.a.shape + (model.lam,) or real.a.shape[-1] != model.K:
+        raise ValueError("measurements do not match the model and realization")
     if not real.active:
         return clean
-    values = clean.values + real.a[..., None]
+    values = clean + real.a[..., None]
     jammed = real.jam_var > 0
     if jammed.any():
         lam = model.lam
@@ -305,7 +292,7 @@ def apply_attack(
         noise = flat[first[..., None] + np.arange(lam)]
         np.add(values, noise * np.sqrt(real.jam_var)[..., None], out=values, where=jammed[..., None])
         streams.jam.advance(lam * rank[:, -1])
-    return MeasurementBatch(t=clean.t, values=values)
+    return values
 
 
 def topology_fault(model: GridModel, fault_meters) -> GridModel:

@@ -14,7 +14,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -47,7 +46,7 @@ def cmd_simulate(args) -> int:
     rows = []
     for name in ctx.enabled:
         stops = [r.stop(name) for r in results]
-        if cfg.attack.kind == "none" or math.isinf(tau):
+        if cfg.attack.kind == "none":
             fap = harness.estimate_false_alarm_period(stops, cfg.run.horizon)
             rows.append((name, "false_alarm_period", fap.mean, fap.ci_half, fap.n_censored))
         else:

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_model import GridModel, MeasurementBatch, matvec, vecdot
+from .grid_model import GridModel, matvec, vecdot
 from . import kalman
 
 HYPOTHESES = ("clean", "fdi", "jam", "both")
@@ -103,10 +103,6 @@ class HypothesisCosts:
 class MeterClassification:
     labels: np.ndarray  # (..., K) ints indexing HYPOTHESES
 
-    def sets(self) -> "tuple[set, set, set, set]":
-        idx = np.arange(self.labels.size)
-        return tuple(set(idx[self.labels == j]) for j in range(4))
-
 
 @dataclass
 class AttackEstimate:
@@ -121,14 +117,15 @@ class CusumState:
 
 
 def residual_block(
-    model: GridModel, y: MeasurementBatch, x_post_pred: np.ndarray, cfg: DetectorConfig
+    model: GridModel, y: np.ndarray, x_post_pred: np.ndarray, cfg: DetectorConfig
 ) -> ResidualBlock:
-    """Per-meter residuals against the post-filter prediction.
+    """Per-meter residuals of the (..., K, lam) measurements ``y`` against
+    the post-filter prediction.
 
     x_post_pred must be the prediction, never the update: the update already
     depends on this step's attack estimates.
     """
-    e = y.values - matvec(model.meter_rows, x_post_pred)[..., None]
+    e = y - matvec(model.meter_rows, x_post_pred)[..., None]
     delta = e.sum(axis=-1)
     zeta = (e * e).sum(axis=-1)
     g = cfg.gamma
@@ -250,7 +247,7 @@ def algorithm1_step(
     cs: "Sequence[CusumState]",
     model: GridModel,
     cfg: DetectorConfig,
-    y: MeasurementBatch,
+    y: np.ndarray,
     t: int,
     pre_step: Optional[kalman.GainStep] = None,
 ) -> Algorithm1Step:
@@ -261,10 +258,10 @@ def algorithm1_step(
     on the pre-filter update, advance the CUSUM, and re-sync the post filter
     if the statistic hit zero.
 
-    The bank and y carry a leading trial axis and ``cs`` holds one
-    CusumState per trial (a single trial is a batch of one). ``pre_step`` is
-    the pre filter's schedule entry for step t; without it the entry is
-    computed from the pre filter's own covariance.
+    The bank and the (B, K, lam) measurements ``y`` carry a leading trial
+    axis and ``cs`` holds one CusumState per trial (a single trial is a
+    batch of one). ``pre_step`` is the pre filter's schedule entry for step
+    t; without it the entry is computed from the pre filter's own covariance.
     """
     pre = kalman.kf_predict(model, bank.pre, pre_step)
     if pre_step is None:
@@ -280,7 +277,7 @@ def algorithm1_step(
     pre, pre_innovation = kalman.kf_update_pre_full(model, pre, y, pre_step)
     post = kalman.kf_update_post(model, post, rb.mean, est.a_hat, est.sigma_hat, pre_step, shares)
 
-    r_pre = y.values - matvec(model.meter_rows, pre.x_upd)[..., None]
+    r_pre = y - matvec(model.meter_rows, pre.x_upd)[..., None]
     beta = gllr(r_pre, costs, classification, model)
 
     stepped = [cusum_step(c, b, t) for c, b in zip(cs, beta.tolist(), strict=True)]

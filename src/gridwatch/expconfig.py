@@ -30,7 +30,6 @@ _SCHEMA = {
         "gamma",
         "sigma2_min",
         "h",
-        "h_list",
         "np_q",
         "euclid_d",
         "cosine_d",
@@ -113,6 +112,25 @@ def _bool(text: str) -> bool:
     raise ValueError("expected a boolean")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _at_least(least: int):
+    """An int converter that rejects values below ``least``."""
+
+    def conv(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise ValueError(f"must be >= {least}")
+        return value
+
+    return conv
+
+
 def _floats(text: str) -> "list[float]":
     return [float(tok) for tok in text.replace(",", " ").split()]
 
@@ -150,8 +168,7 @@ class ModelSection:
 class DetectorSection:
     gamma: float
     sigma2_min: float
-    h: Optional[float]
-    h_list: Optional[list]
+    h: float
     np_q: Optional[float]
     euclid_d: Optional[float]
     cosine_d: Optional[float]
@@ -267,47 +284,42 @@ def load_config(path) -> ExperimentConfig:
     detector = DetectorSection(
         gamma=_get(dsec, "gamma", float, required=True),
         sigma2_min=_get(dsec, "sigma2_min", float, required=True),
-        h=_get(dsec, "h", float),
-        h_list=_get(dsec, "h_list", _floats),
-        np_q=_get(dsec, "np_q", float),
-        euclid_d=_get(dsec, "euclid_d", float),
-        cosine_d=_get(dsec, "cosine_d", float),
+        h=_get(dsec, "h", _finite, required=True),
+        np_q=_get(dsec, "np_q", _finite),
+        euclid_d=_get(dsec, "euclid_d", _finite),
+        cosine_d=_get(dsec, "cosine_d", _finite),
         np_clamp=_get(dsec, "np_clamp", _bool, default=False),
-        mu0_samples=_get(dsec, "mu0_samples", int, default=100_000),
+        mu0_samples=_get(dsec, "mu0_samples", _at_least(1), default=100_000),
         mu0_cache=_get(dsec, "mu0_cache", str, default="auto"),
     )
-    if detector.h is None and not detector.h_list:
-        raise ConfigError("[detector] needs h or h_list")
 
     shewhart_phi = None
     if "shewhart" in sections:
-        shewhart_phi = _get(sections["shewhart"], "phi", float, required=True)
+        shewhart_phi = _get(sections["shewhart"], "phi", _finite, required=True)
 
     chi2_cfg = None
     if "chi2" in sections:
         csec = sections["chi2"]
         chi2_cfg = Chi2Section(
-            m=_get(csec, "m", int, default=5),
+            m=_get(csec, "m", _at_least(1), default=5),
             l=_get(csec, "l", int, default=80),
-            varphi=_get(csec, "varphi", float, required=True),
+            varphi=_get(csec, "varphi", _finite, required=True),
         )
+        if chi2_cfg.l < chi2_cfg.m:
+            raise ConfigError(f"[chi2] l = {chi2_cfg.l} must be >= m = {chi2_cfg.m}")
 
     rsec = sections["run"]
     run = RunSection(
-        trials=_get(rsec, "trials", int, default=1),
-        horizon=_get(rsec, "horizon", int, required=True),
-        tau=_get(rsec, "tau", float, default=100),
-        eta=_get(rsec, "eta", int, default=50),
-        seed=_get(rsec, "seed", int, default=0),
+        trials=_get(rsec, "trials", _at_least(1), default=1),
+        horizon=_get(rsec, "horizon", _at_least(1), required=True),
+        tau=_get(rsec, "tau", _finite, default=100),
+        eta=_get(rsec, "eta", _at_least(1), default=50),
+        seed=_get(rsec, "seed", _at_least(0), default=0),
         log_steps=_get(rsec, "log_steps", _bool, default=False),
     )
     # accepted for existing configs and checked, but unused: every run is
     # one batch of trials (see harness.run_trials)
     _get(rsec, "workers", int, default=1)
-    if run.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if run.eta < 1:
-        raise ConfigError("eta must be >= 1")
 
     attack = _attack_spec(sections["attack"], run.tau)
     if attack.kind != "none" and run.horizon <= run.tau:

@@ -338,7 +338,6 @@ class SimState:
     draws per step, so they share the row.
     """
 
-    t: int
     x: np.ndarray
     rngs: list
     noise: np.ndarray
@@ -347,29 +346,7 @@ class SimState:
     def take(self, keep: np.ndarray) -> "SimState":
         """The trials where the boolean mask ``keep`` is true."""
         rngs = [rng for rng, k in zip(self.rngs, keep) if k]
-        return SimState(self.t, self.x[keep], rngs, self.noise[keep], self.row)
-
-
-@dataclass
-class MeasurementBatch:
-    """One interval of measurements, addressable as values[k][i].
-
-    ``values`` has shape (K, lam), or (B, K, lam) for B trials at the same
-    interval; ``flat`` is the stacked (K*lam,) view matching H's row layout
-    (per trial).
-    """
-
-    t: int
-    values: np.ndarray
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(self.values.shape[:-2] + (-1,))
-
-    @classmethod
-    def from_flat(cls, t: int, flat: np.ndarray, lam: int) -> "MeasurementBatch":
-        flat = np.asarray(flat, dtype=float)
-        return cls(t=t, values=flat.reshape(flat.shape[:-1] + (-1, lam)))
+        return SimState(self.x[keep], rngs, self.noise[keep], self.row)
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -394,12 +371,13 @@ def initial_sim_state(model: GridModel, x0: Sequence[float], seeds) -> SimState:
         raise ValueError(f"x0 must have length {model.N}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     noise = np.empty((len(rngs), BLOCK_STEPS, model.N + model.K * model.lam))
-    return SimState(t=0, x=np.tile(x, (len(rngs), 1)), rngs=rngs, noise=noise, row=BLOCK_STEPS)
+    return SimState(x=np.tile(x, (len(rngs), 1)), rngs=rngs, noise=noise, row=BLOCK_STEPS)
 
 
-def simulate_step(model: GridModel, sim: SimState) -> MeasurementBatch:
+def simulate_step(model: GridModel, sim: SimState) -> np.ndarray:
     """Advance every trial of ``sim`` one interval, in place, and return the
-    batch's (B, K, lam) measurements.
+    batch's measurements as a (B, K, lam) array: y[j, k, i] is sample i of
+    meter k in trial j, so y[j].reshape(-1) follows H's row layout.
 
     Each trial uses N + K*lam standard normals of its own stream per step.
     Draw order is part of the determinism contract: state noise first, then
@@ -421,5 +399,4 @@ def simulate_step(model: GridModel, sim: SimState) -> MeasurementBatch:
     if not np.isfinite(x).all():
         raise FloatingPointError("state diverged; check the model configuration")
     sim.x = x
-    sim.t += 1
-    return MeasurementBatch(sim.t, y.reshape(len(y), model.K, model.lam))
+    return y.reshape(len(y), model.K, model.lam)

@@ -31,7 +31,7 @@ import os
 import stat
 import struct
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -77,6 +77,12 @@ def crossed(values, threshold: float, direction: int):
     return values >= threshold if direction > 0 else values <= threshold
 
 
+def _alg2_stop(stops: dict) -> float:
+    """Algorithm 2's stop: the earliest stop of its rules, by name (inf for
+    a rule that is not configured)."""
+    return min(stops.get(name, INF) for name in ALG2)
+
+
 # ---------------------------------------------------------------------------
 # Preparation
 
@@ -92,7 +98,7 @@ class RunContext:
     x0: np.ndarray
     p0: float
     det_cfg: detector.DetectorConfig
-    h: Optional[float]
+    h: float
     shewhart: Optional[ShewhartConfig]
     chi2: Optional[Chi2Config]
     np_q: Optional[float]
@@ -151,7 +157,6 @@ def prepare(cfg: ExperimentConfig, mu0_cache: "str | Path | None" = None) -> Run
     schedule = kalman.PreSchedule(model, p0)
 
     d = cfg.detector
-    h = d.h if d.h is not None else max(d.h_list)
     det_cfg = detector.DetectorConfig(gamma=d.gamma, sigma2_min=d.sigma2_min)
 
     shewhart = ShewhartConfig(cfg.shewhart_phi) if cfg.shewhart_phi is not None else None
@@ -179,7 +184,7 @@ def prepare(cfg: ExperimentConfig, mu0_cache: "str | Path | None" = None) -> Run
         x0=x0,
         p0=float(p0),
         det_cfg=det_cfg,
-        h=h,
+        h=d.h,
         shewhart=shewhart,
         chi2=chi2_cfg,
         np_q=d.np_q,
@@ -195,11 +200,15 @@ def prepare(cfg: ExperimentConfig, mu0_cache: "str | Path | None" = None) -> Run
 # Baseline for the nonparametric CUSUM
 
 
-def _cache_key(model: GridModel, x0, p0, samples, seed) -> str:
+# Seed of the baseline's trajectory; hashed into the cache key with the rest.
+MU0_SEED = 923_001
+
+
+def _cache_key(model: GridModel, x0, p0, samples) -> str:
     h = hashlib.sha256()
     h.update(model.fingerprint().encode())
     h.update(np.asarray(x0, dtype=float).tobytes())
-    h.update(struct.pack("<dqq", float(p0), int(samples), int(seed)))
+    h.update(struct.pack("<dqq", float(p0), int(samples), MU0_SEED))
     return h.hexdigest()[:24]
 
 
@@ -252,7 +261,6 @@ def innovation_norm_baseline(
     x0,
     p0,
     samples: int = 100_000,
-    seed: int = 923_001,
     cache: "str | Path | None" = "auto",
 ) -> float:
     """Clean-operation mean of ||y - H x_pre_pred|| by Monte Carlo.
@@ -262,7 +270,7 @@ def innovation_norm_baseline(
     value is memoized in a plain-text sidecar keyed by a model fingerprint;
     any model change invalidates the entry.
     """
-    key = _cache_key(model, x0, p0, samples, seed)
+    key = _cache_key(model, x0, p0, samples)
     cache_path: Optional[Path] = None
     if cache == "auto":
         cache_path = Path.home() / ".cache" / "gridwatch" / "mu0.txt"
@@ -274,7 +282,7 @@ def innovation_norm_baseline(
             return cached
 
     schedule = kalman.PreSchedule(model, p0)
-    sim = initial_sim_state(model, x0, [seed])  # a batch of one trajectory
+    sim = initial_sim_state(model, x0, [MU0_SEED])  # a batch of one trajectory
     x_hat = np.array(x0, dtype=float)
     total = 0.0
     step = gain = None
@@ -284,7 +292,7 @@ def innovation_norm_baseline(
             # one matrix-vector product per sample once the schedule settles
             step = next_step
             gain = np.repeat(step.gain / model.lam, model.lam, axis=1)
-        y = simulate_step(model, sim).values.reshape(-1)
+        y = simulate_step(model, sim).reshape(-1)
         x_pred = model.A @ x_hat
         innovation = y - model.H @ x_pred
         x_hat = x_pred + gain @ innovation
@@ -340,7 +348,7 @@ class SeedBatch(tuple):
 
 
 def run_trial(
-    cfg_or_ctx,
+    ctx: RunContext,
     seed,
     log_steps: Optional[bool] = None,
     full_paths: bool = False,
@@ -352,7 +360,6 @@ def run_trial(
     results in order; ``run_trials`` runs that way, and one seed is the
     batch of one.
     """
-    ctx = cfg_or_ctx if isinstance(cfg_or_ctx, RunContext) else prepare(cfg_or_ctx)
     if isinstance(seed, SeedBatch):
         return _run_batch(ctx, seed, log_steps, full_paths)
     return _run_batch(ctx, [seed], log_steps, full_paths)[0]
@@ -494,14 +501,13 @@ def _run_batch(
         faulted = attack.kind == "topology-fault" and t >= attack.tau
         y = simulate_step(ctx.sim_model_post if faulted else model, streams.sim)
         real = realize_attack(attack, t, streams.attack, model.K)
-        ys = apply_attack(model, y, real, streams.attack)
-        Y = ys.values
-        for hasher, y_j in zip(streams.hashers, Y):
+        y = apply_attack(model, y, real, streams.attack)
+        for hasher, y_j in zip(streams.hashers, y):
             hasher.update(y_j.tobytes())
-        b = len(Y)
+        b = len(y)
 
         pre_step = next(pre_steps)
-        step = detector.algorithm1_step(bank, cs, model, ctx.det_cfg, ys, t, pre_step)
+        step = detector.algorithm1_step(bank, cs, model, ctx.det_cfg, y, t, pre_step)
         bank, cs = step.bank, step.cusum
         r = step.pre_innovation.reshape(b, -1)
         dist = np.sqrt(vecdot(r, r))  # the 2-norm, as np.linalg.norm
@@ -518,7 +524,7 @@ def _run_batch(
         if "euclidean" in thresholds:
             stats["euclid"] = dist
         if "cosine" in thresholds:
-            y_flat = Y.reshape(b, -1)
+            y_flat = y.reshape(b, -1)
             stats["cosine"] = robust.cosine_similarity(y_flat, y_flat - r)
 
         hits = [crossed(stats[f], thr, d) for f, d, thr in rules]
@@ -573,7 +579,7 @@ def _trial_result(
 ) -> TrialResult:
     enabled = ctx.enabled
     if "alg2" in enabled:
-        stops["alg2"] = min(stops.get(name, INF) for name in ALG2)
+        stops["alg2"] = _alg2_stop(stops)
     stops = {name: stops[name] for name in enabled}
     t_tilde = stops.get("alg2", stops["alg1"])
     own_paths = None
@@ -679,16 +685,10 @@ def missed_detection_ratio(stop_times: Sequence[float], tau: float, eta: int) ->
     return 1.0 - hits / len(stop_times)
 
 
-def false_alarm_experiment(
-    cfg_or_ctx,
-    trials: Optional[int] = None,
-    master_seed: Optional[int] = None,
-    horizon: Optional[int] = None,
-) -> "dict[str, FalseAlarmSummary]":
+def false_alarm_experiment(cfg: ExperimentConfig) -> "dict[str, FalseAlarmSummary]":
     """Average stopping time of every configured detector with no attack."""
-    ctx = cfg_or_ctx if isinstance(cfg_or_ctx, RunContext) else prepare(cfg_or_ctx)
-    ctx = no_attack_context(ctx, horizon=horizon)
-    results = run_trials(ctx, trials=trials, master_seed=master_seed)
+    ctx = no_attack_context(prepare(cfg))
+    results = run_trials(ctx)
     h = ctx.cfg.run.horizon
     return {
         name: estimate_false_alarm_period([r.stop(name) for r in results], h)
@@ -728,6 +728,12 @@ def mse_curves(results: Sequence[TrialResult]) -> "tuple[np.ndarray, np.ndarray]
 # Threshold grids and calibration
 
 
+def _running_extremum(path: np.ndarray, n: int, direction: int) -> np.ndarray:
+    """Running maximum of the first n steps of a path, signed so that it
+    rises toward the threshold: of -path for a downward detector."""
+    return np.maximum.accumulate(path[:n] if direction > 0 else -path[:n])
+
+
 def stopping_times_for_grid(
     paths: Sequence[np.ndarray],
     lengths: Sequence[int],
@@ -741,8 +747,7 @@ def stopping_times_for_grid(
     grid = np.asarray(grid, dtype=float)
     out = np.full((len(paths), grid.size), INF)
     for i, (path, n) in enumerate(zip(paths, lengths)):
-        seg = path[:n] if direction > 0 else -path[:n]
-        run = np.maximum.accumulate(seg)
+        run = _running_extremum(path, n, direction)
         thr = grid if direction > 0 else -grid
         pos = np.searchsorted(run, thr, side="left")
         hit = pos < n
@@ -764,11 +769,7 @@ def calibrate_threshold(
     exact candidate set. The measured period is censored at the horizon like
     every other estimate.
     """
-    records = []
-    for p, n in zip(paths, lengths):
-        seg = p[:n] if direction > 0 else -p[:n]
-        run = np.maximum.accumulate(seg)
-        records.append(np.unique(run))
+    records = [np.unique(_running_extremum(p, n, direction)) for p, n in zip(paths, lengths)]
     grid = np.unique(np.concatenate(records))
     # one candidate above every record: the "never fires" end of the curve
     grid = np.append(grid, grid[-1] + np.spacing(abs(grid[-1]) + 1.0))
@@ -842,7 +843,8 @@ def sweep_tradeoff(
         g_paths, lengths = detector_paths(results, "alg1")
         stops = stopping_times_for_grid(g_paths, lengths, grid)
         if which == "alg2":
-            others = np.array([min(r.stop(name) for name in ALG2[1:]) for r in results])
+            # alg1's stop depends on h; the other rules' stops do not
+            others = np.array([_alg2_stop({**r.stops, "alg1": INF}) for r in results])
             stops = np.minimum(stops, others[:, None])
         return stops
 
@@ -895,34 +897,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def write_tradeoff_csv(path, points: Sequence[CurvePoint]) -> None:
-    write_csv(
-        path,
-        [
-            "h",
-            "fap",
-            "fap_ci",
-            "delay",
-            "delay_ci",
-            "miss_ratio",
-            "fap_censored",
-            "delay_false_alarms",
-            "delay_missed",
-        ],
-        [
-            (
-                p.h,
-                p.fap,
-                p.fap_ci,
-                p.delay,
-                p.delay_ci,
-                p.miss_ratio,
-                p.fap_censored,
-                p.delay_false_alarms,
-                p.delay_missed,
-            )
-            for p in points
-        ],
-    )
+    write_csv(path, [f.name for f in fields(CurvePoint)], [astuple(p) for p in points])
 
 
 def write_trial_log_csv(path, result: TrialResult) -> None:

@@ -52,7 +52,7 @@ from typing import Iterator, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from .grid_model import GridModel, MeasurementBatch, matvec
+from .grid_model import GridModel, matvec
 
 # The pre-filter recursion is frozen once max|P_upd(t) - P_upd(t-1)| is at
 # most this times trace(P_upd(t)): about a hundred times the last-bit jitter
@@ -273,21 +273,22 @@ class PreSchedule:
             yield step
 
 
-def kf_update_pre(model: GridModel, ks: KalmanState, y: MeasurementBatch) -> KalmanState:
+def kf_update_pre(model: GridModel, ks: KalmanState, y: np.ndarray) -> KalmanState:
     return kf_update_pre_full(model, ks, y)[0]
 
 
 def kf_update_pre_full(
-    model: GridModel, ks: KalmanState, y: MeasurementBatch, step: Optional[GainStep] = None
+    model: GridModel, ks: KalmanState, y: np.ndarray, step: Optional[GainStep] = None
 ):
-    """Pre-attack update returning (state, innovation y - H x_pred as (..., K, lam)).
+    """Pre-attack update on (..., K, lam) measurements ``y``, returning
+    (state, innovation y - H x_pred as (..., K, lam)).
 
     ``step`` is the schedule entry for this step (computed from ks.P_pred
     when absent), shared by every trial.
     """
     if step is None:
         step = pre_gain_step(model, ks.P_pred)
-    innovation = y.values - matvec(model.meter_rows, ks.x_pred)[..., None]
+    innovation = y - matvec(model.meter_rows, ks.x_pred)[..., None]
     x_upd = ks.x_pred + matvec(step.gain, innovation.sum(axis=-1) / model.lam)
     state = KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=step.P_upd)
     return state, innovation

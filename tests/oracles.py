@@ -18,7 +18,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from gridwatch import detector, kalman, robust
 from gridwatch.attacks import AttackRealization, is_active
-from gridwatch.grid_model import MeasurementBatch
 from gridwatch.kalman import KalmanState, initial_state
 
 
@@ -191,8 +190,9 @@ def dense_update(model, ks, y_flat, bias, noise_diag):
 
 
 def chi2_sample(model, pre_filter, y):
-    """c_t = r^T Q^{-1} r with Q = H P_pred H^T + sigma_w2 I built in full."""
-    r = y.flat - model.H @ pre_filter.x_pred
+    """c_t = r^T Q^{-1} r with Q = H P_pred H^T + sigma_w2 I built in full,
+    for (K, lam) measurements y."""
+    r = y.reshape(-1) - model.H @ pre_filter.x_pred
     Q = model.H @ pre_filter.P_pred @ model.H.T
     Q.flat[:: Q.shape[0] + 1] += model.sigma_w2
     factor = cho_factor(0.5 * (Q + Q.T), lower=True, check_finite=False)
@@ -209,7 +209,6 @@ def chi2_sample(model, pre_filter, y):
 class SimState:
     """One trial's trajectory state and simulation stream."""
 
-    t: int
     x: np.ndarray
     rng: np.random.Generator
 
@@ -218,7 +217,7 @@ def initial_sim_state(model, x0, seed):
     x = np.array(x0, dtype=float)
     if x.shape != (model.N,):
         raise ValueError(f"x0 must have length {model.N}")
-    return SimState(t=0, x=x, rng=np.random.default_rng(seed))
+    return SimState(x=x, rng=np.random.default_rng(seed))
 
 
 def simulate_step(model, state):
@@ -231,8 +230,7 @@ def simulate_step(model, state):
     y = model.H @ x_new + w
     if not np.all(np.isfinite(x_new)):
         raise FloatingPointError("state diverged; check the model configuration")
-    new_state = SimState(t=state.t + 1, x=x_new, rng=state.rng)
-    return new_state, MeasurementBatch.from_flat(new_state.t, y, model.lam)
+    return SimState(x=x_new, rng=state.rng), y.reshape(model.K, model.lam)
 
 
 def _select(spec, k, rng):
@@ -257,14 +255,14 @@ def realize_attack(spec, t, rng, K):
     a = np.zeros(K)
     jam = np.zeros(K)
     if not is_active(spec, t):
-        return AttackRealization(t=t, a=a, jam_var=jam, active=False)
+        return AttackRealization(a=a, jam_var=jam, active=False)
     fdi_mask = _select(spec, K, rng) if spec.uses_fdi else np.zeros(K, dtype=bool)
     jam_mask = _select(spec, K, rng) if spec.uses_jamming else np.zeros(K, dtype=bool)
     if spec.uses_fdi and fdi_mask.any():
         a[fdi_mask] = _draw(spec.fdi_law, rng, int(fdi_mask.sum()))
     if spec.uses_jamming and jam_mask.any():
         jam[jam_mask] = _draw(spec.jam_law, rng, int(jam_mask.sum()))
-    return AttackRealization(t=t, a=a, jam_var=jam, active=True)
+    return AttackRealization(a=a, jam_var=jam, active=True)
 
 
 def apply_attack(model, clean, real, rng):
@@ -272,12 +270,12 @@ def apply_attack(model, clean, real, rng):
     jammed meter in ascending order, scaled by the jamming deviation."""
     if not real.active:
         return clean
-    values = clean.values + real.a[:, None]
+    values = clean + real.a[:, None]
     jammed = np.flatnonzero(real.jam_var > 0)
     if jammed.size:
         noise = rng.standard_normal((jammed.size, model.lam))
         values[jammed] += noise * np.sqrt(real.jam_var[jammed])[:, None]
-    return MeasurementBatch(t=clean.t, values=values)
+    return values
 
 
 def innovation_norm_baseline(model, x0, p0, samples, seed=923_001):
@@ -294,7 +292,7 @@ def innovation_norm_baseline(model, x0, p0, samples, seed=923_001):
             gain = np.repeat(step.gain / model.lam, model.lam, axis=1)
         state, y = simulate_step(model, state)
         x_pred = model.A @ x_hat
-        innovation = y.flat - model.H @ x_pred
+        innovation = y.reshape(-1) - model.H @ x_pred
         x_hat = x_pred + gain @ innovation
         total += math.sqrt(innovation @ innovation)
     return total / samples
@@ -333,7 +331,8 @@ def dense_trial(ctx, seed):
         faulted = attack.kind == "topology-fault" and t >= attack.tau
         sim, y = simulate_step(ctx.sim_model_post if faulted else model, sim)
         y = apply_attack(model, y, realize_attack(attack, t, atk_rng, model.K), jam_rng)
-        hasher.update(y.flat.tobytes())
+        y_flat = y.reshape(-1)
+        hasher.update(y_flat.tobytes())
         hashes.append(hasher.hexdigest())
 
         pre, post = dense_predict(model, pre), dense_predict(model, post)
@@ -341,10 +340,10 @@ def dense_trial(ctx, seed):
         costs = detector.hypothesis_costs(rb, model, det)
         labels = detector.classify_meters(costs)
         est = detector.mle_attack_params(rb, labels, det, model)
-        pre, factor, r = dense_update(model, pre, y.flat, 0.0, clean_noise)
+        pre, factor, r = dense_update(model, pre, y_flat, 0.0, clean_noise)
         inflated = clean_noise + model.expand(est.sigma_hat)
-        post = dense_update(model, post, y.flat, model.expand(est.a_hat), inflated)[0]
-        beta = detector.gllr(y.values - (model.meter_rows @ pre.x_upd)[:, None], costs, labels, model)
+        post = dense_update(model, post, y_flat, model.expand(est.a_hat), inflated)[0]
+        beta = detector.gllr(y - (model.meter_rows @ pre.x_upd)[:, None], costs, labels, model)
         g = max(0.0, g + beta)
         if g == 0.0:
             post, tau_hat = pre.copy(), t
@@ -365,7 +364,7 @@ def dense_trial(ctx, seed):
         if ctx.euclid_d is not None:
             paths["euclid"].append(dist)
         if ctx.cosine_d is not None:
-            paths["cosine"].append(robust.cosine_similarity(y.flat, y.flat - r))
+            paths["cosine"].append(robust.cosine_similarity(y_flat, y_flat - r))
     paths = {k: np.array(v) for k, v in paths.items() if v}
 
     rules = {

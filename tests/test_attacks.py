@@ -15,7 +15,7 @@ from gridwatch import (
     topology_fault,
 )
 from gridwatch.attacks import is_active
-from gridwatch.grid_model import BLOCK_STEPS, MeasurementBatch
+from gridwatch.grid_model import BLOCK_STEPS
 
 import oracles
 from conftest import SIGMA_W2
@@ -69,23 +69,23 @@ def test_onoff_duty_cycle_fraction():
 
 
 def test_apply_identity_on_zero_realization(two_bus_model):
-    clean = MeasurementBatch.from_flat(1, np.array([[0.5]]), 1)
+    clean = np.array([[[0.5]]])
     st = streams(1, 1, 1, seed=1)
     real = realize_attack(hybrid_spec(tau=10), 5, st, K=1)
     out = apply_attack(two_bus_model, clean, real, st)
-    np.testing.assert_array_equal(out.flat, clean.flat)
+    np.testing.assert_array_equal(out, clean)
 
 
 def test_fixed_bias_shifts_all_lambda_samples(ieee14_model):
-    clean = MeasurementBatch.from_flat(1, np.zeros((1, 115)), 5)
+    clean = np.zeros((1, 23, 5))
     a = np.zeros((1, 23))
     a[0, 7] = 0.1
-    real = AttackRealization(t=1, a=a, jam_var=np.zeros((1, 23)), active=True)
+    real = AttackRealization(a=a, jam_var=np.zeros((1, 23)), active=True)
     out = apply_attack(ieee14_model, clean, real, streams(1, 23, 5))
-    np.testing.assert_array_equal(out.values[0, 7], 0.1 * np.ones(5))
+    np.testing.assert_array_equal(out[0, 7], 0.1 * np.ones(5))
     mask = np.ones(23, dtype=bool)
     mask[7] = False
-    assert not out.values[0, mask].any()
+    assert not out[0, mask].any()
 
 
 def test_jamming_noise_moments(ieee14_model):
@@ -93,11 +93,11 @@ def test_jamming_noise_moments(ieee14_model):
     jam[0, 3] = 1e-2
     st = streams(1, 23, 5, seed=2)
     samples = []
-    clean = MeasurementBatch.from_flat(1, np.zeros((1, 115)), 5)
+    clean = np.zeros((1, 23, 5))
     for _ in range(20_000):
-        real = AttackRealization(t=1, a=np.zeros((1, 23)), jam_var=jam, active=True)
+        real = AttackRealization(a=np.zeros((1, 23)), jam_var=jam, active=True)
         out = apply_attack(ieee14_model, clean, real, st)
-        samples.append(out.values[0, 3])
+        samples.append(out[0, 3])
     flat = np.concatenate(samples)
     assert flat.var() == pytest.approx(1e-2, rel=0.03)
     assert abs(flat.mean()) < 3e-3
@@ -123,18 +123,6 @@ def test_hybrid_realization_frequencies_and_ranges():
     # per-meter per-step attack frequency 0.5 within +/- 0.01
     assert fdi_hits / (n * 23) == pytest.approx(0.5, abs=0.01)
     assert jam_hits / (n * 23) == pytest.approx(0.5, abs=0.01)
-
-
-def test_realization_partitions_meters():
-    spec = hybrid_spec(tau=1, p=0.4)
-    st = streams(3, 23, 5, seed=4)
-    for t in range(1, 500):
-        real = realize_attack(spec, t, st, K=23)
-        for j in range(3):
-            sets = real.meter_sets(j)
-            union = set().union(*sets)
-            assert union == set(range(23))
-            assert sum(len(s) for s in sets) == 23  # pairwise disjoint
 
 
 def test_fixed_selection_mode():
@@ -166,7 +154,7 @@ def test_topology_fault_zeroes_true_rows_only(two_bus_model):
     vals = []
     for _ in range(4000):
         y = simulate_step(faulted, sim)
-        vals.append(y.flat[0, 0])
+        vals.append(y[0, 0, 0])
     vals = np.array(vals)
     assert abs(vals.mean()) < 4 * math.sqrt(SIGMA_W2 / 4000) * 2
     assert vals.var() == pytest.approx(SIGMA_W2, rel=0.1)
@@ -234,7 +222,7 @@ def test_attack_kernels_match_one_trial_oracle(ieee14_model, name, B):
     inputs = np.random.default_rng(99)
     live = list(range(B))
     for t in range(1, 4 * BLOCK_STEPS + 1):
-        clean = MeasurementBatch(t, inputs.standard_normal((len(live), K, lam)))
+        clean = inputs.standard_normal((len(live), K, lam))
         real = realize_attack(spec, t, st, K)
         out = apply_attack(model, clean, real, st)
         assert real.active == is_active(spec, t)
@@ -244,8 +232,7 @@ def test_attack_kernels_match_one_trial_oracle(ieee14_model, name, B):
             want = oracles.realize_attack(spec, t, atk[j], K)
             assert_same_bits(real.a[row], want.a)
             assert_same_bits(real.jam_var[row], want.jam_var)
-            one = MeasurementBatch(t, clean.values[row])
-            assert_same_bits(out.values[row], oracles.apply_attack(model, one, want, jam[j]).values)
+            assert_same_bits(out[row], oracles.apply_attack(model, clean[row], want, jam[j]))
         if t % 40 == 0 and len(live) > 1:
             keep = np.arange(len(live)) != 1
             st = st.take(keep)

@@ -151,6 +151,39 @@ def test_bad_attack_value_names_its_key(tmp_path, two_bus_path, attack, tau, key
         load_config(write(tmp_path, text))
 
 
+FDI = "kind = fdi\nfdi_fixed = 0.1"
+
+
+@pytest.mark.parametrize(
+    "attack, old, new, key",
+    [
+        ("kind = none", "horizon = 50", "horizon = -5", "horizon"),
+        ("kind = none", "horizon = 50", "horizon = 0", "horizon"),
+        ("kind = none", "seed = 1", "seed = -1", "seed"),
+        (FDI, "h = 5", "h = 5\nmu0_samples = 0", "mu0_samples"),
+        (FDI, "seed = 1", "seed = 1\n[chi2]\nm = 0\nl = 80\nvarphi = 25", "m"),
+        (FDI, "seed = 1", "seed = 1\n[chi2]\nm = 5\nl = 4\nvarphi = 25", "l"),
+        (FDI, "seed = 1", "seed = 1\n[chi2]\nm = 100\nvarphi = 25", "l"),
+        (FDI, "tau = 20", "tau = nan", "tau"),
+        ("kind = none", "tau = 20", "tau = inf", "tau"),
+        (FDI, "h = 5", "h = nan", "h"),
+        (FDI, "h = 5", "h = inf", "h"),
+        (FDI, "h = 5", "h = 5\nnp_q = inf", "np_q"),
+        (FDI, "h = 5", "h = 5\neuclid_d = nan", "euclid_d"),
+        (FDI, "h = 5", "h = 5\ncosine_d = -inf", "cosine_d"),
+        (FDI, "seed = 1", "seed = 1\n[shewhart]\nphi = nan", "phi"),
+        (FDI, "seed = 1", "seed = 1\n[chi2]\nvarphi = inf", "varphi"),
+    ],
+)
+def test_bad_config_value_names_its_key(tmp_path, two_bus_path, attack, old, new, key):
+    text = MINIMAL.format(
+        topology=two_bus_path, extra_detector="", attack=attack, trials=1, horizon=50,
+    )
+    assert old in text
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        load_config(write(tmp_path, text.replace(old, new)))
+
+
 @pytest.mark.parametrize(
     "attack, meter",
     [
@@ -227,7 +260,7 @@ def test_cli_simulate_and_sweep(tmp_path, two_bus_path, capsys):
     )
     assert rc == 0
     lines = (tmp_path / "tradeoff.csv").read_text().splitlines()
-    assert lines[0].startswith("h,fap,fap_ci,delay,delay_ci,miss_ratio")
+    assert lines[0] == "h,fap,fap_ci,delay,delay_ci,miss_ratio,fap_censored,delay_false_alarms,delay_missed"
     assert len(lines) == 3
 
 

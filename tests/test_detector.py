@@ -18,7 +18,6 @@ from gridwatch import (
     residual_block,
 )
 from gridwatch.detector import HypothesisCosts
-from gridwatch.grid_model import MeasurementBatch
 
 from conftest import GAMMA, SIGMA2_MIN, SIGMA_W2
 from oracles import brute_force_costs, random_residual_blocks
@@ -28,7 +27,7 @@ CFG = DetectorConfig(gamma=GAMMA, sigma2_min=SIGMA2_MIN)
 
 def block_from_e(model, e_row, cfg=CFG):
     """Residual block for one meter pattern replicated over all K meters."""
-    y = MeasurementBatch(1, np.tile(e_row, (model.K, 1)).astype(float))
+    y = np.tile(e_row, (model.K, 1)).astype(float)
     return residual_block(model, y, np.zeros(model.N), cfg)
 
 
@@ -38,7 +37,7 @@ def block_from_e(model, e_row, cfg=CFG):
 
 def test_zero_residuals(ieee14_model):
     x = np.zeros(13)
-    y = MeasurementBatch(1, np.zeros((23, 5)))
+    y = np.zeros((23, 5))
     rb = residual_block(ieee14_model, y, x, CFG)
     assert not rb.e.any()
     assert not rb.delta.any()
@@ -55,7 +54,7 @@ def test_residual_sums(ieee14_model):
 
 def test_pi_identity_on_random_inputs(ieee14_model):
     rng = np.random.default_rng(0)
-    y = MeasurementBatch(1, rng.standard_normal((23, 5)) * 0.05)
+    y = rng.standard_normal((23, 5)) * 0.05
     rb = residual_block(ieee14_model, y, rng.standard_normal(13) * 0.01, CFG)
     expected = rb.zeta - 2 * GAMMA * rb.delta + 5 * GAMMA**2
     np.testing.assert_allclose(rb.pi, expected, rtol=1e-10)
@@ -128,7 +127,7 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
     rng = np.random.default_rng(11)
     B = 4
     scale = 10.0 ** rng.uniform(-3, -1, (B, 23, 1))
-    y = MeasurementBatch(1, rng.standard_normal((B, 23, 5)) * scale)
+    y = rng.standard_normal((B, 23, 5)) * scale
     x = rng.standard_normal((B, 13)) * 0.01
     rb = residual_block(ieee14_model, y, x, CFG)
     costs = hypothesis_costs(rb, ieee14_model, CFG)
@@ -137,7 +136,7 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
     beta = gllr(rb.e, costs, cls, ieee14_model)
     assert len(set(cls.labels.ravel())) == 4  # every hypothesis occurs
     for i in range(B):
-        rb1 = residual_block(ieee14_model, MeasurementBatch(1, y.values[i]), x[i], CFG)
+        rb1 = residual_block(ieee14_model, y[i], x[i], CFG)
         costs1 = hypothesis_costs(rb1, ieee14_model, CFG)
         cls1 = classify_meters(costs1)
         est1 = mle_attack_params(rb1, cls1, CFG, ieee14_model)
@@ -190,10 +189,8 @@ def test_classification_is_partition(cost_rows):
     arr = np.array(cost_rows, dtype=float)
     costs = HypothesisCosts(u0=arr[:, 0], uf=arr[:, 1], uj=arr[:, 2], ufj=arr[:, 3])
     cls = classify_meters(costs)
-    sets = cls.sets()
-    union = set().union(*sets)
-    assert union == set(range(arr.shape[0]))
-    assert sum(len(s) for s in sets) == arr.shape[0]
+    # one hypothesis per meter
+    assert cls.labels.shape == arr.shape[:1] and np.isin(cls.labels, range(4)).all()
     # verify the paper's inequality pattern meter by meter
     for k in range(arr.shape[0]):
         u0, uf, uj, ufj = arr[k]
@@ -262,7 +259,7 @@ def test_mle_jam_variance_floored(ieee14_model):
 def test_mle_feasibility_on_random_blocks(ieee14_model):
     rng = np.random.default_rng(7)
     for _ in range(200):
-        y = MeasurementBatch(1, rng.standard_normal((23, 5)) * 10.0 ** rng.uniform(-3, 0))
+        y = rng.standard_normal((23, 5)) * 10.0 ** rng.uniform(-3, 0)
         rb = residual_block(ieee14_model, y, rng.standard_normal(13) * 0.01, CFG)
         costs = hypothesis_costs(rb, ieee14_model, CFG)
         cls = classify_meters(costs)
@@ -280,7 +277,7 @@ def test_mle_feasibility_on_random_blocks(ieee14_model):
 
 
 def test_gllr_zero_at_perfect_fit(two_bus_model):
-    rb = residual_block(two_bus_model, MeasurementBatch(1, np.zeros((1, 1))), np.zeros(1), CFG)
+    rb = residual_block(two_bus_model, np.zeros((1, 1)), np.zeros(1), CFG)
     costs = hypothesis_costs(rb, two_bus_model, CFG)
     cls = classify_meters(costs)
     beta = gllr(np.zeros((1, 1)), costs, cls, two_bus_model)
@@ -360,7 +357,7 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
     y_flat = ieee14_model.H @ x0
     y_flat = y_flat.copy()
     y_flat[0:5] += 0.5
-    y = MeasurementBatch.from_flat(1, y_flat[None], 5)
+    y = y_flat.reshape(1, 23, 5)
     step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1)
     np.testing.assert_array_equal(step.x_post_pred[0], x0)  # A = I, prediction is x0
     assert step.estimate.a_hat[0, 0] == pytest.approx(0.5, rel=1e-9)
@@ -375,7 +372,7 @@ def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     bank = initial_bank(x0[None], 1e-4)  # a batch of one trial
     bank.post.x_upd[:] += 0.05
-    y = MeasurementBatch.from_flat(1, (ieee14_model.H @ x0)[None], 5)
+    y = (ieee14_model.H @ x0).reshape(1, 23, 5)
     step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1)
     (cs,) = step.cusum
     if cs.g == 0.0:

@@ -11,7 +11,7 @@ from gridwatch import (
     simulate_step,
     topology_fault,
 )
-from gridwatch.grid_model import BLOCK_STEPS, MeasurementBatch
+from gridwatch.grid_model import BLOCK_STEPS
 
 import oracles
 from conftest import SIGMA_V2, SIGMA_W2
@@ -109,7 +109,7 @@ def test_noiseless_simulation_is_exactly_linear(two_bus_model):
     sim = initial_sim_state(model, [0.3], [0])
     y = simulate_step(model, sim)
     np.testing.assert_array_equal(sim.x, [[0.3]])
-    np.testing.assert_array_equal(y.flat[0], model.H @ sim.x[0])
+    np.testing.assert_array_equal(y[0].reshape(-1), model.H @ sim.x[0])
 
 
 def test_fixed_seed_trajectories_bit_identical(ieee14_model, ieee14_topology):
@@ -121,7 +121,7 @@ def test_fixed_seed_trajectories_bit_identical(ieee14_model, ieee14_topology):
         for _ in range(50):
             y = simulate_step(ieee14_model, sim)
             xs.append(sim.x[0].copy())
-            ys.append(y.flat[0].copy())
+            ys.append(y[0].reshape(-1).copy())
         runs.append((np.array(xs), np.array(ys)))
     np.testing.assert_array_equal(runs[0][0], runs[1][0])
     np.testing.assert_array_equal(runs[0][1], runs[1][1])
@@ -140,7 +140,7 @@ def test_draw_count_contract(two_bus_model):
         x = model.A @ x + rng.standard_normal(model.N) * np.sqrt(model.sigma_v2)
         w = rng.standard_normal(model.K * model.lam) * np.sqrt(model.sigma_w2)
         assert_same_bits(sim.x[0], x)
-        assert_same_bits(y.flat[0], model.H @ x + w)
+        assert_same_bits(y[0].reshape(-1), model.H @ x + w)
 
 
 def test_generator_fills_any_request_from_one_sequence():
@@ -174,10 +174,10 @@ def test_simulation_matches_one_trial_oracle(ieee14_model, ieee14_topology, B):
     for t in range(1, 3 * BLOCK_STEPS + 10):
         sim_model = faulted if t >= tau else model
         y = simulate_step(sim_model, sim)
-        assert y.t == sim.t == t and y.values.shape == (len(live), model.K, model.lam)
+        assert y.shape == (len(live), model.K, model.lam)
         for row, j in enumerate(live):
             ref[j], want = oracles.simulate_step(sim_model, ref[j])
-            assert_same_bits(y.values[row], want.values)
+            assert_same_bits(y[row], want)
             assert_same_bits(sim.x[row], ref[j].x)
         if t % 25 == 0 and len(live) > 1:
             keep = np.arange(len(live)) % 2 == 1
@@ -202,7 +202,11 @@ def test_process_noise_moments(ieee14_model, ieee14_topology):
 
 
 def test_measurement_batch_addressing(ieee14_model):
-    flat = np.arange(115.0)
-    batch = MeasurementBatch.from_flat(3, flat, ieee14_model.lam)
-    assert batch.values[4][2] == flat[4 * 5 + 2]
-    np.testing.assert_array_equal(batch.flat, flat)
+    # y[j][k][i] is sample i of meter k in trial j: row k*lam + i of H
+    model = dataclasses.replace(ieee14_model, sigma_v2=0.0, sigma_w2=0.0)
+    sim = initial_sim_state(model, np.linspace(0.1, 1.3, 13), [0, 1])
+    y = simulate_step(model, sim)
+    flat = model.H @ sim.x[1]
+    assert y.shape == (2, 23, 5)
+    assert y[1][4][2] == flat[4 * 5 + 2]
+    np.testing.assert_array_equal(y[1].reshape(-1), flat)

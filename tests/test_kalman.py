@@ -13,7 +13,7 @@ from gridwatch import (
     kf_update_pre,
     sync_post_to_pre,
 )
-from gridwatch.grid_model import GridModel, MeasurementBatch
+from gridwatch.grid_model import GridModel
 from gridwatch.kalman import (
     InnovationSolveError,
     KalmanState,
@@ -32,7 +32,7 @@ from oracles import dense_predict, dense_predict_oracle, dense_update, initial_s
 def post_mean(model, ks, y):
     """Per-meter means of y - H x_pred, the residual means the post update
     takes from the detector's residual block."""
-    return (y.values - (model.meter_rows @ ks.x_pred)[:, None]).sum(axis=1) / model.lam
+    return (y - (model.meter_rows @ ks.x_pred)[:, None]).sum(axis=1) / model.lam
 
 
 def scalar_model(sigma_w2=1.0, sigma_v2=1.0):
@@ -97,7 +97,7 @@ def test_scalar_update_hand_values():
     # P_pred = 1, sigma_w2 = 1 -> gain 0.5 and P_upd = 0.5
     model = scalar_model(sigma_w2=1.0)
     ks = KalmanState(np.array([0.0]), np.eye(1), np.array([0.0]), np.eye(1))
-    y = MeasurementBatch.from_flat(1, np.array([1.0]), 1)
+    y = np.array([[1.0]])
     out = kf_update_pre(model, ks, y)
     assert out.x_upd[0] == pytest.approx(0.5)
     assert out.P_upd[0, 0] == pytest.approx(0.5)
@@ -106,7 +106,7 @@ def test_scalar_update_hand_values():
 def test_zero_innovation_keeps_state():
     model = scalar_model()
     ks = KalmanState(np.array([0.4]), np.eye(1), np.array([0.4]), np.eye(1))
-    y = MeasurementBatch.from_flat(1, model.H @ ks.x_pred, 1)
+    y = (model.H @ ks.x_pred).reshape(1, 1)
     out = kf_update_pre(model, ks, y)
     np.testing.assert_allclose(out.x_upd, ks.x_pred, atol=1e-15)
 
@@ -115,7 +115,7 @@ def test_uninformative_measurements(ieee14_model, ieee14_topology):
     model = dataclasses.replace(ieee14_model, sigma_w2=1e12)
     x0 = ieee14_topology.initial_state()
     ks = kf_predict(model, initial_state(x0, 1e-4))
-    y = MeasurementBatch.from_flat(1, np.ones(115), model.lam)
+    y = np.ones((23, 5))
     out = kf_update_pre(model, ks, y)
     assert np.linalg.norm(out.x_upd - out.x_pred) <= 1e-6
 
@@ -124,7 +124,7 @@ def test_post_with_zero_estimates_is_bitwise_pre(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     ks = kf_predict(ieee14_model, initial_state(x0, 1e-4))
     rng = np.random.default_rng(3)
-    y = MeasurementBatch.from_flat(1, ieee14_model.H @ x0 + rng.standard_normal(115) * 0.01, 5)
+    y = (ieee14_model.H @ x0 + rng.standard_normal(115) * 0.01).reshape(23, 5)
     pre = kf_update_pre(ieee14_model, ks, y)
     post = kf_update_post(ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), np.zeros(23))
     np.testing.assert_array_equal(pre.x_upd, post.x_upd)
@@ -135,7 +135,7 @@ def test_post_perfectly_explained_bias():
     model = scalar_model()
     ks = KalmanState(np.array([0.2]), np.eye(1), np.array([0.2]), np.eye(1))
     a_hat = np.array([0.6])
-    y = MeasurementBatch.from_flat(1, model.H @ ks.x_pred + a_hat, 1)
+    y = (model.H @ ks.x_pred + a_hat).reshape(1, 1)
     out = kf_update_post(model, ks, post_mean(model, ks, y), a_hat, np.zeros(1))
     np.testing.assert_allclose(out.x_upd, ks.x_pred, atol=1e-12)
 
@@ -143,7 +143,7 @@ def test_post_perfectly_explained_bias():
 def test_post_scalar_inflated_gain_third():
     model = scalar_model(sigma_w2=1.0)
     ks = KalmanState(np.array([0.0]), np.eye(1), np.array([0.0]), np.eye(1))
-    y = MeasurementBatch.from_flat(1, np.array([3.0]), 1)
+    y = np.array([[3.0]])
     out = kf_update_post(model, ks, post_mean(model, ks, y), np.zeros(1), np.array([1.0]))
     # gain = P / (P + sigma_w2 + sigma_hat) = 1/3
     assert out.x_upd[0] == pytest.approx(1.0)
@@ -157,7 +157,7 @@ def test_post_expansion_convention(ieee14_model, ieee14_topology):
     y_flat = ieee14_model.H @ x0
     y_flat = y_flat.copy()
     y_flat[3 * 5 : 4 * 5] += 5.0  # corrupt meter 3 only
-    y = MeasurementBatch.from_flat(1, y_flat, 5)
+    y = y_flat.reshape(23, 5)
     sigma = np.zeros(23)
     sigma[3] = 1e9
     out = kf_update_post(ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), sigma)
@@ -214,9 +214,9 @@ def test_covariances_stay_psd_under_iteration(ieee14_model, ieee14_topology):
 def test_update_factors_expose_innovation(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     ks = kf_predict(ieee14_model, initial_state(x0, 1e-4))
-    y = MeasurementBatch.from_flat(1, ieee14_model.H @ x0 + 0.01, 5)
+    y = (ieee14_model.H @ x0 + 0.01).reshape(23, 5)
     _, innovation = kf_update_pre_full(ieee14_model, ks, y)
-    np.testing.assert_allclose(innovation.reshape(-1), y.flat - ieee14_model.H @ ks.x_pred)
+    np.testing.assert_allclose(innovation.reshape(-1), y.reshape(-1) - ieee14_model.H @ ks.x_pred)
     # the step whitens the meter-mean innovation covariance: W Sbar W^T = I
     M = ieee14_model.meter_rows
     W = pre_gain_step(ieee14_model, ks.P_pred).white
@@ -258,10 +258,10 @@ def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
         c = chi2_sample_from_innovation(r, step.white, model.sigma_w2)
 
         pre_d, factor, r_d = dense_update(
-            model, dense_predict(model, pre_d), y.flat, 0.0, clean_noise
+            model, dense_predict(model, pre_d), y.reshape(-1), 0.0, clean_noise
         )
         post_d = dense_update(
-            model, dense_predict(model, post_d), y.flat, model.expand(a_hat),
+            model, dense_predict(model, post_d), y.reshape(-1), model.expand(a_hat),
             clean_noise + model.expand(sigma_hat),
         )[0]
         c_d = float(r_d @ cho_solve(factor, r_d))
@@ -319,7 +319,7 @@ def test_unsettled_schedule_covers_every_step(ieee14_topology):
 def test_failed_factorization_raises_typed_error(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     broken = KalmanState(x0, -np.eye(13), x0, -np.eye(13))  # not a covariance
-    y = MeasurementBatch.from_flat(1, ieee14_model.H @ x0, 5)
+    y = (ieee14_model.H @ x0).reshape(23, 5)
     with pytest.raises(InnovationSolveError):
         kf_update_pre(ieee14_model, broken, y)
     with pytest.raises(InnovationSolveError):

@@ -7,7 +7,7 @@ import pytest
 from scipy import special, stats
 
 from gridwatch import Chi2Config, Chi2State, ShewhartConfig, harness, pearson_step
-from gridwatch.grid_model import GridModel, MeasurementBatch
+from gridwatch.grid_model import GridModel
 from gridwatch.kalman import KalmanState, kf_update_pre_full, pre_gain_step
 from gridwatch.robust import chi2_sample_from_innovation, cosine_similarity, np_cusum_step
 
@@ -29,7 +29,7 @@ def test_shewhart_boundary_inclusive():
 def test_chi2_sample_zero_residual(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     ks = KalmanState(x0, 1e-4 * np.eye(13), x0, 1e-4 * np.eye(13))
-    y = MeasurementBatch.from_flat(1, ieee14_model.H @ x0, 5)
+    y = (ieee14_model.H @ x0).reshape(23, 5)
     assert chi2_sample(ieee14_model, ks, y) == pytest.approx(0.0, abs=1e-20)
     step = pre_gain_step(ieee14_model, ks.P_pred)
     _, r = kf_update_pre_full(ieee14_model, ks, y, step)
@@ -50,7 +50,7 @@ def test_chi2_sample_scalar_arithmetic():
         K=1,
     )
     ks = KalmanState(np.zeros(1), np.array([[1.5]]), np.zeros(1), np.array([[1.5]]))
-    y = MeasurementBatch.from_flat(1, np.array([3.0]), 1)
+    y = np.array([[3.0]])
     assert chi2_sample(model, ks, y) == pytest.approx(4.5)
     step = pre_gain_step(model, ks.P_pred)
     _, r = kf_update_pre_full(model, ks, y, step)
