@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Print one sha256 per benchmark workload and seed over its trials' paths.
+
+    PYTHONPATH=src python3 scripts/path_digest.py [FIRST LAST]
+
+Each config in perfbench/workloads/ is run with full paths, for every master
+seed from FIRST to LAST inclusive (default 0 to 20); hybrid_recover's config
+also turns on step logging, so its MSE paths are included. A line reads
+"<workload> <seed> <sha256>", the digest taken over every TrialPaths array
+of every trial in trial order. gridwatch is imported from the Python path,
+so the same script run against two source trees shows whether they compute
+the same paths bit for bit.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
+
+
+def paths_digest(results) -> str:
+    """sha256 over each trial's TrialPaths arrays: field name, dtype, shape
+    and bytes, in trial and field order; a field left as None is skipped."""
+    h = hashlib.sha256()
+    for r in results:
+        for f in dataclasses.fields(r.paths):
+            a = getattr(r.paths, f.name)
+            if a is not None:
+                h.update(f"{f.name} {a.dtype} {a.shape}\n".encode())
+                h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    from gridwatch import harness
+    from gridwatch.expconfig import load_config
+
+    args = sys.argv[1:] if argv is None else argv
+    first, last = (int(a) for a in args) if args else (0, 20)
+    for cfg_path in sorted(WORKLOADS.glob("*.cfg")):
+        ctx = harness.prepare(load_config(cfg_path))
+        for seed in range(first, last + 1):
+            results = harness.run_trials(ctx, master_seed=seed, full_paths=True)
+            print(f"{cfg_path.stem} {seed} {paths_digest(results)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import harness, stealth
-from .expconfig import load_config
+from .expconfig import ConfigError, load_config
 
 
 def _add_config(p: argparse.ArgumentParser) -> None:
@@ -37,6 +37,8 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         from dataclasses import replace
 
+        if args.seed < 0:
+            raise ConfigError(f"bad value for 'seed': {args.seed} (must be >= 0)")
         cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
     ctx = harness.prepare(cfg)
     log_steps = args.log_steps or cfg.run.log_steps

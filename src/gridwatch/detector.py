@@ -11,12 +11,25 @@ statistics of the residuals e against the post-filter *prediction*:
     delta = sum_i e_i          zeta = sum_i e_i^2
     rho   = sum_i (e_i+gamma)^2    pi = sum_i (e_i-gamma)^2
 
-Classification picks the cheapest hypothesis with ties resolved in the
-order clean, fdi, jamming, both. The GLLR compares the classified fit
-against the pre-attack filter's *updated* state; this asymmetry (update on
-the clean side, prediction on the attacked side) blocks same-step attack
-influence on the bias/variance estimates and is asserted by tests rather
-than symmetrized away.
+The clean and bias costs share one expression and the two jamming costs
+another, each over the same pair of sums of squared residuals: zeta, and
+ssr_f, the SSR at the constrained bias MLE. So a batch step builds a (..., 2,
+K) SSR block [zeta, ssr_f] once and evaluates the two expressions on it into
+one (..., 4, K) cost table whose rows are in tie order: clean, fdi, jamming,
+both.
+
+Classification picks the cheapest hypothesis, the table's argmin over its
+rows; np.argmin returns the first minimum, so ties go to the earlier row.
+The GLLR needs the classified cost, which is the value at that first
+minimum. Tied entries hold equal values, so it is the column minimum itself:
+``table.min`` gives it without reading the labels. (The table is finite, as
+classification checks, and the only unequal bits that compare equal, +0.0
+and -0.0, cannot change the GLLR.)
+
+The GLLR compares the classified fit against the pre-attack filter's
+*updated* state; this asymmetry (update on the clean side, prediction on the
+attacked side) blocks same-step attack influence on the bias/variance
+estimates and is asserted by tests rather than symmetrized away.
 
 Every statistic takes a leading trial axis: residual blocks of B trials are
 (B, K, lam) and the per-meter statistics (B, K). ``algorithm1_step``
@@ -28,8 +41,7 @@ stops at the first step g reaches h, like every other detector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,9 +66,16 @@ class DetectorConfig:
 class ResidualBlock:
     """Residuals vs the post-filter prediction plus sufficient statistics.
 
-    ``e`` is (..., K, lam); the statistics are (..., K). The derived
-    quantities below are formed on first use and shared by the costs, the
-    attack estimates and the post-filter update.
+    ``e`` is (..., K, lam); the statistics are (..., K). The derived blocks
+    are formed when the block is built and shared by the costs, the attack
+    estimates and the post-filter update:
+
+    * ``mean``: the per-meter residual mean delta/lam, the post filter's
+      meter-mean innovation;
+    * ``interior``: |mean| >= gamma, where the bias MLE is the mean itself;
+    * ``ssr``: the (..., 2, K) SSR block [zeta, ssr_f], where the
+      bias-constrained ssr_f is sum (e - mean)^2 when the mean is interior,
+      else the SSR at the nearer boundary +/- gamma.
     """
 
     e: np.ndarray  # (..., K, lam)
@@ -65,38 +84,28 @@ class ResidualBlock:
     rho: np.ndarray  # sum (e + gamma)^2
     pi: np.ndarray  # sum (e - gamma)^2
     gamma: float
+    mean: np.ndarray = field(init=False)
+    interior: np.ndarray = field(init=False)
+    ssr: np.ndarray = field(init=False)
 
-    @cached_property
-    def mean(self) -> np.ndarray:
-        """Per-meter residual mean delta/lam: the post filter's meter-mean
-        innovation."""
-        return self.delta / self.e.shape[-1]
-
-    @cached_property
-    def interior(self) -> np.ndarray:
-        """|mean| >= gamma: the bias MLE is the mean itself."""
-        return np.abs(self.mean) >= self.gamma
-
-    @cached_property
-    def ssr_f(self) -> np.ndarray:
-        """Bias-constrained SSR: sum (e - mean)^2 when the mean is interior,
-        else the SSR at the nearer boundary +/- gamma."""
-        centered = np.maximum(self.zeta - self.delta * self.mean, 0.0)  # >= 0 up to roundoff
-        return np.where(self.interior, centered, np.where(self.mean >= 0.0, self.pi, self.rho))
+    def __post_init__(self):
+        self.mean = mean = self.delta / self.e.shape[-1]
+        self.interior = np.abs(mean) >= self.gamma
+        centered = np.maximum(self.zeta - self.delta * mean, 0.0)  # >= 0 up to roundoff
+        ssr_f = np.where(self.interior, centered, np.where(mean >= 0.0, self.pi, self.rho))
+        self.ssr = np.concatenate((self.zeta[..., None, :], ssr_f[..., None, :]), axis=-2)
 
 
 @dataclass
 class HypothesisCosts:
-    u0: np.ndarray
-    uf: np.ndarray
-    uj: np.ndarray
-    ufj: np.ndarray
+    """The (..., 4, K) cost table, rows in tie order clean, fdi, jam, both."""
 
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """(..., 4, K) in tie-precedence order; shared by the classification
-        and the GLLR."""
-        return np.stack([self.u0, self.uf, self.uj, self.ufj], axis=-2)
+    table: np.ndarray
+
+    u0 = property(lambda self: self.table[..., 0, :])
+    uf = property(lambda self: self.table[..., 1, :])
+    uj = property(lambda self: self.table[..., 2, :])
+    ufj = property(lambda self: self.table[..., 3, :])
 
 
 @dataclass
@@ -129,38 +138,31 @@ def residual_block(
     delta = e.sum(axis=-1)
     zeta = (e * e).sum(axis=-1)
     g = cfg.gamma
-    lam = model.lam
     # Expansions of sum (e +/- gamma)^2; one pass over samples per meter.
-    rho = zeta + 2.0 * g * delta + lam * g * g
-    pi = zeta - 2.0 * g * delta + lam * g * g
+    cross, square = 2.0 * g * delta, model.lam * g * g
+    rho = zeta + cross + square
+    pi = zeta - cross + square
     return ResidualBlock(e=e, delta=delta, zeta=zeta, rho=rho, pi=pi, gamma=g)
 
 
 def hypothesis_costs(rb: ResidualBlock, model: GridModel, cfg: DetectorConfig) -> HypothesisCosts:
+    """The cost table: each pair of rows is one expression over the SSR block
+    [zeta, ssr_f]."""
     lam = model.lam
     sw2 = model.sigma_w2
     floor = sw2 + cfg.sigma2_min
-
-    u0 = lam * math.log(sw2) + rb.zeta / sw2
-
-    # Bias-only: the constrained SSR (centered, or at the nearer boundary).
-    uf = lam * math.log(sw2) + rb.ssr_f / sw2
-
-    # Jamming-only: variance MLE zeta/lam when it clears the floor, else the
-    # floor. (The log is taken of the floored MLE, so it is finite in the
-    # branch that is not used.)
-    def floored_fit(ssr: np.ndarray) -> np.ndarray:
-        var = ssr / lam
-        return np.where(
-            var >= floor,
-            lam * np.log(np.maximum(var, floor)) + lam,
-            lam * math.log(floor) + ssr / floor,
-        )
-
-    uj = floored_fit(rb.zeta)
-    # Both: same constrained SSR as the bias case, variance then floored.
-    ufj = floored_fit(rb.ssr_f)
-    return HypothesisCosts(u0=u0, uf=uf, uj=uj, ufj=ufj)
+    ssr = rb.ssr
+    # Jamming only and both: variance MLE ssr/lam when it clears the floor,
+    # else the floor. (The log is taken of the floored MLE, so it is finite
+    # in the branch that is not used.)
+    var = ssr / lam
+    floored = np.where(
+        var >= floor,
+        lam * np.log(np.maximum(var, floor)) + lam,
+        lam * math.log(floor) + ssr / floor,
+    )
+    # Clean and bias only: the noise variance is known.
+    return HypothesisCosts(np.concatenate((lam * math.log(sw2) + ssr / sw2, floored), axis=-2))
 
 
 def classify_meters(costs: HypothesisCosts) -> MeterClassification:
@@ -168,10 +170,10 @@ def classify_meters(costs: HypothesisCosts) -> MeterClassification:
 
     np.argmin returns the first minimum, which is exactly that precedence.
     """
-    stacked = costs.stacked
-    if not np.all(np.isfinite(stacked)):
+    table = costs.table
+    if not np.isfinite(table).all():
         raise ValueError("hypothesis costs must be finite")
-    return MeterClassification(labels=np.argmin(stacked, axis=-2))
+    return MeterClassification(labels=np.argmin(table, axis=-2))
 
 
 def mle_attack_params(
@@ -190,11 +192,10 @@ def mle_attack_params(
     labels = classification.labels
 
     a_hat = np.where(rb.interior, mean, np.where(mean >= 0.0, cfg.gamma, -cfg.gamma))
-    a_hat = np.where((labels == 1) | (labels == 3), a_hat, 0.0)
+    a_hat = np.where(labels & 1, a_hat, 0.0)  # odd labels carry a bias: fdi, both
 
-    var_jam_only = np.maximum(rb.zeta / model.lam - model.sigma_w2, cfg.sigma2_min)
-    var_both = np.maximum(rb.ssr_f / model.lam - model.sigma_w2, cfg.sigma2_min)
-    sigma_hat = np.where(labels == 2, var_jam_only, np.where(labels == 3, var_both, 0.0))
+    var = np.maximum(rb.ssr / model.lam - model.sigma_w2, cfg.sigma2_min)  # [jam only, both]
+    sigma_hat = np.where(labels == 2, var[..., 0, :], np.where(labels == 3, var[..., 1, :], 0.0))
     return AttackEstimate(a_hat=a_hat, sigma_hat=sigma_hat)
 
 
@@ -207,14 +208,14 @@ def gllr(
     """Generalized log-likelihood ratio for the interval, one per trial.
 
     ``rb_pre`` holds the residuals y - h_k^T x_pre_upd against the pre-filter
-    *measurement update*, shape (..., K, lam).
+    *measurement update*, shape (..., K, lam). The classified cost of each
+    meter is its column minimum (see the module docstring), so the labels
+    are not read.
     """
     K, lam, sw2 = model.K, model.lam, model.sigma_w2
     r = np.asarray(rb_pre)
     r = r.reshape(r.shape[:-2] + (K * lam,))
-    chosen = np.take_along_axis(
-        costs.stacked, classification.labels[..., None, :], axis=-2
-    )[..., 0, :]
+    chosen = costs.table.min(axis=-2)
     return 0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1)
 
 

@@ -1,10 +1,13 @@
-"""Independent brute-force oracles for the closed-form detector math.
+"""Reference implementations the tests compare gridwatch against.
 
-Everything here recomputes objectives from raw residual samples and
-minimizes by candidate enumeration (coarse grid, 1e-4 refinement around the
-best coarse point, plus the analytic interior/boundary points, which are
-required to reach 1e-6 cost accuracy at sigma_w2 = 1e-4 scales). None of the
-branch logic of the production code is reused.
+The brute-force oracles for the closed-form detector math recompute
+objectives from raw residual samples and minimize by candidate enumeration
+(coarse grid, 1e-4 refinement around the best coarse point, plus the
+analytic interior/boundary points, which are required to reach 1e-6 cost
+accuracy at sigma_w2 = 1e-4 scales); none of the branch logic of the
+production code is reused. The rest are the slower formulations that
+faster code replaced (dense filters, four cost arrays, one-trial kernels),
+which the replacements must match, mostly bit for bit.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from gridwatch import detector, kalman, robust
 from gridwatch.attacks import AttackRealization, is_active
+from gridwatch.grid_model import vecdot
 from gridwatch.kalman import KalmanState, initial_state
 
 
@@ -148,6 +152,68 @@ def random_residual_blocks(n, lam, rng):
     bias = np.where(rng.random(n) < 0.5, rng.uniform(-0.1, 0.1, size=n), 0.0)
     E = rng.standard_normal((n, lam)) * scale[:, None] + bias[:, None]
     return np.clip(E, -0.9, 0.9)
+
+
+# ---------------------------------------------------------------------------
+# The detector statistics as four separate (..., K) cost arrays, the
+# formulation the (..., 4, K) cost table replaced. Each element goes through
+# the same operations in the same order, so the table path must give the
+# same bits.
+
+
+def gather_gllr(r_pre, stacked, labels, model):
+    """GLLR with the classified cost gathered from the (..., 4, K) costs at
+    the labels."""
+    K, lam, sw2 = model.K, model.lam, model.sigma_w2
+    r = np.asarray(r_pre)
+    r = r.reshape(r.shape[:-2] + (K * lam,))
+    chosen = np.take_along_axis(stacked, labels[..., None, :], axis=-2)[..., 0, :]
+    return 0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1)
+
+
+def four_array_statistics(rb, model, cfg, r_pre):
+    """Costs u0/uf/uj/ufj, labels, nested-where MLEs and gathered GLLR
+    computed from the constructor fields of ResidualBlock ``rb``."""
+    lam, sw2 = model.lam, model.sigma_w2
+    floor = sw2 + cfg.sigma2_min
+    mean = rb.delta / rb.e.shape[-1]
+    interior = np.abs(mean) >= rb.gamma
+    centered = np.maximum(rb.zeta - rb.delta * mean, 0.0)
+    ssr_f = np.where(interior, centered, np.where(mean >= 0.0, rb.pi, rb.rho))
+
+    def floored_fit(ssr):
+        var = ssr / lam
+        return np.where(
+            var >= floor,
+            lam * np.log(np.maximum(var, floor)) + lam,
+            lam * math.log(floor) + ssr / floor,
+        )
+
+    u0 = lam * math.log(sw2) + rb.zeta / sw2
+    uf = lam * math.log(sw2) + ssr_f / sw2
+    uj = floored_fit(rb.zeta)
+    ufj = floored_fit(ssr_f)
+    stacked = np.stack([u0, uf, uj, ufj], axis=-2)
+    labels = np.argmin(stacked, axis=-2)
+
+    a_hat = np.where(interior, mean, np.where(mean >= 0.0, cfg.gamma, -cfg.gamma))
+    a_hat = np.where((labels == 1) | (labels == 3), a_hat, 0.0)
+    var_jam_only = np.maximum(rb.zeta / lam - sw2, cfg.sigma2_min)
+    var_both = np.maximum(ssr_f / lam - sw2, cfg.sigma2_min)
+    sigma_hat = np.where(labels == 2, var_jam_only, np.where(labels == 3, var_both, 0.0))
+    return {
+        "mean": mean,
+        "interior": interior,
+        "ssr_f": ssr_f,
+        "u0": u0,
+        "uf": uf,
+        "uj": uj,
+        "ufj": ufj,
+        "labels": labels,
+        "a_hat": a_hat,
+        "sigma_hat": sigma_hat,
+        "beta": gather_gllr(r_pre, stacked, labels, model),
+    }
 
 
 def dense_predict_oracle(A, P, sigma_v2):

@@ -182,7 +182,7 @@ def test_criterion_1_mle_oracle_equivalence():
         ):
             worst_cost = max(worst_cost, float(np.max(np.abs(mine - theirs))))
         label_mismatches += int((cls.labels != oracle["labels"]).sum())
-        chosen = costs.stacked[cls.labels, np.arange(n)]
+        chosen = costs.table[cls.labels, np.arange(n)]
         worst_cost = max(worst_cost, float(np.max(np.abs(chosen - oracle["chosen"]))))
         # estimates agree wherever the hypothesis agrees (it always does)
         np.testing.assert_allclose(est.a_hat, oracle["a_hat"], atol=1e-6)
@@ -362,9 +362,7 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     rng = np.random.default_rng(4)
     arr = rng.uniform(-1e6, 1e6, size=(4, 1_000_000))
     arr[:, : 10_000] = np.round(arr[:, : 10_000], -3)  # force exact ties too
-    labels = classify_meters(
-        HypothesisCosts(u0=arr[0], uf=arr[1], uj=arr[2], ufj=arr[3])
-    ).labels
+    labels = classify_meters(HypothesisCosts(arr)).labels
     counts = np.bincount(labels, minlength=4)
     partition_ok = counts.sum() == 1_000_000 and np.all(labels >= 0) and np.all(labels < 4)
 

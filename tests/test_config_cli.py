@@ -211,6 +211,16 @@ def test_horizon_must_exceed_tau(tmp_path, two_bus_path):
         load_config(write(tmp_path, text))
 
 
+def test_cli_simulate_rejects_negative_seed(tmp_path, two_bus_path, monkeypatch):
+    # --seed replaces the config's seed after load_config checked it
+    text = MINIMAL.format(
+        topology=two_bus_path, extra_detector="", attack="kind = none", trials=1, horizon=50,
+    )
+    monkeypatch.setattr(harness, "prepare", lambda *args, **kwargs: pytest.fail("prepare ran"))
+    with pytest.raises(ConfigError, match=r"\bseed\b"):
+        main(["simulate", "--config", str(write(tmp_path, text)), "--seed", "-1"])
+
+
 def test_cli_stealth_audit(capsys):
     rc = main(
         [

@@ -17,10 +17,16 @@ from gridwatch import (
     mle_attack_params,
     residual_block,
 )
-from gridwatch.detector import HypothesisCosts
+from gridwatch.detector import HypothesisCosts, ResidualBlock
 
 from conftest import GAMMA, SIGMA2_MIN, SIGMA_W2
-from oracles import brute_force_costs, random_residual_blocks
+from oracles import (
+    assert_same_bits,
+    brute_force_costs,
+    four_array_statistics,
+    gather_gllr,
+    random_residual_blocks,
+)
 
 CFG = DetectorConfig(gamma=GAMMA, sigma2_min=SIGMA2_MIN)
 
@@ -93,8 +99,6 @@ def test_costs_match_oracle_quick(ieee14_model):
         oracle = brute_force_costs(E, SIGMA_W2, GAMMA, SIGMA2_MIN)
         model = ieee14_model if lam == 5 else None
         # evaluate the closed forms directly on the raw blocks
-        from gridwatch.detector import ResidualBlock
-
         delta = E.sum(axis=1)
         zeta = (E * E).sum(axis=1)
         rb = ResidualBlock(
@@ -141,12 +145,72 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
         cls1 = classify_meters(costs1)
         est1 = mle_attack_params(rb1, cls1, CFG, ieee14_model)
         for got, want in [
-            (rb.e[i], rb1.e), (rb.mean[i], rb1.mean), (rb.ssr_f[i], rb1.ssr_f),
-            (costs.stacked[i], costs1.stacked), (cls.labels[i], cls1.labels),
+            (rb.e[i], rb1.e), (rb.mean[i], rb1.mean), (rb.ssr[i], rb1.ssr),
+            (costs.table[i], costs1.table), (cls.labels[i], cls1.labels),
             (est.a_hat[i], est1.a_hat), (est.sigma_hat[i], est1.sigma_hat),
         ]:
             np.testing.assert_array_equal(got, want)
         assert beta[i] == gllr(rb1.e, costs1, cls1, ieee14_model)
+
+
+# Hand-made meter rows (lam = 5) for the oracle comparison below: an
+# interior mean on each side, a boundary mean on each side, delta = 0, zeta
+# above and ssr_f below the variance floor, ssr_f above it, both below it.
+HAND_ROWS = [
+    np.full(5, 0.1),
+    np.full(5, -0.1),
+    np.full(5, 0.01),
+    np.full(5, -0.01),
+    np.array([0.01, -0.01, 0.02, -0.02, 0.0]),
+    np.full(5, math.sqrt(2e-2)),
+    np.array([0.3, -0.3, 0.3, -0.3, 0.0]),
+    np.full(5, 0.001),
+]
+
+
+@pytest.mark.parametrize("B", [1, 6])
+def test_cost_table_matches_four_array_oracle(ieee14_model, B):
+    # the (B, 4, K) table path gives the bits of the four-array formulation
+    rng = np.random.default_rng(B)
+    y = random_residual_blocks(B * 23, 5, rng).reshape(B, 23, 5)
+    n = len(HAND_ROWS)
+    y[:, :n] = HAND_ROWS
+    y[:, n] = HAND_ROWS[4]
+    rb = residual_block(ieee14_model, y, np.zeros((B, 13)), CFG)
+    # exact ties: at delta = 0 the boundary SSR is pi, so pi = zeta makes
+    # u0 == uf and uj == ufj on meter n
+    assert not rb.delta[:, 4].any() and not rb.delta[:, n].any()
+    pi = rb.pi.copy()
+    pi[:, n] = rb.zeta[:, n]
+    rb = ResidualBlock(e=rb.e, delta=rb.delta, zeta=rb.zeta, rho=rb.rho, pi=pi, gamma=GAMMA)
+    r_pre = y - rng.standard_normal((B, 23, 1)) * 0.01
+
+    costs = hypothesis_costs(rb, ieee14_model, CFG)
+    cls = classify_meters(costs)
+    est = mle_attack_params(rb, cls, CFG, ieee14_model)
+    want = four_array_statistics(rb, ieee14_model, CFG, r_pre)
+    assert rb.interior[:, :2].all() and not rb.interior[:, 2:5].any()
+    floor = SIGMA_W2 + SIGMA2_MIN
+    # rows 5-7 against the floor: [zeta, ssr_f] over [5, 6, 7]
+    above = [[True, True, False], [False, True, False]]
+    assert (rb.ssr[:, :, 5:8] / 5 >= floor).tolist() == [above] * B
+    assert (want["u0"][:, n] == want["uf"][:, n]).all() and (want["uj"][:, n] == want["ufj"][:, n]).all()
+    assert set(cls.labels.ravel()) == {0, 1, 2, 3}
+    for got, key in [
+        (rb.mean, "mean"), (rb.interior, "interior"), (rb.ssr[..., 1, :], "ssr_f"),
+        (costs.u0, "u0"), (costs.uf, "uf"), (costs.uj, "uj"), (costs.ufj, "ufj"),
+        (cls.labels, "labels"), (est.a_hat, "a_hat"), (est.sigma_hat, "sigma_hat"),
+        (gllr(r_pre, costs, cls, ieee14_model), "beta"),
+    ]:
+        assert_same_bits(got, want[key])
+    assert_same_bits(rb.ssr[..., 0, :], rb.zeta)
+
+    # ties of every pattern, and signed zeros, straight in the table
+    table = rng.integers(-2, 3, (B, 4, 23)) * rng.choice([-1.0, 1.0], (B, 4, 23))
+    tied = HypothesisCosts(table)
+    labels = classify_meters(tied).labels
+    assert_same_bits(labels, np.argmin(table, axis=-2))
+    assert_same_bits(gllr(r_pre, tied, cls, ieee14_model), gather_gllr(r_pre, table, labels, ieee14_model))
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +218,19 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
 
 
 def test_all_equal_costs_go_clean():
-    costs = HypothesisCosts(*(np.zeros(4) for _ in range(4)))
+    costs = HypothesisCosts(np.zeros((4, 4)))
     labels = classify_meters(costs).labels
     assert np.all(labels == 0)
 
 
 def test_strictly_minimal_fdi():
-    costs = HypothesisCosts(
-        u0=np.array([1.0]), uf=np.array([0.5]), uj=np.array([1.0]), ufj=np.array([1.0])
-    )
+    costs = HypothesisCosts(np.array([[1.0], [0.5], [1.0], [1.0]]))
     assert classify_meters(costs).labels[0] == 1
 
 
 def test_tie_precedence_matches_inequality_pattern():
     # jam ties fdi -> fdi wins (u^f <= u^j non-strict); both tie clean -> clean
-    costs = HypothesisCosts(
-        u0=np.array([2.0, 1.0]),
-        uf=np.array([1.0, 1.0]),
-        uj=np.array([1.0, 1.0]),
-        ufj=np.array([3.0, 1.0]),
-    )
+    costs = HypothesisCosts(np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 1.0], [3.0, 1.0]]))
     labels = classify_meters(costs).labels
     assert labels[0] == 1
     assert labels[1] == 0
@@ -187,7 +244,7 @@ def test_tie_precedence_matches_inequality_pattern():
 )
 def test_classification_is_partition(cost_rows):
     arr = np.array(cost_rows, dtype=float)
-    costs = HypothesisCosts(u0=arr[:, 0], uf=arr[:, 1], uj=arr[:, 2], ufj=arr[:, 3])
+    costs = HypothesisCosts(arr.T)
     cls = classify_meters(costs)
     # one hypothesis per meter
     assert cls.labels.shape == arr.shape[:1] and np.isin(cls.labels, range(4)).all()
