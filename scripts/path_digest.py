@@ -7,9 +7,11 @@ Each config in perfbench/workloads/ is run with full paths, for every master
 seed from FIRST to LAST inclusive (default 0 to 20); hybrid_recover's config
 also turns on step logging, so its MSE paths are included. A line reads
 "<workload> <seed> <sha256>", the digest taken over every TrialPaths array
-of every trial in trial order. gridwatch is imported from the Python path,
-so the same script run against two source trees shows whether they compute
-the same paths bit for bit.
+of every trial in trial order. A workload with an np-CUSUM baseline also
+gets one line "<workload> mu0 <repr>", printed before its seeds, so the
+baseline's bits are compared directly. gridwatch is imported from the
+Python path, so the same script run against two source trees shows whether
+they compute the same baseline and paths bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ def main(argv=None) -> int:
     first, last = (int(a) for a in args) if args else (0, 20)
     for cfg_path in sorted(WORKLOADS.glob("*.cfg")):
         ctx = harness.prepare(load_config(cfg_path))
+        if ctx.mu0 is not None:
+            print(f"{cfg_path.stem} mu0 {ctx.mu0!r}", flush=True)
         for seed in range(first, last + 1):
             results = harness.run_trials(ctx, master_seed=seed, full_paths=True)
             print(f"{cfg_path.stem} {seed} {paths_digest(results)}", flush=True)

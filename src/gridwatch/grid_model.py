@@ -374,6 +374,24 @@ def initial_sim_state(model: GridModel, x0: Sequence[float], seeds) -> SimState:
     return SimState(x=np.tile(x, (len(rngs), 1)), rngs=rngs, noise=noise, row=BLOCK_STEPS)
 
 
+def _state_noise(model: GridModel, z: np.ndarray) -> np.ndarray:
+    """The state noise v of each step's normals z: the first N of them,
+    scaled (the draws of a step are state noise first, then measurement
+    noise)."""
+    return z[..., : model.N] * np.sqrt(model.sigma_v2)
+
+
+def _measurements(model: GridModel, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """H x + w for every state along the last axis of x, in H's row layout;
+    w is the last K*lam normals of the step's z, scaled."""
+    return matvec(model.H, x) + z[..., model.N :] * np.sqrt(model.sigma_w2)
+
+
+def _check_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise FloatingPointError("state diverged; check the model configuration")
+
+
 def simulate_step(model: GridModel, sim: SimState) -> np.ndarray:
     """Advance every trial of ``sim`` one interval, in place, and return the
     batch's measurements as a (B, K, lam) array: y[j, k, i] is sample i of
@@ -387,16 +405,38 @@ def simulate_step(model: GridModel, sim: SimState) -> np.ndarray:
     request from one sequence, so every step receives exactly the values
     that drawing N and then K*lam normals at that step would give.
     """
-    N = model.N
     if sim.row == sim.noise.shape[1]:
         for rng, block in zip(sim.rngs, sim.noise):
             rng.standard_normal(out=block)
         sim.row = 0
     z = sim.noise[:, sim.row]
     sim.row += 1
-    x = matvec(model.A, sim.x) + z[:, :N] * np.sqrt(model.sigma_v2)
-    y = matvec(model.H, x) + z[:, N:] * np.sqrt(model.sigma_w2)
-    if not np.isfinite(x).all():
-        raise FloatingPointError("state diverged; check the model configuration")
+    x = matvec(model.A, sim.x) + _state_noise(model, z)
+    y = _measurements(model, x, z)
+    _check_finite(x)
     sim.x = x
     return y.reshape(len(y), model.K, model.lam)
+
+
+def simulate_block(
+    model: GridModel, x: np.ndarray, rng: np.random.Generator, steps: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The next ``steps`` intervals of one trajectory from state x (N,):
+    its states as a (steps, N) array and its measurements as a
+    (steps, K*lam) array in H's row layout.
+
+    The block's normals come from one draw of ``rng``, in the draw order of
+    ``simulate_step``, so the values equal those of ``steps`` calls of it on
+    a one-trial batch with this stream. The state advances one A @ x per
+    step (the bits ``matvec`` gives a batch); the measurements take one
+    matrix-vector product per row, which gives each row the bits of the
+    unbatched H @ x.
+    """
+    z = rng.standard_normal((steps, model.N + model.K * model.lam))
+    V = _state_noise(model, z)
+    X = np.empty_like(V)
+    for t, v in enumerate(V):
+        x = X[t] = model.A @ x + v
+    Y = _measurements(model, X, z)
+    _check_finite(X)
+    return X, Y

@@ -42,11 +42,13 @@ from . import detector, kalman, robust
 from .attacks import AttackSpec, AttackStreams, apply_attack, realize_attack, topology_fault
 from .expconfig import ConfigError, ExperimentConfig
 from .grid_model import (
+    BLOCK_STEPS,
     GridModel,
     SimState,
     build_model,
     initial_sim_state,
     load_topology,
+    simulate_block,
     simulate_step,
     vecdot,
 )
@@ -216,19 +218,20 @@ def _load_mu0_cache(path: Path) -> "dict[str, float]":
     """Entries of the sidecar, first one per key. Every writer ends an entry
     with a newline, so a last line without one was cut short (its value may
     still parse, e.g. 0.0123 from 0.0123456...) and is dropped; other
-    malformed lines are skipped too, so their key is recomputed."""
+    malformed lines, undecodable ones included, are skipped too, so their
+    key is recomputed. A path naming a directory is a ConfigError."""
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")
+        lines = path.read_bytes().split(b"\n")
     except FileNotFoundError:
         return {}
+    except IsADirectoryError:
+        raise ConfigError(f"mu0 cache {str(path)!r} is a directory, not a file") from None
     entries: "dict[str, float]" = {}
     for line in lines[:-1]:  # the piece after the last newline is incomplete
-        parts = line.split()
-        if len(parts) != 2:
-            continue
         try:
-            entries.setdefault(parts[0], float(parts[1]))
-        except ValueError:
+            key, value = line.decode("utf-8").split()
+            entries.setdefault(key, float(value))
+        except ValueError:  # UnicodeDecodeError is one too
             continue
     return entries
 
@@ -269,6 +272,17 @@ def innovation_norm_baseline(
     its covariance has settled each sample is matrix-vector work only. The
     value is memoized in a plain-text sidecar keyed by a model fingerprint;
     any model change invalidates the entry.
+
+    The trajectory is simulated BLOCK_STEPS samples at a time
+    (``grid_model.simulate_block``): one draw of the MU0_SEED stream, one
+    A @ x per sample and the block's measurements, checked for divergence
+    once per block. The filter then runs over the block's rows, and the
+    block's innovation norms are added to the running total in sample
+    order. None of this changes a bit of the step-at-a-time loop it
+    replaced (``tests/oracles.py``): the Generator fills any request from
+    one sequence, so every sample gets the same normals; every product is
+    the same one-vector BLAS call on the same operands; and the norms, taken
+    as one dot product per row, are summed in the same order.
     """
     key = _cache_key(model, x0, p0, samples)
     cache_path: Optional[Path] = None
@@ -281,22 +295,28 @@ def innovation_norm_baseline(
         if cached is not None:
             return cached
 
-    schedule = kalman.PreSchedule(model, p0)
-    sim = initial_sim_state(model, x0, [MU0_SEED])  # a batch of one trajectory
-    x_hat = np.array(x0, dtype=float)
+    steps = islice(kalman.PreSchedule(model, p0), samples)
+    rng = np.random.default_rng(MU0_SEED)
+    x = x_hat = np.array(x0, dtype=float)
     total = 0.0
     step = gain = None
-    for next_step in islice(schedule, samples):
-        if next_step is not step:
-            # the meter-mean gain spread over the lam samples of each meter:
-            # one matrix-vector product per sample once the schedule settles
-            step = next_step
-            gain = np.repeat(step.gain / model.lam, model.lam, axis=1)
-        y = simulate_step(model, sim).reshape(-1)
-        x_pred = model.A @ x_hat
-        innovation = y - model.H @ x_pred
-        x_hat = x_pred + gain @ innovation
-        total += math.sqrt(innovation @ innovation)  # the 2-norm, as np.linalg.norm
+    for start in range(0, samples, BLOCK_STEPS):
+        X, Y = simulate_block(model, x, rng, min(BLOCK_STEPS, samples - start))
+        x = X[-1]
+        innovations = []
+        for y, next_step in zip(Y, steps):
+            if next_step is not step:
+                # the meter-mean gain spread over the lam samples of each meter:
+                # one matrix-vector product per sample once the schedule settles
+                step = next_step
+                gain = np.repeat(step.gain / model.lam, model.lam, axis=1)
+            x_pred = model.A @ x_hat
+            innovation = y - model.H @ x_pred
+            x_hat = x_pred + gain @ innovation
+            innovations.append(innovation)
+        I = np.array(innovations)
+        for norm in np.sqrt(vecdot(I, I)).tolist():
+            total += norm  # the 2-norm, as np.linalg.norm, summed in sample order
     mu0 = total / samples
 
     if cache_path is not None:

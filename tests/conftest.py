@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gridwatch import build_model, load_topology
@@ -32,6 +33,14 @@ THREE_BUS = """\
 2 flow 2 +
 3 injection 2
 """
+
+
+def dense_stable_A(n):
+    """A stable n x n A with no zero entry: unlike A = I, its products are
+    inexact, so a change in how A @ x is computed changes their bits."""
+    A = 0.95 * np.eye(n) + 0.004 * np.random.default_rng(5).standard_normal((n, n))
+    assert np.abs(np.linalg.eigvals(A)).max() < 1
+    return A
 
 
 @pytest.fixture(scope="session")

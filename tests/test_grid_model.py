@@ -11,10 +11,10 @@ from gridwatch import (
     simulate_step,
     topology_fault,
 )
-from gridwatch.grid_model import BLOCK_STEPS
+from gridwatch.grid_model import BLOCK_STEPS, simulate_block
 
 import oracles
-from conftest import SIGMA_V2, SIGMA_W2
+from conftest import SIGMA_V2, SIGMA_W2, dense_stable_A
 from oracles import assert_same_bits
 
 
@@ -183,6 +183,26 @@ def test_simulation_matches_one_trial_oracle(ieee14_model, ieee14_topology, B):
             keep = np.arange(len(live)) % 2 == 1
             sim = sim.take(keep)
             live = [j for j, k in zip(live, keep) if k]
+
+
+def test_simulate_block_matches_one_trial_oracle(ieee14_topology):
+    # the one-trajectory block kernel against the one-trial kernel drawing a
+    # step at a time, state and measurements bit for bit, over consecutive
+    # blocks of several lengths; with a dense A a change in how the products
+    # are formed would show
+    n = ieee14_topology.n_states
+    model = build_model(ieee14_topology, 5, SIGMA_V2, SIGMA_W2, dense_stable_A(n))
+    x0 = ieee14_topology.initial_state()
+    ref = oracles.initial_sim_state(model, x0, 9)
+    rng, x = np.random.default_rng(9), x0
+    for steps in (1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1):
+        X, Y = simulate_block(model, x, rng, steps)
+        assert X.shape == (steps, n) and Y.shape == (steps, model.K * model.lam)
+        for x_t, y_t in zip(X, Y):
+            ref, want = oracles.simulate_step(model, ref)
+            assert_same_bits(x_t, ref.x)
+            assert_same_bits(y_t, want.reshape(-1))
+        x = X[-1]
 
 
 def test_process_noise_moments(ieee14_model, ieee14_topology):

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import math
+import re
 import stat
 import tracemalloc
 from dataclasses import replace
@@ -11,9 +12,12 @@ import pytest
 
 from gridwatch import build_model, harness, kalman, load_config
 from gridwatch.detector import CusumState, cusum_step
+from gridwatch.expconfig import ConfigError
+from gridwatch.grid_model import BLOCK_STEPS
 from gridwatch.robust import Chi2State, ShewhartConfig, pearson_step
 
 import oracles
+from conftest import dense_stable_A
 from oracles import dense_trial
 
 BASE = """
@@ -543,18 +547,74 @@ def test_mu0_cache_rewrite_keeps_file_mode(tmp_path):
     assert cache.read_text() == "other 0.5\nkey 0.25\n"
 
 
+def test_mu0_cache_skips_undecodable_line(tmp_path, ieee14_model, ieee14_topology):
+    x0 = ieee14_topology.initial_state()
+    fresh = harness.innovation_norm_baseline(ieee14_model, x0, 1e-4, samples=500, cache=None)
+    key = harness._cache_key(ieee14_model, x0, 1e-4, 500)
+    cache = tmp_path / "mu0.txt"
+    cache.write_bytes(b"abc 0.5\n\xff\xfe junk\n")  # not UTF-8: malformed, so skipped
+    got = harness.innovation_norm_baseline(ieee14_model, x0, 1e-4, samples=500, cache=cache)
+    assert got == fresh
+    assert cache.read_text() == f"abc 0.5\n{key} {fresh!r}\n"
+
+
+def test_mu0_cache_directory_is_config_error(tmp_path, ieee14_model, ieee14_topology):
+    x0 = ieee14_topology.initial_state()
+    with pytest.raises(ConfigError, match=re.escape(repr(str(tmp_path)))):
+        harness.innovation_norm_baseline(ieee14_model, x0, 1e-4, samples=500, cache=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
-    "ratio, samples", [(1.0, 10_000), (1.0, 100_000), (1e4, 10_000)]
+    "ratio, samples, lam, dense_A",
+    [
+        pytest.param(1.0, 10_000, 5, False, id="1.0-10000"),
+        pytest.param(1.0, 100_000, 5, False, id="1.0-100000"),
+        pytest.param(1e4, 10_000, 5, False, id="10000.0-10000"),
+        pytest.param(1.0, 10_000, 5, True, id="dense_A-10000"),
+        pytest.param(1.0, 10_000, 1, False, id="lam1-10000"),
+        *(
+            pytest.param(1.0, n, 5, True, id=f"dense_A-{n}")
+            for n in (1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1)
+        ),
+    ],
 )
-def test_mu0_matches_step_by_step_oracle(ieee14_topology, ratio, samples):
-    # the block-drawn baseline against the loop that draws a step at a
-    # time; at sigma_w2 / sigma_v2 = 1e4 the pre schedule does not settle
-    # within its cap, so the gain changes on every sample it covers
-    model = build_model(ieee14_topology, 5, 1e-4, 1e-4 * ratio)
+def test_mu0_matches_step_by_step_oracle(ieee14_topology, ratio, samples, lam, dense_A):
+    # the block-wise baseline against the loop that simulates and filters a
+    # step at a time; at sigma_w2 / sigma_v2 = 1e4 the pre schedule does not
+    # settle within its cap, so the gain changes on every sample it covers;
+    # the short runs end inside, at the end of and just past the first block
+    n = ieee14_topology.n_states
+    A = dense_stable_A(n) if dense_A else "identity"
+    model = build_model(ieee14_topology, lam, 1e-4, 1e-4 * ratio, A)
     assert kalman.PreSchedule(model, 1e-4).settled == (ratio == 1.0)
     x0 = ieee14_topology.initial_state()
     got = harness.innovation_norm_baseline(model, x0, 1e-4, samples=samples, cache=None)
     assert got == oracles.innovation_norm_baseline(model, x0, 1e-4, samples)
+
+
+def test_divergence_raises_typed_error(tmp_path, ieee14_topology, mu0_cache):
+    unstable = build_model(ieee14_topology, 5, 1e-4, 1e-4, 4 * np.eye(ieee14_topology.n_states))
+    cache = tmp_path / "mu0.txt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the state passes the float range some 500 samples in, many blocks
+        # after the first
+        with pytest.raises(FloatingPointError, match="state diverged"):
+            harness.innovation_norm_baseline(
+                unstable, ieee14_topology.initial_state(), 1e-4, samples=2000, cache=cache
+            )
+        assert list(tmp_path.iterdir()) == []  # no cache entry, no temporary file
+        # a trial from a state at the edge of the float range overflows on
+        # its first step, before any statistic is formed from it (from the
+        # usual start, squared residuals overflow first, and the detector's
+        # finite-cost check raises a ValueError)
+        ctx = harness.prepare(make_cfg(tmp_path, cache=mu0_cache))
+        ctx = replace(
+            ctx, model=unstable, sim_model_post=unstable, x0=np.full(unstable.N, 1e308),
+            schedule=kalman.PreSchedule(unstable, ctx.p0),
+        )
+        with pytest.raises(FloatingPointError, match="state diverged"):
+            harness.run_trial(ctx, 0)
 
 
 def test_traced_functions_resolve():
