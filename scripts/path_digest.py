@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Print one sha256 per benchmark workload and seed over its trials' paths.
+"""Print one sha256 per benchmark workload and seed over its trials' results.
 
     PYTHONPATH=src python3 scripts/path_digest.py [FIRST LAST]
 
 Each config in perfbench/workloads/ is run with full paths, for every master
 seed from FIRST to LAST inclusive (default 0 to 20); hybrid_recover's config
 also turns on step logging, so its MSE paths are included. A line reads
-"<workload> <seed> <sha256>", the digest taken over every TrialPaths array
-of every trial in trial order. A workload with an np-CUSUM baseline also
+"<workload> <seed> <sha256>", the digest taken over each trial's
+measurement hash, steps run and stopping times and over every TrialPaths
+array of it, in trial order. A workload with an np-CUSUM baseline also
 gets one line "<workload> mu0 <repr>", printed before its seeds, so the
 baseline's bits are compared directly. gridwatch is imported from the
 Python path, so the same script run against two source trees shows whether
-they compute the same baseline and paths bit for bit.
+they compute the same baseline, measurements, stops and paths bit for bit.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
 
 def paths_digest(results) -> str:
-    """sha256 over each trial's TrialPaths arrays: field name, dtype, shape
-    and bytes, in trial and field order; a field left as None is skipped."""
+    """sha256 over each trial's meas_hash, steps_run and stops (detector
+    names and stopping times in the trial's order), then its TrialPaths
+    arrays: field name, dtype, shape and bytes, in field order; a field left
+    as None is skipped. Trials are taken in order."""
     h = hashlib.sha256()
     for r in results:
+        h.update(f"{r.meas_hash} {r.steps_run} {r.stops!r}\n".encode())
         for f in dataclasses.fields(r.paths):
             a = getattr(r.paths, f.name)
             if a is not None:

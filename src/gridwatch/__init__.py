@@ -4,19 +4,17 @@ closed-form attack estimates, stealthy-attack countermeasures, attacker-side
 stealth design, benchmark detectors, and a Monte Carlo evaluation harness."""
 
 from .grid_model import (
+    Blocks,
     GridModel,
     GridTopology,
-    SimState,
     TopologyError,
     build_model,
-    initial_sim_state,
     load_topology,
     simulate_step,
 )
 from .attacks import (
     AttackRealization,
     AttackSpec,
-    AttackStreams,
     MagnitudeLaw,
     apply_attack,
     realize_attack,

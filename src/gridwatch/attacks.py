@@ -9,6 +9,10 @@ identically to all lam samples of a meter and fresh white noise per sample:
 
     y[k][i] += a_k + n_{k,i},    n_{k,i} ~ N(0, jam_var_k) i.i.d.
 
+Each trial realizes from its own attack stream (doubles) and draws jamming
+noise from its own jamming stream (standard normals); a batch holds each of
+the two as one ``grid_model.Blocks``.
+
 A denial-of-service style topology fault is modeled separately as zeroed
 rows of the *true* measurement matrix while the detector-side model stays
 unchanged (the control center is unaware of the fault).
@@ -22,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_model import BLOCK_STEPS, GridModel
+from .grid_model import Blocks, GridModel
 
 KINDS = ("none", "fdi", "jamming", "hybrid", "topology-fault")
 
@@ -124,80 +128,6 @@ class AttackRealization:
     active: bool
 
 
-class _Blocks:
-    """One stream's draws for every trial of a batch, drawn ahead in blocks.
-
-    ``values[j, pos[j]:]`` are trial j's next unused draws, in stream order.
-    A trial with fewer left than a step may need keeps them, moved to the
-    front of its block, and draws the rest of the block in one call of its
-    generator's ``method`` ("random" or "standard_normal"); numpy's
-    Generator fills any request from one sequence, so the values do not
-    depend on how the stream was cut into blocks.
-    """
-
-    def __init__(self, rngs: list, method: str, size: int):
-        self.rngs = rngs
-        self.method = method
-        self.size = size
-        self.values: Optional[np.ndarray] = None  # allocated at the first draw
-        self.pos = np.full(len(rngs), size)
-
-    def ready(self, need: int) -> "tuple[np.ndarray, np.ndarray]":
-        """(flat, start): ``flat[start[j] + i]`` is trial j's i-th next
-        unused draw, for every i < ``need``. They stay unused until
-        ``advance``."""
-        if self.values is None:
-            self.values = np.empty((len(self.rngs), self.size))
-        if self.pos.max() > self.size - need:
-            for j in np.flatnonzero(self.pos > self.size - need):
-                kept = self.size - self.pos[j]
-                self.values[j, :kept] = self.values[j, self.pos[j] :]
-                getattr(self.rngs[j], self.method)(out=self.values[j, kept:])
-                self.pos[j] = 0
-        base = np.arange(0, self.values.size, self.size)
-        return self.values.reshape(-1), base + self.pos
-
-    def advance(self, used: np.ndarray) -> None:
-        """Mark ``used[j]`` more draws of trial j as used."""
-        self.pos += used
-
-    def take(self, keep: np.ndarray) -> "_Blocks":
-        out = _Blocks([rng for rng, k in zip(self.rngs, keep) if k], self.method, self.size)
-        out.pos = self.pos[keep]
-        if self.values is not None:
-            out.values = self.values[keep]
-        return out
-
-
-@dataclass
-class AttackStreams:
-    """The attack-realization and attack-application streams of a batch of
-    trials: per trial, one stream of doubles for selection bits and
-    magnitudes and one of standard normals for jamming noise, both drawn
-    ahead in blocks of BLOCK_STEPS steps' worst-case use."""
-
-    atk: _Blocks
-    jam: _Blocks
-
-    @classmethod
-    def spawn(cls, atk_seeds, jam_seeds, K: int, lam: int) -> "AttackStreams":
-        """One trial per entry of the seed lists (anything
-        ``np.random.default_rng`` accepts)."""
-        return cls(
-            atk=_Blocks([np.random.default_rng(s) for s in atk_seeds], "random", BLOCK_STEPS * 4 * K),
-            jam=_Blocks(
-                [np.random.default_rng(s) for s in jam_seeds], "standard_normal", BLOCK_STEPS * K * lam
-            ),
-        )
-
-    def __len__(self) -> int:
-        return len(self.atk.rngs)
-
-    def take(self, keep: np.ndarray) -> "AttackStreams":
-        """The trials where the boolean mask ``keep`` is true."""
-        return AttackStreams(self.atk.take(keep), self.jam.take(keep))
-
-
 def is_active(spec: AttackSpec, t: int) -> bool:
     """On-period test: duty cycle counted from the onset."""
     if t < spec.tau or spec.kind in ("none", "topology-fault"):
@@ -207,7 +137,7 @@ def is_active(spec: AttackSpec, t: int) -> bool:
     return (t - int(spec.tau)) % (spec.t_on + spec.t_off) < spec.t_on
 
 
-def realize_attack(spec: AttackSpec, t: int, streams: AttackStreams, K: int) -> AttackRealization:
+def realize_attack(spec: AttackSpec, t: int, atk: Blocks, K: int) -> AttackRealization:
     """Sample the attack parameters of every trial of the batch for time t.
 
     Draw order per trial (documented for reproducibility): FDI selection
@@ -217,13 +147,14 @@ def realize_attack(spec: AttackSpec, t: int, streams: AttackStreams, K: int) -> 
     and fixed laws. Each draw is the next double u of the trial's attack
     stream: a selection bit is u < p and a uniform magnitude
     lo + (hi - lo) * u, the values ``rng.random`` and ``rng.uniform`` give
-    (numpy computes uniform(lo, hi) as exactly that; the tests pin it). The
-    doubles are drawn ahead in blocks (``AttackStreams``), which changes
-    neither the values a step receives nor this order.
+    (numpy computes uniform(lo, hi) as exactly that; the tests pin it).
+    ``atk`` holds the attack streams of the batch, drawn ahead in blocks of
+    at most 4K doubles per step, which changes neither the values a step
+    receives nor this order.
     """
     if t < 1:
         raise ValueError("time index must be >= 1")
-    B = len(streams)
+    B = len(atk)
     a = np.zeros((B, K))
     jam = np.zeros((B, K))
     if not is_active(spec, t):
@@ -238,7 +169,7 @@ def realize_attack(spec: AttackSpec, t: int, streams: AttackStreams, K: int) -> 
     coins = K * len(laws) if bernoulli else 0
     need = coins + K * sum(law.mode == "uniform" for law, _ in laws)
     if need:
-        flat, start = streams.atk.ready(need)
+        flat, start = atk.ready(need)
         start = start[:, None]
     if bernoulli:
         u = flat[start + np.arange(coins)]
@@ -257,7 +188,7 @@ def realize_attack(spec: AttackSpec, t: int, streams: AttackStreams, K: int) -> 
         np.copyto(out, law.lo + (law.hi - law.lo) * picked, where=mask)
         used = used + rank[..., -1:]
     if need:
-        streams.atk.advance(np.reshape(used, -1))
+        atk.advance(np.reshape(used, -1))
     return AttackRealization(a=a, jam_var=jam, active=True)
 
 
@@ -265,18 +196,19 @@ def apply_attack(
     model: GridModel,
     clean: np.ndarray,
     real: AttackRealization,
-    streams: AttackStreams,
+    jam: Blocks,
 ) -> np.ndarray:
     """Add the realized bias and jamming noise to every trial's clean
     (B, K, lam) measurement array.
 
     The bias a_k shifts all lam samples of meter k identically; jamming
-    noise is drawn i.i.d. per sample from the trial's jamming stream, lam
-    normals per meter with nonzero variance in ascending meter order, and
-    is added at those meters only, so no other entry changes. The normals
-    are drawn ahead in blocks (``AttackStreams``); each step receives the
-    values drawing them at that step would give. An active step returns a
-    new array; an inactive one returns ``clean`` itself and draws nothing.
+    noise is drawn i.i.d. per sample from the trial's jamming stream in
+    ``jam``, lam normals per meter with nonzero variance in ascending meter
+    order, and is added at those meters only, so no other entry changes.
+    The normals are drawn ahead in blocks of at most K*lam per step; each
+    step receives the values drawing them at that step would give. An
+    active step returns a new array; an inactive one returns ``clean``
+    itself and draws nothing.
     """
     if clean.shape != real.a.shape + (model.lam,) or real.a.shape[-1] != model.K:
         raise ValueError("measurements do not match the model and realization")
@@ -286,12 +218,12 @@ def apply_attack(
     jammed = real.jam_var > 0
     if jammed.any():
         lam = model.lam
-        flat, start = streams.jam.ready(model.K * lam)
+        flat, start = jam.ready(model.K * lam)
         rank = jammed.cumsum(axis=1)  # the i-th jammed meter takes normals (i - 1) lam ...
         first = start[:, None] + (rank - 1) * lam
         noise = flat[first[..., None] + np.arange(lam)]
         np.add(values, noise * np.sqrt(real.jam_var)[..., None], out=values, where=jammed[..., None])
-        streams.jam.advance(lam * rank[:, -1])
+        jam.advance(lam * rank[:, -1])
     return values
 
 

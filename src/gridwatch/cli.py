@@ -14,6 +14,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -68,9 +69,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _thresholds(text: str) -> "list[float]":
+    """The ascending, finite comma list of ``--thresholds``."""
+    try:
+        h_list = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad value for '--thresholds': {text!r} (expected numbers)") from None
+    if not all(map(math.isfinite, h_list)) or h_list != sorted(h_list):
+        raise ConfigError(f"bad value for '--thresholds': {text!r} (must be finite and ascending)")
+    return h_list
+
+
 def cmd_sweep(args) -> int:
+    h_list = _thresholds(args.thresholds)
     cfg = load_config(args.config)
-    h_list = [float(tok) for tok in args.thresholds.split(",")]
     points = harness.sweep_tradeoff(cfg, h_list, which=args.detector)
     out = Path(args.out) / "tradeoff.csv"
     harness.write_tradeoff_csv(out, points)

@@ -169,10 +169,16 @@ def classify_meters(costs: HypothesisCosts) -> MeterClassification:
     """Cheapest hypothesis per meter; ties favor clean, then fdi, jam, both.
 
     np.argmin returns the first minimum, which is exactly that precedence.
+    The configuration keeps the noise settings finite and positive, so a
+    cost that is not finite means the residuals overflowed: the state or
+    the data diverged, which raises a FloatingPointError.
     """
     table = costs.table
     if not np.isfinite(table).all():
-        raise ValueError("hypothesis costs must be finite")
+        raise FloatingPointError(
+            "hypothesis costs are not finite: the state or data diverged; "
+            "check the model configuration"
+        )
     return MeterClassification(labels=np.argmin(table, axis=-2))
 
 

@@ -119,6 +119,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0:
+        raise ValueError("must be > 0")
+    return value
+
+
 def _at_least(least: int):
     """An int converter that rejects values below ``least``."""
 
@@ -132,7 +139,7 @@ def _at_least(least: int):
 
 
 def _floats(text: str) -> "list[float]":
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return [_finite(tok) for tok in text.replace(",", " ").split()]
 
 
 def _ints(text: str) -> "list[int]":
@@ -266,24 +273,24 @@ def load_config(path) -> ExperimentConfig:
     if x0_raw.lower() in ("topology", "zeros"):
         x0_mode, x0_values = x0_raw.lower(), None
     else:
-        x0_mode, x0_values = "explicit", _floats(x0_raw)
+        x0_mode, x0_values = "explicit", _get(msec, "x0", _floats)
     a_raw = _get(msec, "a", str, default="identity").strip()
     a_choice: "str | Path" = "identity" if a_raw.lower() == "identity" else (base / a_raw)
     model = ModelSection(
         topology_path=resolve_topology(_get(msec, "topology", str, required=True), base),
-        lam=_get(msec, "lambda", int, default=1),
-        sigma_v2=_get(msec, "sigma_v2", float, required=True),
-        sigma_w2=_get(msec, "sigma_w2", float, required=True),
+        lam=_get(msec, "lambda", _at_least(1), default=1),
+        sigma_v2=_get(msec, "sigma_v2", _positive, required=True),
+        sigma_w2=_get(msec, "sigma_w2", _positive, required=True),
         a_choice=a_choice,
         x0_mode=x0_mode,
         x0_values=x0_values,
-        p0=_get(msec, "p0", float),
+        p0=_get(msec, "p0", _positive),
     )
 
     dsec = sections["detector"]
     detector = DetectorSection(
-        gamma=_get(dsec, "gamma", float, required=True),
-        sigma2_min=_get(dsec, "sigma2_min", float, required=True),
+        gamma=_get(dsec, "gamma", _positive, required=True),
+        sigma2_min=_get(dsec, "sigma2_min", _positive, required=True),
         h=_get(dsec, "h", _finite, required=True),
         np_q=_get(dsec, "np_q", _finite),
         euclid_d=_get(dsec, "euclid_d", _finite),
@@ -295,7 +302,7 @@ def load_config(path) -> ExperimentConfig:
 
     shewhart_phi = None
     if "shewhart" in sections:
-        shewhart_phi = _get(sections["shewhart"], "phi", _finite, required=True)
+        shewhart_phi = _get(sections["shewhart"], "phi", _positive, required=True)
 
     chi2_cfg = None
     if "chi2" in sections:
@@ -303,7 +310,7 @@ def load_config(path) -> ExperimentConfig:
         chi2_cfg = Chi2Section(
             m=_get(csec, "m", _at_least(1), default=5),
             l=_get(csec, "l", int, default=80),
-            varphi=_get(csec, "varphi", _finite, required=True),
+            varphi=_get(csec, "varphi", _positive, required=True),
         )
         if chi2_cfg.l < chi2_cfg.m:
             raise ConfigError(f"[chi2] l = {chi2_cfg.l} must be >= m = {chi2_cfg.m}")

@@ -16,7 +16,7 @@ lam times contiguously.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -320,33 +320,63 @@ def build_model(
     )
 
 
-# Steps of standard normals each trial's simulation stream draws per call
-# (see SimState). A block holds BLOCK_STEPS * (N + K*lam) doubles per trial:
-# 32 KiB on ieee14 at lam = 5.
+# Steps of draws each stream of a batch takes ahead per call of a trial's
+# generator (see Blocks). The simulation stream's block holds
+# BLOCK_STEPS * (N + K*lam) doubles per trial: 32 KiB on ieee14 at lam = 5.
 BLOCK_STEPS = 32
 
 
-@dataclass
-class SimState:
-    """Trajectory states and simulation streams of a batch of B trials,
-    advanced a step at a time, in place, by ``simulate_step``.
+class Blocks:
+    """One stream's draws for every trial of a batch, drawn ahead in blocks.
 
-    ``x`` is (B, N). Each trial draws its standard normals ahead from its
-    own stream, BLOCK_STEPS steps per call: ``noise[j, s]`` holds the
-    N + K*lam normals of trial j for the step at block row s, and ``row`` is
-    the next unused row. All trials of a batch use the same number of
-    draws per step, so they share the row.
+    Trial j draws from ``np.random.default_rng(seeds[j])`` (a Generator is
+    used as it is), by its ``method`` ("random" or "standard_normal"), and
+    a block holds BLOCK_STEPS steps of ``per_step`` draws, the most a step
+    may use. ``values[j, pos[j]:]`` are trial j's next unused draws, in
+    stream order. A trial with fewer left than a step may need keeps them,
+    moved to the front of its block, and draws the rest of the block in one
+    call; numpy's Generator fills any request from one sequence, so the
+    values do not depend on how the stream was cut into blocks.
     """
 
-    x: np.ndarray
-    rngs: list
-    noise: np.ndarray
-    row: int
+    def __init__(self, seeds, method: str, per_step: int):
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.method = method
+        self.per_step = per_step
+        self.size = BLOCK_STEPS * per_step
+        self.values: Optional[np.ndarray] = None  # allocated at the first draw
+        self.pos = np.full(len(self.rngs), self.size)
+        self.base = np.arange(len(self.rngs)) * self.size  # flat index of each block
 
-    def take(self, keep: np.ndarray) -> "SimState":
+    def __len__(self) -> int:
+        return len(self.rngs)
+
+    def ready(self, need: int) -> "tuple[np.ndarray, np.ndarray]":
+        """(flat, start): ``flat[start[j] + i]`` is trial j's i-th next
+        unused draw, for every i < ``need``. They stay unused until
+        ``advance``."""
+        if self.values is None:
+            self.values = np.empty((len(self.rngs), self.size))
+        if self.pos.max() > self.size - need:
+            for j in np.flatnonzero(self.pos > self.size - need):
+                kept = self.size - self.pos[j]
+                self.values[j, :kept] = self.values[j, self.pos[j] :]
+                getattr(self.rngs[j], self.method)(out=self.values[j, kept:])
+                self.pos[j] = 0
+        return self.values.reshape(-1), self.base + self.pos
+
+    def advance(self, used) -> None:
+        """Mark ``used[j]`` (or ``used``, for every trial) more draws of
+        trial j as used."""
+        self.pos += used
+
+    def take(self, keep: np.ndarray) -> "Blocks":
         """The trials where the boolean mask ``keep`` is true."""
-        rngs = [rng for rng, k in zip(self.rngs, keep) if k]
-        return SimState(self.x[keep], rngs, self.noise[keep], self.row)
+        out = Blocks([rng for rng, k in zip(self.rngs, keep) if k], self.method, self.per_step)
+        out.pos = self.pos[keep]
+        if self.values is not None:
+            out.values = self.values[keep]
+        return out
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -361,17 +391,6 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 def vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the last axis, one BLAS dot product per leading index."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def initial_sim_state(model: GridModel, x0: Sequence[float], seeds) -> SimState:
-    """A batch with one trial per entry of ``seeds`` (anything
-    ``np.random.default_rng`` accepts), every trial starting at ``x0``."""
-    x = np.array(x0, dtype=float)
-    if x.shape != (model.N,):
-        raise ValueError(f"x0 must have length {model.N}")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    noise = np.empty((len(rngs), BLOCK_STEPS, model.N + model.K * model.lam))
-    return SimState(x=np.tile(x, (len(rngs), 1)), rngs=rngs, noise=noise, row=BLOCK_STEPS)
 
 
 def _state_noise(model: GridModel, z: np.ndarray) -> np.ndarray:
@@ -392,30 +411,29 @@ def _check_finite(x: np.ndarray) -> None:
         raise FloatingPointError("state diverged; check the model configuration")
 
 
-def simulate_step(model: GridModel, sim: SimState) -> np.ndarray:
-    """Advance every trial of ``sim`` one interval, in place, and return the
-    batch's measurements as a (B, K, lam) array: y[j, k, i] is sample i of
-    meter k in trial j, so y[j].reshape(-1) follows H's row layout.
+def simulate_step(
+    model: GridModel, x: np.ndarray, noise: Blocks
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Advance the (B, N) states x of a batch of B trials one interval;
+    return the new states and the batch's measurements as a (B, K, lam)
+    array: y[j, k, i] is sample i of meter k in trial j, so y[j].reshape(-1)
+    follows H's row layout.
 
-    Each trial uses N + K*lam standard normals of its own stream per step.
-    Draw order is part of the determinism contract: state noise first, then
-    measurement noise. Zero variances still consume draws so trajectories
-    stay aligned across noise settings. The normals are drawn ahead,
-    BLOCK_STEPS steps per trial and call; numpy's Generator fills any
-    request from one sequence, so every step receives exactly the values
-    that drawing N and then K*lam normals at that step would give.
+    Each trial uses the next N + K*lam standard normals of its stream in
+    ``noise`` per step. Draw order is part of the determinism contract:
+    state noise first, then measurement noise. Zero variances still consume
+    draws so trajectories stay aligned across noise settings. ``noise``
+    draws ahead in blocks, and every step receives exactly the values that
+    drawing N and then K*lam normals at that step would give.
     """
-    if sim.row == sim.noise.shape[1]:
-        for rng, block in zip(sim.rngs, sim.noise):
-            rng.standard_normal(out=block)
-        sim.row = 0
-    z = sim.noise[:, sim.row]
-    sim.row += 1
-    x = matvec(model.A, sim.x) + _state_noise(model, z)
+    n = model.N + model.K * model.lam
+    flat, start = noise.ready(n)
+    z = flat[start[:, None] + np.arange(n)]
+    noise.advance(n)
+    x = matvec(model.A, x) + _state_noise(model, z)
     y = _measurements(model, x, z)
     _check_finite(x)
-    sim.x = x
-    return y.reshape(len(y), model.K, model.lam)
+    return x, y.reshape(len(y), model.K, model.lam)
 
 
 def simulate_block(

@@ -12,10 +12,11 @@ The trial engine advances all trials of a ``run_trials`` call in lock-step,
 one step at a time, on a leading trial axis B. Each trial keeps its own
 random streams, draw order and measurement hash. Everything else runs once
 per step for the whole batch: the simulation, the attack realization and
-its application, on (B, ...) arrays fed by streams drawn ahead in blocks
-(every step receives the values that drawing at that step would give),
-then the filters and detector statistics on (B, K) and (B,) arrays,
-sharing the step's pre-filter schedule entry. Without recorded paths a
+its application, on (B, ...) arrays fed by per-trial streams that one
+``grid_model.Blocks`` per stream draws ahead in blocks (every step
+receives the values that drawing at that step would give), then the
+filters and detector statistics on (B, K) and (B,) arrays, sharing the
+step's pre-filter schedule entry. Without recorded paths a
 trial leaves the batch (the batch is compacted) once every detector except
 alg2 has fired, and the engine holds O(B) state; (B, horizon) path arrays
 exist only when paths are requested.
@@ -39,14 +40,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import detector, kalman, robust
-from .attacks import AttackSpec, AttackStreams, apply_attack, realize_attack, topology_fault
+from .attacks import AttackSpec, apply_attack, realize_attack, topology_fault
 from .expconfig import ConfigError, ExperimentConfig
 from .grid_model import (
     BLOCK_STEPS,
+    Blocks,
     GridModel,
-    SimState,
     build_model,
-    initial_sim_state,
     load_topology,
     simulate_block,
     simulate_step,
@@ -140,7 +140,7 @@ def _resolve_x0(cfg: ExperimentConfig, model: GridModel, topology) -> np.ndarray
         return np.zeros(model.N)
     x0 = np.asarray(cfg.model.x0_values, dtype=float)
     if x0.shape != (model.N,):
-        raise ValueError(f"x0 needs {model.N} entries, got {x0.size}")
+        raise ConfigError(f"x0 needs {model.N} entries, got {x0.size}")
     return x0
 
 
@@ -411,22 +411,24 @@ def run_trials(
 @dataclass
 class _Streams:
     """A batch's own state outside the batched filters: per trial, its place
-    in the run, seed, measurement hash and random streams.
+    in the run, seed, measurement hash, true state and random streams.
 
     Each trial derives four child streams from its seed, in their documented
     order: simulation, attack realization, attack application (jamming
     noise) and the chi-squared window's initial draws. The first three are
-    drawn ahead in blocks for the whole batch (``grid_model.SimState``,
-    ``attacks.AttackStreams``); each step still receives exactly the values
-    that drawing in the documented order at that step would give. The
-    window is drawn at spawn time and returned stacked.
+    one ``grid_model.Blocks`` each, drawn ahead for the whole batch; each
+    step still receives exactly the values that drawing in the documented
+    order at that step would give. The windows are drawn at spawn time,
+    L chi-squared draws per trial, and returned as one batch.
     """
 
     index: list
     seeds: list
     hashers: list
-    sim: SimState
-    attack: AttackStreams
+    x: np.ndarray  # (B, N) true states
+    sim: Blocks
+    atk: Blocks
+    jam: Blocks
 
     @classmethod
     def spawn(cls, ctx: RunContext, seeds: Sequence) -> "tuple[_Streams, Optional[Chi2State]]":
@@ -435,15 +437,16 @@ class _Streams:
         window = None
         if ctx.chi2 is not None:
             dof = model.K * model.lam
-            window = Chi2State.stack(
-                [Chi2State.initialize(ctx.chi2, dof, np.random.default_rng(ss)) for ss in chi2_ss]
-            )
+            samples = [np.random.default_rng(ss).chisquare(dof, ctx.chi2.L) for ss in chi2_ss]
+            window = Chi2State.from_samples(ctx.chi2, samples)
         streams = cls(
             index=list(range(len(seeds))),
             seeds=list(seeds),
             hashers=[hashlib.sha256() for _ in seeds],
-            sim=initial_sim_state(model, ctx.x0, sim_ss),
-            attack=AttackStreams.spawn(atk_ss, jam_ss, model.K, model.lam),
+            x=np.tile(ctx.x0, (len(seeds), 1)),
+            sim=Blocks(sim_ss, "standard_normal", model.N + model.K * model.lam),
+            atk=Blocks(atk_ss, "random", 4 * model.K),
+            jam=Blocks(jam_ss, "standard_normal", model.K * model.lam),
         )
         return streams, window
 
@@ -453,8 +456,10 @@ class _Streams:
             index=[i for i, k in zip(self.index, keep) if k],
             seeds=[s for s, k in zip(self.seeds, keep) if k],
             hashers=[h for h, k in zip(self.hashers, keep) if k],
+            x=self.x[keep],
             sim=self.sim.take(keep),
-            attack=self.attack.take(keep),
+            atk=self.atk.take(keep),
+            jam=self.jam.take(keep),
         )
 
 
@@ -519,9 +524,9 @@ def _run_batch(
 
     for t in range(1, horizon + 1):
         faulted = attack.kind == "topology-fault" and t >= attack.tau
-        y = simulate_step(ctx.sim_model_post if faulted else model, streams.sim)
-        real = realize_attack(attack, t, streams.attack, model.K)
-        y = apply_attack(model, y, real, streams.attack)
+        streams.x, y = simulate_step(ctx.sim_model_post if faulted else model, streams.x, streams.sim)
+        real = realize_attack(attack, t, streams.atk, model.K)
+        y = apply_attack(model, y, real, streams.jam)
         for hasher, y_j in zip(streams.hashers, y):
             hasher.update(y_j.tobytes())
         b = len(y)
@@ -556,9 +561,8 @@ def _run_batch(
         if paths is not None:
             stats["tau_hat"] = [c.tau_hat for c in cs]
             if log_steps:
-                x_true = streams.sim.x
-                stats["mse0"] = np.mean((bank.pre.x_upd - x_true) ** 2, axis=-1)
-                stats["mse1"] = np.mean((bank.post.x_upd - x_true) ** 2, axis=-1)
+                stats["mse0"] = np.mean((bank.pre.x_upd - streams.x) ** 2, axis=-1)
+                stats["mse1"] = np.mean((bank.post.x_upd - streams.x) ** 2, axis=-1)
             for field, values in stats.items():
                 getattr(paths, field)[:, t - 1] = values
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -89,7 +88,7 @@ class Chi2Config:
 class Chi2State:
     """Ring buffer of cell indices with incrementally maintained counts.
 
-    A batch stacks the windows of B trials: cells (B, L), counts (B, M) and
+    A batch holds the windows of B trials: cells (B, L), counts (B, M) and
     chi_stat (B,), with the head shared.
     """
 
@@ -100,33 +99,20 @@ class Chi2State:
     chi_stat: "float | np.ndarray" = 0.0
 
     @classmethod
-    def from_samples(cls, cfg: Chi2Config, samples: Sequence[float]) -> "Chi2State":
+    def from_samples(cls, cfg: Chi2Config, samples) -> "Chi2State":
+        """The windows of L samples each along the last axis of ``samples``,
+        at head 0."""
         samples = np.asarray(samples, dtype=float)
-        if samples.shape != (cfg.L,):
+        if samples.shape[-1:] != (cfg.L,):
             raise ValueError(f"window needs exactly {cfg.L} samples")
-        cells = np.array([cfg.cell_of(c) for c in samples])
-        counts = np.bincount(cells, minlength=cfg.M).astype(float)
-        st = cls(cfg=cfg, cells=cells, counts=counts)
-        st.chi_stat = _pearson(counts, cfg)
-        return st
+        cells = np.searchsorted(cfg.edges, samples, side="right")
+        counts = (cells[..., None] == np.arange(cfg.M)).sum(axis=-2).astype(float)
+        return cls(cfg=cfg, cells=cells, counts=counts, chi_stat=_pearson(counts, cfg))
 
     @classmethod
     def initialize(cls, cfg: Chi2Config, dof: int, rng: np.random.Generator) -> "Chi2State":
         """Seed the window with draws from the chi-squared(dof) null."""
         return cls.from_samples(cfg, rng.chisquare(dof, cfg.L))
-
-    @classmethod
-    def stack(cls, states: "Sequence[Chi2State]") -> "Chi2State":
-        """One batch of windows at the same head, trial axis first."""
-        if len({st.head for st in states}) != 1:
-            raise ValueError("stacked windows must share their head")
-        return cls(
-            cfg=states[0].cfg,
-            cells=np.stack([st.cells for st in states]),
-            counts=np.stack([st.counts for st in states]),
-            head=states[0].head,
-            chi_stat=np.array([st.chi_stat for st in states]),
-        )
 
     def take(self, keep) -> "Chi2State":
         """The windows of the trials selected by ``keep``."""

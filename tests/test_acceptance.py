@@ -390,7 +390,7 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     csv_ok = out1.read_bytes() == out2.read_bytes()
 
     # covariances stay PSD over 1e4 steps (both filters, attacked regime)
-    from gridwatch import AttackStreams, initial_bank, initial_sim_state, simulate_step
+    from gridwatch import Blocks, initial_bank, simulate_step
     from gridwatch.detector import CusumState, algorithm1_step
     from gridwatch.attacks import apply_attack, realize_attack
 
@@ -406,15 +406,17 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     model = ctx2.model
     ss = np.random.SeedSequence((55, 0))
     sim_ss, a_ss, j_ss, _ = ss.spawn(4)
-    sim = initial_sim_state(model, ctx2.x0, [sim_ss])  # a batch of one trial
-    streams = AttackStreams.spawn([a_ss], [j_ss], model.K, model.lam)
+    x = ctx2.x0[None]  # a batch of one trial
+    sim = Blocks([sim_ss], "standard_normal", model.N + model.K * model.lam)
+    atk = Blocks([a_ss], "random", 4 * model.K)
+    jam = Blocks([j_ss], "standard_normal", model.K * model.lam)
     bank = initial_bank(ctx2.x0[None], ctx2.p0)
     cs = [CusumState()]
     det = DetectorConfig(GAMMA, SIGMA2_MIN)
     psd_ok = True
     for t in range(1, 10_001):
-        y = simulate_step(model, sim)
-        y = apply_attack(model, y, realize_attack(ctx2.cfg.attack, t, streams, model.K), streams)
+        x, y = simulate_step(model, x, sim)
+        y = apply_attack(model, y, realize_attack(ctx2.cfg.attack, t, atk, model.K), jam)
         step = algorithm1_step(bank, cs, model, det, y, t)
         bank, cs = step.bank, step.cusum
         if t % 200 == 0:

@@ -6,10 +6,9 @@ import pytest
 from gridwatch import (
     AttackRealization,
     AttackSpec,
-    AttackStreams,
+    Blocks,
     MagnitudeLaw,
     apply_attack,
-    initial_sim_state,
     realize_attack,
     simulate_step,
     topology_fault,
@@ -35,22 +34,23 @@ def hybrid_spec(tau=100, p=0.5, theta=0.02, jam_lo=2e-4, jam_hi=4e-4, t_on=None,
 
 
 def streams(B, K, lam, seed=0):
-    """Attack streams of B trials with seeds (seed, j) and (seed + 1, j)."""
-    return AttackStreams.spawn(
-        [(seed, j) for j in range(B)], [(seed + 1, j) for j in range(B)], K, lam
-    )
+    """The attack and jamming streams of B trials, with seeds (seed, j) and
+    (seed + 1, j)."""
+    atk = Blocks([(seed, j) for j in range(B)], "random", 4 * K)
+    jam = Blocks([(seed + 1, j) for j in range(B)], "standard_normal", K * lam)
+    return atk, jam
 
 
 def test_pre_onset_all_zero():
-    st = streams(2, 23, 5)
-    real = realize_attack(hybrid_spec(tau=100), 50, st, K=23)
+    atk, _ = streams(2, 23, 5)
+    real = realize_attack(hybrid_spec(tau=100), 50, atk, K=23)
     assert not real.active
     assert real.a.shape == real.jam_var.shape == (2, 23)
     assert not real.a.any()
     assert not real.jam_var.any()
     # no draws consumed before the onset
     fresh = np.random.default_rng((0, 0)).bit_generator.state
-    assert st.atk.rngs[0].bit_generator.state == fresh
+    assert atk.rngs[0].bit_generator.state == fresh
 
 
 def test_onoff_schedule_case4_pattern():
@@ -70,9 +70,9 @@ def test_onoff_duty_cycle_fraction():
 
 def test_apply_identity_on_zero_realization(two_bus_model):
     clean = np.array([[[0.5]]])
-    st = streams(1, 1, 1, seed=1)
-    real = realize_attack(hybrid_spec(tau=10), 5, st, K=1)
-    out = apply_attack(two_bus_model, clean, real, st)
+    atk, jam = streams(1, 1, 1, seed=1)
+    real = realize_attack(hybrid_spec(tau=10), 5, atk, K=1)
+    out = apply_attack(two_bus_model, clean, real, jam)
     np.testing.assert_array_equal(out, clean)
 
 
@@ -81,7 +81,7 @@ def test_fixed_bias_shifts_all_lambda_samples(ieee14_model):
     a = np.zeros((1, 23))
     a[0, 7] = 0.1
     real = AttackRealization(a=a, jam_var=np.zeros((1, 23)), active=True)
-    out = apply_attack(ieee14_model, clean, real, streams(1, 23, 5))
+    out = apply_attack(ieee14_model, clean, real, streams(1, 23, 5)[1])
     np.testing.assert_array_equal(out[0, 7], 0.1 * np.ones(5))
     mask = np.ones(23, dtype=bool)
     mask[7] = False
@@ -91,12 +91,12 @@ def test_fixed_bias_shifts_all_lambda_samples(ieee14_model):
 def test_jamming_noise_moments(ieee14_model):
     jam = np.zeros((1, 23))
     jam[0, 3] = 1e-2
-    st = streams(1, 23, 5, seed=2)
+    _, jam_st = streams(1, 23, 5, seed=2)
     samples = []
     clean = np.zeros((1, 23, 5))
     for _ in range(20_000):
         real = AttackRealization(a=np.zeros((1, 23)), jam_var=jam, active=True)
-        out = apply_attack(ieee14_model, clean, real, st)
+        out = apply_attack(ieee14_model, clean, real, jam_st)
         samples.append(out[0, 3])
     flat = np.concatenate(samples)
     assert flat.var() == pytest.approx(1e-2, rel=0.03)
@@ -106,11 +106,11 @@ def test_jamming_noise_moments(ieee14_model):
 def test_hybrid_realization_frequencies_and_ranges():
     # 10 trials x 10_000 steps: 100_000 realizations of 23 meters
     spec = hybrid_spec(tau=1, p=0.5, theta=0.02, jam_lo=2e-4, jam_hi=4e-4)
-    st = streams(10, 23, 5, seed=3)
+    atk, _ = streams(10, 23, 5, seed=3)
     n = 100_000
     fdi_hits = jam_hits = 0
     for t in range(1, n // 10 + 1):
-        real = realize_attack(spec, t, st, K=23)
+        real = realize_attack(spec, t, atk, K=23)
         fdi_on = real.a != 0
         jam_on = real.jam_var != 0
         fdi_hits += fdi_on.sum()
@@ -132,7 +132,7 @@ def test_fixed_selection_mode():
         selection=("fixed", (2, 5)),
         fdi_law=MagnitudeLaw.fixed(0.1),
     )
-    real = realize_attack(spec, 1, streams(1, 8, 1), K=8)
+    real = realize_attack(spec, 1, streams(1, 8, 1)[0], K=8)
     np.testing.assert_array_equal(np.flatnonzero(real.a[0]), [2, 5])
     assert set(real.a[0, [2, 5]]) == {0.1}
 
@@ -150,10 +150,11 @@ def test_topology_fault_zeroes_true_rows_only(two_bus_model):
     # original model untouched (detector side)
     assert two_bus_model.H[0, 0] == 1.0
     # simulated measurement for the faulted meter is pure sensor noise
-    sim = initial_sim_state(faulted, [0.5], [9])
+    x = np.array([[0.5]])
+    noise = Blocks([9], "standard_normal", faulted.N + faulted.K * faulted.lam)
     vals = []
     for _ in range(4000):
-        y = simulate_step(faulted, sim)
+        x, y = simulate_step(faulted, x, noise)
         vals.append(y[0, 0, 0])
     vals = np.array(vals)
     assert abs(vals.mean()) < 4 * math.sqrt(SIGMA_W2 / 4000) * 2
@@ -216,15 +217,15 @@ def test_attack_kernels_match_one_trial_oracle(ieee14_model, name, B):
     # several times, with trials leaving the batch along the way
     spec = ORACLE_SPECS[name]
     model, K, lam = ieee14_model, ieee14_model.K, ieee14_model.lam
-    st = streams(B, K, lam, seed=40)
+    atk_st, jam_st = streams(B, K, lam, seed=40)
     atk = [np.random.default_rng((40, j)) for j in range(B)]
     jam = [np.random.default_rng((41, j)) for j in range(B)]
     inputs = np.random.default_rng(99)
     live = list(range(B))
     for t in range(1, 4 * BLOCK_STEPS + 1):
         clean = inputs.standard_normal((len(live), K, lam))
-        real = realize_attack(spec, t, st, K)
-        out = apply_attack(model, clean, real, st)
+        real = realize_attack(spec, t, atk_st, K)
+        out = apply_attack(model, clean, real, jam_st)
         assert real.active == is_active(spec, t)
         if not real.active:
             assert out is clean
@@ -235,5 +236,5 @@ def test_attack_kernels_match_one_trial_oracle(ieee14_model, name, B):
             assert_same_bits(out[row], oracles.apply_attack(model, clean[row], want, jam[j]))
         if t % 40 == 0 and len(live) > 1:
             keep = np.arange(len(live)) != 1
-            st = st.take(keep)
+            atk_st, jam_st = atk_st.take(keep), jam_st.take(keep)
             live = [j for j, k in zip(live, keep) if k]

@@ -173,6 +173,19 @@ FDI = "kind = fdi\nfdi_fixed = 0.1"
         (FDI, "h = 5", "h = 5\ncosine_d = -inf", "cosine_d"),
         (FDI, "seed = 1", "seed = 1\n[shewhart]\nphi = nan", "phi"),
         (FDI, "seed = 1", "seed = 1\n[chi2]\nvarphi = inf", "varphi"),
+        (FDI, "lambda = 1", "lambda = 0", "lambda"),
+        (FDI, "sigma_v2 = 1e-4", "sigma_v2 = -1", "sigma_v2"),
+        (FDI, "sigma_v2 = 1e-4", "sigma_v2 = 0", "sigma_v2"),
+        (FDI, "sigma_w2 = 1e-4", "sigma_w2 = inf", "sigma_w2"),
+        (FDI, "sigma_w2 = 1e-4", "sigma_w2 = 1e-4\np0 = -1", "p0"),
+        (FDI, "sigma_w2 = 1e-4", "sigma_w2 = 1e-4\np0 = nan", "p0"),
+        (FDI, "gamma = 0.022", "gamma = -1", "gamma"),
+        (FDI, "gamma = 0.022", "gamma = inf", "gamma"),
+        (FDI, "sigma2_min = 1e-2", "sigma2_min = inf", "sigma2_min"),
+        (FDI, "seed = 1", "seed = 1\n[shewhart]\nphi = -1", "phi"),
+        (FDI, "seed = 1", "seed = 1\n[chi2]\nvarphi = -1", "varphi"),
+        (FDI, "sigma_w2 = 1e-4", "sigma_w2 = 1e-4\nx0 = abc", "x0"),
+        (FDI, "sigma_w2 = 1e-4", "sigma_w2 = 1e-4\nx0 = nan", "x0"),
     ],
 )
 def test_bad_config_value_names_its_key(tmp_path, two_bus_path, attack, old, new, key):
@@ -202,6 +215,16 @@ def test_meters_outside_model_rejected(tmp_path, two_bus_path, attack, meter):
         harness.prepare(load_config(write(tmp_path, text)))
 
 
+def test_explicit_x0_of_wrong_length_names_x0(tmp_path, two_bus_path):
+    # the two-bus model has one state; the length is known once the
+    # topology is loaded, so prepare checks it
+    text = MINIMAL.format(
+        topology=two_bus_path, extra_detector="", attack="kind = none", trials=1, horizon=50,
+    ).replace("sigma_w2 = 1e-4", "sigma_w2 = 1e-4\nx0 = 0.25, 0.5")
+    with pytest.raises(ConfigError, match=r"\bx0\b"):
+        harness.prepare(load_config(write(tmp_path, text)))
+
+
 def test_horizon_must_exceed_tau(tmp_path, two_bus_path):
     text = MINIMAL.format(
         topology=two_bus_path, extra_detector="", attack="kind = fdi\nfdi_uniform = 0.1",
@@ -219,6 +242,17 @@ def test_cli_simulate_rejects_negative_seed(tmp_path, two_bus_path, monkeypatch)
     monkeypatch.setattr(harness, "prepare", lambda *args, **kwargs: pytest.fail("prepare ran"))
     with pytest.raises(ConfigError, match=r"\bseed\b"):
         main(["simulate", "--config", str(write(tmp_path, text)), "--seed", "-1"])
+
+
+@pytest.mark.parametrize("thresholds", ["2,x", "5,2", "2,nan", ""])
+def test_cli_sweep_rejects_bad_thresholds(tmp_path, two_bus_path, monkeypatch, thresholds):
+    text = MINIMAL.format(
+        topology=two_bus_path, extra_detector="", attack="kind = fdi\nfdi_uniform = 0.4",
+        trials=1, horizon=50,
+    )
+    monkeypatch.setattr(harness, "sweep_tradeoff", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    with pytest.raises(ConfigError, match="--thresholds"):
+        main(["sweep", "--config", str(write(tmp_path, text)), "--thresholds", thresholds])
 
 
 def test_cli_stealth_audit(capsys):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gridwatch import (
+    Blocks,
     TopologyError,
     build_model,
-    initial_sim_state,
     load_topology,
     simulate_step,
     topology_fault,
@@ -16,6 +16,12 @@ from gridwatch.grid_model import BLOCK_STEPS, simulate_block
 import oracles
 from conftest import SIGMA_V2, SIGMA_W2, dense_stable_A
 from oracles import assert_same_bits
+
+
+def sim_batch(model, x0, seeds):
+    """The (B, N) start states and simulation streams of one trial per seed."""
+    noise = Blocks(seeds, "standard_normal", model.N + model.K * model.lam)
+    return np.tile(np.asarray(x0, dtype=float), (len(seeds), 1)), noise
 
 
 def test_two_bus_smallest_legal(two_bus_path):
@@ -106,21 +112,21 @@ def test_explicit_A_dimension_check(two_bus_path):
 
 def test_noiseless_simulation_is_exactly_linear(two_bus_model):
     model = dataclasses.replace(two_bus_model, sigma_v2=0.0, sigma_w2=0.0)
-    sim = initial_sim_state(model, [0.3], [0])
-    y = simulate_step(model, sim)
-    np.testing.assert_array_equal(sim.x, [[0.3]])
-    np.testing.assert_array_equal(y[0].reshape(-1), model.H @ sim.x[0])
+    x, noise = sim_batch(model, [0.3], [0])
+    x, y = simulate_step(model, x, noise)
+    np.testing.assert_array_equal(x, [[0.3]])
+    np.testing.assert_array_equal(y[0].reshape(-1), model.H @ x[0])
 
 
 def test_fixed_seed_trajectories_bit_identical(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     runs = []
     for _ in range(2):
-        sim = initial_sim_state(ieee14_model, x0, [1234])
+        x, noise = sim_batch(ieee14_model, x0, [1234])
         xs, ys = [], []
         for _ in range(50):
-            y = simulate_step(ieee14_model, sim)
-            xs.append(sim.x[0].copy())
+            x, y = simulate_step(ieee14_model, x, noise)
+            xs.append(x[0].copy())
             ys.append(y[0].reshape(-1).copy())
         runs.append((np.array(xs), np.array(ys)))
     np.testing.assert_array_equal(runs[0][0], runs[1][0])
@@ -132,14 +138,14 @@ def test_draw_count_contract(two_bus_model):
     # state noise first, however far ahead they were drawn: a generator
     # advanced by hand gives the same values, across block refills.
     model = two_bus_model
-    sim = initial_sim_state(model, [0.1], [77])
+    sim_x, noise = sim_batch(model, [0.1], [77])
     rng = np.random.default_rng(77)
     x = np.array([0.1])
     for _ in range(2 * BLOCK_STEPS + 3):
-        y = simulate_step(model, sim)
+        sim_x, y = simulate_step(model, sim_x, noise)
         x = model.A @ x + rng.standard_normal(model.N) * np.sqrt(model.sigma_v2)
         w = rng.standard_normal(model.K * model.lam) * np.sqrt(model.sigma_w2)
-        assert_same_bits(sim.x[0], x)
+        assert_same_bits(sim_x[0], x)
         assert_same_bits(y[0].reshape(-1), model.H @ x + w)
 
 
@@ -168,20 +174,20 @@ def test_simulation_matches_one_trial_oracle(ieee14_model, ieee14_topology, B):
     tau = BLOCK_STEPS + 7
     x0 = ieee14_topology.initial_state()
     seeds = [(21, i) for i in range(B)]
-    sim = initial_sim_state(model, x0, seeds)
+    x, noise = sim_batch(model, x0, seeds)
     ref = [oracles.initial_sim_state(model, x0, s) for s in seeds]
     live = list(range(B))
     for t in range(1, 3 * BLOCK_STEPS + 10):
         sim_model = faulted if t >= tau else model
-        y = simulate_step(sim_model, sim)
+        x, y = simulate_step(sim_model, x, noise)
         assert y.shape == (len(live), model.K, model.lam)
         for row, j in enumerate(live):
             ref[j], want = oracles.simulate_step(sim_model, ref[j])
             assert_same_bits(y[row], want)
-            assert_same_bits(sim.x[row], ref[j].x)
+            assert_same_bits(x[row], ref[j].x)
         if t % 25 == 0 and len(live) > 1:
             keep = np.arange(len(live)) % 2 == 1
-            sim = sim.take(keep)
+            x, noise = x[keep], noise.take(keep)
             live = [j for j, k in zip(live, keep) if k]
 
 
@@ -207,13 +213,13 @@ def test_simulate_block_matches_one_trial_oracle(ieee14_topology):
 
 def test_process_noise_moments(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
-    sim = initial_sim_state(ieee14_model, x0, [5])
+    x, noise = sim_batch(ieee14_model, x0, [5])
     diffs = []
-    prev = sim.x[0]
+    prev = x[0]
     for _ in range(10_000):
-        simulate_step(ieee14_model, sim)
-        diffs.append(sim.x[0] - prev)
-        prev = sim.x[0]
+        x, _ = simulate_step(ieee14_model, x, noise)
+        diffs.append(x[0] - prev)
+        prev = x[0]
     cov = np.cov(np.array(diffs).T)
     diag = np.diag(cov)
     np.testing.assert_allclose(diag, ieee14_model.sigma_v2, rtol=0.05)
@@ -224,9 +230,9 @@ def test_process_noise_moments(ieee14_model, ieee14_topology):
 def test_measurement_batch_addressing(ieee14_model):
     # y[j][k][i] is sample i of meter k in trial j: row k*lam + i of H
     model = dataclasses.replace(ieee14_model, sigma_v2=0.0, sigma_w2=0.0)
-    sim = initial_sim_state(model, np.linspace(0.1, 1.3, 13), [0, 1])
-    y = simulate_step(model, sim)
-    flat = model.H @ sim.x[1]
+    x, noise = sim_batch(model, np.linspace(0.1, 1.3, 13), [0, 1])
+    x, y = simulate_step(model, x, noise)
+    flat = model.H @ x[1]
     assert y.shape == (2, 23, 5)
     assert y[1][4][2] == flat[4 * 5 + 2]
     np.testing.assert_array_equal(y[1].reshape(-1), flat)

@@ -605,16 +605,22 @@ def test_divergence_raises_typed_error(tmp_path, ieee14_topology, mu0_cache):
             )
         assert list(tmp_path.iterdir()) == []  # no cache entry, no temporary file
         # a trial from a state at the edge of the float range overflows on
-        # its first step, before any statistic is formed from it (from the
-        # usual start, squared residuals overflow first, and the detector's
-        # finite-cost check raises a ValueError)
-        ctx = harness.prepare(make_cfg(tmp_path, cache=mu0_cache))
+        # its first step, before any statistic is formed from it
+        ctx = harness.prepare(make_cfg(tmp_path, horizon=1000, cache=mu0_cache))
         ctx = replace(
             ctx, model=unstable, sim_model_post=unstable, x0=np.full(unstable.N, 1e308),
             schedule=kalman.PreSchedule(unstable, ctx.p0),
         )
         with pytest.raises(FloatingPointError, match="state diverged"):
             harness.run_trial(ctx, 0)
+        # from the topology's start state the squared residuals overflow
+        # some 280 steps in, while the state is still finite; the detector's
+        # finite-cost check reports that as divergence too (full paths keep
+        # the trial running after its detectors fire)
+        ctx = replace(ctx, x0=ieee14_topology.initial_state())
+        for seed in range(3):
+            with pytest.raises(FloatingPointError, match="state or data diverged"):
+                harness.run_trial(ctx, (0, seed), full_paths=True)
 
 
 def test_traced_functions_resolve():

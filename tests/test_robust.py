@@ -64,7 +64,7 @@ def test_batched_statistics_match_single_windows(ieee14_model, ieee14_topology):
     B = 3
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
     windows = [Chi2State.initialize(cfg, 115, np.random.default_rng(i)) for i in range(B)]
-    batch = Chi2State.stack([Chi2State.initialize(cfg, 115, np.random.default_rng(i)) for i in range(B)])
+    batch = Chi2State.from_samples(cfg, np.array([np.random.default_rng(i).chisquare(115, 80) for i in range(B)]))
     x0 = ieee14_topology.initial_state()
     ks = KalmanState(x0, 1e-4 * np.eye(13), x0, 1e-4 * np.eye(13))
     white = pre_gain_step(ieee14_model, ks.P_pred).white
@@ -130,6 +130,24 @@ def test_interval_membership_half_open():
     assert cfg.cell_of(1e9) == 4
     assert cfg.intervals[0][0] == 0.0
     assert cfg.intervals[-1][1] == math.inf
+
+
+def test_from_samples_counts_every_window_with_cell_of():
+    # (B, L) samples give B windows whose cells and counts follow the scalar
+    # rule, edge values included (a boundary belongs to the cell on its right)
+    cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
+    samples = np.random.default_rng(6).chisquare(115, size=(3, 80))
+    samples[0, :4] = cfg.edges
+    samples[1, :2] = 0.0, 1e9
+    st = Chi2State.from_samples(cfg, samples)
+    assert st.cells.shape == (3, 80) and st.counts.shape == (3, 5) and st.head == 0
+    for i, window in enumerate(samples):
+        cells = [cfg.cell_of(v) for v in window]
+        np.testing.assert_array_equal(st.cells[i], cells)
+        np.testing.assert_array_equal(st.counts[i], np.bincount(cells, minlength=5))
+        assert st.chi_stat[i] == Chi2State.from_samples(cfg, window).chi_stat
+    with pytest.raises(ValueError, match="exactly 80 samples"):
+        Chi2State.from_samples(cfg, samples[:, :79])
 
 
 def test_pearson_perfect_fit_and_concentrated():
