@@ -14,23 +14,17 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from . import harness, stealth
 from .expconfig import ConfigError, load_config
+from .grid_model import finite, positive
 
 
 def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", default=".", help="output directory for CSV files")
-
-
-def _print_table(rows, header) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(harness._fmt(v) for v in row))
 
 
 def cmd_simulate(args) -> int:
@@ -56,7 +50,7 @@ def cmd_simulate(args) -> int:
             d = harness.estimate_delay(stops, tau)
             miss = harness.missed_detection_ratio(stops, tau, cfg.run.eta)
             rows.append((name, "delay", d.mean, d.ci_half, miss))
-    _print_table(rows, ["detector", "metric", "value", "ci_half", "extra"])
+    harness.write_rows(sys.stdout, ["detector", "metric", "value", "ci_half", "extra"], rows)
 
     out = Path(args.out)
     if cfg.attack.kind != "none":
@@ -72,11 +66,11 @@ def cmd_simulate(args) -> int:
 def _thresholds(text: str) -> "list[float]":
     """The ascending, finite comma list of ``--thresholds``."""
     try:
-        h_list = [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad value for '--thresholds': {text!r} (expected numbers)") from None
-    if not all(map(math.isfinite, h_list)) or h_list != sorted(h_list):
-        raise ConfigError(f"bad value for '--thresholds': {text!r} (must be finite and ascending)")
+        h_list = [finite(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad value for '--thresholds': {text!r} ({exc})") from None
+    if h_list != sorted(h_list):
+        raise ConfigError(f"bad value for '--thresholds': {text!r} (must be ascending)")
     return h_list
 
 
@@ -86,10 +80,8 @@ def cmd_sweep(args) -> int:
     points = harness.sweep_tradeoff(cfg, h_list, which=args.detector)
     out = Path(args.out) / "tradeoff.csv"
     harness.write_tradeoff_csv(out, points)
-    _print_table(
-        [(p.h, p.fap, p.delay, p.miss_ratio) for p in points],
-        ["h", "fap", "delay", "miss_ratio"],
-    )
+    rows = [(p.h, p.fap, p.delay, p.miss_ratio) for p in points]
+    harness.write_rows(sys.stdout, ["h", "fap", "delay", "miss_ratio"], rows)
     print(f"wrote {out}")
     return 0
 
@@ -101,18 +93,18 @@ def cmd_false_alarm(args) -> int:
         (name, fap.mean, fap.ci_half, fap.n_censored, fap.n_runs)
         for name, fap in summaries.items()
     ]
-    _print_table(rows, ["detector", "fap", "fap_ci", "censored", "runs"])
+    harness.write_rows(sys.stdout, ["detector", "fap", "fap_ci", "censored", "runs"], rows)
     return 0
 
 
 def _gaussian_arg(text: str) -> "tuple[float, float]":
     try:
-        mu, s2 = (float(tok) for tok in text.split(","))
+        mu, s2 = text.split(",")
+        return finite(mu), positive(s2)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected 'mean,variance'") from None
-    if s2 <= 0:
-        raise argparse.ArgumentTypeError("variance must be > 0")
-    return mu, s2
+        raise argparse.ArgumentTypeError(
+            "expected 'mean,variance' with a finite mean and a variance > 0"
+        ) from None
 
 
 def cmd_stealth_audit(args) -> int:
@@ -120,9 +112,12 @@ def cmd_stealth_audit(args) -> int:
     mu1, s2b = args.f1
     if s2 != s2b:
         raise SystemExit("the symmetric construction needs equal variances")
-    f0, f1 = stealth.symmetric_pair(mu0, mu1, s2)
-    budget = stealth.onoff_budget(f0, f1, args.hprime)
-    f1p = stealth.construct_stealthy_gaussian(mu0, mu1, s2, args.phi)
+    try:
+        f0, f1 = stealth.symmetric_pair(mu0, mu1, s2)
+        budget = stealth.onoff_budget(f0, f1, args.hprime)
+        f1p = stealth.construct_stealthy_gaussian(mu0, mu1, s2, args.phi)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     gap = stealth.persistent_stealth_gap(f1p, f0, f1)
     t_on, t_off = budget.integerized()
     header = [
@@ -147,7 +142,7 @@ def cmd_stealth_audit(args) -> int:
         stealth.kl_gaussian(f1p, f0),
         gap,
     )
-    _print_table([row], header)
+    harness.write_rows(sys.stdout, header, [row])
     return 0
 
 
@@ -174,8 +169,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("stealth-audit", help="on-off budget and stealth gap")
     p.add_argument("--f0", type=_gaussian_arg, required=True, help="clean 'mean,variance'")
     p.add_argument("--f1", type=_gaussian_arg, required=True, help="attacked 'mean,variance'")
-    p.add_argument("--hprime", type=float, required=True, help="attacker threshold")
-    p.add_argument("--phi", type=float, default=0.0, help="correlation of the shaped density")
+    p.add_argument("--hprime", type=finite, required=True, help="attacker threshold")
+    p.add_argument("--phi", type=finite, default=0.0, help="correlation of the shaped density")
     p.set_defaults(func=cmd_stealth_audit)
 
     args = parser.parse_args(argv)

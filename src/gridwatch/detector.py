@@ -208,15 +208,14 @@ def mle_attack_params(
 def gllr(
     rb_pre: np.ndarray,
     costs: HypothesisCosts,
-    classification: MeterClassification,
     model: GridModel,
 ) -> np.ndarray:
     """Generalized log-likelihood ratio for the interval, one per trial.
 
     ``rb_pre`` holds the residuals y - h_k^T x_pre_upd against the pre-filter
     *measurement update*, shape (..., K, lam). The classified cost of each
-    meter is its column minimum (see the module docstring), so the labels
-    are not read.
+    meter is its column minimum (see the module docstring), so it needs no
+    classification.
     """
     K, lam, sw2 = model.K, model.lam, model.sigma_w2
     r = np.asarray(rb_pre)
@@ -285,7 +284,7 @@ def algorithm1_step(
     post = kalman.kf_update_post(model, post, rb.mean, est.a_hat, est.sigma_hat, pre_step, shares)
 
     r_pre = y - matvec(model.meter_rows, pre.x_upd)[..., None]
-    beta = gllr(r_pre, costs, classification, model)
+    beta = gllr(r_pre, costs, model)
 
     stepped = [cusum_step(c, b, t) for c, b in zip(cs, beta.tolist(), strict=True)]
     new_cs = [c for c, _ in stepped]

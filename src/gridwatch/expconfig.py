@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .attacks import AttackSpec, MagnitudeLaw
+from .grid_model import finite, positive, read_sections
 
 
 class ConfigError(ValueError):
@@ -60,32 +61,18 @@ _REQUIRED_SECTIONS = ("model", "detector", "attack", "run")
 
 def _parse_sections(path: Path) -> dict:
     sections: dict = {}
-    current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip().lower()
-                if name not in _SCHEMA:
-                    raise ConfigError(f"line {lineno}: unknown section [{name}]")
-                if name in sections:
-                    raise ConfigError(f"line {lineno}: duplicate section [{name}]")
-                sections[name] = {}
-                current = name
-                continue
-            if current is None:
-                raise ConfigError(f"line {lineno}: key before any section")
+    for name, lines in read_sections(path, _SCHEMA, ConfigError).items():
+        sec = sections[name] = {}
+        for lineno, line in lines:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.lower()
-            if key not in _SCHEMA[current]:
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{current}]")
-            if key in sections[current]:
+            if key not in _SCHEMA[name]:
+                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
+            if key in sec:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            sections[current][key] = value
+            sec[key] = value
     for name in _REQUIRED_SECTIONS:
         if name not in sections:
             raise ConfigError(f"missing required section [{name}]")
@@ -112,20 +99,6 @@ def _bool(text: str) -> bool:
     raise ValueError("expected a boolean")
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = _finite(text)
-    if not value > 0:
-        raise ValueError("must be > 0")
-    return value
-
-
 def _at_least(least: int):
     """An int converter that rejects values below ``least``."""
 
@@ -139,7 +112,7 @@ def _at_least(least: int):
 
 
 def _floats(text: str) -> "list[float]":
-    return [_finite(tok) for tok in text.replace(",", " ").split()]
+    return [finite(tok) for tok in text.replace(",", " ").split()]
 
 
 def _ints(text: str) -> "list[int]":
@@ -147,7 +120,7 @@ def _ints(text: str) -> "list[int]":
 
 
 def _symmetric_law(text: str) -> MagnitudeLaw:
-    return MagnitudeLaw.uniform(-float(text), float(text))
+    return MagnitudeLaw.uniform(-finite(text), finite(text))
 
 
 def _interval_law(text: str) -> MagnitudeLaw:
@@ -156,7 +129,7 @@ def _interval_law(text: str) -> MagnitudeLaw:
 
 
 def _fixed_law(text: str) -> MagnitudeLaw:
-    return MagnitudeLaw.fixed(float(text))
+    return MagnitudeLaw.fixed(finite(text))
 
 
 @dataclass
@@ -239,7 +212,7 @@ def _attack_spec(sec: dict, tau: float) -> AttackSpec:
     if "meters" in sec:
         selection = ("fixed", tuple(_get(sec, "meters", _ints)))
     else:
-        selection = ("bernoulli", _get(sec, "p", float, default=0.5))
+        selection = ("bernoulli", _get(sec, "p", finite, default=0.5))
 
     fdi_law = _get(sec, "fdi_uniform", _symmetric_law) or _get(sec, "fdi_fixed", _fixed_law)
     jam_law = _get(sec, "jam_uniform", _interval_law) or _get(sec, "jam_fixed", _fixed_law)
@@ -279,22 +252,22 @@ def load_config(path) -> ExperimentConfig:
     model = ModelSection(
         topology_path=resolve_topology(_get(msec, "topology", str, required=True), base),
         lam=_get(msec, "lambda", _at_least(1), default=1),
-        sigma_v2=_get(msec, "sigma_v2", _positive, required=True),
-        sigma_w2=_get(msec, "sigma_w2", _positive, required=True),
+        sigma_v2=_get(msec, "sigma_v2", positive, required=True),
+        sigma_w2=_get(msec, "sigma_w2", positive, required=True),
         a_choice=a_choice,
         x0_mode=x0_mode,
         x0_values=x0_values,
-        p0=_get(msec, "p0", _positive),
+        p0=_get(msec, "p0", positive),
     )
 
     dsec = sections["detector"]
     detector = DetectorSection(
-        gamma=_get(dsec, "gamma", _positive, required=True),
-        sigma2_min=_get(dsec, "sigma2_min", _positive, required=True),
-        h=_get(dsec, "h", _finite, required=True),
-        np_q=_get(dsec, "np_q", _finite),
-        euclid_d=_get(dsec, "euclid_d", _finite),
-        cosine_d=_get(dsec, "cosine_d", _finite),
+        gamma=_get(dsec, "gamma", positive, required=True),
+        sigma2_min=_get(dsec, "sigma2_min", positive, required=True),
+        h=_get(dsec, "h", finite, required=True),
+        np_q=_get(dsec, "np_q", finite),
+        euclid_d=_get(dsec, "euclid_d", finite),
+        cosine_d=_get(dsec, "cosine_d", finite),
         np_clamp=_get(dsec, "np_clamp", _bool, default=False),
         mu0_samples=_get(dsec, "mu0_samples", _at_least(1), default=100_000),
         mu0_cache=_get(dsec, "mu0_cache", str, default="auto"),
@@ -302,7 +275,7 @@ def load_config(path) -> ExperimentConfig:
 
     shewhart_phi = None
     if "shewhart" in sections:
-        shewhart_phi = _get(sections["shewhart"], "phi", _positive, required=True)
+        shewhart_phi = _get(sections["shewhart"], "phi", positive, required=True)
 
     chi2_cfg = None
     if "chi2" in sections:
@@ -310,7 +283,7 @@ def load_config(path) -> ExperimentConfig:
         chi2_cfg = Chi2Section(
             m=_get(csec, "m", _at_least(1), default=5),
             l=_get(csec, "l", int, default=80),
-            varphi=_get(csec, "varphi", _positive, required=True),
+            varphi=_get(csec, "varphi", positive, required=True),
         )
         if chi2_cfg.l < chi2_cfg.m:
             raise ConfigError(f"[chi2] l = {chi2_cfg.l} must be >= m = {chi2_cfg.m}")
@@ -319,7 +292,7 @@ def load_config(path) -> ExperimentConfig:
     run = RunSection(
         trials=_get(rsec, "trials", _at_least(1), default=1),
         horizon=_get(rsec, "horizon", _at_least(1), required=True),
-        tau=_get(rsec, "tau", _finite, default=100),
+        tau=_get(rsec, "tau", finite, default=100),
         eta=_get(rsec, "eta", _at_least(1), default=50),
         seed=_get(rsec, "seed", _at_least(0), default=0),
         log_steps=_get(rsec, "log_steps", _bool, default=False),

@@ -15,6 +15,7 @@ lam times contiguously.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,13 +74,60 @@ class GridTopology:
         return np.array([self.angles.get(b, 0.0) for b in self.state_buses()])
 
 
-_SECTIONS = ("buses", "branches", "meters")
+def finite(text: str) -> float:
+    """The number ``text`` names; a ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def positive(text: str) -> float:
+    """The number ``text`` names; a ValueError unless it is finite and > 0."""
+    value = finite(text)
+    if not value > 0:
+        raise ValueError("must be > 0")
+    return value
+
+
+def read_sections(path, known, error) -> dict:
+    """The lines of a sectioned text file: ``{section: [(line number,
+    text), ...]}`` for each ``[section]`` header present.
+
+    The file is UTF-8; ``#`` starts a comment, and blank lines and comments
+    are dropped. Section names are lower-cased and must be in ``known``.
+    Undecodable bytes, an unknown or repeated section and text before the
+    first header raise ``error`` naming the line.
+    """
+    sections: dict = {}
+    lines = None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            raise error(f"line {lineno}: not UTF-8 text") from None
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if name not in known:
+                raise error(f"line {lineno}: unknown section [{name}]")
+            if name in sections:
+                raise error(f"line {lineno}: duplicate section [{name}]")
+            lines = sections[name] = []
+        elif lines is None:
+            raise error(f"line {lineno}: text before any section header")
+        else:
+            lines.append((lineno, line))
+    return sections
 
 
 def load_topology(path) -> GridTopology:
     """Parse and validate a topology file.
 
-    Format (line oriented, ``#`` starts a comment):
+    Format (sectioned text, see ``read_sections``):
 
         [buses]
         <id> [angle] [ref]        # at most one bus carries the ref flag
@@ -89,8 +137,10 @@ def load_topology(path) -> GridTopology:
         <id> flow <branch> <+|->
         <id> injection <bus>
 
-    Unknown sections are rejected; errors carry the offending line number.
+    Angles must be finite and susceptances finite and > 0; errors carry the
+    offending line number.
     """
+    sections = read_sections(path, ("buses", "branches", "meters"), TopologyError)
     buses: list = []
     angles: dict = {}
     reference: Optional[str] = None
@@ -101,84 +151,66 @@ def load_topology(path) -> GridTopology:
     # even under distinct ids.
     meter_defs = set()
 
-    section = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip().lower()
-                if section not in _SECTIONS:
-                    raise TopologyError(f"line {lineno}: unknown section [{section}]")
-                continue
-            if section is None:
-                raise TopologyError(f"line {lineno}: content before any section header")
-            tokens = line.split()
-            if section == "buses":
-                bus = tokens[0]
-                if bus in seen_bus:
-                    raise TopologyError(f"line {lineno}: duplicate bus {bus}")
-                seen_bus.add(bus)
-                buses.append(bus)
-                for tok in tokens[1:]:
-                    if tok.lower() == "ref":
-                        if reference is not None:
-                            raise TopologyError(
-                                f"line {lineno}: second reference bus {bus} "
-                                f"(already {reference})"
-                            )
-                        reference = bus
-                    else:
-                        try:
-                            angles[bus] = float(tok)
-                        except ValueError:
-                            raise TopologyError(
-                                f"line {lineno}: bad bus token {tok!r}"
-                            ) from None
-            elif section == "branches":
-                if len(tokens) != 4:
-                    raise TopologyError(
-                        f"line {lineno}: branch needs '<id> <from> <to> <susceptance>'"
-                    )
-                bid, fbus, tbus, sus = tokens
-                if bid in seen_branch:
-                    raise TopologyError(f"line {lineno}: duplicate branch {bid}")
-                seen_branch.add(bid)
-                try:
-                    b = float(sus)
-                except ValueError:
-                    raise TopologyError(
-                        f"line {lineno}: bad susceptance {sus!r}"
-                    ) from None
-                branches.append(Branch(bid, fbus, tbus, b))
-            elif section == "meters":
-                if len(tokens) < 3:
-                    raise TopologyError(f"line {lineno}: incomplete meter line")
-                mid, kind = tokens[0], tokens[1].lower()
-                if mid in seen_meter:
-                    raise TopologyError(f"line {lineno}: duplicate meter {mid}")
-                seen_meter.add(mid)
-                if kind == "flow":
-                    if len(tokens) != 4 or tokens[3] not in ("+", "-"):
-                        raise TopologyError(
-                            f"line {lineno}: flow meter needs '<id> flow <branch> <+|->'"
-                        )
-                    direction = +1 if tokens[3] == "+" else -1
-                    meter = Meter(mid, "flow", tokens[2], direction)
-                elif kind == "injection":
-                    if len(tokens) != 3:
-                        raise TopologyError(
-                            f"line {lineno}: injection meter needs '<id> injection <bus>'"
-                        )
-                    meter = Meter(mid, "injection", tokens[2])
-                else:
-                    raise TopologyError(f"line {lineno}: unknown meter kind {kind!r}")
-                mdef = (meter.kind, meter.target, meter.direction)
-                if mdef in meter_defs:
-                    raise TopologyError(f"line {lineno}: duplicate meter definition {mid}")
-                meter_defs.add(mdef)
-                meters.append(meter)
+    def number(rule, tok: str, what: str, lineno: int) -> float:
+        try:
+            return rule(tok)
+        except ValueError as exc:
+            raise TopologyError(f"line {lineno}: bad {what} {tok!r} ({exc})") from None
+
+    for lineno, line in sections.get("buses", ()):
+        bus, *rest = line.split()
+        if bus in seen_bus:
+            raise TopologyError(f"line {lineno}: duplicate bus {bus}")
+        seen_bus.add(bus)
+        buses.append(bus)
+        for tok in rest:
+            if tok.lower() != "ref":
+                angles[bus] = number(finite, tok, "bus token", lineno)
+            elif reference is not None:
+                raise TopologyError(
+                    f"line {lineno}: second reference bus {bus} (already {reference})"
+                )
+            else:
+                reference = bus
+    for lineno, line in sections.get("branches", ()):
+        tokens = line.split()
+        if len(tokens) != 4:
+            raise TopologyError(
+                f"line {lineno}: branch needs '<id> <from> <to> <susceptance>'"
+            )
+        bid, fbus, tbus, sus = tokens
+        if bid in seen_branch:
+            raise TopologyError(f"line {lineno}: duplicate branch {bid}")
+        seen_branch.add(bid)
+        branches.append(Branch(bid, fbus, tbus, number(positive, sus, "susceptance", lineno)))
+    for lineno, line in sections.get("meters", ()):
+        tokens = line.split()
+        if len(tokens) < 3:
+            raise TopologyError(f"line {lineno}: incomplete meter line")
+        mid, kind = tokens[0], tokens[1].lower()
+        if mid in seen_meter:
+            raise TopologyError(f"line {lineno}: duplicate meter {mid}")
+        seen_meter.add(mid)
+        if kind == "flow":
+            if len(tokens) != 4 or tokens[3] not in ("+", "-"):
+                raise TopologyError(
+                    f"line {lineno}: flow meter needs '<id> flow <branch> <+|->'"
+                )
+            direction = +1 if tokens[3] == "+" else -1
+            meter = Meter(mid, "flow", tokens[2], direction)
+        elif kind == "injection":
+            if len(tokens) != 3:
+                raise TopologyError(
+                    f"line {lineno}: injection meter needs '<id> injection <bus>'"
+                )
+            meter = Meter(mid, "injection", tokens[2])
+        else:
+            raise TopologyError(f"line {lineno}: unknown meter kind {kind!r}")
+        mdef = (meter.kind, meter.target, meter.direction)
+        if mdef in meter_defs:
+            raise TopologyError(f"line {lineno}: duplicate meter definition {mid}")
+        meter_defs.add(mdef)
+        meters.append(meter)
 
     if reference is None:
         raise TopologyError("no reference bus declared")
@@ -194,10 +226,6 @@ def load_topology(path) -> GridTopology:
                 )
         if br.from_bus == br.to_bus:
             raise TopologyError(f"branch {br.branch_id} is a self-loop")
-        if not br.susceptance > 0:
-            raise TopologyError(
-                f"branch {br.branch_id} susceptance must be > 0, got {br.susceptance}"
-            )
     if not meters:
         raise TopologyError("at least one meter is required")
     for m in meters:

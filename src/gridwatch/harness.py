@@ -148,7 +148,14 @@ def prepare(cfg: ExperimentConfig, mu0_cache: "str | Path | None" = None) -> Run
     topology = load_topology(cfg.model.topology_path)
     a_choice = cfg.model.a_choice
     if isinstance(a_choice, Path):
-        a_choice = np.loadtxt(a_choice, delimiter=",")
+        bad = f"bad value for 'a': {str(a_choice)!r}"
+        n = topology.n_states
+        try:
+            a_choice = np.loadtxt(a_choice, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{bad} ({exc})") from None
+        if a_choice.shape != (n, n) or not np.isfinite(a_choice).all():
+            raise ConfigError(f"{bad} (must hold a finite {n}x{n} matrix)")
     model = build_model(topology, cfg.model.lam, cfg.model.sigma_v2, cfg.model.sigma_w2, a_choice)
     fixed = cfg.attack.selection[1] if cfg.attack.selection[0] == "fixed" else ()
     for m in (*fixed, *cfg.attack.fault_meters):
@@ -541,7 +548,7 @@ def _run_batch(
         stats = {"g": np.array([c.g for c in cs]), "beta": step.beta}
         if ctx.chi2 is not None:
             c = robust.chi2_sample_from_innovation(step.pre_innovation, pre_step.white, model.sigma_w2)
-            window, chi = robust.pearson_step(window, c, ctx.chi2)
+            window, chi = robust.pearson_step(window, c)
             stats.update(c=c, chi=chi)
         if "np_cusum" in thresholds:
             np_S = robust.np_cusum_step(np_S, dist, mu0, ctx.np_clamp)
@@ -911,13 +918,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def write_rows(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV header line and one line per row to the text stream fh."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        write_rows(fh, header, rows)
 
 
 def write_tradeoff_csv(path, points: Sequence[CurvePoint]) -> None:

@@ -42,28 +42,24 @@ class ShewhartConfig:
 
 @dataclass(frozen=True)
 class Chi2Config:
-    """Interval partition of [0, inf) with cell probabilities, window, threshold."""
+    """Interval partition of [0, inf) into M cells of probability 1/M each,
+    window, threshold."""
 
     edges: tuple  # M-1 interior edges, ascending
-    p: tuple  # M probabilities, sum 1
     L: int
     varphi: float
 
     def __post_init__(self):
-        if len(self.p) != len(self.edges) + 1:
-            raise ValueError("need exactly M-1 interior edges for M cells")
-        if abs(sum(self.p) - 1.0) > 1e-9:
-            raise ValueError("cell probabilities must sum to 1")
         if list(self.edges) != sorted(self.edges):
             raise ValueError("edges must be ascending")
-        if self.L < len(self.p):
+        if self.L < self.M:
             raise ValueError("window must be at least as long as the cell count")
         if not self.varphi > 0:
             raise ValueError("varphi must be > 0")
 
     @property
     def M(self) -> int:
-        return len(self.p)
+        return len(self.edges) + 1
 
     @property
     def intervals(self) -> tuple:
@@ -77,7 +73,7 @@ class Chi2Config:
         j/M quantiles, 2 P^{-1}(dof/2, j/M) with P the regularized lower
         incomplete gamma function."""
         edges = tuple(float(2.0 * gammaincinv(dof / 2.0, j / M)) for j in range(1, M))
-        return cls(edges=edges, p=(1.0 / M,) * M, L=L, varphi=varphi)
+        return cls(edges=edges, L=L, varphi=varphi)
 
     def cell_of(self, c: float) -> int:
         """Half-open membership: cell j covers [edge_{j-1}, edge_j)."""
@@ -120,7 +116,7 @@ class Chi2State:
 
 
 def _pearson(counts: np.ndarray, cfg: Chi2Config) -> np.ndarray:
-    expected = cfg.L * np.asarray(cfg.p)
+    expected = cfg.L * (1.0 / cfg.M)
     return ((counts - expected) ** 2 / expected).sum(axis=-1)
 
 
@@ -143,12 +139,13 @@ def chi2_sample_from_innovation(
     return vecdot(spread, spread) / sigma_w2 + vecdot(z, z)
 
 
-def pearson_step(st: Chi2State, c_new, cfg: Chi2Config) -> "tuple[Chi2State, np.ndarray]":
+def pearson_step(st: Chi2State, c_new) -> "tuple[Chi2State, np.ndarray]":
     """Evict the oldest sample, insert c_new, update counts in O(1); returns
     the window and its Pearson statistic.
 
     c_new has the trial axes of the window (none for a single window).
     """
+    cfg = st.cfg
     cell = np.searchsorted(cfg.edges, c_new, side="right")
     bins = np.arange(cfg.M)
     st.counts -= bins == st.cells[..., st.head, None]

@@ -409,7 +409,7 @@ def dense_trial(ctx, seed):
         pre, factor, r = dense_update(model, pre, y_flat, 0.0, clean_noise)
         inflated = clean_noise + model.expand(est.sigma_hat)
         post = dense_update(model, post, y_flat, model.expand(est.a_hat), inflated)[0]
-        beta = detector.gllr(y - (model.meter_rows @ pre.x_upd)[:, None], costs, labels, model)
+        beta = detector.gllr(y - (model.meter_rows @ pre.x_upd)[:, None], costs, model)
         g = max(0.0, g + beta)
         if g == 0.0:
             post, tau_hat = pre.copy(), t
@@ -420,7 +420,7 @@ def dense_trial(ctx, seed):
         paths["tau_hat"].append(tau_hat)
         if window is not None:
             c = float(r @ cho_solve(factor, r, check_finite=False))
-            window, chi = robust.pearson_step(window, c, ctx.chi2)
+            window, chi = robust.pearson_step(window, c)
             paths["c"].append(c)
             paths["chi"].append(chi)
         if ctx.np_q is not None:

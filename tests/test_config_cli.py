@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridwatch import harness, load_config
 from gridwatch.cli import main
@@ -321,3 +323,110 @@ def test_cli_false_alarm(tmp_path, two_bus_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "detector,fap,fap_ci,censored,runs"
+
+
+def test_undecodable_byte_names_its_line(tmp_path, two_bus_path):
+    text = MINIMAL.format(
+        topology=two_bus_path, extra_detector="", attack="kind = none", trials=1, horizon=50,
+    )
+    line = text.splitlines().index("h = 5") + 1
+    p = tmp_path / "c.cfg"
+    p.write_bytes(text.encode().replace(b"h = 5", b"h = 5 # \xff"))
+    with pytest.raises(ConfigError, match=f"line {line}: not UTF-8"):
+        load_config(p)
+
+
+A_CONFIG = MINIMAL.replace("sigma_w2 = 1e-4", "sigma_w2 = 1e-4\na = a.csv")
+
+
+def test_a_file_of_one_state_network(tmp_path, two_bus_path):
+    (tmp_path / "a.csv").write_text("0.5\n")
+    text = A_CONFIG.format(
+        topology=two_bus_path, extra_detector="", attack="kind = none", trials=1, horizon=50,
+    )
+    assert harness.prepare(load_config(write(tmp_path, text))).model.A.tolist() == [[0.5]]
+
+
+@pytest.mark.parametrize("content", ["nan\n", "0.9,0\n0,0.9\n", "junk\n", None])
+def test_bad_a_file_names_a_before_the_baseline(tmp_path, two_bus_path, monkeypatch, content):
+    # a nan entry diverged at the first step; a wrong shape, junk text and a
+    # missing file raised untyped errors
+    if content is not None:
+        (tmp_path / "a.csv").write_text(content)
+    text = A_CONFIG.format(
+        topology=two_bus_path, extra_detector="np_q = 5\n", attack="kind = none", trials=1,
+        horizon=50,
+    )
+    monkeypatch.setattr(harness, "innovation_norm_baseline", lambda *a, **k: pytest.fail("ran"))
+    with pytest.raises(ConfigError, match="'a'"):
+        harness.prepare(load_config(write(tmp_path, text)))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--f0", "0,nan", "--f1", "2,1", "--hprime", "4.5"],
+        ["--f0", "0,1", "--f1", "inf,1", "--hprime", "4.5"],
+        ["--f0", "0,1", "--f1", "2,1", "--hprime", "nan"],
+        ["--f0", "0,1", "--f1", "2,1", "--hprime", "4.5", "--phi", "inf"],
+    ],
+)
+def test_cli_stealth_audit_rejects_non_finite_arguments(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(["stealth-audit", *args])
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--f1", "2,1", "--hprime", "0.1"], "must be >= KL"),
+        (["--f1", "2,1", "--hprime", "4.5", "--phi", "5"], "phi"),
+        (["--f1", "0,1", "--hprime", "4.5"], "must differ"),
+    ],
+)
+def test_cli_stealth_audit_reports_range_errors(args, message):
+    with pytest.raises(SystemExit, match=message):
+        main(["stealth-audit", "--f0", "0,1", *args])
+
+
+CONFIG_TOKENS = (
+    "[model]", "[detector]", "[shewhart]", "[chi2]", "[attack]", "[run]", "[plotting]", "#", "=",
+    ",", "topology", "lambda", "sigma_v2", "a", "x0", "p0", "h", "np_q", "mu0_samples", "phi",
+    "m", "l", "varphi", "kind", "p", "meters", "fdi_uniform", "jam_uniform", "jam_fixed",
+    "inner", "t_on", "t_off", "fault_meters", "trials", "horizon", "tau", "seed", "workers",
+    "ieee14", "none", "fdi", "jamming", "hybrid", "onoff", "topology-fault", "zeros", "true",
+    "0", "1", "-1", "0.5", "2e-4", "1e400", "nan", "inf", "-inf", "x",
+)
+
+
+@st.composite
+def config_bytes(draw):
+    """A valid config with a few lines replaced by or spliced with lines of
+    tokens or ``key = value`` lines of them, or arbitrary bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    lines = MINIMAL.format(
+        topology="ieee14", extra_detector="", attack=FDI, trials=1, horizon=50,
+    ).splitlines()
+    tokens = st.lists(st.sampled_from(CONFIG_TOKENS), max_size=5)
+    token_line = st.one_of(
+        tokens.map(" ".join),
+        st.tuples(st.sampled_from(CONFIG_TOKENS), tokens).map(lambda kv: f"{kv[0]} = {','.join(kv[1])}"),
+    )
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        lines[i : i + draw(st.integers(0, 1))] = [draw(token_line)]
+    return "\n".join(lines).encode()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(data=config_bytes())
+def test_load_config_fuzz_raises_only_config_error(tmp_path_factory, data):
+    p = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    p.write_bytes(data)
+    try:
+        load_config(p)
+    except ConfigError:
+        pass

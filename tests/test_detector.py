@@ -137,7 +137,7 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
     costs = hypothesis_costs(rb, ieee14_model, CFG)
     cls = classify_meters(costs)
     est = mle_attack_params(rb, cls, CFG, ieee14_model)
-    beta = gllr(rb.e, costs, cls, ieee14_model)
+    beta = gllr(rb.e, costs, ieee14_model)
     assert len(set(cls.labels.ravel())) == 4  # every hypothesis occurs
     for i in range(B):
         rb1 = residual_block(ieee14_model, y[i], x[i], CFG)
@@ -150,7 +150,7 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
             (est.a_hat[i], est1.a_hat), (est.sigma_hat[i], est1.sigma_hat),
         ]:
             np.testing.assert_array_equal(got, want)
-        assert beta[i] == gllr(rb1.e, costs1, cls1, ieee14_model)
+        assert beta[i] == gllr(rb1.e, costs1, ieee14_model)
 
 
 # Hand-made meter rows (lam = 5) for the oracle comparison below: an
@@ -200,7 +200,7 @@ def test_cost_table_matches_four_array_oracle(ieee14_model, B):
         (rb.mean, "mean"), (rb.interior, "interior"), (rb.ssr[..., 1, :], "ssr_f"),
         (costs.u0, "u0"), (costs.uf, "uf"), (costs.uj, "uj"), (costs.ufj, "ufj"),
         (cls.labels, "labels"), (est.a_hat, "a_hat"), (est.sigma_hat, "sigma_hat"),
-        (gllr(r_pre, costs, cls, ieee14_model), "beta"),
+        (gllr(r_pre, costs, ieee14_model), "beta"),
     ]:
         assert_same_bits(got, want[key])
     assert_same_bits(rb.ssr[..., 0, :], rb.zeta)
@@ -210,7 +210,7 @@ def test_cost_table_matches_four_array_oracle(ieee14_model, B):
     tied = HypothesisCosts(table)
     labels = classify_meters(tied).labels
     assert_same_bits(labels, np.argmin(table, axis=-2))
-    assert_same_bits(gllr(r_pre, tied, cls, ieee14_model), gather_gllr(r_pre, table, labels, ieee14_model))
+    assert_same_bits(gllr(r_pre, tied, ieee14_model), gather_gllr(r_pre, table, labels, ieee14_model))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +336,7 @@ def test_mle_feasibility_on_random_blocks(ieee14_model):
 def test_gllr_zero_at_perfect_fit(two_bus_model):
     rb = residual_block(two_bus_model, np.zeros((1, 1)), np.zeros(1), CFG)
     costs = hypothesis_costs(rb, two_bus_model, CFG)
-    cls = classify_meters(costs)
-    beta = gllr(np.zeros((1, 1)), costs, cls, two_bus_model)
+    beta = gllr(np.zeros((1, 1)), costs, two_bus_model)
     assert beta == 0.0
 
 
@@ -345,10 +344,9 @@ def test_gllr_positive_for_huge_bias(ieee14_model):
     e = np.full(5, 1000 * GAMMA)
     rb = block_from_e(ieee14_model, e)
     costs = hypothesis_costs(rb, ieee14_model, CFG)
-    cls = classify_meters(costs)
     # pre-filter residuals equal the raw bias (no recovery on the clean side)
     r_pre = np.tile(e, (23, 1))
-    assert gllr(r_pre, costs, cls, ieee14_model) > 0
+    assert gllr(r_pre, costs, ieee14_model) > 0
 
 
 # ---------------------------------------------------------------------------

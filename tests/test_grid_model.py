@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridwatch import (
     Blocks,
@@ -74,6 +76,65 @@ def test_parse_error_carries_line_number(tmp_path):
     bad.write_text("[buses]\n1 ref\n2\n[branches]\n1 2 1\n")
     with pytest.raises(TopologyError, match="line 5"):
         load_topology(bad)
+
+
+GOOD = b"[buses]\n1 ref\n2 0.1\n[branches]\nb1 1 2 1.0\n[meters]\nm1 flow b1 +\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        (b"2 0.1", b"2 nan", 3),
+        (b"2 0.1", b"2 inf", 3),
+        (b"b1 1 2 1.0", b"b1 1 2 inf", 5),
+        (b"b1 1 2 1.0", b"b1 1 2 nan", 5),
+        (b"b1 1 2 1.0", b"b1 1 2 -1", 5),
+        (b"[meters]", b"[buses]\n3\n[meters]", 6),
+        (b"2 0.1", b"2 0.1 \xff", 3),
+        (b"[buses]", b"1\n[buses]", 1),
+    ],
+)
+def test_bad_topology_names_its_line(tmp_path, old, new, line):
+    # non-finite angles and susceptances once loaded and diverged at the
+    # first steps; a repeated section was merged
+    assert old in GOOD
+    p = tmp_path / "bad.grid"
+    p.write_bytes(GOOD.replace(old, new))
+    with pytest.raises(TopologyError, match=f"line {line}:"):
+        load_topology(p)
+
+
+TOPOLOGY_TOKENS = (
+    "[buses]", "[branches]", "[meters]", "[loads]", "#", "ref", "flow", "injection", "+", "-",
+    "1", "2", "3", "b1", "m1", "0", "0.5", "-1", "1e400", "nan", "inf", "-inf", "x",
+)
+
+
+@st.composite
+def topology_bytes(draw):
+    """A valid topology with a few lines replaced by or spliced with lines of
+    tokens, or arbitrary bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    lines = GOOD.decode().splitlines()
+    token_line = st.lists(st.sampled_from(TOPOLOGY_TOKENS), max_size=5).map(" ".join)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        lines[i : i + draw(st.integers(0, 1))] = [draw(token_line)]
+    return "\n".join(lines).encode()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(data=topology_bytes())
+def test_load_topology_fuzz_raises_only_topology_error(tmp_path_factory, data):
+    p = tmp_path_factory.getbasetemp() / "fuzz.grid"
+    p.write_bytes(data)
+    try:
+        top = load_topology(p)
+    except TopologyError:
+        return
+    assert all(np.isfinite(a) for a in top.angles.values())
+    assert all(np.isfinite(br.susceptance) and br.susceptance > 0 for br in top.branches)
 
 
 def test_injection_row_is_sum_of_signed_flow_rows(three_bus_path):

@@ -142,7 +142,7 @@ def test_t_tilde_is_min_and_replay_consistent(tmp_path, mu0_cache):
     st = Chi2State.initialize(ctx.chi2, 115, np.random.default_rng(chi2_ss))
     chi_replay = np.empty(n)
     for t in range(1, n + 1):
-        st, chi = pearson_step(st, float(res.paths.c[t - 1]), ctx.chi2)
+        st, chi = pearson_step(st, float(res.paths.c[t - 1]))
         chi_replay[t - 1] = chi
     np.testing.assert_array_equal(chi_replay, res.paths.chi[:n])
 

@@ -22,3 +22,15 @@ def test_path_digest_repeats_and_sees_one_bit():
     mse1 = again[1].paths.mse1
     mse1[-1] = np.nextafter(mse1[-1], np.inf)
     assert path_digest.paths_digest(again) != digest
+
+
+def test_parsed_digest_sees_a_config_value_and_not_its_place(tmp_path):
+    text = (path_digest.WORKLOADS / "fdi_detect.cfg").read_text()
+    assert "\nh = " in text
+    copies = []
+    for name, body in (("a", text), ("b", text), ("c", text.replace("\nh = ", "\nh = 1"))):
+        (tmp_path / name).mkdir()
+        copies.append(tmp_path / name / "fdi_detect.cfg")
+        copies[-1].write_text(body)
+    first, moved, changed = (path_digest.parsed_digest(p) for p in copies)
+    assert len(first) == 64 and moved == first and changed != first

@@ -71,12 +71,12 @@ def test_batched_statistics_match_single_windows(ieee14_model, ieee14_topology):
     for _ in range(200):
         r = rng.standard_normal((B, 23, 5)) * 0.01 * rng.uniform(0.5, 2.0)
         c = chi2_sample_from_innovation(r, white, ieee14_model.sigma_w2)
-        batch, chi = pearson_step(batch, c, cfg)
+        batch, chi = pearson_step(batch, c)
         y = rng.standard_normal((B, 115))
         cos = cosine_similarity(y, y - r.reshape(B, -1))
         for i in range(B):
             assert c[i] == chi2_sample_from_innovation(r[i], white, ieee14_model.sigma_w2)
-            windows[i], chi_i = pearson_step(windows[i], float(c[i]), cfg)
+            windows[i], chi_i = pearson_step(windows[i], float(c[i]))
             assert chi[i] == chi_i
             np.testing.assert_array_equal(batch.counts[i], windows[i].counts)
             assert cos[i] == cosine_similarity(y[i], y[i] - r[i].reshape(-1))
@@ -165,7 +165,7 @@ def test_pearson_perfect_fit_and_concentrated():
 def test_pearson_step_evicts_and_counts():
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
     st = Chi2State.from_samples(cfg, np.full(80, 1.0))
-    st, chi = pearson_step(st, 1e6, cfg)
+    st, chi = pearson_step(st, 1e6)
     assert st.counts[0] == 79 and st.counts[4] == 1
     assert VARPHI <= chi < 320.0  # still wildly off the null
 
@@ -178,7 +178,7 @@ def test_ring_buffer_matches_recount():
     window = list(init)
     samples = rng.chisquare(115, size=100_000)
     for i, c in enumerate(samples):
-        st, chi = pearson_step(st, float(c), cfg)
+        st, chi = pearson_step(st, float(c))
         window.pop(0)
         window.append(float(c))
         if i % 979 == 0:
