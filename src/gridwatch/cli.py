@@ -9,6 +9,10 @@ Subcommands:
                       false alarm period.
 * ``stealth-audit``-- on-off budget and persistent-stealth gap for a
                       Gaussian pair, printed as CSV.
+
+A bad config or topology file is a usage error: ``gridwatch <command>:
+error: <message>`` on stderr and exit status 2, as argparse reports a bad
+argument.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from pathlib import Path
 
 from . import harness, stealth
 from .expconfig import ConfigError, load_config
-from .grid_model import finite, positive
+from .grid_model import TopologyError, finite, positive
 
 
 def _add_config(p: argparse.ArgumentParser) -> None:
@@ -174,7 +178,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_stealth_audit)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, TopologyError) as exc:
+        sub.choices[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

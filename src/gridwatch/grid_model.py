@@ -266,10 +266,6 @@ class GridModel:
         self.H.setflags(write=False)
         self.meter_rows.setflags(write=False)
 
-    def expand(self, per_meter: np.ndarray) -> np.ndarray:
-        """Repeat a K-vector lam times contiguously (H's row-block layout)."""
-        return np.repeat(np.asarray(per_meter, dtype=float), self.lam)
-
     def fingerprint(self) -> str:
         """Stable hash of everything that determines model statistics."""
         import hashlib

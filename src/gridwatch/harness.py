@@ -8,20 +8,20 @@ thresholds -- so stopping times for whole threshold grids are derived from
 one recorded path per trial. Aggregation uses sums and counts only, making
 trial order irrelevant.
 
-The trial engine advances all trials of a ``run_trials`` call in lock-step,
-one step at a time, on a leading trial axis B. Each trial keeps its own
-random streams, draw order and measurement hash. Everything else runs once
-per step for the whole batch: the simulation, the attack realization and
-its application, on (B, ...) arrays fed by per-trial streams that one
-``grid_model.Blocks`` per stream draws ahead in blocks (every step
-receives the values that drawing at that step would give), then the
-filters and detector statistics on (B, K) and (B,) arrays, sharing the
-step's pre-filter schedule entry. Without recorded paths a
-trial leaves the batch (the batch is compacted) once every detector except
-alg2 has fired, and the engine holds O(B) state; (B, horizon) path arrays
-exist only when paths are requested.
-``run_trials`` passes all its trials to ``run_trial`` as one batch; a
-single seed is the batch of one.
+The trial engine, ``run_trial``, takes a sequence of seeds and advances
+their trials in lock-step, one step at a time, on a leading trial axis B.
+Each trial keeps its own random streams, draw order and measurement hash.
+Everything else runs once per step for the whole batch: the simulation,
+the attack realization and its application, on (B, ...) arrays fed by
+per-trial streams that one ``grid_model.Blocks`` per stream draws ahead in
+blocks (every step receives the values that drawing at that step would
+give), then the filters and detector statistics on (B, K) and (B,)
+arrays, sharing the step's pre-filter schedule entry. Without recorded
+paths a trial leaves the batch (the batch is compacted) once every
+detector except alg2 has fired, and the engine holds O(B) state;
+(B, horizon) path arrays exist only when paths are requested.
+``run_trials`` derives the seeds of a run, (master seed, trial index),
+and runs them as one batch; a single trial is the batch of one seed.
 """
 
 from __future__ import annotations
@@ -145,7 +145,11 @@ def _resolve_x0(cfg: ExperimentConfig, model: GridModel, topology) -> np.ndarray
 
 
 def prepare(cfg: ExperimentConfig, mu0_cache: "str | Path | None" = None) -> RunContext:
-    topology = load_topology(cfg.model.topology_path)
+    try:
+        topology = load_topology(cfg.model.topology_path)
+    except OSError as exc:
+        path = str(cfg.model.topology_path)
+        raise ConfigError(f"bad value for 'topology': {path!r} ({exc.strerror})") from None
     a_choice = cfg.model.a_choice
     if isinstance(a_choice, Path):
         bad = f"bad value for 'a': {str(a_choice)!r}"
@@ -365,33 +369,6 @@ class TrialResult:
         return self.stops.get(name, INF)
 
 
-def trial_entropy(master_seed: int, index: int) -> tuple:
-    """Stable per-trial seed material: (master, trial index)."""
-    return (int(master_seed), int(index))
-
-
-class SeedBatch(tuple):
-    """Seeds of trials that the engine advances together (see ``run_trial``)."""
-
-
-def run_trial(
-    ctx: RunContext,
-    seed,
-    log_steps: Optional[bool] = None,
-    full_paths: bool = False,
-) -> "TrialResult | list[TrialResult]":
-    """Simulate one trajectory and evaluate every configured detector on it.
-
-    Deterministic in ``seed`` (see ``_Streams.spawn``). Given a ``SeedBatch``
-    instead, the engine advances those trials together and returns their
-    results in order; ``run_trials`` runs that way, and one seed is the
-    batch of one.
-    """
-    if isinstance(seed, SeedBatch):
-        return _run_batch(ctx, seed, log_steps, full_paths)
-    return _run_batch(ctx, [seed], log_steps, full_paths)[0]
-
-
 def run_trials(
     ctx: RunContext,
     trials: Optional[int] = None,
@@ -400,8 +377,8 @@ def run_trials(
     log_steps: Optional[bool] = None,
     full_paths: bool = False,
 ) -> "list[TrialResult]":
-    """Run independent trials with per-trial derived seeds, advanced together
-    as one batch.
+    """Run independent trials, trial i with seed material (master seed, i),
+    as one batch of ``run_trial``.
 
     ``workers`` (and the ``run.workers`` key) is accepted and ignored: one
     batch amortizes each step's filter and detector work over every trial,
@@ -411,8 +388,7 @@ def run_trials(
     cfg = ctx.cfg
     n = trials if trials is not None else cfg.run.trials
     master = master_seed if master_seed is not None else cfg.run.seed
-    seeds = SeedBatch(trial_entropy(master, i) for i in range(n))
-    return run_trial(ctx, seeds, log_steps, full_paths)
+    return run_trial(ctx, [(master, i) for i in range(n)], log_steps, full_paths)
 
 
 @dataclass
@@ -486,16 +462,24 @@ def _new_paths(B: int, horizon: int, log_steps: bool) -> TrialPaths:
     )
 
 
-def _run_batch(
-    ctx: RunContext, seeds: Sequence, log_steps: Optional[bool], full_paths: bool
+def run_trial(
+    ctx: RunContext,
+    seeds: Sequence,
+    log_steps: Optional[bool] = None,
+    full_paths: bool = False,
 ) -> "list[TrialResult]":
-    """The trial engine: advance the trials of ``seeds`` in lock-step.
+    """The trial engine: simulate one trajectory per seed, evaluate every
+    configured detector on it, and return the trials' results in order.
 
-    Per trial: the measurement hash. Batched, once per step: the
-    simulation step, the attack realization and application (each trial
-    drawing from its own streams), algorithm 1 (both filters, the detector
-    statistics and one CUSUM step per trial), the chi-squared window, the
-    benchmark statistics and the stopping rules. Unless paths are recorded (full
+    The trials advance in lock-step; each is deterministic in its seed (see
+    ``_Streams.spawn``), whatever the batch it runs in, so a single trial
+    is ``run_trial(ctx, [seed])[0]``.
+
+    Per trial: the measurement hash. Batched, once per step: the simulation
+    step, the attack realization and application (each trial drawing from
+    its own streams), algorithm 1 (both filters, the detector statistics
+    and one CUSUM step per trial), the chi-squared window, the benchmark
+    statistics and the stopping rules. Unless paths are recorded (full
     paths or step logging), a trial leaves the batch once every enabled
     detector but alg2 has fired.
     """

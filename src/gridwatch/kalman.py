@@ -80,11 +80,6 @@ class KalmanState:
     x_upd: np.ndarray
     P_upd: np.ndarray
 
-    def copy(self) -> "KalmanState":
-        return KalmanState(
-            self.x_pred.copy(), self.P_pred.copy(), self.x_upd.copy(), self.P_upd.copy()
-        )
-
     def take(self, keep) -> "KalmanState":
         """The trials selected by ``keep`` (an index or mask on the trial axis)."""
         return KalmanState(
@@ -356,10 +351,3 @@ def sync_post_to_pre(bank: DualFilterBank, sync=True) -> DualFilterBank:
         ),
         post_shares_pre=sync | bank.post_shares_pre,
     )
-
-
-def min_eigenvalue_ratio(P: np.ndarray) -> float:
-    """Smallest eigenvalue over trace; PSD health check for tests."""
-    eig = np.linalg.eigvalsh(_symmetrize(P))
-    tr = np.trace(P)
-    return float(eig[0] / tr) if tr > 0 else float(eig[0])

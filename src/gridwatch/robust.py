@@ -22,7 +22,6 @@ and applies every threshold with one first-crossing rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +60,6 @@ class Chi2Config:
     def M(self) -> int:
         return len(self.edges) + 1
 
-    @property
-    def intervals(self) -> tuple:
-        """Half-open cells [lo, hi) covering [0, inf)."""
-        bounds = (0.0,) + self.edges + (math.inf,)
-        return tuple(zip(bounds[:-1], bounds[1:]))
-
     @classmethod
     def equiprobable(cls, dof: int, M: int, L: int, varphi: float) -> "Chi2Config":
         """Cells of equal probability under the chi-squared(dof) null: the
@@ -74,10 +67,6 @@ class Chi2Config:
         incomplete gamma function."""
         edges = tuple(float(2.0 * gammaincinv(dof / 2.0, j / M)) for j in range(1, M))
         return cls(edges=edges, L=L, varphi=varphi)
-
-    def cell_of(self, c: float) -> int:
-        """Half-open membership: cell j covers [edge_{j-1}, edge_j)."""
-        return int(np.searchsorted(self.edges, c, side="right"))
 
 
 @dataclass
@@ -104,11 +93,6 @@ class Chi2State:
         cells = np.searchsorted(cfg.edges, samples, side="right")
         counts = (cells[..., None] == np.arange(cfg.M)).sum(axis=-2).astype(float)
         return cls(cfg=cfg, cells=cells, counts=counts, chi_stat=_pearson(counts, cfg))
-
-    @classmethod
-    def initialize(cls, cfg: Chi2Config, dof: int, rng: np.random.Generator) -> "Chi2State":
-        """Seed the window with draws from the chi-squared(dof) null."""
-        return cls.from_samples(cfg, rng.chisquare(dof, cfg.L))
 
     def take(self, keep) -> "Chi2State":
         """The windows of the trials selected by ``keep``."""

@@ -7,7 +7,9 @@ analytic interior/boundary points, which are required to reach 1e-6 cost
 accuracy at sigma_w2 = 1e-4 scales); none of the branch logic of the
 production code is reused. The rest are the slower formulations that
 faster code replaced (dense filters, four cost arrays, one-trial kernels),
-which the replacements must match, mostly bit for bit.
+which the replacements must match, mostly bit for bit. A few small
+helpers that only tests read (state copies, a PSD check, the chi-squared
+cells one at a time) close the module.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ from scipy.linalg import cho_factor, cho_solve
 from gridwatch import detector, kalman, robust
 from gridwatch.attacks import AttackRealization, is_active
 from gridwatch.grid_model import vecdot
-from gridwatch.kalman import KalmanState, initial_state
+from gridwatch.kalman import KalmanState, _symmetrize, initial_state
 
 
 def assert_same_bits(got, want):
@@ -383,10 +385,10 @@ def dense_trial(ctx, seed):
     atk_rng, jam_rng = np.random.default_rng(atk_ss), np.random.default_rng(jam_ss)
     window = None
     if ctx.chi2 is not None:
-        window = robust.Chi2State.initialize(ctx.chi2, n_meas, np.random.default_rng(chi2_ss))
+        window = initialize_window(ctx.chi2, n_meas, np.random.default_rng(chi2_ss))
     clean_noise = np.full(n_meas, model.sigma_w2)
     pre = initial_state(ctx.x0, ctx.p0)
-    post = pre.copy()
+    post = copy_state(pre)
     g = S = 0.0
     tau_hat = 1
     hasher = hashlib.sha256()
@@ -407,12 +409,12 @@ def dense_trial(ctx, seed):
         labels = detector.classify_meters(costs)
         est = detector.mle_attack_params(rb, labels, det, model)
         pre, factor, r = dense_update(model, pre, y_flat, 0.0, clean_noise)
-        inflated = clean_noise + model.expand(est.sigma_hat)
-        post = dense_update(model, post, y_flat, model.expand(est.a_hat), inflated)[0]
+        inflated = clean_noise + expand(model, est.sigma_hat)
+        post = dense_update(model, post, y_flat, expand(model, est.a_hat), inflated)[0]
         beta = detector.gllr(y - (model.meter_rows @ pre.x_upd)[:, None], costs, model)
         g = max(0.0, g + beta)
         if g == 0.0:
-            post, tau_hat = pre.copy(), t
+            post, tau_hat = copy_state(pre), t
 
         dist = float(np.linalg.norm(r))
         paths["g"].append(g)
@@ -477,3 +479,40 @@ def kl_quadrature_1d(mu_p, var_p, mu_q, var_q):
     hi = max(mu_p, mu_q) + width
     val, _ = quad(integrand, lo, hi, limit=200)
     return val
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests and the oracles above read.
+
+
+def copy_state(ks):
+    """A KalmanState holding copies of the arrays of ks."""
+    return KalmanState(ks.x_pred.copy(), ks.P_pred.copy(), ks.x_upd.copy(), ks.P_upd.copy())
+
+
+def expand(model, per_meter):
+    """Repeat a K-vector lam times contiguously (H's row-block layout)."""
+    return np.repeat(np.asarray(per_meter, dtype=float), model.lam)
+
+
+def min_eigenvalue_ratio(P):
+    """Smallest eigenvalue over trace; PSD health check for tests."""
+    eig = np.linalg.eigvalsh(_symmetrize(P))
+    tr = np.trace(P)
+    return float(eig[0] / tr) if tr > 0 else float(eig[0])
+
+
+def initialize_window(cfg, dof, rng):
+    """A chi-squared window seeded with draws from the chi-squared(dof) null."""
+    return robust.Chi2State.from_samples(cfg, rng.chisquare(dof, cfg.L))
+
+
+def cell_of(cfg, c):
+    """Half-open membership: cell j covers [edge_{j-1}, edge_j)."""
+    return int(np.searchsorted(cfg.edges, c, side="right"))
+
+
+def intervals(cfg):
+    """Half-open cells [lo, hi) covering [0, inf)."""
+    bounds = (0.0,) + cfg.edges + (math.inf,)
+    return tuple(zip(bounds[:-1], bounds[1:]))

@@ -16,18 +16,16 @@ import pytest
 from gridwatch import harness, load_config
 from gridwatch.detector import classify_meters, hypothesis_costs, mle_attack_params
 from gridwatch.detector import DetectorConfig, HypothesisCosts, ResidualBlock
-from gridwatch.kalman import min_eigenvalue_ratio
 from gridwatch.stealth import (
     GaussianPdf,
     construct_stealthy_gaussian,
-    cusum_drift_audit,
     kl_gaussian,
     onoff_budget,
-    rho_audit,
     symmetric_pair,
 )
 
-from oracles import brute_force_costs, random_residual_blocks
+from oracles import brute_force_costs, min_eigenvalue_ratio, random_residual_blocks
+from stealth_audit import cusum_drift_audit, rho_audit
 
 pytestmark = pytest.mark.acceptance
 
@@ -207,7 +205,7 @@ def test_criterion_2_chi2_calibration(tmp_path_factory, cache_path):
     """Mean normalized innovation energy 115 +/- 2%; Pearson rate < 5e-4."""
     cfg = make_cfg(tmp_path_factory, "kind = none", 1, 10_000, 59, cache_path)
     ctx = harness.prepare(cfg)
-    res = harness.run_trial(ctx, (59, 0), full_paths=True)
+    res = harness.run_trial(ctx, [(59, 0)], full_paths=True)[0]
     n = res.steps_run
     mean_c = float(np.nanmean(res.paths.c[:n]))
     rate = float((res.paths.chi[:n] >= 25.0133).mean())

@@ -236,25 +236,62 @@ def test_horizon_must_exceed_tau(tmp_path, two_bus_path):
         load_config(write(tmp_path, text))
 
 
-def test_cli_simulate_rejects_negative_seed(tmp_path, two_bus_path, monkeypatch):
+def test_cli_simulate_rejects_negative_seed(tmp_path, two_bus_path, monkeypatch, capsys):
     # --seed replaces the config's seed after load_config checked it
     text = MINIMAL.format(
         topology=two_bus_path, extra_detector="", attack="kind = none", trials=1, horizon=50,
     )
     monkeypatch.setattr(harness, "prepare", lambda *args, **kwargs: pytest.fail("prepare ran"))
-    with pytest.raises(ConfigError, match=r"\bseed\b"):
+    with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", str(write(tmp_path, text)), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "gridwatch simulate: error: bad value for 'seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("thresholds", ["2,x", "5,2", "2,nan", ""])
-def test_cli_sweep_rejects_bad_thresholds(tmp_path, two_bus_path, monkeypatch, thresholds):
+def test_cli_sweep_rejects_bad_thresholds(tmp_path, two_bus_path, monkeypatch, capsys, thresholds):
     text = MINIMAL.format(
         topology=two_bus_path, extra_detector="", attack="kind = fdi\nfdi_uniform = 0.4",
         trials=1, horizon=50,
     )
     monkeypatch.setattr(harness, "sweep_tradeoff", lambda *args, **kwargs: pytest.fail("sweep ran"))
-    with pytest.raises(ConfigError, match="--thresholds"):
+    with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", str(write(tmp_path, text)), "--thresholds", thresholds])
+    assert exc.value.code == 2
+    assert "gridwatch sweep: error: bad value for '--thresholds'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.grid", "."])
+def test_unreadable_topology_names_topology_before_any_trial(tmp_path, monkeypatch, capsys, name):
+    # a missing file, or a directory, is a ConfigError naming the key and
+    # the path, from prepare and from the CLI, before the baseline or a
+    # trial runs
+    cfg_path = write(tmp_path, MINIMAL.format(
+        topology=name, extra_detector="np_q = 5", attack="kind = none", trials=1, horizon=50,
+    ))
+    cfg = load_config(cfg_path)
+    monkeypatch.setattr(harness, "innovation_norm_baseline", lambda *a, **k: pytest.fail("baseline ran"))
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **k: pytest.fail("trial ran"))
+    with pytest.raises(ConfigError, match="'topology'") as exc:
+        harness.prepare(cfg)
+    assert repr(str(cfg.model.topology_path)) in str(exc.value)
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "gridwatch simulate: error: bad value for 'topology'" in err
+    assert str(cfg.model.topology_path) in err
+
+
+def test_cli_reports_a_bad_topology_as_a_usage_error(tmp_path, capsys):
+    (tmp_path / "bad.grid").write_text("[buses]\n1 ref\n2 nan\n")
+    cfg_path = write(tmp_path, MINIMAL.format(
+        topology="bad.grid", extra_detector="", attack="kind = none", trials=1, horizon=50,
+    ))
+    with pytest.raises(SystemExit) as exc:
+        main(["false-alarm", "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "gridwatch false-alarm: error: line 3: bad bus token 'nan'" in capsys.readouterr().err
 
 
 def test_cli_stealth_audit(capsys):

@@ -14,7 +14,7 @@ from gridwatch import build_model, harness, kalman, load_config
 from gridwatch.detector import CusumState, cusum_step
 from gridwatch.expconfig import ConfigError
 from gridwatch.grid_model import BLOCK_STEPS
-from gridwatch.robust import Chi2State, ShewhartConfig, pearson_step
+from gridwatch.robust import ShewhartConfig, pearson_step
 
 import oracles
 from conftest import dense_stable_A
@@ -92,8 +92,8 @@ def mu0_cache(tmp_path_factory):
 def test_same_seed_identical_trial(tmp_path, mu0_cache):
     cfg = make_cfg(tmp_path, attack=CASE1, cache=mu0_cache)
     ctx = harness.prepare(cfg)
-    a = harness.run_trial(ctx, (3, 0), full_paths=True)
-    b = harness.run_trial(ctx, (3, 0), full_paths=True)
+    a = harness.run_trial(ctx, [(3, 0)], full_paths=True)[0]
+    b = harness.run_trial(ctx, [(3, 0)], full_paths=True)[0]
     assert a.meas_hash == b.meas_hash
     assert a.stops == b.stops
     np.testing.assert_array_equal(a.paths.g, b.paths.g)
@@ -106,7 +106,7 @@ def test_no_attack_huge_thresholds_all_censored(tmp_path, mu0_cache):
         horizon=150, cache=mu0_cache,
     )
     ctx = harness.prepare(cfg)
-    res = harness.run_trial(ctx, (1, 0))
+    res = harness.run_trial(ctx, [(1, 0)])[0]
     for name, T in res.stops.items():
         if name != "cosine":
             assert T == math.inf, name
@@ -116,7 +116,7 @@ def test_no_attack_huge_thresholds_all_censored(tmp_path, mu0_cache):
 def test_t_tilde_is_min_and_replay_consistent(tmp_path, mu0_cache):
     cfg = make_cfg(tmp_path, attack=CASE1, horizon=260, cache=mu0_cache)
     ctx = harness.prepare(cfg)
-    res = harness.run_trial(ctx, (9, 0), full_paths=True)
+    res = harness.run_trial(ctx, [(9, 0)], full_paths=True)[0]
     assert res.t_tilde == min(
         res.stop("alg1"), res.stop("shewhart"), res.stop("chi2")
     )
@@ -139,7 +139,7 @@ def test_t_tilde_is_min_and_replay_consistent(tmp_path, mu0_cache):
     # same seeded initial window
     ss = np.random.SeedSequence((9, 0))
     chi2_ss = ss.spawn(4)[3]
-    st = Chi2State.initialize(ctx.chi2, 115, np.random.default_rng(chi2_ss))
+    st = oracles.initialize_window(ctx.chi2, 115, np.random.default_rng(chi2_ss))
     chi_replay = np.empty(n)
     for t in range(1, n + 1):
         st, chi = pearson_step(st, float(res.paths.c[t - 1]))
@@ -161,8 +161,8 @@ def test_paired_log_discipline(tmp_path, mu0_cache):
     # different detector thresholds, same seed -> byte-identical measurements
     cfg_a = make_cfg(tmp_path, attack=CASE1, h=5.0, name="a.cfg", cache=mu0_cache)
     cfg_b = make_cfg(tmp_path, attack=CASE1, h=50.0, np_q=99.0, name="b.cfg", cache=mu0_cache)
-    ra = harness.run_trial(harness.prepare(cfg_a), (4, 1), full_paths=True)
-    rb = harness.run_trial(harness.prepare(cfg_b), (4, 1), full_paths=True)
+    ra = harness.run_trial(harness.prepare(cfg_a), [(4, 1)], full_paths=True)[0]
+    rb = harness.run_trial(harness.prepare(cfg_b), [(4, 1)], full_paths=True)[0]
     assert ra.meas_hash == rb.meas_hash
     np.testing.assert_array_equal(ra.paths.beta, rb.paths.beta)
 
@@ -248,7 +248,7 @@ def test_stopping_rule_inclusive_at_recorded_values(tmp_path, mu0_cache):
     # (a strict rule would never stop), as stopping_times_for_grid says.
     cfg = make_cfg(tmp_path, attack=CASE1, horizon=260, cache=mu0_cache)
     ctx = harness.prepare(cfg)
-    ref = harness.run_trial(ctx, (9, 0), full_paths=True)
+    ref = harness.run_trial(ctx, [(9, 0)], full_paths=True)[0]
     first, thr = {}, {}
     for name, field, direction in harness.PATH_DETECTORS:
         path = getattr(ref.paths, field)
@@ -264,7 +264,7 @@ def test_stopping_rule_inclusive_at_recorded_values(tmp_path, mu0_cache):
         cosine_d=thr["cosine"],
     )
     assert ctx.thresholds == thr
-    res = harness.run_trial(ctx, (9, 0), full_paths=True)
+    res = harness.run_trial(ctx, [(9, 0)], full_paths=True)[0]
     for name, field, direction in harness.PATH_DETECTORS:
         path = getattr(res.paths, field)
         np.testing.assert_array_equal(path, getattr(ref.paths, field), err_msg=name)
@@ -272,7 +272,7 @@ def test_stopping_rule_inclusive_at_recorded_values(tmp_path, mu0_cache):
         grid = harness.stopping_times_for_grid([path], [res.steps_run], [thr[name]], direction)
         assert res.stop(name) == grid[0, 0], name
     assert res.stop("alg2") == min(res.stop(name) for name in harness.ALG2)
-    assert harness.run_trial(ctx, (9, 0)).stops == res.stops  # early exit too
+    assert harness.run_trial(ctx, [(9, 0)])[0].stops == res.stops  # early exit too
 
 
 def test_calibrate_threshold_hits_target():
@@ -316,7 +316,7 @@ def test_no_attack_rarely_stops_at_h25(tmp_path, mu0_cache):
 def test_sync_events_frequent_without_attack(tmp_path, mu0_cache):
     cfg = make_cfg(tmp_path, attack="kind = none", horizon=400, cache=mu0_cache)
     ctx = harness.prepare(cfg)
-    res = harness.run_trial(ctx, (11, 0), full_paths=True)
+    res = harness.run_trial(ctx, [(11, 0)], full_paths=True)[0]
     frac_zero = float((res.paths.g[: res.steps_run] == 0.0).mean())
     assert frac_zero > 0.5
 
@@ -334,7 +334,7 @@ def test_mse__logging_and_pre_attack_agreement(tmp_path, mu0_cache):
 def test_trial_log_csv_schema(tmp_path, mu0_cache):
     cfg = make_cfg(tmp_path, attack=CASE1, trials=1, horizon=120, cache=mu0_cache)
     ctx = harness.prepare(cfg)
-    res = harness.run_trial(ctx, (2, 0), log_steps=True)
+    res = harness.run_trial(ctx, [(2, 0)], log_steps=True)[0]
     out = tmp_path / "log.csv"
     harness.write_trial_log_csv(out, res)
     lines = out.read_text().splitlines()
@@ -389,9 +389,7 @@ def test_workers_do_not_change_results(tmp_path, mu0_cache):
     cfg = make_cfg(tmp_path, attack=CASE1, trials=5, horizon=150, cache=mu0_cache)
     ctx = harness.prepare(cfg)
     batch = harness.run_trials(ctx, workers=1, log_steps=True)
-    alone = [
-        harness.run_trial(ctx, harness.trial_entropy(3, i), log_steps=True) for i in range(5)
-    ]
+    alone = [harness.run_trial(ctx, [(3, i)], log_steps=True)[0] for i in range(5)]
     split = harness.run_trials(ctx, workers=2, log_steps=True)
     assert [r.seed for r in batch] == [r.seed for r in split] == [(3, i) for i in range(5)]
     assert_same_trials(alone, batch)
@@ -439,8 +437,8 @@ def assert_matches_oracle(res, quick, oracle):
 
 
 def assert_trial_matches_oracle(ctx, seed):
-    res = harness.run_trial(ctx, seed, full_paths=True)
-    quick = harness.run_trial(ctx, seed)
+    res = harness.run_trial(ctx, [seed], full_paths=True)[0]
+    quick = harness.run_trial(ctx, [seed])[0]
     assert_matches_oracle(res, quick, dense_trial(ctx, seed))
 
 
@@ -476,7 +474,7 @@ def test_np_clamp_trial_matches_dense_oracle(tmp_path, mu0_cache):
     ctx = harness.prepare(cfg)
     assert ctx.np_clamp
     assert_trial_matches_oracle(ctx, (9, 0))
-    assert harness.run_trial(ctx, (9, 0), full_paths=True).paths.np_S.min() == 0.0
+    assert harness.run_trial(ctx, [(9, 0)], full_paths=True)[0].paths.np_S.min() == 0.0
 
 
 def test_horizon_cut_leaks_nothing(tmp_path, mu0_cache):
@@ -485,8 +483,8 @@ def test_horizon_cut_leaks_nothing(tmp_path, mu0_cache):
     # hashes are the oracle's, which draws a step at a time
     short = harness.prepare(make_cfg(tmp_path, attack=HYBRID, horizon=130, cache=mu0_cache))
     long = harness.prepare(make_cfg(tmp_path, attack=HYBRID, horizon=600, cache=mu0_cache))
-    cut = harness.run_trial(short, (4, 1), full_paths=True)
-    full = harness.run_trial(long, (4, 1), full_paths=True)
+    cut = harness.run_trial(short, [(4, 1)], full_paths=True)[0]
+    full = harness.run_trial(long, [(4, 1)], full_paths=True)[0]
     oracle = dense_trial(long, (4, 1))
     assert cut.meas_hash == oracle["hashes"][129]
     assert full.meas_hash == oracle["meas_hash"]
@@ -612,7 +610,7 @@ def test_divergence_raises_typed_error(tmp_path, ieee14_topology, mu0_cache):
             schedule=kalman.PreSchedule(unstable, ctx.p0),
         )
         with pytest.raises(FloatingPointError, match="state diverged"):
-            harness.run_trial(ctx, 0)
+            harness.run_trial(ctx, [0])
         # from the topology's start state the squared residuals overflow
         # some 280 steps in, while the state is still finite; the detector's
         # finite-cost check reports that as divergence too (full paths keep
@@ -620,16 +618,22 @@ def test_divergence_raises_typed_error(tmp_path, ieee14_topology, mu0_cache):
         ctx = replace(ctx, x0=ieee14_topology.initial_state())
         for seed in range(3):
             with pytest.raises(FloatingPointError, match="state or data diverged"):
-                harness.run_trial(ctx, (0, seed), full_paths=True)
+                harness.run_trial(ctx, [(0, seed)], full_paths=True)
+
+
+def load_tracing():
+    """perfbench/tracing.py, imported as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_traced_functions_resolve():
     # perfbench/tracing.py patches these (module, attribute) pairs by name;
     # a renamed function would drop out of the per-layer figures unnoticed
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     assert tracing.TARGETS
     missing = [
         f"{module}.{attr}"
@@ -637,3 +641,22 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_run_trials_calls_run_trial_through_its_module_binding(tmp_path, mu0_cache, monkeypatch):
+    # the tracer wraps harness.run_trial where run_trials looks it up; a
+    # batch that bypassed that binding would leave the trial loop untimed
+    tracing = load_tracing()
+    assert ("harness.run_trial", "gridwatch.harness", "run_trial") in tracing.TARGETS
+    ctx = harness.prepare(make_cfg(tmp_path, trials=3, horizon=5, cache=mu0_cache))
+    calls = []
+    engine = harness.run_trial
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", counting)
+    results = harness.run_trials(ctx, master_seed=7)
+    assert len(calls) == 1
+    assert [r.seed for r in results] == [(7, i) for i in range(3)]

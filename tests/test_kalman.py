@@ -21,12 +21,20 @@ from gridwatch.kalman import (
     _add_diagonal,
     initial_state,
     kf_update_pre_full,
-    min_eigenvalue_ratio,
     pre_gain_step,
 )
 from gridwatch.robust import chi2_sample_from_innovation
 
-from oracles import dense_predict, dense_predict_oracle, dense_update, initial_sim_state, simulate_step
+from oracles import (
+    copy_state,
+    dense_predict,
+    dense_predict_oracle,
+    dense_update,
+    expand,
+    initial_sim_state,
+    min_eigenvalue_ratio,
+    simulate_step,
+)
 
 
 def post_mean(model, ks, y):
@@ -261,8 +269,8 @@ def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
             model, dense_predict(model, pre_d), y.reshape(-1), 0.0, clean_noise
         )
         post_d = dense_update(
-            model, dense_predict(model, post_d), y.reshape(-1), model.expand(a_hat),
-            clean_noise + model.expand(sigma_hat),
+            model, dense_predict(model, post_d), y.reshape(-1), expand(model, a_hat),
+            clean_noise + expand(model, sigma_hat),
         )[0]
         c_d = float(r_d @ cho_solve(factor, r_d))
 
@@ -273,7 +281,7 @@ def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
         assert_rel_close(post.P_upd, post_d.P_upd)
         assert c == pytest.approx(c_d, rel=1e-9)
         if t % 40 == 0:
-            post, post_d, shares = pre.copy(), pre_d.copy(), True
+            post, post_d, shares = copy_state(pre), copy_state(pre_d), True
 
 
 def test_schedule_settles_at_riccati_fixed_point(ieee14_model):

@@ -11,7 +11,7 @@ from gridwatch.grid_model import GridModel
 from gridwatch.kalman import KalmanState, kf_update_pre_full, pre_gain_step
 from gridwatch.robust import chi2_sample_from_innovation, cosine_similarity, np_cusum_step
 
-from oracles import chi2_cdf_oracle, chi2_sample
+from oracles import cell_of, chi2_cdf_oracle, chi2_sample, initialize_window, intervals
 
 PAPER_EDGES = (102.081, 110.5475, 118.2061, 127.531)
 VARPHI = 25.0133
@@ -63,7 +63,7 @@ def test_batched_statistics_match_single_windows(ieee14_model, ieee14_topology):
     rng = np.random.default_rng(4)
     B = 3
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
-    windows = [Chi2State.initialize(cfg, 115, np.random.default_rng(i)) for i in range(B)]
+    windows = [initialize_window(cfg, 115, np.random.default_rng(i)) for i in range(B)]
     batch = Chi2State.from_samples(cfg, np.array([np.random.default_rng(i).chisquare(115, 80) for i in range(B)]))
     x0 = ieee14_topology.initial_state()
     ks = KalmanState(x0, 1e-4 * np.eye(13), x0, 1e-4 * np.eye(13))
@@ -109,7 +109,7 @@ def test_special_functions_match_scipy_stats():
                 np.random.default_rng(seed).chisquare(dof, 80),
                 stats.chi2.rvs(dof, size=80, random_state=np.random.default_rng(seed)),
             )
-        got = Chi2State.initialize(cfg, 115, np.random.default_rng(seed))
+        got = initialize_window(cfg, 115, np.random.default_rng(seed))
         want = Chi2State.from_samples(
             cfg, stats.chi2.rvs(115, size=80, random_state=np.random.default_rng(seed))
         )
@@ -124,12 +124,12 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_interval_membership_half_open():
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
-    assert cfg.cell_of(0.0) == 0
-    assert cfg.cell_of(cfg.edges[0]) == 1  # [lo, hi): boundary belongs right
-    assert cfg.cell_of(cfg.edges[0] - 1e-9) == 0
-    assert cfg.cell_of(1e9) == 4
-    assert cfg.intervals[0][0] == 0.0
-    assert cfg.intervals[-1][1] == math.inf
+    assert cell_of(cfg, 0.0) == 0
+    assert cell_of(cfg, cfg.edges[0]) == 1  # [lo, hi): boundary belongs right
+    assert cell_of(cfg, cfg.edges[0] - 1e-9) == 0
+    assert cell_of(cfg, 1e9) == 4
+    assert intervals(cfg)[0][0] == 0.0
+    assert intervals(cfg)[-1][1] == math.inf
 
 
 def test_from_samples_counts_every_window_with_cell_of():
@@ -142,7 +142,7 @@ def test_from_samples_counts_every_window_with_cell_of():
     st = Chi2State.from_samples(cfg, samples)
     assert st.cells.shape == (3, 80) and st.counts.shape == (3, 5) and st.head == 0
     for i, window in enumerate(samples):
-        cells = [cfg.cell_of(v) for v in window]
+        cells = [cell_of(cfg, v) for v in window]
         np.testing.assert_array_equal(st.cells[i], cells)
         np.testing.assert_array_equal(st.counts[i], np.bincount(cells, minlength=5))
         assert st.chi_stat[i] == Chi2State.from_samples(cfg, window).chi_stat
@@ -183,9 +183,9 @@ def test_ring_buffer_matches_recount():
         window.append(float(c))
         if i % 979 == 0:
             assert st.counts.sum() == 80
-            recount = np.bincount([cfg.cell_of(v) for v in window], minlength=5)
+            recount = np.bincount([cell_of(cfg, v) for v in window], minlength=5)
             np.testing.assert_array_equal(st.counts, recount)
-    recount = np.bincount([cfg.cell_of(v) for v in window], minlength=5)
+    recount = np.bincount([cell_of(cfg, v) for v in window], minlength=5)
     np.testing.assert_array_equal(st.counts, recount)
 
 
