@@ -39,8 +39,8 @@ def parsed_digest(cfg_path: Path) -> str:
     them. The config's paths enter as it names them: relative to its
     directory, or a bundled file by its name; so copies of one config in two
     places, read by two source trees, give one digest."""
-    from gridwatch import build_model, load_topology
     from gridwatch.expconfig import load_config
+    from gridwatch.grid_model import build_model, load_topology
 
     cfg = load_config(cfg_path)
     m = cfg.model

@@ -230,13 +230,14 @@ def _load_mu0_cache(path: Path) -> "dict[str, float]":
     with a newline, so a last line without one was cut short (its value may
     still parse, e.g. 0.0123 from 0.0123456...) and is dropped; other
     malformed lines, undecodable ones included, are skipped too, so their
-    key is recomputed. A path naming a directory is a ConfigError."""
+    key is recomputed. A missing file has no entries; any other error reading
+    it is a ConfigError."""
     try:
         lines = path.read_bytes().split(b"\n")
     except FileNotFoundError:
         return {}
-    except IsADirectoryError:
-        raise ConfigError(f"mu0 cache {str(path)!r} is a directory, not a file") from None
+    except OSError as exc:
+        raise _mu0_cache_error(path, exc) from None
     entries: "dict[str, float]" = {}
     for line in lines[:-1]:  # the piece after the last newline is incomplete
         try:
@@ -247,35 +248,43 @@ def _load_mu0_cache(path: Path) -> "dict[str, float]":
     return entries
 
 
+def _mu0_cache_error(path: Path, exc: OSError) -> ConfigError:
+    return ConfigError(f"bad value for 'mu0_cache': {str(path)!r} ({exc.strerror})")
+
+
 def _store_mu0(path: Path, key: str, mu0: float) -> None:
     """Add an entry by rewriting the sidecar to a temporary sibling and
-    renaming it over the original, so no reader ever sees a partial line."""
+    renaming it over the original, so no reader ever sees a partial line.
+    An error writing it is a ConfigError."""
     entries = _load_mu0_cache(path)
     entries[key] = mu0
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        mode = stat.S_IMODE(path.stat().st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{k} {v!r}\n" for k, v in entries.items())
-        os.chmod(tmp, mode)  # mkstemp makes it owner-only; keep the sidecar's mode
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            mode = stat.S_IMODE(path.stat().st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{k} {v!r}\n" for k, v in entries.items())
+            os.chmod(tmp, mode)  # mkstemp makes it owner-only; keep the sidecar's mode
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _mu0_cache_error(path, exc) from None
 
 
 def innovation_norm_baseline(
     model: GridModel,
     x0,
     p0,
-    samples: int = 100_000,
-    cache: "str | Path | None" = "auto",
+    samples: int,
+    cache: "str | Path | None",
 ) -> float:
     """Clean-operation mean of ||y - H x_pre_pred|| by Monte Carlo.
 
@@ -359,7 +368,6 @@ class TrialPaths:
 class TrialResult:
     seed: object
     stops: dict
-    t_tilde: float
     tau_hat: Optional[int]
     steps_run: int
     meas_hash: str
@@ -368,27 +376,30 @@ class TrialResult:
     def stop(self, name: str) -> float:
         return self.stops.get(name, INF)
 
+    @property
+    def t_tilde(self) -> float:
+        """The run's stop: Algorithm 2's, or Algorithm 1's without it."""
+        return self.stops.get("alg2", self.stops["alg1"])
+
 
 def run_trials(
     ctx: RunContext,
-    trials: Optional[int] = None,
     master_seed: Optional[int] = None,
     workers: Optional[int] = None,
     log_steps: Optional[bool] = None,
     full_paths: bool = False,
 ) -> "list[TrialResult]":
-    """Run independent trials, trial i with seed material (master seed, i),
-    as one batch of ``run_trial``.
+    """Run the configured number of independent trials, trial i with seed
+    material (master seed, i), as one batch of ``run_trial``.
 
     ``workers`` (and the ``run.workers`` key) is accepted and ignored: one
     batch amortizes each step's filter and detector work over every trial,
     and splitting it across threads was measured slower, since the small
     numpy calls serialize on the interpreter lock.
     """
-    cfg = ctx.cfg
-    n = trials if trials is not None else cfg.run.trials
-    master = master_seed if master_seed is not None else cfg.run.seed
-    return run_trial(ctx, [(master, i) for i in range(n)], log_steps, full_paths)
+    run = ctx.cfg.run
+    master = master_seed if master_seed is not None else run.seed
+    return run_trial(ctx, [(master, i) for i in range(run.trials)], log_steps, full_paths)
 
 
 @dataclass
@@ -596,7 +607,6 @@ def _trial_result(
     if "alg2" in enabled:
         stops["alg2"] = _alg2_stop(stops)
     stops = {name: stops[name] for name in enabled}
-    t_tilde = stops.get("alg2", stops["alg1"])
     own_paths = None
     if paths is not None:
         rows = {
@@ -607,7 +617,6 @@ def _trial_result(
     return TrialResult(
         seed=streams.seeds[j],
         stops=stops,
-        t_tilde=t_tilde,
         tau_hat=tau_hat,
         steps_run=steps_run,
         meas_hash=streams.hashers[j].hexdigest(),
@@ -615,12 +624,10 @@ def _trial_result(
     )
 
 
-def no_attack_context(ctx: RunContext, horizon: Optional[int] = None) -> RunContext:
-    """Same experiment with the attack disabled (and optionally a new horizon)."""
-    cfg = ctx.cfg
-    run = replace(cfg.run, horizon=horizon if horizon is not None else cfg.run.horizon)
-    cfg2 = replace(cfg, attack=AttackSpec(tau=INF, kind="none"), run=run)
-    return replace(ctx, cfg=cfg2, sim_model_post=ctx.model)
+def no_attack_context(ctx: RunContext) -> RunContext:
+    """Same experiment with the attack disabled."""
+    cfg = replace(ctx.cfg, attack=AttackSpec(tau=INF, kind="none"))
+    return replace(ctx, cfg=cfg, sim_model_post=ctx.model)
 
 
 # ---------------------------------------------------------------------------
@@ -647,31 +654,30 @@ def _mean_ci(values: np.ndarray) -> "tuple[float, float]":
     return mean, half
 
 
+def _stop_array(stop_times: Sequence[float]) -> np.ndarray:
+    T = np.array(list(stop_times), dtype=float)
+    if T.size == 0:
+        raise ValueError("no trials")
+    return T
+
+
 def estimate_delay(stop_times: Sequence[float], tau: float) -> DelaySummary:
     """Mean detection delay (T - tau)+ over attacked trials at a fixed onset.
 
     Stops before tau count as false alarms, runs that never stop as misses;
     both are excluded from the mean and reported.
     """
-    stop_times = list(stop_times)
-    if not stop_times:
-        raise ValueError("no trials")
-    delays = []
-    false_alarms = missed = 0
-    for T in stop_times:
-        if T == INF:
-            missed += 1
-        elif T < tau:
-            false_alarms += 1
-        else:
-            delays.append(T - tau)
-    mean, half = _mean_ci(np.array(delays)) if delays else (math.nan, math.nan)
+    T = _stop_array(stop_times)
+    missed = T == INF
+    false_alarm = T < tau
+    delays = T[~(missed | false_alarm)] - tau
+    mean, half = _mean_ci(delays) if delays.size else (math.nan, math.nan)
     return DelaySummary(
         mean=mean,
         ci_half=half,
-        n_detected=len(delays),
-        n_false_alarm=false_alarms,
-        n_missed=missed,
+        n_detected=delays.size,
+        n_false_alarm=int(false_alarm.sum()),
+        n_missed=int(missed.sum()),
     )
 
 
@@ -693,11 +699,9 @@ def estimate_false_alarm_period(stop_times: Sequence[float], horizon: int) -> Fa
 
 def missed_detection_ratio(stop_times: Sequence[float], tau: float, eta: int) -> float:
     """Fraction of trials not detected inside [tau, tau + eta)."""
-    stop_times = list(stop_times)
-    if not stop_times:
-        raise ValueError("no trials")
-    hits = sum(1 for T in stop_times if tau <= T < tau + eta)
-    return 1.0 - hits / len(stop_times)
+    T = _stop_array(stop_times)
+    hits = int(((tau <= T) & (T < tau + eta)).sum())
+    return 1.0 - hits / T.size
 
 
 def false_alarm_experiment(cfg: ExperimentConfig) -> "dict[str, FalseAlarmSummary]":
@@ -822,11 +826,9 @@ class CurvePoint:
 
 
 def sweep_tradeoff(
-    cfg_or_ctx,
+    cfg: ExperimentConfig,
     h_list: Sequence[float],
     which: str = "alg1",
-    fap_horizon: Optional[int] = None,
-    fap_trials: Optional[int] = None,
 ) -> "list[CurvePoint]":
     """Delay/false-alarm tradeoff over an ascending threshold grid.
 
@@ -839,15 +841,12 @@ def sweep_tradeoff(
         raise ValueError("h_list must be ascending")
     if which not in ("alg1", "alg2"):
         raise ValueError("sweep supports alg1 or alg2")
-    ctx = cfg_or_ctx if isinstance(cfg_or_ctx, RunContext) else prepare(cfg_or_ctx)
-    cfg = ctx.cfg
+    ctx = prepare(cfg)
     tau, eta, horizon = cfg.run.tau, cfg.run.eta, cfg.run.horizon
 
     attacked = run_trials(ctx, full_paths=True)
-    fap_ctx = no_attack_context(ctx, horizon=fap_horizon or horizon)
     clean = run_trials(
-        fap_ctx,
-        trials=fap_trials or cfg.run.trials,
+        no_attack_context(ctx),
         master_seed=cfg.run.seed + 500_000,
         full_paths=True,
     )
@@ -865,11 +864,10 @@ def sweep_tradeoff(
 
     atk_stops = tilde_stops(attacked)
     fap_stops = tilde_stops(clean)
-    fh = fap_ctx.cfg.run.horizon
 
     points = []
     for j, h in enumerate(grid):
-        fap = estimate_false_alarm_period(list(fap_stops[:, j]), fh)
+        fap = estimate_false_alarm_period(list(fap_stops[:, j]), horizon)
         delay = estimate_delay(list(atk_stops[:, j]), tau)
         miss = missed_detection_ratio(list(atk_stops[:, j]), tau, eta)
         points.append(

@@ -140,7 +140,7 @@ def pearson_step(st: Chi2State, c_new) -> "tuple[Chi2State, np.ndarray]":
     return st, st.chi_stat
 
 
-def np_cusum_step(S, dist, mu0: float, clamp: bool = False):
+def np_cusum_step(S, dist, mu0: float, clamp: bool):
     """One step of the nonparametric CUSUM on the innovation norm: S + dist
     - mu0, floored at 0 when clamp is set."""
     S = S + dist - mu0

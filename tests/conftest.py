@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridwatch import build_model, load_topology
+from gridwatch.grid_model import build_model, load_topology
 from gridwatch.expconfig import resolve_topology
 
 # Detector constants used throughout the evaluation setup.

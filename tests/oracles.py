@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 
-from gridwatch import detector, kalman, robust
+from gridwatch import detector, harness, kalman, robust
 from gridwatch.attacks import AttackRealization, is_active
 from gridwatch.grid_model import vecdot
 from gridwatch.kalman import KalmanState, _symmetrize, initial_state
@@ -455,6 +455,33 @@ def dense_trial(ctx, seed):
             stops["alg1"], stops.get("shewhart", math.inf), stops.get("chi2", math.inf)
         )
     return {"meas_hash": hasher.hexdigest(), "hashes": hashes, "paths": paths, "stops": stops}
+
+
+def estimate_delay(stop_times, tau):
+    """``harness.estimate_delay`` as the loop over trials it replaced."""
+    stop_times = list(stop_times)
+    if not stop_times:
+        raise ValueError("no trials")
+    delays = []
+    false_alarms = missed = 0
+    for T in stop_times:
+        if T == math.inf:
+            missed += 1
+        elif T < tau:
+            false_alarms += 1
+        else:
+            delays.append(T - tau)
+    mean, half = harness._mean_ci(np.array(delays)) if delays else (math.nan, math.nan)
+    return harness.DelaySummary(mean, half, len(delays), false_alarms, missed)
+
+
+def missed_detection_ratio(stop_times, tau, eta):
+    """``harness.missed_detection_ratio`` as the loop it replaced."""
+    stop_times = list(stop_times)
+    if not stop_times:
+        raise ValueError("no trials")
+    hits = sum(1 for T in stop_times if tau <= T < tau + eta)
+    return 1.0 - hits / len(stop_times)
 
 
 def chi2_cdf_oracle(x, dof):

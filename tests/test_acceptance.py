@@ -66,7 +66,6 @@ horizon = {horizon}
 tau = 100
 eta = 50
 seed = {seed}
-workers = 4
 """
 
 
@@ -388,7 +387,8 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     csv_ok = out1.read_bytes() == out2.read_bytes()
 
     # covariances stay PSD over 1e4 steps (both filters, attacked regime)
-    from gridwatch import Blocks, initial_bank, simulate_step
+    from gridwatch.grid_model import Blocks, simulate_step
+    from gridwatch.kalman import initial_bank
     from gridwatch.detector import CusumState, algorithm1_step
     from gridwatch.attacks import apply_attack, realize_attack
 

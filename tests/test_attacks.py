@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from gridwatch import (
+from gridwatch.attacks import (
     AttackRealization,
     AttackSpec,
-    Blocks,
     MagnitudeLaw,
     apply_attack,
+    is_active,
     realize_attack,
-    simulate_step,
     topology_fault,
 )
-from gridwatch.attacks import is_active
-from gridwatch.grid_model import BLOCK_STEPS
+from gridwatch.grid_model import BLOCK_STEPS, Blocks, simulate_step
 
 import oracles
 from conftest import SIGMA_W2

@@ -283,6 +283,23 @@ def test_unreadable_topology_names_topology_before_any_trial(tmp_path, monkeypat
     assert str(cfg.model.topology_path) in err
 
 
+def test_unreadable_mu0_cache_is_a_usage_error(tmp_path, two_bus_path, monkeypatch, capsys):
+    # a cache path under a regular file cannot be read: exit status 2 with
+    # the key and the path, before any trial runs
+    (tmp_path / "file").write_text("")
+    cache = tmp_path / "file" / "mu0.txt"
+    cfg_path = write(tmp_path, MINIMAL.format(
+        topology=two_bus_path, extra_detector=f"np_q = 5\nmu0_samples = 10\nmu0_cache = {cache}",
+        attack="kind = none", trials=1, horizon=50,
+    ))
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **k: pytest.fail("trial ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gridwatch simulate: error: bad value for 'mu0_cache': {str(cache)!r}" in err
+
+
 def test_cli_reports_a_bad_topology_as_a_usage_error(tmp_path, capsys):
     (tmp_path / "bad.grid").write_text("[buses]\n1 ref\n2 nan\n")
     cfg_path = write(tmp_path, MINIMAL.format(

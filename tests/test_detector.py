@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch import (
+from gridwatch.detector import (
     CusumState,
     DetectorConfig,
+    HypothesisCosts,
+    ResidualBlock,
     algorithm1_step,
     classify_meters,
     cusum_step,
     gllr,
     hypothesis_costs,
-    initial_bank,
     mle_attack_params,
     residual_block,
 )
-from gridwatch.detector import HypothesisCosts, ResidualBlock
+from gridwatch.kalman import initial_bank
 
 from conftest import GAMMA, SIGMA2_MIN, SIGMA_W2
 from oracles import (

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch import (
+from gridwatch.attacks import topology_fault
+from gridwatch.grid_model import (
+    BLOCK_STEPS,
     Blocks,
     TopologyError,
     build_model,
     load_topology,
+    simulate_block,
     simulate_step,
-    topology_fault,
 )
-from gridwatch.grid_model import BLOCK_STEPS, simulate_block
 
 import oracles
 from conftest import SIGMA_V2, SIGMA_W2, dense_stable_A

@@ -1,8 +1,11 @@
+import ast
+import errno
 import importlib
 import importlib.util
 import math
 import re
 import stat
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -10,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridwatch import build_model, harness, kalman, load_config
+from gridwatch import harness, kalman, load_config
 from gridwatch.detector import CusumState, cusum_step
 from gridwatch.expconfig import ConfigError
-from gridwatch.grid_model import BLOCK_STEPS
+from gridwatch.grid_model import BLOCK_STEPS, build_model
 from gridwatch.robust import ShewhartConfig, pearson_step
 
 import oracles
@@ -195,13 +198,29 @@ def test_missed_detection_ratio_examples():
     stops = [100.0, 149.0, 150.0, 99.0, math.inf, 120.0, 160.0, 80.0, 130.0, math.inf]
     # hits: 100, 149, 120, 130 -> 4 of 10
     assert harness.missed_detection_ratio(stops, 100, 50) == pytest.approx(0.6)
+    with pytest.raises(ValueError):
+        harness.missed_detection_ratio([], 100, 50)
+
+
+def test_delay_and_miss_match_the_loop_over_trials():
+    # the array forms against the loops they replaced, bit for bit, on
+    # random stop lists with misses, early stops and int or float onsets
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        n = int(rng.integers(1, 60))
+        stops = [math.inf if rng.random() < 0.2 else int(rng.integers(1, 500)) for _ in range(n)]
+        tau = int(rng.integers(0, 300)) if rng.random() < 0.8 else float(rng.uniform(0, 300))
+        eta = int(rng.integers(1, 100))
+        # by repr, so that nan fields compare equal and an int field stays int
+        assert repr(harness.estimate_delay(stops, tau)) == repr(oracles.estimate_delay(stops, tau))
+        got = harness.missed_detection_ratio(stops, tau, eta)
+        assert repr(got) == repr(oracles.missed_detection_ratio(stops, tau, eta))
 
 
 def test_first_detector_ratio_examples():
     def fake(stops):
         return harness.TrialResult(
-            seed=0, stops=stops, t_tilde=min(stops.values()),
-            tau_hat=1, steps_run=10, meas_hash="",
+            seed=0, stops=stops, tau_hat=1, steps_run=10, meas_hash="",
         )
 
     names = ["alg1", "chi2"]
@@ -556,10 +575,33 @@ def test_mu0_cache_skips_undecodable_line(tmp_path, ieee14_model, ieee14_topolog
     assert cache.read_text() == f"abc 0.5\n{key} {fresh!r}\n"
 
 
-def test_mu0_cache_directory_is_config_error(tmp_path, ieee14_model, ieee14_topology):
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["directory", "under-a-file"])
+def test_mu0_cache_directory_is_config_error(tmp_path, ieee14_model, ieee14_topology, under_a_file):
+    # a directory, or a path whose parent is a regular file, cannot be read
+    # as the sidecar; the ConfigError names the key and the path
     x0 = ieee14_topology.initial_state()
-    with pytest.raises(ConfigError, match=re.escape(repr(str(tmp_path)))):
-        harness.innovation_norm_baseline(ieee14_model, x0, 1e-4, samples=500, cache=tmp_path)
+    cache = tmp_path
+    if under_a_file:
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "mu0.txt"
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(ConfigError, match=re.escape(f"bad value for 'mu0_cache': {str(cache)!r}")):
+        harness.innovation_norm_baseline(ieee14_model, x0, 1e-4, samples=500, cache=cache)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_mu0_cache_write_failure_is_config_error(tmp_path, ieee14_model, ieee14_topology, monkeypatch):
+    # a read-only directory does not stop a superuser, so the failure is
+    # injected where the temporary sibling is made; the baseline has run
+    def refuse(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    x0 = ieee14_topology.initial_state()
+    cache = tmp_path / "mu0.txt"
+    reason = f"bad value for 'mu0_cache': {str(cache)!r} (Permission denied)"
+    with pytest.raises(ConfigError, match=re.escape(reason)):
+        harness.innovation_norm_baseline(ieee14_model, x0, 1e-4, samples=500, cache=cache)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -640,6 +682,48 @@ def test_traced_functions_resolve():
         for _, module, attr in tracing.TARGETS
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
+    assert missing == []
+
+
+def _package_names(path: Path) -> "list[tuple[str, str]]":
+    """(module, dotted attribute) for every ``gridwatch.X...`` and
+    ``harness.X...`` chain and every ``from gridwatch[.module] import X``
+    in one file."""
+    roots = {"gridwatch": "gridwatch", "harness": "gridwatch.harness"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gridwatch":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                chain.insert(0, base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in roots:
+                found.append((roots[base.id], ".".join(chain)))
+    return found
+
+
+def test_benchmark_package_names_resolve():
+    # the names the benchmark and the path digest read off the package;
+    # without this only perfbench/selftest.py, minutes long, would notice
+    # one of them going away
+    root = Path(__file__).resolve().parents[1]
+    used = [
+        name
+        for rel in ("perfbench/bootstrap.py", "perfbench/workloads.py", "scripts/path_digest.py")
+        for name in _package_names(root / rel)
+    ]
+    assert {("gridwatch", "harness.prepare"), ("gridwatch", "load_config")} <= set(used)
+    absent = object()
+    missing = []
+    for module, dotted in used:
+        obj = importlib.import_module(module)
+        for attr in dotted.split("."):
+            obj = getattr(obj, attr, absent)
+        if obj is absent:
+            missing.append(f"{module}.{dotted}")
     assert missing == []
 
 

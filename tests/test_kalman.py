@@ -5,23 +5,20 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, solve_discrete_are
 
-from gridwatch import (
-    build_model,
-    initial_bank,
-    kf_predict,
-    kf_update_post,
-    kf_update_pre,
-    sync_post_to_pre,
-)
-from gridwatch.grid_model import GridModel
+from gridwatch.grid_model import GridModel, build_model
 from gridwatch.kalman import (
     InnovationSolveError,
     KalmanState,
     PreSchedule,
     _add_diagonal,
+    initial_bank,
     initial_state,
+    kf_predict,
+    kf_update_post,
+    kf_update_pre,
     kf_update_pre_full,
     pre_gain_step,
+    sync_post_to_pre,
 )
 from gridwatch.robust import chi2_sample_from_innovation
 

@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,10 @@ _spec.loader.exec_module(path_digest)
 
 def test_path_digest_repeats_and_sees_one_bit():
     # hybrid_recover logs steps, so the MSE paths are hashed too
-    ctx = harness.prepare(load_config(path_digest.WORKLOADS / "hybrid_recover.cfg"))
-    first = harness.run_trials(ctx, trials=2, master_seed=3, full_paths=True)
-    again = harness.run_trials(ctx, trials=2, master_seed=3, full_paths=True)
+    cfg = load_config(path_digest.WORKLOADS / "hybrid_recover.cfg")
+    ctx = harness.prepare(replace(cfg, run=replace(cfg.run, trials=2)))
+    first = harness.run_trials(ctx, master_seed=3, full_paths=True)
+    again = harness.run_trials(ctx, master_seed=3, full_paths=True)
     digest = path_digest.paths_digest(first)
     assert len(digest) == 64 and path_digest.paths_digest(again) == digest
     mse1 = again[1].paths.mse1

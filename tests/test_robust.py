@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from gridwatch import Chi2Config, Chi2State, ShewhartConfig, harness, pearson_step
+from gridwatch import harness
 from gridwatch.grid_model import GridModel
 from gridwatch.kalman import KalmanState, kf_update_pre_full, pre_gain_step
-from gridwatch.robust import chi2_sample_from_innovation, cosine_similarity, np_cusum_step
+from gridwatch.robust import (
+    Chi2Config,
+    Chi2State,
+    ShewhartConfig,
+    chi2_sample_from_innovation,
+    cosine_similarity,
+    np_cusum_step,
+    pearson_step,
+)
 
 from oracles import cell_of, chi2_cdf_oracle, chi2_sample, initialize_window, intervals
 
@@ -194,19 +202,19 @@ def test_np_cusum_zero_drift_and_stopping():
     # dist = 1 = mu0 -> S stays 0, never stops for q > 0
     S, path = 0.0, []
     for _ in range(50):
-        S = np_cusum_step(S, 1.0, mu0=1.0)
+        S = np_cusum_step(S, 1.0, mu0=1.0, clamp=False)
         path.append(S)
     assert S == pytest.approx(0.0)
     assert not harness.crossed(np.array(path), q, up).any()
     # dist - mu0 = 1 each step with mu0 = 0 -> stops exactly at t = 10
     S, path = np.zeros(2), []
     for _ in range(19):
-        S = np_cusum_step(S, np.ones(2), mu0=0.0)
+        S = np_cusum_step(S, np.ones(2), mu0=0.0, clamp=False)
         path.append(S)
     path = np.array(path).T
     assert harness.stopping_times_for_grid(list(path), [19, 19], [q], up).tolist() == [[10.0]] * 2
     # clamped, a negative drift holds S at 0
-    assert np_cusum_step(0.0, 0.0, mu0=2.0) == pytest.approx(-2.0)
+    assert np_cusum_step(0.0, 0.0, mu0=2.0, clamp=False) == pytest.approx(-2.0)
     assert np_cusum_step(0.0, 0.0, mu0=2.0, clamp=True) == 0.0
 
 

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gridwatch import (
+from gridwatch.stealth import (
     GaussianPdf,
     construct_stealthy_gaussian,
     kl_gaussian,
     onoff_budget,
     persistent_stealth_gap,
+    symmetric_pair,
 )
-from gridwatch.stealth import symmetric_pair
 
 from oracles import kl_quadrature_1d
 from stealth_audit import common_kl_value, cusum_drift_audit, cusum_path, llr, rho_audit, sample
