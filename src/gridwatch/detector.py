@@ -97,26 +97,8 @@ class ResidualBlock:
 
 
 @dataclass
-class HypothesisCosts:
-    """The (..., 4, K) cost table, rows in tie order clean, fdi, jam, both."""
-
-    table: np.ndarray
-
-    u0 = property(lambda self: self.table[..., 0, :])
-    uf = property(lambda self: self.table[..., 1, :])
-    uj = property(lambda self: self.table[..., 2, :])
-    ufj = property(lambda self: self.table[..., 3, :])
-
-
-@dataclass
 class MeterClassification:
     labels: np.ndarray  # (..., K) ints indexing HYPOTHESES
-
-
-@dataclass
-class AttackEstimate:
-    a_hat: np.ndarray
-    sigma_hat: np.ndarray
 
 
 @dataclass
@@ -145,9 +127,9 @@ def residual_block(
     return ResidualBlock(e=e, delta=delta, zeta=zeta, rho=rho, pi=pi, gamma=g)
 
 
-def hypothesis_costs(rb: ResidualBlock, model: GridModel, cfg: DetectorConfig) -> HypothesisCosts:
-    """The cost table: each pair of rows is one expression over the SSR block
-    [zeta, ssr_f]."""
+def hypothesis_costs(rb: ResidualBlock, model: GridModel, cfg: DetectorConfig) -> np.ndarray:
+    """The (..., 4, K) cost table, rows in tie order clean, fdi, jam, both:
+    each pair of rows is one expression over the SSR block [zeta, ssr_f]."""
     lam = model.lam
     sw2 = model.sigma_w2
     floor = sw2 + cfg.sigma2_min
@@ -162,10 +144,10 @@ def hypothesis_costs(rb: ResidualBlock, model: GridModel, cfg: DetectorConfig) -
         lam * math.log(floor) + ssr / floor,
     )
     # Clean and bias only: the noise variance is known.
-    return HypothesisCosts(np.concatenate((lam * math.log(sw2) + ssr / sw2, floored), axis=-2))
+    return np.concatenate((lam * math.log(sw2) + ssr / sw2, floored), axis=-2)
 
 
-def classify_meters(costs: HypothesisCosts) -> MeterClassification:
+def classify_meters(table: np.ndarray) -> MeterClassification:
     """Cheapest hypothesis per meter; ties favor clean, then fdi, jam, both.
 
     np.argmin returns the first minimum, which is exactly that precedence.
@@ -173,7 +155,6 @@ def classify_meters(costs: HypothesisCosts) -> MeterClassification:
     cost that is not finite means the residuals overflowed: the state or
     the data diverged, which raises a FloatingPointError.
     """
-    table = costs.table
     if not np.isfinite(table).all():
         raise FloatingPointError(
             "hypothesis costs are not finite: the state or data diverged; "
@@ -187,8 +168,9 @@ def mle_attack_params(
     classification: MeterClassification,
     cfg: DetectorConfig,
     model: GridModel,
-) -> AttackEstimate:
-    """Closed-form constrained MLEs given the classification.
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Closed-form constrained MLEs (a_hat, sigma_hat) given the
+    classification.
 
     The bias estimate is the residual mean clamped outward to the boundary
     (delta = 0 maps to +gamma); the variance estimate is the per-branch
@@ -202,25 +184,25 @@ def mle_attack_params(
 
     var = np.maximum(rb.ssr / model.lam - model.sigma_w2, cfg.sigma2_min)  # [jam only, both]
     sigma_hat = np.where(labels == 2, var[..., 0, :], np.where(labels == 3, var[..., 1, :], 0.0))
-    return AttackEstimate(a_hat=a_hat, sigma_hat=sigma_hat)
+    return a_hat, sigma_hat
 
 
 def gllr(
     rb_pre: np.ndarray,
-    costs: HypothesisCosts,
+    table: np.ndarray,
     model: GridModel,
 ) -> np.ndarray:
     """Generalized log-likelihood ratio for the interval, one per trial.
 
     ``rb_pre`` holds the residuals y - h_k^T x_pre_upd against the pre-filter
-    *measurement update*, shape (..., K, lam). The classified cost of each
-    meter is its column minimum (see the module docstring), so it needs no
-    classification.
+    *measurement update*, shape (..., K, lam), and ``table`` the cost table.
+    The classified cost of each meter is its column minimum (see the module
+    docstring), so it needs no classification.
     """
     K, lam, sw2 = model.K, model.lam, model.sigma_w2
     r = np.asarray(rb_pre)
     r = r.reshape(r.shape[:-2] + (K * lam,))
-    chosen = costs.table.min(axis=-2)
+    chosen = table.min(axis=-2)
     return 0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1)
 
 
@@ -241,10 +223,9 @@ def cusum_step(cs: CusumState, beta: float, t: int) -> "tuple[CusumState, bool]"
 class Algorithm1Step:
     bank: kalman.DualFilterBank
     cusum: "list[CusumState]"
-    estimate: AttackEstimate
-    classification: MeterClassification
+    a_hat: np.ndarray  # the attack estimates the post update ran on, (..., K)
+    sigma_hat: np.ndarray
     beta: np.ndarray
-    x_post_pred: np.ndarray  # prediction the residual block was built on
     pre_innovation: np.ndarray  # y - H x_pre_pred as (..., K, lam)
 
 
@@ -271,19 +252,18 @@ def algorithm1_step(
     """
     pre = kalman.kf_predict(model, bank.pre, pre_step)
     if pre_step is None:
-        pre_step = kalman.pre_gain_step(model, pre.P_pred)
+        pre_step = kalman.pre_gain_step(model, pre.P)
     shares = bank.post_shares_pre
     post = kalman.kf_predict(model, bank.post, pre_step, shares)
 
-    rb = residual_block(model, y, post.x_pred, cfg)
+    rb = residual_block(model, y, post.x, cfg)
     costs = hypothesis_costs(rb, model, cfg)
-    classification = classify_meters(costs)
-    est = mle_attack_params(rb, classification, cfg, model)
+    a_hat, sigma_hat = mle_attack_params(rb, classify_meters(costs), cfg, model)
 
     pre, pre_innovation = kalman.kf_update_pre_full(model, pre, y, pre_step)
-    post = kalman.kf_update_post(model, post, rb.mean, est.a_hat, est.sigma_hat, pre_step, shares)
+    post = kalman.kf_update_post(model, post, rb.mean, a_hat, sigma_hat, pre_step, shares)
 
-    r_pre = y - matvec(model.meter_rows, pre.x_upd)[..., None]
+    r_pre = y - matvec(model.meter_rows, pre.x)[..., None]
     beta = gllr(r_pre, costs, model)
 
     stepped = [cusum_step(c, b, t) for c, b in zip(cs, beta.tolist(), strict=True)]
@@ -291,16 +271,15 @@ def algorithm1_step(
     sync = np.array([flag for _, flag in stepped], dtype=bool)
     new_bank = kalman.sync_post_to_pre(
         kalman.DualFilterBank(
-            pre=pre, post=post, post_shares_pre=shares & ~est.sigma_hat.any(axis=-1)
+            pre=pre, post=post, post_shares_pre=shares & ~sigma_hat.any(axis=-1)
         ),
         sync,
     )
     return Algorithm1Step(
         bank=new_bank,
         cusum=new_cs,
-        estimate=est,
-        classification=classification,
+        a_hat=a_hat,
+        sigma_hat=sigma_hat,
         beta=beta,
-        x_post_pred=post.x_pred,
         pre_innovation=pre_innovation,
     )

@@ -35,7 +35,7 @@ import tempfile
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -252,12 +252,15 @@ def _mu0_cache_error(path: Path, exc: OSError) -> ConfigError:
     return ConfigError(f"bad value for 'mu0_cache': {str(path)!r} ({exc.strerror})")
 
 
-def _store_mu0(path: Path, key: str, mu0: float) -> None:
-    """Add an entry by rewriting the sidecar to a temporary sibling and
-    renaming it over the original, so no reader ever sees a partial line.
-    An error writing it is a ConfigError."""
-    entries = _load_mu0_cache(path)
-    entries[key] = mu0
+def _store_mu0(path: Path, key: str, compute: Callable[[], float]) -> float:
+    """Compute mu0 and add it to the sidecar under ``key``, returning it.
+
+    The sidecar is rewritten to a temporary sibling that is renamed over
+    the original, so no reader ever sees a partial line. The sibling is made
+    before ``compute`` runs, so a sidecar that cannot be written fails at
+    once, not after the baseline; an error writing it is a ConfigError. If
+    anything fails, the sibling is removed.
+    """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
@@ -269,6 +272,9 @@ def _store_mu0(path: Path, key: str, mu0: float) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                mu0 = compute()
+                entries = _load_mu0_cache(path)
+                entries[key] = mu0
                 fh.writelines(f"{k} {v!r}\n" for k, v in entries.items())
             os.chmod(tmp, mode)  # mkstemp makes it owner-only; keep the sidecar's mode
             os.replace(tmp, path)
@@ -277,6 +283,7 @@ def _store_mu0(path: Path, key: str, mu0: float) -> None:
             raise
     except OSError as exc:
         raise _mu0_cache_error(path, exc) from None
+    return mu0
 
 
 def innovation_norm_baseline(
@@ -288,10 +295,27 @@ def innovation_norm_baseline(
 ) -> float:
     """Clean-operation mean of ||y - H x_pre_pred|| by Monte Carlo.
 
-    The pre filter runs on a ``kalman.PreSchedule`` of model and p0, so once
-    its covariance has settled each sample is matrix-vector work only. The
-    value is memoized in a plain-text sidecar keyed by a model fingerprint;
-    any model change invalidates the entry.
+    The value is memoized in a plain-text sidecar keyed by a model
+    fingerprint; any model change invalidates the entry.
+    """
+    cache_path: Optional[Path] = None
+    if cache == "auto":
+        cache_path = Path.home() / ".cache" / "gridwatch" / "mu0.txt"
+    elif cache not in (None, "none"):
+        cache_path = Path(cache)
+    if cache_path is None:
+        return _mu0_monte_carlo(model, x0, p0, samples)
+    key = _cache_key(model, x0, p0, samples)
+    cached = _load_mu0_cache(cache_path).get(key)
+    if cached is not None:
+        return cached
+    return _store_mu0(cache_path, key, lambda: _mu0_monte_carlo(model, x0, p0, samples))
+
+
+def _mu0_monte_carlo(model: GridModel, x0, p0, samples: int) -> float:
+    """The baseline itself. The pre filter runs on a ``kalman.PreSchedule``
+    of model and p0, so once its covariance has settled each sample is
+    matrix-vector work only.
 
     The trajectory is simulated BLOCK_STEPS samples at a time
     (``grid_model.simulate_block``): one draw of the MU0_SEED stream, one
@@ -304,17 +328,6 @@ def innovation_norm_baseline(
     the same one-vector BLAS call on the same operands; and the norms, taken
     as one dot product per row, are summed in the same order.
     """
-    key = _cache_key(model, x0, p0, samples)
-    cache_path: Optional[Path] = None
-    if cache == "auto":
-        cache_path = Path.home() / ".cache" / "gridwatch" / "mu0.txt"
-    elif cache not in (None, "none"):
-        cache_path = Path(cache)
-    if cache_path is not None:
-        cached = _load_mu0_cache(cache_path).get(key)
-        if cached is not None:
-            return cached
-
     steps = islice(kalman.PreSchedule(model, p0), samples)
     rng = np.random.default_rng(MU0_SEED)
     x = x_hat = np.array(x0, dtype=float)
@@ -337,11 +350,7 @@ def innovation_norm_baseline(
         I = np.array(innovations)
         for norm in np.sqrt(vecdot(I, I)).tolist():
             total += norm  # the 2-norm, as np.linalg.norm, summed in sample order
-    mu0 = total / samples
-
-    if cache_path is not None:
-        _store_mu0(cache_path, key, mu0)
-    return mu0
+    return total / samples
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +384,6 @@ class TrialResult:
 
     def stop(self, name: str) -> float:
         return self.stops.get(name, INF)
-
-    @property
-    def t_tilde(self) -> float:
-        """The run's stop: Algorithm 2's, or Algorithm 1's without it."""
-        return self.stops.get("alg2", self.stops["alg1"])
 
 
 def run_trials(
@@ -563,8 +567,8 @@ def run_trial(
         if paths is not None:
             stats["tau_hat"] = [c.tau_hat for c in cs]
             if log_steps:
-                stats["mse0"] = np.mean((bank.pre.x_upd - streams.x) ** 2, axis=-1)
-                stats["mse1"] = np.mean((bank.post.x_upd - streams.x) ** 2, axis=-1)
+                stats["mse0"] = np.mean((bank.pre.x - streams.x) ** 2, axis=-1)
+                stats["mse1"] = np.mean((bank.post.x - streams.x) ** 2, axis=-1)
             for field, values in stats.items():
                 getattr(paths, field)[:, t - 1] = values
 
@@ -841,6 +845,8 @@ def sweep_tradeoff(
         raise ValueError("h_list must be ascending")
     if which not in ("alg1", "alg2"):
         raise ValueError("sweep supports alg1 or alg2")
+    if which == "alg2" and cfg.shewhart_phi is None and cfg.chi2 is None:
+        raise ConfigError("bad value for '--detector': 'alg2' (needs [shewhart] or [chi2])")
     ctx = prepare(cfg)
     tau, eta, horizon = cfg.run.tau, cfg.run.eta, cfg.run.horizon
 

@@ -8,23 +8,30 @@ detection statistic is clamped to zero the post filter is re-synchronized
 to the pre filter (the change-point estimate that moves with it lives in
 ``detector.CusumState``).
 
+Each filter carries one Gaussian estimate, ``KalmanState(x, P)``: between
+steps the bank holds both filters' filtered estimates, ``kf_predict`` maps
+one to the prediction, and the updates map the prediction back to a
+filtered estimate. A sync copies the pre filter's estimate into the post
+filter.
+
 Both updates work in meter-mean form. H = M kron 1_lam and the lam noise
 samples of a meter are i.i.d., so the meter means ybar_k are a sufficient
 statistic: with the K x K innovation covariance
 
     Sbar = M P M^T + diag((sigma_w2 + sigma_hat_k) / lam)
 
-the gain is G = P M^T Sbar^{-1} (N x K) and x_upd = x_pred + G (ybar - M x_pred
-- a_hat). The covariance update uses the Joseph form
-(I - G M) P (I - G M)^T + G diag(noise / lam) G^T: the textbook shortcut
-P - G M P loses positive semidefiniteness in finite precision at the 1e-4
-variance scales this model runs at, and the form needs no P^{-1}.
+with P the predicted covariance, the gain is G = P M^T Sbar^{-1} (N x K)
+and x_upd = x_pred + G (ybar - M x_pred - a_hat). The covariance update
+uses the Joseph form (I - G M) P (I - G M)^T + G diag(noise / lam) G^T:
+the textbook shortcut P - G M P loses positive semidefiniteness in finite
+precision at the 1e-4 variance scales this model runs at, and the form
+needs no P^{-1}.
 
 The pre filter's covariance, gain and whitening factor of Sbar (the
 inverse of its Cholesky factor, also used by the chi-squared statistic) do
 not depend on the data, so a ``PreSchedule`` computes them once per run
 and every trial replays them. The recursion is frozen at the first step
-whose P_upd moves by at most ``SETTLE_RTOL`` times its trace; until then
+whose updated covariance moves by at most ``SETTLE_RTOL`` times its trace; until then
 every step has its own entry. The post filter reuses step t's pre entry
 (gain and covariance) while sigma_hat has been zero at every step since
 the last sync or the start, because its covariance then equals the pre
@@ -32,8 +39,8 @@ filter's; otherwise it runs the same meter-mean update on its own
 covariance.
 
 Every function takes a leading trial axis: the harness advances B trials in
-lock-step, so states hold x as (B, N) and covariances as (B, N, N), or as
-one (N, N) array that all trials share. All trials sit at the same step, so
+lock-step, so a state holds x as (B, N) and P as (B, N, N), or as one
+(N, N) array that all trials share. All trials sit at the same step, so
 the pre filter's covariance is always the schedule's shared entry and its
 update is one stacked matrix-vector product. The post filter carries a
 per-trial "shares pre" mask (``DualFilterBank.post_shares_pre``): trials
@@ -72,30 +79,21 @@ class InnovationSolveError(RuntimeError):
 
 @dataclass
 class KalmanState:
-    """x arrays are (..., N); P arrays (..., N, N), or (N, N) when shared by
-    every trial of a batch."""
+    """One Gaussian estimate: x is (..., N) and P (..., N, N), or (N, N)
+    when shared by every trial of a batch."""
 
-    x_pred: np.ndarray
-    P_pred: np.ndarray
-    x_upd: np.ndarray
-    P_upd: np.ndarray
+    x: np.ndarray
+    P: np.ndarray
 
     def take(self, keep) -> "KalmanState":
         """The trials selected by ``keep`` (an index or mask on the trial axis)."""
-        return KalmanState(
-            self.x_pred[keep],
-            _take_cov(self.P_pred, keep),
-            self.x_upd[keep],
-            _take_cov(self.P_upd, keep),
-        )
-
-
-def _take_cov(P: np.ndarray, keep) -> np.ndarray:
-    return P[keep] if P.ndim > 2 else P
+        return KalmanState(self.x[keep], self.P[keep] if self.P.ndim > 2 else self.P)
 
 
 @dataclass
 class DualFilterBank:
+    """Both filters' filtered estimates."""
+
     pre: KalmanState
     post: KalmanState
     # True while the post covariance is the pre filter's: from the start or
@@ -129,7 +127,7 @@ def initial_state(x0: np.ndarray, p0: "float | np.ndarray") -> KalmanState:
     P = np.asarray(p0, dtype=float)
     if P.ndim == 0:
         P = float(P) * np.eye(x0.shape[-1])
-    return KalmanState(x_pred=x0.copy(), P_pred=P.copy(), x_upd=x0.copy(), P_upd=P.copy())
+    return KalmanState(x0.copy(), P.copy())
 
 
 def initial_bank(x0: np.ndarray, p0: "float | np.ndarray") -> DualFilterBank:
@@ -160,23 +158,23 @@ def _per_trial(P: np.ndarray, batch: tuple) -> np.ndarray:
 def kf_predict(
     model: GridModel, ks: KalmanState, step: Optional[GainStep] = None, shares=True
 ) -> KalmanState:
-    """x_pred = A x_upd, P_pred = A P_upd A^T + sigma_v2 I.
+    """The prediction of the filtered estimate ks: A x and A P A^T + sigma_v2 I.
 
     With ``step``, the trials flagged in ``shares`` (all by default) have the
-    pre-filter schedule's covariance and take P_pred from the step instead
-    of recomputing it; the others predict their own covariance.
+    pre-filter schedule's covariance and take the predicted covariance from
+    the step instead of recomputing it; the others predict their own.
     """
-    x_pred = matvec(model.A, ks.x_upd)
-    batch = x_pred.shape[:-1]
+    x = matvec(model.A, ks.x)
+    batch = x.shape[:-1]
     own = ~np.asarray(shares, dtype=bool) if step is not None else np.True_
     if own.all():
-        P_pred = _predict_cov(model, _per_trial(ks.P_upd, batch))
+        P = _predict_cov(model, _per_trial(ks.P, batch))
     elif own.any():
-        P_pred = _per_trial(step.P_pred, batch).copy()
-        P_pred[own] = _predict_cov(model, _per_trial(ks.P_upd, batch)[own])
+        P = _per_trial(step.P_pred, batch).copy()
+        P[own] = _predict_cov(model, _per_trial(ks.P, batch)[own])
     else:
-        P_pred = step.P_pred
-    return KalmanState(x_pred=x_pred, P_pred=P_pred, x_upd=ks.x_upd, P_upd=ks.P_upd)
+        P = step.P_pred
+    return KalmanState(x, P)
 
 
 def _predict_cov(model: GridModel, P_upd: np.ndarray) -> np.ndarray:
@@ -247,7 +245,7 @@ class PreSchedule:
 
     def __init__(self, model: GridModel, p0: "float | np.ndarray"):
         self.model = model
-        P0 = initial_state(np.zeros(model.N), p0).P_upd
+        P0 = initial_state(np.zeros(model.N), p0).P
         first = pre_gain_step(model, _predict_cov(model, P0))
         entry_bytes = sum(a.nbytes for a in (first.P_pred, first.P_upd, first.gain, first.white))
         self.steps = [first]
@@ -268,45 +266,46 @@ class PreSchedule:
             yield step
 
 
-def kf_update_pre(model: GridModel, ks: KalmanState, y: np.ndarray) -> KalmanState:
-    return kf_update_pre_full(model, ks, y)[0]
+def kf_update_pre(model: GridModel, pred: KalmanState, y: np.ndarray) -> KalmanState:
+    return kf_update_pre_full(model, pred, y)[0]
 
 
 def kf_update_pre_full(
-    model: GridModel, ks: KalmanState, y: np.ndarray, step: Optional[GainStep] = None
+    model: GridModel, pred: KalmanState, y: np.ndarray, step: Optional[GainStep] = None
 ):
-    """Pre-attack update on (..., K, lam) measurements ``y``, returning
-    (state, innovation y - H x_pred as (..., K, lam)).
+    """Pre-attack update of the prediction ``pred`` on (..., K, lam)
+    measurements ``y``, returning (filtered estimate, innovation y - H x as
+    (..., K, lam)).
 
-    ``step`` is the schedule entry for this step (computed from ks.P_pred
-    when absent), shared by every trial.
+    ``step`` is the schedule entry for this step (computed from pred.P when
+    absent), shared by every trial.
     """
     if step is None:
-        step = pre_gain_step(model, ks.P_pred)
-    innovation = y - matvec(model.meter_rows, ks.x_pred)[..., None]
-    x_upd = ks.x_pred + matvec(step.gain, innovation.sum(axis=-1) / model.lam)
-    state = KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=step.P_upd)
-    return state, innovation
+        step = pre_gain_step(model, pred.P)
+    innovation = y - matvec(model.meter_rows, pred.x)[..., None]
+    x = pred.x + matvec(step.gain, innovation.sum(axis=-1) / model.lam)
+    return KalmanState(x, step.P_upd), innovation
 
 
 def kf_update_post(
     model: GridModel,
-    ks: KalmanState,
+    pred: KalmanState,
     residual_mean: np.ndarray,
     a_hat: np.ndarray,
     sigma_hat: np.ndarray,
     pre_step: Optional[GainStep] = None,
     shares=True,
 ) -> KalmanState:
-    """Measurement update against the estimated attack.
+    """Measurement update of the prediction ``pred`` against the estimated
+    attack, returning the filtered estimate.
 
-    ``residual_mean`` holds the per-meter means of y - H x_pred against this
-    filter's prediction (``ResidualBlock.mean``); a_hat and sigma_hat are
-    per-meter (length K), all with the trial axes of ks. ``pre_step`` is the
-    pre filter's step, and ``shares`` flags the trials whose post
-    covariance equals the pre covariance (all by default): those with
-    sigma_hat all zero reuse its gain and covariance, and only the rest run
-    the K x K update, stacked.
+    ``residual_mean`` holds the per-meter means of y - H x against this
+    prediction (``ResidualBlock.mean``); a_hat and sigma_hat are per-meter
+    (length K), all with the trial axes of pred. ``pre_step`` is the pre
+    filter's step, and ``shares`` flags the trials whose post covariance
+    equals the pre covariance (all by default): those with sigma_hat all
+    zero reuse its gain and covariance, and only the rest run the K x K
+    update, stacked.
     """
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if np.any(sigma_hat < 0):
@@ -316,21 +315,19 @@ def kf_update_post(
     if pre_step is not None:
         own = own | ~np.asarray(shares, dtype=bool)
         if not own.any():
-            x_upd = ks.x_pred + matvec(pre_step.gain, innovation)
-            return KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=pre_step.P_upd)
-    batch = ks.x_pred.shape[:-1]
-    P_pred = _per_trial(ks.P_pred, batch)
+            return KalmanState(pred.x + matvec(pre_step.gain, innovation), pre_step.P_upd)
+    batch = pred.x.shape[:-1]
+    P = _per_trial(pred.P, batch)
     noise = model.sigma_w2 + sigma_hat
     if pre_step is None or own.all():
-        step = gain_step(model, P_pred, noise)
-        x_upd = ks.x_pred + matvec(step.gain, innovation)
-        return KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=step.P_upd)
-    step = gain_step(model, P_pred[own], noise[own])
-    x_upd = ks.x_pred + matvec(pre_step.gain, innovation)
-    x_upd[own] = ks.x_pred[own] + matvec(step.gain, innovation[own])
-    P_upd = _per_trial(pre_step.P_upd, batch).copy()
-    P_upd[own] = step.P_upd
-    return KalmanState(x_pred=ks.x_pred, P_pred=ks.P_pred, x_upd=x_upd, P_upd=P_upd)
+        step = gain_step(model, P, noise)
+        return KalmanState(pred.x + matvec(step.gain, innovation), step.P_upd)
+    step = gain_step(model, P[own], noise[own])
+    x = pred.x + matvec(pre_step.gain, innovation)
+    x[own] = pred.x[own] + matvec(step.gain, innovation[own])
+    P = _per_trial(pre_step.P_upd, batch).copy()
+    P[own] = step.P_upd
+    return KalmanState(x, P)
 
 
 def sync_post_to_pre(bank: DualFilterBank, sync=True) -> DualFilterBank:
@@ -339,15 +336,12 @@ def sync_post_to_pre(bank: DualFilterBank, sync=True) -> DualFilterBank:
     sync = np.asarray(sync, dtype=bool)
     if not sync.any():
         return bank
-    vec, mat = sync[..., None], sync[..., None, None]
     pre, post = bank.pre, bank.post
     return DualFilterBank(
         pre=pre,
         post=KalmanState(
-            np.where(vec, pre.x_pred, post.x_pred),
-            np.where(mat, pre.P_pred, post.P_pred),
-            np.where(vec, pre.x_upd, post.x_upd),
-            np.where(mat, pre.P_upd, post.P_upd),
+            np.where(sync[..., None], pre.x, post.x),
+            np.where(sync[..., None, None], pre.P, post.P),
         ),
         post_shares_pre=sync | bank.post_shares_pre,
     )

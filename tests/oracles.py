@@ -234,34 +234,34 @@ def dense_predict_oracle(A, P, sigma_v2):
 
 def dense_predict(model, ks):
     """Covariance prediction A P A^T + sigma_v2 I at the full state size."""
-    P_pred = model.A @ ks.P_upd @ model.A.T + model.sigma_v2 * np.eye(model.N)
-    return KalmanState(model.A @ ks.x_upd, 0.5 * (P_pred + P_pred.T), ks.x_upd, ks.P_upd)
+    P = model.A @ ks.P @ model.A.T + model.sigma_v2 * np.eye(model.N)
+    return KalmanState(model.A @ ks.x, 0.5 * (P + P.T))
 
 
-def dense_update(model, ks, y_flat, bias, noise_diag):
-    """Kalman update at the full K*lam measurement size, Joseph form.
+def dense_update(model, pred, y_flat, bias, noise_diag):
+    """Kalman update of the prediction ``pred`` at the full K*lam
+    measurement size, Joseph form.
 
     S = H P H^T + diag(noise) is applied through a Cholesky solve. Returns
-    (state, factor of S, innovation y - H x_pred - bias).
+    (filtered state, factor of S, innovation y - H x - bias).
     """
     H = model.H
-    PHt = ks.P_pred @ H.T
+    PHt = pred.P @ H.T
     S = H @ PHt
     S.flat[:: S.shape[0] + 1] += noise_diag
     factor = cho_factor(0.5 * (S + S.T), lower=True, check_finite=False)
     G = cho_solve(factor, PHt.T, check_finite=False).T
-    innovation = y_flat - H @ ks.x_pred - bias
-    x_upd = ks.x_pred + G @ innovation
+    innovation = y_flat - H @ pred.x - bias
     IGH = np.eye(model.N) - G @ H
-    P_upd = IGH @ ks.P_pred @ IGH.T + (G * noise_diag) @ G.T
-    return KalmanState(ks.x_pred, ks.P_pred, x_upd, 0.5 * (P_upd + P_upd.T)), factor, innovation
+    P = IGH @ pred.P @ IGH.T + (G * noise_diag) @ G.T
+    return KalmanState(pred.x + G @ innovation, 0.5 * (P + P.T)), factor, innovation
 
 
-def chi2_sample(model, pre_filter, y):
-    """c_t = r^T Q^{-1} r with Q = H P_pred H^T + sigma_w2 I built in full,
-    for (K, lam) measurements y."""
-    r = y.reshape(-1) - model.H @ pre_filter.x_pred
-    Q = model.H @ pre_filter.P_pred @ model.H.T
+def chi2_sample(model, pred, y):
+    """c_t = r^T Q^{-1} r with Q = H P H^T + sigma_w2 I built in full from
+    the pre filter's prediction ``pred``, for (K, lam) measurements y."""
+    r = y.reshape(-1) - model.H @ pred.x
+    Q = model.H @ pred.P @ model.H.T
     Q.flat[:: Q.shape[0] + 1] += model.sigma_w2
     factor = cho_factor(0.5 * (Q + Q.T), lower=True, check_finite=False)
     return float(r @ cho_solve(factor, r, check_finite=False))
@@ -403,15 +403,15 @@ def dense_trial(ctx, seed):
         hasher.update(y_flat.tobytes())
         hashes.append(hasher.hexdigest())
 
-        pre, post = dense_predict(model, pre), dense_predict(model, post)
-        rb = detector.residual_block(model, y, post.x_pred, det)
+        pre_pred, post_pred = dense_predict(model, pre), dense_predict(model, post)
+        rb = detector.residual_block(model, y, post_pred.x, det)
         costs = detector.hypothesis_costs(rb, model, det)
         labels = detector.classify_meters(costs)
-        est = detector.mle_attack_params(rb, labels, det, model)
-        pre, factor, r = dense_update(model, pre, y_flat, 0.0, clean_noise)
-        inflated = clean_noise + expand(model, est.sigma_hat)
-        post = dense_update(model, post, y_flat, expand(model, est.a_hat), inflated)[0]
-        beta = detector.gllr(y - (model.meter_rows @ pre.x_upd)[:, None], costs, model)
+        a_hat, sigma_hat = detector.mle_attack_params(rb, labels, det, model)
+        pre, factor, r = dense_update(model, pre_pred, y_flat, 0.0, clean_noise)
+        inflated = clean_noise + expand(model, sigma_hat)
+        post = dense_update(model, post_pred, y_flat, expand(model, a_hat), inflated)[0]
+        beta = detector.gllr(y - (model.meter_rows @ pre.x)[:, None], costs, model)
         g = max(0.0, g + beta)
         if g == 0.0:
             post, tau_hat = copy_state(pre), t
@@ -514,7 +514,7 @@ def kl_quadrature_1d(mu_p, var_p, mu_q, var_q):
 
 def copy_state(ks):
     """A KalmanState holding copies of the arrays of ks."""
-    return KalmanState(ks.x_pred.copy(), ks.P_pred.copy(), ks.x_upd.copy(), ks.P_upd.copy())
+    return KalmanState(ks.x.copy(), ks.P.copy())
 
 
 def expand(model, per_meter):

@@ -15,7 +15,7 @@ import pytest
 
 from gridwatch import harness, load_config
 from gridwatch.detector import classify_meters, hypothesis_costs, mle_attack_params
-from gridwatch.detector import DetectorConfig, HypothesisCosts, ResidualBlock
+from gridwatch.detector import DetectorConfig, ResidualBlock
 from gridwatch.stealth import (
     GaussianPdf,
     construct_stealthy_gaussian,
@@ -169,21 +169,16 @@ def test_criterion_1_mle_oracle_equivalence():
         model.lam, model.sigma_w2, model.K = lam, SIGMA_W2, n
         costs = hypothesis_costs(rb, model, cfg)
         cls = classify_meters(costs)
-        est = mle_attack_params(rb, cls, cfg, model)
+        a_hat, sigma_hat = mle_attack_params(rb, cls, cfg, model)
 
-        for mine, theirs in (
-            (costs.u0, oracle["u0"]),
-            (costs.uf, oracle["uf"]),
-            (costs.uj, oracle["uj"]),
-            (costs.ufj, oracle["ufj"]),
-        ):
-            worst_cost = max(worst_cost, float(np.max(np.abs(mine - theirs))))
+        for row, key in enumerate(("u0", "uf", "uj", "ufj")):
+            worst_cost = max(worst_cost, float(np.max(np.abs(costs[row] - oracle[key]))))
         label_mismatches += int((cls.labels != oracle["labels"]).sum())
-        chosen = costs.table[cls.labels, np.arange(n)]
+        chosen = costs[cls.labels, np.arange(n)]
         worst_cost = max(worst_cost, float(np.max(np.abs(chosen - oracle["chosen"]))))
         # estimates agree wherever the hypothesis agrees (it always does)
-        np.testing.assert_allclose(est.a_hat, oracle["a_hat"], atol=1e-6)
-        np.testing.assert_allclose(est.sigma_hat, oracle["sigma_hat"], atol=1e-6)
+        np.testing.assert_allclose(a_hat, oracle["a_hat"], atol=1e-6)
+        np.testing.assert_allclose(sigma_hat, oracle["sigma_hat"], atol=1e-6)
         if lam == 5:
             assert {0, 1, 2, 3} <= set(cls.labels.tolist())  # all regimes hit
 
@@ -359,7 +354,7 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     rng = np.random.default_rng(4)
     arr = rng.uniform(-1e6, 1e6, size=(4, 1_000_000))
     arr[:, : 10_000] = np.round(arr[:, : 10_000], -3)  # force exact ties too
-    labels = classify_meters(HypothesisCosts(arr)).labels
+    labels = classify_meters(arr).labels
     counts = np.bincount(labels, minlength=4)
     partition_ok = counts.sum() == 1_000_000 and np.all(labels >= 0) and np.all(labels < 4)
 
@@ -373,7 +368,7 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     ctx = harness.prepare(cfg)
     live = harness.run_trials(ctx)
     min_ok = all(
-        r.t_tilde == min(r.stop("alg1"), r.stop("shewhart"), r.stop("chi2")) for r in live
+        r.stop("alg2") == min(r.stop("alg1"), r.stop("shewhart"), r.stop("chi2")) for r in live
     )
 
     # same seed -> byte-identical CSV
@@ -418,8 +413,8 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
         step = algorithm1_step(bank, cs, model, det, y, t)
         bank, cs = step.bank, step.cusum
         if t % 200 == 0:
-            psd_ok &= min_eigenvalue_ratio(bank.pre.P_upd[0]) >= -1e-10
-            psd_ok &= min_eigenvalue_ratio(bank.post.P_upd[0]) >= -1e-10
+            psd_ok &= min_eigenvalue_ratio(bank.pre.P[0]) >= -1e-10
+            psd_ok &= min_eigenvalue_ratio(bank.post.P[0]) >= -1e-10
 
     ok = g_ok and partition_ok and min_ok and csv_ok and psd_ok
     report(

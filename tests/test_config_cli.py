@@ -261,6 +261,26 @@ def test_cli_sweep_rejects_bad_thresholds(tmp_path, two_bus_path, monkeypatch, c
     assert "gridwatch sweep: error: bad value for '--thresholds'" in capsys.readouterr().err
 
 
+def test_sweep_alg2_without_its_other_rules_is_a_usage_error(tmp_path, two_bus_path, monkeypatch, capsys):
+    # with neither [shewhart] nor [chi2], alg2 is alg1; the sweep used to
+    # print alg1's curve under the alg2 name
+    text = MINIMAL.format(
+        topology=two_bus_path, extra_detector="", attack="kind = fdi\nfdi_uniform = 0.4",
+        trials=1, horizon=50,
+    )
+    cfg_path = write(tmp_path, text)
+    monkeypatch.setattr(harness, "prepare", lambda *a, **k: pytest.fail("prepare ran"))
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **k: pytest.fail("trial ran"))
+    with pytest.raises(ConfigError, match="'--detector'"):
+        harness.sweep_tradeoff(load_config(cfg_path), [5.0, 10.0], which="alg2")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg_path), "--thresholds", "5,10", "--detector", "alg2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "gridwatch sweep: error: bad value for '--detector'" in capsys.readouterr().err
+    assert not (tmp_path / "tradeoff.csv").exists()
+
+
 @pytest.mark.parametrize("name", ["missing.grid", "."])
 def test_unreadable_topology_names_topology_before_any_trial(tmp_path, monkeypatch, capsys, name):
     # a missing file, or a directory, is a ConfigError naming the key and

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gridwatch.detector import (
     CusumState,
     DetectorConfig,
-    HypothesisCosts,
     ResidualBlock,
     algorithm1_step,
     classify_meters,
@@ -18,7 +17,7 @@ from gridwatch.detector import (
     mle_attack_params,
     residual_block,
 )
-from gridwatch.kalman import initial_bank
+from gridwatch.kalman import initial_bank, kf_predict
 
 from conftest import GAMMA, SIGMA2_MIN, SIGMA_W2
 from oracles import (
@@ -76,18 +75,19 @@ def test_pi_identity_on_random_inputs(ieee14_model):
 def test_costs_at_zero_residual(ieee14_model):
     rb = block_from_e(ieee14_model, np.zeros(5))
     costs = hypothesis_costs(rb, ieee14_model, CFG)
-    np.testing.assert_allclose(costs.u0, 5 * math.log(SIGMA_W2))
-    np.testing.assert_allclose(costs.uf, 5 * math.log(SIGMA_W2) + 5 * GAMMA**2 / SIGMA_W2)
-    assert np.all(costs.uf > costs.u0)
+    u0, uf = costs[0], costs[1]
+    np.testing.assert_allclose(u0, 5 * math.log(SIGMA_W2))
+    np.testing.assert_allclose(uf, 5 * math.log(SIGMA_W2) + 5 * GAMMA**2 / SIGMA_W2)
+    assert np.all(uf > u0)
 
 
 def test_cost_branch_tracing_constant_block(ieee14_model):
     # e = [0.1]*5: mean 0.1 >= gamma, centered variance 0 < sigma_w2+sigma2_min
     rb = block_from_e(ieee14_model, np.full(5, 0.1))
     costs = hypothesis_costs(rb, ieee14_model, CFG)
-    np.testing.assert_allclose(costs.ufj, 5 * math.log(SIGMA_W2 + SIGMA2_MIN), rtol=1e-12)
+    np.testing.assert_allclose(costs[3], 5 * math.log(SIGMA_W2 + SIGMA2_MIN), rtol=1e-12)
     # uf captures the bias exactly: centered SSR = 0
-    np.testing.assert_allclose(costs.uf, 5 * math.log(SIGMA_W2), rtol=1e-12)
+    np.testing.assert_allclose(costs[1], 5 * math.log(SIGMA_W2), rtol=1e-12)
     # classification: fdi strictly cheapest
     labels = classify_meters(costs).labels
     assert np.all(labels == 1)
@@ -118,10 +118,8 @@ def test_costs_match_oracle_quick(ieee14_model):
         m.lam = lam
         m.sigma_w2 = SIGMA_W2
         costs = hypothesis_costs(rb, m, CFG)
-        np.testing.assert_allclose(costs.u0, oracle["u0"], atol=1e-6, rtol=0)
-        np.testing.assert_allclose(costs.uf, oracle["uf"], atol=1e-6, rtol=0)
-        np.testing.assert_allclose(costs.uj, oracle["uj"], atol=1e-6, rtol=0)
-        np.testing.assert_allclose(costs.ufj, oracle["ufj"], atol=1e-6, rtol=0)
+        for row, key in enumerate(("u0", "uf", "uj", "ufj")):
+            np.testing.assert_allclose(costs[row], oracle[key], atol=1e-6, rtol=0)
         labels = classify_meters(costs).labels
         np.testing.assert_array_equal(labels, oracle["labels"])
 
@@ -137,18 +135,18 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
     rb = residual_block(ieee14_model, y, x, CFG)
     costs = hypothesis_costs(rb, ieee14_model, CFG)
     cls = classify_meters(costs)
-    est = mle_attack_params(rb, cls, CFG, ieee14_model)
+    a_hat, sigma_hat = mle_attack_params(rb, cls, CFG, ieee14_model)
     beta = gllr(rb.e, costs, ieee14_model)
     assert len(set(cls.labels.ravel())) == 4  # every hypothesis occurs
     for i in range(B):
         rb1 = residual_block(ieee14_model, y[i], x[i], CFG)
         costs1 = hypothesis_costs(rb1, ieee14_model, CFG)
         cls1 = classify_meters(costs1)
-        est1 = mle_attack_params(rb1, cls1, CFG, ieee14_model)
+        a_hat1, sigma_hat1 = mle_attack_params(rb1, cls1, CFG, ieee14_model)
         for got, want in [
             (rb.e[i], rb1.e), (rb.mean[i], rb1.mean), (rb.ssr[i], rb1.ssr),
-            (costs.table[i], costs1.table), (cls.labels[i], cls1.labels),
-            (est.a_hat[i], est1.a_hat), (est.sigma_hat[i], est1.sigma_hat),
+            (costs[i], costs1), (cls.labels[i], cls1.labels),
+            (a_hat[i], a_hat1), (sigma_hat[i], sigma_hat1),
         ]:
             np.testing.assert_array_equal(got, want)
         assert beta[i] == gllr(rb1.e, costs1, ieee14_model)
@@ -188,7 +186,7 @@ def test_cost_table_matches_four_array_oracle(ieee14_model, B):
 
     costs = hypothesis_costs(rb, ieee14_model, CFG)
     cls = classify_meters(costs)
-    est = mle_attack_params(rb, cls, CFG, ieee14_model)
+    a_hat, sigma_hat = mle_attack_params(rb, cls, CFG, ieee14_model)
     want = four_array_statistics(rb, ieee14_model, CFG, r_pre)
     assert rb.interior[:, :2].all() and not rb.interior[:, 2:5].any()
     floor = SIGMA_W2 + SIGMA2_MIN
@@ -199,8 +197,9 @@ def test_cost_table_matches_four_array_oracle(ieee14_model, B):
     assert set(cls.labels.ravel()) == {0, 1, 2, 3}
     for got, key in [
         (rb.mean, "mean"), (rb.interior, "interior"), (rb.ssr[..., 1, :], "ssr_f"),
-        (costs.u0, "u0"), (costs.uf, "uf"), (costs.uj, "uj"), (costs.ufj, "ufj"),
-        (cls.labels, "labels"), (est.a_hat, "a_hat"), (est.sigma_hat, "sigma_hat"),
+        (costs[..., 0, :], "u0"), (costs[..., 1, :], "uf"),
+        (costs[..., 2, :], "uj"), (costs[..., 3, :], "ufj"),
+        (cls.labels, "labels"), (a_hat, "a_hat"), (sigma_hat, "sigma_hat"),
         (gllr(r_pre, costs, ieee14_model), "beta"),
     ]:
         assert_same_bits(got, want[key])
@@ -208,10 +207,9 @@ def test_cost_table_matches_four_array_oracle(ieee14_model, B):
 
     # ties of every pattern, and signed zeros, straight in the table
     table = rng.integers(-2, 3, (B, 4, 23)) * rng.choice([-1.0, 1.0], (B, 4, 23))
-    tied = HypothesisCosts(table)
-    labels = classify_meters(tied).labels
+    labels = classify_meters(table).labels
     assert_same_bits(labels, np.argmin(table, axis=-2))
-    assert_same_bits(gllr(r_pre, tied, ieee14_model), gather_gllr(r_pre, table, labels, ieee14_model))
+    assert_same_bits(gllr(r_pre, table, ieee14_model), gather_gllr(r_pre, table, labels, ieee14_model))
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +217,19 @@ def test_cost_table_matches_four_array_oracle(ieee14_model, B):
 
 
 def test_all_equal_costs_go_clean():
-    costs = HypothesisCosts(np.zeros((4, 4)))
+    costs = np.zeros((4, 4))
     labels = classify_meters(costs).labels
     assert np.all(labels == 0)
 
 
 def test_strictly_minimal_fdi():
-    costs = HypothesisCosts(np.array([[1.0], [0.5], [1.0], [1.0]]))
+    costs = np.array([[1.0], [0.5], [1.0], [1.0]])
     assert classify_meters(costs).labels[0] == 1
 
 
 def test_tie_precedence_matches_inequality_pattern():
     # jam ties fdi -> fdi wins (u^f <= u^j non-strict); both tie clean -> clean
-    costs = HypothesisCosts(np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 1.0], [3.0, 1.0]]))
+    costs = np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 1.0], [3.0, 1.0]])
     labels = classify_meters(costs).labels
     assert labels[0] == 1
     assert labels[1] == 0
@@ -245,8 +243,7 @@ def test_tie_precedence_matches_inequality_pattern():
 )
 def test_classification_is_partition(cost_rows):
     arr = np.array(cost_rows, dtype=float)
-    costs = HypothesisCosts(arr.T)
-    cls = classify_meters(costs)
+    cls = classify_meters(arr.T)
     # one hypothesis per meter
     assert cls.labels.shape == arr.shape[:1] and np.isin(cls.labels, range(4)).all()
     # verify the paper's inequality pattern meter by meter
@@ -275,18 +272,18 @@ def forced_labels(model, rb, labels_value):
 
 def test_mle_bias_interior(ieee14_model):
     rb = block_from_e(ieee14_model, np.full(5, 0.1))
-    est = mle_attack_params(rb, forced_labels(ieee14_model, rb, 1), CFG, ieee14_model)
-    np.testing.assert_allclose(est.a_hat, 0.1)
-    assert not est.sigma_hat.any()
+    a_hat, sigma_hat = mle_attack_params(rb, forced_labels(ieee14_model, rb, 1), CFG, ieee14_model)
+    np.testing.assert_allclose(a_hat, 0.1)
+    assert not sigma_hat.any()
 
 
 def test_mle_bias_clamped_to_boundary(ieee14_model):
     rb = block_from_e(ieee14_model, np.full(5, 0.01))
-    est = mle_attack_params(rb, forced_labels(ieee14_model, rb, 1), CFG, ieee14_model)
-    np.testing.assert_allclose(est.a_hat, GAMMA)
+    a_hat, _ = mle_attack_params(rb, forced_labels(ieee14_model, rb, 1), CFG, ieee14_model)
+    np.testing.assert_allclose(a_hat, GAMMA)
     rb = block_from_e(ieee14_model, np.full(5, -0.01))
-    est = mle_attack_params(rb, forced_labels(ieee14_model, rb, 1), CFG, ieee14_model)
-    np.testing.assert_allclose(est.a_hat, -GAMMA)
+    a_hat, _ = mle_attack_params(rb, forced_labels(ieee14_model, rb, 1), CFG, ieee14_model)
+    np.testing.assert_allclose(a_hat, -GAMMA)
 
 
 def test_mle_zero_mean_maps_to_plus_gamma(ieee14_model):
@@ -294,8 +291,8 @@ def test_mle_zero_mean_maps_to_plus_gamma(ieee14_model):
     e = np.array([0.01, -0.01, 0.02, -0.02, 0.0])
     rb = block_from_e(ieee14_model, e)
     assert rb.delta[0] == pytest.approx(0.0, abs=1e-15)
-    est = mle_attack_params(rb, forced_labels(ieee14_model, rb, 1), CFG, ieee14_model)
-    np.testing.assert_allclose(est.a_hat, GAMMA)
+    a_hat, _ = mle_attack_params(rb, forced_labels(ieee14_model, rb, 1), CFG, ieee14_model)
+    np.testing.assert_allclose(a_hat, GAMMA)
 
 
 def test_mle_jam_variance_interior(ieee14_model):
@@ -303,15 +300,15 @@ def test_mle_jam_variance_interior(ieee14_model):
     e = np.full(5, math.sqrt(2e-2))
     rb = block_from_e(ieee14_model, e)
     assert rb.zeta[0] / 5 == pytest.approx(2e-2)
-    est = mle_attack_params(rb, forced_labels(ieee14_model, rb, 2), CFG, ieee14_model)
-    np.testing.assert_allclose(est.sigma_hat, 2e-2 - SIGMA_W2, rtol=1e-12)
-    assert not est.a_hat.any()
+    a_hat, sigma_hat = mle_attack_params(rb, forced_labels(ieee14_model, rb, 2), CFG, ieee14_model)
+    np.testing.assert_allclose(sigma_hat, 2e-2 - SIGMA_W2, rtol=1e-12)
+    assert not a_hat.any()
 
 
 def test_mle_jam_variance_floored(ieee14_model):
     rb = block_from_e(ieee14_model, np.full(5, 0.001))
-    est = mle_attack_params(rb, forced_labels(ieee14_model, rb, 2), CFG, ieee14_model)
-    np.testing.assert_allclose(est.sigma_hat, SIGMA2_MIN)
+    _, sigma_hat = mle_attack_params(rb, forced_labels(ieee14_model, rb, 2), CFG, ieee14_model)
+    np.testing.assert_allclose(sigma_hat, SIGMA2_MIN)
 
 
 def test_mle_feasibility_on_random_blocks(ieee14_model):
@@ -321,8 +318,7 @@ def test_mle_feasibility_on_random_blocks(ieee14_model):
         rb = residual_block(ieee14_model, y, rng.standard_normal(13) * 0.01, CFG)
         costs = hypothesis_costs(rb, ieee14_model, CFG)
         cls = classify_meters(costs)
-        est = mle_attack_params(rb, cls, CFG, ieee14_model)
-        a, s = est.a_hat, est.sigma_hat
+        a, s = mle_attack_params(rb, cls, CFG, ieee14_model)
         assert np.all((a == 0.0) | (np.abs(a) >= GAMMA - 1e-15))
         assert np.all((s == 0.0) | (s >= SIGMA2_MIN - 1e-15))
         labels = cls.labels
@@ -414,23 +410,24 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
     y_flat = y_flat.copy()
     y_flat[0:5] += 0.5
     y = y_flat.reshape(1, 23, 5)
+    # A = I, so the post prediction the residuals are built on is x0
+    np.testing.assert_array_equal(kf_predict(ieee14_model, bank.post).x[0], x0)
     step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1)
-    np.testing.assert_array_equal(step.x_post_pred[0], x0)  # A = I, prediction is x0
-    assert step.estimate.a_hat[0, 0] == pytest.approx(0.5, rel=1e-9)
+    assert step.a_hat[0, 0] == pytest.approx(0.5, rel=1e-9)
     # had the residuals used the post *update* (which subtracts the explained
     # bias), the estimate could not equal the injected 0.5; meanwhile the
     # recovery leaves the post state at x0 while the pre filter gets dragged
-    np.testing.assert_allclose(step.bank.post.x_upd[0], x0, atol=1e-12)
-    assert np.linalg.norm(step.bank.pre.x_upd[0] - x0) > 1e-4
+    np.testing.assert_allclose(step.bank.post.x[0], x0, atol=1e-12)
+    assert np.linalg.norm(step.bank.pre.x[0] - x0) > 1e-4
 
 
 def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     bank = initial_bank(x0[None], 1e-4)  # a batch of one trial
-    bank.post.x_upd[:] += 0.05
+    bank.post.x[:] += 0.05
     y = (ieee14_model.H @ x0).reshape(1, 23, 5)
     step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1)
     (cs,) = step.cusum
     if cs.g == 0.0:
-        np.testing.assert_array_equal(step.bank.post.x_upd, step.bank.pre.x_upd)
+        np.testing.assert_array_equal(step.bank.post.x, step.bank.pre.x)
         assert cs.tau_hat == 1

@@ -120,10 +120,9 @@ def test_t_tilde_is_min_and_replay_consistent(tmp_path, mu0_cache):
     cfg = make_cfg(tmp_path, attack=CASE1, horizon=260, cache=mu0_cache)
     ctx = harness.prepare(cfg)
     res = harness.run_trial(ctx, [(9, 0)], full_paths=True)[0]
-    assert res.t_tilde == min(
+    assert res.stop("alg2") == min(
         res.stop("alg1"), res.stop("shewhart"), res.stop("chi2")
     )
-    assert res.stop("alg2") == res.t_tilde
     n = res.steps_run
 
     # replay the CUSUM recursion over the recorded GLLR stream with the
@@ -559,7 +558,7 @@ def test_mu0_cache_rewrite_keeps_file_mode(tmp_path):
     cache = tmp_path / "mu0.txt"
     cache.write_text("other 0.5\n")
     cache.chmod(0o644)
-    harness._store_mu0(cache, "key", 0.25)
+    assert harness._store_mu0(cache, "key", lambda: 0.25) == 0.25
     assert stat.S_IMODE(cache.stat().st_mode) == 0o644
     assert cache.read_text() == "other 0.5\nkey 0.25\n"
 
@@ -592,11 +591,16 @@ def test_mu0_cache_directory_is_config_error(tmp_path, ieee14_model, ieee14_topo
 
 def test_mu0_cache_write_failure_is_config_error(tmp_path, ieee14_model, ieee14_topology, monkeypatch):
     # a read-only directory does not stop a superuser, so the failure is
-    # injected where the temporary sibling is made; the baseline has run
+    # injected where the temporary sibling is made; it is reported before
+    # the baseline runs, not after it
     def refuse(*args, **kwargs):
         raise PermissionError(errno.EACCES, "Permission denied")
 
+    def baseline(*args, **kwargs):
+        raise AssertionError("the baseline ran before the cache was checked")
+
     monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    monkeypatch.setattr(harness, "simulate_block", baseline)
     x0 = ieee14_topology.initial_state()
     cache = tmp_path / "mu0.txt"
     reason = f"bad value for 'mu0_cache': {str(cache)!r} (Permission denied)"
@@ -683,6 +687,26 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("attack", [CASE1, HYBRID], ids=["fdi", "hybrid"])
+def test_tracer_probes_read_what_they_count(tmp_path, mu0_cache, attack):
+    # the probes read arguments and results of the traced functions; one
+    # that no longer fits them counts a probe error, and a function the
+    # engine stops calling leaves its counters at zero
+    tracing = load_tracing()
+    ctx = harness.prepare(make_cfg(tmp_path, attack=attack, trials=4, horizon=150, cache=mu0_cache))
+    tracer = tracing.Tracer()
+    with tracer:
+        harness.run_trials(ctx, full_paths=True)
+    assert tracer.absent == []
+    counts = tracer.counts
+    assert counts["probe_errors"] == 0
+    counters = (
+        "attack.calls", "attack.active", "post.calls", "post.sigma_nonzero",
+        "cusum.calls", "cusum.sync", "labels.total", "labels.nonclean",
+    )
+    assert {name: counts[name] > 0 for name in counters} == dict.fromkeys(counters, True)
 
 
 def _package_names(path: Path) -> "list[tuple[str, str]]":

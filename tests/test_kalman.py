@@ -35,9 +35,9 @@ from oracles import (
 
 
 def post_mean(model, ks, y):
-    """Per-meter means of y - H x_pred, the residual means the post update
-    takes from the detector's residual block."""
-    return (y - (model.meter_rows @ ks.x_pred)[:, None]).sum(axis=1) / model.lam
+    """Per-meter means of y - H x against the prediction ks, the residual
+    means the post update takes from the detector's residual block."""
+    return (y - (model.meter_rows @ ks.x)[:, None]).sum(axis=1) / model.lam
 
 
 def scalar_model(sigma_w2=1.0, sigma_v2=1.0):
@@ -57,15 +57,15 @@ def test_predict_identity_dynamics_no_noise():
     model = scalar_model(sigma_v2=0.0)
     ks = initial_state(np.array([0.7]), np.array([[0.3]]))
     out = kf_predict(model, ks)
-    np.testing.assert_array_equal(out.x_pred, ks.x_upd)
-    np.testing.assert_array_equal(out.P_pred, ks.P_upd)
+    np.testing.assert_array_equal(out.x, ks.x)
+    np.testing.assert_array_equal(out.P, ks.P)
 
 
 def test_predict_additive_noise_only():
     model = scalar_model(sigma_v2=1e-4)
     ks = initial_state(np.array([0.0]), np.array([[0.0]]))
     out = kf_predict(model, ks)
-    np.testing.assert_allclose(out.P_pred, 1e-4 * np.eye(1))
+    np.testing.assert_allclose(out.P, 1e-4 * np.eye(1))
 
 
 def test_add_diagonal_writes_through_any_layout():
@@ -93,27 +93,27 @@ def test_predict_matches_dense_oracle():
         N=3,
         K=1,
     )
-    ks = KalmanState(np.zeros(3), np.zeros((3, 3)), rng.standard_normal(3), P)
+    ks = KalmanState(rng.standard_normal(3), P)
     out = kf_predict(model, ks)
-    np.testing.assert_allclose(out.P_pred, dense_predict_oracle(A, P, 2.5e-3), atol=1e-12)
+    np.testing.assert_allclose(out.P, dense_predict_oracle(A, P, 2.5e-3), atol=1e-12)
 
 
 def test_scalar_update_hand_values():
     # P_pred = 1, sigma_w2 = 1 -> gain 0.5 and P_upd = 0.5
     model = scalar_model(sigma_w2=1.0)
-    ks = KalmanState(np.array([0.0]), np.eye(1), np.array([0.0]), np.eye(1))
+    ks = KalmanState(np.array([0.0]), np.eye(1))
     y = np.array([[1.0]])
     out = kf_update_pre(model, ks, y)
-    assert out.x_upd[0] == pytest.approx(0.5)
-    assert out.P_upd[0, 0] == pytest.approx(0.5)
+    assert out.x[0] == pytest.approx(0.5)
+    assert out.P[0, 0] == pytest.approx(0.5)
 
 
 def test_zero_innovation_keeps_state():
     model = scalar_model()
-    ks = KalmanState(np.array([0.4]), np.eye(1), np.array([0.4]), np.eye(1))
-    y = (model.H @ ks.x_pred).reshape(1, 1)
+    ks = KalmanState(np.array([0.4]), np.eye(1))
+    y = (model.H @ ks.x).reshape(1, 1)
     out = kf_update_pre(model, ks, y)
-    np.testing.assert_allclose(out.x_upd, ks.x_pred, atol=1e-15)
+    np.testing.assert_allclose(out.x, ks.x, atol=1e-15)
 
 
 def test_uninformative_measurements(ieee14_model, ieee14_topology):
@@ -122,7 +122,7 @@ def test_uninformative_measurements(ieee14_model, ieee14_topology):
     ks = kf_predict(model, initial_state(x0, 1e-4))
     y = np.ones((23, 5))
     out = kf_update_pre(model, ks, y)
-    assert np.linalg.norm(out.x_upd - out.x_pred) <= 1e-6
+    assert np.linalg.norm(out.x - ks.x) <= 1e-6
 
 
 def test_post_with_zero_estimates_is_bitwise_pre(ieee14_model, ieee14_topology):
@@ -132,26 +132,26 @@ def test_post_with_zero_estimates_is_bitwise_pre(ieee14_model, ieee14_topology):
     y = (ieee14_model.H @ x0 + rng.standard_normal(115) * 0.01).reshape(23, 5)
     pre = kf_update_pre(ieee14_model, ks, y)
     post = kf_update_post(ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), np.zeros(23))
-    np.testing.assert_array_equal(pre.x_upd, post.x_upd)
-    np.testing.assert_array_equal(pre.P_upd, post.P_upd)
+    np.testing.assert_array_equal(pre.x, post.x)
+    np.testing.assert_array_equal(pre.P, post.P)
 
 
 def test_post_perfectly_explained_bias():
     model = scalar_model()
-    ks = KalmanState(np.array([0.2]), np.eye(1), np.array([0.2]), np.eye(1))
+    ks = KalmanState(np.array([0.2]), np.eye(1))
     a_hat = np.array([0.6])
-    y = (model.H @ ks.x_pred + a_hat).reshape(1, 1)
+    y = (model.H @ ks.x + a_hat).reshape(1, 1)
     out = kf_update_post(model, ks, post_mean(model, ks, y), a_hat, np.zeros(1))
-    np.testing.assert_allclose(out.x_upd, ks.x_pred, atol=1e-12)
+    np.testing.assert_allclose(out.x, ks.x, atol=1e-12)
 
 
 def test_post_scalar_inflated_gain_third():
     model = scalar_model(sigma_w2=1.0)
-    ks = KalmanState(np.array([0.0]), np.eye(1), np.array([0.0]), np.eye(1))
+    ks = KalmanState(np.array([0.0]), np.eye(1))
     y = np.array([[3.0]])
     out = kf_update_post(model, ks, post_mean(model, ks, y), np.zeros(1), np.array([1.0]))
     # gain = P / (P + sigma_w2 + sigma_hat) = 1/3
-    assert out.x_upd[0] == pytest.approx(1.0)
+    assert out.x[0] == pytest.approx(1.0)
 
 
 def test_post_expansion_convention(ieee14_model, ieee14_topology):
@@ -166,25 +166,25 @@ def test_post_expansion_convention(ieee14_model, ieee14_topology):
     sigma = np.zeros(23)
     sigma[3] = 1e9
     out = kf_update_post(ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), sigma)
-    assert np.linalg.norm(out.x_upd - x0) < 1e-3
+    assert np.linalg.norm(out.x - x0) < 1e-3
     out_bad = kf_update_pre(ieee14_model, ks, y)
-    assert np.linalg.norm(out_bad.x_upd - x0) > 10 * np.linalg.norm(out.x_upd - x0)
+    assert np.linalg.norm(out_bad.x - x0) > 10 * np.linalg.norm(out.x - x0)
 
 
 def test_sync_post_to_pre():
     bank = initial_bank(np.array([0.1, 0.2]), 1e-4)
-    bank.post.x_upd[:] = 99.0
+    bank.post.x[:] = 99.0
     bank = sync_post_to_pre(bank)
-    np.testing.assert_array_equal(bank.post.x_upd, bank.pre.x_upd)
-    np.testing.assert_array_equal(bank.post.P_upd, bank.pre.P_upd)
+    np.testing.assert_array_equal(bank.post.x, bank.pre.x)
+    np.testing.assert_array_equal(bank.post.P, bank.pre.P)
     # sync copies: later post mutation must not leak into pre
-    bank.post.x_upd[0] = -1.0
-    assert bank.pre.x_upd[0] == 0.1
+    bank.post.x[0] = -1.0
+    assert bank.pre.x[0] == 0.1
     # in a batch only the flagged trials sync
     batch = initial_bank(np.array([[0.1, 0.2], [0.3, 0.4]]), 1e-4)
-    batch.post.x_upd[:] = 99.0
+    batch.post.x[:] = 99.0
     batch = sync_post_to_pre(batch, np.array([False, True]))
-    assert batch.post.x_upd.tolist() == [[99.0, 99.0], [0.3, 0.4]]
+    assert batch.post.x.tolist() == [[99.0, 99.0], [0.3, 0.4]]
 
 
 def test_pre_post_trajectories_identical_with_zero_estimates(ieee14_model, ieee14_topology):
@@ -200,8 +200,8 @@ def test_pre_post_trajectories_identical_with_zero_estimates(ieee14_model, ieee1
         pre = kf_update_pre(ieee14_model, kf_predict(ieee14_model, pre), y)
         post = kf_predict(ieee14_model, post)
         post = kf_update_post(ieee14_model, post, post_mean(ieee14_model, post, y), zeros, zeros)
-        np.testing.assert_array_equal(pre.x_upd, post.x_upd)
-        np.testing.assert_array_equal(pre.P_upd, post.P_upd)
+        np.testing.assert_array_equal(pre.x, post.x)
+        np.testing.assert_array_equal(pre.P, post.P)
 
 
 def test_covariances_stay_psd_under_iteration(ieee14_model, ieee14_topology):
@@ -212,8 +212,8 @@ def test_covariances_stay_psd_under_iteration(ieee14_model, ieee14_topology):
         state, y = simulate_step(ieee14_model, state)
         ks = kf_update_pre(ieee14_model, kf_predict(ieee14_model, ks), y)
         if t % 100 == 0:
-            assert min_eigenvalue_ratio(ks.P_upd) >= -1e-10
-    assert np.all(np.isfinite(ks.P_upd))
+            assert min_eigenvalue_ratio(ks.P) >= -1e-10
+    assert np.all(np.isfinite(ks.P))
 
 
 def test_update_factors_expose_innovation(ieee14_model, ieee14_topology):
@@ -221,11 +221,11 @@ def test_update_factors_expose_innovation(ieee14_model, ieee14_topology):
     ks = kf_predict(ieee14_model, initial_state(x0, 1e-4))
     y = (ieee14_model.H @ x0 + 0.01).reshape(23, 5)
     _, innovation = kf_update_pre_full(ieee14_model, ks, y)
-    np.testing.assert_allclose(innovation.reshape(-1), y.reshape(-1) - ieee14_model.H @ ks.x_pred)
+    np.testing.assert_allclose(innovation.reshape(-1), y.reshape(-1) - ieee14_model.H @ ks.x)
     # the step whitens the meter-mean innovation covariance: W Sbar W^T = I
     M = ieee14_model.meter_rows
-    W = pre_gain_step(ieee14_model, ks.P_pred).white
-    Sbar = M @ ks.P_pred @ M.T + (ieee14_model.sigma_w2 / ieee14_model.lam) * np.eye(23)
+    W = pre_gain_step(ieee14_model, ks.P).white
+    Sbar = M @ ks.P @ M.T + (ieee14_model.sigma_w2 / ieee14_model.lam) * np.eye(23)
     np.testing.assert_allclose(W @ Sbar @ W.T, np.eye(23), rtol=0, atol=1e-12)
 
 
@@ -272,10 +272,10 @@ def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
         c_d = float(r_d @ cho_solve(factor, r_d))
 
         assert_rel_close(r.reshape(-1), r_d)
-        assert_rel_close(pre.x_upd, pre_d.x_upd)
-        assert_rel_close(pre.P_upd, pre_d.P_upd)
-        assert_rel_close(post.x_upd, post_d.x_upd)
-        assert_rel_close(post.P_upd, post_d.P_upd)
+        assert_rel_close(pre.x, pre_d.x)
+        assert_rel_close(pre.P, pre_d.P)
+        assert_rel_close(post.x, post_d.x)
+        assert_rel_close(post.P, post_d.P)
         assert c == pytest.approx(c_d, rel=1e-9)
         if t % 40 == 0:
             post, post_d, shares = copy_state(pre), copy_state(pre_d), True
@@ -307,10 +307,10 @@ def test_unsettled_schedule_covers_every_step(ieee14_topology):
     ks = initial_state(np.zeros(model.N), 1e-4)
     for step in islice(schedule, 3000):
         ks = kf_predict(model, ks)
-        expected = pre_gain_step(model, ks.P_pred)
+        expected = pre_gain_step(model, ks.P)
         np.testing.assert_array_equal(step.P_pred, expected.P_pred)
         np.testing.assert_array_equal(step.P_upd, expected.P_upd)
-        ks = dataclasses.replace(ks, P_upd=expected.P_upd)
+        ks = dataclasses.replace(ks, P=expected.P_upd)
     M = model.meter_rows
     X = solve_discrete_are(
         model.A.T,
@@ -323,7 +323,7 @@ def test_unsettled_schedule_covers_every_step(ieee14_topology):
 
 def test_failed_factorization_raises_typed_error(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
-    broken = KalmanState(x0, -np.eye(13), x0, -np.eye(13))  # not a covariance
+    broken = KalmanState(x0, -np.eye(13))  # not a covariance
     y = (ieee14_model.H @ x0).reshape(23, 5)
     with pytest.raises(InnovationSolveError):
         kf_update_pre(ieee14_model, broken, y)
@@ -334,7 +334,7 @@ def test_failed_factorization_raises_typed_error(ieee14_model, ieee14_topology):
     step = PreSchedule(ieee14_model, 1e-4).steps[0]
     P = np.stack([step.P_pred, -np.eye(13), step.P_pred])
     xs = np.tile(x0, (3, 1))
-    stacked = KalmanState(xs, P, xs, P)
+    stacked = KalmanState(xs, P)
     mean = np.zeros((3, 23))
     sigma_hat = np.zeros((3, 23))
     sigma_hat[1:, 0] = 1.0
@@ -355,7 +355,7 @@ def test_batched_filter_matches_single_trial_calls(ieee14_model, ieee14_topology
     xs = x0 + 1e-3 * rng.standard_normal((B, 13))
     own_P = np.stack([steps[0].P_upd * (1.0 + 0.1 * i) for i in range(B)])
     shares = np.array([True, False, True, False, True])
-    post = KalmanState(xs, own_P, xs, own_P)
+    post = KalmanState(xs, own_P)
     for step in steps[1:]:
         means = 1e-2 * rng.standard_normal((B, 23))
         a_hat = np.where(rng.random((B, 23)) < 0.3, 0.05, 0.0)
@@ -364,13 +364,13 @@ def test_batched_filter_matches_single_trial_calls(ieee14_model, ieee14_topology
         pred = kf_predict(model, post, step, shares)
         upd = kf_update_post(model, pred, means, a_hat, sigma_hat, step, shares)
         for i in range(B):
-            alone = KalmanState(post.x_pred[i], post.P_pred[i], post.x_upd[i], post.P_upd[i])
+            alone = KalmanState(post.x[i], post.P[i])
             shared = step if shares[i] else None
             want_pred = kf_predict(model, alone, shared)
             want = kf_update_post(model, want_pred, means[i], a_hat[i], sigma_hat[i], shared)
-            np.testing.assert_array_equal(np.broadcast_to(pred.P_pred, (B, 13, 13))[i], want_pred.P_pred)
-            np.testing.assert_array_equal(pred.x_pred[i], want_pred.x_pred)
-            np.testing.assert_array_equal(upd.x_upd[i], want.x_upd)
-            np.testing.assert_array_equal(np.broadcast_to(upd.P_upd, (B, 13, 13))[i], want.P_upd)
+            np.testing.assert_array_equal(np.broadcast_to(pred.P, (B, 13, 13))[i], want_pred.P)
+            np.testing.assert_array_equal(pred.x[i], want_pred.x)
+            np.testing.assert_array_equal(upd.x[i], want.x)
+            np.testing.assert_array_equal(np.broadcast_to(upd.P, (B, 13, 13))[i], want.P)
         post = upd
         shares = shares & ~sigma_hat.any(axis=1)

@@ -36,10 +36,10 @@ def test_shewhart_boundary_inclusive():
 
 def test_chi2_sample_zero_residual(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
-    ks = KalmanState(x0, 1e-4 * np.eye(13), x0, 1e-4 * np.eye(13))
+    ks = KalmanState(x0, 1e-4 * np.eye(13))
     y = (ieee14_model.H @ x0).reshape(23, 5)
     assert chi2_sample(ieee14_model, ks, y) == pytest.approx(0.0, abs=1e-20)
-    step = pre_gain_step(ieee14_model, ks.P_pred)
+    step = pre_gain_step(ieee14_model, ks.P)
     _, r = kf_update_pre_full(ieee14_model, ks, y, step)
     c = chi2_sample_from_innovation(r, step.white, ieee14_model.sigma_w2)
     assert c == pytest.approx(0.0, abs=1e-20)
@@ -57,10 +57,10 @@ def test_chi2_sample_scalar_arithmetic():
         N=1,
         K=1,
     )
-    ks = KalmanState(np.zeros(1), np.array([[1.5]]), np.zeros(1), np.array([[1.5]]))
+    ks = KalmanState(np.zeros(1), np.array([[1.5]]))
     y = np.array([[3.0]])
     assert chi2_sample(model, ks, y) == pytest.approx(4.5)
-    step = pre_gain_step(model, ks.P_pred)
+    step = pre_gain_step(model, ks.P)
     _, r = kf_update_pre_full(model, ks, y, step)
     assert chi2_sample_from_innovation(r, step.white, model.sigma_w2) == pytest.approx(4.5)
 
@@ -74,8 +74,8 @@ def test_batched_statistics_match_single_windows(ieee14_model, ieee14_topology):
     windows = [initialize_window(cfg, 115, np.random.default_rng(i)) for i in range(B)]
     batch = Chi2State.from_samples(cfg, np.array([np.random.default_rng(i).chisquare(115, 80) for i in range(B)]))
     x0 = ieee14_topology.initial_state()
-    ks = KalmanState(x0, 1e-4 * np.eye(13), x0, 1e-4 * np.eye(13))
-    white = pre_gain_step(ieee14_model, ks.P_pred).white
+    ks = KalmanState(x0, 1e-4 * np.eye(13))
+    white = pre_gain_step(ieee14_model, ks.P).white
     for _ in range(200):
         r = rng.standard_normal((B, 23, 5)) * 0.01 * rng.uniform(0.5, 2.0)
         c = chi2_sample_from_innovation(r, white, ieee14_model.sigma_w2)
