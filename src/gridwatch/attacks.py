@@ -3,15 +3,19 @@
 An attack program says *when* (onset, optional on/off schedule), *where*
 (fixed meter set or per-step Bernoulli selection), and *how strong*
 (bias law for injected false data, variance law for jamming noise).
-Realizing it at time t yields per-meter biases a_k and jamming variances
-sigma2_k for every trial of a batch; applying a realization adds the bias
-identically to all lam samples of a meter and fresh white noise per sample:
+Realizing it over a block of times t .. t + T - 1 yields per-meter biases
+a_k and jamming variances sigma2_k for every trial and step of the block;
+applying a realization adds the bias identically to all lam samples of a
+meter and fresh white noise per sample:
 
     y[k][i] += a_k + n_{k,i},    n_{k,i} ~ N(0, jam_var_k) i.i.d.
 
 Each trial realizes from its own attack stream (doubles) and draws jamming
 noise from its own jamming stream (standard normals); a batch holds each of
-the two as one ``grid_model.Blocks``.
+the two as one ``grid_model.Blocks``. Both kernels take a whole block at
+once and consume each stream in the order a step at a time would: the
+draws of step t, in the documented order, then those of step t + 1. A
+block never crosses an on/off switch of the attack.
 
 A denial-of-service style topology fault is modeled separately as zeroed
 rows of the *true* measurement matrix while the detector-side model stays
@@ -118,10 +122,11 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class AttackRealization:
-    """One step's sampled attack for a batch of B trials: (B, K) biases and
-    jamming variances, zero off-attack and in off periods, so ``a != 0`` and
-    ``jam_var != 0`` mark the attacked meters. ``active`` depends on the
-    step only, so it is one flag for the whole batch."""
+    """One block's sampled attack for a batch of B trials over T steps:
+    (B, T, K) biases and jamming variances, zero off-attack and in off
+    periods, so ``a != 0`` and ``jam_var != 0`` mark the attacked meters.
+    ``active`` depends on the step only, and a block never crosses an
+    on/off switch, so it is one flag for the whole block and batch."""
 
     a: np.ndarray
     jam_var: np.ndarray
@@ -137,27 +142,39 @@ def is_active(spec: AttackSpec, t: int) -> bool:
     return (t - int(spec.tau)) % (spec.t_on + spec.t_off) < spec.t_on
 
 
-def realize_attack(spec: AttackSpec, t: int, atk: Blocks, K: int) -> AttackRealization:
-    """Sample the attack parameters of every trial of the batch for time t.
+def realize_attack(
+    spec: AttackSpec, t: int, steps: int, atk: Blocks, K: int
+) -> AttackRealization:
+    """Sample the attack parameters of every trial of the batch for the
+    block of times t .. t + steps - 1, which must all be on or all off.
 
-    Draw order per trial (documented for reproducibility): FDI selection
-    bits, jamming selection bits, FDI magnitudes for selected meters in
-    ascending index order, jamming variances likewise. No draws are
-    consumed before the onset, during off periods, or for fixed selections
-    and fixed laws. Each draw is the next double u of the trial's attack
-    stream: a selection bit is u < p and a uniform magnitude
-    lo + (hi - lo) * u, the values ``rng.random`` and ``rng.uniform`` give
-    (numpy computes uniform(lo, hi) as exactly that; the tests pin it).
-    ``atk`` holds the attack streams of the batch, drawn ahead in blocks of
-    at most 4K doubles per step, which changes neither the values a step
-    receives nor this order.
+    Draw order per trial and step (documented for reproducibility): FDI
+    selection bits, jamming selection bits, FDI magnitudes for selected
+    meters in ascending index order, jamming variances likewise; the steps
+    follow each other in time order. No draws are consumed before the
+    onset, during off periods, or for fixed selections and fixed laws. Each
+    draw is the next double u of the trial's attack stream: a selection bit
+    is u < p and a uniform magnitude lo + (hi - lo) * u, the values
+    ``rng.random`` and ``rng.uniform`` give (numpy computes uniform(lo, hi)
+    as exactly that; the tests pin it).
+
+    The block's doubles are read from ``atk`` at once (at most 4K per
+    step). Where a step's draws start depends on the selections of the
+    steps before it, so the selection bits are read one step at a time;
+    the magnitudes are then gathered for the whole block, the i-th
+    selected meter of a law at a step taking the draw i - 1 places past
+    the law's first one. This changes neither the values a step receives
+    nor the order.
     """
     if t < 1:
         raise ValueError("time index must be >= 1")
+    active = is_active(spec, t)
+    if any(is_active(spec, u) != active for u in range(t + 1, t + steps)):
+        raise ValueError("a block must not cross an on/off switch of the attack")
     B = len(atk)
-    a = np.zeros((B, K))
-    jam = np.zeros((B, K))
-    if not is_active(spec, t):
+    a = np.zeros((B, steps, K))
+    jam = np.zeros((B, steps, K))
+    if not active:
         return AttackRealization(a=a, jam_var=jam, active=False)
 
     laws = []
@@ -165,30 +182,37 @@ def realize_attack(spec: AttackSpec, t: int, atk: Blocks, K: int) -> AttackReali
         laws.append((spec.fdi_law, a))
     if spec.uses_jamming:
         laws.append((spec.jam_law, jam))
+    drawn = np.array([law.mode == "uniform" for law, _ in laws])  # laws that draw magnitudes
     bernoulli = spec.selection[0] == "bernoulli"
     coins = K * len(laws) if bernoulli else 0
-    need = coins + K * sum(law.mode == "uniform" for law, _ in laws)
-    if need:
-        flat, start = atk.ready(need)
-        start = start[:, None]
+    need = steps * (coins + K * int(drawn.sum()))
+    flat, start = atk.ready(need)
     if bernoulli:
-        u = flat[start + np.arange(coins)]
-        masks = [u[:, i * K : (i + 1) * K] < spec.selection[1] for i in range(len(laws))]
+        masks = np.empty((B, steps, len(laws), K), dtype=bool)
+        coin = np.arange(coins)
+        weight = np.repeat(drawn, K).astype(np.int64)  # coins that select a magnitude draw
+        first = start.copy()  # the flat index of each trial's next step
+        for s in range(steps):
+            selected = flat[first[:, None] + coin] < spec.selection[1]
+            masks[:, s] = selected.reshape(B, len(laws), K)
+            first += coins + selected @ weight
     else:
         fixed = np.zeros(K, dtype=bool)
         fixed[list(spec.selection[1])] = True
-        masks = [fixed] * len(laws)
-    used = coins  # draws each trial has used this step
-    for (law, out), mask in zip(laws, masks):
+        masks = np.broadcast_to(fixed, (B, steps, len(laws), K))
+    counts = masks.sum(axis=-1) * drawn  # (B, T, laws): magnitudes drawn per step
+    takes = coins + counts.sum(axis=-1)
+    used = takes.cumsum(axis=1)  # draws used through each step
+    step_first = start[:, None] + used - takes
+    law_first = step_first[..., None] + coins + counts.cumsum(axis=-1) - counts
+    for i, (law, out) in enumerate(laws):
+        mask = masks[:, :, i]
         if law.mode == "fixed":
             np.copyto(out, law.value, where=mask)
             continue
-        rank = mask.cumsum(axis=-1)  # the i-th selected meter takes draw used + i - 1
-        picked = flat[start + (used - 1) + rank]
+        picked = flat[law_first[..., i, None] + mask.cumsum(axis=-1) - 1]
         np.copyto(out, law.lo + (law.hi - law.lo) * picked, where=mask)
-        used = used + rank[..., -1:]
-    if need:
-        atk.advance(np.reshape(used, -1))
+    atk.advance(used[:, -1])
     return AttackRealization(a=a, jam_var=jam, active=True)
 
 
@@ -199,16 +223,17 @@ def apply_attack(
     jam: Blocks,
 ) -> np.ndarray:
     """Add the realized bias and jamming noise to every trial's clean
-    (B, K, lam) measurement array.
+    (B, T, K, lam) measurement block.
 
     The bias a_k shifts all lam samples of meter k identically; jamming
     noise is drawn i.i.d. per sample from the trial's jamming stream in
-    ``jam``, lam normals per meter with nonzero variance in ascending meter
-    order, and is added at those meters only, so no other entry changes.
-    The normals are drawn ahead in blocks of at most K*lam per step; each
-    step receives the values drawing them at that step would give. An
-    active step returns a new array; an inactive one returns ``clean``
-    itself and draws nothing.
+    ``jam``, lam normals per meter with nonzero variance, in time order
+    and at each step in ascending meter order, and is added at those
+    meters only, so no other entry changes. The block's normals are read
+    from ``jam`` at once: the i-th jammed (step, meter) of a trial, in
+    that order, takes its normals (i - 1) lam ... i lam - 1, the values
+    drawing them a step at a time would give. An active block returns a
+    new array; an inactive one returns ``clean`` itself and draws nothing.
     """
     if clean.shape != real.a.shape + (model.lam,) or real.a.shape[-1] != model.K:
         raise ValueError("measurements do not match the model and realization")
@@ -218,12 +243,12 @@ def apply_attack(
     jammed = real.jam_var > 0
     if jammed.any():
         lam = model.lam
-        flat, start = jam.ready(model.K * lam)
-        rank = jammed.cumsum(axis=1)  # the i-th jammed meter takes normals (i - 1) lam ...
-        first = start[:, None] + (rank - 1) * lam
-        noise = flat[first[..., None] + np.arange(lam)]
-        np.add(values, noise * np.sqrt(real.jam_var)[..., None], out=values, where=jammed[..., None])
-        jam.advance(lam * rank[:, -1])
+        counts = jammed.reshape(len(jammed), -1).sum(axis=1)  # jammed (step, meter) pairs per trial
+        flat, start = jam.ready(lam * int(counts.max()))
+        # each trial's next normals, in the order values[jammed] lists its pairs
+        noise = np.concatenate([flat[i : i + lam * c] for i, c in zip(start.tolist(), counts.tolist())])
+        values[jammed] += noise.reshape(-1, lam) * np.sqrt(real.jam_var[jammed])[:, None]
+        jam.advance(lam * counts)
     return values
 
 

@@ -16,6 +16,7 @@ lam times contiguously.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -344,9 +345,10 @@ def build_model(
     )
 
 
-# Steps of draws each stream of a batch takes ahead per call of a trial's
-# generator (see Blocks). The simulation stream's block holds
-# BLOCK_STEPS * (N + K*lam) doubles per trial: 32 KiB on ieee14 at lam = 5.
+# The most steps the trial engine simulates, attacks and hashes at once, and
+# the steps of draws each stream of a batch holds (see Blocks). The
+# simulation stream's block holds BLOCK_STEPS * (N + K*lam) doubles per
+# trial: 32 KiB on ieee14 at lam = 5.
 BLOCK_STEPS = 32
 
 
@@ -356,8 +358,9 @@ class Blocks:
     Trial j draws from ``np.random.default_rng(seeds[j])`` (a Generator is
     used as it is), by its ``method`` ("random" or "standard_normal"), and
     a block holds BLOCK_STEPS steps of ``per_step`` draws, the most a step
-    may use. ``values[j, pos[j]:]`` are trial j's next unused draws, in
-    stream order. A trial with fewer left than a step may need keeps them,
+    may use, so a whole block of engine steps can be read at once.
+    ``values[j, pos[j]:]`` are trial j's next unused draws, in stream
+    order. A trial with fewer left than a request may need keeps them,
     moved to the front of its block, and draws the rest of the block in one
     call; numpy's Generator fills any request from one sequence, so the
     values do not depend on how the stream was cut into blocks.
@@ -377,8 +380,10 @@ class Blocks:
 
     def ready(self, need: int) -> "tuple[np.ndarray, np.ndarray]":
         """(flat, start): ``flat[start[j] + i]`` is trial j's i-th next
-        unused draw, for every i < ``need``. They stay unused until
-        ``advance``."""
+        unused draw, for every i < ``need`` (at most a block). They stay
+        unused until ``advance``."""
+        if need > self.size:
+            raise ValueError(f"{need} draws do not fit a block of {self.size}")
         if self.values is None:
             self.values = np.empty((len(self.rngs), self.size))
         if self.pos.max() > self.size - need:
@@ -435,29 +440,49 @@ def _check_finite(x: np.ndarray) -> None:
         raise FloatingPointError("state diverged; check the model configuration")
 
 
-def simulate_step(
-    model: GridModel, x: np.ndarray, noise: Blocks
+def _trajectory(
+    model: GridModel, x: np.ndarray, z: np.ndarray, product
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Advance the (B, N) states x of a batch of B trials one interval;
-    return the new states and the batch's measurements as a (B, K, lam)
-    array: y[j, k, i] is sample i of meter k in trial j, so y[j].reshape(-1)
-    follows H's row layout.
+    """The states and measurements (in H's row layout) of the steps whose
+    normals are z (..., T, N + K*lam), from the state x: each step's state
+    is ``product(A, x)`` of the one before plus its state noise.
+    Divergence is checked once, over all T steps."""
+    V = _state_noise(model, z)
+    X = np.empty_like(V)
+    states = X.swapaxes(0, -2)  # a view: states[s] is step s
+    for s, v in enumerate(V.swapaxes(0, -2)):
+        x = states[s] = product(model.A, x) + v
+    Y = _measurements(model, X, z)
+    _check_finite(X)
+    return X, Y
+
+
+def simulate_step(
+    model: GridModel, x: np.ndarray, noise: Blocks, steps: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Advance the (B, N) states x of a batch of B trials ``steps``
+    intervals (at most BLOCK_STEPS); return the states as a (B, steps, N)
+    array and the measurements as a (B, steps, K, lam) array:
+    y[j, s, k, i] is sample i of meter k in trial j at the block's step s,
+    so y[j, s].reshape(-1) follows H's row layout.
 
     Each trial uses the next N + K*lam standard normals of its stream in
     ``noise`` per step. Draw order is part of the determinism contract:
     state noise first, then measurement noise. Zero variances still consume
-    draws so trajectories stay aligned across noise settings. ``noise``
-    draws ahead in blocks, and every step receives exactly the values that
-    drawing N and then K*lam normals at that step would give.
+    draws so trajectories stay aligned across noise settings. The block's
+    normals are read from ``noise`` at once, so every step receives exactly
+    the values that drawing N and then K*lam normals at that step would
+    give. The state advances one A @ x per step (``matvec``) and the
+    measurements take one ``matvec`` over the block, so every vector gets
+    the bits of its own unbatched product. Divergence is checked once per
+    block.
     """
     n = model.N + model.K * model.lam
-    flat, start = noise.ready(n)
-    z = flat[start[:, None] + np.arange(n)]
-    noise.advance(n)
-    x = matvec(model.A, x) + _state_noise(model, z)
-    y = _measurements(model, x, z)
-    _check_finite(x)
-    return x, y.reshape(len(y), model.K, model.lam)
+    flat, start = noise.ready(steps * n)
+    z = np.array([flat[i : i + steps * n] for i in start.tolist()]).reshape(len(x), steps, n)
+    noise.advance(steps * n)
+    X, Y = _trajectory(model, x, z, matvec)
+    return X, Y.reshape(*Y.shape[:2], model.K, model.lam)
 
 
 def simulate_block(
@@ -468,17 +493,11 @@ def simulate_block(
     (steps, K*lam) array in H's row layout.
 
     The block's normals come from one draw of ``rng``, in the draw order of
-    ``simulate_step``, so the values equal those of ``steps`` calls of it on
-    a one-trial batch with this stream. The state advances one A @ x per
-    step (the bits ``matvec`` gives a batch); the measurements take one
-    matrix-vector product per row, which gives each row the bits of the
-    unbatched H @ x.
+    ``simulate_step``, so the values equal those of a call of it on a
+    one-trial batch with this stream. The state advances one A @ x per
+    step (the bits ``matvec`` gives a batch, without its cost on one
+    vector); the measurements take one matrix-vector product per row, which
+    gives each row the bits of the unbatched H @ x.
     """
     z = rng.standard_normal((steps, model.N + model.K * model.lam))
-    V = _state_noise(model, z)
-    X = np.empty_like(V)
-    for t, v in enumerate(V):
-        x = X[t] = model.A @ x + v
-    Y = _measurements(model, X, z)
-    _check_finite(X)
-    return X, Y
+    return _trajectory(model, x, z, operator.matmul)

@@ -9,17 +9,22 @@ one recorded path per trial. Aggregation uses sums and counts only, making
 trial order irrelevant.
 
 The trial engine, ``run_trial``, takes a sequence of seeds and advances
-their trials in lock-step, one step at a time, on a leading trial axis B.
-Each trial keeps its own random streams, draw order and measurement hash.
-Everything else runs once per step for the whole batch: the simulation,
-the attack realization and its application, on (B, ...) arrays fed by
-per-trial streams that one ``grid_model.Blocks`` per stream draws ahead in
-blocks (every step receives the values that drawing at that step would
-give), then the filters and detector statistics on (B, K) and (B,)
-arrays, sharing the step's pre-filter schedule entry. Without recorded
-paths a trial leaves the batch (the batch is compacted) once every
-detector except alg2 has fired, and the engine holds O(B) state;
-(B, horizon) path arrays exist only when paths are requested.
+their trials in lock-step on a leading trial axis B. Each trial keeps its
+own random streams, draw order and measurement hash. The measurements are
+open-loop: the simulation, the attack realization and its application
+never read the detector. So they run a block of up to
+``grid_model.BLOCK_STEPS`` steps ahead, one call of each kernel giving the
+whole batch's (B, T, ...) block. The per-trial streams behind them are one
+``grid_model.Blocks`` per stream, and every step receives the values that
+drawing at that step would give. A block ends where the attack switches on
+or off and where a topology fault begins. The engine then reads the block
+a step at a time: the filters and detector statistics run once per step
+on (B, K) and (B,) arrays, sharing the step's pre-filter schedule entry,
+and each trial hashes its rows of the block at the block's end or when it
+leaves. Without recorded paths a trial leaves the batch (the batch is
+compacted, its current block included) once every detector except alg2
+has fired, and the engine holds O(B) state; (B, horizon) path arrays
+exist only when paths are requested.
 ``run_trials`` derives the seeds of a run, (master seed, trial index),
 and runs them as one batch; a single trial is the batch of one seed.
 """
@@ -40,7 +45,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import detector, kalman, robust
-from .attacks import AttackSpec, apply_attack, realize_attack, topology_fault
+from .attacks import AttackSpec, apply_attack, is_active, realize_attack, topology_fault
 from .expconfig import ConfigError, ExperimentConfig
 from .grid_model import (
     BLOCK_STEPS,
@@ -409,7 +414,8 @@ def run_trials(
 @dataclass
 class _Streams:
     """A batch's own state outside the batched filters: per trial, its place
-    in the run, seed, measurement hash, true state and random streams.
+    in the run, seed, measurement hash, random streams and current block of
+    true states and measurements.
 
     Each trial derives four child streams from its seed, in their documented
     order: simulation, attack realization, attack application (jamming
@@ -423,7 +429,8 @@ class _Streams:
     index: list
     seeds: list
     hashers: list
-    x: np.ndarray  # (B, N) true states
+    X: np.ndarray  # (B, T, N) true states of the current block
+    Y: np.ndarray  # (B, T, K, lam) measurements of the current block
     sim: Blocks
     atk: Blocks
     jam: Blocks
@@ -437,16 +444,28 @@ class _Streams:
             dof = model.K * model.lam
             samples = [np.random.default_rng(ss).chisquare(dof, ctx.chi2.L) for ss in chi2_ss]
             window = Chi2State.from_samples(ctx.chi2, samples)
+        B = len(seeds)
         streams = cls(
-            index=list(range(len(seeds))),
+            index=list(range(B)),
             seeds=list(seeds),
             hashers=[hashlib.sha256() for _ in seeds],
-            x=np.tile(ctx.x0, (len(seeds), 1)),
+            X=np.tile(ctx.x0, (B, 1, 1)),  # a block of one step: the start state
+            Y=np.empty((B, 0, model.K, model.lam)),
             sim=Blocks(sim_ss, "standard_normal", model.N + model.K * model.lam),
             atk=Blocks(atk_ss, "random", 4 * model.K),
             jam=Blocks(jam_ss, "standard_normal", model.K * model.lam),
         )
         return streams, window
+
+    def next_block(self, ctx: RunContext, t: int, steps: int) -> None:
+        """Simulate and attack the steps t .. t + steps - 1 of every trial,
+        one call of each kernel for the whole block."""
+        attack = ctx.cfg.attack
+        _, faulted = _phase(attack, t)
+        sim_model = ctx.sim_model_post if faulted else ctx.model
+        self.X, Y = simulate_step(sim_model, self.X[:, -1], self.sim, steps)
+        real = realize_attack(attack, t, steps, self.atk, ctx.model.K)
+        self.Y = apply_attack(ctx.model, Y, real, self.jam)
 
     def take(self, keep: np.ndarray) -> "_Streams":
         """The trials where the boolean mask ``keep`` is true."""
@@ -454,11 +473,28 @@ class _Streams:
             index=[i for i, k in zip(self.index, keep) if k],
             seeds=[s for s, k in zip(self.seeds, keep) if k],
             hashers=[h for h, k in zip(self.hashers, keep) if k],
-            x=self.x[keep],
+            X=self.X[keep],
+            Y=self.Y[keep],
             sim=self.sim.take(keep),
             atk=self.atk.take(keep),
             jam=self.jam.take(keep),
         )
+
+
+def _phase(attack: AttackSpec, t: int) -> "tuple[bool, bool]":
+    """What a block must not change: whether the attack is on, and whether a
+    topology fault has begun."""
+    return is_active(attack, t), attack.kind == "topology-fault" and t >= attack.tau
+
+
+def _block_steps(attack: AttackSpec, t: int, most: int) -> int:
+    """The length of the block from step t: at most ``most`` steps, all in
+    step t's phase."""
+    phase = _phase(attack, t)
+    steps = 1
+    while steps < most and _phase(attack, t + steps) == phase:
+        steps += 1
+    return steps
 
 
 def _new_paths(B: int, horizon: int, log_steps: bool) -> TrialPaths:
@@ -490,13 +526,17 @@ def run_trial(
     ``_Streams.spawn``), whatever the batch it runs in, so a single trial
     is ``run_trial(ctx, [seed])[0]``.
 
-    Per trial: the measurement hash. Batched, once per step: the simulation
-    step, the attack realization and application (each trial drawing from
-    its own streams), algorithm 1 (both filters, the detector statistics
-    and one CUSUM step per trial), the chi-squared window, the benchmark
-    statistics and the stopping rules. Unless paths are recorded (full
-    paths or step logging), a trial leaves the batch once every enabled
-    detector but alg2 has fired.
+    Per trial: the measurement hash, updated once per block (SHA-256 does
+    not depend on how its input is cut). Batched, once per block of at most
+    BLOCK_STEPS steps: the simulation and the attack realization and
+    application (each trial drawing from its own streams). Batched, once
+    per step: algorithm 1 (both filters, the detector statistics and one
+    CUSUM step per trial), the chi-squared window, the benchmark statistics
+    and the stopping rules. Unless paths are recorded (full paths or step
+    logging), a trial leaves the batch once every enabled detector but alg2
+    has fired; the rest of its block is then never read. A diverging state
+    raises FloatingPointError when its block is simulated, up to
+    BLOCK_STEPS - 1 steps before the engine would read it.
     """
     cfg, model = ctx.cfg, ctx.model
     horizon = cfg.run.horizon
@@ -528,13 +568,14 @@ def run_trial(
             for j in range(B)
         ]
 
+    pos = length = 0  # steps of the current block done, and its length
     for t in range(1, horizon + 1):
-        faulted = attack.kind == "topology-fault" and t >= attack.tau
-        streams.x, y = simulate_step(ctx.sim_model_post if faulted else model, streams.x, streams.sim)
-        real = realize_attack(attack, t, streams.atk, model.K)
-        y = apply_attack(model, y, real, streams.jam)
-        for hasher, y_j in zip(streams.hashers, y):
-            hasher.update(y_j.tobytes())
+        if pos == length:
+            length = _block_steps(attack, t, min(BLOCK_STEPS, horizon + 1 - t))
+            streams.next_block(ctx, t, length)
+            pos = 0
+        y = streams.Y[:, pos]
+        pos += 1
         b = len(y)
 
         pre_step = next(pre_steps)
@@ -567,11 +608,15 @@ def run_trial(
         if paths is not None:
             stats["tau_hat"] = [c.tau_hat for c in cs]
             if log_steps:
-                stats["mse0"] = np.mean((bank.pre.x - streams.x) ** 2, axis=-1)
-                stats["mse1"] = np.mean((bank.post.x - streams.x) ** 2, axis=-1)
+                x = streams.X[:, pos - 1]
+                stats["mse0"] = np.mean((bank.pre.x - x) ** 2, axis=-1)
+                stats["mse1"] = np.mean((bank.post.x - x) ** 2, axis=-1)
             for field, values in stats.items():
                 getattr(paths, field)[:, t - 1] = values
 
+        if pos == length:  # the block's last step: every trial hashes the block
+            for hasher, rows in zip(streams.hashers, streams.Y):
+                hasher.update(rows)
         if t == horizon:
             done = np.ones(b, dtype=bool)
         elif want_paths:
@@ -581,6 +626,8 @@ def run_trial(
             if not done.any():
                 continue
         for j in np.flatnonzero(done):
+            if pos < length:  # leaving mid-block: hash the block's steps so far
+                streams.hashers[j].update(streams.Y[j, :pos])
             trial_stops = {name: (int(s) if s < INF else INF) for name, s in zip(names, stops[:, j])}
             tau_hat = int(tau_at_alg1[j]) if trial_stops["alg1"] < INF else cs[j].tau_hat
             results[streams.index[j]] = _trial_result(ctx, streams, j, trial_stops, tau_hat, t, paths)
@@ -725,6 +772,8 @@ def first_detector_ratio(results: Sequence[TrialResult], names: Sequence[str], t
     Simultaneous firings credit every winner, so fractions can exceed 1 in
     total. Only detections at or after the onset count.
     """
+    if not results:
+        raise ValueError("no trials")
     counts = {name: 0 for name in names}
     for res in results:
         eligible = {n: res.stop(n) for n in names if tau <= res.stop(n) < INF}
@@ -740,9 +789,9 @@ def first_detector_ratio(results: Sequence[TrialResult], names: Sequence[str], t
 
 def mse_curves(results: Sequence[TrialResult]) -> "tuple[np.ndarray, np.ndarray]":
     """Across-trial mean of the per-step state estimation MSE paths."""
-    m0 = [r.paths.mse0 for r in results if r.paths is not None and r.paths.mse0 is not None]
-    if not m0:
+    if not results or any(r.paths is None or r.paths.mse0 is None for r in results):
         raise ValueError("per-step logging was not enabled")
+    m0 = [r.paths.mse0 for r in results]
     m1 = [r.paths.mse1 for r in results]
     return np.nanmean(np.vstack(m0), axis=0), np.nanmean(np.vstack(m1), axis=0)
 

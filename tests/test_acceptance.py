@@ -408,8 +408,9 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     det = DetectorConfig(GAMMA, SIGMA2_MIN)
     psd_ok = True
     for t in range(1, 10_001):
-        x, y = simulate_step(model, x, sim)
-        y = apply_attack(model, y, realize_attack(ctx2.cfg.attack, t, atk, model.K), jam)
+        X, Y = simulate_step(model, x, sim, 1)  # blocks of one step
+        Y = apply_attack(model, Y, realize_attack(ctx2.cfg.attack, t, 1, atk, model.K), jam)
+        x, y = X[:, 0], Y[:, 0]
         step = algorithm1_step(bank, cs, model, det, y, t)
         bank, cs = step.bank, step.cusum
         if t % 200 == 0:

@@ -41,9 +41,9 @@ def streams(B, K, lam, seed=0):
 
 def test_pre_onset_all_zero():
     atk, _ = streams(2, 23, 5)
-    real = realize_attack(hybrid_spec(tau=100), 50, atk, K=23)
+    real = realize_attack(hybrid_spec(tau=100), 50, BLOCK_STEPS, atk, K=23)
     assert not real.active
-    assert real.a.shape == real.jam_var.shape == (2, 23)
+    assert real.a.shape == real.jam_var.shape == (2, BLOCK_STEPS, 23)
     assert not real.a.any()
     assert not real.jam_var.any()
     # no draws consumed before the onset
@@ -60,6 +60,18 @@ def test_onoff_schedule_case4_pattern():
     assert is_active(spec, 104)
 
 
+def test_block_across_an_on_off_switch_is_refused():
+    # one realization carries one active flag, so its steps share one state
+    atk, _ = streams(1, 23, 5)
+    spec = hybrid_spec(tau=100, t_on=1, t_off=3)
+    for t, steps in ((90, 11), (100, 2), (101, 4)):
+        with pytest.raises(ValueError, match="on/off switch"):
+            realize_attack(spec, t, steps, atk, K=23)
+    assert realize_attack(spec, 90, 10, atk, K=23).active is False
+    assert realize_attack(spec, 101, 3, atk, K=23).active is False
+    assert realize_attack(spec, 104, 1, atk, K=23).active is True
+
+
 def test_onoff_duty_cycle_fraction():
     spec = hybrid_spec(tau=1, t_on=2, t_off=5)
     active = sum(is_active(spec, t) for t in range(1, 70_001))
@@ -67,36 +79,38 @@ def test_onoff_duty_cycle_fraction():
 
 
 def test_apply_identity_on_zero_realization(two_bus_model):
-    clean = np.array([[[0.5]]])
+    clean = np.array([[[[0.5]]]])
     atk, jam = streams(1, 1, 1, seed=1)
-    real = realize_attack(hybrid_spec(tau=10), 5, atk, K=1)
+    real = realize_attack(hybrid_spec(tau=10), 5, 1, atk, K=1)
     out = apply_attack(two_bus_model, clean, real, jam)
     np.testing.assert_array_equal(out, clean)
 
 
 def test_fixed_bias_shifts_all_lambda_samples(ieee14_model):
-    clean = np.zeros((1, 23, 5))
-    a = np.zeros((1, 23))
-    a[0, 7] = 0.1
-    real = AttackRealization(a=a, jam_var=np.zeros((1, 23)), active=True)
+    clean = np.zeros((1, 1, 23, 5))
+    a = np.zeros((1, 1, 23))
+    a[0, 0, 7] = 0.1
+    real = AttackRealization(a=a, jam_var=np.zeros((1, 1, 23)), active=True)
     out = apply_attack(ieee14_model, clean, real, streams(1, 23, 5)[1])
-    np.testing.assert_array_equal(out[0, 7], 0.1 * np.ones(5))
+    np.testing.assert_array_equal(out[0, 0, 7], 0.1 * np.ones(5))
     mask = np.ones(23, dtype=bool)
     mask[7] = False
-    assert not out[0, mask].any()
+    assert not out[0, 0, mask].any()
 
 
 def test_jamming_noise_moments(ieee14_model):
-    jam = np.zeros((1, 23))
-    jam[0, 3] = 1e-2
+    # 20_000 steps of 5 samples, in blocks of 32 steps
+    jam = np.zeros((1, BLOCK_STEPS, 23))
+    jam[0, :, 3] = 1e-2
     _, jam_st = streams(1, 23, 5, seed=2)
     samples = []
-    clean = np.zeros((1, 23, 5))
-    for _ in range(20_000):
-        real = AttackRealization(a=np.zeros((1, 23)), jam_var=jam, active=True)
+    clean = np.zeros((1, BLOCK_STEPS, 23, 5))
+    for _ in range(20_000 // BLOCK_STEPS):
+        real = AttackRealization(a=np.zeros((1, BLOCK_STEPS, 23)), jam_var=jam, active=True)
         out = apply_attack(ieee14_model, clean, real, jam_st)
-        samples.append(out[0, 3])
+        samples.append(out[0, :, 3].reshape(-1))
     flat = np.concatenate(samples)
+    assert flat.size == 20_000 * 5
     assert flat.var() == pytest.approx(1e-2, rel=0.03)
     assert abs(flat.mean()) < 3e-3
 
@@ -107,8 +121,8 @@ def test_hybrid_realization_frequencies_and_ranges():
     atk, _ = streams(10, 23, 5, seed=3)
     n = 100_000
     fdi_hits = jam_hits = 0
-    for t in range(1, n // 10 + 1):
-        real = realize_attack(spec, t, atk, K=23)
+    for t in range(1, n // 10 + 1, BLOCK_STEPS):
+        real = realize_attack(spec, t, min(BLOCK_STEPS, n // 10 + 1 - t), atk, K=23)
         fdi_on = real.a != 0
         jam_on = real.jam_var != 0
         fdi_hits += fdi_on.sum()
@@ -130,9 +144,9 @@ def test_fixed_selection_mode():
         selection=("fixed", (2, 5)),
         fdi_law=MagnitudeLaw.fixed(0.1),
     )
-    real = realize_attack(spec, 1, streams(1, 8, 1)[0], K=8)
-    np.testing.assert_array_equal(np.flatnonzero(real.a[0]), [2, 5])
-    assert set(real.a[0, [2, 5]]) == {0.1}
+    real = realize_attack(spec, 1, 1, streams(1, 8, 1)[0], K=8)
+    np.testing.assert_array_equal(np.flatnonzero(real.a[0, 0]), [2, 5])
+    assert set(real.a[0, 0, [2, 5]]) == {0.1}
 
 
 def test_topology_fault_validation(two_bus_model):
@@ -151,10 +165,12 @@ def test_topology_fault_zeroes_true_rows_only(two_bus_model):
     x = np.array([[0.5]])
     noise = Blocks([9], "standard_normal", faulted.N + faulted.K * faulted.lam)
     vals = []
-    for _ in range(4000):
-        x, y = simulate_step(faulted, x, noise)
-        vals.append(y[0, 0, 0])
-    vals = np.array(vals)
+    for _ in range(4000 // BLOCK_STEPS):
+        X, Y = simulate_step(faulted, x, noise, BLOCK_STEPS)
+        x = X[:, -1]
+        vals.append(Y[0, :, 0, 0])
+    vals = np.concatenate(vals)
+    assert vals.size == 4000
     assert abs(vals.mean()) < 4 * math.sqrt(SIGMA_W2 / 4000) * 2
     assert vals.var() == pytest.approx(SIGMA_W2, rel=0.1)
 
@@ -210,29 +226,40 @@ ORACLE_SPECS = {
 @pytest.mark.parametrize("B", [1, 5])
 @pytest.mark.parametrize("name", list(ORACLE_SPECS))
 def test_attack_kernels_match_one_trial_oracle(ieee14_model, name, B):
-    # the batched, block-drawn realize/apply against the one-trial kernels
-    # drawing a step at a time: over 4 block lengths, so both streams refill
-    # several times, with trials leaving the batch along the way
+    # the batched, block-drawn realize/apply, in blocks of T = 1, 17 and 32
+    # steps (cut short at an on/off switch, as the engine cuts them),
+    # against T calls of the one-trial kernels drawing a step at a time:
+    # over 4 stream blocks, so both streams refill several times, with
+    # trials leaving the batch along the way
     spec = ORACLE_SPECS[name]
     model, K, lam = ieee14_model, ieee14_model.K, ieee14_model.lam
-    atk_st, jam_st = streams(B, K, lam, seed=40)
-    atk = [np.random.default_rng((40, j)) for j in range(B)]
-    jam = [np.random.default_rng((41, j)) for j in range(B)]
-    inputs = np.random.default_rng(99)
-    live = list(range(B))
-    for t in range(1, 4 * BLOCK_STEPS + 1):
-        clean = inputs.standard_normal((len(live), K, lam))
-        real = realize_attack(spec, t, atk_st, K)
-        out = apply_attack(model, clean, real, jam_st)
-        assert real.active == is_active(spec, t)
-        if not real.active:
-            assert out is clean
-        for row, j in enumerate(live):
-            want = oracles.realize_attack(spec, t, atk[j], K)
-            assert_same_bits(real.a[row], want.a)
-            assert_same_bits(real.jam_var[row], want.jam_var)
-            assert_same_bits(out[row], oracles.apply_attack(model, clean[row], want, jam[j]))
-        if t % 40 == 0 and len(live) > 1:
-            keep = np.arange(len(live)) != 1
-            atk_st, jam_st = atk_st.take(keep), jam_st.take(keep)
-            live = [j for j, k in zip(live, keep) if k]
+    for T in (1, 17, BLOCK_STEPS):
+        atk_st, jam_st = streams(B, K, lam, seed=40)
+        atk = [np.random.default_rng((40, j)) for j in range(B)]
+        jam = [np.random.default_rng((41, j)) for j in range(B)]
+        inputs = np.random.default_rng(99)
+        live = list(range(B))
+        t = 1
+        while t <= 4 * BLOCK_STEPS:
+            steps = 1
+            while steps < T and is_active(spec, t + steps) == is_active(spec, t):
+                steps += 1
+            clean = inputs.standard_normal((len(live), steps, K, lam))
+            real = realize_attack(spec, t, steps, atk_st, K)
+            out = apply_attack(model, clean, real, jam_st)
+            assert real.a.shape == real.jam_var.shape == (len(live), steps, K)
+            assert type(real.active) is bool and real.active == is_active(spec, t)
+            if not real.active:
+                assert out is clean
+            for row, j in enumerate(live):
+                for s in range(steps):
+                    want = oracles.realize_attack(spec, t + s, atk[j], K)
+                    assert_same_bits(real.a[row, s], want.a)
+                    assert_same_bits(real.jam_var[row, s], want.jam_var)
+                    want_y = oracles.apply_attack(model, clean[row, s], want, jam[j])
+                    assert_same_bits(out[row, s], want_y)
+            t += steps
+            if t > 40 * (B - len(live) + 1) and len(live) > 1:
+                keep = np.arange(len(live)) != 1
+                atk_st, jam_st = atk_st.take(keep), jam_st.take(keep)
+                live = [j for j, k in zip(live, keep) if k]

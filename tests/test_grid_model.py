@@ -175,9 +175,9 @@ def test_explicit_A_dimension_check(two_bus_path):
 def test_noiseless_simulation_is_exactly_linear(two_bus_model):
     model = dataclasses.replace(two_bus_model, sigma_v2=0.0, sigma_w2=0.0)
     x, noise = sim_batch(model, [0.3], [0])
-    x, y = simulate_step(model, x, noise)
-    np.testing.assert_array_equal(x, [[0.3]])
-    np.testing.assert_array_equal(y[0].reshape(-1), model.H @ x[0])
+    X, Y = simulate_step(model, x, noise, 1)
+    np.testing.assert_array_equal(X, [[[0.3]]])
+    np.testing.assert_array_equal(Y[0, 0].reshape(-1), model.H @ X[0, 0])
 
 
 def test_fixed_seed_trajectories_bit_identical(ieee14_model, ieee14_topology):
@@ -186,29 +186,39 @@ def test_fixed_seed_trajectories_bit_identical(ieee14_model, ieee14_topology):
     for _ in range(2):
         x, noise = sim_batch(ieee14_model, x0, [1234])
         xs, ys = [], []
-        for _ in range(50):
-            x, y = simulate_step(ieee14_model, x, noise)
-            xs.append(x[0].copy())
-            ys.append(y[0].reshape(-1).copy())
-        runs.append((np.array(xs), np.array(ys)))
+        for steps in (BLOCK_STEPS, 50 - BLOCK_STEPS):
+            X, Y = simulate_step(ieee14_model, x, noise, steps)
+            x = X[:, -1]
+            xs.append(X[0])
+            ys.append(Y[0].reshape(steps, -1))
+        runs.append((np.concatenate(xs), np.concatenate(ys)))
     np.testing.assert_array_equal(runs[0][0], runs[1][0])
     np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
 
 def test_draw_count_contract(two_bus_model):
     # Step s uses the trial's normals (s-1)(N+K*lam) .. s(N+K*lam) - 1,
-    # state noise first, however far ahead they were drawn: a generator
-    # advanced by hand gives the same values, across block refills.
+    # state noise first, however far ahead they were drawn and however the
+    # steps are cut into blocks: a generator advanced by hand gives the same
+    # values, across block refills.
     model = two_bus_model
     sim_x, noise = sim_batch(model, [0.1], [77])
     rng = np.random.default_rng(77)
     x = np.array([0.1])
-    for _ in range(2 * BLOCK_STEPS + 3):
-        sim_x, y = simulate_step(model, sim_x, noise)
-        x = model.A @ x + rng.standard_normal(model.N) * np.sqrt(model.sigma_v2)
-        w = rng.standard_normal(model.K * model.lam) * np.sqrt(model.sigma_w2)
-        assert_same_bits(sim_x[0], x)
-        assert_same_bits(y[0].reshape(-1), model.H @ x + w)
+    for steps in (1, 17, BLOCK_STEPS, 17, 1):
+        X, Y = simulate_step(model, sim_x, noise, steps)
+        sim_x = X[:, -1]
+        for x_s, y_s in zip(X[0], Y[0]):
+            x = model.A @ x + rng.standard_normal(model.N) * np.sqrt(model.sigma_v2)
+            w = rng.standard_normal(model.K * model.lam) * np.sqrt(model.sigma_w2)
+            assert_same_bits(x_s, x)
+            assert_same_bits(y_s.reshape(-1), model.H @ x + w)
+
+
+def test_block_longer_than_the_streams_block_is_refused(two_bus_model):
+    x, noise = sim_batch(two_bus_model, [0.1], [77])
+    with pytest.raises(ValueError, match="do not fit"):
+        simulate_step(two_bus_model, x, noise, BLOCK_STEPS + 1)
 
 
 def test_generator_fills_any_request_from_one_sequence():
@@ -228,29 +238,37 @@ def test_generator_fills_any_request_from_one_sequence():
 
 @pytest.mark.parametrize("B", [1, 5])
 def test_simulation_matches_one_trial_oracle(ieee14_model, ieee14_topology, B):
-    # the block-drawn batch kernel against the one-trial kernel drawing a
-    # step at a time: several block refills, a topology fault whose onset
-    # falls inside a block, and trials that leave the batch early
+    # the block-drawn batch kernel, in blocks of T = 1, 17 and 32 steps,
+    # against T calls of the one-trial kernel drawing a step at a time:
+    # several stream refills, a topology fault whose onset cuts a block
+    # short (as the engine cuts it), and trials that leave the batch early
     model = ieee14_model
     faulted = topology_fault(model, [3, 15])
     tau = BLOCK_STEPS + 7
     x0 = ieee14_topology.initial_state()
     seeds = [(21, i) for i in range(B)]
-    x, noise = sim_batch(model, x0, seeds)
-    ref = [oracles.initial_sim_state(model, x0, s) for s in seeds]
-    live = list(range(B))
-    for t in range(1, 3 * BLOCK_STEPS + 10):
-        sim_model = faulted if t >= tau else model
-        x, y = simulate_step(sim_model, x, noise)
-        assert y.shape == (len(live), model.K, model.lam)
-        for row, j in enumerate(live):
-            ref[j], want = oracles.simulate_step(sim_model, ref[j])
-            assert_same_bits(y[row], want)
-            assert_same_bits(x[row], ref[j].x)
-        if t % 25 == 0 and len(live) > 1:
-            keep = np.arange(len(live)) % 2 == 1
-            x, noise = x[keep], noise.take(keep)
-            live = [j for j, k in zip(live, keep) if k]
+    for T in (1, 17, BLOCK_STEPS):
+        x, noise = sim_batch(model, x0, seeds)
+        ref = [oracles.initial_sim_state(model, x0, s) for s in seeds]
+        live = list(range(B))
+        t = 1
+        while t < 3 * BLOCK_STEPS + 10:
+            steps = min(T, tau - t) if t < tau else T
+            sim_model = faulted if t >= tau else model
+            X, Y = simulate_step(sim_model, x, noise, steps)
+            assert X.shape == (len(live), steps, model.N)
+            assert Y.shape == (len(live), steps, model.K, model.lam)
+            for row, j in enumerate(live):
+                for s in range(steps):
+                    ref[j], want = oracles.simulate_step(sim_model, ref[j])
+                    assert_same_bits(Y[row, s], want)
+                    assert_same_bits(X[row, s], ref[j].x)
+            x = X[:, -1]
+            t += steps
+            if t > 25 * (B - len(live) + 1) and len(live) > 1:
+                keep = np.arange(len(live)) % 2 == 1
+                x, noise = x[keep], noise.take(keep)
+                live = [j for j, k in zip(live, keep) if k]
 
 
 def test_simulate_block_matches_one_trial_oracle(ieee14_topology):
@@ -276,13 +294,14 @@ def test_simulate_block_matches_one_trial_oracle(ieee14_topology):
 def test_process_noise_moments(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     x, noise = sim_batch(ieee14_model, x0, [5])
-    diffs = []
-    prev = x[0]
-    for _ in range(10_000):
-        x, _ = simulate_step(ieee14_model, x, noise)
-        diffs.append(x[0] - prev)
-        prev = x[0]
-    cov = np.cov(np.array(diffs).T)
+    states = [x]
+    for start in range(0, 10_000, BLOCK_STEPS):
+        X, _ = simulate_step(ieee14_model, x, noise, min(BLOCK_STEPS, 10_000 - start))
+        x = X[:, -1]
+        states.append(X[0])
+    diffs = np.diff(np.concatenate(states), axis=0)
+    assert len(diffs) == 10_000
+    cov = np.cov(diffs.T)
     diag = np.diag(cov)
     np.testing.assert_allclose(diag, ieee14_model.sigma_v2, rtol=0.05)
     off = cov - np.diag(diag)
@@ -290,11 +309,12 @@ def test_process_noise_moments(ieee14_model, ieee14_topology):
 
 
 def test_measurement_batch_addressing(ieee14_model):
-    # y[j][k][i] is sample i of meter k in trial j: row k*lam + i of H
+    # y[j][s][k][i] is sample i of meter k in trial j at step s of the
+    # block: row k*lam + i of H
     model = dataclasses.replace(ieee14_model, sigma_v2=0.0, sigma_w2=0.0)
     x, noise = sim_batch(model, np.linspace(0.1, 1.3, 13), [0, 1])
-    x, y = simulate_step(model, x, noise)
-    flat = model.H @ x[1]
-    assert y.shape == (2, 23, 5)
-    assert y[1][4][2] == flat[4 * 5 + 2]
-    np.testing.assert_array_equal(y[1].reshape(-1), flat)
+    X, Y = simulate_step(model, x, noise, 3)
+    flat = model.H @ X[1, 2]
+    assert Y.shape == (2, 3, 23, 5)
+    assert Y[1][2][4][2] == flat[4 * 5 + 2]
+    np.testing.assert_array_equal(Y[1, 2].reshape(-1), flat)

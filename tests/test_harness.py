@@ -85,6 +85,11 @@ def make_cfg(tmp_path, attack="kind = none", h=8.0, np_q=6.0, euclid_d=0.35,
 CASE1 = "kind = fdi\np = 0.5\nfdi_uniform = 0.02"
 HYBRID = "kind = hybrid\np = 0.5\nfdi_uniform = 0.02\njam_uniform = 2e-4,4e-4"
 STRONG_FDI = "kind = fdi\np = 0.5\nfdi_uniform = 0.05"
+ONOFF = (
+    "kind = onoff\ninner = hybrid\nt_on = 1\nt_off = 3\np = 0.5\n"
+    "fdi_uniform = 0.02\njam_uniform = 2e-4,4e-4"
+)
+FAULT = "kind = topology-fault\nfault_meters = 15"
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +244,11 @@ def test_first_detector_ratio_examples():
     assert out == {"alg1": 3 / 5, "chi2": 3 / 5}
 
 
+def test_first_detector_ratio_without_trials_is_value_error():
+    with pytest.raises(ValueError, match="no trials"):
+        harness.first_detector_ratio([], ["alg1", "chi2"], 100)
+
+
 def test_geometric_false_alarm_law():
     # synthetic instantaneous statistic firing with probability p per step:
     # measured mean stopping time must match 1/p within 10%
@@ -347,6 +357,19 @@ def test_mse__logging_and_pre_attack_agreement(tmp_path, mu0_cache):
     pre = slice(20, 99)
     # sync events keep the recovered estimate agreeing with the clean one
     assert np.nanmean(np.abs(m0[pre] - m1[pre])) < 0.5 * np.nanmean(m0[pre])
+
+
+def test_mse_curves_need_every_trial_logged(tmp_path, mu0_cache):
+    # a trial without step logging, with or without paths, mixed in with
+    # logged ones or alone, is the same usage error as no logging at all
+    ctx = harness.prepare(make_cfg(tmp_path, attack=CASE1, trials=1, horizon=40, tau=20, cache=mu0_cache))
+    logged = harness.run_trial(ctx, [(2, 0)], log_steps=True)
+    unlogged = harness.run_trial(ctx, [(2, 1)], full_paths=True) + harness.run_trial(ctx, [(2, 2)])
+    m0, m1 = harness.mse_curves(logged)
+    assert m0.shape == m1.shape == (40,)
+    for results in (logged + unlogged, unlogged[::-1] + logged, unlogged, []):
+        with pytest.raises(ValueError, match="per-step logging was not enabled"):
+            harness.mse_curves(results)
 
 
 def test_trial_log_csv_schema(tmp_path, mu0_cache):
@@ -510,6 +533,63 @@ def test_horizon_cut_leaks_nothing(tmp_path, mu0_cache):
     for name, path in vars(cut.paths).items():
         if path is not None:
             np.testing.assert_array_equal(path, getattr(full.paths, name)[:130], err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "attack, tau",
+    [(HYBRID, 31), (HYBRID, 32), (HYBRID, 33), (ONOFF, 30), (FAULT, 40)],
+    ids=["onset31", "onset32", "onset33", "onoff", "fault40"],
+)
+def test_block_edges_match_dense_oracle(tmp_path, mu0_cache, attack, tau):
+    # the engine simulates, attacks and hashes up to 32 steps at a time,
+    # cutting a block where the attack switches on or off and where a
+    # topology fault begins: onsets just before, at and just after the
+    # first block's edge, an attack on one step in four, and a fault inside
+    # the second block, all against the oracle drawing a step at a time
+    cfg = make_cfg(tmp_path, attack=attack, tau=tau, horizon=110, cache=mu0_cache)
+    assert_trial_matches_oracle(harness.prepare(cfg), (6, 0))
+
+
+def test_trials_leaving_mid_block_match_dense_oracle(tmp_path, mu0_cache):
+    # a HYBRID batch whose trials leave inside blocks (the blocks from the
+    # onset run 100-131 and 164-195), so the jamming streams of the trials
+    # that stay are compacted along with the rest of the block
+    cfg = make_cfg(tmp_path, attack=HYBRID, horizon=200, cache=mu0_cache, trials=4, seed=4,
+                   h=4.0, np_q=0.5, euclid_d=0.25, cosine_d=0.99)
+    ctx = harness.prepare(cfg)
+    full = harness.run_trials(ctx, full_paths=True)
+    quick = harness.run_trials(ctx)
+    assert [r.steps_run for r in quick] == [193, 188, 126, 200]
+    for res, fast in zip(full, quick):
+        assert_matches_oracle(res, fast, dense_trial(ctx, res.seed))
+
+
+def test_open_loop_kernels_run_once_per_block(monkeypatch):
+    # the benchmark's tracer times simulate_step, realize_attack and
+    # apply_attack at their gridwatch.harness bindings and reads one active
+    # flag per realization. On hybrid_recover's shape (500 steps, onset 50)
+    # the engine calls each once per block: 32 and 17 steps before the
+    # onset, then 14 blocks of 32 and one of 3; 17 calls, not 500.
+    root = Path(__file__).resolve().parents[1]
+    ctx = harness.prepare(load_config(root / "perfbench" / "workloads" / "hybrid_recover.cfg"))
+    assert (ctx.cfg.run.horizon, ctx.cfg.attack.tau) == (500, 50)
+    calls = {name: [] for name in ("simulate_step", "realize_attack", "apply_attack")}
+    for name, outputs in calls.items():
+        kernel = getattr(harness, name)
+
+        def recording(*args, kernel=kernel, outputs=outputs, **kwargs):
+            outputs.append(kernel(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(harness, name, recording)
+    results = harness.run_trials(ctx)
+    assert [r.steps_run for r in results] == [500] * 4
+    assert {name: len(outputs) for name, outputs in calls.items()} == dict.fromkeys(calls, 17)
+    lengths = [X.shape[1] for X, _ in calls["simulate_step"]]
+    assert lengths == [32, 17] + [32] * 14 + [3]
+    actives = [real.active for real in calls["realize_attack"]]
+    assert all(type(active) is bool for active in actives)
+    assert actives == [False] * 2 + [True] * 15
 
 
 def test_rank_deficient_network_trial_matches_dense_oracle(tmp_path):
