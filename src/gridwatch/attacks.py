@@ -11,11 +11,11 @@ meter and fresh white noise per sample:
     y[k][i] += a_k + n_{k,i},    n_{k,i} ~ N(0, jam_var_k) i.i.d.
 
 Each trial realizes from its own attack stream (doubles) and draws jamming
-noise from its own jamming stream (standard normals); a batch holds each of
-the two as one ``grid_model.Blocks``. Both kernels take a whole block at
-once and consume each stream in the order a step at a time would: the
-draws of step t, in the documented order, then those of step t + 1. A
-block never crosses an on/off switch of the attack.
+noise from its own jamming stream (standard normals); a batch passes each
+as a list of ``np.random.Generator``, one per trial. Both kernels take a
+whole block at once and leave each stream where a step at a time would:
+the draws of step t, in the documented order, then those of step t + 1.
+A block never crosses an on/off switch of the attack.
 
 A denial-of-service style topology fault is modeled separately as zeroed
 rows of the *true* measurement matrix while the detector-side model stays
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_model import Blocks, GridModel
+from .grid_model import GridModel
 
 KINDS = ("none", "fdi", "jamming", "hybrid", "topology-fault")
 
@@ -143,7 +143,7 @@ def is_active(spec: AttackSpec, t: int) -> bool:
 
 
 def realize_attack(
-    spec: AttackSpec, t: int, steps: int, atk: Blocks, K: int
+    spec: AttackSpec, t: int, steps: int, atk: "list[np.random.Generator]", K: int
 ) -> AttackRealization:
     """Sample the attack parameters of every trial of the batch for the
     block of times t .. t + steps - 1, which must all be on or all off.
@@ -158,13 +158,17 @@ def realize_attack(
     ``rng.random`` and ``rng.uniform`` give (numpy computes uniform(lo, hi)
     as exactly that; the tests pin it).
 
-    The block's doubles are read from ``atk`` at once (at most 4K per
-    step). Where a step's draws start depends on the selections of the
-    steps before it, so the selection bits are read one step at a time;
-    the magnitudes are then gathered for the whole block, the i-th
-    selected meter of a law at a step taking the draw i - 1 places past
-    the law's first one. This changes neither the values a step receives
-    nor the order.
+    How many doubles a step draws depends on its coins, so each trial
+    draws the block's worst case at once (every coin, and a magnitude per
+    meter and drawing law, at every step) from its stream ``atk[j]``, and
+    its stream is then set back to where the draws the block used end: the
+    state saved before the draw, advanced by that count (PCG64 spends one
+    64-bit output per double; the tests pin it). Where a step's draws start
+    depends on the selections of the steps before it, so the selection bits
+    are read one step at a time; the magnitudes are then gathered for the
+    whole block, the i-th selected meter of a law at a step taking the draw
+    i - 1 places past the law's first one. This changes neither the values
+    a step receives nor the order.
     """
     if t < 1:
         raise ValueError("time index must be >= 1")
@@ -186,7 +190,12 @@ def realize_attack(
     bernoulli = spec.selection[0] == "bernoulli"
     coins = K * len(laws) if bernoulli else 0
     need = steps * (coins + K * int(drawn.sum()))
-    flat, start = atk.ready(need)
+    saved = [rng.bit_generator.state for rng in atk]
+    flat = np.empty((B, need))
+    for rng, row in zip(atk, flat):
+        rng.random(out=row)
+    flat = flat.reshape(-1)
+    start = np.arange(B) * need  # the flat index of each trial's first draw
     if bernoulli:
         masks = np.empty((B, steps, len(laws), K), dtype=bool)
         coin = np.arange(coins)
@@ -212,7 +221,9 @@ def realize_attack(
             continue
         picked = flat[law_first[..., i, None] + mask.cumsum(axis=-1) - 1]
         np.copyto(out, law.lo + (law.hi - law.lo) * picked, where=mask)
-    atk.advance(used[:, -1])
+    for rng, state, n in zip(atk, saved, used[:, -1].tolist()):
+        rng.bit_generator.state = state
+        rng.bit_generator.advance(n)
     return AttackRealization(a=a, jam_var=jam, active=True)
 
 
@@ -220,20 +231,20 @@ def apply_attack(
     model: GridModel,
     clean: np.ndarray,
     real: AttackRealization,
-    jam: Blocks,
+    jam: "list[np.random.Generator]",
 ) -> np.ndarray:
     """Add the realized bias and jamming noise to every trial's clean
     (B, T, K, lam) measurement block.
 
     The bias a_k shifts all lam samples of meter k identically; jamming
-    noise is drawn i.i.d. per sample from the trial's jamming stream in
-    ``jam``, lam normals per meter with nonzero variance, in time order
+    noise is drawn i.i.d. per sample from trial j's jamming stream
+    ``jam[j]``, lam normals per meter with nonzero variance, in time order
     and at each step in ascending meter order, and is added at those
-    meters only, so no other entry changes. The block's normals are read
-    from ``jam`` at once: the i-th jammed (step, meter) of a trial, in
-    that order, takes its normals (i - 1) lam ... i lam - 1, the values
-    drawing them a step at a time would give. An active block returns a
-    new array; an inactive one returns ``clean`` itself and draws nothing.
+    meters only, so no other entry changes. Each trial draws the block's
+    normals at once: the i-th jammed (step, meter) of a trial, in that
+    order, takes its normals (i - 1) lam ... i lam - 1, the values drawing
+    them a step at a time would give. An active block returns a new array;
+    an inactive one returns ``clean`` itself and draws nothing.
     """
     if clean.shape != real.a.shape + (model.lam,) or real.a.shape[-1] != model.K:
         raise ValueError("measurements do not match the model and realization")
@@ -244,11 +255,9 @@ def apply_attack(
     if jammed.any():
         lam = model.lam
         counts = jammed.reshape(len(jammed), -1).sum(axis=1)  # jammed (step, meter) pairs per trial
-        flat, start = jam.ready(lam * int(counts.max()))
         # each trial's next normals, in the order values[jammed] lists its pairs
-        noise = np.concatenate([flat[i : i + lam * c] for i, c in zip(start.tolist(), counts.tolist())])
+        noise = np.concatenate([rng.standard_normal(lam * c) for rng, c in zip(jam, counts.tolist())])
         values[jammed] += noise.reshape(-1, lam) * np.sqrt(real.jam_var[jammed])[:, None]
-        jam.advance(lam * counts)
     return values
 
 

@@ -10,9 +10,10 @@ Subcommands:
 * ``stealth-audit``-- on-off budget and persistent-stealth gap for a
                       Gaussian pair, printed as CSV.
 
-A bad config or topology file is a usage error: ``gridwatch <command>:
-error: <message>`` on stderr and exit status 2, as argparse reports a bad
-argument.
+A bad config or topology file, or an ``--out`` that cannot be made a
+directory, is a usage error: ``gridwatch <command>: error: <message>`` on
+stderr and exit status 2, as argparse reports a bad argument. ``--out`` is
+made before the run.
 """
 
 from __future__ import annotations
@@ -31,8 +32,20 @@ def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory for CSV files")
 
 
+def _out_dir(text: str) -> Path:
+    """The ``--out`` directory, made before the run so that a path that
+    cannot be one fails at once."""
+    out = Path(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"bad value for '--out': {text!r} ({exc.strerror})") from None
+    return out
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    out = _out_dir(args.out)
     if args.seed is not None:
         from dataclasses import replace
 
@@ -56,7 +69,6 @@ def cmd_simulate(args) -> int:
             rows.append((name, "delay", d.mean, d.ci_half, miss))
     harness.write_rows(sys.stdout, ["detector", "metric", "value", "ci_half", "extra"], rows)
 
-    out = Path(args.out)
     if cfg.attack.kind != "none":
         ratios = harness.first_detector_ratio(results, ctx.enabled, tau)
         harness.write_first_detector_csv(out / "first_detector.csv", ratios)
@@ -81,8 +93,8 @@ def _thresholds(text: str) -> "list[float]":
 def cmd_sweep(args) -> int:
     h_list = _thresholds(args.thresholds)
     cfg = load_config(args.config)
+    out = _out_dir(args.out) / "tradeoff.csv"
     points = harness.sweep_tradeoff(cfg, h_list, which=args.detector)
-    out = Path(args.out) / "tradeoff.csv"
     harness.write_tradeoff_csv(out, points)
     rows = [(p.h, p.fap, p.delay, p.miss_ratio) for p in points]
     harness.write_rows(sys.stdout, ["h", "fap", "delay", "miss_ratio"], rows)

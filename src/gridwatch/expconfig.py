@@ -58,6 +58,19 @@ _SCHEMA = {
 
 _REQUIRED_SECTIONS = ("model", "detector", "attack", "run")
 
+# The [attack] keys each kind reads besides ``kind``. kind = onoff reads
+# ``inner``, ``t_on`` and ``t_off`` and the keys of its inner kind.
+_SELECTION = ("p", "meters")
+_FDI = ("fdi_uniform", "fdi_fixed")
+_JAM = ("jam_uniform", "jam_fixed")
+_ATTACK_KEYS = {
+    "none": (),
+    "fdi": _SELECTION + _FDI,
+    "jamming": _SELECTION + _JAM,
+    "hybrid": _SELECTION + _FDI + _JAM,
+    "topology-fault": ("fault_meters",),
+}
+
 
 def _parse_sections(path: Path) -> dict:
     sections: dict = {}
@@ -197,15 +210,27 @@ def resolve_topology(name: str, base: Optional[Path]) -> Path:
 
 def _attack_spec(sec: dict, tau: float) -> AttackSpec:
     kind = _get(sec, "kind", str, required=True).strip().lower()
-    t_on = _get(sec, "t_on", int)
-    t_off = _get(sec, "t_off", int)
+    read = {"kind"}
+    t_on = t_off = None
     if kind == "onoff":
         inner = _get(sec, "inner", str, required=True).strip().lower()
         if inner not in ("fdi", "jamming", "hybrid"):
             raise ConfigError(f"onoff inner kind must be fdi/jamming/hybrid, got {inner!r}")
+        t_on = _get(sec, "t_on", int)
+        t_off = _get(sec, "t_off", int)
         if t_on is None or t_off is None:
             raise ConfigError("kind = onoff requires t_on and t_off")
+        read |= {"inner", "t_on", "t_off"}
         kind = inner
+    if kind not in _ATTACK_KEYS:
+        raise ConfigError(f"bad value for 'kind': {kind!r} (unknown attack kind)")
+    read.update(_ATTACK_KEYS[kind])
+    for key in sec:
+        if key not in read:
+            raise ConfigError(f"[attack] key {key!r} is not read by kind = {sec['kind']}")
+    for first, second in (_SELECTION, _FDI, _JAM):
+        if first in sec and second in sec:
+            raise ConfigError(f"[attack] keys {first!r} and {second!r} exclude each other")
     if kind == "none":
         return AttackSpec(tau=math.inf, kind="none")
 
@@ -238,7 +263,10 @@ def _attack_spec(sec: dict, tau: float) -> AttackSpec:
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
-    sections = _parse_sections(path)
+    try:
+        sections = _parse_sections(path)
+    except OSError as exc:
+        raise ConfigError(f"bad value for '--config': {str(path)!r} ({exc.strerror})") from None
     base = path.parent
 
     msec = sections["model"]

@@ -345,69 +345,6 @@ def build_model(
     )
 
 
-# The most steps the trial engine simulates, attacks and hashes at once, and
-# the steps of draws each stream of a batch holds (see Blocks). The
-# simulation stream's block holds BLOCK_STEPS * (N + K*lam) doubles per
-# trial: 32 KiB on ieee14 at lam = 5.
-BLOCK_STEPS = 32
-
-
-class Blocks:
-    """One stream's draws for every trial of a batch, drawn ahead in blocks.
-
-    Trial j draws from ``np.random.default_rng(seeds[j])`` (a Generator is
-    used as it is), by its ``method`` ("random" or "standard_normal"), and
-    a block holds BLOCK_STEPS steps of ``per_step`` draws, the most a step
-    may use, so a whole block of engine steps can be read at once.
-    ``values[j, pos[j]:]`` are trial j's next unused draws, in stream
-    order. A trial with fewer left than a request may need keeps them,
-    moved to the front of its block, and draws the rest of the block in one
-    call; numpy's Generator fills any request from one sequence, so the
-    values do not depend on how the stream was cut into blocks.
-    """
-
-    def __init__(self, seeds, method: str, per_step: int):
-        self.rngs = [np.random.default_rng(seed) for seed in seeds]
-        self.method = method
-        self.per_step = per_step
-        self.size = BLOCK_STEPS * per_step
-        self.values: Optional[np.ndarray] = None  # allocated at the first draw
-        self.pos = np.full(len(self.rngs), self.size)
-        self.base = np.arange(len(self.rngs)) * self.size  # flat index of each block
-
-    def __len__(self) -> int:
-        return len(self.rngs)
-
-    def ready(self, need: int) -> "tuple[np.ndarray, np.ndarray]":
-        """(flat, start): ``flat[start[j] + i]`` is trial j's i-th next
-        unused draw, for every i < ``need`` (at most a block). They stay
-        unused until ``advance``."""
-        if need > self.size:
-            raise ValueError(f"{need} draws do not fit a block of {self.size}")
-        if self.values is None:
-            self.values = np.empty((len(self.rngs), self.size))
-        if self.pos.max() > self.size - need:
-            for j in np.flatnonzero(self.pos > self.size - need):
-                kept = self.size - self.pos[j]
-                self.values[j, :kept] = self.values[j, self.pos[j] :]
-                getattr(self.rngs[j], self.method)(out=self.values[j, kept:])
-                self.pos[j] = 0
-        return self.values.reshape(-1), self.base + self.pos
-
-    def advance(self, used) -> None:
-        """Mark ``used[j]`` (or ``used``, for every trial) more draws of
-        trial j as used."""
-        self.pos += used
-
-    def take(self, keep: np.ndarray) -> "Blocks":
-        """The trials where the boolean mask ``keep`` is true."""
-        out = Blocks([rng for rng, k in zip(self.rngs, keep) if k], self.method, self.per_step)
-        out.pos = self.pos[keep]
-        if self.values is not None:
-            out.values = self.values[keep]
-        return out
-
-
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x for every vector along the last axis of x.
 
@@ -458,29 +395,29 @@ def _trajectory(
 
 
 def simulate_step(
-    model: GridModel, x: np.ndarray, noise: Blocks, steps: int
+    model: GridModel, x: np.ndarray, noise: "list[np.random.Generator]", steps: int
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Advance the (B, N) states x of a batch of B trials ``steps``
-    intervals (at most BLOCK_STEPS); return the states as a (B, steps, N)
-    array and the measurements as a (B, steps, K, lam) array:
-    y[j, s, k, i] is sample i of meter k in trial j at the block's step s,
-    so y[j, s].reshape(-1) follows H's row layout.
+    intervals; return the states as a (B, steps, N) array and the
+    measurements as a (B, steps, K, lam) array: y[j, s, k, i] is sample i
+    of meter k in trial j at the block's step s, so y[j, s].reshape(-1)
+    follows H's row layout.
 
-    Each trial uses the next N + K*lam standard normals of its stream in
-    ``noise`` per step. Draw order is part of the determinism contract:
+    Trial j uses the next N + K*lam standard normals of its stream
+    ``noise[j]`` per step. Draw order is part of the determinism contract:
     state noise first, then measurement noise. Zero variances still consume
-    draws so trajectories stay aligned across noise settings. The block's
-    normals are read from ``noise`` at once, so every step receives exactly
-    the values that drawing N and then K*lam normals at that step would
-    give. The state advances one A @ x per step (``matvec``) and the
+    draws so trajectories stay aligned across noise settings. Each trial's
+    normals for the whole block come from one draw of its stream; numpy's
+    Generator fills any request from one sequence, so every step receives
+    exactly the values that drawing N and then K*lam normals at that step
+    would give. The state advances one A @ x per step (``matvec``) and the
     measurements take one ``matvec`` over the block, so every vector gets
     the bits of its own unbatched product. Divergence is checked once per
     block.
     """
-    n = model.N + model.K * model.lam
-    flat, start = noise.ready(steps * n)
-    z = np.array([flat[i : i + steps * n] for i in start.tolist()]).reshape(len(x), steps, n)
-    noise.advance(steps * n)
+    z = np.empty((len(x), steps, model.N + model.K * model.lam))
+    for rng, z_j in zip(noise, z):
+        rng.standard_normal(out=z_j)
     X, Y = _trajectory(model, x, z, matvec)
     return X, Y.reshape(*Y.shape[:2], model.K, model.lam)
 

@@ -12,11 +12,12 @@ The trial engine, ``run_trial``, takes a sequence of seeds and advances
 their trials in lock-step on a leading trial axis B. Each trial keeps its
 own random streams, draw order and measurement hash. The measurements are
 open-loop: the simulation, the attack realization and its application
-never read the detector. So they run a block of up to
-``grid_model.BLOCK_STEPS`` steps ahead, one call of each kernel giving the
-whole batch's (B, T, ...) block. The per-trial streams behind them are one
-``grid_model.Blocks`` per stream, and every step receives the values that
-drawing at that step would give. A block ends where the attack switches on
+never read the detector. So they run a block of up to ``BLOCK_STEPS``
+steps ahead, one call of each kernel giving the whole batch's (B, T, ...)
+block. Each trial's streams are plain ``np.random.Generator`` objects, and
+each kernel leaves them where the block's draws end, so every step
+receives the values that drawing at that step would give and no draws are
+held from one block to the next. A block ends where the attack switches on
 or off and where a topology fault begins. The engine then reads the block
 a step at a time: the filters and detector statistics run once per step
 on (B, K) and (B,) arrays, sharing the step's pre-filter schedule entry,
@@ -48,8 +49,6 @@ from . import detector, kalman, robust
 from .attacks import AttackSpec, apply_attack, is_active, realize_attack, topology_fault
 from .expconfig import ConfigError, ExperimentConfig
 from .grid_model import (
-    BLOCK_STEPS,
-    Blocks,
     GridModel,
     build_model,
     load_topology,
@@ -60,6 +59,12 @@ from .grid_model import (
 from .robust import Chi2Config, Chi2State, ShewhartConfig
 
 INF = math.inf
+
+# The most steps the trial engine simulates, attacks and hashes at once, and
+# the mu0 baseline simulates per kernel call. While a block is simulated,
+# each trial's normals take BLOCK_STEPS * (N + K*lam) doubles (32 KiB on
+# ieee14 at lam = 5); no stream keeps draws past its block.
+BLOCK_STEPS = 32
 
 # The detectors that stop at the first step their statistic path reaches the
 # threshold (inclusive), as (name, TrialPaths field, direction): upward, or
@@ -420,10 +425,11 @@ class _Streams:
     Each trial derives four child streams from its seed, in their documented
     order: simulation, attack realization, attack application (jamming
     noise) and the chi-squared window's initial draws. The first three are
-    one ``grid_model.Blocks`` each, drawn ahead for the whole batch; each
-    step still receives exactly the values that drawing in the documented
-    order at that step would give. The windows are drawn at spawn time,
-    L chi-squared draws per trial, and returned as one batch.
+    one ``np.random.Generator`` per trial, in the lists ``sim``, ``atk`` and
+    ``jam``; each block kernel leaves them where the block's draws end, so
+    each step receives the values that drawing in the documented order
+    at that step would give. The windows are drawn at spawn time, L
+    chi-squared draws per trial, and returned as one batch.
     """
 
     index: list
@@ -431,9 +437,9 @@ class _Streams:
     hashers: list
     X: np.ndarray  # (B, T, N) true states of the current block
     Y: np.ndarray  # (B, T, K, lam) measurements of the current block
-    sim: Blocks
-    atk: Blocks
-    jam: Blocks
+    sim: list
+    atk: list
+    jam: list
 
     @classmethod
     def spawn(cls, ctx: RunContext, seeds: Sequence) -> "tuple[_Streams, Optional[Chi2State]]":
@@ -451,9 +457,9 @@ class _Streams:
             hashers=[hashlib.sha256() for _ in seeds],
             X=np.tile(ctx.x0, (B, 1, 1)),  # a block of one step: the start state
             Y=np.empty((B, 0, model.K, model.lam)),
-            sim=Blocks(sim_ss, "standard_normal", model.N + model.K * model.lam),
-            atk=Blocks(atk_ss, "random", 4 * model.K),
-            jam=Blocks(jam_ss, "standard_normal", model.K * model.lam),
+            sim=[np.random.default_rng(ss) for ss in sim_ss],
+            atk=[np.random.default_rng(ss) for ss in atk_ss],
+            jam=[np.random.default_rng(ss) for ss in jam_ss],
         )
         return streams, window
 
@@ -469,15 +475,18 @@ class _Streams:
 
     def take(self, keep: np.ndarray) -> "_Streams":
         """The trials where the boolean mask ``keep`` is true."""
+        def kept(items: list) -> list:
+            return [item for item, k in zip(items, keep) if k]
+
         return _Streams(
-            index=[i for i, k in zip(self.index, keep) if k],
-            seeds=[s for s, k in zip(self.seeds, keep) if k],
-            hashers=[h for h, k in zip(self.hashers, keep) if k],
+            index=kept(self.index),
+            seeds=kept(self.seeds),
+            hashers=kept(self.hashers),
             X=self.X[keep],
             Y=self.Y[keep],
-            sim=self.sim.take(keep),
-            atk=self.atk.take(keep),
-            jam=self.jam.take(keep),
+            sim=kept(self.sim),
+            atk=kept(self.atk),
+            jam=kept(self.jam),
         )
 
 

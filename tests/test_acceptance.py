@@ -382,7 +382,7 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     csv_ok = out1.read_bytes() == out2.read_bytes()
 
     # covariances stay PSD over 1e4 steps (both filters, attacked regime)
-    from gridwatch.grid_model import Blocks, simulate_step
+    from gridwatch.grid_model import simulate_step
     from gridwatch.kalman import initial_bank
     from gridwatch.detector import CusumState, algorithm1_step
     from gridwatch.attacks import apply_attack, realize_attack
@@ -400,9 +400,9 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     ss = np.random.SeedSequence((55, 0))
     sim_ss, a_ss, j_ss, _ = ss.spawn(4)
     x = ctx2.x0[None]  # a batch of one trial
-    sim = Blocks([sim_ss], "standard_normal", model.N + model.K * model.lam)
-    atk = Blocks([a_ss], "random", 4 * model.K)
-    jam = Blocks([j_ss], "standard_normal", model.K * model.lam)
+    sim = [np.random.default_rng(sim_ss)]
+    atk = [np.random.default_rng(a_ss)]
+    jam = [np.random.default_rng(j_ss)]
     bank = initial_bank(ctx2.x0[None], ctx2.p0)
     cs = [CusumState()]
     det = DetectorConfig(GAMMA, SIGMA2_MIN)

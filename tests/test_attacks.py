@@ -12,7 +12,8 @@ from gridwatch.attacks import (
     realize_attack,
     topology_fault,
 )
-from gridwatch.grid_model import BLOCK_STEPS, Blocks, simulate_step
+from gridwatch.grid_model import simulate_step
+from gridwatch.harness import BLOCK_STEPS
 
 import oracles
 from conftest import SIGMA_W2
@@ -34,8 +35,8 @@ def hybrid_spec(tau=100, p=0.5, theta=0.02, jam_lo=2e-4, jam_hi=4e-4, t_on=None,
 def streams(B, K, lam, seed=0):
     """The attack and jamming streams of B trials, with seeds (seed, j) and
     (seed + 1, j)."""
-    atk = Blocks([(seed, j) for j in range(B)], "random", 4 * K)
-    jam = Blocks([(seed + 1, j) for j in range(B)], "standard_normal", K * lam)
+    atk = [np.random.default_rng((seed, j)) for j in range(B)]
+    jam = [np.random.default_rng((seed + 1, j)) for j in range(B)]
     return atk, jam
 
 
@@ -48,7 +49,7 @@ def test_pre_onset_all_zero():
     assert not real.jam_var.any()
     # no draws consumed before the onset
     fresh = np.random.default_rng((0, 0)).bit_generator.state
-    assert atk.rngs[0].bit_generator.state == fresh
+    assert atk[0].bit_generator.state == fresh
 
 
 def test_onoff_schedule_case4_pattern():
@@ -163,7 +164,7 @@ def test_topology_fault_zeroes_true_rows_only(two_bus_model):
     assert two_bus_model.H[0, 0] == 1.0
     # simulated measurement for the faulted meter is pure sensor noise
     x = np.array([[0.5]])
-    noise = Blocks([9], "standard_normal", faulted.N + faulted.K * faulted.lam)
+    noise = [np.random.default_rng(9)]
     vals = []
     for _ in range(4000 // BLOCK_STEPS):
         X, Y = simulate_step(faulted, x, noise, BLOCK_STEPS)
@@ -201,6 +202,26 @@ def test_uniform_is_lo_plus_width_times_random(lo, hi):
     assert_same_bits(lo + (hi - lo) * np.random.default_rng(8).random(1000), want)
 
 
+@pytest.mark.parametrize("m, n", [(1, 0), (2944, 0), (2944, 1), (2944, 1377), (5000, 4999)])
+def test_rewind_is_restore_and_advance_by_the_draws_used(m, n):
+    # what realize_attack relies on to hand back the doubles a block drew
+    # but did not use: PCG64 spends one 64-bit output per double, so m
+    # doubles drawn, then the saved state restored and advanced by n, leave
+    # the stream where n doubles drawn would (2944 doubles: the worst case
+    # of a 32-step hybrid block on ieee14)
+    rng = np.random.default_rng((3, 7))
+    rng.random(11)
+    saved = rng.bit_generator.state
+    want = np.random.default_rng((3, 7))
+    want.random(11)
+    rng.random(m)
+    rng.bit_generator.state = saved
+    rng.bit_generator.advance(n)
+    want.random(n)
+    assert_same_bits(rng.random(64), want.random(64))
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
 def fixed_meters(kind, **laws):
     return AttackSpec(tau=5, kind=kind, selection=("fixed", (1, 4, 4, 17)), **laws)
 
@@ -226,11 +247,11 @@ ORACLE_SPECS = {
 @pytest.mark.parametrize("B", [1, 5])
 @pytest.mark.parametrize("name", list(ORACLE_SPECS))
 def test_attack_kernels_match_one_trial_oracle(ieee14_model, name, B):
-    # the batched, block-drawn realize/apply, in blocks of T = 1, 17 and 32
-    # steps (cut short at an on/off switch, as the engine cuts them),
-    # against T calls of the one-trial kernels drawing a step at a time:
-    # over 4 stream blocks, so both streams refill several times, with
-    # trials leaving the batch along the way
+    # the batched realize/apply, in blocks of T = 1, 17 and 32 steps (cut
+    # short at an on/off switch, as the engine cuts them), against T calls
+    # of the one-trial kernels drawing a step at a time, over 128 steps,
+    # with trials leaving the batch along the way; after every block each
+    # trial's streams are where the oracle's are
     spec = ORACLE_SPECS[name]
     model, K, lam = ieee14_model, ieee14_model.K, ieee14_model.lam
     for T in (1, 17, BLOCK_STEPS):
@@ -258,8 +279,11 @@ def test_attack_kernels_match_one_trial_oracle(ieee14_model, name, B):
                     assert_same_bits(real.jam_var[row, s], want.jam_var)
                     want_y = oracles.apply_attack(model, clean[row, s], want, jam[j])
                     assert_same_bits(out[row, s], want_y)
+                assert atk_st[row].bit_generator.state == atk[j].bit_generator.state
+                assert jam_st[row].bit_generator.state == jam[j].bit_generator.state
             t += steps
             if t > 40 * (B - len(live) + 1) and len(live) > 1:
                 keep = np.arange(len(live)) != 1
-                atk_st, jam_st = atk_st.take(keep), jam_st.take(keep)
+                atk_st = [rng for rng, k in zip(atk_st, keep) if k]
+                jam_st = [rng for rng, k in zip(jam_st, keep) if k]
                 live = [j for j, k in zip(live, keep) if k]

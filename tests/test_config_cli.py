@@ -320,6 +320,68 @@ def test_unreadable_mu0_cache_is_a_usage_error(tmp_path, two_bus_path, monkeypat
     assert f"gridwatch simulate: error: bad value for 'mu0_cache': {str(cache)!r}" in err
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, name):
+    # a missing file, or a directory, is a ConfigError naming the path, and
+    # the CLI exits with status 2 instead of an OSError traceback
+    path = tmp_path / name
+    with pytest.raises(ConfigError, match="'--config'") as exc:
+        load_config(path)
+    assert repr(str(path)) in str(exc.value)
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--config", str(path)])
+    assert exit_.value.code == 2
+    assert f"gridwatch simulate: error: bad value for '--config': {str(path)!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "attack, key",
+    [
+        ("kind = fdi\nfdi_uniform = 0.02\nt_on = 1\nt_off = 3", "t_on"),
+        ("kind = fdi\nfdi_uniform = 0.02\ninner = hybrid", "inner"),
+        ("kind = fdi\nfdi_uniform = 0.02\nfault_meters = 0", "fault_meters"),
+        ("kind = fdi\nfdi_uniform = 0.02\njam_uniform = 1e-4,2e-4", "jam_uniform"),
+        ("kind = fdi\nfdi_uniform = 0.02\nfdi_fixed = 0.1", "fdi_fixed"),
+        ("kind = fdi\nmeters = 0\np = 0.5\nfdi_uniform = 0.02", "p"),
+        ("kind = hybrid\nfdi_fixed = 0.1\njam_uniform = 1e-4,2e-4\njam_fixed = 1e-4", "jam_fixed"),
+        ("kind = jamming\njam_fixed = 1e-4\nfdi_fixed = 0.1", "fdi_fixed"),
+        ("kind = none\np = 0.5", "p"),
+        ("kind = topology-fault\nfault_meters = 0\nmeters = 0", "meters"),
+        ("kind = onoff\ninner = fdi\nt_on = 1\nt_off = 3\nfdi_uniform = 0.02\njam_fixed = 1e-4",
+         "jam_fixed"),
+    ],
+    ids=lambda v: v.split("\n")[0].removeprefix("kind = ") if "\n" in v else v,
+)
+def test_attack_key_its_kind_never_reads_is_rejected(tmp_path, two_bus_path, attack, key):
+    # such a key used to be dropped (or, for t_on/t_off under kind = fdi,
+    # to turn the attack into an undocumented on-off one)
+    text = MINIMAL.format(
+        topology=two_bus_path, extra_detector="", attack=attack, trials=1, horizon=50,
+    )
+    with pytest.raises(ConfigError, match=rf"^\[attack\] key.* '{key}'"):
+        load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_out_that_cannot_be_a_directory_is_a_usage_error_before_the_run(
+    tmp_path, two_bus_path, monkeypatch, capsys, command
+):
+    # an --out under a regular file used to end in a traceback after the run
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    cfg_path = write(tmp_path, MINIMAL.format(
+        topology=two_bus_path, extra_detector="", attack="kind = fdi\nfdi_uniform = 0.4",
+        trials=1, horizon=50,
+    ))
+    monkeypatch.setattr(harness, "prepare", lambda *a, **k: pytest.fail("prepare ran"))
+    monkeypatch.setattr(harness, "sweep_tradeoff", lambda *a, **k: pytest.fail("sweep ran"))
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--thresholds", "5,10"] if command == "sweep" else []))
+    assert exc.value.code == 2
+    assert f"gridwatch {command}: error: bad value for '--out': {str(out)!r}" in capsys.readouterr().err
+
+
 def test_cli_reports_a_bad_topology_as_a_usage_error(tmp_path, capsys):
     (tmp_path / "bad.grid").write_text("[buses]\n1 ref\n2 nan\n")
     cfg_path = write(tmp_path, MINIMAL.format(

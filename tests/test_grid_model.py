@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from gridwatch.attacks import topology_fault
 from gridwatch.grid_model import (
-    BLOCK_STEPS,
-    Blocks,
     TopologyError,
     build_model,
     load_topology,
     simulate_block,
     simulate_step,
 )
+from gridwatch.harness import BLOCK_STEPS
 
 import oracles
 from conftest import SIGMA_V2, SIGMA_W2, dense_stable_A
@@ -23,7 +22,7 @@ from oracles import assert_same_bits
 
 def sim_batch(model, x0, seeds):
     """The (B, N) start states and simulation streams of one trial per seed."""
-    noise = Blocks(seeds, "standard_normal", model.N + model.K * model.lam)
+    noise = [np.random.default_rng(seed) for seed in seeds]
     return np.tile(np.asarray(x0, dtype=float), (len(seeds), 1)), noise
 
 
@@ -198,9 +197,9 @@ def test_fixed_seed_trajectories_bit_identical(ieee14_model, ieee14_topology):
 
 def test_draw_count_contract(two_bus_model):
     # Step s uses the trial's normals (s-1)(N+K*lam) .. s(N+K*lam) - 1,
-    # state noise first, however far ahead they were drawn and however the
-    # steps are cut into blocks: a generator advanced by hand gives the same
-    # values, across block refills.
+    # state noise first, however the steps are cut into blocks: a generator
+    # advanced by hand gives the same values, and each block leaves the
+    # trial's stream where a step at a time would.
     model = two_bus_model
     sim_x, noise = sim_batch(model, [0.1], [77])
     rng = np.random.default_rng(77)
@@ -213,18 +212,13 @@ def test_draw_count_contract(two_bus_model):
             w = rng.standard_normal(model.K * model.lam) * np.sqrt(model.sigma_w2)
             assert_same_bits(x_s, x)
             assert_same_bits(y_s.reshape(-1), model.H @ x + w)
-
-
-def test_block_longer_than_the_streams_block_is_refused(two_bus_model):
-    x, noise = sim_batch(two_bus_model, [0.1], [77])
-    with pytest.raises(ValueError, match="do not fit"):
-        simulate_step(two_bus_model, x, noise, BLOCK_STEPS + 1)
+        assert noise[0].bit_generator.state == rng.bit_generator.state
 
 
 def test_generator_fills_any_request_from_one_sequence():
-    # What drawing ahead relies on: numpy's Generator gives the same values
-    # whether a run of draws is requested at once, in pieces of any shape,
-    # or into a preallocated array.
+    # What drawing a block at once relies on: numpy's Generator gives the
+    # same values whether a run of draws is requested at once, in pieces of
+    # any shape, or into a preallocated array.
     for method in ("standard_normal", "random"):
         whole = getattr(np.random.default_rng(5), method)(144)
         rng = np.random.default_rng(5)
@@ -238,10 +232,10 @@ def test_generator_fills_any_request_from_one_sequence():
 
 @pytest.mark.parametrize("B", [1, 5])
 def test_simulation_matches_one_trial_oracle(ieee14_model, ieee14_topology, B):
-    # the block-drawn batch kernel, in blocks of T = 1, 17 and 32 steps,
-    # against T calls of the one-trial kernel drawing a step at a time:
-    # several stream refills, a topology fault whose onset cuts a block
-    # short (as the engine cuts it), and trials that leave the batch early
+    # the batch kernel, in blocks of T = 1, 17 and 32 steps, against T
+    # calls of the one-trial kernel drawing a step at a time: a topology
+    # fault whose onset cuts a block short (as the engine cuts it), and
+    # trials that leave the batch early
     model = ieee14_model
     faulted = topology_fault(model, [3, 15])
     tau = BLOCK_STEPS + 7
@@ -267,7 +261,8 @@ def test_simulation_matches_one_trial_oracle(ieee14_model, ieee14_topology, B):
             t += steps
             if t > 25 * (B - len(live) + 1) and len(live) > 1:
                 keep = np.arange(len(live)) % 2 == 1
-                x, noise = x[keep], noise.take(keep)
+                x = x[keep]
+                noise = [rng for rng, k in zip(noise, keep) if k]
                 live = [j for j, k in zip(live, keep) if k]
 
 

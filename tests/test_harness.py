@@ -16,7 +16,8 @@ import pytest
 from gridwatch import harness, kalman, load_config
 from gridwatch.detector import CusumState, cusum_step
 from gridwatch.expconfig import ConfigError
-from gridwatch.grid_model import BLOCK_STEPS, build_model
+from gridwatch.grid_model import build_model
+from gridwatch.harness import BLOCK_STEPS
 from gridwatch.robust import ShewhartConfig, pearson_step
 
 import oracles
@@ -460,6 +461,26 @@ def test_batch_without_paths_keeps_o_b_memory(tmp_path):
     assert peak < 4 << 20, f"peak allocation {peak / 2**20:.1f} MiB"
 
 
+def test_large_batch_peak_memory_is_bounded():
+    # 200 trials of configs/case1_fdi.cfg for 130 steps: no stream holds
+    # draws from one block to the next, so the batch's blocks and streams
+    # stay small; when each stream drew a block ahead, this peaked at
+    # 35.4 MiB
+    path = Path(__file__).resolve().parents[1] / "configs" / "case1_fdi.cfg"
+    cfg = load_config(path)
+    cfg = replace(cfg, run=replace(cfg.run, horizon=130),
+                  detector=replace(cfg.detector, mu0_cache="none"))
+    ctx = harness.prepare(cfg)
+    tracemalloc.start()
+    try:
+        results = harness.run_trials(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 200
+    assert peak < 30 << 20, f"peak allocation {peak / 2**20:.1f} MiB"
+
+
 def assert_matches_oracle(res, quick, oracle):
     """A full-path trial and an early-exit run of the same seed against the
     dense oracle: hash and stopping times exactly, paths to 1e-9."""
@@ -519,7 +540,7 @@ def test_np_clamp_trial_matches_dense_oracle(tmp_path, mu0_cache):
 
 
 def test_horizon_cut_leaks_nothing(tmp_path, mu0_cache):
-    # streams are drawn ahead in blocks: a run cut at 130 steps (inside a
+    # measurements are made a block ahead: a run cut at 130 steps (inside a
     # block) sees exactly the first 130 steps of a 600-step run, and both
     # hashes are the oracle's, which draws a step at a time
     short = harness.prepare(make_cfg(tmp_path, attack=HYBRID, horizon=130, cache=mu0_cache))
