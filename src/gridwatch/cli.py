@@ -6,14 +6,14 @@ Subcommands:
                       per-detector metrics; optionally write step logs.
 * ``sweep``        -- threshold sweep producing tradeoff.csv.
 * ``false-alarm``  -- no-attack runs estimating each detector's average
-                      false alarm period.
+                      false alarm period; writes false_alarm.csv.
 * ``stealth-audit``-- on-off budget and persistent-stealth gap for a
                       Gaussian pair, printed as CSV.
 
 A bad config or topology file, or an ``--out`` that cannot be made a
 directory, is a usage error: ``gridwatch <command>: error: <message>`` on
 stderr and exit status 2, as argparse reports a bad argument. ``--out`` is
-made before the run.
+made before the run by every command that takes it.
 """
 
 from __future__ import annotations
@@ -104,12 +104,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_false_alarm(args) -> int:
     cfg = load_config(args.config)
+    out = _out_dir(args.out) / "false_alarm.csv"
     summaries = harness.false_alarm_experiment(cfg)
+    header = ["detector", "fap", "fap_ci", "censored", "runs"]
     rows = [
         (name, fap.mean, fap.ci_half, fap.n_censored, fap.n_runs)
         for name, fap in summaries.items()
     ]
-    harness.write_rows(sys.stdout, ["detector", "fap", "fap_ci", "censored", "runs"], rows)
+    harness.write_csv(out, header, rows)
+    harness.write_rows(sys.stdout, header, rows)
+    print(f"wrote {out}")
     return 0
 
 

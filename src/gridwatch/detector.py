@@ -29,20 +29,27 @@ and -0.0, cannot change the GLLR.)
 The GLLR compares the classified fit against the pre-attack filter's
 *updated* state; this asymmetry (update on the clean side, prediction on the
 attacked side) blocks same-step attack influence on the bias/variance
-estimates and is asserted by tests rather than symmetrized away.
+estimates and is asserted by tests rather than symmetrized away. It is the
+clean term 0.5 K lam log sigma_w2 + 0.5 ||y - H x_pre_upd||^2 / sigma_w2
+(``clean_term``) less half the classified costs (``gllr``). The clean term
+reads only the pre filter and the measurements, so the harness computes it
+for a whole block of steps ahead of the costs; the subtraction per step is
+the last operation of the one-expression form either way, so the bits are
+the same.
 
 Every statistic takes a leading trial axis: residual blocks of B trials are
-(B, K, lam) and the per-meter statistics (B, K). ``algorithm1_step``
-advances a whole batch one step and applies the scalar CUSUM recursion
-``cusum_step`` once per trial. The recursion has no threshold: the caller
-stops at the first step g reaches h, like every other detector.
+(B, K, lam) and the per-meter statistics (B, K). ``algorithm1_step`` is the
+closed-loop half of one step: it advances the post filter of a whole batch
+and applies the scalar CUSUM recursion ``cusum_step`` once per trial. The
+recursion has no threshold: the caller stops at the first step g reaches
+h, like every other detector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -187,23 +194,26 @@ def mle_attack_params(
     return a_hat, sigma_hat
 
 
-def gllr(
-    rb_pre: np.ndarray,
-    table: np.ndarray,
-    model: GridModel,
-) -> np.ndarray:
-    """Generalized log-likelihood ratio for the interval, one per trial.
+def clean_term(r_pre: np.ndarray, model: GridModel) -> np.ndarray:
+    """The GLLR's clean-side fit, one per trial (and step):
+    0.5 K lam log sigma_w2 + 0.5 ||r_pre||^2 / sigma_w2.
 
-    ``rb_pre`` holds the residuals y - h_k^T x_pre_upd against the pre-filter
-    *measurement update*, shape (..., K, lam), and ``table`` the cost table.
-    The classified cost of each meter is its column minimum (see the module
-    docstring), so it needs no classification.
+    ``r_pre`` holds the residuals y - h_k^T x_pre_upd against the pre-filter
+    *measurement update*, shape (..., K, lam). It reads only the pre filter
+    and the measurements.
     """
     K, lam, sw2 = model.K, model.lam, model.sigma_w2
-    r = np.asarray(rb_pre)
-    r = r.reshape(r.shape[:-2] + (K * lam,))
-    chosen = table.min(axis=-2)
-    return 0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1)
+    r = r_pre.reshape(r_pre.shape[:-2] + (K * lam,))
+    return 0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2
+
+
+def gllr(clean: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Generalized log-likelihood ratio for the interval, one per trial:
+    the clean term (``clean_term``) less half the classified costs of the
+    cost table ``table``. The classified cost of each meter is its column
+    minimum (see the module docstring), so it needs no classification.
+    """
+    return clean - 0.5 * table.min(axis=-2).sum(axis=-1)
 
 
 def cusum_step(cs: CusumState, beta: float, t: int) -> "tuple[CusumState, bool]":
@@ -226,7 +236,6 @@ class Algorithm1Step:
     a_hat: np.ndarray  # the attack estimates the post update ran on, (..., K)
     sigma_hat: np.ndarray
     beta: np.ndarray
-    pre_innovation: np.ndarray  # y - H x_pre_pred as (..., K, lam)
 
 
 def algorithm1_step(
@@ -236,50 +245,43 @@ def algorithm1_step(
     cfg: DetectorConfig,
     y: np.ndarray,
     t: int,
-    pre_step: Optional[kalman.GainStep] = None,
+    pre_step: kalman.GainStep,
+    pre_x: np.ndarray,
+    clean: np.ndarray,
 ) -> Algorithm1Step:
-    """One full detection-and-estimation iteration.
+    """The closed-loop half of one detection-and-estimation iteration: what
+    reads the post filter or the CUSUM.
 
-    Order matters: predict both filters, build residuals on the post-filter
-    prediction, classify and estimate, update both filters, score the GLLR
-    on the pre-filter update, advance the CUSUM, and re-sync the post filter
-    if the statistic hit zero.
+    The pre filter reads only the measurements, so the caller runs it, and
+    the GLLR's clean term on it, ahead (``kalman.pre_filter``,
+    ``clean_term``) and passes step t's schedule entry ``pre_step``,
+    filtered state ``pre_x`` and clean term ``clean``. Order matters here:
+    predict the post filter, build residuals on its prediction, classify and
+    estimate, update it, score the GLLR, advance the CUSUM, and re-sync the
+    post filter to step t's pre estimate if the statistic hit zero.
 
     The bank and the (B, K, lam) measurements ``y`` carry a leading trial
     axis and ``cs`` holds one CusumState per trial (a single trial is a
-    batch of one). ``pre_step`` is the pre filter's schedule entry for step
-    t; without it the entry is computed from the pre filter's own covariance.
+    batch of one); the returned bank holds step t's pre estimate.
     """
-    pre = kalman.kf_predict(model, bank.pre, pre_step)
-    if pre_step is None:
-        pre_step = kalman.pre_gain_step(model, pre.P)
     shares = bank.post_shares_pre
     post = kalman.kf_predict(model, bank.post, pre_step, shares)
 
     rb = residual_block(model, y, post.x, cfg)
     costs = hypothesis_costs(rb, model, cfg)
     a_hat, sigma_hat = mle_attack_params(rb, classify_meters(costs), cfg, model)
-
-    pre, pre_innovation = kalman.kf_update_pre_full(model, pre, y, pre_step)
     post = kalman.kf_update_post(model, post, rb.mean, a_hat, sigma_hat, pre_step, shares)
-
-    r_pre = y - matvec(model.meter_rows, pre.x)[..., None]
-    beta = gllr(r_pre, costs, model)
+    beta = gllr(clean, costs)
 
     stepped = [cusum_step(c, b, t) for c, b in zip(cs, beta.tolist(), strict=True)]
     new_cs = [c for c, _ in stepped]
     sync = np.array([flag for _, flag in stepped], dtype=bool)
     new_bank = kalman.sync_post_to_pre(
         kalman.DualFilterBank(
-            pre=pre, post=post, post_shares_pre=shares & ~sigma_hat.any(axis=-1)
+            pre=kalman.KalmanState(pre_x, pre_step.P_upd),
+            post=post,
+            post_shares_pre=shares & ~sigma_hat.any(axis=-1),
         ),
         sync,
     )
-    return Algorithm1Step(
-        bank=new_bank,
-        cusum=new_cs,
-        a_hat=a_hat,
-        sigma_hat=sigma_hat,
-        beta=beta,
-        pre_innovation=pre_innovation,
-    )
+    return Algorithm1Step(bank=new_bank, cusum=new_cs, a_hat=a_hat, sigma_hat=sigma_hat, beta=beta)

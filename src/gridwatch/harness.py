@@ -18,14 +18,20 @@ block. Each trial's streams are plain ``np.random.Generator`` objects, and
 each kernel leaves them where the block's draws end, so every step
 receives the values that drawing at that step would give and no draws are
 held from one block to the next. A block ends where the attack switches on
-or off and where a topology fault begins. The engine then reads the block
-a step at a time: the filters and detector statistics run once per step
-on (B, K) and (B,) arrays, sharing the step's pre-filter schedule entry,
-and each trial hashes its rows of the block at the block's end or when it
-leaves. Without recorded paths a trial leaves the batch (the batch is
-compacted, its current block included) once every detector except alg2
-has fired, and the engine holds O(B) state; (B, horizon) path arrays
-exist only when paths are requested.
+or off and where a topology fault begins. The pre filter reads only the
+measurements, so it runs over the block as well, on the block's schedule
+entries, and so does every statistic built on it alone, one call each for
+the block: the innovation norm, the chi-squared sample, the cosine
+similarity and the GLLR's clean term. The engine then reads the block a
+step at a time for the closed-loop rest: algorithm 1's post filter, GLLR
+and CUSUM, the Pearson window, the nonparametric CUSUM and the stopping
+rules, on (B, K) and (B,) arrays. Each product is one BLAS call per vector
+in either half, so every trial gets the bits of a step at a time. Each
+trial hashes its rows of the block at the block's end or when it leaves.
+Without recorded paths a trial leaves the batch (the batch is compacted,
+its current block included) once every detector except alg2 has fired,
+and the engine holds O(B) state; (B, horizon) path arrays exist only when
+paths are requested.
 ``run_trials`` derives the seeds of a run, (master seed, trial index),
 and runs them as one batch; a single trial is the batch of one seed.
 """
@@ -52,6 +58,7 @@ from .grid_model import (
     GridModel,
     build_model,
     load_topology,
+    matvec,
     simulate_block,
     simulate_step,
     vecdot,
@@ -418,9 +425,9 @@ def run_trials(
 
 @dataclass
 class _Streams:
-    """A batch's own state outside the batched filters: per trial, its place
-    in the run, seed, measurement hash, random streams and current block of
-    true states and measurements.
+    """A batch's own state outside the post filter and the CUSUM: per trial,
+    its place in the run, seed, measurement hash, random streams, and the
+    current block of true states, measurements and what reads only them.
 
     Each trial derives four child streams from its seed, in their documented
     order: simulation, attack realization, attack application (jamming
@@ -430,6 +437,10 @@ class _Streams:
     each step receives the values that drawing in the documented order
     at that step would give. The windows are drawn at spawn time, L
     chi-squared draws per trial, and returned as one batch.
+
+    Every field is per trial, a list or an array on a leading trial axis
+    (the statistics no detector reads are None), so ``take`` filters them
+    all alike.
     """
 
     index: list
@@ -437,9 +448,14 @@ class _Streams:
     hashers: list
     X: np.ndarray  # (B, T, N) true states of the current block
     Y: np.ndarray  # (B, T, K, lam) measurements of the current block
+    pre: np.ndarray  # (B, T, N) the pre filter's filtered states
+    clean: np.ndarray  # (B, T) the GLLR's clean term
     sim: list
     atk: list
     jam: list
+    dist: Optional[np.ndarray] = None  # (B, T) innovation norms, for np_cusum and euclidean
+    c: Optional[np.ndarray] = None  # (B, T) chi-squared samples
+    cosine: Optional[np.ndarray] = None  # (B, T) cosine similarities
 
     @classmethod
     def spawn(cls, ctx: RunContext, seeds: Sequence) -> "tuple[_Streams, Optional[Chi2State]]":
@@ -451,43 +467,61 @@ class _Streams:
             samples = [np.random.default_rng(ss).chisquare(dof, ctx.chi2.L) for ss in chi2_ss]
             window = Chi2State.from_samples(ctx.chi2, samples)
         B = len(seeds)
+        start = np.tile(ctx.x0, (B, 1, 1))  # a block of one step: the start state
         streams = cls(
             index=list(range(B)),
             seeds=list(seeds),
             hashers=[hashlib.sha256() for _ in seeds],
-            X=np.tile(ctx.x0, (B, 1, 1)),  # a block of one step: the start state
+            X=start,
             Y=np.empty((B, 0, model.K, model.lam)),
+            pre=start,
+            clean=np.empty((B, 0)),
             sim=[np.random.default_rng(ss) for ss in sim_ss],
             atk=[np.random.default_rng(ss) for ss in atk_ss],
             jam=[np.random.default_rng(ss) for ss in jam_ss],
         )
         return streams, window
 
-    def next_block(self, ctx: RunContext, t: int, steps: int) -> None:
-        """Simulate and attack the steps t .. t + steps - 1 of every trial,
-        one call of each kernel for the whole block."""
-        attack = ctx.cfg.attack
+    def next_block(self, ctx: RunContext, t: int, pre_steps: "list[kalman.GainStep]") -> None:
+        """The steps t .. t + T - 1 of every trial, T = len(pre_steps), the
+        block's pre-filter schedule entries: simulate and attack them, one
+        call of each kernel for the whole block, then run the pre filter
+        and every statistic that reads only it over the block, one call
+        each. The old block's measurements are dropped first, so that two
+        blocks of them never coexist."""
+        model, attack = ctx.model, ctx.cfg.attack
         _, faulted = _phase(attack, t)
-        sim_model = ctx.sim_model_post if faulted else ctx.model
-        self.X, Y = simulate_step(sim_model, self.X[:, -1], self.sim, steps)
-        real = realize_attack(attack, t, steps, self.atk, ctx.model.K)
-        self.Y = apply_attack(ctx.model, Y, real, self.jam)
+        sim_model = ctx.sim_model_post if faulted else model
+        x, x_pre = self.X[:, -1], self.pre[:, -1]
+        self.Y = self.dist = self.c = self.cosine = None
+        self.X, Y = simulate_step(sim_model, x, self.sim, len(pre_steps))
+        real = realize_attack(attack, t, len(pre_steps), self.atk, model.K)
+        self.Y = Y = apply_attack(model, Y, real, self.jam)
+
+        self.pre, R = kalman.pre_filter(model, x_pre, Y, pre_steps)
+        r_flat = R.reshape(*R.shape[:2], -1)
+        if ctx.np_q is not None or ctx.euclid_d is not None:
+            self.dist = np.sqrt(vecdot(r_flat, r_flat))  # the 2-norm, as np.linalg.norm
+        if ctx.chi2 is not None:
+            # each entry's whitening factor keeps its Fortran layout, as the
+            # BLAS kernel of its products and so their bits depend on it
+            white = np.stack([step.white.T for step in pre_steps]).swapaxes(-1, -2)
+            self.c = robust.chi2_sample_from_innovation(R, white, model.sigma_w2)
+        if ctx.cosine_d is not None:
+            y_flat = Y.reshape(*Y.shape[:2], -1)
+            self.cosine = robust.cosine_similarity(y_flat, y_flat - r_flat)
+        # the residuals against the filtered states, in the innovations' buffer
+        r_pre = np.subtract(Y, matvec(model.meter_rows, self.pre)[..., None], out=R)
+        self.clean = detector.clean_term(r_pre, model)
 
     def take(self, keep: np.ndarray) -> "_Streams":
         """The trials where the boolean mask ``keep`` is true."""
-        def kept(items: list) -> list:
-            return [item for item, k in zip(items, keep) if k]
+        def kept(item):
+            if isinstance(item, list):
+                return [value for value, k in zip(item, keep) if k]
+            return None if item is None else item[keep]
 
-        return _Streams(
-            index=kept(self.index),
-            seeds=kept(self.seeds),
-            hashers=kept(self.hashers),
-            X=self.X[keep],
-            Y=self.Y[keep],
-            sim=kept(self.sim),
-            atk=kept(self.atk),
-            jam=kept(self.jam),
-        )
+        return _Streams(**{f.name: kept(getattr(self, f.name)) for f in fields(self)})
 
 
 def _phase(attack: AttackSpec, t: int) -> "tuple[bool, bool]":
@@ -538,10 +572,12 @@ def run_trial(
     Per trial: the measurement hash, updated once per block (SHA-256 does
     not depend on how its input is cut). Batched, once per block of at most
     BLOCK_STEPS steps: the simulation and the attack realization and
-    application (each trial drawing from its own streams). Batched, once
-    per step: algorithm 1 (both filters, the detector statistics and one
-    CUSUM step per trial), the chi-squared window, the benchmark statistics
-    and the stopping rules. Unless paths are recorded (full paths or step
+    application (each trial drawing from its own streams), the pre filter,
+    the innovation norm, the chi-squared sample, the cosine similarity and
+    the GLLR's clean term. Batched, once per step: algorithm 1's
+    closed-loop half (post filter, detector statistics and one CUSUM step
+    per trial), the Pearson window, the nonparametric CUSUM and the
+    stopping rules. Unless paths are recorded (full paths or step
     logging), a trial leaves the batch once every enabled detector but alg2
     has fired; the rest of its block is then never read. A diverging state
     raises FloatingPointError when its block is simulated, up to
@@ -581,32 +617,29 @@ def run_trial(
     for t in range(1, horizon + 1):
         if pos == length:
             length = _block_steps(attack, t, min(BLOCK_STEPS, horizon + 1 - t))
-            streams.next_block(ctx, t, length)
+            block_steps = list(islice(pre_steps, length))
+            streams.next_block(ctx, t, block_steps)
             pos = 0
-        y = streams.Y[:, pos]
-        pos += 1
-        b = len(y)
-
-        pre_step = next(pre_steps)
-        step = detector.algorithm1_step(bank, cs, model, ctx.det_cfg, y, t, pre_step)
+        step = detector.algorithm1_step(
+            bank, cs, model, ctx.det_cfg, streams.Y[:, pos], t,
+            block_steps[pos], streams.pre[:, pos], streams.clean[:, pos],
+        )
         bank, cs = step.bank, step.cusum
-        r = step.pre_innovation.reshape(b, -1)
-        dist = np.sqrt(vecdot(r, r))  # the 2-norm, as np.linalg.norm
 
         # this step's statistics, keyed by TrialPaths field
         stats = {"g": np.array([c.g for c in cs]), "beta": step.beta}
         if ctx.chi2 is not None:
-            c = robust.chi2_sample_from_innovation(step.pre_innovation, pre_step.white, model.sigma_w2)
+            c = streams.c[:, pos]
             window, chi = robust.pearson_step(window, c)
             stats.update(c=c, chi=chi)
         if "np_cusum" in thresholds:
-            np_S = robust.np_cusum_step(np_S, dist, mu0, ctx.np_clamp)
+            np_S = robust.np_cusum_step(np_S, streams.dist[:, pos], mu0, ctx.np_clamp)
             stats["np_S"] = np_S
         if "euclidean" in thresholds:
-            stats["euclid"] = dist
+            stats["euclid"] = streams.dist[:, pos]
         if "cosine" in thresholds:
-            y_flat = y.reshape(b, -1)
-            stats["cosine"] = robust.cosine_similarity(y_flat, y_flat - r)
+            stats["cosine"] = streams.cosine[:, pos]
+        pos += 1
 
         hits = [crossed(stats[f], thr, d) for f, d, thr in rules]
         first = np.array(hits) & (stops == INF)
@@ -624,10 +657,10 @@ def run_trial(
                 getattr(paths, field)[:, t - 1] = values
 
         if pos == length:  # the block's last step: every trial hashes the block
-            for hasher, rows in zip(streams.hashers, streams.Y):
-                hasher.update(rows)
+            for j, hasher in enumerate(streams.hashers):
+                hasher.update(streams.Y[j])
         if t == horizon:
-            done = np.ones(b, dtype=bool)
+            done = np.ones(len(cs), dtype=bool)
         elif want_paths:
             continue
         else:

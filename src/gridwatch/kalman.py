@@ -42,19 +42,22 @@ Every function takes a leading trial axis: the harness advances B trials in
 lock-step, so a state holds x as (B, N) and P as (B, N, N), or as one
 (N, N) array that all trials share. All trials sit at the same step, so
 the pre filter's covariance is always the schedule's shared entry and its
-update is one stacked matrix-vector product. The post filter carries a
-per-trial "shares pre" mask (``DualFilterBank.post_shares_pre``): trials
-with the flag set take the pre entry's covariance and gain, and only the
-others run the K x K update, on their stacked covariances. A single trial
-is a batch of one. Products go through
-``grid_model.matvec``, so each trial's numbers have the bits of an
-unbatched run.
+update is one stacked matrix-vector product. The pre filter never reads
+the post filter or the detector, so ``pre_filter`` runs it over a whole
+block of measurements ahead of them: one A x and one ``kf_update_pre_full``
+per step, on that step's entry, with the bits of a step at a time. The
+post filter carries a per-trial "shares pre" mask
+(``DualFilterBank.post_shares_pre``): trials with the flag set take the
+pre entry's covariance and gain, and only the others run the K x K update,
+on their stacked covariances. A single trial is a batch of one. Products
+go through ``grid_model.matvec``, so each trial's numbers have the bits of
+an unbatched run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
@@ -285,6 +288,27 @@ def kf_update_pre_full(
     innovation = y - matvec(model.meter_rows, pred.x)[..., None]
     x = pred.x + matvec(step.gain, innovation.sum(axis=-1) / model.lam)
     return KalmanState(x, step.P_upd), innovation
+
+
+def pre_filter(
+    model: GridModel, x: np.ndarray, Y: np.ndarray, steps: "Sequence[GainStep]"
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The pre filter over a block of (B, T, K, lam) measurements Y from the
+    (B, N) filtered states x, with ``steps`` the T schedule entries of the
+    block; returns the filtered states (B, T, N) and the innovations
+    y - H x_pred (B, T, K, lam).
+
+    Each step predicts A x and updates with ``kf_update_pre_full`` on its
+    entry, the arithmetic of a step at a time; only the recursion on x is
+    sequential, and it reads nothing but the measurements.
+    """
+    X = np.empty(Y.shape[:2] + x.shape[-1:])
+    R = np.empty_like(Y)
+    for s, step in enumerate(steps):
+        pred = KalmanState(matvec(model.A, x), step.P_pred)
+        filtered, R[:, s] = kf_update_pre_full(model, pred, Y[:, s], step)
+        x = X[:, s] = filtered.x
+    return X, R
 
 
 def kf_update_post(

@@ -13,11 +13,18 @@ earliest of the stopping times:
   norm, plus Euclidean-distance and cosine-similarity outlier detectors.
 
 This module holds the statistics that need more than one line: c_t, the
-Pearson window and the cosine similarity. Each takes a leading trial axis;
-the Pearson windows of a batch share one ring-buffer head, because all its
-trials are at the same step. The Shewhart statistic is the GLLR itself, and
-the harness forms the innovation norm and the nonparametric CUSUM inline
-and applies every threshold with one first-crossing rule.
+Pearson window, the nonparametric CUSUM step and the cosine similarity.
+c_t and the cosine read only the pre filter's innovations and the
+measurements, so they take any leading axes: the harness calls each once
+per block, on (B, T, ...) arrays, next to the innovation norm, which it
+forms itself. c_t then takes the block's T whitening factors stacked as
+(T, K, K), each in its own Fortran layout, and every product stays one
+BLAS call per vector, so a block has the bits of its steps one by one. The
+Pearson window and the nonparametric CUSUM step once per step on the
+trial axis; the Pearson windows of a batch share one ring-buffer head,
+because all its trials are at the same step. The Shewhart statistic is the
+GLLR itself, and the harness applies every threshold with one
+first-crossing rule.
 """
 
 from __future__ import annotations
@@ -110,8 +117,9 @@ def chi2_sample_from_innovation(
     """Normalized innovation energy c_t = r^T Q^{-1} r against the pre-filter
     prediction; chi-squared with K*lam degrees of freedom under no attack.
 
-    r is the (..., K, lam) innovation and ``white`` the inverse W of the
-    lower Cholesky factor of the meter-mean innovation covariance
+    r is the (..., K, lam) innovation and ``white`` (K, K, or with leading
+    axes that broadcast against r's) the inverse W of the lower Cholesky
+    factor of the meter-mean innovation covariance
     Sbar = M P_pred M^T + (sigma_w2/lam) I. Q = H P_pred H^T + sigma_w2 I acts
     as sigma_w2 I on the within-meter deviations and as lam Sbar on the
     meter means, so c_t = ||r - rbar kron 1||^2 / sigma_w2 + ||W rbar||^2.

@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from gridwatch import detector, harness, kalman, robust
 from gridwatch.attacks import AttackRealization, is_active
-from gridwatch.grid_model import vecdot
+from gridwatch.grid_model import matvec, vecdot
 from gridwatch.kalman import KalmanState, _symmetrize, initial_state
 
 
@@ -411,7 +411,8 @@ def dense_trial(ctx, seed):
         pre, factor, r = dense_update(model, pre_pred, y_flat, 0.0, clean_noise)
         inflated = clean_noise + expand(model, sigma_hat)
         post = dense_update(model, post_pred, y_flat, expand(model, a_hat), inflated)[0]
-        beta = detector.gllr(y - (model.meter_rows @ pre.x)[:, None], costs, model)
+        clean = detector.clean_term(y - (model.meter_rows @ pre.x)[:, None], model)
+        beta = detector.gllr(clean, costs)
         g = max(0.0, g + beta)
         if g == 0.0:
             post, tau_hat = copy_state(pre), t
@@ -455,6 +456,115 @@ def dense_trial(ctx, seed):
             stops["alg1"], stops.get("shewhart", math.inf), stops.get("chi2", math.inf)
         )
     return {"meas_hash": hasher.hexdigest(), "hashes": hashes, "paths": paths, "stops": stops}
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 1 a whole step at a time: both filters, the GLLR and the CUSUM
+# in one function, and the engine around it reading each step's
+# measurements, innovation norm, chi-squared sample and cosine from that
+# step alone. The engine now runs the pre filter and every statistic on it
+# a block ahead and calls the closed-loop half per step; each trial must get
+# the same bits.
+
+
+def algorithm1_step(bank, cs, model, cfg, y, t, pre_step):
+    """One full detection-and-estimation iteration on step t's schedule
+    entry ``pre_step``, returning the step and the pre filter's innovation
+    y - H x_pre_pred as (B, K, lam)."""
+    pre = kalman.kf_predict(model, bank.pre, pre_step)
+    shares = bank.post_shares_pre
+    post = kalman.kf_predict(model, bank.post, pre_step, shares)
+
+    rb = detector.residual_block(model, y, post.x, cfg)
+    costs = detector.hypothesis_costs(rb, model, cfg)
+    a_hat, sigma_hat = detector.mle_attack_params(rb, detector.classify_meters(costs), cfg, model)
+
+    pre, pre_innovation = kalman.kf_update_pre_full(model, pre, y, pre_step)
+    post = kalman.kf_update_post(model, post, rb.mean, a_hat, sigma_hat, pre_step, shares)
+
+    K, lam, sw2 = model.K, model.lam, model.sigma_w2
+    r = (y - matvec(model.meter_rows, pre.x)[..., None]).reshape(len(y), K * lam)
+    chosen = costs.min(axis=-2)
+    beta = 0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1)
+
+    stepped = [detector.cusum_step(c, b, t) for c, b in zip(cs, beta.tolist(), strict=True)]
+    sync = np.array([flag for _, flag in stepped], dtype=bool)
+    new_bank = kalman.sync_post_to_pre(
+        kalman.DualFilterBank(pre=pre, post=post, post_shares_pre=shares & ~sigma_hat.any(axis=-1)),
+        sync,
+    )
+    step = detector.Algorithm1Step(new_bank, [c for c, _ in stepped], a_hat, sigma_hat, beta)
+    return step, pre_innovation
+
+
+def pre_half(model, bank, y):
+    """What ``detector.algorithm1_step`` takes from the pre filter at one
+    step from the bank ``bank``: the schedule entry computed from the pre
+    filter's own covariance, the filtered state and the GLLR's clean term."""
+    pre_step = kalman.pre_gain_step(model, kalman.kf_predict(model, bank.pre).P)
+    X, _ = kalman.pre_filter(model, bank.pre.x, y[:, None], [pre_step])
+    clean = detector.clean_term(y - matvec(model.meter_rows, X[:, 0])[..., None], model)
+    return pre_step, X[:, 0], clean
+
+
+def whole_step_run(ctx, seeds):
+    """The trials of ``seeds`` in lock-step over the whole horizon, with
+    full paths, on ``algorithm1_step`` above.
+
+    The measurements come from the engine's kernels in blocks of one step,
+    with each trial's streams spawned and drawn as the engine does. Returns
+    the paths keyed like TrialPaths fields (enabled statistics only), each
+    (B, horizon), and per trial its measurement hash after every step.
+    """
+    model, cfg, attack = ctx.model, ctx.cfg, ctx.cfg.attack
+    B, horizon = len(seeds), cfg.run.horizon
+    sim_ss, atk_ss, jam_ss, chi2_ss = zip(*(np.random.SeedSequence(s).spawn(4) for s in seeds))
+    sim = [np.random.default_rng(ss) for ss in sim_ss]
+    atk = [np.random.default_rng(ss) for ss in atk_ss]
+    jam = [np.random.default_rng(ss) for ss in jam_ss]
+    window = None
+    if ctx.chi2 is not None:
+        dof = model.K * model.lam
+        samples = [np.random.default_rng(ss).chisquare(dof, ctx.chi2.L) for ss in chi2_ss]
+        window = robust.Chi2State.from_samples(ctx.chi2, samples)
+    x = np.tile(ctx.x0, (B, 1))
+    bank = kalman.initial_bank(x, ctx.p0)
+    cs = [detector.CusumState() for _ in seeds]
+    np_S = np.zeros(B)
+    hashers = [hashlib.sha256() for _ in seeds]
+    hashes = [[] for _ in seeds]
+    paths = {}
+    for t, pre_step in zip(range(1, horizon + 1), ctx.schedule):
+        faulted = attack.kind == "topology-fault" and t >= attack.tau
+        X, Y = harness.simulate_step(ctx.sim_model_post if faulted else model, x, sim, 1)
+        real = harness.realize_attack(attack, t, 1, atk, model.K)
+        Y = harness.apply_attack(model, Y, real, jam)
+        x, y = X[:, 0], Y[:, 0]
+        for hasher, trail, rows in zip(hashers, hashes, y):
+            hasher.update(rows)
+            trail.append(hasher.hexdigest())
+
+        step, innovation = algorithm1_step(bank, cs, model, ctx.det_cfg, y, t, pre_step)
+        bank, cs = step.bank, step.cusum
+        r = innovation.reshape(B, -1)
+        dist = np.sqrt(vecdot(r, r))
+        rows = {"g": [c.g for c in cs], "beta": step.beta, "tau_hat": [c.tau_hat for c in cs]}
+        if window is not None:
+            c = robust.chi2_sample_from_innovation(innovation, pre_step.white, model.sigma_w2)
+            window, chi = robust.pearson_step(window, c)
+            rows.update(c=c, chi=chi)
+        if ctx.np_q is not None:
+            np_S = robust.np_cusum_step(np_S, dist, ctx.mu0, ctx.np_clamp)
+            rows["np_S"] = np_S
+        if ctx.euclid_d is not None:
+            rows["euclid"] = dist
+        if ctx.cosine_d is not None:
+            y_flat = y.reshape(B, -1)
+            rows["cosine"] = robust.cosine_similarity(y_flat, y_flat - r)
+        for name, values in rows.items():
+            dtype = np.int64 if name == "tau_hat" else float
+            paths.setdefault(name, np.zeros((B, horizon), dtype=dtype))[:, t - 1] = values
+    return paths, hashes
 
 
 def estimate_delay(stop_times, tau):

@@ -455,10 +455,20 @@ def test_cli_false_alarm(tmp_path, two_bus_path, capsys):
         horizon=60,
     )
     cfg_path = write(tmp_path, cfgtext)
-    rc = main(["false-alarm", "--config", str(cfg_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "detector,fap,fap_ci,censored,runs"
+    printed = []
+    for run in ("a", "b"):
+        rc = main(["false-alarm", "--config", str(cfg_path), "--out", str(tmp_path / run)])
+        assert rc == 0
+        printed.append(capsys.readouterr().out.splitlines())
+    # stdout holds the table, then the line naming the file it was written to
+    table, wrote = printed[0][:-1], printed[0][-1]
+    assert table[0] == "detector,fap,fap_ci,censored,runs"
+    assert len(table) == 2  # alg1 alone
+    assert wrote == f"wrote {tmp_path / 'a' / 'false_alarm.csv'}"
+    assert printed[1][:-1] == table
+    written = (tmp_path / "a" / "false_alarm.csv").read_bytes()
+    assert written == "".join(line + "\n" for line in table).encode()
+    assert written == (tmp_path / "b" / "false_alarm.csv").read_bytes()
 
 
 def test_undecodable_byte_names_its_line(tmp_path, two_bus_path):

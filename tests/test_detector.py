@@ -11,6 +11,7 @@ from gridwatch.detector import (
     ResidualBlock,
     algorithm1_step,
     classify_meters,
+    clean_term,
     cusum_step,
     gllr,
     hypothesis_costs,
@@ -25,6 +26,7 @@ from oracles import (
     brute_force_costs,
     four_array_statistics,
     gather_gllr,
+    pre_half,
     random_residual_blocks,
 )
 
@@ -136,7 +138,7 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
     costs = hypothesis_costs(rb, ieee14_model, CFG)
     cls = classify_meters(costs)
     a_hat, sigma_hat = mle_attack_params(rb, cls, CFG, ieee14_model)
-    beta = gllr(rb.e, costs, ieee14_model)
+    beta = gllr(clean_term(rb.e, ieee14_model), costs)
     assert len(set(cls.labels.ravel())) == 4  # every hypothesis occurs
     for i in range(B):
         rb1 = residual_block(ieee14_model, y[i], x[i], CFG)
@@ -149,7 +151,7 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
             (a_hat[i], a_hat1), (sigma_hat[i], sigma_hat1),
         ]:
             np.testing.assert_array_equal(got, want)
-        assert beta[i] == gllr(rb1.e, costs1, ieee14_model)
+        assert beta[i] == gllr(clean_term(rb1.e, ieee14_model), costs1)
 
 
 # Hand-made meter rows (lam = 5) for the oracle comparison below: an
@@ -200,7 +202,7 @@ def test_cost_table_matches_four_array_oracle(ieee14_model, B):
         (costs[..., 0, :], "u0"), (costs[..., 1, :], "uf"),
         (costs[..., 2, :], "uj"), (costs[..., 3, :], "ufj"),
         (cls.labels, "labels"), (a_hat, "a_hat"), (sigma_hat, "sigma_hat"),
-        (gllr(r_pre, costs, ieee14_model), "beta"),
+        (gllr(clean_term(r_pre, ieee14_model), costs), "beta"),
     ]:
         assert_same_bits(got, want[key])
     assert_same_bits(rb.ssr[..., 0, :], rb.zeta)
@@ -209,7 +211,8 @@ def test_cost_table_matches_four_array_oracle(ieee14_model, B):
     table = rng.integers(-2, 3, (B, 4, 23)) * rng.choice([-1.0, 1.0], (B, 4, 23))
     labels = classify_meters(table).labels
     assert_same_bits(labels, np.argmin(table, axis=-2))
-    assert_same_bits(gllr(r_pre, table, ieee14_model), gather_gllr(r_pre, table, labels, ieee14_model))
+    got = gllr(clean_term(r_pre, ieee14_model), table)
+    assert_same_bits(got, gather_gllr(r_pre, table, labels, ieee14_model))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +336,7 @@ def test_mle_feasibility_on_random_blocks(ieee14_model):
 def test_gllr_zero_at_perfect_fit(two_bus_model):
     rb = residual_block(two_bus_model, np.zeros((1, 1)), np.zeros(1), CFG)
     costs = hypothesis_costs(rb, two_bus_model, CFG)
-    beta = gllr(np.zeros((1, 1)), costs, two_bus_model)
+    beta = gllr(clean_term(np.zeros((1, 1)), two_bus_model), costs)
     assert beta == 0.0
 
 
@@ -343,7 +346,7 @@ def test_gllr_positive_for_huge_bias(ieee14_model):
     costs = hypothesis_costs(rb, ieee14_model, CFG)
     # pre-filter residuals equal the raw bias (no recovery on the clean side)
     r_pre = np.tile(e, (23, 1))
-    assert gllr(r_pre, costs, ieee14_model) > 0
+    assert gllr(clean_term(r_pre, ieee14_model), costs) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +415,8 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
     y = y_flat.reshape(1, 23, 5)
     # A = I, so the post prediction the residuals are built on is x0
     np.testing.assert_array_equal(kf_predict(ieee14_model, bank.post).x[0], x0)
-    step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1)
+    pre_step, pre_x, clean = pre_half(ieee14_model, bank, y)
+    step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1, pre_step, pre_x, clean)
     assert step.a_hat[0, 0] == pytest.approx(0.5, rel=1e-9)
     # had the residuals used the post *update* (which subtracts the explained
     # bias), the estimate could not equal the injected 0.5; meanwhile the
@@ -426,7 +430,8 @@ def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
     bank = initial_bank(x0[None], 1e-4)  # a batch of one trial
     bank.post.x[:] += 0.05
     y = (ieee14_model.H @ x0).reshape(1, 23, 5)
-    step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1)
+    pre_step, pre_x, clean = pre_half(ieee14_model, bank, y)
+    step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1, pre_step, pre_x, clean)
     (cs,) = step.cusum
     if cs.g == 0.0:
         np.testing.assert_array_equal(step.bank.post.x, step.bank.pre.x)

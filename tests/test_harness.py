@@ -585,6 +585,35 @@ def test_trials_leaving_mid_block_match_dense_oracle(tmp_path, mu0_cache):
         assert_matches_oracle(res, fast, dense_trial(ctx, res.seed))
 
 
+@pytest.mark.parametrize("block", [1, 31, 32, 33])
+def test_block_ahead_clean_half_matches_whole_step_oracle(tmp_path, mu0_cache, monkeypatch, block):
+    # the engine runs the pre filter, the innovation norm, c_t, the cosine
+    # and the GLLR's clean term a block ahead and Algorithm 1's closed-loop
+    # half per step; the whole-step oracle runs both halves a step at a
+    # time. Blocks of 1, 31, 32 and 33 steps cross the unsettled schedule
+    # (its first 90 entries differ from step to step) and block edges; in
+    # the run without paths the third trial leaves mid-block at step 126
+    # (inside 100-130, 100-131 and 100-132), so the trials that stay have
+    # their block compacted.
+    monkeypatch.setattr(harness, "BLOCK_STEPS", block)
+    cfg = make_cfg(tmp_path, attack=HYBRID, horizon=200, cache=mu0_cache, trials=4, seed=4,
+                   h=4.0, np_q=0.5, euclid_d=0.25, cosine_d=0.99)
+    ctx = harness.prepare(cfg)
+    assert len(ctx.schedule.steps) >= 90
+    full = harness.run_trials(ctx, full_paths=True)
+    quick = harness.run_trials(ctx)
+    assert [r.steps_run for r in quick] == [193, 188, 126, 200]
+    paths, hashes = oracles.whole_step_run(ctx, [r.seed for r in full])
+    names = ("g", "beta", "c", "chi", "np_S", "euclid", "cosine", "tau_hat")
+    assert set(paths) == set(names)
+    for name in names:
+        oracles.assert_same_bits(np.array([getattr(r.paths, name) for r in full]), paths[name])
+    for res, fast, trial_hashes in zip(full, quick, hashes):
+        assert res.meas_hash == trial_hashes[-1]
+        assert fast.meas_hash == trial_hashes[fast.steps_run - 1]
+        assert (fast.stops, fast.tau_hat) == (res.stops, res.tau_hat)
+
+
 def test_open_loop_kernels_run_once_per_block(monkeypatch):
     # the benchmark's tracer times simulate_step, realize_attack and
     # apply_attack at their gridwatch.harness bindings and reads one active
