@@ -19,6 +19,7 @@ made before the run by every command that takes it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -67,6 +68,8 @@ def cmd_simulate(args) -> int:
             d = harness.estimate_delay(stops, tau)
             miss = harness.missed_detection_ratio(stops, tau, cfg.run.eta)
             rows.append((name, "delay", d.mean, d.ci_half, miss))
+    syncs = sum(r.syncs for r in results)
+    rows.append(("alg1", "sync_frac", syncs / sum(r.steps_run for r in results), math.nan, syncs))
     harness.write_rows(sys.stdout, ["detector", "metric", "value", "ci_half", "extra"], rows)
 
     if cfg.attack.kind != "none":

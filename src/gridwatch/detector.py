@@ -37,19 +37,33 @@ for a whole block of steps ahead of the costs; the subtraction per step is
 the last operation of the one-expression form either way, so the bits are
 the same.
 
-Every statistic takes a leading trial axis: residual blocks of B trials are
-(B, K, lam) and the per-meter statistics (B, K). ``algorithm1_step`` is the
-closed-loop half of one step: it advances the post filter of a whole batch
-and applies the scalar CUSUM recursion ``cusum_step`` once per trial. The
-recursion has no threshold: the caller stops at the first step g reaches
-h, like every other detector.
+Every statistic takes leading trial (and step) axes: residual blocks of B
+trials are (B, K, lam) and the per-meter statistics (B, K). ``score`` chains
+them from the measurements and a post prediction to the GLLR.
+``algorithm1_step`` is the closed-loop half of one step: it advances the
+post filter of a whole batch and applies the scalar CUSUM recursion
+``cusum_step`` once per trial. The recursion has no threshold: the caller
+stops at the first step g reaches h, like every other detector.
+
+The pre track. The post filter is re-synced to the pre filter exactly when
+g is clamped to zero, so a trial whose g is zero (or that has not taken a
+step) holds the pre filter's estimate and covariance in its post filter:
+its post prediction is the pre filter's prediction, bit for bit, and its
+scoring at the next step is open-loop. The harness therefore scores every
+trial on the pre filter's predictions a block ahead, with ``score`` on
+(B, T, ...) slices; elementwise operations and reductions over the meter
+and sample axes give each entry the bits they give it in a (B, ...) step.
+``algorithm1_step`` takes that GLLR for the trials on the track, predicts
+and scores the rest, and runs the post update only for the trials that do
+not re-sync: a re-synced filter takes the step's pre estimate, whatever
+its update would have been.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -221,7 +235,8 @@ def cusum_step(cs: CusumState, beta: float, t: int) -> "tuple[CusumState, bool]"
     state and a sync flag.
 
     The sync flag is raised exactly when the statistic was clamped to zero,
-    which must trigger sync_post_to_pre; tau_hat then moves to t. The
+    which must re-sync the post filter to the pre filter; tau_hat then moves
+    to t. So g is zero exactly after a re-sync (the pre track). The
     recursion is threshold-free, so it runs on past any h.
     """
     g_new = max(0.0, cs.g + beta)
@@ -229,12 +244,57 @@ def cusum_step(cs: CusumState, beta: float, t: int) -> "tuple[CusumState, bool]"
     return CusumState(g=g_new, tau_hat=t if sync else cs.tau_hat), sync
 
 
+def score(
+    model: GridModel, cfg: DetectorConfig, y: np.ndarray, x_pred: np.ndarray, clean: np.ndarray
+) -> "tuple[ResidualBlock, MeterClassification, np.ndarray]":
+    """Algorithm 1's scoring of measurements ``y`` against the post-filter
+    prediction ``x_pred``: the residual block, the meter classification
+    and the GLLR on the clean term ``clean``. Every input carries the same
+    leading axes, a trial axis and, for a block, a step axis."""
+    rb = residual_block(model, y, x_pred, cfg)
+    costs = hypothesis_costs(rb, model, cfg)
+    return rb, classify_meters(costs), gllr(clean, costs)
+
+
+@dataclass
+class _Scored:
+    """What the post update of a set of trials reads: the post prediction,
+    the meter-mean residuals, the attack estimates and the shares-pre flags;
+    and the GLLR of each."""
+
+    pred: kalman.KalmanState
+    mean: np.ndarray
+    a_hat: np.ndarray
+    sigma_hat: np.ndarray
+    shares: np.ndarray
+    beta: np.ndarray
+
+    def take(self, keep) -> "_Scored":
+        return _Scored(
+            self.pred.take(keep), self.mean[keep], self.a_hat[keep], self.sigma_hat[keep],
+            self.shares[keep], self.beta[keep],
+        )
+
+
+def _rows(mask: np.ndarray):
+    """The trials of a mask as an index that copies nothing when it selects
+    every trial."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _closed_loop(bank, rows, model, cfg, y, pre_step, clean) -> _Scored:
+    """Predict the post filter of the trials ``rows`` and score them."""
+    shares = bank.post_shares_pre[rows]
+    pred = kalman.kf_predict(model, bank.post.take(rows), pre_step, shares)
+    rb, labels, beta = score(model, cfg, y[rows], pred.x, clean[rows])
+    a_hat, sigma_hat = mle_attack_params(rb, labels, cfg, model)
+    return _Scored(pred, rb.mean, a_hat, sigma_hat, shares, beta)
+
+
 @dataclass
 class Algorithm1Step:
     bank: kalman.DualFilterBank
     cusum: "list[CusumState]"
-    a_hat: np.ndarray  # the attack estimates the post update ran on, (..., K)
-    sigma_hat: np.ndarray
     beta: np.ndarray
 
 
@@ -248,40 +308,79 @@ def algorithm1_step(
     pre_step: kalman.GainStep,
     pre_x: np.ndarray,
     clean: np.ndarray,
+    beta_pre: Optional[np.ndarray],
 ) -> Algorithm1Step:
     """The closed-loop half of one detection-and-estimation iteration: what
     reads the post filter or the CUSUM.
 
     The pre filter reads only the measurements, so the caller runs it, and
-    the GLLR's clean term on it, ahead (``kalman.pre_filter``,
-    ``clean_term``) and passes step t's schedule entry ``pre_step``,
-    filtered state ``pre_x`` and clean term ``clean``. Order matters here:
-    predict the post filter, build residuals on its prediction, classify and
-    estimate, update it, score the GLLR, advance the CUSUM, and re-sync the
-    post filter to step t's pre estimate if the statistic hit zero.
+    what reads it alone, ahead (``kalman.pre_filter``, ``clean_term``,
+    ``score``) and passes step t's schedule entry ``pre_step``, filtered
+    state ``pre_x``, clean term ``clean`` and ``beta_pre``, the GLLR scored
+    on the pre filter's prediction. Order matters here: predict the post
+    filter, build residuals on its prediction, classify and estimate, score
+    the GLLR, advance the CUSUM, then update the post filter, or re-sync it
+    to step t's pre estimate if the statistic hit zero.
+
+    A trial whose g is zero is on the pre track: its post filter was
+    re-synced at the last step (or holds the start state), so its
+    prediction is the pre filter's, bit for bit, and its GLLR is
+    ``beta_pre``. Only the trials off the track are predicted and scored
+    here before the CUSUM, and only the trials that do not re-sync are
+    updated after it; an on-track trial that does not re-sync is scored
+    then, with the same calls on the same inputs.
 
     The bank and the (B, K, lam) measurements ``y`` carry a leading trial
     axis and ``cs`` holds one CusumState per trial (a single trial is a
     batch of one); the returned bank holds step t's pre estimate.
     """
-    shares = bank.post_shares_pre
-    post = kalman.kf_predict(model, bank.post, pre_step, shares)
-
-    rb = residual_block(model, y, post.x, cfg)
-    costs = hypothesis_costs(rb, model, cfg)
-    a_hat, sigma_hat = mle_attack_params(rb, classify_meters(costs), cfg, model)
-    post = kalman.kf_update_post(model, post, rb.mean, a_hat, sigma_hat, pre_step, shares)
-    beta = gllr(clean, costs)
+    on = [c.g == 0.0 for c in cs] if beta_pre is not None else [False] * len(cs)
+    scored = None
+    beta = beta_pre
+    if not all(on):
+        off = np.logical_not(on)
+        scored = _closed_loop(bank, _rows(off), model, cfg, y, pre_step, clean)
+        beta = scored.beta
+        if any(on):
+            beta = beta_pre.copy()
+            beta[off] = scored.beta
 
     stepped = [cusum_step(c, b, t) for c, b in zip(cs, beta.tolist(), strict=True)]
     new_cs = [c for c, _ in stepped]
-    sync = np.array([flag for _, flag in stepped], dtype=bool)
-    new_bank = kalman.sync_post_to_pre(
-        kalman.DualFilterBank(
-            pre=kalman.KalmanState(pre_x, pre_step.P_upd),
-            post=post,
-            post_shares_pre=shares & ~sigma_hat.any(axis=-1),
-        ),
-        sync,
+    stay = [not flag for _, flag in stepped]
+    pre = kalman.KalmanState(pre_x, pre_step.P_upd)
+    if not any(stay):
+        post, shares = pre, np.ones(len(cs), dtype=bool)
+    else:
+        stay = np.array(stay)
+        if scored is None or (stay & on).any():
+            # a trial leaves the pre track: score every trial that updates
+            scored = _closed_loop(bank, _rows(stay), model, cfg, y, pre_step, clean)
+        elif not stay[off].all():
+            scored = scored.take(np.flatnonzero(stay[off]))
+        post = kalman.kf_update_post(
+            model, scored.pred, scored.mean, scored.a_hat, scored.sigma_hat, pre_step, scored.shares
+        )
+        shares = scored.shares & ~scored.sigma_hat.any(axis=-1)
+        if not stay.all():  # the rest re-sync: post := pre
+            post, shares = _merge(pre, post, shares, stay)
+    return Algorithm1Step(
+        bank=kalman.DualFilterBank(pre=pre, post=post, post_shares_pre=shares),
+        cusum=new_cs,
+        beta=beta,
     )
-    return Algorithm1Step(bank=new_bank, cusum=new_cs, a_hat=a_hat, sigma_hat=sigma_hat, beta=beta)
+
+
+def _merge(pre, post, shares, stay):
+    """The post filter of the whole batch: the updated estimates ``post``
+    and their shares-pre flags for the trials ``stay``, the pre estimate
+    ``pre`` for the rest."""
+    x = pre.x.copy()
+    x[stay] = post.x
+    P = pre.P
+    if post.P.ndim > 2:
+        P = np.broadcast_to(P, x.shape + x.shape[-1:]).copy()
+        P[stay] = post.P
+    flags = np.ones(len(stay), dtype=bool)
+    flags[stay] = shares
+    return kalman.KalmanState(x, P), flags

@@ -22,11 +22,17 @@ or off and where a topology fault begins. The pre filter reads only the
 measurements, so it runs over the block as well, on the block's schedule
 entries, and so does every statistic built on it alone, one call each for
 the block: the innovation norm, the chi-squared sample, the cosine
-similarity and the GLLR's clean term. The engine then reads the block a
-step at a time for the closed-loop rest: algorithm 1's post filter, GLLR
-and CUSUM, the Pearson window, the nonparametric CUSUM and the stopping
-rules, on (B, K) and (B,) arrays. Each product is one BLAS call per vector
-in either half, so every trial gets the bits of a step at a time. Each
+similarity and the GLLR's clean term. So does algorithm 1's score of the
+pre track: a trial whose CUSUM g is zero re-synced its post filter to the
+pre filter at the last step (or has not left it), so its post prediction is
+the pre filter's, bit for bit, and its GLLR is the one scored on the pre
+predictions. The engine then reads the block a step at a time for the
+closed-loop rest: algorithm 1's post filter (predicted and scored for the
+trials off the pre track, updated for the trials that do not re-sync), its
+CUSUM, the Pearson window, the nonparametric CUSUM and the stopping rules,
+on (B, K) and (B,) arrays. Each product is one BLAS call per vector and
+every reduction runs over the same axis in either half, so every trial
+gets the bits of a step at a time. Each
 trial hashes its rows of the block at the block's end or when it leaves.
 Without recorded paths a trial leaves the batch (the batch is compacted,
 its current block included) once every detector except alg2 has fired,
@@ -72,6 +78,11 @@ INF = math.inf
 # each trial's normals take BLOCK_STEPS * (N + K*lam) doubles (32 KiB on
 # ieee14 at lam = 5); no stream keeps draws past its block.
 BLOCK_STEPS = 32
+
+# The most trial-steps of a block that Algorithm 1's pre-track score takes
+# at once: the whole block for up to 8 trials, one step at a time from 256.
+# The score's per-meter arrays then stay small next to the block itself.
+SCORE_TRIAL_STEPS = 256
 
 # The detectors that stop at the first step their statistic path reaches the
 # threshold (inclusive), as (name, TrialPaths field, direction): upward, or
@@ -398,6 +409,7 @@ class TrialResult:
     steps_run: int
     meas_hash: str
     paths: Optional[TrialPaths] = None
+    syncs: int = 0  # steps at which alg1's CUSUM was clamped to zero
 
     def stop(self, name: str) -> float:
         return self.stops.get(name, INF)
@@ -450,6 +462,9 @@ class _Streams:
     Y: np.ndarray  # (B, T, K, lam) measurements of the current block
     pre: np.ndarray  # (B, T, N) the pre filter's filtered states
     clean: np.ndarray  # (B, T) the GLLR's clean term
+    # (B, T) the GLLR of a trial on the pre track; None for a block that no
+    # trial starts on the track
+    beta_pre: Optional[np.ndarray]
     sim: list
     atk: list
     jam: list
@@ -476,19 +491,24 @@ class _Streams:
             Y=np.empty((B, 0, model.K, model.lam)),
             pre=start,
             clean=np.empty((B, 0)),
+            beta_pre=None,
             sim=[np.random.default_rng(ss) for ss in sim_ss],
             atk=[np.random.default_rng(ss) for ss in atk_ss],
             jam=[np.random.default_rng(ss) for ss in jam_ss],
         )
         return streams, window
 
-    def next_block(self, ctx: RunContext, t: int, pre_steps: "list[kalman.GainStep]") -> None:
+    def next_block(
+        self, ctx: RunContext, t: int, pre_steps: "list[kalman.GainStep]", on_track: bool
+    ) -> None:
         """The steps t .. t + T - 1 of every trial, T = len(pre_steps), the
         block's pre-filter schedule entries: simulate and attack them, one
         call of each kernel for the whole block, then run the pre filter
         and every statistic that reads only it over the block, one call
-        each. The old block's measurements are dropped first, so that two
-        blocks of them never coexist."""
+        each; ``on_track`` says whether any trial starts the block on the
+        pre track, and so whether its GLLR is scored. The old block's
+        measurements are dropped first, so that two blocks of them never
+        coexist."""
         model, attack = ctx.model, ctx.cfg.attack
         _, faulted = _phase(attack, t)
         sim_model = ctx.sim_model_post if faulted else model
@@ -498,7 +518,7 @@ class _Streams:
         real = realize_attack(attack, t, len(pre_steps), self.atk, model.K)
         self.Y = Y = apply_attack(model, Y, real, self.jam)
 
-        self.pre, R = kalman.pre_filter(model, x_pre, Y, pre_steps)
+        X_pred, self.pre, R = kalman.pre_filter(model, x_pre, Y, pre_steps)
         r_flat = R.reshape(*R.shape[:2], -1)
         if ctx.np_q is not None or ctx.euclid_d is not None:
             self.dist = np.sqrt(vecdot(r_flat, r_flat))  # the 2-norm, as np.linalg.norm
@@ -512,7 +532,17 @@ class _Streams:
             self.cosine = robust.cosine_similarity(y_flat, y_flat - r_flat)
         # the residuals against the filtered states, in the innovations' buffer
         r_pre = np.subtract(Y, matvec(model.meter_rows, self.pre)[..., None], out=R)
-        self.clean = detector.clean_term(r_pre, model)
+        self.clean = clean = detector.clean_term(r_pre, model)
+        # Algorithm 1's GLLR for a post filter that holds the pre estimate
+        self.beta_pre = None
+        if on_track:
+            self.beta_pre = np.empty(clean.shape)
+            n = max(1, SCORE_TRIAL_STEPS // len(clean))
+            for s in range(0, len(pre_steps), n):
+                cut = np.s_[:, s : s + n]
+                self.beta_pre[cut] = detector.score(
+                    model, ctx.det_cfg, Y[cut], X_pred[cut], clean[cut]
+                )[2]
 
     def take(self, keep: np.ndarray) -> "_Streams":
         """The trials where the boolean mask ``keep`` is true."""
@@ -573,15 +603,18 @@ def run_trial(
     not depend on how its input is cut). Batched, once per block of at most
     BLOCK_STEPS steps: the simulation and the attack realization and
     application (each trial drawing from its own streams), the pre filter,
-    the innovation norm, the chi-squared sample, the cosine similarity and
-    the GLLR's clean term. Batched, once per step: algorithm 1's
-    closed-loop half (post filter, detector statistics and one CUSUM step
-    per trial), the Pearson window, the nonparametric CUSUM and the
-    stopping rules. Unless paths are recorded (full paths or step
+    the innovation norm, the chi-squared sample, the cosine similarity, the
+    GLLR's clean term and the GLLR of the pre track (unless no trial starts
+    the block on it). Batched, once per step: algorithm 1's closed-loop half
+    (post filter, detector statistics and one CUSUM step per trial), the
+    Pearson window, the nonparametric CUSUM and the stopping rules. Per
+    trial, ``TrialResult.syncs`` counts the steps at which alg1's CUSUM was
+    clamped to zero. Unless paths are recorded (full paths or step
     logging), a trial leaves the batch once every enabled detector but alg2
     has fired; the rest of its block is then never read. A diverging state
-    raises FloatingPointError when its block is simulated, up to
-    BLOCK_STEPS - 1 steps before the engine would read it.
+    raises FloatingPointError when its block is simulated, and a
+    non-finite hypothesis cost when its block is scored for the pre track:
+    either up to BLOCK_STEPS - 1 steps before the engine would read it.
     """
     cfg, model = ctx.cfg, ctx.model
     horizon = cfg.run.horizon
@@ -600,6 +633,7 @@ def run_trial(
     cs = [detector.CusumState() for _ in range(B)]
     mu0 = ctx.mu0 if ctx.mu0 is not None else 0.0
     np_S = np.zeros(B)
+    syncs = np.zeros(B, dtype=np.int64)
     # first crossing per path detector (alg1 is row 0), and tau_hat at alg1's
     thresholds = ctx.thresholds
     names = list(thresholds)
@@ -609,7 +643,7 @@ def run_trial(
     pre_steps = iter(ctx.schedule)
     if horizon < 1:
         return [
-            _trial_result(ctx, streams, j, dict.fromkeys(names, INF), None, 0, paths)
+            _trial_result(ctx, streams, j, dict.fromkeys(names, INF), None, 0, paths, 0)
             for j in range(B)
         ]
 
@@ -618,16 +652,18 @@ def run_trial(
         if pos == length:
             length = _block_steps(attack, t, min(BLOCK_STEPS, horizon + 1 - t))
             block_steps = list(islice(pre_steps, length))
-            streams.next_block(ctx, t, block_steps)
+            streams.next_block(ctx, t, block_steps, any(c.g == 0.0 for c in cs))
             pos = 0
         step = detector.algorithm1_step(
             bank, cs, model, ctx.det_cfg, streams.Y[:, pos], t,
             block_steps[pos], streams.pre[:, pos], streams.clean[:, pos],
+            None if streams.beta_pre is None else streams.beta_pre[:, pos],
         )
         bank, cs = step.bank, step.cusum
 
         # this step's statistics, keyed by TrialPaths field
         stats = {"g": np.array([c.g for c in cs]), "beta": step.beta}
+        syncs += stats["g"] == 0.0
         if ctx.chi2 is not None:
             c = streams.c[:, pos]
             window, chi = robust.pearson_step(window, c)
@@ -672,7 +708,9 @@ def run_trial(
                 streams.hashers[j].update(streams.Y[j, :pos])
             trial_stops = {name: (int(s) if s < INF else INF) for name, s in zip(names, stops[:, j])}
             tau_hat = int(tau_at_alg1[j]) if trial_stops["alg1"] < INF else cs[j].tau_hat
-            results[streams.index[j]] = _trial_result(ctx, streams, j, trial_stops, tau_hat, t, paths)
+            results[streams.index[j]] = _trial_result(
+                ctx, streams, j, trial_stops, tau_hat, t, paths, int(syncs[j])
+            )
         keep = ~done
         if not keep.any():
             break
@@ -682,6 +720,7 @@ def run_trial(
         if window is not None:
             window = window.take(keep)
         np_S = np_S[keep]
+        syncs = syncs[keep]
         stops = stops[:, keep]
         tau_at_alg1 = tau_at_alg1[keep]
     return results
@@ -695,6 +734,7 @@ def _trial_result(
     tau_hat: Optional[int],
     steps_run: int,
     paths: Optional[TrialPaths],
+    syncs: int,
 ) -> TrialResult:
     enabled = ctx.enabled
     if "alg2" in enabled:
@@ -714,6 +754,7 @@ def _trial_result(
         steps_run=steps_run,
         meas_hash=streams.hashers[j].hexdigest(),
         paths=own_paths,
+        syncs=syncs,
     )
 
 

@@ -5,14 +5,14 @@ explains measurements with the current maximum-likelihood attack estimates:
 its innovation is y - H x_pred - a_hat and its innovation covariance is
 inflated by the estimated per-meter jamming variances. Whenever the
 detection statistic is clamped to zero the post filter is re-synchronized
-to the pre filter (the change-point estimate that moves with it lives in
-``detector.CusumState``).
+to the pre filter, in ``detector.algorithm1_step`` (the change-point
+estimate that moves with it lives in ``detector.CusumState``).
 
 Each filter carries one Gaussian estimate, ``KalmanState(x, P)``: between
 steps the bank holds both filters' filtered estimates, ``kf_predict`` maps
 one to the prediction, and the updates map the prediction back to a
-filtered estimate. A sync copies the pre filter's estimate into the post
-filter.
+filtered estimate. A sync gives the post filter the pre filter's
+filtered estimate in place of its own update.
 
 Both updates work in meter-mean form. H = M kron 1_lam and the lam noise
 samples of a meter are i.i.d., so the meter means ybar_k are a sufficient
@@ -158,18 +158,17 @@ def _per_trial(P: np.ndarray, batch: tuple) -> np.ndarray:
     return P if P.shape[:-2] == batch else np.broadcast_to(P, batch + P.shape[-2:])
 
 
-def kf_predict(
-    model: GridModel, ks: KalmanState, step: Optional[GainStep] = None, shares=True
-) -> KalmanState:
+def kf_predict(model: GridModel, ks: KalmanState, step: GainStep, shares=True) -> KalmanState:
     """The prediction of the filtered estimate ks: A x and A P A^T + sigma_v2 I.
 
-    With ``step``, the trials flagged in ``shares`` (all by default) have the
-    pre-filter schedule's covariance and take the predicted covariance from
-    the step instead of recomputing it; the others predict their own.
+    ``step`` is the pre-filter schedule's entry for this step: the trials
+    flagged in ``shares`` (all by default) have its covariance and take the
+    predicted covariance from it; the others predict their own, and with
+    ``shares=False`` every trial does.
     """
     x = matvec(model.A, ks.x)
     batch = x.shape[:-1]
-    own = ~np.asarray(shares, dtype=bool) if step is not None else np.True_
+    own = ~np.asarray(shares, dtype=bool)
     if own.all():
         P = _predict_cov(model, _per_trial(ks.P, batch))
     elif own.any():
@@ -292,23 +291,25 @@ def kf_update_pre_full(
 
 def pre_filter(
     model: GridModel, x: np.ndarray, Y: np.ndarray, steps: "Sequence[GainStep]"
-) -> "tuple[np.ndarray, np.ndarray]":
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """The pre filter over a block of (B, T, K, lam) measurements Y from the
     (B, N) filtered states x, with ``steps`` the T schedule entries of the
-    block; returns the filtered states (B, T, N) and the innovations
-    y - H x_pred (B, T, K, lam).
+    block; returns the predicted states A x (B, T, N), the filtered states
+    (B, T, N) and the innovations y - H x_pred (B, T, K, lam).
 
     Each step predicts A x and updates with ``kf_update_pre_full`` on its
     entry, the arithmetic of a step at a time; only the recursion on x is
     sequential, and it reads nothing but the measurements.
     """
-    X = np.empty(Y.shape[:2] + x.shape[-1:])
+    X_pred = np.empty(Y.shape[:2] + x.shape[-1:])
+    X = np.empty_like(X_pred)
     R = np.empty_like(Y)
     for s, step in enumerate(steps):
         pred = KalmanState(matvec(model.A, x), step.P_pred)
+        X_pred[:, s] = pred.x
         filtered, R[:, s] = kf_update_pre_full(model, pred, Y[:, s], step)
         x = X[:, s] = filtered.x
-    return X, R
+    return X_pred, X, R
 
 
 def kf_update_post(
@@ -317,7 +318,7 @@ def kf_update_post(
     residual_mean: np.ndarray,
     a_hat: np.ndarray,
     sigma_hat: np.ndarray,
-    pre_step: Optional[GainStep] = None,
+    pre_step: GainStep,
     shares=True,
 ) -> KalmanState:
     """Measurement update of the prediction ``pred`` against the estimated
@@ -329,21 +330,19 @@ def kf_update_post(
     filter's step, and ``shares`` flags the trials whose post covariance
     equals the pre covariance (all by default): those with sigma_hat all
     zero reuse its gain and covariance, and only the rest run the K x K
-    update, stacked.
+    update, stacked. With ``shares=False`` every trial runs its own.
     """
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if np.any(sigma_hat < 0):
         raise ValueError("sigma_hat must be >= 0")
     innovation = residual_mean - a_hat
-    own = sigma_hat.any(axis=-1)
-    if pre_step is not None:
-        own = own | ~np.asarray(shares, dtype=bool)
-        if not own.any():
-            return KalmanState(pred.x + matvec(pre_step.gain, innovation), pre_step.P_upd)
+    own = sigma_hat.any(axis=-1) | ~np.asarray(shares, dtype=bool)
+    if not own.any():
+        return KalmanState(pred.x + matvec(pre_step.gain, innovation), pre_step.P_upd)
     batch = pred.x.shape[:-1]
     P = _per_trial(pred.P, batch)
     noise = model.sigma_w2 + sigma_hat
-    if pre_step is None or own.all():
+    if own.all():
         step = gain_step(model, P, noise)
         return KalmanState(pred.x + matvec(step.gain, innovation), step.P_upd)
     step = gain_step(model, P[own], noise[own])
@@ -352,20 +351,3 @@ def kf_update_post(
     P = _per_trial(pre_step.P_upd, batch).copy()
     P[own] = step.P_upd
     return KalmanState(x, P)
-
-
-def sync_post_to_pre(bank: DualFilterBank, sync=True) -> DualFilterBank:
-    """Reset coupling for the trials flagged in ``sync`` (all by default):
-    post := pre (a copy)."""
-    sync = np.asarray(sync, dtype=bool)
-    if not sync.any():
-        return bank
-    pre, post = bank.pre, bank.post
-    return DualFilterBank(
-        pre=pre,
-        post=KalmanState(
-            np.where(sync[..., None], pre.x, post.x),
-            np.where(sync[..., None, None], pre.P, post.P),
-        ),
-        post_shares_pre=sync | bank.post_shares_pre,
-    )

@@ -436,6 +436,14 @@ def dense_trial(ctx, seed):
             paths["cosine"].append(robust.cosine_similarity(y_flat, y_flat - r))
     paths = {k: np.array(v) for k, v in paths.items() if v}
 
+    stops = path_stops(ctx, paths)
+    return {"meas_hash": hasher.hexdigest(), "hashes": hashes, "paths": paths, "stops": stops}
+
+
+def path_stops(ctx, paths):
+    """The stopping time of every enabled detector of ``ctx``: the first
+    crossing of its path in ``paths``, one trial's paths keyed like
+    TrialPaths fields."""
     rules = {
         "alg1": ("g", ctx.h, +1),
         "shewhart": ("beta", ctx.shewhart.phi if ctx.shewhart else None, +1),
@@ -455,16 +463,24 @@ def dense_trial(ctx, seed):
         stops["alg2"] = min(
             stops["alg1"], stops.get("shewhart", math.inf), stops.get("chi2", math.inf)
         )
-    return {"meas_hash": hasher.hexdigest(), "hashes": hashes, "paths": paths, "stops": stops}
+    return stops
+
+
+def sync_count(ctx, seed, steps):
+    """The re-syncs of one trial in its first ``steps`` steps, recounted on
+    the dense replay: the steps at which its CUSUM was clamped to zero."""
+    g = dense_trial(ctx, seed)["paths"]["g"][:steps]
+    return sum(1 for value in g if value == 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Algorithm 1 a whole step at a time: both filters, the GLLR and the CUSUM
-# in one function, and the engine around it reading each step's
-# measurements, innovation norm, chi-squared sample and cosine from that
-# step alone. The engine now runs the pre filter and every statistic on it
-# a block ahead and calls the closed-loop half per step; each trial must get
-# the same bits.
+# in one function, every trial predicted, scored and updated on its post
+# filter, and the engine around it reading each step's measurements,
+# innovation norm, chi-squared sample and cosine from that step alone. The
+# engine runs the pre filter, every statistic on it and the score of the
+# pre track a block ahead, and scores and updates per step only the trials
+# that need it; each trial must get the same bits.
 
 
 def algorithm1_step(bank, cs, model, cfg, y, t, pre_step):
@@ -489,32 +505,37 @@ def algorithm1_step(bank, cs, model, cfg, y, t, pre_step):
 
     stepped = [detector.cusum_step(c, b, t) for c, b in zip(cs, beta.tolist(), strict=True)]
     sync = np.array([flag for _, flag in stepped], dtype=bool)
-    new_bank = kalman.sync_post_to_pre(
-        kalman.DualFilterBank(pre=pre, post=post, post_shares_pre=shares & ~sigma_hat.any(axis=-1)),
-        sync,
+    # reset coupling: post := pre for the trials whose statistic hit zero
+    post = KalmanState(
+        np.where(sync[:, None], pre.x, post.x), np.where(sync[:, None, None], pre.P, post.P)
     )
-    step = detector.Algorithm1Step(new_bank, [c for c, _ in stepped], a_hat, sigma_hat, beta)
-    return step, pre_innovation
+    shares = sync | (shares & ~sigma_hat.any(axis=-1))
+    new_bank = kalman.DualFilterBank(pre=pre, post=post, post_shares_pre=shares)
+    return detector.Algorithm1Step(new_bank, [c for c, _ in stepped], beta), pre_innovation
 
 
-def pre_half(model, bank, y):
+def pre_half(model, cfg, bank, y, pre_step=None):
     """What ``detector.algorithm1_step`` takes from the pre filter at one
-    step from the bank ``bank``: the schedule entry computed from the pre
-    filter's own covariance, the filtered state and the GLLR's clean term."""
-    pre_step = kalman.pre_gain_step(model, kalman.kf_predict(model, bank.pre).P)
-    X, _ = kalman.pre_filter(model, bank.pre.x, y[:, None], [pre_step])
+    step from the bank ``bank``: the schedule entry (computed from the pre
+    filter's own covariance unless given), the filtered state, the GLLR's
+    clean term and the GLLR scored on the pre filter's prediction."""
+    if pre_step is None:
+        own = kalman.kf_predict(model, bank.pre, None, shares=False)
+        pre_step = kalman.pre_gain_step(model, own.P)
+    X_pred, X, _ = kalman.pre_filter(model, bank.pre.x, y[:, None], [pre_step])
     clean = detector.clean_term(y - matvec(model.meter_rows, X[:, 0])[..., None], model)
-    return pre_step, X[:, 0], clean
+    return pre_step, X[:, 0], clean, detector.score(model, cfg, y, X_pred[:, 0], clean)[2]
 
 
 def whole_step_run(ctx, seeds):
     """The trials of ``seeds`` in lock-step over the whole horizon, with
-    full paths, on ``algorithm1_step`` above.
+    full paths and step logging, on ``algorithm1_step`` above.
 
     The measurements come from the engine's kernels in blocks of one step,
     with each trial's streams spawned and drawn as the engine does. Returns
-    the paths keyed like TrialPaths fields (enabled statistics only), each
-    (B, horizon), and per trial its measurement hash after every step.
+    the paths keyed like TrialPaths fields (enabled statistics and the MSE
+    paths), each (B, horizon), and per trial its measurement hash after
+    every step.
     """
     model, cfg, attack = ctx.model, ctx.cfg, ctx.cfg.attack
     B, horizon = len(seeds), cfg.run.horizon
@@ -548,7 +569,11 @@ def whole_step_run(ctx, seeds):
         bank, cs = step.bank, step.cusum
         r = innovation.reshape(B, -1)
         dist = np.sqrt(vecdot(r, r))
-        rows = {"g": [c.g for c in cs], "beta": step.beta, "tau_hat": [c.tau_hat for c in cs]}
+        rows = {
+            "g": [c.g for c in cs], "beta": step.beta, "tau_hat": [c.tau_hat for c in cs],
+            "mse0": np.mean((bank.pre.x - x) ** 2, axis=-1),
+            "mse1": np.mean((bank.post.x - x) ** 2, axis=-1),
+        }
         if window is not None:
             c = robust.chi2_sample_from_innovation(innovation, pre_step.white, model.sigma_w2)
             window, chi = robust.pearson_step(window, c)

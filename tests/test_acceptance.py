@@ -411,7 +411,7 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
         X, Y = simulate_step(model, x, sim, 1)  # blocks of one step
         Y = apply_attack(model, Y, realize_attack(ctx2.cfg.attack, t, 1, atk, model.K), jam)
         x, y = X[:, 0], Y[:, 0]
-        step = algorithm1_step(bank, cs, model, det, y, t, *pre_half(model, bank, y))
+        step = algorithm1_step(bank, cs, model, det, y, t, *pre_half(model, det, bank, y))
         bank, cs = step.bank, step.cusum
         if t % 200 == 0:
             psd_ok &= min_eigenvalue_ratio(bank.pre.P[0]) >= -1e-10

@@ -431,6 +431,11 @@ def test_cli_simulate_and_sweep(tmp_path, two_bus_path, capsys):
     out = capsys.readouterr().out
     assert "alg1,delay" in out
     assert (tmp_path / "first_detector.csv").exists()
+    # the last row: the share of trial-steps at which alg1's CUSUM re-synced
+    results = harness.run_trials(harness.prepare(load_config(cfg_path)))
+    syncs = sum(r.syncs for r in results)
+    frac = syncs / sum(r.steps_run for r in results)
+    assert out.splitlines()[-2] == f"alg1,sync_frac,{frac:.10g},nan,{syncs}"
 
     rc = main(
         [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gridwatch.detector import (
     mle_attack_params,
     residual_block,
 )
-from gridwatch.kalman import initial_bank, kf_predict
+from gridwatch.kalman import PreSchedule, initial_bank, kf_predict
 
 from conftest import GAMMA, SIGMA2_MIN, SIGMA_W2
 from oracles import (
@@ -29,6 +30,7 @@ from oracles import (
     pre_half,
     random_residual_blocks,
 )
+from oracles import algorithm1_step as oracle_algorithm1_step
 
 CFG = DetectorConfig(gamma=GAMMA, sigma2_min=SIGMA2_MIN)
 
@@ -407,32 +409,94 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
     # the bias estimate must come from x1_{t|t-1}: feeding a huge bias on one
     # meter yields a_hat equal to the mean residual against the *prediction*,
     # unaffected by this step's own update
+    model = ieee14_model
     x0 = ieee14_topology.initial_state()
     bank = initial_bank(x0[None], 1e-4)  # a batch of one trial
-    y_flat = ieee14_model.H @ x0
+    y_flat = model.H @ x0
     y_flat = y_flat.copy()
     y_flat[0:5] += 0.5
     y = y_flat.reshape(1, 23, 5)
     # A = I, so the post prediction the residuals are built on is x0
-    np.testing.assert_array_equal(kf_predict(ieee14_model, bank.post).x[0], x0)
-    pre_step, pre_x, clean = pre_half(ieee14_model, bank, y)
-    step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1, pre_step, pre_x, clean)
-    assert step.a_hat[0, 0] == pytest.approx(0.5, rel=1e-9)
-    # had the residuals used the post *update* (which subtracts the explained
-    # bias), the estimate could not equal the injected 0.5; meanwhile the
-    # recovery leaves the post state at x0 while the pre filter gets dragged
+    np.testing.assert_array_equal(kf_predict(model, bank.post, None, shares=False).x[0], x0)
+    pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, bank, y)
+    step = algorithm1_step(bank, [CusumState()], model, CFG, y, 1, pre_step, pre_x, clean, beta_pre)
+    (cs,) = step.cusum
+    assert cs.g > 0.0  # no re-sync: the post filter ran its own update
+    # scored against the prediction x0, meter 0 is explained by a_hat = 0.5
+    rb = residual_block(model, y, x0[None], CFG)
+    costs = hypothesis_costs(rb, model, CFG)
+    a_hat, _ = mle_attack_params(rb, classify_meters(costs), CFG, model)
+    assert a_hat[0, 0] == pytest.approx(0.5, rel=1e-9)
+    assert_same_bits(step.beta, gllr(clean, costs))
+    # so the update leaves the post state at x0, while the pre filter gets
+    # dragged; had the residuals used the post *update* (which subtracts the
+    # explained bias), the estimate could not equal the injected 0.5 and the
+    # rest of the bias would drag the post state too
     np.testing.assert_allclose(step.bank.post.x[0], x0, atol=1e-12)
     assert np.linalg.norm(step.bank.pre.x[0] - x0) > 1e-4
 
 
 def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
+    # a biased first step lifts g and moves the post filter off the pre
+    # filter; clean steps then bring g back to zero, and the step that
+    # clamps it re-syncs the post filter to the pre estimate and moves tau_hat
+    model = ieee14_model
     x0 = ieee14_topology.initial_state()
     bank = initial_bank(x0[None], 1e-4)  # a batch of one trial
-    bank.post.x[:] += 0.05
-    y = (ieee14_model.H @ x0).reshape(1, 23, 5)
-    pre_step, pre_x, clean = pre_half(ieee14_model, bank, y)
-    step = algorithm1_step(bank, [CusumState()], ieee14_model, CFG, y, 1, pre_step, pre_x, clean)
-    (cs,) = step.cusum
-    if cs.g == 0.0:
-        np.testing.assert_array_equal(step.bank.post.x, step.bank.pre.x)
-        assert cs.tau_hat == 1
+    cs = [CusumState()]
+    rng = np.random.default_rng(0)
+    apart = False
+    for t in range(1, 30):
+        y = (model.H @ x0).reshape(1, 23, 5) + 0.01 * rng.standard_normal((1, 23, 5))
+        y[0, 0] += 0.05 if t == 1 else 0.0
+        step = algorithm1_step(bank, cs, model, CFG, y, t, *pre_half(model, CFG, bank, y))
+        bank, cs = step.bank, step.cusum
+        if cs[0].g > 0.0:
+            apart = bool(np.any(bank.post.x != bank.pre.x))
+            continue
+        break
+    assert apart and t > 2
+    assert cs[0].g == 0.0 and cs[0].tau_hat == t
+    np.testing.assert_array_equal(bank.post.x, bank.pre.x)
+    np.testing.assert_array_equal(bank.post.P, bank.pre.P)
+    assert bank.post_shares_pre.tolist() == [True]
+
+
+def test_algorithm1_step_matches_whole_step_oracle(ieee14_model, ieee14_topology):
+    # four trials from one state, each with its own data, against the oracle
+    # that predicts, scores and updates every trial and then re-syncs: trials
+    # on and off the pre track in one batch, on-track trials that do not
+    # re-sync, and steps where some trials re-sync and others update
+    model = ieee14_model
+    x0 = ieee14_topology.initial_state()
+    B = 4
+    bank = want_bank = initial_bank(np.tile(x0, (B, 1)), 1e-4)
+    cs = want_cs = [CusumState() for _ in range(B)]
+    rng = np.random.default_rng(5)
+    seen = dict.fromkeys(("mixed", "on_stays", "some_sync"), False)
+    for t, schedule_step in zip(range(1, 60), PreSchedule(model, 1e-4)):
+        y = np.tile((model.H @ x0).reshape(23, 5), (B, 1, 1))
+        y += 0.01 * rng.standard_normal(y.shape)
+        y[:, :3] += np.where(rng.random((B, 1, 1)) < 0.3, 0.03, 0.0)
+        pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, bank, y, schedule_step)
+        on = np.array([c.g == 0.0 for c in cs])
+        step = algorithm1_step(bank, cs, model, CFG, y, t, pre_step, pre_x, clean, beta_pre)
+        want, _ = oracle_algorithm1_step(want_bank, want_cs, model, CFG, y, t, pre_step)
+        assert_same_bits(step.beta, want.beta)
+        assert [astuple(c) for c in step.cusum] == [astuple(c) for c in want.cusum]
+        got_bank, want_bank = step.bank, want.bank
+        assert_same_bits(got_bank.pre.x, want_bank.pre.x)
+        assert_same_bits(got_bank.post.x, want_bank.post.x)
+        shares = got_bank.post_shares_pre
+        assert shares.tolist() == want_bank.post_shares_pre.tolist()
+        own = ~shares
+        assert_same_bits(
+            np.broadcast_to(got_bank.post.P, (B, 13, 13))[own],
+            np.broadcast_to(want_bank.post.P, (B, 13, 13))[own],
+        )
+        sync = np.array([c.g == 0.0 for c in step.cusum])
+        seen["mixed"] |= bool(on.any() and not on.all())
+        seen["on_stays"] |= bool((on & ~sync).any())
+        seen["some_sync"] |= bool(sync.any() and not sync.all())
+        bank, cs, want_cs = got_bank, step.cusum, want.cusum
+    assert seen == dict.fromkeys(seen, True)

@@ -600,11 +600,11 @@ def test_block_ahead_clean_half_matches_whole_step_oracle(tmp_path, mu0_cache, m
                    h=4.0, np_q=0.5, euclid_d=0.25, cosine_d=0.99)
     ctx = harness.prepare(cfg)
     assert len(ctx.schedule.steps) >= 90
-    full = harness.run_trials(ctx, full_paths=True)
+    full = harness.run_trials(ctx, full_paths=True, log_steps=True)
     quick = harness.run_trials(ctx)
     assert [r.steps_run for r in quick] == [193, 188, 126, 200]
     paths, hashes = oracles.whole_step_run(ctx, [r.seed for r in full])
-    names = ("g", "beta", "c", "chi", "np_S", "euclid", "cosine", "tau_hat")
+    names = ("g", "beta", "c", "chi", "np_S", "euclid", "cosine", "tau_hat", "mse0", "mse1")
     assert set(paths) == set(names)
     for name in names:
         oracles.assert_same_bits(np.array([getattr(r.paths, name) for r in full]), paths[name])
@@ -612,6 +612,53 @@ def test_block_ahead_clean_half_matches_whole_step_oracle(tmp_path, mu0_cache, m
         assert res.meas_hash == trial_hashes[-1]
         assert fast.meas_hash == trial_hashes[fast.steps_run - 1]
         assert (fast.stops, fast.tau_hat) == (res.stops, res.tau_hat)
+
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+def test_pre_track_matches_whole_step_oracle(tmp_path, mu0_cache, B):
+    # a trial whose g is zero is on the pre track: the engine takes its GLLR
+    # from the block's pre-track score and updates only the post filters of
+    # trials that do not re-sync; the whole-step oracle predicts, scores and
+    # updates every trial at every step, then re-syncs. The batches mix on-
+    # and off-track trials (B > 1) and hold on-track steps whose GLLR is
+    # positive, so that the on-track trial is scored and updated after all;
+    # without paths, the trials leave inside blocks (the first at step 193,
+    # inside 164-195)
+    cfg = make_cfg(tmp_path, attack=HYBRID, horizon=200, cache=mu0_cache, trials=B, seed=4,
+                   h=4.0, np_q=0.5, euclid_d=0.25, cosine_d=0.99)
+    ctx = harness.prepare(cfg)
+    full = harness.run_trials(ctx, full_paths=True, log_steps=True)
+    quick = harness.run_trials(ctx)
+    paths, hashes = oracles.whole_step_run(ctx, [r.seed for r in full])
+    for name in ("g", "beta", "tau_hat", "mse0", "mse1"):
+        oracles.assert_same_bits(np.array([getattr(r.paths, name) for r in full]), paths[name])
+    for i, (res, fast, trail) in enumerate(zip(full, quick, hashes)):
+        assert res.stops == oracles.path_stops(ctx, {k: v[i] for k, v in paths.items()})
+        assert (fast.stops, fast.tau_hat) == (res.stops, res.tau_hat)
+        assert res.meas_hash == trail[-1]
+        assert fast.meas_hash == trail[fast.steps_run - 1]
+        assert res.syncs == int((paths["g"][i] == 0.0).sum())
+        assert fast.syncs == int((paths["g"][i, : fast.steps_run] == 0.0).sum())
+    g = paths["g"]
+    on = np.concatenate([np.ones((B, 1), dtype=bool), g[:, :-1] == 0.0], axis=1)
+    assert (on & (g > 0.0)).any()  # on the track without a re-sync
+    if B > 1:
+        assert (on.any(axis=0) & ~on.all(axis=0)).any()  # on and off track in one step
+    assert quick[0].steps_run == 193
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_sync_counts_match_brute_force_recount(tmp_path, mu0_cache, B):
+    # TrialResult.syncs counts the steps at which alg1's CUSUM was clamped
+    # to zero, with and without paths, against a recount on the dense replay
+    cfg = make_cfg(tmp_path, attack=CASE1, horizon=260, cache=mu0_cache, trials=B, seed=9,
+                   h=4.0, np_q=0.5, euclid_d=0.3, cosine_d=0.8)
+    ctx = harness.prepare(cfg)
+    for results in (harness.run_trials(ctx), harness.run_trials(ctx, full_paths=True)):
+        assert [r.syncs for r in results] == [
+            oracles.sync_count(ctx, r.seed, r.steps_run) for r in results
+        ]
+        assert all(0 < r.syncs < r.steps_run for r in results)
 
 
 def test_open_loop_kernels_run_once_per_block(monkeypatch):

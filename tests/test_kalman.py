@@ -11,14 +11,12 @@ from gridwatch.kalman import (
     KalmanState,
     PreSchedule,
     _add_diagonal,
-    initial_bank,
     initial_state,
     kf_predict,
     kf_update_post,
     kf_update_pre,
     kf_update_pre_full,
     pre_gain_step,
-    sync_post_to_pre,
 )
 from gridwatch.robust import chi2_sample_from_innovation
 
@@ -56,7 +54,7 @@ def scalar_model(sigma_w2=1.0, sigma_v2=1.0):
 def test_predict_identity_dynamics_no_noise():
     model = scalar_model(sigma_v2=0.0)
     ks = initial_state(np.array([0.7]), np.array([[0.3]]))
-    out = kf_predict(model, ks)
+    out = kf_predict(model, ks, None, shares=False)
     np.testing.assert_array_equal(out.x, ks.x)
     np.testing.assert_array_equal(out.P, ks.P)
 
@@ -64,7 +62,7 @@ def test_predict_identity_dynamics_no_noise():
 def test_predict_additive_noise_only():
     model = scalar_model(sigma_v2=1e-4)
     ks = initial_state(np.array([0.0]), np.array([[0.0]]))
-    out = kf_predict(model, ks)
+    out = kf_predict(model, ks, None, shares=False)
     np.testing.assert_allclose(out.P, 1e-4 * np.eye(1))
 
 
@@ -94,7 +92,7 @@ def test_predict_matches_dense_oracle():
         K=1,
     )
     ks = KalmanState(rng.standard_normal(3), P)
-    out = kf_predict(model, ks)
+    out = kf_predict(model, ks, None, shares=False)
     np.testing.assert_allclose(out.P, dense_predict_oracle(A, P, 2.5e-3), atol=1e-12)
 
 
@@ -119,7 +117,7 @@ def test_zero_innovation_keeps_state():
 def test_uninformative_measurements(ieee14_model, ieee14_topology):
     model = dataclasses.replace(ieee14_model, sigma_w2=1e12)
     x0 = ieee14_topology.initial_state()
-    ks = kf_predict(model, initial_state(x0, 1e-4))
+    ks = kf_predict(model, initial_state(x0, 1e-4), None, shares=False)
     y = np.ones((23, 5))
     out = kf_update_pre(model, ks, y)
     assert np.linalg.norm(out.x - ks.x) <= 1e-6
@@ -127,11 +125,13 @@ def test_uninformative_measurements(ieee14_model, ieee14_topology):
 
 def test_post_with_zero_estimates_is_bitwise_pre(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
-    ks = kf_predict(ieee14_model, initial_state(x0, 1e-4))
+    ks = kf_predict(ieee14_model, initial_state(x0, 1e-4), None, shares=False)
     rng = np.random.default_rng(3)
     y = (ieee14_model.H @ x0 + rng.standard_normal(115) * 0.01).reshape(23, 5)
     pre = kf_update_pre(ieee14_model, ks, y)
-    post = kf_update_post(ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), np.zeros(23))
+    post = kf_update_post(
+        ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), np.zeros(23), None, shares=False
+    )
     np.testing.assert_array_equal(pre.x, post.x)
     np.testing.assert_array_equal(pre.P, post.P)
 
@@ -141,7 +141,7 @@ def test_post_perfectly_explained_bias():
     ks = KalmanState(np.array([0.2]), np.eye(1))
     a_hat = np.array([0.6])
     y = (model.H @ ks.x + a_hat).reshape(1, 1)
-    out = kf_update_post(model, ks, post_mean(model, ks, y), a_hat, np.zeros(1))
+    out = kf_update_post(model, ks, post_mean(model, ks, y), a_hat, np.zeros(1), None, shares=False)
     np.testing.assert_allclose(out.x, ks.x, atol=1e-12)
 
 
@@ -149,7 +149,9 @@ def test_post_scalar_inflated_gain_third():
     model = scalar_model(sigma_w2=1.0)
     ks = KalmanState(np.array([0.0]), np.eye(1))
     y = np.array([[3.0]])
-    out = kf_update_post(model, ks, post_mean(model, ks, y), np.zeros(1), np.array([1.0]))
+    out = kf_update_post(
+        model, ks, post_mean(model, ks, y), np.zeros(1), np.array([1.0]), None, shares=False
+    )
     # gain = P / (P + sigma_w2 + sigma_hat) = 1/3
     assert out.x[0] == pytest.approx(1.0)
 
@@ -158,33 +160,19 @@ def test_post_expansion_convention(ieee14_model, ieee14_topology):
     # sigma_hat on meter k must inflate exactly rows k*lam..k*lam+lam-1:
     # with a huge variance on one meter, its innovation is ignored.
     x0 = ieee14_topology.initial_state()
-    ks = kf_predict(ieee14_model, initial_state(x0, 1e-4))
+    ks = kf_predict(ieee14_model, initial_state(x0, 1e-4), None, shares=False)
     y_flat = ieee14_model.H @ x0
     y_flat = y_flat.copy()
     y_flat[3 * 5 : 4 * 5] += 5.0  # corrupt meter 3 only
     y = y_flat.reshape(23, 5)
     sigma = np.zeros(23)
     sigma[3] = 1e9
-    out = kf_update_post(ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), sigma)
+    out = kf_update_post(
+        ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), sigma, None, shares=False
+    )
     assert np.linalg.norm(out.x - x0) < 1e-3
     out_bad = kf_update_pre(ieee14_model, ks, y)
     assert np.linalg.norm(out_bad.x - x0) > 10 * np.linalg.norm(out.x - x0)
-
-
-def test_sync_post_to_pre():
-    bank = initial_bank(np.array([0.1, 0.2]), 1e-4)
-    bank.post.x[:] = 99.0
-    bank = sync_post_to_pre(bank)
-    np.testing.assert_array_equal(bank.post.x, bank.pre.x)
-    np.testing.assert_array_equal(bank.post.P, bank.pre.P)
-    # sync copies: later post mutation must not leak into pre
-    bank.post.x[0] = -1.0
-    assert bank.pre.x[0] == 0.1
-    # in a batch only the flagged trials sync
-    batch = initial_bank(np.array([[0.1, 0.2], [0.3, 0.4]]), 1e-4)
-    batch.post.x[:] = 99.0
-    batch = sync_post_to_pre(batch, np.array([False, True]))
-    assert batch.post.x.tolist() == [[99.0, 99.0], [0.3, 0.4]]
 
 
 def test_pre_post_trajectories_identical_with_zero_estimates(ieee14_model, ieee14_topology):
@@ -197,9 +185,11 @@ def test_pre_post_trajectories_identical_with_zero_estimates(ieee14_model, ieee1
     zeros = np.zeros(23)
     for _ in range(50):
         state, y = simulate_step(ieee14_model, state)
-        pre = kf_update_pre(ieee14_model, kf_predict(ieee14_model, pre), y)
-        post = kf_predict(ieee14_model, post)
-        post = kf_update_post(ieee14_model, post, post_mean(ieee14_model, post, y), zeros, zeros)
+        pre = kf_update_pre(ieee14_model, kf_predict(ieee14_model, pre, None, shares=False), y)
+        post = kf_predict(ieee14_model, post, None, shares=False)
+        post = kf_update_post(
+            ieee14_model, post, post_mean(ieee14_model, post, y), zeros, zeros, None, shares=False
+        )
         np.testing.assert_array_equal(pre.x, post.x)
         np.testing.assert_array_equal(pre.P, post.P)
 
@@ -210,7 +200,7 @@ def test_covariances_stay_psd_under_iteration(ieee14_model, ieee14_topology):
     ks = initial_state(x0, 1e-4)
     for t in range(1, 1001):
         state, y = simulate_step(ieee14_model, state)
-        ks = kf_update_pre(ieee14_model, kf_predict(ieee14_model, ks), y)
+        ks = kf_update_pre(ieee14_model, kf_predict(ieee14_model, ks, None, shares=False), y)
         if t % 100 == 0:
             assert min_eigenvalue_ratio(ks.P) >= -1e-10
     assert np.all(np.isfinite(ks.P))
@@ -218,7 +208,7 @@ def test_covariances_stay_psd_under_iteration(ieee14_model, ieee14_topology):
 
 def test_update_factors_expose_innovation(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
-    ks = kf_predict(ieee14_model, initial_state(x0, 1e-4))
+    ks = kf_predict(ieee14_model, initial_state(x0, 1e-4), None, shares=False)
     y = (ieee14_model.H @ x0 + 0.01).reshape(23, 5)
     _, innovation = kf_update_pre_full(ieee14_model, ks, y)
     np.testing.assert_allclose(innovation.reshape(-1), y.reshape(-1) - ieee14_model.H @ ks.x)
@@ -255,10 +245,9 @@ def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
         if rng.random() < 0.5:
             sigma_hat[:] = 0.0
 
-        shared = step if shares else None
         pre, r = kf_update_pre_full(model, kf_predict(model, pre, step), y, step)
-        post = kf_predict(model, post, shared)
-        post = kf_update_post(model, post, post_mean(model, post, y), a_hat, sigma_hat, shared)
+        post = kf_predict(model, post, step, shares)
+        post = kf_update_post(model, post, post_mean(model, post, y), a_hat, sigma_hat, step, shares)
         shares = shares and not sigma_hat.any()
         c = chi2_sample_from_innovation(r, step.white, model.sigma_w2)
 
@@ -306,7 +295,7 @@ def test_unsettled_schedule_covers_every_step(ieee14_topology):
     assert not schedule.settled and len(schedule.steps) < 3000
     ks = initial_state(np.zeros(model.N), 1e-4)
     for step in islice(schedule, 3000):
-        ks = kf_predict(model, ks)
+        ks = kf_predict(model, ks, None, shares=False)
         expected = pre_gain_step(model, ks.P)
         np.testing.assert_array_equal(step.P_pred, expected.P_pred)
         np.testing.assert_array_equal(step.P_upd, expected.P_upd)
@@ -328,7 +317,10 @@ def test_failed_factorization_raises_typed_error(ieee14_model, ieee14_topology):
     with pytest.raises(InnovationSolveError):
         kf_update_pre(ieee14_model, broken, y)
     with pytest.raises(InnovationSolveError):
-        kf_update_post(ieee14_model, broken, post_mean(ieee14_model, broken, y), np.zeros(23), np.full(23, 1.0))
+        kf_update_post(
+            ieee14_model, broken, post_mean(ieee14_model, broken, y), np.zeros(23),
+            np.full(23, 1.0), None, shares=False,
+        )
     # a stacked post update where one trial of three is broken, alone among
     # the trials that run their own update or together with all of them
     step = PreSchedule(ieee14_model, 1e-4).steps[0]
@@ -365,9 +357,8 @@ def test_batched_filter_matches_single_trial_calls(ieee14_model, ieee14_topology
         upd = kf_update_post(model, pred, means, a_hat, sigma_hat, step, shares)
         for i in range(B):
             alone = KalmanState(post.x[i], post.P[i])
-            shared = step if shares[i] else None
-            want_pred = kf_predict(model, alone, shared)
-            want = kf_update_post(model, want_pred, means[i], a_hat[i], sigma_hat[i], shared)
+            want_pred = kf_predict(model, alone, step, shares[i])
+            want = kf_update_post(model, want_pred, means[i], a_hat[i], sigma_hat[i], step, shares[i])
             np.testing.assert_array_equal(np.broadcast_to(pred.P, (B, 13, 13))[i], want_pred.P)
             np.testing.assert_array_equal(pred.x[i], want_pred.x)
             np.testing.assert_array_equal(upd.x[i], want.x)
