@@ -10,8 +10,9 @@ Subcommands:
 * ``stealth-audit``-- on-off budget and persistent-stealth gap for a
                       Gaussian pair, printed as CSV.
 
-A bad config or topology file, or an ``--out`` that cannot be made a
-directory, is a usage error: ``gridwatch <command>: error: <message>`` on
+A bad config or topology file, an ``--out`` that cannot be made a
+directory, or ``stealth-audit`` arguments out of the construction's range
+are usage errors: ``gridwatch <command>: error: <message>`` on
 stderr and exit status 2, as argparse reports a bad argument. ``--out`` is
 made before the run by every command that takes it.
 """
@@ -134,13 +135,13 @@ def cmd_stealth_audit(args) -> int:
     mu0, s2 = args.f0
     mu1, s2b = args.f1
     if s2 != s2b:
-        raise SystemExit("the symmetric construction needs equal variances")
+        raise ConfigError("the symmetric construction needs equal variances")
     try:
         f0, f1 = stealth.symmetric_pair(mu0, mu1, s2)
         budget = stealth.onoff_budget(f0, f1, args.hprime)
         f1p = stealth.construct_stealthy_gaussian(mu0, mu1, s2, args.phi)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        raise ConfigError(str(exc)) from None
     gap = stealth.persistent_stealth_gap(f1p, f0, f1)
     t_on, t_off = budget.integerized()
     header = [

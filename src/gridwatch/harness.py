@@ -22,22 +22,27 @@ or off and where a topology fault begins. The pre filter reads only the
 measurements, so it runs over the block as well, on the block's schedule
 entries, and so does every statistic built on it alone, one call each for
 the block: the innovation norm, the chi-squared sample, the cosine
-similarity and the GLLR's clean term. So does algorithm 1's score of the
-pre track: a trial whose CUSUM g is zero re-synced its post filter to the
-pre filter at the last step (or has not left it), so its post prediction is
-the pre filter's, bit for bit, and its GLLR is the one scored on the pre
-predictions. The engine then reads the block a step at a time for the
-closed-loop rest: algorithm 1's post filter (predicted and scored for the
-trials off the pre track, updated for the trials that do not re-sync), its
-CUSUM, the Pearson window, the nonparametric CUSUM and the stopping rules,
-on (B, K) and (B,) arrays. Each product is one BLAS call per vector and
-every reduction runs over the same axis in either half, so every trial
-gets the bits of a step at a time. Each
-trial hashes its rows of the block at the block's end or when it leaves.
-Without recorded paths a trial leaves the batch (the batch is compacted,
-its current block included) once every detector except alg2 has fired,
-and the engine holds O(B) state; (B, horizon) path arrays exist only when
-paths are requested.
+similarity and the GLLR's clean term. So do the open-loop detectors, which
+read only those: the Pearson window over the block's chi-squared samples,
+the nonparametric CUSUM over its innovation norms, and the first crossing
+in the block of the chi2, np_cusum, euclidean and cosine rules. So does
+algorithm 1's score of the pre track: a trial whose CUSUM g is zero
+re-synced its post filter to the pre filter at the last step (or has not
+left it), so its post prediction is the pre filter's, bit for bit, and its
+GLLR is the one scored on the pre predictions. The engine then reads the
+block a step at a time for the closed-loop rest: algorithm 1's post filter
+(predicted and scored for the trials off the pre track, updated for the
+trials that do not re-sync), its CUSUM and the two rules on it, alg1 and
+Shewhart, on (B, K) and (B,) arrays. Each product is one BLAS call per
+vector, every reduction runs over the same axis in either half, the
+Pearson counts are exact small integers and the nonparametric CUSUM keeps
+its per-step order, so every trial gets the bits and stops of a step at a
+time. Each trial hashes its rows of the block at the block's end or when
+it leaves. Without recorded paths a trial leaves the batch (the batch is
+compacted, its current block included) once every detector except alg2
+has fired at or before the current step (an open-loop stop may lie later
+in the block), and the engine holds O(B) state; (B, horizon) path arrays
+exist only when paths are requested.
 ``run_trials`` derives the seeds of a run, (master seed, trial index),
 and runs them as one batch; a single trial is the batch of one seed.
 """
@@ -99,6 +104,9 @@ PATH_DETECTORS = (
 PATH_FIELD = {name: field for name, field, _ in PATH_DETECTORS}
 PATH_DIRECTION = {name: direction for name, _, direction in PATH_DETECTORS}
 ALG2 = ("alg1", "shewhart", "chi2")
+# The rules that read Algorithm 1's closed loop (the post filter and the
+# CUSUM); the others read only the pre filter and the measurements.
+CLOSED_LOOP = ("alg1", "shewhart")
 
 
 def crossed(values, threshold: float, direction: int):
@@ -448,11 +456,12 @@ class _Streams:
     ``jam``; each block kernel leaves them where the block's draws end, so
     each step receives the values that drawing in the documented order
     at that step would give. The windows are drawn at spawn time, L
-    chi-squared draws per trial, and returned as one batch.
+    chi-squared draws per trial, and held as one batch.
 
-    Every field is per trial, a list or an array on a leading trial axis
-    (the statistics no detector reads are None), so ``take`` filters them
-    all alike.
+    Every field is per trial, a list, an array on a leading trial axis or
+    an object with its own ``take`` (the statistics no detector reads are
+    None), so ``take`` filters them all alike. The open-loop statistics
+    are named after their ``TrialPaths`` fields.
     """
 
     index: list
@@ -468,12 +477,15 @@ class _Streams:
     sim: list
     atk: list
     jam: list
-    dist: Optional[np.ndarray] = None  # (B, T) innovation norms, for np_cusum and euclidean
+    window: Optional[Chi2State] = None  # the Pearson windows after the block
+    np_S: Optional[np.ndarray] = None  # (B, T) the nonparametric CUSUM
+    euclid: Optional[np.ndarray] = None  # (B, T) innovation norms, for np_cusum and euclidean
     c: Optional[np.ndarray] = None  # (B, T) chi-squared samples
+    chi: Optional[np.ndarray] = None  # (B, T) Pearson statistics
     cosine: Optional[np.ndarray] = None  # (B, T) cosine similarities
 
     @classmethod
-    def spawn(cls, ctx: RunContext, seeds: Sequence) -> "tuple[_Streams, Optional[Chi2State]]":
+    def spawn(cls, ctx: RunContext, seeds: Sequence) -> "_Streams":
         model = ctx.model
         sim_ss, atk_ss, jam_ss, chi2_ss = zip(*(np.random.SeedSequence(s).spawn(4) for s in seeds))
         window = None
@@ -483,7 +495,7 @@ class _Streams:
             window = Chi2State.from_samples(ctx.chi2, samples)
         B = len(seeds)
         start = np.tile(ctx.x0, (B, 1, 1))  # a block of one step: the start state
-        streams = cls(
+        return cls(
             index=list(range(B)),
             seeds=list(seeds),
             hashers=[hashlib.sha256() for _ in seeds],
@@ -495,8 +507,9 @@ class _Streams:
             sim=[np.random.default_rng(ss) for ss in sim_ss],
             atk=[np.random.default_rng(ss) for ss in atk_ss],
             jam=[np.random.default_rng(ss) for ss in jam_ss],
+            window=window,
+            np_S=None if ctx.np_q is None else np.zeros((B, 1)),
         )
-        return streams, window
 
     def next_block(
         self, ctx: RunContext, t: int, pre_steps: "list[kalman.GainStep]", on_track: bool
@@ -505,15 +518,17 @@ class _Streams:
         block's pre-filter schedule entries: simulate and attack them, one
         call of each kernel for the whole block, then run the pre filter
         and every statistic that reads only it over the block, one call
-        each; ``on_track`` says whether any trial starts the block on the
-        pre track, and so whether its GLLR is scored. The old block's
-        measurements are dropped first, so that two blocks of them never
-        coexist."""
+        each (the nonparametric CUSUM one per step, in its per-step order):
+        the statistics of the open-loop detectors, chi2, np_cusum,
+        euclidean and cosine, and the GLLR's clean term. ``on_track`` says
+        whether any trial starts the block on the pre track, and so whether
+        its GLLR is scored. The old block's measurements are dropped first,
+        so that two blocks of them never coexist."""
         model, attack = ctx.model, ctx.cfg.attack
         _, faulted = _phase(attack, t)
         sim_model = ctx.sim_model_post if faulted else model
         x, x_pre = self.X[:, -1], self.pre[:, -1]
-        self.Y = self.dist = self.c = self.cosine = None
+        self.Y = self.euclid = self.c = self.cosine = None
         self.X, Y = simulate_step(sim_model, x, self.sim, len(pre_steps))
         real = realize_attack(attack, t, len(pre_steps), self.atk, model.K)
         self.Y = Y = apply_attack(model, Y, real, self.jam)
@@ -521,12 +536,17 @@ class _Streams:
         X_pred, self.pre, R = kalman.pre_filter(model, x_pre, Y, pre_steps)
         r_flat = R.reshape(*R.shape[:2], -1)
         if ctx.np_q is not None or ctx.euclid_d is not None:
-            self.dist = np.sqrt(vecdot(r_flat, r_flat))  # the 2-norm, as np.linalg.norm
+            self.euclid = np.sqrt(vecdot(r_flat, r_flat))  # the 2-norm, as np.linalg.norm
+        if ctx.np_q is not None:
+            S, self.np_S = self.np_S[:, -1], np.empty(self.euclid.shape)
+            for s, dist in enumerate(self.euclid.T):
+                S = self.np_S[:, s] = robust.np_cusum_step(S, dist, ctx.mu0, ctx.np_clamp)
         if ctx.chi2 is not None:
             # each entry's whitening factor keeps its Fortran layout, as the
             # BLAS kernel of its products and so their bits depend on it
             white = np.stack([step.white.T for step in pre_steps]).swapaxes(-1, -2)
             self.c = robust.chi2_sample_from_innovation(R, white, model.sigma_w2)
+            self.window, self.chi = robust.pearson_step(self.window, self.c)
         if ctx.cosine_d is not None:
             y_flat = Y.reshape(*Y.shape[:2], -1)
             self.cosine = robust.cosine_similarity(y_flat, y_flat - r_flat)
@@ -549,7 +569,9 @@ class _Streams:
         def kept(item):
             if isinstance(item, list):
                 return [value for value, k in zip(item, keep) if k]
-            return None if item is None else item[keep]
+            if isinstance(item, np.ndarray):
+                return item[keep]
+            return None if item is None else item.take(keep)
 
         return _Streams(**{f.name: kept(getattr(self, f.name)) for f in fields(self)})
 
@@ -605,13 +627,17 @@ def run_trial(
     application (each trial drawing from its own streams), the pre filter,
     the innovation norm, the chi-squared sample, the cosine similarity, the
     GLLR's clean term and the GLLR of the pre track (unless no trial starts
-    the block on it). Batched, once per step: algorithm 1's closed-loop half
-    (post filter, detector statistics and one CUSUM step per trial), the
-    Pearson window, the nonparametric CUSUM and the stopping rules. Per
-    trial, ``TrialResult.syncs`` counts the steps at which alg1's CUSUM was
+    the block on it); the Pearson window, the nonparametric CUSUM and the
+    stops of chi2, np_cusum, euclidean and cosine, which read nothing else,
+    so their statistics have the bits of a step at a time and each stop is
+    the first crossing in the block. Batched, once per step: algorithm 1's
+    closed-loop half (post filter, detector statistics and one CUSUM step
+    per trial) and the stops of alg1 and Shewhart. Per trial,
+    ``TrialResult.syncs`` counts the steps at which alg1's CUSUM was
     clamped to zero. Unless paths are recorded (full paths or step
     logging), a trial leaves the batch once every enabled detector but alg2
-    has fired; the rest of its block is then never read. A diverging state
+    has fired at or before the current step; the rest of its block is then
+    never read. A diverging state
     raises FloatingPointError when its block is simulated, and a
     non-finite hypothesis cost when its block is scored for the pre track:
     either up to BLOCK_STEPS - 1 steps before the engine would read it.
@@ -626,18 +652,21 @@ def run_trial(
     B = len(seeds)
     if B == 0:
         return []
-    streams, window = _Streams.spawn(ctx, seeds)
+    streams = _Streams.spawn(ctx, seeds)
     results: "list[Optional[TrialResult]]" = [None] * B
     paths = _new_paths(B, horizon, log_steps) if want_paths else None
     bank = kalman.initial_bank(np.tile(ctx.x0, (B, 1)), ctx.p0)
     cs = [detector.CusumState() for _ in range(B)]
-    mu0 = ctx.mu0 if ctx.mu0 is not None else 0.0
-    np_S = np.zeros(B)
     syncs = np.zeros(B, dtype=np.int64)
-    # first crossing per path detector (alg1 is row 0), and tau_hat at alg1's
+    # first crossing per path detector (alg1 is row 0), and tau_hat at alg1's;
+    # the closed-loop rules lead the table and are tested per step, the rest
+    # per block
     thresholds = ctx.thresholds
     names = list(thresholds)
     rules = [(PATH_FIELD[name], PATH_DIRECTION[name], thr) for name, thr in thresholds.items()]
+    closed = sum(name in CLOSED_LOOP for name in names)
+    step_rules, block_rules = rules[:closed], rules[closed:]
+    block_fields = [field for field, _, _ in block_rules] + ["c"] * (ctx.chi2 is not None)
     stops = np.full((len(names), B), INF)
     tau_at_alg1 = np.ones(B, dtype=np.int64)
     pre_steps = iter(ctx.schedule)
@@ -654,32 +683,27 @@ def run_trial(
             block_steps = list(islice(pre_steps, length))
             streams.next_block(ctx, t, block_steps, any(c.g == 0.0 for c in cs))
             pos = 0
+            for row, (field, direction, thr) in enumerate(block_rules, closed):
+                hits = crossed(getattr(streams, field), thr, direction)
+                first = hits.any(axis=1) & (stops[row] == INF)
+                stops[row, first] = t + hits[first].argmax(axis=1)
+            if paths is not None:
+                for field in block_fields:
+                    getattr(paths, field)[:, t - 1 : t - 1 + length] = getattr(streams, field)
         step = detector.algorithm1_step(
             bank, cs, model, ctx.det_cfg, streams.Y[:, pos], t,
             block_steps[pos], streams.pre[:, pos], streams.clean[:, pos],
             None if streams.beta_pre is None else streams.beta_pre[:, pos],
         )
         bank, cs = step.bank, step.cusum
-
-        # this step's statistics, keyed by TrialPaths field
-        stats = {"g": np.array([c.g for c in cs]), "beta": step.beta}
-        syncs += stats["g"] == 0.0
-        if ctx.chi2 is not None:
-            c = streams.c[:, pos]
-            window, chi = robust.pearson_step(window, c)
-            stats.update(c=c, chi=chi)
-        if "np_cusum" in thresholds:
-            np_S = robust.np_cusum_step(np_S, streams.dist[:, pos], mu0, ctx.np_clamp)
-            stats["np_S"] = np_S
-        if "euclidean" in thresholds:
-            stats["euclid"] = streams.dist[:, pos]
-        if "cosine" in thresholds:
-            stats["cosine"] = streams.cosine[:, pos]
         pos += 1
 
-        hits = [crossed(stats[f], thr, d) for f, d, thr in rules]
-        first = np.array(hits) & (stops == INF)
-        stops[first] = t
+        # this step's closed-loop statistics, keyed by TrialPaths field
+        stats = {"g": np.array([c.g for c in cs]), "beta": step.beta}
+        syncs += stats["g"] == 0.0
+        hits = [crossed(stats[f], thr, d) for f, d, thr in step_rules]
+        first = np.array(hits) & (stops[:closed] == INF)
+        stops[:closed][first] = t
         if first[0].any():
             tau_at_alg1[first[0]] = [cs[j].tau_hat for j in np.flatnonzero(first[0])]
 
@@ -700,7 +724,8 @@ def run_trial(
         elif want_paths:
             continue
         else:
-            done = (stops < INF).all(axis=0)
+            # an open-loop stop may lie later in the block
+            done = (stops <= t).all(axis=0)
             if not done.any():
                 continue
         for j in np.flatnonzero(done):
@@ -717,9 +742,6 @@ def run_trial(
         streams = streams.take(keep)
         cs = [c for c, k in zip(cs, keep) if k]
         bank = bank.take(keep)
-        if window is not None:
-            window = window.take(keep)
-        np_S = np_S[keep]
         syncs = syncs[keep]
         stops = stops[:, keep]
         tau_at_alg1 = tau_at_alg1[keep]

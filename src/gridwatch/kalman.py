@@ -57,7 +57,7 @@ an unbatched run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
@@ -269,21 +269,18 @@ class PreSchedule:
 
 
 def kf_update_pre(model: GridModel, pred: KalmanState, y: np.ndarray) -> KalmanState:
-    return kf_update_pre_full(model, pred, y)[0]
+    """Pre-attack update of ``pred`` on the schedule entry of its own
+    covariance."""
+    return kf_update_pre_full(model, pred, y, pre_gain_step(model, pred.P))[0]
 
 
-def kf_update_pre_full(
-    model: GridModel, pred: KalmanState, y: np.ndarray, step: Optional[GainStep] = None
-):
+def kf_update_pre_full(model: GridModel, pred: KalmanState, y: np.ndarray, step: GainStep):
     """Pre-attack update of the prediction ``pred`` on (..., K, lam)
     measurements ``y``, returning (filtered estimate, innovation y - H x as
     (..., K, lam)).
 
-    ``step`` is the schedule entry for this step (computed from pred.P when
-    absent), shared by every trial.
+    ``step`` is the schedule entry for this step, shared by every trial.
     """
-    if step is None:
-        step = pre_gain_step(model, pred.P)
     innovation = y - matvec(model.meter_rows, pred.x)[..., None]
     x = pred.x + matvec(step.gain, innovation.sum(axis=-1) / model.lam)
     return KalmanState(x, step.P_upd), innovation

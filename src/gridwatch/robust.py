@@ -14,17 +14,18 @@ earliest of the stopping times:
 
 This module holds the statistics that need more than one line: c_t, the
 Pearson window, the nonparametric CUSUM step and the cosine similarity.
-c_t and the cosine read only the pre filter's innovations and the
-measurements, so they take any leading axes: the harness calls each once
-per block, on (B, T, ...) arrays, next to the innovation norm, which it
-forms itself. c_t then takes the block's T whitening factors stacked as
-(T, K, K), each in its own Fortran layout, and every product stays one
-BLAS call per vector, so a block has the bits of its steps one by one. The
-Pearson window and the nonparametric CUSUM step once per step on the
-trial axis; the Pearson windows of a batch share one ring-buffer head,
-because all its trials are at the same step. The Shewhart statistic is the
-GLLR itself, and the harness applies every threshold with one
-first-crossing rule.
+All of them read only the pre filter's innovations and the measurements,
+so the harness runs them once per block of T steps, next to the
+innovation norm, which it forms itself. c_t and the cosine take any
+leading axes, (B, T, ...) for a block; c_t then takes the block's T
+whitening factors stacked as (T, K, K), each in its own Fortran layout,
+and every product stays one BLAS call per vector, so a block has the bits
+of its steps one by one. The Pearson window slides over a block in one
+call, its counts exact small integers either way; the windows of a batch
+share one ring-buffer head, because all its trials are at the same step.
+The nonparametric CUSUM steps through the block on the trial axis, in its
+per-step order. The Shewhart statistic is the GLLR itself, and the
+harness applies every threshold with one first-crossing rule.
 """
 
 from __future__ import annotations
@@ -131,21 +132,29 @@ def chi2_sample_from_innovation(
     return vecdot(spread, spread) / sigma_w2 + vecdot(z, z)
 
 
-def pearson_step(st: Chi2State, c_new) -> "tuple[Chi2State, np.ndarray]":
-    """Evict the oldest sample, insert c_new, update counts in O(1); returns
-    the window and its Pearson statistic.
+def pearson_step(st: Chi2State, c) -> "tuple[Chi2State, np.ndarray]":
+    """Slide the window over the samples c, whose last axis holds T steps
+    after the window's trial axes; returns the window after the T samples
+    and the Pearson statistic after each, (..., T).
 
-    c_new has the trial axes of the window (none for a single window).
+    Step s evicts the cell at the head and inserts the cell of c[..., s].
+    The evicted cells are the ring read from the head followed by the
+    block's own cells, so a block longer than L evicts samples it inserted.
+    The counts after each step are the start counts plus a running sum of
+    +-1 one-hots: small integers in float64, so every count is exact and
+    equals the count of inserting and evicting one sample at a time.
     """
     cfg = st.cfg
-    cell = np.searchsorted(cfg.edges, c_new, side="right")
+    new = np.searchsorted(cfg.edges, c, side="right")
+    T = new.shape[-1]
+    order = np.concatenate([np.roll(st.cells, -st.head, axis=-1), new], axis=-1)
     bins = np.arange(cfg.M)
-    st.counts -= bins == st.cells[..., st.head, None]
-    st.counts += bins == np.asarray(cell)[..., None]
-    st.cells[..., st.head] = cell
-    st.head = (st.head + 1) % cfg.L
-    st.chi_stat = _pearson(st.counts, cfg)
-    return st, st.chi_stat
+    delta = (new[..., None] == bins).astype(float) - (order[..., :T, None] == bins)
+    counts = st.counts[..., None, :] + np.cumsum(delta, axis=-2)
+    chi = _pearson(counts, cfg)
+    head = (st.head + T) % cfg.L
+    cells = np.roll(order[..., T:], head, axis=-1)
+    return Chi2State(cfg, cells, counts[..., -1, :], head, chi[..., -1]), chi
 
 
 def np_cusum_step(S, dist, mu0: float, clamp: bool):

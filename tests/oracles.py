@@ -267,6 +267,22 @@ def chi2_sample(model, pred, y):
     return float(r @ cho_solve(factor, r, check_finite=False))
 
 
+def pearson_step(st, c_new):
+    """``robust.pearson_step`` one sample at a time, as it was: evict the
+    cell at the head, insert c_new's, update the counts in place; returns
+    the window and its Pearson statistic. c_new has the trial axes of the
+    window (none for a single window)."""
+    cfg = st.cfg
+    cell = np.searchsorted(cfg.edges, c_new, side="right")
+    bins = np.arange(cfg.M)
+    st.counts -= bins == st.cells[..., st.head, None]
+    st.counts += bins == np.asarray(cell)[..., None]
+    st.cells[..., st.head] = cell
+    st.head = (st.head + 1) % cfg.L
+    st.chi_stat = robust._pearson(st.counts, cfg)
+    return st, st.chi_stat
+
+
 # ---------------------------------------------------------------------------
 # One trial at a time: the simulation and attack kernels as they draw from
 # their streams step by step, in the documented draw order. The batched,
@@ -423,7 +439,7 @@ def dense_trial(ctx, seed):
         paths["tau_hat"].append(tau_hat)
         if window is not None:
             c = float(r @ cho_solve(factor, r, check_finite=False))
-            window, chi = robust.pearson_step(window, c)
+            window, chi = pearson_step(window, c)
             paths["c"].append(c)
             paths["chi"].append(chi)
         if ctx.np_q is not None:
@@ -576,7 +592,7 @@ def whole_step_run(ctx, seeds):
         }
         if window is not None:
             c = robust.chi2_sample_from_innovation(innovation, pre_step.white, model.sigma_w2)
-            window, chi = robust.pearson_step(window, c)
+            window, chi = pearson_step(window, c)
             rows.update(c=c, chi=chi)
         if ctx.np_q is not None:
             np_S = robust.np_cusum_step(np_S, dist, ctx.mu0, ctx.np_clamp)

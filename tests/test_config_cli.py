@@ -535,11 +535,15 @@ def test_cli_stealth_audit_rejects_non_finite_arguments(capsys, args):
         (["--f1", "2,1", "--hprime", "0.1"], "must be >= KL"),
         (["--f1", "2,1", "--hprime", "4.5", "--phi", "5"], "phi"),
         (["--f1", "0,1", "--hprime", "4.5"], "must differ"),
+        (["--f1", "2,2", "--hprime", "4.5"], "needs equal variances"),
     ],
 )
-def test_cli_stealth_audit_reports_range_errors(args, message):
-    with pytest.raises(SystemExit, match=message):
+def test_cli_stealth_audit_reports_range_errors(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
         main(["stealth-audit", "--f0", "0,1", *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "gridwatch stealth-audit: error: " in err and message in err
 
 
 CONFIG_TOKENS = (

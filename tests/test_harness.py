@@ -18,7 +18,7 @@ from gridwatch.detector import CusumState, cusum_step
 from gridwatch.expconfig import ConfigError
 from gridwatch.grid_model import build_model
 from gridwatch.harness import BLOCK_STEPS
-from gridwatch.robust import ShewhartConfig, pearson_step
+from gridwatch.robust import ShewhartConfig
 
 import oracles
 from conftest import dense_stable_A
@@ -144,13 +144,13 @@ def test_t_tilde_is_min_and_replay_consistent(tmp_path, mu0_cache):
     assert res.stop("alg1") == expected
 
     # replay the sliding-window test over the recorded c stream with the
-    # same seeded initial window
+    # same seeded initial window, one sample at a time
     ss = np.random.SeedSequence((9, 0))
     chi2_ss = ss.spawn(4)[3]
     st = oracles.initialize_window(ctx.chi2, 115, np.random.default_rng(chi2_ss))
     chi_replay = np.empty(n)
     for t in range(1, n + 1):
-        st, chi = pearson_step(st, float(res.paths.c[t - 1]))
+        st, chi = oracles.pearson_step(st, float(res.paths.c[t - 1]))
         chi_replay[t - 1] = chi
     np.testing.assert_array_equal(chi_replay, res.paths.chi[:n])
 
@@ -595,6 +595,14 @@ def test_block_ahead_clean_half_matches_whole_step_oracle(tmp_path, mu0_cache, m
     # the run without paths the third trial leaves mid-block at step 126
     # (inside 100-130, 100-131 and 100-132), so the trials that stay have
     # their block compacted.
+    #
+    # The open-loop detectors (chi2, np_cusum, euclidean, cosine) are tested
+    # once per block, so their stop may lie later in the block than the
+    # step being run: a trial leaves once every stop is at or before it.
+    # Each trial here stops last on an open-loop detector, after alg1 and
+    # Shewhart; with blocks longer than one step that stop lies inside a
+    # block, so a trial that left as soon as every stop was known would
+    # leave early.
     monkeypatch.setattr(harness, "BLOCK_STEPS", block)
     cfg = make_cfg(tmp_path, attack=HYBRID, horizon=200, cache=mu0_cache, trials=4, seed=4,
                    h=4.0, np_q=0.5, euclid_d=0.25, cosine_d=0.99)
@@ -608,10 +616,27 @@ def test_block_ahead_clean_half_matches_whole_step_oracle(tmp_path, mu0_cache, m
     assert set(paths) == set(names)
     for name in names:
         oracles.assert_same_bits(np.array([getattr(r.paths, name) for r in full]), paths[name])
-    for res, fast, trial_hashes in zip(full, quick, hashes):
+    starts, t = [], 1
+    while t <= 200:
+        starts.append(t)
+        t += harness._block_steps(ctx.cfg.attack, t, min(block, 201 - t))
+    open_loop_last = []
+    for i, (res, fast, trial_hashes) in enumerate(zip(full, quick, hashes)):
+        own = {name: values[i] for name, values in paths.items()}
+        stops = oracles.path_stops(ctx, own)
+        steps = int(max(stops.values())) if max(stops.values()) < math.inf else 200
+        alg1 = stops["alg1"]
+        tau_hat = own["tau_hat"][int(alg1 if alg1 < math.inf else steps) - 1]
+        assert (res.stops, res.tau_hat, res.steps_run) == (stops, tau_hat, 200)
+        assert (fast.stops, fast.tau_hat, fast.steps_run) == (stops, tau_hat, steps)
         assert res.meas_hash == trial_hashes[-1]
-        assert fast.meas_hash == trial_hashes[fast.steps_run - 1]
-        assert (fast.stops, fast.tau_hat) == (res.stops, res.tau_hat)
+        assert fast.meas_hash == trial_hashes[steps - 1]
+        assert res.syncs == int((own["g"] == 0.0).sum())
+        assert fast.syncs == int((own["g"][:steps] == 0.0).sum())
+        last = max(stops[name] for name in ("chi2", "np_cusum", "euclidean", "cosine"))
+        if last == steps > max(stops["alg1"], stops["shewhart"]) and steps not in starts:
+            open_loop_last.append(i)
+    assert bool(open_loop_last) == (block > 1)
 
 
 @pytest.mark.parametrize("B", [1, 3, 8])

@@ -210,11 +210,12 @@ def test_update_factors_expose_innovation(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     ks = kf_predict(ieee14_model, initial_state(x0, 1e-4), None, shares=False)
     y = (ieee14_model.H @ x0 + 0.01).reshape(23, 5)
-    _, innovation = kf_update_pre_full(ieee14_model, ks, y)
+    step = pre_gain_step(ieee14_model, ks.P)
+    _, innovation = kf_update_pre_full(ieee14_model, ks, y, step)
     np.testing.assert_allclose(innovation.reshape(-1), y.reshape(-1) - ieee14_model.H @ ks.x)
     # the step whitens the meter-mean innovation covariance: W Sbar W^T = I
     M = ieee14_model.meter_rows
-    W = pre_gain_step(ieee14_model, ks.P).white
+    W = step.white
     Sbar = M @ ks.P @ M.T + (ieee14_model.sigma_w2 / ieee14_model.lam) * np.eye(23)
     np.testing.assert_allclose(W @ Sbar @ W.T, np.eye(23), rtol=0, atol=1e-12)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -19,7 +20,15 @@ from gridwatch.robust import (
     pearson_step,
 )
 
-from oracles import cell_of, chi2_cdf_oracle, chi2_sample, initialize_window, intervals
+import oracles
+from oracles import (
+    assert_same_bits,
+    cell_of,
+    chi2_cdf_oracle,
+    chi2_sample,
+    initialize_window,
+    intervals,
+)
 
 PAPER_EDGES = (102.081, 110.5475, 118.2061, 127.531)
 VARPHI = 25.0133
@@ -67,7 +76,8 @@ def test_chi2_sample_scalar_arithmetic():
 
 def test_batched_statistics_match_single_windows(ieee14_model, ieee14_topology):
     # c_t, the Pearson window and the cosine similarity of a batch equal the
-    # same statistics of each trial alone, bit for bit
+    # same statistics of each trial alone, bit for bit; the windows slide by
+    # blocks of one step
     rng = np.random.default_rng(4)
     B = 3
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
@@ -79,12 +89,12 @@ def test_batched_statistics_match_single_windows(ieee14_model, ieee14_topology):
     for _ in range(200):
         r = rng.standard_normal((B, 23, 5)) * 0.01 * rng.uniform(0.5, 2.0)
         c = chi2_sample_from_innovation(r, white, ieee14_model.sigma_w2)
-        batch, chi = pearson_step(batch, c)
+        batch, chi = pearson_step(batch, c[:, None])
         y = rng.standard_normal((B, 115))
         cos = cosine_similarity(y, y - r.reshape(B, -1))
         for i in range(B):
             assert c[i] == chi2_sample_from_innovation(r[i], white, ieee14_model.sigma_w2)
-            windows[i], chi_i = pearson_step(windows[i], float(c[i]))
+            windows[i], chi_i = pearson_step(windows[i], c[i, None])
             assert chi[i] == chi_i
             np.testing.assert_array_equal(batch.counts[i], windows[i].counts)
             assert cos[i] == cosine_similarity(y[i], y[i] - r[i].reshape(-1))
@@ -173,28 +183,61 @@ def test_pearson_perfect_fit_and_concentrated():
 def test_pearson_step_evicts_and_counts():
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
     st = Chi2State.from_samples(cfg, np.full(80, 1.0))
-    st, chi = pearson_step(st, 1e6)
+    st, chi = pearson_step(st, np.array([1e6]))
     assert st.counts[0] == 79 and st.counts[4] == 1
-    assert VARPHI <= chi < 320.0  # still wildly off the null
+    assert chi.shape == (1,)
+    assert VARPHI <= chi[0] < 320.0  # still wildly off the null
+
+
+@pytest.mark.parametrize("B", [None, 3], ids=["single", "batch"])
+@pytest.mark.parametrize("L, T", [(80, 1), (80, 79), (80, 80), (80, 81), (5, 32)])
+def test_block_pearson_matches_step_oracle(L, T, B):
+    # a block of T samples against the oracle's one sample at a time, bit for
+    # bit: chi after every step, then the counts, cells, head and statistic
+    # of the window; then more blocks of other lengths, which read the ring
+    # from a moved head. With L = M = 5 a 32-step block evicts samples it
+    # inserted itself.
+    cfg = Chi2Config.equiprobable(dof=115, M=5, L=L, varphi=VARPHI)
+    shape = () if B is None else (B,)
+    rng = np.random.default_rng(L + T)
+    init = rng.chisquare(115, size=shape + (L,))
+    block = Chi2State.from_samples(cfg, init)
+    step = Chi2State.from_samples(cfg, init)
+    for n in (T, 1, 33, T):
+        c = rng.chisquare(115, size=shape + (n,))
+        k = min(4, c.size)
+        c.reshape(-1)[:k] = cfg.edges[:k]  # an edge belongs to the cell on its right
+        block, chi = pearson_step(block, c)
+        want = []
+        for s in range(n):
+            step, chi_s = oracles.pearson_step(step, c[..., s])
+            want.append(chi_s)
+        assert_same_bits(chi, np.stack(want, axis=-1))
+        assert_same_bits(block.counts, step.counts)
+        assert_same_bits(block.cells, step.cells)
+        assert block.head == step.head
+        assert_same_bits(block.chi_stat, step.chi_stat)
 
 
 def test_ring_buffer_matches_recount():
+    # blocks of 1 to 200 samples, shorter and longer than the window; after
+    # each the counts are a recount of the last 80 samples and the statistic
+    # is theirs
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
     rng = np.random.default_rng(5)
     init = rng.chisquare(115, size=80)
     st = Chi2State.from_samples(cfg, init)
-    window = list(init)
-    samples = rng.chisquare(115, size=100_000)
-    for i, c in enumerate(samples):
-        st, chi = pearson_step(st, float(c))
-        window.pop(0)
-        window.append(float(c))
-        if i % 979 == 0:
-            assert st.counts.sum() == 80
-            recount = np.bincount([cell_of(cfg, v) for v in window], minlength=5)
-            np.testing.assert_array_equal(st.counts, recount)
-    recount = np.bincount([cell_of(cfg, v) for v in window], minlength=5)
-    np.testing.assert_array_equal(st.counts, recount)
+    samples = np.concatenate([init, rng.chisquare(115, size=209 * 480)])
+    end = 80
+    for n in itertools.islice(itertools.cycle((1, 7, 32, 79, 80, 81, 200)), 209 * 7):
+        st, chi = pearson_step(st, samples[end : end + n])
+        end += n
+        window = samples[end - 80 : end]
+        assert st.counts.sum() == 80
+        recount = np.bincount([cell_of(cfg, v) for v in window], minlength=5)
+        np.testing.assert_array_equal(st.counts, recount)
+        assert chi[-1] == Chi2State.from_samples(cfg, window).chi_stat
+    assert end == samples.size
 
 
 def test_np_cusum_zero_drift_and_stopping():
