@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one sha256 per shipped config over its parsed inputs, then one per
+"""Print one sha256 per shipped config over its parsed inputs, then two per
 benchmark workload and seed over its trials' results.
 
     PYTHONPATH=src python3 scripts/path_digest.py [FIRST LAST]
@@ -12,12 +12,17 @@ seed from FIRST to LAST inclusive (default 0 to 20); hybrid_recover's config
 also turns on step logging, so its MSE paths are included. A line reads
 "<workload> <seed> <sha256>", the digest taken over each trial's
 measurement hash, steps run and stopping times and over every TrialPaths
-array of it, in trial order. A workload with an np-CUSUM baseline also
-gets one line "<workload> mu0 <repr>", printed before its seeds, so the
-baseline's bits are compared directly. gridwatch is imported from the
-Python path, so the same script run against two source trees shows whether
-they parse the same inputs and compute the same baseline, measurements,
-stops and paths bit for bit.
+array of it, in trial order. It is followed by the line
+"<workload> <seed> exits <sha256>" over the same trials run without paths
+(step logging off too), so that each trial leaves the batch once its
+detectors have all fired: the digest is taken over each trial's
+measurement hash, steps run, stopping times, tau_hat and re-sync count.
+A workload with an np-CUSUM baseline also gets one line
+"<workload> mu0 <repr>", printed before its seeds, so the baseline's bits
+are compared directly. gridwatch is imported from the Python path, so the
+same script run against two source trees shows whether they parse the
+same inputs and compute the same baseline, measurements, stops, exits and
+paths bit for bit.
 """
 
 from __future__ import annotations
@@ -74,6 +79,15 @@ def paths_digest(results) -> str:
     return h.hexdigest()
 
 
+def exits_digest(results) -> str:
+    """sha256 over each trial's meas_hash, steps_run, stops, tau_hat and
+    syncs, in trial order."""
+    h = hashlib.sha256()
+    for r in results:
+        h.update(f"{r.meas_hash} {r.steps_run} {r.stops!r} {r.tau_hat} {r.syncs}\n".encode())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     from gridwatch import harness
     from gridwatch.expconfig import load_config
@@ -89,6 +103,8 @@ def main(argv=None) -> int:
         for seed in range(first, last + 1):
             results = harness.run_trials(ctx, master_seed=seed, full_paths=True)
             print(f"{cfg_path.stem} {seed} {paths_digest(results)}", flush=True)
+            quick = harness.run_trials(ctx, master_seed=seed, log_steps=False)
+            print(f"{cfg_path.stem} {seed} exits {exits_digest(quick)}", flush=True)
     return 0
 
 

@@ -40,10 +40,12 @@ the same.
 Every statistic takes leading trial (and step) axes: residual blocks of B
 trials are (B, K, lam) and the per-meter statistics (B, K). ``score`` chains
 them from the measurements and a post prediction to the GLLR.
-``algorithm1_step`` is the closed-loop half of one step: it advances the
-post filter of a whole batch and applies the scalar CUSUM recursion
-``cusum_step`` once per trial. The recursion has no threshold: the caller
-stops at the first step g reaches h, like every other detector.
+``algorithm1_step`` is the closed-loop half of one step: it takes the post
+filter of a whole batch with its shares-pre flags (see ``kalman``),
+returns them advanced, and applies the scalar CUSUM recursion
+``cusum_step`` once per trial. The recursion has no threshold: the harness
+reads g from the step and finds the first step it reaches h once per
+block, like every other detector's.
 
 The pre track. The post filter is re-synced to the pre filter exactly when
 g is clamped to zero, so a trial whose g is zero (or that has not taken a
@@ -282,10 +284,10 @@ def _rows(mask: np.ndarray):
     return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-def _closed_loop(bank, rows, model, cfg, y, pre_step, clean) -> _Scored:
+def _closed_loop(post, shares, rows, model, cfg, y, pre_step, clean) -> _Scored:
     """Predict the post filter of the trials ``rows`` and score them."""
-    shares = bank.post_shares_pre[rows]
-    pred = kalman.kf_predict(model, bank.post.take(rows), pre_step, shares)
+    shares = shares[rows]
+    pred = kalman.kf_predict(model, post.take(rows), pre_step, shares)
     rb, labels, beta = score(model, cfg, y[rows], pred.x, clean[rows])
     a_hat, sigma_hat = mle_attack_params(rb, labels, cfg, model)
     return _Scored(pred, rb.mean, a_hat, sigma_hat, shares, beta)
@@ -293,13 +295,15 @@ def _closed_loop(bank, rows, model, cfg, y, pre_step, clean) -> _Scored:
 
 @dataclass
 class Algorithm1Step:
-    bank: kalman.DualFilterBank
+    post: kalman.KalmanState
+    shares: np.ndarray
     cusum: "list[CusumState]"
     beta: np.ndarray
 
 
 def algorithm1_step(
-    bank: kalman.DualFilterBank,
+    post: kalman.KalmanState,
+    shares: np.ndarray,
     cs: "Sequence[CusumState]",
     model: GridModel,
     cfg: DetectorConfig,
@@ -330,16 +334,18 @@ def algorithm1_step(
     updated after it; an on-track trial that does not re-sync is scored
     then, with the same calls on the same inputs.
 
-    The bank and the (B, K, lam) measurements ``y`` carry a leading trial
-    axis and ``cs`` holds one CusumState per trial (a single trial is a
-    batch of one); the returned bank holds step t's pre estimate.
+    ``post`` is the post filter's filtered estimate with a leading trial
+    axis, ``shares`` its (B,) shares-pre flags (see ``kalman``), ``y`` the
+    (B, K, lam) measurements and ``cs`` one CusumState per trial (a single
+    trial is a batch of one); the returned step holds the post filter's
+    estimate and flags after step t.
     """
     on = [c.g == 0.0 for c in cs] if beta_pre is not None else [False] * len(cs)
     scored = None
     beta = beta_pre
     if not all(on):
         off = np.logical_not(on)
-        scored = _closed_loop(bank, _rows(off), model, cfg, y, pre_step, clean)
+        scored = _closed_loop(post, shares, _rows(off), model, cfg, y, pre_step, clean)
         beta = scored.beta
         if any(on):
             beta = beta_pre.copy()
@@ -355,7 +361,7 @@ def algorithm1_step(
         stay = np.array(stay)
         if scored is None or (stay & on).any():
             # a trial leaves the pre track: score every trial that updates
-            scored = _closed_loop(bank, _rows(stay), model, cfg, y, pre_step, clean)
+            scored = _closed_loop(post, shares, _rows(stay), model, cfg, y, pre_step, clean)
         elif not stay[off].all():
             scored = scored.take(np.flatnonzero(stay[off]))
         post = kalman.kf_update_post(
@@ -364,11 +370,7 @@ def algorithm1_step(
         shares = scored.shares & ~scored.sigma_hat.any(axis=-1)
         if not stay.all():  # the rest re-sync: post := pre
             post, shares = _merge(pre, post, shares, stay)
-    return Algorithm1Step(
-        bank=kalman.DualFilterBank(pre=pre, post=post, post_shares_pre=shares),
-        cusum=new_cs,
-        beta=beta,
-    )
+    return Algorithm1Step(post=post, shares=shares, cusum=new_cs, beta=beta)
 
 
 def _merge(pre, post, shares, stay):

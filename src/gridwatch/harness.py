@@ -9,40 +9,42 @@ one recorded path per trial. Aggregation uses sums and counts only, making
 trial order irrelevant.
 
 The trial engine, ``run_trial``, takes a sequence of seeds and advances
-their trials in lock-step on a leading trial axis B. Each trial keeps its
-own random streams, draw order and measurement hash. The measurements are
-open-loop: the simulation, the attack realization and its application
-never read the detector. So they run a block of up to ``BLOCK_STEPS``
-steps ahead, one call of each kernel giving the whole batch's (B, T, ...)
-block. Each trial's streams are plain ``np.random.Generator`` objects, and
-each kernel leaves them where the block's draws end, so every step
-receives the values that drawing at that step would give and no draws are
-held from one block to the next. A block ends where the attack switches on
-or off and where a topology fault begins. The pre filter reads only the
-measurements, so it runs over the block as well, on the block's schedule
-entries, and so does every statistic built on it alone, one call each for
-the block: the innovation norm, the chi-squared sample, the cosine
-similarity and the GLLR's clean term. So do the open-loop detectors, which
-read only those: the Pearson window over the block's chi-squared samples,
-the nonparametric CUSUM over its innovation norms, and the first crossing
-in the block of the chi2, np_cusum, euclidean and cosine rules. So does
-algorithm 1's score of the pre track: a trial whose CUSUM g is zero
-re-synced its post filter to the pre filter at the last step (or has not
-left it), so its post prediction is the pre filter's, bit for bit, and its
-GLLR is the one scored on the pre predictions. The engine then reads the
-block a step at a time for the closed-loop rest: algorithm 1's post filter
-(predicted and scored for the trials off the pre track, updated for the
-trials that do not re-sync), its CUSUM and the two rules on it, alg1 and
-Shewhart, on (B, K) and (B,) arrays. Each product is one BLAS call per
+their trials in lock-step on a leading trial axis B, every per-trial thing
+held in one batch state (``_Batch``) whose ``take`` is the engine's only
+compaction. Each trial keeps its own random streams, draw order and
+measurement hash. The measurements are open-loop: the simulation, the
+attack realization and its application never read the detector. So they
+run a block of up to ``BLOCK_STEPS`` steps ahead, one call of each kernel
+giving the whole batch's (B, T, ...) block. Each trial's streams are plain
+``np.random.Generator`` objects, and each kernel leaves them where the
+block's draws end, so every step receives the values that drawing at that
+step would give and no draws are held from one block to the next. A block
+ends where the attack switches on or off and where a topology fault
+begins. The pre filter reads only the measurements, so it runs over the
+block as well, on the block's schedule entries, and so does every
+statistic built on it alone, one call each for the block: the innovation
+norm, the chi-squared sample, the cosine similarity and the GLLR's clean
+term, and the open-loop detectors' statistics, the Pearson window over the
+chi-squared samples and the nonparametric CUSUM over the innovation norms.
+So does algorithm 1's score of the pre track: a trial whose CUSUM g is
+zero re-synced its post filter to the pre filter at the last step (or has
+not left it), so its post prediction is the pre filter's, bit for bit,
+and its GLLR is the one scored on the pre predictions. The engine's step
+loop then runs only the closed loop: algorithm 1's post filter (predicted
+and scored for the trials off the pre track, updated for the trials that
+do not re-sync) and its CUSUM, on (B, K) and (B,) arrays, writing each
+step's g and GLLR into the block. Each product is one BLAS call per
 vector, every reduction runs over the same axis in either half, the
 Pearson counts are exact small integers and the nonparametric CUSUM keeps
-its per-step order, so every trial gets the bits and stops of a step at a
-time. Each trial hashes its rows of the block at the block's end or when
-it leaves. Without recorded paths a trial leaves the batch (the batch is
-compacted, its current block included) once every detector except alg2
-has fired at or before the current step (an open-loop stop may lie later
-in the block), and the engine holds O(B) state; (B, horizon) path arrays
-exist only when paths are requested.
+its per-step order, so every trial gets the bits of a step at a time.
+
+Once per block an epilogue settles the rest on the block's (B, T) arrays:
+tau_hat, the first crossing in the block of every stopping rule, the
+re-sync counts, the measurement hashes and the recorded paths. Without
+recorded paths a trial leaves the batch at the end of the block that holds
+its latest stop, which is its steps_run; the closed-loop steps it ran
+after that stop are dropped. The engine then holds O(B) state; (B,
+horizon) path arrays exist only when paths are requested.
 ``run_trials`` derives the seeds of a run, (master seed, trial index),
 and runs them as one batch; a single trial is the batch of one seed.
 """
@@ -104,9 +106,6 @@ PATH_DETECTORS = (
 PATH_FIELD = {name: field for name, field, _ in PATH_DETECTORS}
 PATH_DIRECTION = {name: direction for name, _, direction in PATH_DETECTORS}
 ALG2 = ("alg1", "shewhart", "chi2")
-# The rules that read Algorithm 1's closed loop (the post filter and the
-# CUSUM); the others read only the pre filter and the measurements.
-CLOSED_LOOP = ("alg1", "shewhart")
 
 
 def crossed(values, threshold: float, direction: int):
@@ -444,10 +443,12 @@ def run_trials(
 
 
 @dataclass
-class _Streams:
-    """A batch's own state outside the post filter and the CUSUM: per trial,
-    its place in the run, seed, measurement hash, random streams, and the
-    current block of true states, measurements and what reads only them.
+class _Batch:
+    """Every per-trial thing of a batch: its place in the run, seed,
+    measurement hash and random streams; Algorithm 1's post filter, its
+    shares-pre flags (see ``kalman``) and CUSUM; the stops, the re-sync
+    count and tau_hat at alg1's stop; and the current block of true
+    states, measurements and every statistic on them.
 
     Each trial derives four child streams from its seed, in their documented
     order: simulation, attack realization, attack application (jamming
@@ -460,32 +461,43 @@ class _Streams:
 
     Every field is per trial, a list, an array on a leading trial axis or
     an object with its own ``take`` (the statistics no detector reads are
-    None), so ``take`` filters them all alike. The open-loop statistics
-    are named after their ``TrialPaths`` fields.
+    None), so ``take`` filters them all alike. The block's statistics are
+    named after their ``TrialPaths`` fields.
     """
 
     index: list
     seeds: list
     hashers: list
+    sim: list
+    atk: list
+    jam: list
+    cusum: list  # one detector.CusumState per trial
+    post: kalman.KalmanState  # Algorithm 1's post filter, filtered
+    shares: np.ndarray  # (B,) the post covariance is the pre filter's
+    stops: np.ndarray  # (B, R) first crossing of each path detector, in ``thresholds`` order
+    syncs: np.ndarray  # (B,) steps run at which the CUSUM was clamped to zero
+    tau_at_alg1: np.ndarray  # (B,) tau_hat at alg1's stop
     X: np.ndarray  # (B, T, N) true states of the current block
     Y: np.ndarray  # (B, T, K, lam) measurements of the current block
     pre: np.ndarray  # (B, T, N) the pre filter's filtered states
     clean: np.ndarray  # (B, T) the GLLR's clean term
+    g: np.ndarray  # (B, T) Algorithm 1's CUSUM
+    beta: np.ndarray  # (B, T) its GLLR
+    tau_hat: np.ndarray  # (B, T) the last step g was zero (1 before any)
     # (B, T) the GLLR of a trial on the pre track; None for a block that no
     # trial starts on the track
-    beta_pre: Optional[np.ndarray]
-    sim: list
-    atk: list
-    jam: list
+    beta_pre: Optional[np.ndarray] = None
     window: Optional[Chi2State] = None  # the Pearson windows after the block
     np_S: Optional[np.ndarray] = None  # (B, T) the nonparametric CUSUM
-    euclid: Optional[np.ndarray] = None  # (B, T) innovation norms, for np_cusum and euclidean
+    euclid: Optional[np.ndarray] = None  # (B, T) innovation norms
     c: Optional[np.ndarray] = None  # (B, T) chi-squared samples
     chi: Optional[np.ndarray] = None  # (B, T) Pearson statistics
     cosine: Optional[np.ndarray] = None  # (B, T) cosine similarities
+    mse0: Optional[np.ndarray] = None  # (B, T) the pre filter's MSE, when logged
+    mse1: Optional[np.ndarray] = None  # (B, T) the post filter's MSE, when logged
 
     @classmethod
-    def spawn(cls, ctx: RunContext, seeds: Sequence) -> "_Streams":
+    def spawn(cls, ctx: RunContext, seeds: Sequence) -> "_Batch":
         model = ctx.model
         sim_ss, atk_ss, jam_ss, chi2_ss = zip(*(np.random.SeedSequence(s).spawn(4) for s in seeds))
         window = None
@@ -499,20 +511,28 @@ class _Streams:
             index=list(range(B)),
             seeds=list(seeds),
             hashers=[hashlib.sha256() for _ in seeds],
+            sim=[np.random.default_rng(ss) for ss in sim_ss],
+            atk=[np.random.default_rng(ss) for ss in atk_ss],
+            jam=[np.random.default_rng(ss) for ss in jam_ss],
+            cusum=[detector.CusumState() for _ in seeds],
+            post=kalman.initial_state(start[:, 0], ctx.p0),
+            shares=np.ones(B, dtype=bool),
+            stops=np.full((B, len(ctx.thresholds)), INF),
+            syncs=np.zeros(B, dtype=np.int64),
+            tau_at_alg1=np.ones(B, dtype=np.int64),
             X=start,
             Y=np.empty((B, 0, model.K, model.lam)),
             pre=start,
             clean=np.empty((B, 0)),
-            beta_pre=None,
-            sim=[np.random.default_rng(ss) for ss in sim_ss],
-            atk=[np.random.default_rng(ss) for ss in atk_ss],
-            jam=[np.random.default_rng(ss) for ss in jam_ss],
+            g=np.empty((B, 0)),
+            beta=np.empty((B, 0)),
+            tau_hat=np.ones((B, 1), dtype=np.int64),
             window=window,
             np_S=None if ctx.np_q is None else np.zeros((B, 1)),
         )
 
     def next_block(
-        self, ctx: RunContext, t: int, pre_steps: "list[kalman.GainStep]", on_track: bool
+        self, ctx: RunContext, t: int, pre_steps: "list[kalman.GainStep]", log_steps: bool
     ) -> None:
         """The steps t .. t + T - 1 of every trial, T = len(pre_steps), the
         block's pre-filter schedule entries: simulate and attack them, one
@@ -520,10 +540,12 @@ class _Streams:
         and every statistic that reads only it over the block, one call
         each (the nonparametric CUSUM one per step, in its per-step order):
         the statistics of the open-loop detectors, chi2, np_cusum,
-        euclidean and cosine, and the GLLR's clean term. ``on_track`` says
-        whether any trial starts the block on the pre track, and so whether
-        its GLLR is scored. The old block's measurements are dropped first,
-        so that two blocks of them never coexist."""
+        euclidean and cosine, the GLLR's clean term, the pre filter's MSE
+        when steps are logged, and the GLLR of the pre track unless no
+        trial starts the block on it. The old block's measurements are
+        dropped first, so that two blocks of them never coexist. The
+        closed-loop arrays ``g`` and ``beta`` (and ``mse1`` when logged)
+        are left for the caller to fill."""
         model, attack = ctx.model, ctx.cfg.attack
         _, faulted = _phase(attack, t)
         sim_model = ctx.sim_model_post if faulted else model
@@ -536,11 +558,12 @@ class _Streams:
         X_pred, self.pre, R = kalman.pre_filter(model, x_pre, Y, pre_steps)
         r_flat = R.reshape(*R.shape[:2], -1)
         if ctx.np_q is not None or ctx.euclid_d is not None:
-            self.euclid = np.sqrt(vecdot(r_flat, r_flat))  # the 2-norm, as np.linalg.norm
+            dist = np.sqrt(vecdot(r_flat, r_flat))  # the 2-norm, as np.linalg.norm
+            self.euclid = dist if ctx.euclid_d is not None else None
         if ctx.np_q is not None:
-            S, self.np_S = self.np_S[:, -1], np.empty(self.euclid.shape)
-            for s, dist in enumerate(self.euclid.T):
-                S = self.np_S[:, s] = robust.np_cusum_step(S, dist, ctx.mu0, ctx.np_clamp)
+            S, self.np_S = self.np_S[:, -1], np.empty(dist.shape)
+            for s, column in enumerate(dist.T):
+                S = self.np_S[:, s] = robust.np_cusum_step(S, column, ctx.mu0, ctx.np_clamp)
         if ctx.chi2 is not None:
             # each entry's whitening factor keeps its Fortran layout, as the
             # BLAS kernel of its products and so their bits depend on it
@@ -550,13 +573,19 @@ class _Streams:
         if ctx.cosine_d is not None:
             y_flat = Y.reshape(*Y.shape[:2], -1)
             self.cosine = robust.cosine_similarity(y_flat, y_flat - r_flat)
+        shape = self.pre.shape[:2]
+        self.g, self.beta = np.empty(shape), np.empty(shape)
+        self.mse0 = self.mse1 = None
+        if log_steps:
+            self.mse0 = np.mean((self.pre - self.X) ** 2, axis=-1)
+            self.mse1 = np.empty(shape)
         # the residuals against the filtered states, in the innovations' buffer
         r_pre = np.subtract(Y, matvec(model.meter_rows, self.pre)[..., None], out=R)
         self.clean = clean = detector.clean_term(r_pre, model)
         # Algorithm 1's GLLR for a post filter that holds the pre estimate
         self.beta_pre = None
-        if on_track:
-            self.beta_pre = np.empty(clean.shape)
+        if any(c.g == 0.0 for c in self.cusum):
+            self.beta_pre = np.empty(shape)
             n = max(1, SCORE_TRIAL_STEPS // len(clean))
             for s in range(0, len(pre_steps), n):
                 cut = np.s_[:, s : s + n]
@@ -564,7 +593,7 @@ class _Streams:
                     model, ctx.det_cfg, Y[cut], X_pred[cut], clean[cut]
                 )[2]
 
-    def take(self, keep: np.ndarray) -> "_Streams":
+    def take(self, keep: np.ndarray) -> "_Batch":
         """The trials where the boolean mask ``keep`` is true."""
         def kept(item):
             if isinstance(item, list):
@@ -573,7 +602,31 @@ class _Streams:
                 return item[keep]
             return None if item is None else item.take(keep)
 
-        return _Streams(**{f.name: kept(getattr(self, f.name)) for f in fields(self)})
+        return _Batch(**{f.name: kept(getattr(self, f.name)) for f in fields(self)})
+
+    def result(
+        self, ctx: RunContext, j: int, steps_run: int, tau_hat: Optional[int],
+        paths: Optional[TrialPaths],
+    ) -> TrialResult:
+        """Trial j's result after ``steps_run`` steps, with its rows of the
+        run's ``paths`` when they are recorded."""
+        stops = {name: int(s) if s < INF else INF for name, s in zip(ctx.thresholds, self.stops[j])}
+        stops["alg2"] = _alg2_stop(stops)
+        own_paths = None
+        if paths is not None:
+            row = self.index[j]
+            own_paths = TrialPaths(
+                **{name: None if path is None else path[row] for name, path in vars(paths).items()}
+            )
+        return TrialResult(
+            seed=self.seeds[j],
+            stops={name: stops[name] for name in ctx.enabled},
+            tau_hat=tau_hat,
+            steps_run=steps_run,
+            meas_hash=self.hashers[j].hexdigest(),
+            paths=own_paths,
+            syncs=int(self.syncs[j]),
+        )
 
 
 def _phase(attack: AttackSpec, t: int) -> "tuple[bool, bool]":
@@ -618,166 +671,98 @@ def run_trial(
     configured detector on it, and return the trials' results in order.
 
     The trials advance in lock-step; each is deterministic in its seed (see
-    ``_Streams.spawn``), whatever the batch it runs in, so a single trial
-    is ``run_trial(ctx, [seed])[0]``.
+    ``_Batch``), whatever the batch it runs in, so a single trial is
+    ``run_trial(ctx, [seed])[0]``.
 
-    Per trial: the measurement hash, updated once per block (SHA-256 does
-    not depend on how its input is cut). Batched, once per block of at most
-    BLOCK_STEPS steps: the simulation and the attack realization and
-    application (each trial drawing from its own streams), the pre filter,
-    the innovation norm, the chi-squared sample, the cosine similarity, the
-    GLLR's clean term and the GLLR of the pre track (unless no trial starts
-    the block on it); the Pearson window, the nonparametric CUSUM and the
-    stops of chi2, np_cusum, euclidean and cosine, which read nothing else,
-    so their statistics have the bits of a step at a time and each stop is
-    the first crossing in the block. Batched, once per step: algorithm 1's
-    closed-loop half (post filter, detector statistics and one CUSUM step
-    per trial) and the stops of alg1 and Shewhart. Per trial,
-    ``TrialResult.syncs`` counts the steps at which alg1's CUSUM was
-    clamped to zero. Unless paths are recorded (full paths or step
-    logging), a trial leaves the batch once every enabled detector but alg2
-    has fired at or before the current step; the rest of its block is then
-    never read. A diverging state
-    raises FloatingPointError when its block is simulated, and a
-    non-finite hypothesis cost when its block is scored for the pre track:
-    either up to BLOCK_STEPS - 1 steps before the engine would read it.
+    The engine runs blocks of at most BLOCK_STEPS steps. First
+    ``_Batch.next_block`` makes the block's measurements and everything
+    that reads only them, one call each for the batch. The step loop then
+    runs algorithm 1's closed loop, ``detector.algorithm1_step`` (post
+    filter, GLLR and one CUSUM step per trial), and writes each step's g
+    and GLLR (and the post filter's MSE when steps are logged) into the
+    block; nothing else runs per step. Last, the block's epilogue settles
+    the rest on the (B, T) arrays: tau_hat (the last step g was zero), the
+    first crossing in the block of every stopping rule, the re-syncs
+    (``TrialResult.syncs``), each trial's measurement hash (SHA-256 does
+    not depend on how its input is cut) and the recorded paths.
+
+    Unless paths are recorded (full paths or step logging), a trial leaves
+    the batch at the end of the block that holds its latest stop, with
+    that stop as its steps_run. It runs the closed loop to the block's end
+    all the same; the steps after its stop are dropped from its hash,
+    re-syncs and tau_hat. A diverging state raises FloatingPointError when
+    its block is simulated, and a non-finite hypothesis cost when its block
+    is scored for the pre track or when the closed loop scores it, which
+    may be after its trial's last stop: either up to BLOCK_STEPS - 1 steps
+    past the steps the engine reports.
     """
     cfg, model = ctx.cfg, ctx.model
     horizon = cfg.run.horizon
     if log_steps is None:
         log_steps = cfg.run.log_steps
     want_paths = log_steps or full_paths
-    attack = cfg.attack
 
     B = len(seeds)
     if B == 0:
         return []
-    streams = _Streams.spawn(ctx, seeds)
+    batch = _Batch.spawn(ctx, seeds)
     results: "list[Optional[TrialResult]]" = [None] * B
     paths = _new_paths(B, horizon, log_steps) if want_paths else None
-    bank = kalman.initial_bank(np.tile(ctx.x0, (B, 1)), ctx.p0)
-    cs = [detector.CusumState() for _ in range(B)]
-    syncs = np.zeros(B, dtype=np.int64)
-    # first crossing per path detector (alg1 is row 0), and tau_hat at alg1's;
-    # the closed-loop rules lead the table and are tested per step, the rest
-    # per block
-    thresholds = ctx.thresholds
-    names = list(thresholds)
-    rules = [(PATH_FIELD[name], PATH_DIRECTION[name], thr) for name, thr in thresholds.items()]
-    closed = sum(name in CLOSED_LOOP for name in names)
-    step_rules, block_rules = rules[:closed], rules[closed:]
-    block_fields = [field for field, _, _ in block_rules] + ["c"] * (ctx.chi2 is not None)
-    stops = np.full((len(names), B), INF)
-    tau_at_alg1 = np.ones(B, dtype=np.int64)
-    pre_steps = iter(ctx.schedule)
     if horizon < 1:
-        return [
-            _trial_result(ctx, streams, j, dict.fromkeys(names, INF), None, 0, paths, 0)
-            for j in range(B)
-        ]
-
-    pos = length = 0  # steps of the current block done, and its length
-    for t in range(1, horizon + 1):
-        if pos == length:
-            length = _block_steps(attack, t, min(BLOCK_STEPS, horizon + 1 - t))
-            block_steps = list(islice(pre_steps, length))
-            streams.next_block(ctx, t, block_steps, any(c.g == 0.0 for c in cs))
-            pos = 0
-            for row, (field, direction, thr) in enumerate(block_rules, closed):
-                hits = crossed(getattr(streams, field), thr, direction)
-                first = hits.any(axis=1) & (stops[row] == INF)
-                stops[row, first] = t + hits[first].argmax(axis=1)
-            if paths is not None:
-                for field in block_fields:
-                    getattr(paths, field)[:, t - 1 : t - 1 + length] = getattr(streams, field)
-        step = detector.algorithm1_step(
-            bank, cs, model, ctx.det_cfg, streams.Y[:, pos], t,
-            block_steps[pos], streams.pre[:, pos], streams.clean[:, pos],
-            None if streams.beta_pre is None else streams.beta_pre[:, pos],
-        )
-        bank, cs = step.bank, step.cusum
-        pos += 1
-
-        # this step's closed-loop statistics, keyed by TrialPaths field
-        stats = {"g": np.array([c.g for c in cs]), "beta": step.beta}
-        syncs += stats["g"] == 0.0
-        hits = [crossed(stats[f], thr, d) for f, d, thr in step_rules]
-        first = np.array(hits) & (stops[:closed] == INF)
-        stops[:closed][first] = t
-        if first[0].any():
-            tau_at_alg1[first[0]] = [cs[j].tau_hat for j in np.flatnonzero(first[0])]
-
-        if paths is not None:
-            stats["tau_hat"] = [c.tau_hat for c in cs]
-            if log_steps:
-                x = streams.X[:, pos - 1]
-                stats["mse0"] = np.mean((bank.pre.x - x) ** 2, axis=-1)
-                stats["mse1"] = np.mean((bank.post.x - x) ** 2, axis=-1)
-            for field, values in stats.items():
-                getattr(paths, field)[:, t - 1] = values
-
-        if pos == length:  # the block's last step: every trial hashes the block
-            for j, hasher in enumerate(streams.hashers):
-                hasher.update(streams.Y[j])
-        if t == horizon:
-            done = np.ones(len(cs), dtype=bool)
-        elif want_paths:
-            continue
-        else:
-            # an open-loop stop may lie later in the block
-            done = (stops <= t).all(axis=0)
-            if not done.any():
-                continue
-        for j in np.flatnonzero(done):
-            if pos < length:  # leaving mid-block: hash the block's steps so far
-                streams.hashers[j].update(streams.Y[j, :pos])
-            trial_stops = {name: (int(s) if s < INF else INF) for name, s in zip(names, stops[:, j])}
-            tau_hat = int(tau_at_alg1[j]) if trial_stops["alg1"] < INF else cs[j].tau_hat
-            results[streams.index[j]] = _trial_result(
-                ctx, streams, j, trial_stops, tau_hat, t, paths, int(syncs[j])
+        return [batch.result(ctx, j, 0, None, paths) for j in range(B)]
+    # one rule per path detector, in ``thresholds`` order: alg1 is row 0
+    rules = [(PATH_FIELD[name], PATH_DIRECTION[name], thr) for name, thr in ctx.thresholds.items()]
+    pre_steps = iter(ctx.schedule)
+    t = 1
+    while True:
+        length = _block_steps(cfg.attack, t, min(BLOCK_STEPS, horizon + 1 - t))
+        block_steps = list(islice(pre_steps, length))
+        batch.next_block(ctx, t, block_steps, log_steps)
+        for s, pre_step in enumerate(block_steps):
+            step = detector.algorithm1_step(
+                batch.post, batch.shares, batch.cusum, model, ctx.det_cfg, batch.Y[:, s], t + s,
+                pre_step, batch.pre[:, s], batch.clean[:, s],
+                None if batch.beta_pre is None else batch.beta_pre[:, s],
             )
-        keep = ~done
-        if not keep.any():
-            break
-        streams = streams.take(keep)
-        cs = [c for c, k in zip(cs, keep) if k]
-        bank = bank.take(keep)
-        syncs = syncs[keep]
-        stops = stops[:, keep]
-        tau_at_alg1 = tau_at_alg1[keep]
-    return results
+            batch.post, batch.shares, batch.cusum = step.post, step.shares, step.cusum
+            batch.g[:, s] = [c.g for c in step.cusum]
+            batch.beta[:, s] = step.beta
+            if log_steps:
+                batch.mse1[:, s] = np.mean((step.post.x - batch.X[:, s]) ** 2, axis=-1)
 
+        end = t + length - 1
+        ts = np.arange(t, end + 1)
+        synced = batch.g == 0.0
+        batch.tau_hat = np.maximum.accumulate(np.where(synced, ts, batch.tau_hat[:, -1:]), axis=1)
+        for r, (field, direction, thr) in enumerate(rules):
+            hits = crossed(getattr(batch, field), thr, direction)
+            first = hits.any(axis=1) & (batch.stops[:, r] == INF)
+            batch.stops[first, r] = t + hits[first].argmax(axis=1)
+        alg1 = np.flatnonzero((t <= batch.stops[:, 0]) & (batch.stops[:, 0] <= end))
+        batch.tau_at_alg1[alg1] = batch.tau_hat[alg1, batch.stops[alg1, 0].astype(np.int64) - t]
 
-def _trial_result(
-    ctx: RunContext,
-    streams: _Streams,
-    j: int,
-    stops: dict,
-    tau_hat: Optional[int],
-    steps_run: int,
-    paths: Optional[TrialPaths],
-    syncs: int,
-) -> TrialResult:
-    enabled = ctx.enabled
-    if "alg2" in enabled:
-        stops["alg2"] = _alg2_stop(stops)
-    stops = {name: stops[name] for name in enabled}
-    own_paths = None
-    if paths is not None:
-        rows = {
-            name: None if path is None else path[streams.index[j]]
-            for name, path in vars(paths).items()
-        }
-        own_paths = TrialPaths(**rows)
-    return TrialResult(
-        seed=streams.seeds[j],
-        stops=stops,
-        tau_hat=tau_hat,
-        steps_run=steps_run,
-        meas_hash=streams.hashers[j].hexdigest(),
-        paths=own_paths,
-        syncs=syncs,
-    )
+        # each trial runs to its latest stop, or to the horizon with paths;
+        # n holds the steps of this block it keeps
+        leave = np.where(want_paths, horizon, np.minimum(batch.stops.max(axis=1), horizon))
+        n = (np.minimum(leave, end) - t + 1).astype(np.int64)
+        batch.syncs += (synced & (ts < t + n[:, None])).sum(axis=1)
+        # indexed, so that no view of Y outlives the loop and next_block frees it
+        for j, hasher in enumerate(batch.hashers):
+            hasher.update(batch.Y[j, : n[j]])
+        if paths is not None:
+            for name, path in vars(paths).items():
+                if getattr(batch, name) is not None:
+                    path[:, t - 1 : end] = getattr(batch, name)
+        done = leave <= end
+        for j in np.flatnonzero(done):
+            last = int(n[j]) - 1
+            tau = batch.tau_at_alg1[j] if batch.stops[j, 0] < INF else batch.tau_hat[j, last]
+            results[batch.index[j]] = batch.result(ctx, j, t + last, int(tau), paths)
+        if done.all():
+            return results
+        if done.any():
+            batch = batch.take(~done)
+        t = end + 1
 
 
 def no_attack_context(ctx: RunContext) -> RunContext:

@@ -1,4 +1,4 @@
-"""Dual Kalman filter bank for the pre-attack and post-attack hypotheses.
+"""The Kalman filters of the pre-attack and post-attack hypotheses.
 
 The pre-attack filter assumes clean measurements; the post-attack filter
 explains measurements with the current maximum-likelihood attack estimates:
@@ -9,9 +9,9 @@ to the pre filter, in ``detector.algorithm1_step`` (the change-point
 estimate that moves with it lives in ``detector.CusumState``).
 
 Each filter carries one Gaussian estimate, ``KalmanState(x, P)``: between
-steps the bank holds both filters' filtered estimates, ``kf_predict`` maps
-one to the prediction, and the updates map the prediction back to a
-filtered estimate. A sync gives the post filter the pre filter's
+steps it holds its filtered estimate, ``kf_predict`` maps that to the
+prediction, and the updates map the prediction back to a filtered
+estimate. A sync gives the post filter the pre filter's
 filtered estimate in place of its own update.
 
 Both updates work in meter-mean form. H = M kron 1_lam and the lam noise
@@ -46,10 +46,12 @@ update is one stacked matrix-vector product. The pre filter never reads
 the post filter or the detector, so ``pre_filter`` runs it over a whole
 block of measurements ahead of them: one A x and one ``kf_update_pre_full``
 per step, on that step's entry, with the bits of a step at a time. The
-post filter carries a per-trial "shares pre" mask
-(``DualFilterBank.post_shares_pre``): trials with the flag set take the
-pre entry's covariance and gain, and only the others run the K x K update,
-on their stacked covariances. A single trial is a batch of one. Products
+post filter carries a per-trial "shares pre" flag, set from the start or
+the last sync until sigma_hat is first nonzero (the ``shares`` argument of
+``kf_predict`` and ``kf_update_post``; the harness keeps the flags next to
+the post filter's estimate): trials with the flag set take the pre entry's
+covariance and gain, and only the others run the K x K update, on their
+stacked covariances. A single trial is a batch of one. Products
 go through ``grid_model.matvec``, so each trial's numbers have the bits of
 an unbatched run.
 """
@@ -93,24 +95,6 @@ class KalmanState:
         return KalmanState(self.x[keep], self.P[keep] if self.P.ndim > 2 else self.P)
 
 
-@dataclass
-class DualFilterBank:
-    """Both filters' filtered estimates."""
-
-    pre: KalmanState
-    post: KalmanState
-    # True while the post covariance is the pre filter's: from the start or
-    # the last sync until sigma_hat is first nonzero. One flag per trial.
-    post_shares_pre: np.ndarray
-
-    def take(self, keep) -> "DualFilterBank":
-        return DualFilterBank(
-            self.pre.take(keep),
-            self.post.take(keep),
-            self.post_shares_pre[keep],
-        )
-
-
 @dataclass(frozen=True)
 class GainStep:
     """Data-independent part of one meter-mean measurement update."""
@@ -131,15 +115,6 @@ def initial_state(x0: np.ndarray, p0: "float | np.ndarray") -> KalmanState:
     if P.ndim == 0:
         P = float(P) * np.eye(x0.shape[-1])
     return KalmanState(x0.copy(), P.copy())
-
-
-def initial_bank(x0: np.ndarray, p0: "float | np.ndarray") -> DualFilterBank:
-    batch = np.shape(x0)[:-1]
-    return DualFilterBank(
-        pre=initial_state(x0, p0),
-        post=initial_state(x0, p0),
-        post_shares_pre=np.ones(batch, dtype=bool),
-    )
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:

@@ -81,15 +81,14 @@ class Chi2Config:
 class Chi2State:
     """Ring buffer of cell indices with incrementally maintained counts.
 
-    A batch holds the windows of B trials: cells (B, L), counts (B, M) and
-    chi_stat (B,), with the head shared.
+    A batch holds the windows of B trials: cells (B, L) and counts (B, M),
+    with the head shared.
     """
 
     cfg: Chi2Config
     cells: np.ndarray  # (..., L) ints
     counts: np.ndarray  # (..., M)
     head: int = 0
-    chi_stat: "float | np.ndarray" = 0.0
 
     @classmethod
     def from_samples(cls, cfg: Chi2Config, samples) -> "Chi2State":
@@ -100,11 +99,11 @@ class Chi2State:
             raise ValueError(f"window needs exactly {cfg.L} samples")
         cells = np.searchsorted(cfg.edges, samples, side="right")
         counts = (cells[..., None] == np.arange(cfg.M)).sum(axis=-2).astype(float)
-        return cls(cfg=cfg, cells=cells, counts=counts, chi_stat=_pearson(counts, cfg))
+        return cls(cfg=cfg, cells=cells, counts=counts)
 
     def take(self, keep) -> "Chi2State":
         """The windows of the trials selected by ``keep``."""
-        return Chi2State(self.cfg, self.cells[keep], self.counts[keep], self.head, self.chi_stat[keep])
+        return Chi2State(self.cfg, self.cells[keep], self.counts[keep], self.head)
 
 
 def _pearson(counts: np.ndarray, cfg: Chi2Config) -> np.ndarray:
@@ -154,7 +153,7 @@ def pearson_step(st: Chi2State, c) -> "tuple[Chi2State, np.ndarray]":
     chi = _pearson(counts, cfg)
     head = (st.head + T) % cfg.L
     cells = np.roll(order[..., T:], head, axis=-1)
-    return Chi2State(cfg, cells, counts[..., -1, :], head, chi[..., -1]), chi
+    return Chi2State(cfg, cells, counts[..., -1, :], head), chi
 
 
 def np_cusum_step(S, dist, mu0: float, clamp: bool):

@@ -279,8 +279,7 @@ def pearson_step(st, c_new):
     st.counts += bins == np.asarray(cell)[..., None]
     st.cells[..., st.head] = cell
     st.head = (st.head + 1) % cfg.L
-    st.chi_stat = robust._pearson(st.counts, cfg)
-    return st, st.chi_stat
+    return st, robust._pearson(st.counts, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +498,14 @@ def sync_count(ctx, seed, steps):
 # that need it; each trial must get the same bits.
 
 
-def algorithm1_step(bank, cs, model, cfg, y, t, pre_step):
+def algorithm1_step(pre, post, shares, cs, model, cfg, y, t, pre_step):
     """One full detection-and-estimation iteration on step t's schedule
-    entry ``pre_step``, returning the step and the pre filter's innovation
+    entry ``pre_step`` from the filtered estimates ``pre`` and ``post`` and
+    the post filter's shares-pre flags ``shares``, returning the pre
+    filter's filtered estimate, the step and the pre filter's innovation
     y - H x_pre_pred as (B, K, lam)."""
-    pre = kalman.kf_predict(model, bank.pre, pre_step)
-    shares = bank.post_shares_pre
-    post = kalman.kf_predict(model, bank.post, pre_step, shares)
+    pre = kalman.kf_predict(model, pre, pre_step)
+    post = kalman.kf_predict(model, post, pre_step, shares)
 
     rb = detector.residual_block(model, y, post.x, cfg)
     costs = detector.hypothesis_costs(rb, model, cfg)
@@ -526,19 +526,20 @@ def algorithm1_step(bank, cs, model, cfg, y, t, pre_step):
         np.where(sync[:, None], pre.x, post.x), np.where(sync[:, None, None], pre.P, post.P)
     )
     shares = sync | (shares & ~sigma_hat.any(axis=-1))
-    new_bank = kalman.DualFilterBank(pre=pre, post=post, post_shares_pre=shares)
-    return detector.Algorithm1Step(new_bank, [c for c, _ in stepped], beta), pre_innovation
+    step = detector.Algorithm1Step(post, shares, [c for c, _ in stepped], beta)
+    return pre, step, pre_innovation
 
 
-def pre_half(model, cfg, bank, y, pre_step=None):
+def pre_half(model, cfg, pre, y, pre_step=None):
     """What ``detector.algorithm1_step`` takes from the pre filter at one
-    step from the bank ``bank``: the schedule entry (computed from the pre
-    filter's own covariance unless given), the filtered state, the GLLR's
-    clean term and the GLLR scored on the pre filter's prediction."""
+    step from its filtered estimate ``pre``: the schedule entry (computed
+    from the filter's own covariance unless given), the filtered state, the
+    GLLR's clean term and the GLLR scored on the pre filter's prediction.
+    The pre filter's next estimate is ``KalmanState(state, entry.P_upd)``."""
     if pre_step is None:
-        own = kalman.kf_predict(model, bank.pre, None, shares=False)
+        own = kalman.kf_predict(model, pre, None, shares=False)
         pre_step = kalman.pre_gain_step(model, own.P)
-    X_pred, X, _ = kalman.pre_filter(model, bank.pre.x, y[:, None], [pre_step])
+    X_pred, X, _ = kalman.pre_filter(model, pre.x, y[:, None], [pre_step])
     clean = detector.clean_term(y - matvec(model.meter_rows, X[:, 0])[..., None], model)
     return pre_step, X[:, 0], clean, detector.score(model, cfg, y, X_pred[:, 0], clean)[2]
 
@@ -565,7 +566,8 @@ def whole_step_run(ctx, seeds):
         samples = [np.random.default_rng(ss).chisquare(dof, ctx.chi2.L) for ss in chi2_ss]
         window = robust.Chi2State.from_samples(ctx.chi2, samples)
     x = np.tile(ctx.x0, (B, 1))
-    bank = kalman.initial_bank(x, ctx.p0)
+    pre = post = kalman.initial_state(x, ctx.p0)
+    shares = np.ones(B, dtype=bool)
     cs = [detector.CusumState() for _ in seeds]
     np_S = np.zeros(B)
     hashers = [hashlib.sha256() for _ in seeds]
@@ -581,14 +583,16 @@ def whole_step_run(ctx, seeds):
             hasher.update(rows)
             trail.append(hasher.hexdigest())
 
-        step, innovation = algorithm1_step(bank, cs, model, ctx.det_cfg, y, t, pre_step)
-        bank, cs = step.bank, step.cusum
+        pre, step, innovation = algorithm1_step(
+            pre, post, shares, cs, model, ctx.det_cfg, y, t, pre_step
+        )
+        post, shares, cs = step.post, step.shares, step.cusum
         r = innovation.reshape(B, -1)
         dist = np.sqrt(vecdot(r, r))
         rows = {
             "g": [c.g for c in cs], "beta": step.beta, "tau_hat": [c.tau_hat for c in cs],
-            "mse0": np.mean((bank.pre.x - x) ** 2, axis=-1),
-            "mse1": np.mean((bank.post.x - x) ** 2, axis=-1),
+            "mse0": np.mean((pre.x - x) ** 2, axis=-1),
+            "mse1": np.mean((post.x - x) ** 2, axis=-1),
         }
         if window is not None:
             c = robust.chi2_sample_from_innovation(innovation, pre_step.white, model.sigma_w2)

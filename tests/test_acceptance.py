@@ -383,7 +383,7 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
 
     # covariances stay PSD over 1e4 steps (both filters, attacked regime)
     from gridwatch.grid_model import simulate_step
-    from gridwatch.kalman import initial_bank
+    from gridwatch.kalman import KalmanState, initial_state
     from gridwatch.detector import CusumState, algorithm1_step
     from gridwatch.attacks import apply_attack, realize_attack
 
@@ -403,7 +403,8 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     sim = [np.random.default_rng(sim_ss)]
     atk = [np.random.default_rng(a_ss)]
     jam = [np.random.default_rng(j_ss)]
-    bank = initial_bank(ctx2.x0[None], ctx2.p0)
+    pre = post = initial_state(ctx2.x0[None], ctx2.p0)
+    shares = np.ones(1, dtype=bool)
     cs = [CusumState()]
     det = DetectorConfig(GAMMA, SIGMA2_MIN)
     psd_ok = True
@@ -411,11 +412,13 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
         X, Y = simulate_step(model, x, sim, 1)  # blocks of one step
         Y = apply_attack(model, Y, realize_attack(ctx2.cfg.attack, t, 1, atk, model.K), jam)
         x, y = X[:, 0], Y[:, 0]
-        step = algorithm1_step(bank, cs, model, det, y, t, *pre_half(model, det, bank, y))
-        bank, cs = step.bank, step.cusum
+        pre_step, pre_x, clean, beta_pre = pre_half(model, det, pre, y)
+        step = algorithm1_step(post, shares, cs, model, det, y, t, pre_step, pre_x, clean, beta_pre)
+        pre = KalmanState(pre_x, pre_step.P_upd)
+        post, shares, cs = step.post, step.shares, step.cusum
         if t % 200 == 0:
-            psd_ok &= min_eigenvalue_ratio(bank.pre.P[0]) >= -1e-10
-            psd_ok &= min_eigenvalue_ratio(bank.post.P[0]) >= -1e-10
+            psd_ok &= min_eigenvalue_ratio(pre.P[0]) >= -1e-10
+            psd_ok &= min_eigenvalue_ratio(post.P[0]) >= -1e-10
 
     ok = g_ok and partition_ok and min_ok and csv_ok and psd_ok
     report(

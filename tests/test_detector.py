@@ -19,7 +19,7 @@ from gridwatch.detector import (
     mle_attack_params,
     residual_block,
 )
-from gridwatch.kalman import PreSchedule, initial_bank, kf_predict
+from gridwatch.kalman import KalmanState, PreSchedule, initial_state, kf_predict
 
 from conftest import GAMMA, SIGMA2_MIN, SIGMA_W2
 from oracles import (
@@ -411,15 +411,18 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
     # unaffected by this step's own update
     model = ieee14_model
     x0 = ieee14_topology.initial_state()
-    bank = initial_bank(x0[None], 1e-4)  # a batch of one trial
+    pre = post = initial_state(x0[None], 1e-4)  # a batch of one trial
+    shares = np.ones(1, dtype=bool)
     y_flat = model.H @ x0
     y_flat = y_flat.copy()
     y_flat[0:5] += 0.5
     y = y_flat.reshape(1, 23, 5)
     # A = I, so the post prediction the residuals are built on is x0
-    np.testing.assert_array_equal(kf_predict(model, bank.post, None, shares=False).x[0], x0)
-    pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, bank, y)
-    step = algorithm1_step(bank, [CusumState()], model, CFG, y, 1, pre_step, pre_x, clean, beta_pre)
+    np.testing.assert_array_equal(kf_predict(model, post, None, shares=False).x[0], x0)
+    pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, pre, y)
+    step = algorithm1_step(
+        post, shares, [CusumState()], model, CFG, y, 1, pre_step, pre_x, clean, beta_pre
+    )
     (cs,) = step.cusum
     assert cs.g > 0.0  # no re-sync: the post filter ran its own update
     # scored against the prediction x0, meter 0 is explained by a_hat = 0.5
@@ -432,8 +435,8 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
     # dragged; had the residuals used the post *update* (which subtracts the
     # explained bias), the estimate could not equal the injected 0.5 and the
     # rest of the bias would drag the post state too
-    np.testing.assert_allclose(step.bank.post.x[0], x0, atol=1e-12)
-    assert np.linalg.norm(step.bank.pre.x[0] - x0) > 1e-4
+    np.testing.assert_allclose(step.post.x[0], x0, atol=1e-12)
+    assert np.linalg.norm(pre_x[0] - x0) > 1e-4
 
 
 def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
@@ -442,24 +445,27 @@ def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
     # clamps it re-syncs the post filter to the pre estimate and moves tau_hat
     model = ieee14_model
     x0 = ieee14_topology.initial_state()
-    bank = initial_bank(x0[None], 1e-4)  # a batch of one trial
+    pre = post = initial_state(x0[None], 1e-4)  # a batch of one trial
+    shares = np.ones(1, dtype=bool)
     cs = [CusumState()]
     rng = np.random.default_rng(0)
     apart = False
     for t in range(1, 30):
         y = (model.H @ x0).reshape(1, 23, 5) + 0.01 * rng.standard_normal((1, 23, 5))
         y[0, 0] += 0.05 if t == 1 else 0.0
-        step = algorithm1_step(bank, cs, model, CFG, y, t, *pre_half(model, CFG, bank, y))
-        bank, cs = step.bank, step.cusum
+        pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, pre, y)
+        step = algorithm1_step(post, shares, cs, model, CFG, y, t, pre_step, pre_x, clean, beta_pre)
+        pre = KalmanState(pre_x, pre_step.P_upd)
+        post, shares, cs = step.post, step.shares, step.cusum
         if cs[0].g > 0.0:
-            apart = bool(np.any(bank.post.x != bank.pre.x))
+            apart = bool(np.any(post.x != pre.x))
             continue
         break
     assert apart and t > 2
     assert cs[0].g == 0.0 and cs[0].tau_hat == t
-    np.testing.assert_array_equal(bank.post.x, bank.pre.x)
-    np.testing.assert_array_equal(bank.post.P, bank.pre.P)
-    assert bank.post_shares_pre.tolist() == [True]
+    np.testing.assert_array_equal(post.x, pre.x)
+    np.testing.assert_array_equal(post.P, pre.P)
+    assert shares.tolist() == [True]
 
 
 def test_algorithm1_step_matches_whole_step_oracle(ieee14_model, ieee14_topology):
@@ -470,7 +476,8 @@ def test_algorithm1_step_matches_whole_step_oracle(ieee14_model, ieee14_topology
     model = ieee14_model
     x0 = ieee14_topology.initial_state()
     B = 4
-    bank = want_bank = initial_bank(np.tile(x0, (B, 1)), 1e-4)
+    pre = post = want_pre = want_post = initial_state(np.tile(x0, (B, 1)), 1e-4)
+    shares = want_shares = np.ones(B, dtype=bool)
     cs = want_cs = [CusumState() for _ in range(B)]
     rng = np.random.default_rng(5)
     seen = dict.fromkeys(("mixed", "on_stays", "some_sync"), False)
@@ -478,25 +485,27 @@ def test_algorithm1_step_matches_whole_step_oracle(ieee14_model, ieee14_topology
         y = np.tile((model.H @ x0).reshape(23, 5), (B, 1, 1))
         y += 0.01 * rng.standard_normal(y.shape)
         y[:, :3] += np.where(rng.random((B, 1, 1)) < 0.3, 0.03, 0.0)
-        pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, bank, y, schedule_step)
+        pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, pre, y, schedule_step)
         on = np.array([c.g == 0.0 for c in cs])
-        step = algorithm1_step(bank, cs, model, CFG, y, t, pre_step, pre_x, clean, beta_pre)
-        want, _ = oracle_algorithm1_step(want_bank, want_cs, model, CFG, y, t, pre_step)
+        step = algorithm1_step(post, shares, cs, model, CFG, y, t, pre_step, pre_x, clean, beta_pre)
+        want_pre, want, _ = oracle_algorithm1_step(
+            want_pre, want_post, want_shares, want_cs, model, CFG, y, t, pre_step
+        )
         assert_same_bits(step.beta, want.beta)
         assert [astuple(c) for c in step.cusum] == [astuple(c) for c in want.cusum]
-        got_bank, want_bank = step.bank, want.bank
-        assert_same_bits(got_bank.pre.x, want_bank.pre.x)
-        assert_same_bits(got_bank.post.x, want_bank.post.x)
-        shares = got_bank.post_shares_pre
-        assert shares.tolist() == want_bank.post_shares_pre.tolist()
-        own = ~shares
+        pre = KalmanState(pre_x, pre_step.P_upd)
+        assert_same_bits(pre.x, want_pre.x)
+        assert_same_bits(step.post.x, want.post.x)
+        assert step.shares.tolist() == want.shares.tolist()
+        own = ~step.shares
         assert_same_bits(
-            np.broadcast_to(got_bank.post.P, (B, 13, 13))[own],
-            np.broadcast_to(want_bank.post.P, (B, 13, 13))[own],
+            np.broadcast_to(step.post.P, (B, 13, 13))[own],
+            np.broadcast_to(want.post.P, (B, 13, 13))[own],
         )
         sync = np.array([c.g == 0.0 for c in step.cusum])
         seen["mixed"] |= bool(on.any() and not on.all())
         seen["on_stays"] |= bool((on & ~sync).any())
         seen["some_sync"] |= bool(sync.any() and not sync.all())
-        bank, cs, want_cs = got_bank, step.cusum, want.cusum
+        post, shares, cs = step.post, step.shares, step.cusum
+        want_post, want_shares, want_cs = want.post, want.shares, want.cusum
     assert seen == dict.fromkeys(seen, True)

@@ -1,13 +1,14 @@
 import ast
 import errno
 import importlib
+import itertools
 import importlib.util
 import math
 import re
 import stat
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -670,6 +671,64 @@ def test_pre_track_matches_whole_step_oracle(tmp_path, mu0_cache, B):
     if B > 1:
         assert (on.any(axis=0) & ~on.all(axis=0)).any()  # on and off track in one step
     assert quick[0].steps_run == 193
+
+
+def test_closed_loop_stop_last_mid_block_matches_whole_step_oracle(tmp_path):
+    # alg1 and Shewhart alone: a trial leaves at the end of the block that
+    # holds its latest stop, having run the closed loop past that stop, so
+    # the steps after it must not reach its steps_run, re-syncs, tau_hat or
+    # hash. Trials here stop last on a closed-loop rule inside a block, and
+    # g returns to zero before the block ends; some stop on alg1 in an
+    # earlier block than on Shewhart.
+    (tmp_path / "closed.cfg").write_text(
+        "[model]\ntopology = ieee14\nlambda = 5\nsigma_v2 = 1e-4\nsigma_w2 = 1e-4\n"
+        "[detector]\ngamma = 0.022\nsigma2_min = 1e-2\nh = 0.5\n[shewhart]\nphi = 1.0\n"
+        "[attack]\nkind = none\n[run]\ntrials = 6\nhorizon = 700\nseed = 5\n"
+    )
+    ctx = harness.prepare(load_config(tmp_path / "closed.cfg"))
+    quick = harness.run_trials(ctx)
+    paths, hashes = oracles.whole_step_run(ctx, [r.seed for r in quick])
+    earlier = []  # per trial with the case: alg1 stopped in an earlier block
+    for i, (res, trail) in enumerate(zip(quick, hashes)):
+        own = {name: values[i] for name, values in paths.items()}
+        stops = oracles.path_stops(ctx, own)
+        steps = int(max(stops.values()))
+        alg1 = int(stops["alg1"])
+        assert (res.stops, res.steps_run, res.meas_hash) == (stops, steps, trail[steps - 1])
+        assert res.tau_hat == own["tau_hat"][alg1 - 1]
+        assert res.syncs == int((own["g"][:steps] == 0.0).sum())
+        block_end = -(-steps // BLOCK_STEPS) * BLOCK_STEPS
+        if (own["g"][steps:block_end] == 0.0).any():
+            earlier.append((alg1 - 1) // BLOCK_STEPS < (steps - 1) // BLOCK_STEPS)
+    assert len(earlier) == len(quick) and any(earlier)
+
+
+def test_batch_take_compacts_every_field(tmp_path, mu0_cache):
+    # every detector and step logging are on, so no field of the batch is
+    # None; after one block, take keeps rows 0 and 2 of every field
+    cfg = make_cfg(tmp_path, attack=HYBRID, tau=5, horizon=40, cache=mu0_cache, trials=3)
+    ctx = harness.prepare(cfg)
+    batch = harness._Batch.spawn(ctx, [(3, i) for i in range(3)])
+    batch.next_block(ctx, 1, list(itertools.islice(ctx.schedule, 4)), log_steps=True)
+    rng = np.random.default_rng(0)
+    for name in ("g", "beta", "mse1"):  # the closed loop's columns
+        getattr(batch, name)[:] = rng.standard_normal(getattr(batch, name).shape)
+    batch.post = kalman.KalmanState(batch.post.x, np.stack([batch.post.P * k for k in (1, 2, 3)]))
+    kept = batch.take(np.array([True, False, True]))
+    for field in fields(harness._Batch):
+        full, got = getattr(batch, field.name), getattr(kept, field.name)
+        assert full is not None, field.name
+        if isinstance(full, list):
+            assert got == [full[0], full[2]], field.name
+        elif isinstance(full, np.ndarray):
+            np.testing.assert_array_equal(got, full[[0, 2]], err_msg=field.name)
+        elif isinstance(full, kalman.KalmanState):
+            np.testing.assert_array_equal(got.x, full.x[[0, 2]])
+            np.testing.assert_array_equal(got.P, full.P[[0, 2]])
+        else:  # the Pearson windows, with one shared head
+            np.testing.assert_array_equal(got.cells, full.cells[[0, 2]])
+            np.testing.assert_array_equal(got.counts, full.counts[[0, 2]])
+            assert got.head == full.head
 
 
 @pytest.mark.parametrize("B", [1, 3])

@@ -26,6 +26,24 @@ def test_path_digest_repeats_and_sees_one_bit():
     assert path_digest.paths_digest(again) != digest
 
 
+def test_exits_digest_repeats_and_sees_each_field():
+    cfg = load_config(path_digest.WORKLOADS / "hybrid_recover.cfg")
+    ctx = harness.prepare(replace(cfg, run=replace(cfg.run, trials=2, horizon=100)))
+    first = harness.run_trials(ctx, master_seed=3, log_steps=False)
+    again = harness.run_trials(ctx, master_seed=3, log_steps=False)
+    digest = path_digest.exits_digest(first)
+    assert len(digest) == 64 and path_digest.exits_digest(again) == digest
+    r = first[1]
+    for change in (
+        {"meas_hash": "0" * 64},
+        {"steps_run": r.steps_run - 1},
+        {"stops": {**r.stops, "alg1": 7}},
+        {"tau_hat": r.tau_hat + 1},
+        {"syncs": r.syncs + 1},
+    ):
+        assert path_digest.exits_digest([first[0], replace(r, **change)]) != digest, change
+
+
 def test_parsed_digest_sees_a_config_value_and_not_its_place(tmp_path):
     text = (path_digest.WORKLOADS / "fdi_detect.cfg").read_text()
     assert "\nh = " in text

@@ -11,6 +11,7 @@ from gridwatch import harness
 from gridwatch.grid_model import GridModel
 from gridwatch.kalman import KalmanState, kf_update_pre_full, pre_gain_step
 from gridwatch.robust import (
+    _pearson,
     Chi2Config,
     Chi2State,
     ShewhartConfig,
@@ -163,7 +164,8 @@ def test_from_samples_counts_every_window_with_cell_of():
         cells = [cell_of(cfg, v) for v in window]
         np.testing.assert_array_equal(st.cells[i], cells)
         np.testing.assert_array_equal(st.counts[i], np.bincount(cells, minlength=5))
-        assert st.chi_stat[i] == Chi2State.from_samples(cfg, window).chi_stat
+        single = Chi2State.from_samples(cfg, window)
+        assert _pearson(st.counts, cfg)[i] == _pearson(single.counts, cfg)
     with pytest.raises(ValueError, match="exactly 80 samples"):
         Chi2State.from_samples(cfg, samples[:, :79])
 
@@ -174,10 +176,10 @@ def test_pearson_perfect_fit_and_concentrated():
     edges = (0.0,) + cfg.edges
     samples = np.concatenate([np.full(16, e + 1e-6) for e in edges])
     st = Chi2State.from_samples(cfg, samples)
-    assert st.chi_stat == pytest.approx(0.0)
+    assert _pearson(st.counts, cfg) == pytest.approx(0.0)
     # all 80 in the first cell -> (64^2 + 4*16^2)/16 = 320
     st = Chi2State.from_samples(cfg, np.full(80, 1.0))
-    assert st.chi_stat == pytest.approx(320.0)
+    assert _pearson(st.counts, cfg) == pytest.approx(320.0)
 
 
 def test_pearson_step_evicts_and_counts():
@@ -216,7 +218,7 @@ def test_block_pearson_matches_step_oracle(L, T, B):
         assert_same_bits(block.counts, step.counts)
         assert_same_bits(block.cells, step.cells)
         assert block.head == step.head
-        assert_same_bits(block.chi_stat, step.chi_stat)
+        assert_same_bits(chi[..., -1], _pearson(step.counts, cfg))
 
 
 def test_ring_buffer_matches_recount():
@@ -236,7 +238,7 @@ def test_ring_buffer_matches_recount():
         assert st.counts.sum() == 80
         recount = np.bincount([cell_of(cfg, v) for v in window], minlength=5)
         np.testing.assert_array_equal(st.counts, recount)
-        assert chi[-1] == Chi2State.from_samples(cfg, window).chi_stat
+        assert chi[-1] == _pearson(Chi2State.from_samples(cfg, window).counts, cfg)
     assert end == samples.size
 
 
