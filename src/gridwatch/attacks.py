@@ -91,8 +91,10 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.tau != math.inf and self.tau < 1:
-            raise ValueError(f"onset tau must be >= 1, got {self.tau}")
+        # the on-off cycle counts from int(tau) and the attack starts at the
+        # first t >= tau, so only a whole tau puts them at the same step
+        if self.tau != math.inf and (self.tau < 1 or self.tau % 1):
+            raise ValueError(f"onset tau must be a whole number >= 1, got {self.tau}")
         if (self.t_on is None) != (self.t_off is None):
             raise ValueError("t_on and t_off must be given together")
         if self.t_on is not None and (self.t_on < 1 or self.t_off < 0):

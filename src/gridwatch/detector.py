@@ -1,5 +1,5 @@
 """Per-meter hypothesis costs, closed-form attack MLEs, GLLR, and the CUSUM
-recursion with reset-coupled change-point estimation.
+recursion whose clamp at zero re-syncs the post filter.
 
 Each meter is scored under four hypotheses for the current interval: clean,
 bias injection only, jamming only, or both. The costs are the (doubled,
@@ -43,9 +43,11 @@ them from the measurements and a post prediction to the GLLR.
 ``algorithm1_step`` is the closed-loop half of one step: it takes the post
 filter of a whole batch with its shares-pre flags (see ``kalman``),
 returns them advanced, and applies the scalar CUSUM recursion
-``cusum_step`` once per trial. The recursion has no threshold: the harness
-reads g from the step and finds the first step it reaches h once per
-block, like every other detector's.
+``cusum_step`` once per trial to its g, a plain float. The recursion has
+no threshold and no step index: the harness reads g from the step, and
+once per block finds the first step it reaches h, like every other
+detector's, and the change-point estimate tau_hat, the last step g was
+zero.
 
 The pre track. The post filter is re-synced to the pre filter exactly when
 g is clamped to zero, so a trial whose g is zero (or that has not taken a
@@ -122,12 +124,6 @@ class ResidualBlock:
 @dataclass
 class MeterClassification:
     labels: np.ndarray  # (..., K) ints indexing HYPOTHESES
-
-
-@dataclass
-class CusumState:
-    g: float = 0.0
-    tau_hat: int = 1  # the last step g was clamped to zero (1 before any)
 
 
 def residual_block(
@@ -232,18 +228,18 @@ def gllr(clean: np.ndarray, table: np.ndarray) -> np.ndarray:
     return clean - 0.5 * table.min(axis=-2).sum(axis=-1)
 
 
-def cusum_step(cs: CusumState, beta: float, t: int) -> "tuple[CusumState, bool]":
-    """One step of g_t = max(0, g_{t-1} + beta_t) at step t; returns the new
-    state and a sync flag.
+def cusum_step(g: float, beta: float) -> "tuple[float, bool]":
+    """One step of g_t = max(0, g_{t-1} + beta_t); returns the new g and a
+    sync flag.
 
     The sync flag is raised exactly when the statistic was clamped to zero,
-    which must re-sync the post filter to the pre filter; tau_hat then moves
-    to t. So g is zero exactly after a re-sync (the pre track). The
-    recursion is threshold-free, so it runs on past any h.
+    which must re-sync the post filter to the pre filter. So g is zero
+    exactly after a re-sync (the pre track). The clamp gives +0.0, also for
+    a sum of -0.0 or NaN. The recursion is threshold-free, so it runs on
+    past any h.
     """
-    g_new = max(0.0, cs.g + beta)
-    sync = g_new == 0.0
-    return CusumState(g=g_new, tau_hat=t if sync else cs.tau_hat), sync
+    g_new = max(0.0, g + beta)
+    return g_new, g_new == 0.0
 
 
 def score(
@@ -297,18 +293,17 @@ def _closed_loop(post, shares, rows, model, cfg, y, pre_step, clean) -> _Scored:
 class Algorithm1Step:
     post: kalman.KalmanState
     shares: np.ndarray
-    cusum: "list[CusumState]"
+    g: "list[float]"
     beta: np.ndarray
 
 
 def algorithm1_step(
     post: kalman.KalmanState,
     shares: np.ndarray,
-    cs: "Sequence[CusumState]",
+    g: "Sequence[float]",
     model: GridModel,
     cfg: DetectorConfig,
     y: np.ndarray,
-    t: int,
     pre_step: kalman.GainStep,
     pre_x: np.ndarray,
     clean: np.ndarray,
@@ -319,12 +314,12 @@ def algorithm1_step(
 
     The pre filter reads only the measurements, so the caller runs it, and
     what reads it alone, ahead (``kalman.pre_filter``, ``clean_term``,
-    ``score``) and passes step t's schedule entry ``pre_step``, filtered
+    ``score``) and passes the step's schedule entry ``pre_step``, filtered
     state ``pre_x``, clean term ``clean`` and ``beta_pre``, the GLLR scored
     on the pre filter's prediction. Order matters here: predict the post
     filter, build residuals on its prediction, classify and estimate, score
     the GLLR, advance the CUSUM, then update the post filter, or re-sync it
-    to step t's pre estimate if the statistic hit zero.
+    to the step's pre estimate if the statistic hit zero.
 
     A trial whose g is zero is on the pre track: its post filter was
     re-synced at the last step (or holds the start state), so its
@@ -336,11 +331,11 @@ def algorithm1_step(
 
     ``post`` is the post filter's filtered estimate with a leading trial
     axis, ``shares`` its (B,) shares-pre flags (see ``kalman``), ``y`` the
-    (B, K, lam) measurements and ``cs`` one CusumState per trial (a single
+    (B, K, lam) measurements and ``g`` the CUSUM of each trial (a single
     trial is a batch of one); the returned step holds the post filter's
-    estimate and flags after step t.
+    estimate and flags and the CUSUM after the step.
     """
-    on = [c.g == 0.0 for c in cs] if beta_pre is not None else [False] * len(cs)
+    on = [v == 0.0 for v in g] if beta_pre is not None else [False] * len(g)
     scored = None
     beta = beta_pre
     if not all(on):
@@ -351,12 +346,12 @@ def algorithm1_step(
             beta = beta_pre.copy()
             beta[off] = scored.beta
 
-    stepped = [cusum_step(c, b, t) for c, b in zip(cs, beta.tolist(), strict=True)]
-    new_cs = [c for c, _ in stepped]
+    stepped = [cusum_step(v, b) for v, b in zip(g, beta.tolist(), strict=True)]
+    g = [v for v, _ in stepped]
     stay = [not flag for _, flag in stepped]
     pre = kalman.KalmanState(pre_x, pre_step.P_upd)
     if not any(stay):
-        post, shares = pre, np.ones(len(cs), dtype=bool)
+        post, shares = pre, np.ones(len(g), dtype=bool)
     else:
         stay = np.array(stay)
         if scored is None or (stay & on).any():
@@ -370,7 +365,7 @@ def algorithm1_step(
         shares = scored.shares & ~scored.sigma_hat.any(axis=-1)
         if not stay.all():  # the rest re-sync: post := pre
             post, shares = _merge(pre, post, shares, stay)
-    return Algorithm1Step(post=post, shares=shares, cusum=new_cs, beta=beta)
+    return Algorithm1Step(post=post, shares=shares, g=g, beta=beta)
 
 
 def _merge(pre, post, shares, stay):

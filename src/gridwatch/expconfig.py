@@ -124,6 +124,14 @@ def _at_least(least: int):
     return conv
 
 
+def _whole(text: str) -> float:
+    """A finite float that is a whole number, kept a float."""
+    value = finite(text)
+    if value % 1:
+        raise ValueError("must be a whole number")
+    return value
+
+
 def _floats(text: str) -> "list[float]":
     return [finite(tok) for tok in text.replace(",", " ").split()]
 
@@ -320,7 +328,7 @@ def load_config(path) -> ExperimentConfig:
     run = RunSection(
         trials=_get(rsec, "trials", _at_least(1), default=1),
         horizon=_get(rsec, "horizon", _at_least(1), required=True),
-        tau=_get(rsec, "tau", finite, default=100),
+        tau=_get(rsec, "tau", _whole, default=100),
         eta=_get(rsec, "eta", _at_least(1), default=50),
         seed=_get(rsec, "seed", _at_least(0), default=0),
         log_steps=_get(rsec, "log_steps", _bool, default=False),

@@ -445,10 +445,13 @@ def run_trials(
 @dataclass
 class _Batch:
     """Every per-trial thing of a batch: its place in the run, seed,
-    measurement hash and random streams; Algorithm 1's post filter, its
-    shares-pre flags (see ``kalman``) and CUSUM; the stops, the re-sync
-    count and tau_hat at alg1's stop; and the current block of true
-    states, measurements and every statistic on them.
+    measurement hash and random streams; Algorithm 1's post filter and its
+    shares-pre flags (see ``kalman``); the stops, the re-sync count and
+    tau_hat at alg1's stop; and the current block of true states,
+    measurements and every statistic on them. Between blocks, the last
+    column of a block array is what the next block carries on from: the
+    true and pre-filter states, Algorithm 1's CUSUM g, tau_hat and the
+    nonparametric CUSUM (at spawn, one column of start values).
 
     Each trial derives four child streams from its seed, in their documented
     order: simulation, attack realization, attack application (jamming
@@ -471,7 +474,6 @@ class _Batch:
     sim: list
     atk: list
     jam: list
-    cusum: list  # one detector.CusumState per trial
     post: kalman.KalmanState  # Algorithm 1's post filter, filtered
     shares: np.ndarray  # (B,) the post covariance is the pre filter's
     stops: np.ndarray  # (B, R) first crossing of each path detector, in ``thresholds`` order
@@ -514,7 +516,6 @@ class _Batch:
             sim=[np.random.default_rng(ss) for ss in sim_ss],
             atk=[np.random.default_rng(ss) for ss in atk_ss],
             jam=[np.random.default_rng(ss) for ss in jam_ss],
-            cusum=[detector.CusumState() for _ in seeds],
             post=kalman.initial_state(start[:, 0], ctx.p0),
             shares=np.ones(B, dtype=bool),
             stops=np.full((B, len(ctx.thresholds)), INF),
@@ -524,7 +525,7 @@ class _Batch:
             Y=np.empty((B, 0, model.K, model.lam)),
             pre=start,
             clean=np.empty((B, 0)),
-            g=np.empty((B, 0)),
+            g=np.zeros((B, 1)),
             beta=np.empty((B, 0)),
             tau_hat=np.ones((B, 1), dtype=np.int64),
             window=window,
@@ -542,14 +543,15 @@ class _Batch:
         the statistics of the open-loop detectors, chi2, np_cusum,
         euclidean and cosine, the GLLR's clean term, the pre filter's MSE
         when steps are logged, and the GLLR of the pre track unless no
-        trial starts the block on it. The old block's measurements are
-        dropped first, so that two blocks of them never coexist. The
-        closed-loop arrays ``g`` and ``beta`` (and ``mse1`` when logged)
-        are left for the caller to fill."""
+        trial starts the block on it, that is, has a carried g of zero. The
+        old block's measurements are dropped first, so that two blocks of
+        them never coexist. The closed-loop arrays ``g`` and ``beta`` (and
+        ``mse1`` when logged) are left for the caller to fill."""
         model, attack = ctx.model, ctx.cfg.attack
         _, faulted = _phase(attack, t)
         sim_model = ctx.sim_model_post if faulted else model
         x, x_pre = self.X[:, -1], self.pre[:, -1]
+        on_track = (self.g[:, -1] == 0.0).any()
         self.Y = self.euclid = self.c = self.cosine = None
         self.X, Y = simulate_step(sim_model, x, self.sim, len(pre_steps))
         real = realize_attack(attack, t, len(pre_steps), self.atk, model.K)
@@ -584,7 +586,7 @@ class _Batch:
         self.clean = clean = detector.clean_term(r_pre, model)
         # Algorithm 1's GLLR for a post filter that holds the pre estimate
         self.beta_pre = None
-        if any(c.g == 0.0 for c in self.cusum):
+        if on_track:
             self.beta_pre = np.empty(shape)
             n = max(1, SCORE_TRIAL_STEPS // len(clean))
             for s in range(0, len(pre_steps), n):
@@ -678,9 +680,10 @@ def run_trial(
     ``_Batch.next_block`` makes the block's measurements and everything
     that reads only them, one call each for the batch. The step loop then
     runs algorithm 1's closed loop, ``detector.algorithm1_step`` (post
-    filter, GLLR and one CUSUM step per trial), and writes each step's g
-    and GLLR (and the post filter's MSE when steps are logged) into the
-    block; nothing else runs per step. Last, the block's epilogue settles
+    filter, GLLR and one CUSUM step per trial, on g carried as a list of
+    floats from the last column of the previous block), and writes each
+    step's g and GLLR (and the post filter's MSE when steps are logged)
+    into the block; nothing else runs per step. Last, the block's epilogue settles
     the rest on the (B, T) arrays: tau_hat (the last step g was zero), the
     first crossing in the block of every stopping rule, the re-syncs
     (``TrialResult.syncs``), each trial's measurement hash (SHA-256 does
@@ -717,15 +720,16 @@ def run_trial(
     while True:
         length = _block_steps(cfg.attack, t, min(BLOCK_STEPS, horizon + 1 - t))
         block_steps = list(islice(pre_steps, length))
+        g = batch.g[:, -1].tolist()
         batch.next_block(ctx, t, block_steps, log_steps)
         for s, pre_step in enumerate(block_steps):
             step = detector.algorithm1_step(
-                batch.post, batch.shares, batch.cusum, model, ctx.det_cfg, batch.Y[:, s], t + s,
-                pre_step, batch.pre[:, s], batch.clean[:, s],
+                batch.post, batch.shares, g, model, ctx.det_cfg, batch.Y[:, s], pre_step,
+                batch.pre[:, s], batch.clean[:, s],
                 None if batch.beta_pre is None else batch.beta_pre[:, s],
             )
-            batch.post, batch.shares, batch.cusum = step.post, step.shares, step.cusum
-            batch.g[:, s] = [c.g for c in step.cusum]
+            batch.post, batch.shares, g = step.post, step.shares, step.g
+            batch.g[:, s] = g
             batch.beta[:, s] = step.beta
             if log_steps:
                 batch.mse1[:, s] = np.mean((step.post.x - batch.X[:, s]) ** 2, axis=-1)

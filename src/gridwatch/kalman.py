@@ -6,7 +6,7 @@ its innovation is y - H x_pred - a_hat and its innovation covariance is
 inflated by the estimated per-meter jamming variances. Whenever the
 detection statistic is clamped to zero the post filter is re-synchronized
 to the pre filter, in ``detector.algorithm1_step`` (the change-point
-estimate that moves with it lives in ``detector.CusumState``).
+estimate that moves with it is settled by the harness once per block).
 
 Each filter carries one Gaussian estimate, ``KalmanState(x, P)``: between
 steps it holds its filtered estimate, ``kf_predict`` maps that to the
@@ -105,16 +105,11 @@ class GainStep:
     white: np.ndarray  # K x K inverse of Sbar's lower Cholesky factor
 
 
-def initial_state(x0: np.ndarray, p0: "float | np.ndarray") -> KalmanState:
-    """Filters start converged at the configured state with P = p0 * I.
-
-    x0 may carry a trial axis; a scalar p0 gives one shared covariance.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    P = np.asarray(p0, dtype=float)
-    if P.ndim == 0:
-        P = float(P) * np.eye(x0.shape[-1])
-    return KalmanState(x0.copy(), P.copy())
+def initial_state(x0: np.ndarray, p0: float) -> KalmanState:
+    """Filters start converged at the configured state with P = p0 * I, one
+    covariance that every trial shares; x0 may carry a trial axis."""
+    x0 = np.array(x0, dtype=float)
+    return KalmanState(x0, float(p0) * np.eye(x0.shape[-1]))
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -133,13 +128,13 @@ def _per_trial(P: np.ndarray, batch: tuple) -> np.ndarray:
     return P if P.shape[:-2] == batch else np.broadcast_to(P, batch + P.shape[-2:])
 
 
-def kf_predict(model: GridModel, ks: KalmanState, step: GainStep, shares=True) -> KalmanState:
+def kf_predict(model: GridModel, ks: KalmanState, step: GainStep, shares) -> KalmanState:
     """The prediction of the filtered estimate ks: A x and A P A^T + sigma_v2 I.
 
     ``step`` is the pre-filter schedule's entry for this step: the trials
-    flagged in ``shares`` (all by default) have its covariance and take the
-    predicted covariance from it; the others predict their own, and with
-    ``shares=False`` every trial does.
+    flagged in ``shares`` (a mask, or True for all) have its covariance and
+    take the predicted covariance from it; the others predict their own,
+    and with ``shares=False`` every trial does.
     """
     x = matvec(model.A, ks.x)
     batch = x.shape[:-1]
@@ -220,7 +215,7 @@ class PreSchedule:
     may each hold one.
     """
 
-    def __init__(self, model: GridModel, p0: "float | np.ndarray"):
+    def __init__(self, model: GridModel, p0: float):
         self.model = model
         P0 = initial_state(np.zeros(model.N), p0).P
         first = pre_gain_step(model, _predict_cov(model, P0))
@@ -291,7 +286,7 @@ def kf_update_post(
     a_hat: np.ndarray,
     sigma_hat: np.ndarray,
     pre_step: GainStep,
-    shares=True,
+    shares,
 ) -> KalmanState:
     """Measurement update of the prediction ``pred`` against the estimated
     attack, returning the filtered estimate.
@@ -300,9 +295,9 @@ def kf_update_post(
     prediction (``ResidualBlock.mean``); a_hat and sigma_hat are per-meter
     (length K), all with the trial axes of pred. ``pre_step`` is the pre
     filter's step, and ``shares`` flags the trials whose post covariance
-    equals the pre covariance (all by default): those with sigma_hat all
-    zero reuse its gain and covariance, and only the rest run the K x K
-    update, stacked. With ``shares=False`` every trial runs its own.
+    equals the pre covariance (a mask, or True for all): those with
+    sigma_hat all zero reuse its gain and covariance, and only the rest run
+    the K x K update, stacked. With ``shares=False`` every trial runs its own.
     """
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if np.any(sigma_hat < 0):

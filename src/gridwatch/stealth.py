@@ -15,6 +15,14 @@ construction of such an f1': equal component means at the midpoint of the
 clean/attacked means and a correlated covariance, with common divergence
 (mu1-mu0)^2/(4 s2) + 0.5 log(s2^2 / (s2^2 - phi^2)).
 
+That f1' is a density of the measurements, not an attack the grid model
+can add. Its covariance less the clean noise covariance s2 I is
+[[0, phi], [phi, 0]], whose eigenvalues are +phi and -phi: for phi != 0 it
+is not a covariance, so no additive attack whose noise is independent of
+the clean noise realises f1'. At phi = 0 it is the half-way fixed bias
+(mu1-mu0)/2, which the ``fdi_fixed`` attack law on a fixed meter set
+already runs; so the attack programs have no shaped kind.
+
 These tools generate principled stealthy attack programs. The audits of
 them on a scalar known-pdf CUSUM (the lower-bound recursion over on-off
 cycles and the slope test of the shaped density) live with the tests, in

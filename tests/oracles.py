@@ -498,13 +498,13 @@ def sync_count(ctx, seed, steps):
 # that need it; each trial must get the same bits.
 
 
-def algorithm1_step(pre, post, shares, cs, model, cfg, y, t, pre_step):
-    """One full detection-and-estimation iteration on step t's schedule
-    entry ``pre_step`` from the filtered estimates ``pre`` and ``post`` and
-    the post filter's shares-pre flags ``shares``, returning the pre
-    filter's filtered estimate, the step and the pre filter's innovation
-    y - H x_pre_pred as (B, K, lam)."""
-    pre = kalman.kf_predict(model, pre, pre_step)
+def algorithm1_step(pre, post, shares, g, model, cfg, y, pre_step):
+    """One full detection-and-estimation iteration on the step's schedule
+    entry ``pre_step`` from the filtered estimates ``pre`` and ``post``,
+    the post filter's shares-pre flags ``shares`` and the CUSUM ``g`` of
+    each trial, returning the pre filter's filtered estimate, the step and
+    the pre filter's innovation y - H x_pre_pred as (B, K, lam)."""
+    pre = kalman.kf_predict(model, pre, pre_step, True)
     post = kalman.kf_predict(model, post, pre_step, shares)
 
     rb = detector.residual_block(model, y, post.x, cfg)
@@ -519,14 +519,14 @@ def algorithm1_step(pre, post, shares, cs, model, cfg, y, t, pre_step):
     chosen = costs.min(axis=-2)
     beta = 0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1)
 
-    stepped = [detector.cusum_step(c, b, t) for c, b in zip(cs, beta.tolist(), strict=True)]
+    stepped = [detector.cusum_step(v, b) for v, b in zip(g, beta.tolist(), strict=True)]
     sync = np.array([flag for _, flag in stepped], dtype=bool)
     # reset coupling: post := pre for the trials whose statistic hit zero
     post = KalmanState(
         np.where(sync[:, None], pre.x, post.x), np.where(sync[:, None, None], pre.P, post.P)
     )
     shares = sync | (shares & ~sigma_hat.any(axis=-1))
-    step = detector.Algorithm1Step(post, shares, [c for c, _ in stepped], beta)
+    step = detector.Algorithm1Step(post, shares, [v for v, _ in stepped], beta)
     return pre, step, pre_innovation
 
 
@@ -552,7 +552,8 @@ def whole_step_run(ctx, seeds):
     with each trial's streams spawned and drawn as the engine does. Returns
     the paths keyed like TrialPaths fields (enabled statistics and the MSE
     paths), each (B, horizon), and per trial its measurement hash after
-    every step.
+    every step. tau_hat is recounted here a step at a time: the last step
+    at which g was zero, 1 before any.
     """
     model, cfg, attack = ctx.model, ctx.cfg, ctx.cfg.attack
     B, horizon = len(seeds), cfg.run.horizon
@@ -568,7 +569,8 @@ def whole_step_run(ctx, seeds):
     x = np.tile(ctx.x0, (B, 1))
     pre = post = kalman.initial_state(x, ctx.p0)
     shares = np.ones(B, dtype=bool)
-    cs = [detector.CusumState() for _ in seeds]
+    g = [0.0] * B
+    tau_hat = np.ones(B, dtype=np.int64)
     np_S = np.zeros(B)
     hashers = [hashlib.sha256() for _ in seeds]
     hashes = [[] for _ in seeds]
@@ -584,13 +586,14 @@ def whole_step_run(ctx, seeds):
             trail.append(hasher.hexdigest())
 
         pre, step, innovation = algorithm1_step(
-            pre, post, shares, cs, model, ctx.det_cfg, y, t, pre_step
+            pre, post, shares, g, model, ctx.det_cfg, y, pre_step
         )
-        post, shares, cs = step.post, step.shares, step.cusum
+        post, shares, g = step.post, step.shares, step.g
+        tau_hat = np.where(np.array(g) == 0.0, t, tau_hat)
         r = innovation.reshape(B, -1)
         dist = np.sqrt(vecdot(r, r))
         rows = {
-            "g": [c.g for c in cs], "beta": step.beta, "tau_hat": [c.tau_hat for c in cs],
+            "g": g, "beta": step.beta, "tau_hat": tau_hat,
             "mse0": np.mean((pre.x - x) ** 2, axis=-1),
             "mse1": np.mean((post.x - x) ** 2, axis=-1),
         }

@@ -195,6 +195,17 @@ def test_spec_validation_errors():
         MagnitudeLaw.fixed(math.inf)
 
 
+def test_spec_rejects_fractional_onset():
+    # is_active counts the on-off cycle from int(tau) while the attack
+    # starts at the first t >= tau: tau = 100.5 would first attack at 104
+    # for t_on = 1, t_off = 3, with delays still measured from 100.5
+    law = MagnitudeLaw.fixed(0.1)
+    for tau in (100.5, math.nan):
+        with pytest.raises(ValueError, match="tau"):
+            AttackSpec(tau=tau, kind="fdi", fdi_law=law, t_on=1, t_off=3)
+    assert AttackSpec(tau=100.0, kind="fdi", fdi_law=law).tau == 100.0
+
+
 @pytest.mark.parametrize("lo, hi", [(-0.02, 0.02), (2e-4, 4e-4), (0.0, 1.0), (-3.5, 1e3), (0.25, 0.25)])
 def test_uniform_is_lo_plus_width_times_random(lo, hi):
     # what the attack kernel computes from its block of doubles

@@ -168,6 +168,7 @@ FDI = "kind = fdi\nfdi_fixed = 0.1"
         (FDI, "seed = 1", "seed = 1\n[chi2]\nm = 100\nvarphi = 25", "l"),
         (FDI, "tau = 20", "tau = nan", "tau"),
         ("kind = none", "tau = 20", "tau = inf", "tau"),
+        ("kind = none", "tau = 20", "tau = 20.5", "tau"),
         (FDI, "h = 5", "h = nan", "h"),
         (FDI, "h = 5", "h = inf", "h"),
         (FDI, "h = 5", "h = 5\nnp_q = inf", "np_q"),

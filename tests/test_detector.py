@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridwatch.detector import (
-    CusumState,
     DetectorConfig,
     ResidualBlock,
     algorithm1_step,
@@ -356,29 +355,40 @@ def test_gllr_positive_for_huge_bias(ieee14_model):
 
 
 def test_cusum_clamp_and_sync_flag():
-    cs, sync = cusum_step(CusumState(g=0.0), -1.0, t=4)
-    assert cs.g == 0.0
+    g, sync = cusum_step(0.0, -1.0)
+    assert g == 0.0
     assert sync
-    assert cs.tau_hat == 4
 
 
 def test_cusum_threshold_crossing():
     # the recursion has no threshold: it runs on past any h (the caller
-    # stops at the first step g reaches h), keeping tau_hat until a clamp
-    cs, sync = cusum_step(CusumState(g=8.0, tau_hat=3), 3.0, t=11)
-    assert (cs.g, cs.tau_hat, sync) == (11.0, 3, False)
-    cs, sync = cusum_step(cs, 0.5, t=12)
-    assert (cs.g, cs.tau_hat, sync) == (11.5, 3, False)
-    cs, sync = cusum_step(cs, -20.0, t=13)
-    assert (cs.g, cs.tau_hat, sync) == (0.0, 13, True)
+    # stops at the first step g reaches h) until a clamp
+    g, sync = cusum_step(8.0, 3.0)
+    assert (g, sync) == (11.0, False)
+    g, sync = cusum_step(g, 0.5)
+    assert (g, sync) == (11.5, False)
+    g, sync = cusum_step(g, -20.0)
+    assert (g, sync) == (0.0, True)
+
+
+@pytest.mark.parametrize("beta", [-0.0, math.nan])
+def test_cusum_clamp_gives_positive_zero(beta):
+    # a clamped g is +0.0, with the sync flag, for a sum of -0.0 or NaN:
+    # the recorded g path keeps its bits. np.maximum(0.0, x) gives -0.0
+    # and nan for x = -0.0 and nan, so an elementwise step must not be a
+    # bare np.maximum; np.where(x > 0, x, 0.0) gives what max(0.0, x) does
+    g, sync = cusum_step(0.0, beta)
+    assert (g, math.copysign(1.0, g), sync) == (0.0, 1.0, True)
+    x = np.array([-0.0, math.nan])
+    assert_same_bits(np.where(x > 0, x, 0.0), np.array([max(0.0, v) for v in x.tolist()]))
 
 
 def test_cusum_negative_drift_returns_to_zero_often():
     rng = np.random.default_rng(8)
-    cs = CusumState()
+    g = 0.0
     zeros = 0
-    for t in range(1, 10_001):
-        cs, sync = cusum_step(cs, rng.normal(-0.5, 1.0), t)
+    for _ in range(10_000):
+        g, sync = cusum_step(g, rng.normal(-0.5, 1.0))
         zeros += sync
     assert zeros >= 100  # at least once per 100 steps on average
 
@@ -420,11 +430,9 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
     # A = I, so the post prediction the residuals are built on is x0
     np.testing.assert_array_equal(kf_predict(model, post, None, shares=False).x[0], x0)
     pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, pre, y)
-    step = algorithm1_step(
-        post, shares, [CusumState()], model, CFG, y, 1, pre_step, pre_x, clean, beta_pre
-    )
-    (cs,) = step.cusum
-    assert cs.g > 0.0  # no re-sync: the post filter ran its own update
+    step = algorithm1_step(post, shares, [0.0], model, CFG, y, pre_step, pre_x, clean, beta_pre)
+    (g,) = step.g
+    assert g > 0.0  # no re-sync: the post filter ran its own update
     # scored against the prediction x0, meter 0 is explained by a_hat = 0.5
     rb = residual_block(model, y, x0[None], CFG)
     costs = hypothesis_costs(rb, model, CFG)
@@ -442,27 +450,28 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
 def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
     # a biased first step lifts g and moves the post filter off the pre
     # filter; clean steps then bring g back to zero, and the step that
-    # clamps it re-syncs the post filter to the pre estimate and moves tau_hat
+    # clamps it re-syncs the post filter to the pre estimate; that step is
+    # the one the harness makes tau_hat
     model = ieee14_model
     x0 = ieee14_topology.initial_state()
     pre = post = initial_state(x0[None], 1e-4)  # a batch of one trial
     shares = np.ones(1, dtype=bool)
-    cs = [CusumState()]
+    g = [0.0]
     rng = np.random.default_rng(0)
     apart = False
     for t in range(1, 30):
         y = (model.H @ x0).reshape(1, 23, 5) + 0.01 * rng.standard_normal((1, 23, 5))
         y[0, 0] += 0.05 if t == 1 else 0.0
         pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, pre, y)
-        step = algorithm1_step(post, shares, cs, model, CFG, y, t, pre_step, pre_x, clean, beta_pre)
+        step = algorithm1_step(post, shares, g, model, CFG, y, pre_step, pre_x, clean, beta_pre)
         pre = KalmanState(pre_x, pre_step.P_upd)
-        post, shares, cs = step.post, step.shares, step.cusum
-        if cs[0].g > 0.0:
+        post, shares, g = step.post, step.shares, step.g
+        if g[0] > 0.0:
             apart = bool(np.any(post.x != pre.x))
             continue
         break
     assert apart and t > 2
-    assert cs[0].g == 0.0 and cs[0].tau_hat == t
+    assert g == [0.0]
     np.testing.assert_array_equal(post.x, pre.x)
     np.testing.assert_array_equal(post.P, pre.P)
     assert shares.tolist() == [True]
@@ -478,21 +487,21 @@ def test_algorithm1_step_matches_whole_step_oracle(ieee14_model, ieee14_topology
     B = 4
     pre = post = want_pre = want_post = initial_state(np.tile(x0, (B, 1)), 1e-4)
     shares = want_shares = np.ones(B, dtype=bool)
-    cs = want_cs = [CusumState() for _ in range(B)]
+    g = want_g = [0.0] * B
     rng = np.random.default_rng(5)
     seen = dict.fromkeys(("mixed", "on_stays", "some_sync"), False)
-    for t, schedule_step in zip(range(1, 60), PreSchedule(model, 1e-4)):
+    for schedule_step in islice(PreSchedule(model, 1e-4), 59):
         y = np.tile((model.H @ x0).reshape(23, 5), (B, 1, 1))
         y += 0.01 * rng.standard_normal(y.shape)
         y[:, :3] += np.where(rng.random((B, 1, 1)) < 0.3, 0.03, 0.0)
         pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, pre, y, schedule_step)
-        on = np.array([c.g == 0.0 for c in cs])
-        step = algorithm1_step(post, shares, cs, model, CFG, y, t, pre_step, pre_x, clean, beta_pre)
+        on = np.array(g) == 0.0
+        step = algorithm1_step(post, shares, g, model, CFG, y, pre_step, pre_x, clean, beta_pre)
         want_pre, want, _ = oracle_algorithm1_step(
-            want_pre, want_post, want_shares, want_cs, model, CFG, y, t, pre_step
+            want_pre, want_post, want_shares, want_g, model, CFG, y, pre_step
         )
         assert_same_bits(step.beta, want.beta)
-        assert [astuple(c) for c in step.cusum] == [astuple(c) for c in want.cusum]
+        assert_same_bits(np.array(step.g), np.array(want.g))
         pre = KalmanState(pre_x, pre_step.P_upd)
         assert_same_bits(pre.x, want_pre.x)
         assert_same_bits(step.post.x, want.post.x)
@@ -502,10 +511,10 @@ def test_algorithm1_step_matches_whole_step_oracle(ieee14_model, ieee14_topology
             np.broadcast_to(step.post.P, (B, 13, 13))[own],
             np.broadcast_to(want.post.P, (B, 13, 13))[own],
         )
-        sync = np.array([c.g == 0.0 for c in step.cusum])
+        sync = np.array(step.g) == 0.0
         seen["mixed"] |= bool(on.any() and not on.all())
         seen["on_stays"] |= bool((on & ~sync).any())
         seen["some_sync"] |= bool(sync.any() and not sync.all())
-        post, shares, cs = step.post, step.shares, step.cusum
-        want_post, want_shares, want_cs = want.post, want.shares, want.cusum
+        post, shares, g = step.post, step.shares, step.g
+        want_post, want_shares, want_g = want.post, want.shares, want.g
     assert seen == dict.fromkeys(seen, True)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gridwatch import harness, kalman, load_config
-from gridwatch.detector import CusumState, cusum_step
+from gridwatch.detector import cusum_step
 from gridwatch.expconfig import ConfigError
 from gridwatch.grid_model import build_model
 from gridwatch.harness import BLOCK_STEPS
@@ -134,11 +134,11 @@ def test_t_tilde_is_min_and_replay_consistent(tmp_path, mu0_cache):
 
     # replay the CUSUM recursion over the recorded GLLR stream with the
     # contract op; the g path and the h-crossing must match exactly
-    cs = CusumState()
+    g = 0.0
     g_replay = np.empty(n)
     for t in range(1, n + 1):
-        cs, _ = cusum_step(cs, float(res.paths.beta[t - 1]), t)
-        g_replay[t - 1] = cs.g
+        g, _ = cusum_step(g, float(res.paths.beta[t - 1]))
+        g_replay[t - 1] = g
     np.testing.assert_array_equal(g_replay, res.paths.g[:n])
     crossing = np.flatnonzero(res.paths.g[:n] >= ctx.h)
     expected = float(crossing[0] + 1) if crossing.size else math.inf
@@ -959,10 +959,14 @@ def test_tracer_probes_read_what_they_count(tmp_path, mu0_cache, attack):
     ctx = harness.prepare(make_cfg(tmp_path, attack=attack, trials=4, horizon=150, cache=mu0_cache))
     tracer = tracing.Tracer()
     with tracer:
-        harness.run_trials(ctx, full_paths=True)
+        results = harness.run_trials(ctx, full_paths=True)
     assert tracer.absent == []
     counts = tracer.counts
     assert counts["probe_errors"] == 0
+    # with full paths every trial runs every step: one CUSUM step per trial
+    # step, so kalman.sync_frac is the share of trial steps that re-sync
+    assert counts["cusum.calls"] == 4 * 150
+    assert counts["cusum.sync"] == sum(r.syncs for r in results)
     counters = (
         "attack.calls", "attack.active", "post.calls", "post.sigma_nonzero",
         "cusum.calls", "cusum.sync", "labels.total", "labels.nonclean",

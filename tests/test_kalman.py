@@ -53,7 +53,7 @@ def scalar_model(sigma_w2=1.0, sigma_v2=1.0):
 
 def test_predict_identity_dynamics_no_noise():
     model = scalar_model(sigma_v2=0.0)
-    ks = initial_state(np.array([0.7]), np.array([[0.3]]))
+    ks = initial_state(np.array([0.7]), 0.3)
     out = kf_predict(model, ks, None, shares=False)
     np.testing.assert_array_equal(out.x, ks.x)
     np.testing.assert_array_equal(out.P, ks.P)
@@ -61,7 +61,7 @@ def test_predict_identity_dynamics_no_noise():
 
 def test_predict_additive_noise_only():
     model = scalar_model(sigma_v2=1e-4)
-    ks = initial_state(np.array([0.0]), np.array([[0.0]]))
+    ks = initial_state(np.array([0.0]), 0.0)
     out = kf_predict(model, ks, None, shares=False)
     np.testing.assert_allclose(out.P, 1e-4 * np.eye(1))
 
@@ -246,7 +246,7 @@ def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
         if rng.random() < 0.5:
             sigma_hat[:] = 0.0
 
-        pre, r = kf_update_pre_full(model, kf_predict(model, pre, step), y, step)
+        pre, r = kf_update_pre_full(model, kf_predict(model, pre, step, True), y, step)
         post = kf_predict(model, post, step, shares)
         post = kf_update_post(model, post, post_mean(model, post, y), a_hat, sigma_hat, step, shares)
         shares = shares and not sigma_hat.any()
