@@ -22,7 +22,8 @@ A workload with an np-CUSUM baseline also gets one line
 are compared directly. gridwatch is imported from the Python path, so the
 same script run against two source trees shows whether they parse the
 same inputs and compute the same baseline, measurements, stops, exits and
-paths bit for bit.
+paths bit for bit. tests/golden/path_digest.txt holds the lines for seeds
+0 to 1 under a header of ``versions()``, which tier-1 recomputes.
 """
 
 from __future__ import annotations
@@ -88,23 +89,39 @@ def exits_digest(results) -> str:
     return h.hexdigest()
 
 
-def main(argv=None) -> int:
+def versions() -> str:
+    """The libraries whose builds the bits depend on: numpy, scipy and the
+    BLAS numpy was built with, as one line."""
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__} scipy {scipy.__version__} blas {blas['name']} {blas['version']}"
+
+
+def lines(first: int, last: int):
+    """The script's output lines for the master seeds first .. last, in
+    order, without their newlines."""
     from gridwatch import harness
     from gridwatch.expconfig import load_config
 
-    args = sys.argv[1:] if argv is None else argv
-    first, last = (int(a) for a in args) if args else (0, 20)
     for cfg_path in sorted([*(ROOT / "configs").glob("*.cfg"), *WORKLOADS.glob("*.cfg")]):
-        print(f"{cfg_path.relative_to(ROOT).as_posix()} parsed {parsed_digest(cfg_path)}", flush=True)
+        yield f"{cfg_path.relative_to(ROOT).as_posix()} parsed {parsed_digest(cfg_path)}"
     for cfg_path in sorted(WORKLOADS.glob("*.cfg")):
         ctx = harness.prepare(load_config(cfg_path))
         if ctx.mu0 is not None:
-            print(f"{cfg_path.stem} mu0 {ctx.mu0!r}", flush=True)
+            yield f"{cfg_path.stem} mu0 {ctx.mu0!r}"
         for seed in range(first, last + 1):
             results = harness.run_trials(ctx, master_seed=seed, full_paths=True)
-            print(f"{cfg_path.stem} {seed} {paths_digest(results)}", flush=True)
+            yield f"{cfg_path.stem} {seed} {paths_digest(results)}"
             quick = harness.run_trials(ctx, master_seed=seed, log_steps=False)
-            print(f"{cfg_path.stem} {seed} exits {exits_digest(quick)}", flush=True)
+            yield f"{cfg_path.stem} {seed} exits {exits_digest(quick)}"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    first, last = (int(a) for a in args) if args else (0, 20)
+    for line in lines(first, last):
+        print(line, flush=True)
     return 0
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,21 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "path_digest.py"
 _spec = importlib.util.spec_from_file_location("path_digest", SCRIPT)
 path_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(path_digest)
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "path_digest.txt"
+
+
+def test_path_digest_matches_golden_file():
+    # `scripts/path_digest.py 0 1`, recorded under a header naming the
+    # library builds whose bits it holds; other builds fail here rather than
+    # skip. A change that moves numbers on purpose re-records the file:
+    #   (echo "# <versions()>"; PYTHONPATH=src python3 scripts/path_digest.py 0 1)
+    header, *want = GOLDEN.read_text().splitlines()
+    here = path_digest.versions()
+    assert header == f"# {here}", f"recorded with {header[2:]!r}, running {here!r}"
+    got = list(path_digest.lines(0, 1))
+    diff = [f"-{w}\n+{g}" for w, g in zip_longest(want, got) if w != g]
+    assert not diff, "lines differ from the golden file:\n" + "\n".join(diff)
 
 
 def test_path_digest_repeats_and_sees_one_bit():
