@@ -70,7 +70,7 @@ def cmd_simulate(args) -> int:
             miss = harness.missed_detection_ratio(stops, tau, cfg.run.eta)
             rows.append((name, "delay", d.mean, d.ci_half, miss))
     syncs = sum(r.syncs for r in results)
-    rows.append(("alg1", "sync_frac", syncs / sum(r.steps_run for r in results), math.nan, syncs))
+    rows.append(("alg1", "sync_frac", syncs / sum(r.sync_steps for r in results), math.nan, syncs))
     harness.write_rows(sys.stdout, ["detector", "metric", "value", "ci_half", "extra"], rows)
 
     if cfg.attack.kind != "none":

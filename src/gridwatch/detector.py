@@ -274,7 +274,7 @@ class _Scored:
         )
 
 
-def _rows(mask: np.ndarray):
+def mask_rows(mask: np.ndarray):
     """The trials of a mask as an index that copies nothing when it selects
     every trial."""
     return slice(None) if mask.all() else np.flatnonzero(mask)
@@ -340,7 +340,7 @@ def algorithm1_step(
     beta = beta_pre
     if not all(on):
         off = np.logical_not(on)
-        scored = _closed_loop(post, shares, _rows(off), model, cfg, y, pre_step, clean)
+        scored = _closed_loop(post, shares, mask_rows(off), model, cfg, y, pre_step, clean)
         beta = scored.beta
         if any(on):
             beta = beta_pre.copy()
@@ -356,7 +356,7 @@ def algorithm1_step(
         stay = np.array(stay)
         if scored is None or (stay & on).any():
             # a trial leaves the pre track: score every trial that updates
-            scored = _closed_loop(post, shares, _rows(stay), model, cfg, y, pre_step, clean)
+            scored = _closed_loop(post, shares, mask_rows(stay), model, cfg, y, pre_step, clean)
         elif not stay[off].all():
             scored = scored.take(np.flatnonzero(stay[off]))
         post = kalman.kf_update_post(

@@ -32,8 +32,9 @@ not left it), so its post prediction is the pre filter's, bit for bit,
 and its GLLR is the one scored on the pre predictions. The engine's step
 loop then runs only the closed loop: algorithm 1's post filter (predicted
 and scored for the trials off the pre track, updated for the trials that
-do not re-sync) and its CUSUM, on (B, K) and (B,) arrays, writing each
-step's g and GLLR into the block. Each product is one BLAS call per
+do not re-sync) and its CUSUM, on the (L, K) and (L,) arrays of the L
+trials still live in it, writing each step's g and GLLR into the block.
+Each product is one BLAS call per
 vector, every reduction runs over the same axis in either half, the
 Pearson counts are exact small integers and the nonparametric CUSUM keeps
 its per-step order, so every trial gets the bits of a step at a time.
@@ -41,10 +42,15 @@ its per-step order, so every trial gets the bits of a step at a time.
 Once per block an epilogue settles the rest on the block's (B, T) arrays:
 tau_hat, the first crossing in the block of every stopping rule, the
 re-sync counts, the measurement hashes and the recorded paths. Without
-recorded paths a trial leaves the batch at the end of the block that holds
-its latest stop, which is its steps_run; the closed-loop steps it ran
-after that stop are dropped. The engine then holds O(B) state; (B,
-horizon) path arrays exist only when paths are requested.
+recorded paths, a trial retires from the closed loop at the end of the
+block that holds the later of its alg1 and Shewhart stops, as the paper's
+Algorithm 1 ends at its alarm: nothing it reports but the re-syncs up to
+those stops reads the closed loop, so from the next block neither the
+step loop nor the pre-track score runs for it, and its g and GLLR columns
+hold NaN. It leaves the batch at the end of the block that holds its
+latest stop, which is its steps_run; the steps it ran after that stop
+are dropped. The engine then holds O(B) state; (B, horizon) path arrays
+exist only when paths are requested.
 ``run_trials`` derives the seeds of a run, (master seed, trial index),
 and runs them as one batch; a single trial is the batch of one seed.
 """
@@ -106,6 +112,8 @@ PATH_DETECTORS = (
 PATH_FIELD = {name: field for name, field, _ in PATH_DETECTORS}
 PATH_DIRECTION = {name: direction for name, _, direction in PATH_DETECTORS}
 ALG2 = ("alg1", "shewhart", "chi2")
+# The rules that read Algorithm 1's closed loop: its CUSUM g and its GLLR.
+CLOSED_LOOP = ("alg1", "shewhart")
 
 
 def crossed(values, threshold: float, direction: int):
@@ -416,10 +424,21 @@ class TrialResult:
     steps_run: int
     meas_hash: str
     paths: Optional[TrialPaths] = None
-    syncs: int = 0  # steps at which alg1's CUSUM was clamped to zero
+    # the steps at which alg1's CUSUM was clamped to zero (the post filter
+    # re-synced), of the first ``sync_steps``
+    syncs: int = 0
 
     def stop(self, name: str) -> float:
         return self.stops.get(name, INF)
+
+    @property
+    def sync_steps(self) -> int:
+        """The steps ``syncs`` counts over: up to the latest stop of the
+        configured ``CLOSED_LOOP`` rules, after which Algorithm 1 has done
+        its work and the engine may retire its closed loop, and at most
+        steps_run, with or without recorded paths."""
+        closed = max(self.stops[name] for name in CLOSED_LOOP if name in self.stops)
+        return int(min(self.steps_run, closed))
 
 
 def run_trials(
@@ -442,16 +461,78 @@ def run_trials(
     return run_trial(ctx, [(master, i) for i in range(run.trials)], log_steps, full_paths)
 
 
+def _take(item, keep):
+    """A per-trial field at the trials where the boolean mask ``keep`` is
+    true: a list, an array on a leading trial axis, None, or an object with
+    its own ``take``."""
+    if isinstance(item, list):
+        return [value for value, k in zip(item, keep) if k]
+    if isinstance(item, np.ndarray):
+        return item[keep]
+    return None if item is None else item.take(keep)
+
+
+@dataclass
+class _ClosedLoop:
+    """Algorithm 1's closed loop on the live trials of a batch, those where
+    the (B,) mask ``live`` is true: their post filter and its shares-pre
+    flags (see ``kalman``), and their rows of the current block's inputs
+    (measurements, pre-filter states, the GLLR's clean term and pre-track
+    GLLR) and outputs (g and the GLLR). Every field but ``live`` is on the
+    live trials alone; with every trial live the inputs are the batch's
+    own block arrays. Between blocks, the last column of ``g`` is the
+    CUSUM each live trial carries on from (at spawn, zero).
+
+    A trial retires from the loop once nothing reads it any more: no path
+    is recorded and every configured rule of ``CLOSED_LOOP`` has stopped.
+    """
+
+    live: np.ndarray  # (B,) the trial runs the closed loop
+    post: kalman.KalmanState  # Algorithm 1's post filter, filtered
+    shares: np.ndarray  # (L,) the post covariance is the pre filter's
+    g: np.ndarray  # (L, T) Algorithm 1's CUSUM
+    beta: np.ndarray  # (L, T) its GLLR
+    Y: Optional[np.ndarray] = None  # (L, T, K, lam) measurements
+    pre: Optional[np.ndarray] = None  # (L, T, N) the pre filter's filtered states
+    clean: Optional[np.ndarray] = None  # (L, T) the GLLR's clean term
+    # (L, T) the GLLR of a trial on the pre track; None for a block that no
+    # live trial starts on the track
+    beta_pre: Optional[np.ndarray] = None
+
+    def take(self, keep: np.ndarray) -> "_ClosedLoop":
+        """The loop of the batch's trials where ``keep`` is true."""
+        return self._select(self.live[keep], keep[self.live])
+
+    def retire(self, gone: np.ndarray) -> "_ClosedLoop":
+        """The loop without the batch's trials where ``gone`` is true."""
+        stay = ~gone[self.live]
+        return self if stay.all() else self._select(self.live & ~gone, stay)
+
+    def _select(self, live, stay) -> "_ClosedLoop":
+        # the mask ``live`` and, at every other field, the live trials
+        # where ``stay`` is true
+        return _ClosedLoop(live, *(_take(getattr(self, f.name), stay) for f in fields(self)[1:]))
+
+    def spread(self, block: np.ndarray) -> np.ndarray:
+        """An (L, T) block of the live trials as the batch's (B, T), NaN at
+        the retired trials, so that a stray reader of them shows."""
+        if self.live.all():
+            return block
+        full = np.full((len(self.live), block.shape[1]), np.nan)
+        full[self.live] = block
+        return full
+
+
 @dataclass
 class _Batch:
     """Every per-trial thing of a batch: its place in the run, seed,
-    measurement hash and random streams; Algorithm 1's post filter and its
-    shares-pre flags (see ``kalman``); the stops, the re-sync count and
-    tau_hat at alg1's stop; and the current block of true states,
-    measurements and every statistic on them. Between blocks, the last
-    column of a block array is what the next block carries on from: the
-    true and pre-filter states, Algorithm 1's CUSUM g, tau_hat and the
-    nonparametric CUSUM (at spawn, one column of start values).
+    measurement hash and random streams; Algorithm 1's closed loop
+    (``_ClosedLoop``); the stops, the re-sync count and tau_hat at alg1's
+    stop; and the current block of true states, measurements and every
+    statistic on them. Between blocks, the last column of a block array is
+    what the next block carries on from: the true and pre-filter states,
+    tau_hat and the nonparametric CUSUM (at spawn, one column of start
+    values).
 
     Each trial derives four child streams from its seed, in their documented
     order: simulation, attack realization, attack application (jamming
@@ -474,21 +555,16 @@ class _Batch:
     sim: list
     atk: list
     jam: list
-    post: kalman.KalmanState  # Algorithm 1's post filter, filtered
-    shares: np.ndarray  # (B,) the post covariance is the pre filter's
+    loop: _ClosedLoop
     stops: np.ndarray  # (B, R) first crossing of each path detector, in ``thresholds`` order
-    syncs: np.ndarray  # (B,) steps run at which the CUSUM was clamped to zero
+    syncs: np.ndarray  # (B,) re-syncs counted so far (see ``TrialResult.syncs``)
     tau_at_alg1: np.ndarray  # (B,) tau_hat at alg1's stop
     X: np.ndarray  # (B, T, N) true states of the current block
     Y: np.ndarray  # (B, T, K, lam) measurements of the current block
     pre: np.ndarray  # (B, T, N) the pre filter's filtered states
-    clean: np.ndarray  # (B, T) the GLLR's clean term
-    g: np.ndarray  # (B, T) Algorithm 1's CUSUM
-    beta: np.ndarray  # (B, T) its GLLR
+    g: np.ndarray  # (B, T) Algorithm 1's CUSUM, NaN at retired trials
+    beta: np.ndarray  # (B, T) its GLLR, NaN at retired trials
     tau_hat: np.ndarray  # (B, T) the last step g was zero (1 before any)
-    # (B, T) the GLLR of a trial on the pre track; None for a block that no
-    # trial starts on the track
-    beta_pre: Optional[np.ndarray] = None
     window: Optional[Chi2State] = None  # the Pearson windows after the block
     np_S: Optional[np.ndarray] = None  # (B, T) the nonparametric CUSUM
     euclid: Optional[np.ndarray] = None  # (B, T) innovation norms
@@ -516,16 +592,20 @@ class _Batch:
             sim=[np.random.default_rng(ss) for ss in sim_ss],
             atk=[np.random.default_rng(ss) for ss in atk_ss],
             jam=[np.random.default_rng(ss) for ss in jam_ss],
-            post=kalman.initial_state(start[:, 0], ctx.p0),
-            shares=np.ones(B, dtype=bool),
+            loop=_ClosedLoop(
+                live=np.ones(B, dtype=bool),
+                post=kalman.initial_state(start[:, 0], ctx.p0),
+                shares=np.ones(B, dtype=bool),
+                g=np.zeros((B, 1)),
+                beta=np.empty((B, 0)),
+            ),
             stops=np.full((B, len(ctx.thresholds)), INF),
             syncs=np.zeros(B, dtype=np.int64),
             tau_at_alg1=np.ones(B, dtype=np.int64),
             X=start,
             Y=np.empty((B, 0, model.K, model.lam)),
             pre=start,
-            clean=np.empty((B, 0)),
-            g=np.zeros((B, 1)),
+            g=np.empty((B, 0)),
             beta=np.empty((B, 0)),
             tau_hat=np.ones((B, 1), dtype=np.int64),
             window=window,
@@ -541,18 +621,21 @@ class _Batch:
         and every statistic that reads only it over the block, one call
         each (the nonparametric CUSUM one per step, in its per-step order):
         the statistics of the open-loop detectors, chi2, np_cusum,
-        euclidean and cosine, the GLLR's clean term, the pre filter's MSE
-        when steps are logged, and the GLLR of the pre track unless no
-        trial starts the block on it, that is, has a carried g of zero. The
-        old block's measurements are dropped first, so that two blocks of
-        them never coexist. The closed-loop arrays ``g`` and ``beta`` (and
-        ``mse1`` when logged) are left for the caller to fill."""
-        model, attack = ctx.model, ctx.cfg.attack
+        euclidean and cosine, and the pre filter's MSE when steps are
+        logged. Then the closed loop's inputs, on its live trials alone:
+        their rows of the measurements and pre-filter states (one take of
+        each, none when every trial is live), the GLLR's clean term, and
+        the GLLR of the pre track unless no live trial starts the block on
+        it, that is, has a carried g of zero. The old block's measurements
+        are dropped first, so that two blocks of them never coexist. The
+        closed loop's ``g`` and ``beta`` (and the batch's ``mse1`` when
+        logged) are left for the caller to fill."""
+        model, attack, loop = ctx.model, ctx.cfg.attack, self.loop
         _, faulted = _phase(attack, t)
         sim_model = ctx.sim_model_post if faulted else model
         x, x_pre = self.X[:, -1], self.pre[:, -1]
-        on_track = (self.g[:, -1] == 0.0).any()
-        self.Y = self.euclid = self.c = self.cosine = None
+        on_track = (loop.g[:, -1] == 0.0).any()
+        self.Y = self.euclid = self.c = self.cosine = loop.Y = loop.pre = None
         self.X, Y = simulate_step(sim_model, x, self.sim, len(pre_steps))
         real = realize_attack(attack, t, len(pre_steps), self.atk, model.K)
         self.Y = Y = apply_attack(model, Y, real, self.jam)
@@ -575,36 +658,33 @@ class _Batch:
         if ctx.cosine_d is not None:
             y_flat = Y.reshape(*Y.shape[:2], -1)
             self.cosine = robust.cosine_similarity(y_flat, y_flat - r_flat)
-        shape = self.pre.shape[:2]
-        self.g, self.beta = np.empty(shape), np.empty(shape)
         self.mse0 = self.mse1 = None
         if log_steps:
             self.mse0 = np.mean((self.pre - self.X) ** 2, axis=-1)
-            self.mse1 = np.empty(shape)
+            self.mse1 = np.empty(self.pre.shape[:2])
+
+        rows = detector.mask_rows(loop.live)
+        loop.Y, loop.pre = Y, pre = Y[rows], self.pre[rows]
+        shape = pre.shape[:2]
+        loop.g, loop.beta = np.empty(shape), np.empty(shape)
         # the residuals against the filtered states, in the innovations' buffer
-        r_pre = np.subtract(Y, matvec(model.meter_rows, self.pre)[..., None], out=R)
-        self.clean = clean = detector.clean_term(r_pre, model)
+        r_pre = np.subtract(Y, matvec(model.meter_rows, pre)[..., None], out=R[: len(pre)])
+        loop.clean = clean = detector.clean_term(r_pre, model)
         # Algorithm 1's GLLR for a post filter that holds the pre estimate
-        self.beta_pre = None
+        loop.beta_pre = None
         if on_track:
-            self.beta_pre = np.empty(shape)
+            X_pred = X_pred[rows]
+            loop.beta_pre = np.empty(shape)
             n = max(1, SCORE_TRIAL_STEPS // len(clean))
             for s in range(0, len(pre_steps), n):
                 cut = np.s_[:, s : s + n]
-                self.beta_pre[cut] = detector.score(
+                loop.beta_pre[cut] = detector.score(
                     model, ctx.det_cfg, Y[cut], X_pred[cut], clean[cut]
                 )[2]
 
     def take(self, keep: np.ndarray) -> "_Batch":
         """The trials where the boolean mask ``keep`` is true."""
-        def kept(item):
-            if isinstance(item, list):
-                return [value for value, k in zip(item, keep) if k]
-            if isinstance(item, np.ndarray):
-                return item[keep]
-            return None if item is None else item.take(keep)
-
-        return _Batch(**{f.name: kept(getattr(self, f.name)) for f in fields(self)})
+        return _Batch(**{f.name: _take(getattr(self, f.name), keep) for f in fields(self)})
 
     def result(
         self, ctx: RunContext, j: int, steps_run: int, tau_hat: Optional[int],
@@ -681,23 +761,30 @@ def run_trial(
     that reads only them, one call each for the batch. The step loop then
     runs algorithm 1's closed loop, ``detector.algorithm1_step`` (post
     filter, GLLR and one CUSUM step per trial, on g carried as a list of
-    floats from the last column of the previous block), and writes each
-    step's g and GLLR (and the post filter's MSE when steps are logged)
-    into the block; nothing else runs per step. Last, the block's epilogue settles
-    the rest on the (B, T) arrays: tau_hat (the last step g was zero), the
-    first crossing in the block of every stopping rule, the re-syncs
-    (``TrialResult.syncs``), each trial's measurement hash (SHA-256 does
-    not depend on how its input is cut) and the recorded paths.
+    floats from the last column of the previous block), on the trials
+    still live in it (``_ClosedLoop``), and writes each step's g and GLLR
+    (and the post filter's MSE when steps are logged) into the block;
+    nothing else runs per step, and with no live trial the loop is
+    skipped. Last, the block's epilogue settles the rest on the (B, T)
+    arrays: tau_hat (the last step g was zero), the first crossing in the
+    block of every stopping rule, the re-syncs (``TrialResult.syncs``),
+    each trial's measurement hash (SHA-256 does not depend on how its input
+    is cut) and the recorded paths.
 
-    Unless paths are recorded (full paths or step logging), a trial leaves
-    the batch at the end of the block that holds its latest stop, with
-    that stop as its steps_run. It runs the closed loop to the block's end
-    all the same; the steps after its stop are dropped from its hash,
-    re-syncs and tau_hat. A diverging state raises FloatingPointError when
-    its block is simulated, and a non-finite hypothesis cost when its block
-    is scored for the pre track or when the closed loop scores it, which
-    may be after its trial's last stop: either up to BLOCK_STEPS - 1 steps
-    past the steps the engine reports.
+    Unless paths are recorded (full paths or step logging), the epilogue
+    also retires a trial from the closed loop once every configured rule of
+    ``CLOSED_LOOP`` (alg1, and Shewhart when configured) has stopped, from
+    the next block on; and a trial leaves the batch at the end of the block
+    that holds its latest stop, with that stop as its steps_run. It runs
+    the open-loop half (and, until it retires, the closed loop) to the
+    block's end all the same; the steps after its stop are dropped from its
+    hash, re-syncs and tau_hat. A diverging state raises FloatingPointError
+    when its block is simulated, retired or not, up to BLOCK_STEPS - 1
+    steps past the steps the engine reports. A non-finite hypothesis cost
+    raises it when the block is scored for the pre track or when the
+    closed loop scores it, which may likewise be past the trial's last
+    stop; once the trial has retired neither scores it, so a non-finite
+    cost after retirement is no longer raised.
     """
     cfg, model = ctx.cfg, ctx.model
     horizon = cfg.run.horizon
@@ -715,24 +802,27 @@ def run_trial(
         return [batch.result(ctx, j, 0, None, paths) for j in range(B)]
     # one rule per path detector, in ``thresholds`` order: alg1 is row 0
     rules = [(PATH_FIELD[name], PATH_DIRECTION[name], thr) for name, thr in ctx.thresholds.items()]
+    closing = [r for r, name in enumerate(ctx.thresholds) if name in CLOSED_LOOP]
     pre_steps = iter(ctx.schedule)
     t = 1
     while True:
         length = _block_steps(cfg.attack, t, min(BLOCK_STEPS, horizon + 1 - t))
         block_steps = list(islice(pre_steps, length))
-        g = batch.g[:, -1].tolist()
+        loop = batch.loop
+        g = loop.g[:, -1].tolist()
         batch.next_block(ctx, t, block_steps, log_steps)
-        for s, pre_step in enumerate(block_steps):
+        for s, pre_step in enumerate(block_steps if g else ()):
             step = detector.algorithm1_step(
-                batch.post, batch.shares, g, model, ctx.det_cfg, batch.Y[:, s], pre_step,
-                batch.pre[:, s], batch.clean[:, s],
-                None if batch.beta_pre is None else batch.beta_pre[:, s],
+                loop.post, loop.shares, g, model, ctx.det_cfg, loop.Y[:, s], pre_step,
+                loop.pre[:, s], loop.clean[:, s],
+                None if loop.beta_pre is None else loop.beta_pre[:, s],
             )
-            batch.post, batch.shares, g = step.post, step.shares, step.g
-            batch.g[:, s] = g
-            batch.beta[:, s] = step.beta
-            if log_steps:
+            loop.post, loop.shares, g = step.post, step.shares, step.g
+            loop.g[:, s] = g
+            loop.beta[:, s] = step.beta
+            if log_steps:  # steps are logged into paths, so every trial is live
                 batch.mse1[:, s] = np.mean((step.post.x - batch.X[:, s]) ** 2, axis=-1)
+        batch.g, batch.beta = loop.spread(loop.g), loop.spread(loop.beta)
 
         end = t + length - 1
         ts = np.arange(t, end + 1)
@@ -746,10 +836,12 @@ def run_trial(
         batch.tau_at_alg1[alg1] = batch.tau_hat[alg1, batch.stops[alg1, 0].astype(np.int64) - t]
 
         # each trial runs to its latest stop, or to the horizon with paths;
-        # n holds the steps of this block it keeps
+        # n holds the steps of this block it keeps. Its re-syncs count to
+        # its closed-loop rules' latest stop, after which it may retire.
         leave = np.where(want_paths, horizon, np.minimum(batch.stops.max(axis=1), horizon))
         n = (np.minimum(leave, end) - t + 1).astype(np.int64)
-        batch.syncs += (synced & (ts < t + n[:, None])).sum(axis=1)
+        closed = batch.stops[:, closing].max(axis=1)
+        batch.syncs += (synced & (ts <= np.minimum(leave, closed)[:, None])).sum(axis=1)
         # indexed, so that no view of Y outlives the loop and next_block frees it
         for j, hasher in enumerate(batch.hashers):
             hasher.update(batch.Y[j, : n[j]])
@@ -764,6 +856,8 @@ def run_trial(
             results[batch.index[j]] = batch.result(ctx, j, t + last, int(tau), paths)
         if done.all():
             return results
+        if not want_paths:
+            batch.loop = batch.loop.retire(closed <= end)
         if done.any():
             batch = batch.take(~done)
         t = end + 1

@@ -481,10 +481,21 @@ def path_stops(ctx, paths):
     return stops
 
 
+def sync_cap(stops, steps):
+    """How many of a trial's first ``steps`` steps its re-syncs are counted
+    over: up to the later of its alg1 and Shewhart stops (``stops`` keyed by
+    detector, Shewhart absent when not configured), all of them while
+    either has not stopped."""
+    closed = max(stops[name] for name in ("alg1", "shewhart") if name in stops)
+    return int(min(steps, closed))
+
+
 def sync_count(ctx, seed, steps):
-    """The re-syncs of one trial in its first ``steps`` steps, recounted on
-    the dense replay: the steps at which its CUSUM was clamped to zero."""
-    g = dense_trial(ctx, seed)["paths"]["g"][:steps]
+    """The re-syncs of one trial in its first ``steps`` steps, capped by
+    ``sync_cap``, recounted on the dense replay: the steps at which its
+    CUSUM was clamped to zero."""
+    trial = dense_trial(ctx, seed)
+    g = trial["paths"]["g"][: sync_cap(trial["stops"], steps)]
     return sum(1 for value in g if value == 0.0)
 
 

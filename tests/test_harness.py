@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridwatch import harness, kalman, load_config
+from gridwatch import detector, harness, kalman, load_config
 from gridwatch.detector import cusum_step
 from gridwatch.expconfig import ConfigError
 from gridwatch.grid_model import build_model
@@ -632,8 +632,8 @@ def test_block_ahead_clean_half_matches_whole_step_oracle(tmp_path, mu0_cache, m
         assert (fast.stops, fast.tau_hat, fast.steps_run) == (stops, tau_hat, steps)
         assert res.meas_hash == trial_hashes[-1]
         assert fast.meas_hash == trial_hashes[steps - 1]
-        assert res.syncs == int((own["g"] == 0.0).sum())
-        assert fast.syncs == int((own["g"][:steps] == 0.0).sum())
+        assert res.syncs == int((own["g"][: oracles.sync_cap(stops, 200)] == 0.0).sum())
+        assert fast.syncs == int((own["g"][: oracles.sync_cap(stops, steps)] == 0.0).sum())
         last = max(stops[name] for name in ("chi2", "np_cusum", "euclidean", "cosine"))
         if last == steps > max(stops["alg1"], stops["shewhart"]) and steps not in starts:
             open_loop_last.append(i)
@@ -659,12 +659,14 @@ def test_pre_track_matches_whole_step_oracle(tmp_path, mu0_cache, B):
     for name in ("g", "beta", "tau_hat", "mse0", "mse1"):
         oracles.assert_same_bits(np.array([getattr(r.paths, name) for r in full]), paths[name])
     for i, (res, fast, trail) in enumerate(zip(full, quick, hashes)):
-        assert res.stops == oracles.path_stops(ctx, {k: v[i] for k, v in paths.items()})
+        stops = oracles.path_stops(ctx, {k: v[i] for k, v in paths.items()})
+        assert res.stops == stops
         assert (fast.stops, fast.tau_hat) == (res.stops, res.tau_hat)
         assert res.meas_hash == trail[-1]
         assert fast.meas_hash == trail[fast.steps_run - 1]
-        assert res.syncs == int((paths["g"][i] == 0.0).sum())
-        assert fast.syncs == int((paths["g"][i, : fast.steps_run] == 0.0).sum())
+        cap, fast_cap = oracles.sync_cap(stops, 200), oracles.sync_cap(stops, fast.steps_run)
+        assert res.syncs == int((paths["g"][i, :cap] == 0.0).sum())
+        assert fast.syncs == int((paths["g"][i, :fast_cap] == 0.0).sum())
     g = paths["g"]
     on = np.concatenate([np.ones((B, 1), dtype=bool), g[:, :-1] == 0.0], axis=1)
     assert (on & (g > 0.0)).any()  # on the track without a re-sync
@@ -696,45 +698,164 @@ def test_closed_loop_stop_last_mid_block_matches_whole_step_oracle(tmp_path):
         alg1 = int(stops["alg1"])
         assert (res.stops, res.steps_run, res.meas_hash) == (stops, steps, trail[steps - 1])
         assert res.tau_hat == own["tau_hat"][alg1 - 1]
-        assert res.syncs == int((own["g"][:steps] == 0.0).sum())
+        assert res.syncs == int((own["g"][: oracles.sync_cap(stops, steps)] == 0.0).sum())
         block_end = -(-steps // BLOCK_STEPS) * BLOCK_STEPS
         if (own["g"][steps:block_end] == 0.0).any():
             earlier.append((alg1 - 1) // BLOCK_STEPS < (steps - 1) // BLOCK_STEPS)
     assert len(earlier) == len(quick) and any(earlier)
 
 
+RETIRE = (
+    "[model]\ntopology = ieee14\nlambda = 5\nsigma_v2 = 1e-4\nsigma_w2 = 1e-4\n"
+    "[detector]\ngamma = 0.022\nsigma2_min = 1e-2\nh = 0.5\nnp_q = 0.3\n"
+    "mu0_samples = 4000\nmu0_cache = none\n[shewhart]\nphi = 1.0\n"
+    "[attack]\nkind = none\n[run]\ntrials = {trials}\nhorizon = 700\nseed = 5\n"
+)
+
+
+def retire_ctx(tmp_path, trials):
+    """No attack, alg1 and Shewhart at low thresholds, and the np-CUSUM:
+    most trials stop on both closed-loop rules long before the np-CUSUM
+    fires, so without paths they retire from the closed loop at the end of
+    the block that holds the later of those stops (blocks of BLOCK_STEPS
+    from step 1, with no attack) and run on open-loop."""
+    (tmp_path / "retire.cfg").write_text(RETIRE.format(trials=trials))
+    return harness.prepare(load_config(tmp_path / "retire.cfg"))
+
+
+def _block_end(step):
+    return min(-(-step // BLOCK_STEPS) * BLOCK_STEPS, 700)
+
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+def test_retired_trials_match_full_paths_and_whole_step_oracle(tmp_path, B):
+    # a trial that retires from the closed loop keeps the stops, hash,
+    # steps_run and tau_hat of a full-path run, which never retires, and of
+    # the whole-step oracle, which runs every step of both halves
+    ctx = retire_ctx(tmp_path, B)
+    full = harness.run_trials(ctx, full_paths=True)
+    quick = harness.run_trials(ctx)
+    paths, hashes = oracles.whole_step_run(ctx, [r.seed for r in full])
+    retired, stopped_mid_block = [], []
+    for i, (res, fast, trail) in enumerate(zip(full, quick, hashes)):
+        own = {name: values[i] for name, values in paths.items()}
+        stops = oracles.path_stops(ctx, own)
+        steps = int(min(max(stops.values()), 700))
+        tau_hat = own["tau_hat"][int(stops["alg1"]) - 1]
+        assert (res.stops, res.tau_hat, res.steps_run, res.meas_hash) == (stops, tau_hat, 700, trail[-1])
+        assert (fast.stops, fast.tau_hat, fast.steps_run) == (stops, tau_hat, steps)
+        assert fast.meas_hash == trail[steps - 1]
+        assert res.syncs == int((own["g"][: oracles.sync_cap(stops, 700)] == 0.0).sum())
+        assert fast.syncs == int((own["g"][: oracles.sync_cap(stops, steps)] == 0.0).sum())
+        if _block_end(max(stops["alg1"], stops["shewhart"])) < steps:  # np_cusum pending
+            retired.append(i)
+            if stops["np_cusum"] == steps and steps % BLOCK_STEPS:
+                stopped_mid_block.append(i)
+    assert retired and bool(stopped_mid_block) == (B > 1)
+
+
+def test_retired_trials_leave_the_closed_loop(tmp_path, monkeypatch):
+    # algorithm1_step, seen through its measurements argument, gets exactly
+    # the rows of the trials still live at each step: a trial stops running
+    # the closed loop at the end of the block that holds the later of its
+    # alg1 and Shewhart stops (or its exit), and once no trial is live the
+    # step is not called at all, though trials still run on open-loop
+    seen = []
+
+    def spy(*args):
+        seen.append(args[5].copy())
+        return step(*args)
+
+    step = detector.algorithm1_step
+    monkeypatch.setattr(detector, "algorithm1_step", spy)
+    ctx = retire_ctx(tmp_path, 8)
+    full = harness.run_trials(ctx, full_paths=True)  # every trial live throughout
+    every = seen.copy()
+    seen.clear()
+    quick = harness.run_trials(ctx)
+    assert len(every) == 700 and all(len(y) == 8 for y in every)
+    live_end = [
+        _block_end(min(r.steps_run, max(r.stops["alg1"], r.stops["shewhart"]))) for r in quick
+    ]
+    assert len(seen) == max(live_end) < max(r.steps_run for r in quick)
+    assert len(set(live_end)) > 2  # trials retire in several blocks
+    for t, y in enumerate(seen, start=1):
+        live = [i for i, end in enumerate(live_end) if t <= end]
+        np.testing.assert_array_equal(y, every[t - 1][live], err_msg=f"step {t}")
+    assert [r.stops for r in quick] == [r.stops for r in full]
+
+
+def assert_taken(full, got, rows, skip=(), name=""):
+    """``got`` holds rows ``rows`` of every field of ``full``, a batch or
+    its closed loop, but those named in ``skip``, and of the fields'
+    fields."""
+    for field in fields(full):
+        if field.name in skip:
+            continue
+        a, b = getattr(full, field.name), getattr(got, field.name)
+        what = f"{name}.{field.name}"
+        assert a is not None, what
+        if isinstance(a, list):
+            assert b == [a[r] for r in rows], what
+        elif isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(b, a[rows], err_msg=what)
+        elif isinstance(a, kalman.KalmanState):
+            np.testing.assert_array_equal(b.x, a.x[rows], err_msg=what)
+            np.testing.assert_array_equal(b.P, a.P[rows], err_msg=what)
+        elif isinstance(a, harness._ClosedLoop):
+            assert_taken(a, b, rows, name=what)
+        else:  # the Pearson windows, with one shared head
+            np.testing.assert_array_equal(b.cells, a.cells[rows], err_msg=what)
+            np.testing.assert_array_equal(b.counts, a.counts[rows], err_msg=what)
+            assert b.head == a.head
+
+
 def test_batch_take_compacts_every_field(tmp_path, mu0_cache):
-    # every detector and step logging are on, so no field of the batch is
-    # None; after one block, take keeps rows 0 and 2 of every field
+    # every detector and step logging are on, so no field of the batch or of
+    # its closed loop is None; after one block, take keeps rows 0 and 2 of
+    # every field
     cfg = make_cfg(tmp_path, attack=HYBRID, tau=5, horizon=40, cache=mu0_cache, trials=3)
     ctx = harness.prepare(cfg)
     batch = harness._Batch.spawn(ctx, [(3, i) for i in range(3)])
     batch.next_block(ctx, 1, list(itertools.islice(ctx.schedule, 4)), log_steps=True)
     rng = np.random.default_rng(0)
-    for name in ("g", "beta", "mse1"):  # the closed loop's columns
-        getattr(batch, name)[:] = rng.standard_normal(getattr(batch, name).shape)
-    batch.post = kalman.KalmanState(batch.post.x, np.stack([batch.post.P * k for k in (1, 2, 3)]))
-    kept = batch.take(np.array([True, False, True]))
-    for field in fields(harness._Batch):
-        full, got = getattr(batch, field.name), getattr(kept, field.name)
-        assert full is not None, field.name
-        if isinstance(full, list):
-            assert got == [full[0], full[2]], field.name
-        elif isinstance(full, np.ndarray):
-            np.testing.assert_array_equal(got, full[[0, 2]], err_msg=field.name)
-        elif isinstance(full, kalman.KalmanState):
-            np.testing.assert_array_equal(got.x, full.x[[0, 2]])
-            np.testing.assert_array_equal(got.P, full.P[[0, 2]])
-        else:  # the Pearson windows, with one shared head
-            np.testing.assert_array_equal(got.cells, full.cells[[0, 2]])
-            np.testing.assert_array_equal(got.counts, full.counts[[0, 2]])
-            assert got.head == full.head
+    loop = batch.loop
+    batch.g, batch.beta = rng.standard_normal((2, 3, 4))  # the closed loop's columns
+    for block in (batch.mse1, loop.g, loop.beta):
+        block[:] = rng.standard_normal(block.shape)
+    loop.post = kalman.KalmanState(loop.post.x, np.stack([loop.post.P * k for k in (1, 2, 3)]))
+    assert_taken(batch, batch.take(np.array([True, False, True])), [0, 2])
+
+
+def test_closed_loop_take_follows_the_live_trials(tmp_path, mu0_cache):
+    # the closed loop holds its live trials alone: once trial 1 retires, a
+    # take of the batch's trials 1 and 2 keeps the loop's row of trial 2
+    cfg = make_cfg(tmp_path, attack=HYBRID, tau=5, horizon=40, cache=mu0_cache, trials=3)
+    ctx = harness.prepare(cfg)
+    batch = harness._Batch.spawn(ctx, [(3, i) for i in range(3)])
+    batch.next_block(ctx, 1, list(itertools.islice(ctx.schedule, 4)), log_steps=False)
+    full = batch.loop
+    full.post = kalman.KalmanState(full.post.x, np.stack([full.post.P * k for k in (1, 2, 3)]))
+    loop = full.retire(np.array([False, True, False]))
+    np.testing.assert_array_equal(loop.live, [True, False, True])
+    assert loop.retire(np.array([False, True, False])) is loop  # no trial left it
+    assert_taken(full, loop, [0, 2], skip=("live",))
+    batch.loop = loop
+    kept = batch.take(np.array([False, True, True])).loop
+    np.testing.assert_array_equal(kept.live, [False, True])
+    assert_taken(full, kept, [2], skip=("live",))
+    # the batch's (B, T) block of the closed loop's (L, T): NaN where retired
+    block = np.array([[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(loop.spread(block), [[1.0, 2.0], [np.nan] * 2, [3.0, 4.0]])
+    block = np.ones((3, 2))
+    assert full.spread(block) is block
 
 
 @pytest.mark.parametrize("B", [1, 3])
 def test_sync_counts_match_brute_force_recount(tmp_path, mu0_cache, B):
     # TrialResult.syncs counts the steps at which alg1's CUSUM was clamped
-    # to zero, with and without paths, against a recount on the dense replay
+    # to zero, up to the later of alg1's and Shewhart's stops, with and
+    # without paths, against a recount on the dense replay
     cfg = make_cfg(tmp_path, attack=CASE1, horizon=260, cache=mu0_cache, trials=B, seed=9,
                    h=4.0, np_q=0.5, euclid_d=0.3, cosine_d=0.8)
     ctx = harness.prepare(cfg)
@@ -742,7 +863,7 @@ def test_sync_counts_match_brute_force_recount(tmp_path, mu0_cache, B):
         assert [r.syncs for r in results] == [
             oracles.sync_count(ctx, r.seed, r.steps_run) for r in results
         ]
-        assert all(0 < r.syncs < r.steps_run for r in results)
+        assert all(0 < r.syncs < r.sync_steps <= r.steps_run for r in results)
 
 
 def test_open_loop_kernels_run_once_per_block(monkeypatch):
@@ -963,10 +1084,14 @@ def test_tracer_probes_read_what_they_count(tmp_path, mu0_cache, attack):
     assert tracer.absent == []
     counts = tracer.counts
     assert counts["probe_errors"] == 0
-    # with full paths every trial runs every step: one CUSUM step per trial
-    # step, so kalman.sync_frac is the share of trial steps that re-sync
+    # with full paths every trial runs the closed loop at every step: one
+    # CUSUM step per trial step, so kalman.sync_frac is the share of trial
+    # steps that re-sync, counted to the horizon; TrialResult.syncs stops
+    # counting at the later of alg1's and Shewhart's stops
     assert counts["cusum.calls"] == 4 * 150
-    assert counts["cusum.sync"] == sum(r.syncs for r in results)
+    assert counts["cusum.sync"] == sum(int((r.paths.g == 0.0).sum()) for r in results)
+    for r in results:
+        assert r.syncs == int((r.paths.g[: oracles.sync_cap(r.stops, 150)] == 0.0).sum())
     counters = (
         "attack.calls", "attack.active", "post.calls", "post.sigma_nonzero",
         "cusum.calls", "cusum.sync", "labels.total", "labels.nonclean",
