@@ -57,10 +57,13 @@ scoring at the next step is open-loop. The harness therefore scores every
 trial on the pre filter's predictions a block ahead, with ``score`` on
 (B, T, ...) slices; elementwise operations and reductions over the meter
 and sample axes give each entry the bits they give it in a (B, ...) step.
-``algorithm1_step`` takes that GLLR for the trials on the track, predicts
-and scores the rest, and runs the post update only for the trials that do
-not re-sync: a re-synced filter takes the step's pre estimate, whatever
-its update would have been.
+An on-track trial's CUSUM steps to max(0, beta_pre), so it stays off the
+pre filter exactly when that GLLR is positive. ``algorithm1_step``
+therefore scores, in one pass, the trials off the track and the on-track
+trials with a positive pre-track GLLR, takes the pre-track GLLR for the
+rest, and runs the post update only for the trials that do not re-sync: a
+re-synced filter takes the step's pre estimate, whatever its update would
+have been.
 """
 
 from __future__ import annotations
@@ -254,39 +257,10 @@ def score(
     return rb, classify_meters(costs), gllr(clean, costs)
 
 
-@dataclass
-class _Scored:
-    """What the post update of a set of trials reads: the post prediction,
-    the meter-mean residuals, the attack estimates and the shares-pre flags;
-    and the GLLR of each."""
-
-    pred: kalman.KalmanState
-    mean: np.ndarray
-    a_hat: np.ndarray
-    sigma_hat: np.ndarray
-    shares: np.ndarray
-    beta: np.ndarray
-
-    def take(self, keep) -> "_Scored":
-        return _Scored(
-            self.pred.take(keep), self.mean[keep], self.a_hat[keep], self.sigma_hat[keep],
-            self.shares[keep], self.beta[keep],
-        )
-
-
 def mask_rows(mask: np.ndarray):
     """The trials of a mask as an index that copies nothing when it selects
     every trial."""
     return slice(None) if mask.all() else np.flatnonzero(mask)
-
-
-def _closed_loop(post, shares, rows, model, cfg, y, pre_step, clean) -> _Scored:
-    """Predict the post filter of the trials ``rows`` and score them."""
-    shares = shares[rows]
-    pred = kalman.kf_predict(model, post.take(rows), pre_step, shares)
-    rb, labels, beta = score(model, cfg, y[rows], pred.x, clean[rows])
-    a_hat, sigma_hat = mle_attack_params(rb, labels, cfg, model)
-    return _Scored(pred, rb.mean, a_hat, sigma_hat, shares, beta)
 
 
 @dataclass
@@ -324,10 +298,11 @@ def algorithm1_step(
     A trial whose g is zero is on the pre track: its post filter was
     re-synced at the last step (or holds the start state), so its
     prediction is the pre filter's, bit for bit, and its GLLR is
-    ``beta_pre``. Only the trials off the track are predicted and scored
-    here before the CUSUM, and only the trials that do not re-sync are
-    updated after it; an on-track trial that does not re-sync is scored
-    then, with the same calls on the same inputs.
+    ``beta_pre``. Its CUSUM steps to max(0, beta_pre), so it stays off the
+    pre filter exactly when beta_pre > 0. The trials scored here, once
+    each, are those off the track and those on it with beta_pre > 0: every
+    trial that does not re-sync is among them, and they are updated after
+    the CUSUM.
 
     ``post`` is the post filter's filtered estimate with a leading trial
     axis, ``shares`` its (B,) shares-pre flags (see ``kalman``), ``y`` the
@@ -335,36 +310,41 @@ def algorithm1_step(
     trial is a batch of one); the returned step holds the post filter's
     estimate and flags and the CUSUM after the step.
     """
-    on = [v == 0.0 for v in g] if beta_pre is not None else [False] * len(g)
-    scored = None
     beta = beta_pre
-    if not all(on):
-        off = np.logical_not(on)
-        scored = _closed_loop(post, shares, mask_rows(off), model, cfg, y, pre_step, clean)
-        beta = scored.beta
-        if any(on):
-            beta = beta_pre.copy()
-            beta[off] = scored.beta
+    if beta_pre is None:
+        pick = [True] * len(g)
+    else:
+        betas = beta_pre.tolist()
+        pick = [v != 0.0 or b > 0.0 for v, b in zip(g, betas, strict=True)]
+    if any(pick):
+        rows = mask_rows(np.array(pick))
+        shares = shares[rows]
+        pred = kalman.kf_predict(model, post.take(rows), pre_step, shares)
+        rb, labels, scored = score(model, cfg, y[rows], pred.x, clean[rows])
+        a_hat, sigma_hat = mle_attack_params(rb, labels, cfg, model)
+        if beta is None:
+            beta = scored
+        else:
+            beta = beta.copy()
+            beta[rows] = scored
+        betas = beta.tolist()
 
-    stepped = [cusum_step(v, b) for v, b in zip(g, beta.tolist(), strict=True)]
+    stepped = [cusum_step(v, b) for v, b in zip(g, betas, strict=True)]
     g = [v for v, _ in stepped]
     stay = [not flag for _, flag in stepped]
     pre = kalman.KalmanState(pre_x, pre_step.P_upd)
     if not any(stay):
-        post, shares = pre, np.ones(len(g), dtype=bool)
-    else:
-        stay = np.array(stay)
-        if scored is None or (stay & on).any():
-            # a trial leaves the pre track: score every trial that updates
-            scored = _closed_loop(post, shares, mask_rows(stay), model, cfg, y, pre_step, clean)
-        elif not stay[off].all():
-            scored = scored.take(np.flatnonzero(stay[off]))
-        post = kalman.kf_update_post(
-            model, scored.pred, scored.mean, scored.a_hat, scored.sigma_hat, pre_step, scored.shares
-        )
-        shares = scored.shares & ~scored.sigma_hat.any(axis=-1)
-        if not stay.all():  # the rest re-sync: post := pre
-            post, shares = _merge(pre, post, shares, stay)
+        return Algorithm1Step(post=pre, shares=np.ones(len(g), dtype=bool), g=g, beta=beta)
+    stay = np.array(stay)
+    mean, keep = rb.mean, stay[rows]  # the trials that stay are all scored
+    if not keep.all():
+        keep = np.flatnonzero(keep)
+        pred, mean, a_hat, sigma_hat = pred.take(keep), mean[keep], a_hat[keep], sigma_hat[keep]
+        shares = shares[keep]
+    post = kalman.kf_update_post(model, pred, mean, a_hat, sigma_hat, pre_step, shares)
+    shares = shares & ~sigma_hat.any(axis=-1)
+    if not stay.all():  # the rest re-sync: post := pre
+        post, shares = _merge(pre, post, shares, stay)
     return Algorithm1Step(post=post, shares=shares, g=g, beta=beta)
 
 

@@ -30,14 +30,16 @@ So does algorithm 1's score of the pre track: a trial whose CUSUM g is
 zero re-synced its post filter to the pre filter at the last step (or has
 not left it), so its post prediction is the pre filter's, bit for bit,
 and its GLLR is the one scored on the pre predictions. The engine's step
-loop then runs only the closed loop: algorithm 1's post filter (predicted
-and scored for the trials off the pre track, updated for the trials that
-do not re-sync) and its CUSUM, on the (L, K) and (L,) arrays of the L
-trials still live in it, writing each step's g and GLLR into the block.
-Each product is one BLAS call per
-vector, every reduction runs over the same axis in either half, the
-Pearson counts are exact small integers and the nonparametric CUSUM keeps
-its per-step order, so every trial gets the bits of a step at a time.
+loop then runs only the closed loop: algorithm 1's post filter and its
+CUSUM, on the (L, K) and (L,) arrays of the L trials still live in it,
+writing each step's g and GLLR into the block. A step predicts and scores,
+once, the trials off the pre track and those on it whose pre-track GLLR is
+positive, the only on-track trials that do not re-sync, and updates the
+post filter of the trials that do not re-sync. Each product is one BLAS
+call per vector, every reduction runs over the same axis in either half,
+the Pearson counts are exact small integers and the nonparametric CUSUM
+keeps its per-step order, so every trial gets the bits of a step at a
+time.
 
 Once per block an epilogue settles the rest on the block's (B, T) arrays:
 tau_hat, the first crossing in the block of every stopping rule, the

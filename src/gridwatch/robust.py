@@ -21,8 +21,9 @@ leading axes, (B, T, ...) for a block; c_t then takes the block's T
 whitening factors stacked as (T, K, K), each in its own Fortran layout,
 and every product stays one BLAS call per vector, so a block has the bits
 of its steps one by one. The Pearson window slides over a block in one
-call, its counts exact small integers either way; the windows of a batch
-share one ring-buffer head, because all its trials are at the same step.
+call, its counts exact small integers either way; each window holds its
+cells in time order, oldest first, so a block evicts the window's first
+cells and then, past L steps, its own.
 The nonparametric CUSUM steps through the block on the trial axis, in its
 per-step order. The Shewhart statistic is the GLLR itself, and the
 harness applies every threshold with one first-crossing rule.
@@ -79,21 +80,20 @@ class Chi2Config:
 
 @dataclass
 class Chi2State:
-    """Ring buffer of cell indices with incrementally maintained counts.
+    """The cell indices of the last L samples, oldest first, with their
+    counts.
 
-    A batch holds the windows of B trials: cells (B, L) and counts (B, M),
-    with the head shared.
+    A batch holds the windows of B trials: cells (B, L) and counts (B, M).
     """
 
     cfg: Chi2Config
     cells: np.ndarray  # (..., L) ints
     counts: np.ndarray  # (..., M)
-    head: int = 0
 
     @classmethod
     def from_samples(cls, cfg: Chi2Config, samples) -> "Chi2State":
         """The windows of L samples each along the last axis of ``samples``,
-        at head 0."""
+        in time order."""
         samples = np.asarray(samples, dtype=float)
         if samples.shape[-1:] != (cfg.L,):
             raise ValueError(f"window needs exactly {cfg.L} samples")
@@ -103,7 +103,7 @@ class Chi2State:
 
     def take(self, keep) -> "Chi2State":
         """The windows of the trials selected by ``keep``."""
-        return Chi2State(self.cfg, self.cells[keep], self.counts[keep], self.head)
+        return Chi2State(self.cfg, self.cells[keep], self.counts[keep])
 
 
 def _pearson(counts: np.ndarray, cfg: Chi2Config) -> np.ndarray:
@@ -136,9 +136,10 @@ def pearson_step(st: Chi2State, c) -> "tuple[Chi2State, np.ndarray]":
     after the window's trial axes; returns the window after the T samples
     and the Pearson statistic after each, (..., T).
 
-    Step s evicts the cell at the head and inserts the cell of c[..., s].
-    The evicted cells are the ring read from the head followed by the
-    block's own cells, so a block longer than L evicts samples it inserted.
+    Step s evicts the window's oldest cell and appends the cell of
+    c[..., s]. In time order, the window's cells followed by the block's
+    are the sequence the block evicts from, so a block longer than L evicts
+    samples it inserted, and the window after it is that sequence's last L.
     The counts after each step are the start counts plus a running sum of
     +-1 one-hots: small integers in float64, so every count is exact and
     equals the count of inserting and evicting one sample at a time.
@@ -146,14 +147,11 @@ def pearson_step(st: Chi2State, c) -> "tuple[Chi2State, np.ndarray]":
     cfg = st.cfg
     new = np.searchsorted(cfg.edges, c, side="right")
     T = new.shape[-1]
-    order = np.concatenate([np.roll(st.cells, -st.head, axis=-1), new], axis=-1)
+    order = np.concatenate([st.cells, new], axis=-1)
     bins = np.arange(cfg.M)
     delta = (new[..., None] == bins).astype(float) - (order[..., :T, None] == bins)
     counts = st.counts[..., None, :] + np.cumsum(delta, axis=-2)
-    chi = _pearson(counts, cfg)
-    head = (st.head + T) % cfg.L
-    cells = np.roll(order[..., T:], head, axis=-1)
-    return Chi2State(cfg, cells, counts[..., -1, :], head), chi
+    return Chi2State(cfg, order[..., T:], counts[..., -1, :]), _pearson(counts, cfg)
 
 
 def np_cusum_step(S, dist, mu0: float, clamp: bool):

@@ -269,16 +269,15 @@ def chi2_sample(model, pred, y):
 
 def pearson_step(st, c_new):
     """``robust.pearson_step`` one sample at a time, as it was: evict the
-    cell at the head, insert c_new's, update the counts in place; returns
-    the window and its Pearson statistic. c_new has the trial axes of the
-    window (none for a single window)."""
+    window's oldest cell, append c_new's, update the counts in place;
+    returns the window and its Pearson statistic. c_new has the trial axes
+    of the window (none for a single window)."""
     cfg = st.cfg
-    cell = np.searchsorted(cfg.edges, c_new, side="right")
+    cell = np.asarray(np.searchsorted(cfg.edges, c_new, side="right"))[..., None]
     bins = np.arange(cfg.M)
-    st.counts -= bins == st.cells[..., st.head, None]
-    st.counts += bins == np.asarray(cell)[..., None]
-    st.cells[..., st.head] = cell
-    st.head = (st.head + 1) % cfg.L
+    st.counts -= bins == st.cells[..., :1]
+    st.counts += bins == cell
+    st.cells = np.concatenate([st.cells[..., 1:], cell], axis=-1)
     return st, robust._pearson(st.counts, cfg)
 
 

@@ -675,6 +675,52 @@ def test_pre_track_matches_whole_step_oracle(tmp_path, mu0_cache, B):
     assert quick[0].steps_run == 193
 
 
+def test_algorithm1_step_scores_each_trial_once(tmp_path, monkeypatch):
+    # every algorithm1_step call scores at most once, and exactly the trials
+    # that may not re-sync: those off the pre track (g != 0) and those on it
+    # whose pre-track GLLR is positive (every trial in a block with no
+    # pre-track score). On a 20 x 400 no-attack batch with full paths and
+    # false_alarm_full's detectors, some steps hold both kinds of scored
+    # trial, which a second scoring after the CUSUM used to score again.
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "configs" / "false_alarm_full.cfg").read_text()
+    text = text.replace("trials = 100\nhorizon = 200000", "trials = 20\nhorizon = 400")
+    text = text.replace("[shewhart]", "mu0_samples = 4000\nmu0_cache = none\n\n[shewhart]")
+    (tmp_path / "fa.cfg").write_text(text)
+    ctx = harness.prepare(load_config(tmp_path / "fa.cfg"))
+    assert (ctx.cfg.run.trials, ctx.cfg.run.horizon) == (20, 400)
+    calls, scored = [], None
+    step, score = detector.algorithm1_step, detector.score
+
+    def spy_step(*args):
+        nonlocal scored
+        scored = []
+        out = step(*args)
+        g, y, beta_pre = args[2], args[5], args[9]
+        calls.append((np.array(g), y.copy(), None if beta_pre is None else beta_pre.copy(), scored))
+        scored = None
+        return out
+
+    def spy_score(*args):
+        if scored is not None:  # not the harness's block-ahead score
+            scored.append(args[2].copy())
+        return score(*args)
+
+    monkeypatch.setattr(detector, "algorithm1_step", spy_step)
+    monkeypatch.setattr(detector, "score", spy_score)
+    harness.run_trials(ctx, full_paths=True)
+    assert len(calls) == 400
+    both = 0
+    for t, (g, y, beta_pre, ys) in enumerate(calls, start=1):
+        off = g != 0.0
+        rows = off | (True if beta_pre is None else beta_pre > 0.0)
+        assert len(ys) == rows.any(), f"step {t}"
+        if ys:
+            np.testing.assert_array_equal(ys[0], y[rows], err_msg=f"step {t}")
+        both += bool(off.any() and (~off & rows).any())
+    assert both > 0
+
+
 def test_closed_loop_stop_last_mid_block_matches_whole_step_oracle(tmp_path):
     # alg1 and Shewhart alone: a trial leaves at the end of the block that
     # holds its latest stop, having run the closed loop past that stop, so
@@ -804,10 +850,9 @@ def assert_taken(full, got, rows, skip=(), name=""):
             np.testing.assert_array_equal(b.P, a.P[rows], err_msg=what)
         elif isinstance(a, harness._ClosedLoop):
             assert_taken(a, b, rows, name=what)
-        else:  # the Pearson windows, with one shared head
+        else:  # the Pearson windows
             np.testing.assert_array_equal(b.cells, a.cells[rows], err_msg=what)
             np.testing.assert_array_equal(b.counts, a.counts[rows], err_msg=what)
-            assert b.head == a.head
 
 
 def test_batch_take_compacts_every_field(tmp_path, mu0_cache):

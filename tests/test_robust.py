@@ -159,7 +159,7 @@ def test_from_samples_counts_every_window_with_cell_of():
     samples[0, :4] = cfg.edges
     samples[1, :2] = 0.0, 1e9
     st = Chi2State.from_samples(cfg, samples)
-    assert st.cells.shape == (3, 80) and st.counts.shape == (3, 5) and st.head == 0
+    assert st.cells.shape == (3, 80) and st.counts.shape == (3, 5)
     for i, window in enumerate(samples):
         cells = [cell_of(cfg, v) for v in window]
         np.testing.assert_array_equal(st.cells[i], cells)
@@ -195,10 +195,9 @@ def test_pearson_step_evicts_and_counts():
 @pytest.mark.parametrize("L, T", [(80, 1), (80, 79), (80, 80), (80, 81), (5, 32)])
 def test_block_pearson_matches_step_oracle(L, T, B):
     # a block of T samples against the oracle's one sample at a time, bit for
-    # bit: chi after every step, then the counts, cells, head and statistic
-    # of the window; then more blocks of other lengths, which read the ring
-    # from a moved head. With L = M = 5 a 32-step block evicts samples it
-    # inserted itself.
+    # bit: chi after every step, then the counts, cells and statistic of
+    # the window; then more blocks of other lengths. With L = M = 5 a
+    # 32-step block evicts samples it inserted itself.
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=L, varphi=VARPHI)
     shape = () if B is None else (B,)
     rng = np.random.default_rng(L + T)
@@ -217,14 +216,13 @@ def test_block_pearson_matches_step_oracle(L, T, B):
         assert_same_bits(chi, np.stack(want, axis=-1))
         assert_same_bits(block.counts, step.counts)
         assert_same_bits(block.cells, step.cells)
-        assert block.head == step.head
         assert_same_bits(chi[..., -1], _pearson(step.counts, cfg))
 
 
 def test_ring_buffer_matches_recount():
     # blocks of 1 to 200 samples, shorter and longer than the window; after
-    # each the counts are a recount of the last 80 samples and the statistic
-    # is theirs
+    # each the cells are those of the last 80 samples in time order, the
+    # counts their recount and the statistic theirs
     cfg = Chi2Config.equiprobable(dof=115, M=5, L=80, varphi=VARPHI)
     rng = np.random.default_rng(5)
     init = rng.chisquare(115, size=80)
@@ -236,8 +234,9 @@ def test_ring_buffer_matches_recount():
         end += n
         window = samples[end - 80 : end]
         assert st.counts.sum() == 80
-        recount = np.bincount([cell_of(cfg, v) for v in window], minlength=5)
-        np.testing.assert_array_equal(st.counts, recount)
+        cells = [cell_of(cfg, v) for v in window]
+        np.testing.assert_array_equal(st.cells, cells)
+        np.testing.assert_array_equal(st.counts, np.bincount(cells, minlength=5))
         assert chi[-1] == _pearson(Chi2State.from_samples(cfg, window).counts, cfg)
     assert end == samples.size
 
