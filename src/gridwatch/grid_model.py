@@ -11,6 +11,12 @@ flow description of the network: a flow meter on a branch with susceptance b
 contributes +b / -b at the branch endpoints, an injection meter at a bus sums
 the flow rows of its incident branches, and every meter row is replicated
 lam times contiguously.
+
+A is the identity unless a matrix is configured, and ``GridModel`` records
+whether it is (``identity_A``). The products with an identity A then skip
+BLAS (``transition``), and a block's states are one running sum of the state
+noise; either way every state and every prediction keeps the bits of the
+product A @ x.
 """
 
 from __future__ import annotations
@@ -251,6 +257,7 @@ class GridModel:
     ``H`` has the block structure H_k = 1_{lam x 1} h_k^T: the lam rows of
     each meter block are identical, meter k occupying rows
     k*lam .. k*lam + lam - 1. ``meter_rows`` keeps the K distinct rows.
+    ``identity_A`` is derived from A: its bytes are those of the identity.
     """
 
     A: np.ndarray
@@ -261,11 +268,15 @@ class GridModel:
     lam: int
     N: int
     K: int
+    identity_A: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A.setflags(write=False)
         self.H.setflags(write=False)
         self.meter_rows.setflags(write=False)
+        # by bytes, so an A with a -0.0 entry keeps its BLAS products
+        identity = self.A.shape == (self.N, self.N) and self.A.tobytes() == np.eye(self.N).tobytes()
+        object.__setattr__(self, "identity_A", identity)
 
     def fingerprint(self) -> str:
         """Stable hash of everything that determines model statistics."""
@@ -359,6 +370,18 @@ def vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def transition(model: GridModel, x: np.ndarray, product=matvec) -> np.ndarray:
+    """A x for every vector along the last axis of x: ``product(A, x)``, or
+    x + 0.0 when A is the identity. An identity product returns each finite
+    vector as it is but for -0.0, which comes back as +0.0, and so does
+    x + 0.0, without a BLAS call. The two differ only at a non-finite entry,
+    which makes the rest of its vector NaN in the product: the simulation
+    raises on a non-finite state, and a filter's state turns non-finite only
+    on overflowing measurements, which Algorithm 1's cost check reports
+    wherever it scores them. The result is a new array."""
+    return x + 0.0 if model.identity_A else product(model.A, x)
+
+
 def _state_noise(model: GridModel, z: np.ndarray) -> np.ndarray:
     """The state noise v of each step's normals z: the first N of them,
     scaled (the draws of a step are state noise first, then measurement
@@ -383,12 +406,23 @@ def _trajectory(
     """The states and measurements (in H's row layout) of the steps whose
     normals are z (..., T, N + K*lam), from the state x: each step's state
     is ``product(A, x)`` of the one before plus its state noise.
+
+    With A the identity that is one running sum along the step axis, x
+    first; np.add.accumulate adds in step order, so each state is the one
+    before plus its noise, as a step at a time. The identity product's +0.0
+    for -0.0 (``transition``) is kept by adding 0.0 to the noise: a sum
+    then differs from the product's only where both terms are -0.0.
     Divergence is checked once, over all T steps."""
     V = _state_noise(model, z)
-    X = np.empty_like(V)
-    states = X.swapaxes(0, -2)  # a view: states[s] is step s
-    for s, v in enumerate(V.swapaxes(0, -2)):
-        x = states[s] = product(model.A, x) + v
+    if model.identity_A:
+        V += 0.0
+        V[..., 0, :] += x  # exact: floating-point addition commutes
+        X = np.add.accumulate(V, axis=-2)
+    else:
+        X = np.empty_like(V)
+        states = X.swapaxes(0, -2)  # a view: states[s] is step s
+        for s, v in enumerate(V.swapaxes(0, -2)):
+            x = states[s] = product(model.A, x) + v
     Y = _measurements(model, X, z)
     _check_finite(X)
     return X, Y
@@ -410,10 +444,11 @@ def simulate_step(
     normals for the whole block come from one draw of its stream; numpy's
     Generator fills any request from one sequence, so every step receives
     exactly the values that drawing N and then K*lam normals at that step
-    would give. The state advances one A @ x per step (``matvec``) and the
-    measurements take one ``matvec`` over the block, so every vector gets
-    the bits of its own unbatched product. Divergence is checked once per
-    block.
+    would give. The state advances one A @ x per step (``matvec``), or,
+    with A the identity, by one running sum over the block
+    (``_trajectory``); the measurements take one ``matvec`` over the block.
+    So every vector gets the bits of its own unbatched product. Divergence
+    is checked once per block.
     """
     z = np.empty((len(x), steps, model.N + model.K * model.lam))
     for rng, z_j in zip(noise, z):
@@ -433,8 +468,9 @@ def simulate_block(
     ``simulate_step``, so the values equal those of a call of it on a
     one-trial batch with this stream. The state advances one A @ x per
     step (the bits ``matvec`` gives a batch, without its cost on one
-    vector); the measurements take one matrix-vector product per row, which
-    gives each row the bits of the unbatched H @ x.
+    vector), or as one running sum when A is the identity; the measurements
+    take one matrix-vector product per row, which gives each row the bits
+    of the unbatched H @ x.
     """
     z = rng.standard_normal((steps, model.N + model.K * model.lam))
     return _trajectory(model, x, z, operator.matmul)

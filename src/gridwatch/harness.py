@@ -35,11 +35,15 @@ CUSUM, on the (L, K) and (L,) arrays of the L trials still live in it,
 writing each step's g and GLLR into the block. A step predicts and scores,
 once, the trials off the pre track and those on it whose pre-track GLLR is
 positive, the only on-track trials that do not re-sync, and updates the
-post filter of the trials that do not re-sync. Each product is one BLAS
-call per vector, every reduction runs over the same axis in either half,
-the Pearson counts are exact small integers and the nonparametric CUSUM
-keeps its per-step order, so every trial gets the bits of a step at a
-time.
+post filter of the trials that do not re-sync. A step that would score
+none, every live trial on the pre track with a GLLR of at most zero, is
+idle: its result is known (g stays zero, the post filter takes the pre
+filter's estimate), so the loop jumps over a stretch of them at once and
+steps only the CUSUM through it. Each product is one BLAS call per vector
+(none where A is the identity, see ``grid_model.transition``), every
+reduction runs over the same axis in either half, the Pearson counts are
+exact small integers and the nonparametric CUSUM keeps its per-step order,
+so every trial gets the bits of a step at a time.
 
 Once per block an epilogue settles the rest on the block's (B, T) arrays:
 tau_hat, the first crossing in the block of every stopping rule, the
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import stat
 import struct
@@ -82,6 +87,7 @@ from .grid_model import (
     matvec,
     simulate_block,
     simulate_step,
+    transition,
     vecdot,
 )
 from .robust import Chi2Config, Chi2State, ShewhartConfig
@@ -364,14 +370,17 @@ def _mu0_monte_carlo(model: GridModel, x0, p0, samples: int) -> float:
 
     The trajectory is simulated BLOCK_STEPS samples at a time
     (``grid_model.simulate_block``): one draw of the MU0_SEED stream, one
-    A @ x per sample and the block's measurements, checked for divergence
-    once per block. The filter then runs over the block's rows, and the
-    block's innovation norms are added to the running total in sample
-    order. None of this changes a bit of the step-at-a-time loop it
-    replaced (``tests/oracles.py``): the Generator fills any request from
-    one sequence, so every sample gets the same normals; every product is
-    the same one-vector BLAS call on the same operands; and the norms, taken
-    as one dot product per row, are summed in the same order.
+    A @ x per sample (with A the identity, one running sum over the block)
+    and the block's measurements, checked for divergence once per block.
+    The filter then runs over the block's rows, and the block's innovation
+    norms are added to the running total in sample order. None of this
+    changes a bit of the step-at-a-time loop it replaced
+    (``tests/oracles.py``): the Generator fills any request from one
+    sequence, so every sample gets the same normals; every product is the
+    same one-vector BLAS call on the same operands, or, for the identity,
+    the input itself as that call returns it (``grid_model.transition``);
+    and the norms, taken as one dot product per row, are summed in the same
+    order.
     """
     steps = islice(kalman.PreSchedule(model, p0), samples)
     rng = np.random.default_rng(MU0_SEED)
@@ -388,7 +397,7 @@ def _mu0_monte_carlo(model: GridModel, x0, p0, samples: int) -> float:
                 # one matrix-vector product per sample once the schedule settles
                 step = next_step
                 gain = np.repeat(step.gain / model.lam, model.lam, axis=1)
-            x_pred = model.A @ x_hat
+            x_pred = transition(model, x_hat, operator.matmul)
             innovation = y - model.H @ x_pred
             x_hat = x_pred + gain @ innovation
             innovations.append(innovation)
@@ -745,6 +754,27 @@ def _new_paths(B: int, horizon: int, log_steps: bool) -> TrialPaths:
     )
 
 
+def _idle_steps(
+    batch: _Batch, loop: _ClosedLoop, start: int, end: int, last: kalman.GainStep
+) -> None:
+    """The block's steps start .. end - 1 of a closed loop whose trials are
+    all on the pre track (g = 0) with a pre-track GLLR of at most zero at
+    every one of them (NaN included), ``last`` the schedule entry of step
+    end - 1: ``detector.algorithm1_step`` would score none of them, and
+    every CUSUM step would clamp to zero and re-sync. So the GLLR is the
+    pre track's, g the CUSUM stepped on it (``detector.cusum_step``, once
+    per trial and step), the post filter the pre filter's estimate after
+    the last of the steps, shares-pre set, and the post filter's MSE, when
+    logged, the pre filter's."""
+    betas = loop.beta_pre[:, start:end]
+    loop.beta[:, start:end] = betas
+    loop.g[:, start:end] = [[detector.cusum_step(0.0, b)[0] for b in row] for row in betas.tolist()]
+    loop.post = kalman.KalmanState(loop.pre[:, end - 1], last.P_upd)
+    loop.shares = np.ones(len(betas), dtype=bool)
+    if batch.mse1 is not None:
+        batch.mse1[:, start:end] = batch.mse0[:, start:end]
+
+
 def run_trial(
     ctx: RunContext,
     seeds: Sequence,
@@ -767,11 +797,15 @@ def run_trial(
     still live in it (``_ClosedLoop``), and writes each step's g and GLLR
     (and the post filter's MSE when steps are logged) into the block;
     nothing else runs per step, and with no live trial the loop is
-    skipped. Last, the block's epilogue settles the rest on the (B, T)
-    arrays: tau_hat (the last step g was zero), the first crossing in the
-    block of every stopping rule, the re-syncs (``TrialResult.syncs``),
-    each trial's measurement hash (SHA-256 does not depend on how its input
-    is cut) and the recorded paths.
+    skipped. Once every live trial is at g = 0, the loop jumps to the next
+    step at which some trial's pre-track GLLR is positive, or to the
+    block's end: the steps in between are idle (``_idle_steps``) and
+    ``algorithm1_step`` is not called for them; ``detector.cusum_step``
+    still runs once per trial and step. Last, the block's epilogue settles
+    the rest on the (B, T) arrays: tau_hat (the last step g was zero), the
+    first crossing in the block of every stopping rule, the re-syncs
+    (``TrialResult.syncs``), each trial's measurement hash (SHA-256 does
+    not depend on how its input is cut) and the recorded paths.
 
     Unless paths are recorded (full paths or step logging), the epilogue
     also retires a trial from the closed loop once every configured rule of
@@ -813,9 +847,20 @@ def run_trial(
         loop = batch.loop
         g = loop.g[:, -1].tolist()
         batch.next_block(ctx, t, block_steps, log_steps)
-        for s, pre_step in enumerate(block_steps if g else ()):
+        # the steps at which some trial has a positive pre-track GLLR
+        busy = None if loop.beta_pre is None else (loop.beta_pre > 0.0).any(axis=0)
+        s = 0
+        while g and s < length:
+            if busy is not None and not any(g):
+                # every trial is on the pre track: it stays there up to the
+                # next busy step, its GLLR the pre track's
+                idle = s + int(np.argmax(np.append(busy[s:], True)))
+                if idle > s:
+                    _idle_steps(batch, loop, s, idle, block_steps[idle - 1])
+                    g, s = loop.g[:, idle - 1].tolist(), idle
+                    continue
             step = detector.algorithm1_step(
-                loop.post, loop.shares, g, model, ctx.det_cfg, loop.Y[:, s], pre_step,
+                loop.post, loop.shares, g, model, ctx.det_cfg, loop.Y[:, s], block_steps[s],
                 loop.pre[:, s], loop.clean[:, s],
                 None if loop.beta_pre is None else loop.beta_pre[:, s],
             )
@@ -824,6 +869,7 @@ def run_trial(
             loop.beta[:, s] = step.beta
             if log_steps:  # steps are logged into paths, so every trial is live
                 batch.mse1[:, s] = np.mean((step.post.x - batch.X[:, s]) ** 2, axis=-1)
+            s += 1
         batch.g, batch.beta = loop.spread(loop.g), loop.spread(loop.beta)
 
         end = t + length - 1

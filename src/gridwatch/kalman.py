@@ -45,7 +45,9 @@ the pre filter's covariance is always the schedule's shared entry and its
 update is one stacked matrix-vector product. The pre filter never reads
 the post filter or the detector, so ``pre_filter`` runs it over a whole
 block of measurements ahead of them: one A x and one ``kf_update_pre_full``
-per step, on that step's entry, with the bits of a step at a time. The
+per step, on that step's entry, with the bits of a step at a time. With A
+the identity, A x and A P A^T are x and P themselves (plus 0.0, as
+``grid_model.transition`` explains) and take no BLAS call. The
 post filter carries a per-trial "shares pre" flag, set from the start or
 the last sync until sigma_hat is first nonzero (the ``shares`` argument of
 ``kf_predict`` and ``kf_update_post``; the harness keeps the flags next to
@@ -64,7 +66,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from .grid_model import GridModel, matvec
+from .grid_model import GridModel, matvec, transition
 
 # The pre-filter recursion is frozen once max|P_upd(t) - P_upd(t-1)| is at
 # most this times trace(P_upd(t)): about a hundred times the last-bit jitter
@@ -136,7 +138,7 @@ def kf_predict(model: GridModel, ks: KalmanState, step: GainStep, shares) -> Kal
     take the predicted covariance from it; the others predict their own,
     and with ``shares=False`` every trial does.
     """
-    x = matvec(model.A, ks.x)
+    x = transition(model, ks.x)
     batch = x.shape[:-1]
     own = ~np.asarray(shares, dtype=bool)
     if own.all():
@@ -150,7 +152,8 @@ def kf_predict(model: GridModel, ks: KalmanState, step: GainStep, shares) -> Kal
 
 
 def _predict_cov(model: GridModel, P_upd: np.ndarray) -> np.ndarray:
-    P_pred = model.A @ P_upd @ model.A.T
+    # an identity gemm returns P as P + 0.0 does (see ``transition``)
+    P_pred = P_upd + 0.0 if model.identity_A else model.A @ P_upd @ model.A.T
     _add_diagonal(P_pred, model.sigma_v2)
     return _symmetrize(P_pred)
 
@@ -272,7 +275,7 @@ def pre_filter(
     X = np.empty_like(X_pred)
     R = np.empty_like(Y)
     for s, step in enumerate(steps):
-        pred = KalmanState(matvec(model.A, x), step.P_pred)
+        pred = KalmanState(transition(model, x), step.P_pred)
         X_pred[:, s] = pred.x
         filtered, R[:, s] = kf_update_pre_full(model, pred, Y[:, s], step)
         x = X[:, s] = filtered.x

@@ -238,6 +238,32 @@ def dense_predict(model, ks):
     return KalmanState(model.A @ ks.x, 0.5 * (P + P.T))
 
 
+def predict(model, x, P):
+    """``kalman.kf_predict`` of one trial's own estimate (x, P) as it was
+    before A = I skipped its products: A @ x and A @ P @ A.T, then sigma_v2
+    added to the diagonal and the result symmetrized."""
+    P = model.A @ P @ model.A.T
+    P.flat[:: model.N + 1] += model.sigma_v2
+    return model.A @ x, 0.5 * (P + P.T)
+
+
+def pre_filter(model, x, Y, steps):
+    """``kalman.pre_filter`` a trial and a step at a time, each prediction
+    the one-vector product A @ x: from the (B, N) filtered states x over the
+    (B, T, K, lam) measurements Y on the T schedule entries ``steps``, the
+    predicted and filtered states (B, T, N) and the innovations."""
+    X_pred = np.empty(Y.shape[:2] + x.shape[-1:])
+    X = np.empty_like(X_pred)
+    R = np.empty_like(Y)
+    for j, x_j in enumerate(x):
+        for s, step in enumerate(steps):
+            X_pred[j, s] = x_pred = model.A @ x_j
+            pred = KalmanState(x_pred, step.P_pred)
+            filtered, R[j, s] = kalman.kf_update_pre_full(model, pred, Y[j, s], step)
+            X[j, s] = x_j = filtered.x
+    return X_pred, X, R
+
+
 def dense_update(model, pred, y_flat, bias, noise_diag):
     """Kalman update of the prediction ``pred`` at the full K*lam
     measurement size, Joseph form.
@@ -678,6 +704,13 @@ def kl_quadrature_1d(mu_p, var_p, mu_q, var_q):
 
 # ---------------------------------------------------------------------------
 # Helpers that only the tests and the oracles above read.
+
+
+def read_only(a):
+    """A read-only copy of a: a kernel that wrote into it would raise."""
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
 
 
 def copy_state(ks):

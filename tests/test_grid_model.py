@@ -17,7 +17,7 @@ from gridwatch.harness import BLOCK_STEPS
 
 import oracles
 from conftest import SIGMA_V2, SIGMA_W2, dense_stable_A
-from oracles import assert_same_bits
+from oracles import assert_same_bits, read_only
 
 
 def sim_batch(model, x0, seeds):
@@ -284,6 +284,53 @@ def test_simulate_block_matches_one_trial_oracle(ieee14_topology):
             assert_same_bits(x_t, ref.x)
             assert_same_bits(y_t, want.reshape(-1))
         x = X[-1]
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense_A"])
+@pytest.mark.parametrize("sigma_v2", [SIGMA_V2, 0.0])
+def test_state_steps_match_one_trial_oracle(ieee14_topology, dense, sigma_v2):
+    # with A = I the kernels sum a block's states in one pass, with a dense
+    # A they take one product per step; either way every state and
+    # measurement has the bits of the one-trial oracle's A @ x + v, over
+    # consecutive blocks of 1, 31, 32 and 33 steps of a batch (simulate_step)
+    # and of one trajectory (simulate_block). The start state has -0.0
+    # entries, which an identity product returns as +0.0: without state
+    # noise they stay zeros, so their sign shows. No kernel writes into the
+    # state it is given.
+    n = ieee14_topology.n_states
+    A = dense_stable_A(n) if dense else "identity"
+    model = dataclasses.replace(build_model(ieee14_topology, 5, SIGMA_V2, SIGMA_W2, A), sigma_v2=sigma_v2)
+    assert model.identity_A == (not dense)
+    x0 = ieee14_topology.initial_state()
+    x0[:5] = -0.0
+    seeds = [(31, i) for i in range(3)]
+    x, noise = sim_batch(model, x0, seeds)
+    ref = [oracles.initial_sim_state(model, x0, s) for s in seeds]
+    one, rng = oracles.initial_sim_state(model, x0, 9), np.random.default_rng(9)
+    x_one = x0
+    for steps in (1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1):
+        x, x_one = read_only(x), read_only(x_one)
+        before = x.copy(), x_one.copy()
+        X, Y = simulate_step(model, x, noise, steps)
+        X_one, Y_one = simulate_block(model, x_one, rng, steps)
+        assert_same_bits(x, before[0])
+        assert_same_bits(x_one, before[1])
+        for j, trial in enumerate(ref):
+            for s in range(steps):
+                trial, want = oracles.simulate_step(model, trial)
+                assert_same_bits(X[j, s], trial.x)
+                assert_same_bits(Y[j, s], want)
+            ref[j] = trial
+        for s in range(steps):
+            one, want = oracles.simulate_step(model, one)
+            assert_same_bits(X_one[s], one.x)
+            assert_same_bits(Y_one[s], want.reshape(-1))
+        x, x_one = X[:, -1], X_one[-1]
+    if sigma_v2 == 0.0:
+        # some first state entry is +0.0 where x0 + v would give -0.0
+        first = oracles.simulate_step(model, oracles.initial_sim_state(model, x0, seeds[0]))[0].x
+        naive = x0 + np.random.default_rng(seeds[0]).standard_normal(n) * 0.0
+        assert first.tobytes() != naive.tobytes()
 
 
 def test_process_noise_moments(ieee14_model, ieee14_topology):

@@ -675,6 +675,24 @@ def test_pre_track_matches_whole_step_oracle(tmp_path, mu0_cache, B):
     assert quick[0].steps_run == 193
 
 
+def closed_loop_steps(g, beta, live=None):
+    """The steps, from 1, at which the engine calls algorithm1_step,
+    derived from the (B, horizon) g and beta paths of a run whose blocks
+    are BLOCK_STEPS long from step 1 (no attack) and the (B, horizon) mask
+    ``live`` of the trials live in the closed loop (all by default).
+
+    A step is idle, and skipped, when every live trial is on the pre track
+    (its g at the step before is zero) and its GLLR, then the pre track's,
+    is not positive, in a block that has a pre-track GLLR: one that some
+    live trial starts on the track."""
+    live = np.ones(g.shape, dtype=bool) if live is None else live
+    before = np.concatenate([np.zeros((len(g), 1)), g[:, :-1]], axis=1)
+    busy = (live & ((before != 0.0) | (beta > 0.0))).any(axis=0)
+    start = np.arange(g.shape[1]) // BLOCK_STEPS * BLOCK_STEPS
+    no_pre_track = ~(live[:, start] & (before[:, start] == 0.0)).any(axis=0)
+    return (np.flatnonzero(live.any(axis=0) & (busy | no_pre_track)) + 1).tolist()
+
+
 def test_algorithm1_step_scores_each_trial_once(tmp_path, monkeypatch):
     # every algorithm1_step call scores at most once, and exactly the trials
     # that may not re-sync: those off the pre track (g != 0) and those on it
@@ -682,6 +700,8 @@ def test_algorithm1_step_scores_each_trial_once(tmp_path, monkeypatch):
     # pre-track score). On a 20 x 400 no-attack batch with full paths and
     # false_alarm_full's detectors, some steps hold both kinds of scored
     # trial, which a second scoring after the CUSUM used to score again.
+    # The step is called at exactly the steps that are not idle
+    # (``closed_loop_steps``), and with the g of the step before.
     root = Path(__file__).resolve().parents[1]
     text = (root / "configs" / "false_alarm_full.cfg").read_text()
     text = text.replace("trials = 100\nhorizon = 200000", "trials = 20\nhorizon = 400")
@@ -708,10 +728,13 @@ def test_algorithm1_step_scores_each_trial_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(detector, "algorithm1_step", spy_step)
     monkeypatch.setattr(detector, "score", spy_score)
-    harness.run_trials(ctx, full_paths=True)
-    assert len(calls) == 400
+    results = harness.run_trials(ctx, full_paths=True)
+    g_path, beta_path = (np.array([getattr(r.paths, name) for r in results]) for name in ("g", "beta"))
+    steps = closed_loop_steps(g_path, beta_path)
+    assert len(calls) == len(steps) < 400
     both = 0
-    for t, (g, y, beta_pre, ys) in enumerate(calls, start=1):
+    for t, (g, y, beta_pre, ys) in zip(steps, calls):
+        oracles.assert_same_bits(g, g_path[:, t - 2] if t > 1 else np.zeros(20))
         off = g != 0.0
         rows = off | (True if beta_pre is None else beta_pre > 0.0)
         assert len(ys) == rows.any(), f"step {t}"
@@ -719,6 +742,50 @@ def test_algorithm1_step_scores_each_trial_once(tmp_path, monkeypatch):
             np.testing.assert_array_equal(ys[0], y[rows], err_msg=f"step {t}")
         both += bool(off.any() and (~off & rows).any())
     assert both > 0
+
+
+@pytest.mark.parametrize("log_steps", [False, True], ids=["paths", "log_steps"])
+@pytest.mark.parametrize("B", [1, 4])
+def test_idle_stretches_match_whole_step_oracle(tmp_path, mu0_cache, monkeypatch, B, log_steps):
+    # while every trial is on the pre track with a GLLR of at most zero,
+    # the engine skips algorithm1_step up to the next step with a positive
+    # GLLR; the whole-step oracle runs both halves at every step. Before
+    # the onset at step 150 the runs idle for long stretches: across block
+    # edges, to the end of the block the onset cuts short, and to a busy
+    # step inside a block, after which the post filter goes on from the pre
+    # filter's estimate. g, beta, tau_hat (and, with logged steps, the post
+    # filter's MSE) keep the oracle's bits, with and without step logging,
+    # and so do the stops, hashes and re-syncs of a run without paths.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return step(*args)
+
+    step = detector.algorithm1_step
+    monkeypatch.setattr(detector, "algorithm1_step", spy)
+    cfg = make_cfg(tmp_path, attack=HYBRID, trials=B, horizon=300, tau=150, seed=4, cache=mu0_cache)
+    ctx = harness.prepare(cfg)
+    full = harness.run_trials(ctx, full_paths=True, log_steps=log_steps)
+    assert len(calls) < 300
+    quick = harness.run_trials(ctx)
+    paths, hashes = oracles.whole_step_run(ctx, [r.seed for r in full])
+    names = ("g", "beta", "tau_hat") + (("mse0", "mse1") if log_steps else ())
+    for name in names:
+        oracles.assert_same_bits(np.array([getattr(r.paths, name) for r in full]), paths[name])
+    for i, (res, fast, trail) in enumerate(zip(full, quick, hashes)):
+        own = {name: values[i] for name, values in paths.items()}
+        stops = oracles.path_stops(ctx, own)
+        assert (res.stops, res.meas_hash) == (stops, trail[-1])
+        assert (fast.stops, fast.tau_hat, fast.meas_hash) == (stops, res.tau_hat, trail[fast.steps_run - 1])
+        assert res.syncs == int((own["g"][: oracles.sync_cap(stops, 300)] == 0.0).sum())
+        assert fast.syncs == int((own["g"][: oracles.sync_cap(stops, fast.steps_run)] == 0.0).sum())
+    g, beta = paths["g"], paths["beta"]
+    before = np.concatenate([np.zeros((B, 1)), g[:, :-1]], axis=1)
+    idle = set((np.flatnonzero(~((before != 0.0) | (beta > 0.0)).any(axis=0)) + 1).tolist())
+    assert {BLOCK_STEPS, BLOCK_STEPS + 1, 149} <= idle  # across an edge; to the onset
+    # to a busy step inside one of the first blocks, which are BLOCK_STEPS long
+    assert any(t + 1 not in idle and t % BLOCK_STEPS for t in idle if t < 4 * BLOCK_STEPS)
 
 
 def test_closed_loop_stop_last_mid_block_matches_whole_step_oracle(tmp_path):
@@ -802,32 +869,48 @@ def test_retired_trials_match_full_paths_and_whole_step_oracle(tmp_path, B):
 
 def test_retired_trials_leave_the_closed_loop(tmp_path, monkeypatch):
     # algorithm1_step, seen through its measurements argument, gets exactly
-    # the rows of the trials still live at each step: a trial stops running
-    # the closed loop at the end of the block that holds the later of its
-    # alg1 and Shewhart stops (or its exit), and once no trial is live the
-    # step is not called at all, though trials still run on open-loop
-    seen = []
+    # the rows of the trials still live at each step it runs, and runs at
+    # exactly the steps that are not idle for them (``closed_loop_steps``):
+    # a trial stops running the closed loop at the end of the block that
+    # holds the later of its alg1 and Shewhart stops (or its exit), and once
+    # no trial is live the step is not called at all, though trials still
+    # run on open-loop. The measurements of every step are those the full
+    # run's blocks were made of.
+    seen, blocks = [], []
 
     def spy(*args):
         seen.append(args[5].copy())
         return step(*args)
 
-    step = detector.algorithm1_step
+    def spy_attack(*args):
+        blocks.append(attack(*args))
+        return blocks[-1]
+
+    step, attack = detector.algorithm1_step, harness.apply_attack
     monkeypatch.setattr(detector, "algorithm1_step", spy)
+    monkeypatch.setattr(harness, "apply_attack", spy_attack)
     ctx = retire_ctx(tmp_path, 8)
     full = harness.run_trials(ctx, full_paths=True)  # every trial live throughout
+    Y = np.concatenate(blocks, axis=1)
+    assert Y.shape[:2] == (8, 700)
     every = seen.copy()
     seen.clear()
     quick = harness.run_trials(ctx)
-    assert len(every) == 700 and all(len(y) == 8 for y in every)
+    g, beta = (np.array([getattr(r.paths, name) for r in full]) for name in ("g", "beta"))
+    full_steps = closed_loop_steps(g, beta)
+    assert len(every) == len(full_steps) and all(len(y) == 8 for y in every)
+    for t, y in zip(full_steps, every):
+        np.testing.assert_array_equal(y, Y[:, t - 1], err_msg=f"step {t}")
     live_end = [
         _block_end(min(r.steps_run, max(r.stops["alg1"], r.stops["shewhart"]))) for r in quick
     ]
-    assert len(seen) == max(live_end) < max(r.steps_run for r in quick)
+    live = np.arange(1, 701) <= np.array(live_end)[:, None]
+    quick_steps = closed_loop_steps(g, beta, live)
+    assert len(seen) == len(quick_steps) < len(full_steps)
+    assert quick_steps[-1] <= max(live_end) < max(r.steps_run for r in quick)
     assert len(set(live_end)) > 2  # trials retire in several blocks
-    for t, y in enumerate(seen, start=1):
-        live = [i for i, end in enumerate(live_end) if t <= end]
-        np.testing.assert_array_equal(y, every[t - 1][live], err_msg=f"step {t}")
+    for t, y in zip(quick_steps, seen):
+        np.testing.assert_array_equal(y, Y[live[:, t - 1], t - 1], err_msg=f"step {t}")
     assert [r.stops for r in quick] == [r.stops for r in full]
 
 
@@ -1060,6 +1143,22 @@ def test_mu0_matches_step_by_step_oracle(ieee14_topology, ratio, samples, lam, d
     model = build_model(ieee14_topology, lam, 1e-4, 1e-4 * ratio, A)
     assert kalman.PreSchedule(model, 1e-4).settled == (ratio == 1.0)
     x0 = ieee14_topology.initial_state()
+    got = harness.innovation_norm_baseline(model, x0, 1e-4, samples=samples, cache=None)
+    assert got == oracles.innovation_norm_baseline(model, x0, 1e-4, samples)
+
+
+@pytest.mark.parametrize("sigma_v2", [1e-4, 0.0])
+@pytest.mark.parametrize("dense_A", [False, True], ids=["identity", "dense_A"])
+def test_mu0_from_negative_zeros_matches_step_by_step_oracle(ieee14_topology, dense_A, sigma_v2):
+    # a start state with -0.0 entries, which an identity product returns
+    # as +0.0; without state noise those entries stay zeros
+    n = ieee14_topology.n_states
+    A = dense_stable_A(n) if dense_A else "identity"
+    model = replace(build_model(ieee14_topology, 5, 1e-4, 1e-4, A), sigma_v2=sigma_v2)
+    assert model.identity_A == (not dense_A)
+    x0 = ieee14_topology.initial_state()
+    x0[:5] = -0.0
+    samples = 2 * BLOCK_STEPS + 1
     got = harness.innovation_norm_baseline(model, x0, 1e-4, samples=samples, cache=None)
     assert got == oracles.innovation_norm_baseline(model, x0, 1e-4, samples)
 

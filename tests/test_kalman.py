@@ -16,11 +16,15 @@ from gridwatch.kalman import (
     kf_update_post,
     kf_update_pre,
     kf_update_pre_full,
+    pre_filter,
     pre_gain_step,
 )
 from gridwatch.robust import chi2_sample_from_innovation
 
+import oracles
+from conftest import dense_stable_A
 from oracles import (
+    assert_same_bits,
     copy_state,
     dense_predict,
     dense_predict_oracle,
@@ -28,6 +32,7 @@ from oracles import (
     expand,
     initial_sim_state,
     min_eigenvalue_ratio,
+    read_only,
     simulate_step,
 )
 
@@ -366,3 +371,71 @@ def test_batched_filter_matches_single_trial_calls(ieee14_model, ieee14_topology
             np.testing.assert_array_equal(np.broadcast_to(upd.P, (B, 13, 13))[i], want.P)
         post = upd
         shares = shares & ~sigma_hat.any(axis=1)
+
+
+def a_model(topology, dense):
+    """ieee14 with A = I, whose products kalman skips, or a dense A."""
+    A = dense_stable_A(topology.n_states) if dense else "identity"
+    model = build_model(topology, 5, 1e-4, 1e-4, A)
+    assert model.identity_A == (not dense)
+    return model
+
+
+def start_states(model, B):
+    """B filtered states near ieee14's angles, some entries -0.0, which an
+    identity product returns as +0.0."""
+    xs = 1e-3 * np.random.default_rng(4).standard_normal((B, model.N))
+    xs[:, :3] = -0.0
+    xs[1] = -0.0
+    return xs
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense_A"])
+def test_predict_matches_one_trial_oracle(ieee14_topology, dense):
+    # kf_predict of a batch, with a covariance shared by every trial and
+    # with stacked ones, some trials taking the schedule's prediction:
+    # every trial has the bits of the oracle's A @ x and A @ P @ A.T, and
+    # neither x nor P is written into
+    model = a_model(ieee14_topology, dense)
+    steps = list(islice(PreSchedule(model, 1e-4), 2))
+    B = 4
+    xs = start_states(model, B)
+    stacked = np.stack([steps[0].P_upd * (1.0 + 0.1 * i) for i in range(B)])
+    stacked[0, 1, 2] = stacked[0, 2, 1] = -0.0
+    cases = [
+        (steps[0].P_upd, False),
+        (stacked, False),
+        (stacked, np.array([True, False, True, False])),
+    ]
+    for P, shares in cases:
+        ks = KalmanState(read_only(xs), read_only(P))
+        got = kf_predict(model, ks, steps[1], shares)
+        assert_same_bits(ks.x, xs)
+        assert_same_bits(ks.P, P)
+        got_P = np.broadcast_to(got.P, (B, model.N, model.N))
+        flags = np.broadcast_to(shares, B)
+        for i in range(B):
+            want_x, want_P = oracles.predict(model, xs[i], P if P.ndim == 2 else P[i])
+            assert_same_bits(got.x[i], want_x)
+            assert_same_bits(got_P[i], steps[1].P_pred if flags[i] else want_P)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense_A"])
+def test_pre_filter_matches_one_trial_oracle(ieee14_topology, dense):
+    # the pre filter over a block of 33 schedule entries, from states with
+    # -0.0 entries: predictions, filtered states and innovations have the
+    # bits of the oracle's one-vector A @ x a trial and a step at a time,
+    # and neither the states nor the measurements are written into
+    model = a_model(ieee14_topology, dense)
+    steps = list(islice(PreSchedule(model, 1e-4), 33))
+    B = 3
+    xs = start_states(model, B)
+    Y = 1e-2 * np.random.default_rng(6).standard_normal((B, len(steps), model.K, model.lam))
+    x, Y_in = read_only(xs), read_only(Y)
+    got = pre_filter(model, x, Y_in, steps)
+    assert_same_bits(x, xs)
+    assert_same_bits(Y_in, Y)
+    for g, w in zip(got, oracles.pre_filter(model, xs, Y, steps)):
+        assert_same_bits(g, w)
+    if model.identity_A:  # the -0.0 entries came back as +0.0
+        assert_same_bits(got[0][:, 0, :3], np.zeros((B, 3)))
