@@ -183,7 +183,7 @@ def classify_meters(table: np.ndarray) -> MeterClassification:
             "hypothesis costs are not finite: the state or data diverged; "
             "check the model configuration"
         )
-    return MeterClassification(labels=np.argmin(table, axis=-2))
+    return MeterClassification(labels=table.argmin(axis=-2))
 
 
 def mle_attack_params(
@@ -312,27 +312,31 @@ def algorithm1_step(
     estimate and flags and the CUSUM after the step.
     """
     beta = beta_pre
-    if beta_pre is None:
-        pick = [True] * len(g)
+    if beta_pre is None:  # every trial is scored
+        rows = slice(None)
+        pred = kalman.kf_predict(model, post, pre_step, shares)
+        rb, labels, beta = score(model, cfg, y, pred.x, clean)
+        a_hat, sigma_hat = mle_attack_params(rb, labels, cfg, model)
+        betas = beta.tolist()
     else:
         betas = beta_pre.tolist()
         pick = [v != 0.0 or b > 0.0 for v, b in zip(g, betas, strict=True)]
-    if any(pick):
-        rows = mask_rows(np.array(pick))
-        shares = shares[rows]
-        pred = kalman.kf_predict(model, post.take(rows), pre_step, shares)
-        rb, labels, scored = score(model, cfg, y[rows], pred.x, clean[rows])
-        a_hat, sigma_hat = mle_attack_params(rb, labels, cfg, model)
-        if beta is None:
-            beta = scored
-        else:
+        if any(pick):
+            rows = mask_rows(np.array(pick))
+            shares = shares[rows]
+            pred = kalman.kf_predict(model, post.take(rows), pre_step, shares)
+            rb, labels, scored = score(model, cfg, y[rows], pred.x, clean[rows])
+            a_hat, sigma_hat = mle_attack_params(rb, labels, cfg, model)
             beta = beta.copy()
             beta[rows] = scored
-        betas = beta.tolist()
+            betas = beta.tolist()
 
     stepped = [cusum_step(v, b) for v, b in zip(g, betas, strict=True)]
     g = [v for v, _ in stepped]
     stay = [not flag for _, flag in stepped]
+    if all(stay):  # every trial was scored and is updated
+        post = kalman.kf_update_post(model, pred, rb.mean, a_hat, sigma_hat, pre_step, shares)
+        return Algorithm1Step(post=post, shares=shares & ~sigma_hat.any(axis=-1), g=g, beta=beta)
     pre = kalman.KalmanState(pre_x, pre_step.P_upd)
     if not any(stay):
         return Algorithm1Step(post=pre, shares=np.ones(len(g), dtype=bool), g=g, beta=beta)
@@ -343,9 +347,8 @@ def algorithm1_step(
         pred, mean, a_hat, sigma_hat = pred.take(keep), mean[keep], a_hat[keep], sigma_hat[keep]
         shares = shares[keep]
     post = kalman.kf_update_post(model, pred, mean, a_hat, sigma_hat, pre_step, shares)
-    shares = shares & ~sigma_hat.any(axis=-1)
-    if not stay.all():  # the rest re-sync: post := pre
-        post, shares = _merge(pre, post, shares, stay)
+    # the rest re-sync: post := pre
+    post, shares = _merge(pre, post, shares & ~sigma_hat.any(axis=-1), stay)
     return Algorithm1Step(post=post, shares=shares, g=g, beta=beta)
 
 

@@ -672,7 +672,6 @@ class _Batch:
         self.mse0 = self.mse1 = None
         if log_steps:
             self.mse0 = np.mean((self.pre - self.X) ** 2, axis=-1)
-            self.mse1 = np.empty(self.pre.shape[:2])
 
         rows = detector.mask_rows(loop.live)
         loop.Y, loop.pre = Y, pre = Y[rows], self.pre[rows]
@@ -754,9 +753,7 @@ def _new_paths(B: int, horizon: int, log_steps: bool) -> TrialPaths:
     )
 
 
-def _idle_steps(
-    batch: _Batch, loop: _ClosedLoop, start: int, end: int, last: kalman.GainStep
-) -> None:
+def _idle_steps(loop: _ClosedLoop, start: int, end: int, last: kalman.GainStep) -> None:
     """The block's steps start .. end - 1 of a closed loop whose trials are
     all on the pre track (g = 0) with a pre-track GLLR of at most zero at
     every one of them (NaN included), ``last`` the schedule entry of step
@@ -764,15 +761,12 @@ def _idle_steps(
     every CUSUM step would clamp to zero and re-sync. So the GLLR is the
     pre track's, g the CUSUM stepped on it (``detector.cusum_step``, once
     per trial and step), the post filter the pre filter's estimate after
-    the last of the steps, shares-pre set, and the post filter's MSE, when
-    logged, the pre filter's."""
+    the last of the steps, and shares-pre set."""
     betas = loop.beta_pre[:, start:end]
     loop.beta[:, start:end] = betas
     loop.g[:, start:end] = [[detector.cusum_step(0.0, b)[0] for b in row] for row in betas.tolist()]
     loop.post = kalman.KalmanState(loop.pre[:, end - 1], last.P_upd)
     loop.shares = np.ones(len(betas), dtype=bool)
-    if batch.mse1 is not None:
-        batch.mse1[:, start:end] = batch.mse0[:, start:end]
 
 
 def run_trial(
@@ -795,15 +789,18 @@ def run_trial(
     filter, GLLR and one CUSUM step per trial, on g carried as a list of
     floats from the last column of the previous block), on the trials
     still live in it (``_ClosedLoop``), and writes each step's g and GLLR
-    (and the post filter's MSE when steps are logged) into the block;
-    nothing else runs per step, and with no live trial the loop is
-    skipped. Once every live trial is at g = 0, the loop jumps to the next
-    step at which some trial's pre-track GLLR is positive, or to the
+    (and, when steps are logged, the post filter's filtered state) into
+    the block; nothing else runs per step, and with no live trial the loop
+    is skipped. Once every live trial is at g = 0, the loop jumps to the
+    next step at which some trial's pre-track GLLR is positive, or to the
     block's end: the steps in between are idle (``_idle_steps``) and
     ``algorithm1_step`` is not called for them; ``detector.cusum_step``
     still runs once per trial and step. Last, the block's epilogue settles
-    the rest on the (B, T) arrays: tau_hat (the last step g was zero), the
-    first crossing in the block of every stopping rule, the re-syncs
+    the rest on the (B, T) arrays: the post filter's MSE when steps are
+    logged, once per block (an idle step's filtered state is the pre
+    filter's, and each row is reduced over its own N entries, as one step
+    alone would reduce it), tau_hat (the last step g was zero), the first
+    crossing in the block of every stopping rule, the re-syncs
     (``TrialResult.syncs``), each trial's measurement hash (SHA-256 does
     not depend on how its input is cut) and the recorded paths.
 
@@ -847,6 +844,9 @@ def run_trial(
         loop = batch.loop
         g = loop.g[:, -1].tolist()
         batch.next_block(ctx, t, block_steps, log_steps)
+        # the post filter's filtered states, when logged; an idle step's is
+        # the pre filter's
+        post_x = batch.pre.copy() if log_steps else None
         # the steps at which some trial has a positive pre-track GLLR
         busy = None if loop.beta_pre is None else (loop.beta_pre > 0.0).any(axis=0)
         s = 0
@@ -856,7 +856,7 @@ def run_trial(
                 # next busy step, its GLLR the pre track's
                 idle = s + int(np.argmax(np.append(busy[s:], True)))
                 if idle > s:
-                    _idle_steps(batch, loop, s, idle, block_steps[idle - 1])
+                    _idle_steps(loop, s, idle, block_steps[idle - 1])
                     g, s = loop.g[:, idle - 1].tolist(), idle
                     continue
             step = detector.algorithm1_step(
@@ -868,9 +868,11 @@ def run_trial(
             loop.g[:, s] = g
             loop.beta[:, s] = step.beta
             if log_steps:  # steps are logged into paths, so every trial is live
-                batch.mse1[:, s] = np.mean((step.post.x - batch.X[:, s]) ** 2, axis=-1)
+                post_x[:, s] = step.post.x
             s += 1
         batch.g, batch.beta = loop.spread(loop.g), loop.spread(loop.beta)
+        if log_steps:
+            batch.mse1 = np.mean((post_x - batch.X) ** 2, axis=-1)
 
         end = t + length - 1
         ts = np.arange(t, end + 1)

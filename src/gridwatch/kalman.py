@@ -47,15 +47,17 @@ the post filter or the detector, so ``pre_filter`` runs it over a whole
 block of measurements ahead of them: one A x and one ``kf_update_pre_full``
 per step, on that step's entry, with the bits of a step at a time. With A
 the identity, A x and A P A^T are x and P themselves (plus 0.0, as
-``grid_model.transition`` explains) and take no BLAS call. The
-post filter carries a per-trial "shares pre" flag, set from the start or
-the last sync until sigma_hat is first nonzero (the ``shares`` argument of
-``kf_predict`` and ``kf_update_post``; the harness keeps the flags next to
-the post filter's estimate): trials with the flag set take the pre entry's
-covariance and gain, and only the others run the K x K update, on their
-stacked covariances. A single trial is a batch of one. Products
-go through ``grid_model.matvec``, so each trial's numbers have the bits of
-an unbatched run.
+``grid_model.transition`` explains) and take no BLAS call, and the
+predicted covariance is not symmetrized either: every covariance the
+filters hold is bit-symmetric, and 0.5 (P + P^T) would return it as it is
+(``_predict_cov``). The post filter carries a per-trial "shares pre" flag,
+set from the start or the last sync until sigma_hat is first nonzero (the
+``shares`` argument of ``kf_predict`` and ``kf_update_post``; the harness
+keeps the flags next to the post filter's estimate): trials with the flag
+set take the pre entry's covariance and gain, and only the others run the
+K x K update, on their stacked covariances. A single trial is a batch of
+one. Products go through ``grid_model.matvec``, so each trial's numbers
+have the bits of an unbatched run.
 """
 
 from __future__ import annotations
@@ -115,12 +117,16 @@ def initial_state(x0: np.ndarray, p0: float) -> KalmanState:
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + np.swapaxes(P, -1, -2))
+    return 0.5 * (P + P.swapaxes(-1, -2))
 
 
 def _add_diagonal(S: np.ndarray, d) -> None:
     """S[..., i, i] += d[..., i] in place."""
-    diagonal = np.einsum("...ii->...i", S)  # a writeable view whatever the layout of S
+    n = S.shape[-1]
+    if S.flags.c_contiguous:  # every n+1-th element of each flattened matrix
+        diagonal = S.reshape(S.shape[:-2] + (n * n,))[..., :: n + 1]
+    else:
+        diagonal = np.einsum("...ii->...i", S)  # a writeable view whatever the layout of S
     diagonal += d
 
 
@@ -136,7 +142,9 @@ def kf_predict(model: GridModel, ks: KalmanState, step: GainStep, shares) -> Kal
     ``step`` is the pre-filter schedule's entry for this step: the trials
     flagged in ``shares`` (a mask, or True for all) have its covariance and
     take the predicted covariance from it; the others predict their own,
-    and with ``shares=False`` every trial does.
+    and with ``shares=False`` every trial does. With A the identity, P must
+    be bit-symmetric, as every covariance the filters hold is
+    (``_predict_cov``).
     """
     x = transition(model, ks.x)
     batch = x.shape[:-1]
@@ -152,10 +160,21 @@ def kf_predict(model: GridModel, ks: KalmanState, step: GainStep, shares) -> Kal
 
 
 def _predict_cov(model: GridModel, P_upd: np.ndarray) -> np.ndarray:
-    # an identity gemm returns P as P + 0.0 does (see ``transition``)
+    """The predicted covariance A P A^T + sigma_v2 I of the filtered
+    covariance P_upd, bit-symmetric.
+
+    With A the identity this is P_upd + 0.0 (an identity gemm returns P as
+    P + 0.0 does; see ``transition``) with sigma_v2 added to its diagonal,
+    and the symmetrize is left out: every covariance that reaches here is
+    bit-symmetric (``gain_step`` symmetrizes each P_upd, the start
+    covariance is p0 I, and the batch's merges copy whole matrices), and
+    0.5 (P + P^T) returns a bit-symmetric P as it is, as long as no entry
+    is so large (above about 9e307) that P + P^T overflows. Any other A
+    symmetrizes its product.
+    """
     P_pred = P_upd + 0.0 if model.identity_A else model.A @ P_upd @ model.A.T
     _add_diagonal(P_pred, model.sigma_v2)
-    return _symmetrize(P_pred)
+    return P_pred if model.identity_A else _symmetrize(P_pred)
 
 
 def gain_step(model: GridModel, P_pred: np.ndarray, noise: np.ndarray) -> GainStep:
@@ -174,22 +193,24 @@ def gain_step(model: GridModel, P_pred: np.ndarray, noise: np.ndarray) -> GainSt
     _add_diagonal(S, noise_mean)
     # Fortran order per matrix, as dtrtri returns it; the layout decides
     # which BLAS kernel later products use, and so their last bits.
-    white = np.swapaxes(np.empty_like(S), -1, -2)
-    for i in np.ndindex(S.shape[:-2]):  # LAPACK factors one matrix per call
-        chol, info = dpotrf(S[i], lower=1, clean=1)
+    K = S.shape[-1]
+    white = np.empty_like(S).swapaxes(-1, -2)
+    # LAPACK factors one matrix per call; both reshapes are views
+    for S_i, white_i in zip(S.reshape(-1, K, K), white.reshape(-1, K, K)):
+        chol, info = dpotrf(S_i, lower=1, clean=1)
         if info == 0:
-            white[i], info = dtrtri(chol, lower=1)
+            white_i[...], info = dtrtri(chol, lower=1)
         if info != 0:
             raise InnovationSolveError(
                 f"innovation covariance factorization failed (LAPACK info {info}; diag "
-                f"min={S[i].diagonal().min():.3e} max={S[i].diagonal().max():.3e})"
+                f"min={S_i.diagonal().min():.3e} max={S_i.diagonal().max():.3e})"
             )
-    G = (PMt @ np.swapaxes(white, -1, -2)) @ white
+    G = (PMt @ white.swapaxes(-1, -2)) @ white
     IGM = -(G @ M)
     _add_diagonal(IGM, 1.0)
     P_upd = _symmetrize(
-        IGM @ P_pred @ np.swapaxes(IGM, -1, -2)
-        + (G * noise_mean[..., None, :]) @ np.swapaxes(G, -1, -2)
+        IGM @ P_pred @ IGM.swapaxes(-1, -2)
+        + (G * noise_mean[..., None, :]) @ G.swapaxes(-1, -2)
     )
     return GainStep(P_pred=P_pred, P_upd=P_upd, gain=G, white=white)
 
@@ -303,7 +324,7 @@ def kf_update_post(
     the K x K update, stacked. With ``shares=False`` every trial runs its own.
     """
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if np.any(sigma_hat < 0):
+    if (sigma_hat < 0).any():
         raise ValueError("sigma_hat must be >= 0")
     innovation = residual_mean - a_hat
     own = sigma_hat.any(axis=-1) | ~np.asarray(shares, dtype=bool)

@@ -20,6 +20,7 @@ from itertools import islice
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from gridwatch import detector, harness, kalman, robust
 from gridwatch.attacks import AttackRealization, is_active
@@ -230,6 +231,48 @@ def dense_predict_oracle(A, P, sigma_v2):
                     acc += A[i, k] * P[k, l] * A[j, l]
             out[i, j] = acc + (sigma_v2 if i == j else 0.0)
     return out
+
+
+def add_diagonal(S, d):
+    """S[..., i, i] += d[..., i] in place, through einsum's writeable view
+    of the diagonal, whatever the layout of S."""
+    diagonal = np.einsum("...ii->...i", S)
+    diagonal += d
+
+
+def predict_cov(model, P_upd):
+    """``kalman._predict_cov`` as it was before identity A left out the
+    symmetrize: A P A^T (P + 0.0 for identity A) with sigma_v2 added to the
+    diagonal, then 0.5 (P + P^T), for every A."""
+    P = P_upd + 0.0 if model.identity_A else model.A @ P_upd @ model.A.T
+    add_diagonal(P, model.sigma_v2)
+    return _symmetrize(P)
+
+
+def gain_step(model, P_pred, noise):
+    """``kalman.gain_step`` as it was before it walked a reshaped stack: an
+    ``np.ndindex`` loop over the batch axes, einsum diagonals and
+    ``np.swapaxes`` calls, with the same products in the same order and the
+    whitening factor in Fortran order per matrix."""
+    M = model.meter_rows
+    noise_mean = np.asarray(noise / model.lam)
+    PMt = P_pred @ M.T
+    S = M @ PMt
+    add_diagonal(S, noise_mean)
+    white = np.swapaxes(np.empty_like(S), -1, -2)
+    for i in np.ndindex(S.shape[:-2]):
+        chol, info = dpotrf(S[i], lower=1, clean=1)
+        assert info == 0
+        white[i], info = dtrtri(chol, lower=1)
+        assert info == 0
+    G = (PMt @ np.swapaxes(white, -1, -2)) @ white
+    IGM = -(G @ M)
+    add_diagonal(IGM, 1.0)
+    P_upd = _symmetrize(
+        IGM @ P_pred @ np.swapaxes(IGM, -1, -2)
+        + (G * noise_mean[..., None, :]) @ np.swapaxes(G, -1, -2)
+    )
+    return kalman.GainStep(P_pred=P_pred, P_upd=P_upd, gain=G, white=white)
 
 
 def dense_predict(model, ks):

@@ -788,6 +788,43 @@ def test_idle_stretches_match_whole_step_oracle(tmp_path, mu0_cache, monkeypatch
     assert any(t + 1 not in idle and t % BLOCK_STEPS for t in idle if t < 4 * BLOCK_STEPS)
 
 
+@pytest.mark.parametrize("B", [1, 4])
+def test_logged_mse_of_mixed_blocks_matches_whole_step_oracle(tmp_path, mu0_cache, monkeypatch, B):
+    # with steps logged, the post filter's MSE is reduced once per block,
+    # from the filtered states of the steps that call algorithm1_step and,
+    # at idle steps, the pre filter's. The run has blocks that mix idle
+    # stretches, steps at which a trial re-syncs and steps at which one
+    # stays off the pre track, and after the onset at step 100 blocks that
+    # no trial starts on the track (every trial scored); with B = 4 some
+    # steps re-sync a part of the batch. Both MSE paths, g and beta keep
+    # the bits of the whole-step oracle.
+    calls = []
+    step = detector.algorithm1_step
+    monkeypatch.setattr(detector, "algorithm1_step", lambda *args: calls.append(args) or step(*args))
+    cfg = make_cfg(tmp_path, attack=HYBRID, trials=B, horizon=200, tau=100, seed=4, cache=mu0_cache)
+    ctx = harness.prepare(cfg)
+    logged = harness.run_trials(ctx, log_steps=True)
+    paths, _ = oracles.whole_step_run(ctx, [r.seed for r in logged])
+    for name in ("mse0", "mse1", "g", "beta"):
+        oracles.assert_same_bits(np.array([getattr(r.paths, name) for r in logged]), paths[name])
+
+    g, beta = paths["g"], paths["beta"]
+    starts, t = [], 1
+    while t <= 200:
+        starts.append(t)
+        t += harness._block_steps(ctx.cfg.attack, t, min(BLOCK_STEPS, 201 - t))
+    block = np.searchsorted(starts, np.arange(1, 201), side="right") - 1
+    before = np.concatenate([np.zeros((B, 1)), g[:, :-1]], axis=1)
+    pre_track = (before[:, np.array(starts) - 1] == 0.0).any(axis=0)
+    idle = pre_track[block] & ~((before != 0.0) | (beta > 0.0)).any(axis=0)
+    assert len(calls) == int((~idle).sum())
+    resync, stay = ~idle & (g == 0.0).any(axis=0), ~idle & (g > 0.0).any(axis=0)
+    mixed = [b for b in range(len(starts)) if all(k[block == b].any() for k in (idle, resync, stay))]
+    assert mixed and not pre_track.all()
+    if B > 1:
+        assert (resync & stay).any()
+
+
 def test_closed_loop_stop_last_mid_block_matches_whole_step_oracle(tmp_path):
     # alg1 and Shewhart alone: a trial leaves at the end of the block that
     # holds its latest stop, having run the closed loop past that stop, so
@@ -948,8 +985,9 @@ def test_batch_take_compacts_every_field(tmp_path, mu0_cache):
     batch.next_block(ctx, 1, list(itertools.islice(ctx.schedule, 4)), log_steps=True)
     rng = np.random.default_rng(0)
     loop = batch.loop
-    batch.g, batch.beta = rng.standard_normal((2, 3, 4))  # the closed loop's columns
-    for block in (batch.mse1, loop.g, loop.beta):
+    # the closed loop's columns and the post filter's MSE, filled by the step loop
+    batch.g, batch.beta, batch.mse1 = rng.standard_normal((3, 3, 4))
+    for block in (loop.g, loop.beta):
         block[:] = rng.standard_normal(block.shape)
     loop.post = kalman.KalmanState(loop.post.x, np.stack([loop.post.P * k for k in (1, 2, 3)]))
     assert_taken(batch, batch.take(np.array([True, False, True])), [0, 2])

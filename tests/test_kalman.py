@@ -1,16 +1,23 @@
 import dataclasses
+import re
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import cho_solve, solve_discrete_are
 
+from gridwatch import kalman
 from gridwatch.grid_model import GridModel, build_model
 from gridwatch.kalman import (
     InnovationSolveError,
     KalmanState,
     PreSchedule,
     _add_diagonal,
+    _predict_cov,
+    gain_step,
     initial_state,
     kf_predict,
     kf_update_post,
@@ -71,14 +78,129 @@ def test_predict_additive_noise_only():
     np.testing.assert_allclose(out.P, 1e-4 * np.eye(1))
 
 
-def test_add_diagonal_writes_through_any_layout():
-    # a transposed stack is not C-contiguous; the write must still reach it
+# (shape and memory order of the base array, the S taken from it, whether
+# S is C-contiguous)
+ADD_DIAGONAL_LAYOUTS = {
+    "c_2d": ((4, 4), "C", lambda b: b, True),
+    "c_3d": ((3, 4, 4), "C", lambda b: b, True),
+    "c_4d": ((2, 3, 4, 4), "C", lambda b: b, True),
+    "c_slice": ((5, 4, 4), "C", lambda b: b[1:4], True),
+    "one_by_one": ((3, 1, 1), "C", lambda b: b, True),
+    "fortran_2d": ((4, 4), "F", lambda b: b, False),
+    "fortran_3d": ((3, 4, 4), "F", lambda b: b, False),
+    "transposed": ((3, 4, 4), "C", lambda b: b.swapaxes(-1, -2), False),
+    "strided_stack": ((6, 4, 4), "C", lambda b: b[::2], False),
+    "sub_matrices": ((3, 6, 6), "C", lambda b: b[:, 1:5, 1:5], False),
+}
+
+
+@pytest.mark.parametrize("layout", ADD_DIAGONAL_LAYOUTS)
+def test_add_diagonal_writes_through_any_layout(layout):
+    # the strided view of a C-contiguous S and einsum's view of any other
+    # add d where the einsum form adds it, with the same bits, and write
+    # through into the array S is a view of
+    shape, order, take, c_contiguous = ADD_DIAGONAL_LAYOUTS[layout]
     rng = np.random.default_rng(0)
-    d = rng.standard_normal((3, 4))
-    for S in (rng.standard_normal((3, 4, 4)), np.swapaxes(rng.standard_normal((3, 4, 4)), -1, -2)):
-        want = S + d[..., None] * np.eye(4)
-        _add_diagonal(S, d)
-        np.testing.assert_array_equal(S, want)
+    base = np.array(rng.standard_normal(shape), order=order)
+    assert take(base).flags.c_contiguous == c_contiguous
+    for d in (rng.standard_normal(take(base).shape[:-1]), 0.25):
+        want = base.copy(order="K")
+        oracles.add_diagonal(take(want), d)
+        _add_diagonal(take(base), d)
+        assert_same_bits(base, want)
+
+
+# entries of a covariance for the symmetrize-free prediction: up to 1e300
+# in magnitude (P + P^T overflows only above about 9e307), subnormals, both
+# zeros and the infinities
+COV_ENTRIES = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(
+    [np.inf, -np.inf, -0.0, 5e-324, -2.5e-310]
+)
+
+
+@st.composite
+def bit_symmetric_covariances(draw):
+    """A bit-symmetric P, shared (N, N) or stacked (B, N, N), and the
+    sigma_v2 of an identity-A model."""
+    n = draw(st.integers(1, 5))
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    L = draw(hnp.arrays(np.float64, batch + (n, n), elements=COV_ENTRIES))
+    upper = np.triu_indices(n, 1)
+    P = L.copy()
+    P[..., upper[0], upper[1]] = L[..., upper[1], upper[0]]  # the bits of the lower half
+    sigma_v2 = draw(st.floats(min_value=1e-300, max_value=1e300) | st.just(5e-324))
+    return P, sigma_v2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=bit_symmetric_covariances())
+def test_identity_predict_cov_needs_no_symmetrize(case):
+    # with A = I the prediction leaves out 0.5 (P + P^T): on a bit-symmetric
+    # P it has the bits of the symmetrized form, entry for entry
+    P, sigma_v2 = case
+    n = P.shape[-1]
+    model = GridModel(
+        A=np.eye(n), H=np.zeros((1, n)), meter_rows=np.zeros((1, n)),
+        sigma_v2=sigma_v2, sigma_w2=1.0, lam=1, N=n, K=1,
+    )
+    assert model.identity_A
+    got = _predict_cov(model, read_only(P))
+    want = oracles.predict_cov(model, P)
+    assert (got == want).all()
+    assert_same_bits(got, want)
+
+
+def test_dense_predict_cov_still_symmetrizes(ieee14_topology, monkeypatch):
+    # any other A symmetrizes its product, shared and stacked, and A = I
+    # never calls the symmetrize
+    dense, identity = a_model(ieee14_topology, True), a_model(ieee14_topology, False)
+    P_upd = PreSchedule(dense, 1e-4).steps[0].P_upd
+    for P in (P_upd, np.stack([P_upd * (1.0 + 0.1 * i) for i in range(3)])):
+        product = dense.A @ P @ dense.A.T
+        assert not np.array_equal(product, product.swapaxes(-1, -2))
+        got = _predict_cov(dense, P)
+        assert_same_bits(got, got.swapaxes(-1, -2))
+        assert_same_bits(got, oracles.predict_cov(dense, P))
+
+    def no_symmetrize(P):
+        raise AssertionError("identity A symmetrized")
+
+    monkeypatch.setattr(kalman, "_symmetrize", no_symmetrize)
+    assert_same_bits(_predict_cov(identity, P_upd), oracles.predict_cov(identity, P_upd))
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (4,), (2, 3)], ids=str)
+def test_gain_step_matches_oracle(ieee14_model, batch):
+    # one LAPACK factorization per matrix of any stack, with the oracle's
+    # bits in every array and its Fortran layout of the whitening factor
+    model = ieee14_model
+    rng = np.random.default_rng(9)
+    P_pred = PreSchedule(model, 1e-4).steps[0].P_pred
+    scales = 1.0 + 0.1 * np.arange(int(np.prod(batch)))
+    P = (P_pred * scales[:, None, None]).reshape(batch + P_pred.shape)
+    shape = batch + (model.K,)
+    noise = model.sigma_w2 + np.where(rng.random(shape) < 0.3, rng.uniform(1, 2, shape), 0.0)
+    got, want = gain_step(model, read_only(P), noise), oracles.gain_step(model, P, noise)
+    for field in dataclasses.fields(want):
+        assert_same_bits(getattr(got, field.name), getattr(want, field.name))
+    assert got.white.strides == want.white.strides
+    assert got.white.swapaxes(-1, -2).flags.c_contiguous
+
+
+def test_gain_step_error_names_the_failing_matrix(ieee14_model):
+    # a (2, 3) stack whose matrix [1, 2] is not a covariance: the error
+    # gives the diagonal of that matrix's innovation covariance
+    model = ieee14_model
+    P_pred = PreSchedule(model, 1e-4).steps[0].P_pred
+    P = np.broadcast_to(P_pred, (2, 3) + P_pred.shape).copy()
+    P[1, 2] = -3.0 * np.eye(model.N)
+    noise = np.full((2, 3, model.K), model.sigma_w2)
+    M = model.meter_rows
+    S = M @ (P[1, 2] @ M.T)
+    oracles.add_diagonal(S, noise[1, 2] / model.lam)
+    diagonal = f"diag min={S.diagonal().min():.3e} max={S.diagonal().max():.3e})"
+    with pytest.raises(InnovationSolveError, match=re.escape(diagonal)):
+        gain_step(model, P, noise)
 
 
 def test_predict_matches_dense_oracle():
