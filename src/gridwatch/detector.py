@@ -54,11 +54,16 @@ g is clamped to zero, so a trial whose g is zero (or that has not taken a
 step) holds the pre filter's estimate and covariance in its post filter:
 its post prediction is the pre filter's prediction, bit for bit, and its
 scoring at the next step is open-loop. The harness therefore scores every
-trial on the pre filter's predictions a block ahead, with ``score`` on
-(B, T, ...) slices; elementwise operations and reductions over the meter
-and sample axes give each entry the bits they give it in a (B, ...) step.
-An on-track trial's CUSUM steps to max(0, beta_pre), so it stays off the
-pre filter exactly when that GLLR is positive. ``algorithm1_step``
+trial on the pre filter's predictions a block ahead, on (B, T, ...)
+slices; elementwise operations and reductions over the meter and sample
+axes give each entry the bits they give it in a (B, ...) step. Those
+residuals are the pre filter's innovations, bit for bit, so the harness
+builds the costs from the innovations and their meter sums, which the pre
+filter has formed (``kalman.pre_filter``), through the statistics half of
+``residual_block`` (``pre_track_costs``); it needs only the GLLR, so the
+table is checked finite, as classification checks it, and no labels are
+formed. An on-track trial's CUSUM steps to max(0, beta_pre), so it stays
+off the pre filter exactly when that GLLR is positive. ``algorithm1_step``
 therefore scores, in one pass, the trials off the track and the on-track
 trials with a positive pre-track GLLR, takes the pre-track GLLR for the
 rest, and runs the post update only for the trials that do not re-sync: a
@@ -75,7 +80,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_model import GridModel, matvec, vecdot
+from .grid_model import GridModel, vecdot
 from . import kalman
 
 HYPOTHESES = ("clean", "fdi", "jam", "both")
@@ -139,8 +144,15 @@ def residual_block(
     x_post_pred must be the prediction, never the update: the update already
     depends on this step's attack estimates.
     """
-    e = y - matvec(model.meter_rows, x_post_pred)[..., None]
-    delta = e.sum(axis=-1)
+    e = kalman.residuals(model, y, x_post_pred)
+    return residual_stats(model, e, e.sum(axis=-1), cfg)
+
+
+def residual_stats(
+    model: GridModel, e: np.ndarray, delta: np.ndarray, cfg: DetectorConfig
+) -> ResidualBlock:
+    """The residual block of the (..., K, lam) residuals ``e`` whose sums
+    over the lam samples of each meter are ``delta``."""
     zeta = (e * e).sum(axis=-1)
     g = cfg.gamma
     # Expansions of sum (e +/- gamma)^2; one pass over samples per meter.
@@ -174,16 +186,32 @@ def classify_meters(table: np.ndarray) -> MeterClassification:
     """Cheapest hypothesis per meter; ties favor clean, then fdi, jam, both.
 
     np.argmin returns the first minimum, which is exactly that precedence.
-    The configuration keeps the noise settings finite and positive, so a
-    cost that is not finite means the residuals overflowed: the state or
-    the data diverged, which raises a FloatingPointError.
+    The table is checked finite first (``finite_costs``).
     """
+    return MeterClassification(labels=finite_costs(table).argmin(axis=-2))
+
+
+def finite_costs(table: np.ndarray) -> np.ndarray:
+    """The cost table ``table``, checked finite. The configuration keeps the
+    noise settings finite and positive, so a cost that is not finite means
+    the residuals overflowed: the state or the data diverged, which raises
+    a FloatingPointError."""
     if not np.isfinite(table).all():
         raise FloatingPointError(
             "hypothesis costs are not finite: the state or data diverged; "
             "check the model configuration"
         )
-    return MeterClassification(labels=table.argmin(axis=-2))
+    return table
+
+
+def pre_track_costs(
+    model: GridModel, cfg: DetectorConfig, innovation: np.ndarray, sums: np.ndarray
+) -> np.ndarray:
+    """The cost table of a post filter that holds the pre filter's estimate,
+    checked finite: its residuals are the pre filter's ``innovation``
+    (..., K, lam), whose per-meter sums ``sums`` the pre filter has formed.
+    The GLLR needs no labels (see ``gllr``), so none are formed."""
+    return finite_costs(hypothesis_costs(residual_stats(model, innovation, sums, cfg), model, cfg))
 
 
 def mle_attack_params(
@@ -289,12 +317,13 @@ def algorithm1_step(
 
     The pre filter reads only the measurements, so the caller runs it, and
     what reads it alone, ahead (``kalman.pre_filter``, ``clean_term``,
-    ``score``) and passes the step's schedule entry ``pre_step``, filtered
-    state ``pre_x``, clean term ``clean`` and ``beta_pre``, the GLLR scored
-    on the pre filter's prediction. Order matters here: predict the post
-    filter, build residuals on its prediction, classify and estimate, score
-    the GLLR, advance the CUSUM, then update the post filter, or re-sync it
-    to the step's pre estimate if the statistic hit zero.
+    ``pre_track_costs``, ``gllr``) and passes the step's schedule entry
+    ``pre_step``, filtered state ``pre_x``, clean term ``clean`` and
+    ``beta_pre``, the GLLR scored on the pre filter's prediction. Order
+    matters here: predict the post filter, build residuals on its
+    prediction, classify and estimate, score the GLLR, advance the CUSUM,
+    then update the post filter, or re-sync it to the step's pre estimate
+    if the statistic hit zero.
 
     A trial whose g is zero is on the pre track: its post filter was
     re-synced at the last step (or holds the start state), so its
@@ -335,8 +364,11 @@ def algorithm1_step(
     g = [v for v, _ in stepped]
     stay = [not flag for _, flag in stepped]
     if all(stay):  # every trial was scored and is updated
-        post = kalman.kf_update_post(model, pred, rb.mean, a_hat, sigma_hat, pre_step, shares)
-        return Algorithm1Step(post=post, shares=shares & ~sigma_hat.any(axis=-1), g=g, beta=beta)
+        jammed = sigma_hat.any(axis=-1)
+        post = kalman.kf_update_post(
+            model, pred, rb.mean, a_hat, sigma_hat, pre_step, shares, jammed=jammed
+        )
+        return Algorithm1Step(post=post, shares=shares & ~jammed, g=g, beta=beta)
     pre = kalman.KalmanState(pre_x, pre_step.P_upd)
     if not any(stay):
         return Algorithm1Step(post=pre, shares=np.ones(len(g), dtype=bool), g=g, beta=beta)
@@ -346,9 +378,12 @@ def algorithm1_step(
         keep = np.flatnonzero(keep)
         pred, mean, a_hat, sigma_hat = pred.take(keep), mean[keep], a_hat[keep], sigma_hat[keep]
         shares = shares[keep]
-    post = kalman.kf_update_post(model, pred, mean, a_hat, sigma_hat, pre_step, shares)
+    jammed = sigma_hat.any(axis=-1)
+    post = kalman.kf_update_post(
+        model, pred, mean, a_hat, sigma_hat, pre_step, shares, jammed=jammed
+    )
     # the rest re-sync: post := pre
-    post, shares = _merge(pre, post, shares & ~sigma_hat.any(axis=-1), stay)
+    post, shares = _merge(pre, post, shares & ~jammed, stay)
     return Algorithm1Step(post=post, shares=shares, g=g, beta=beta)
 
 

@@ -29,7 +29,11 @@ chi-squared samples and the nonparametric CUSUM over the innovation norms.
 So does algorithm 1's score of the pre track: a trial whose CUSUM g is
 zero re-synced its post filter to the pre filter at the last step (or has
 not left it), so its post prediction is the pre filter's, bit for bit,
-and its GLLR is the one scored on the pre predictions. The engine's step
+and its GLLR is the one scored on the pre predictions. Its residuals are
+then the pre filter's innovations: the pre filter writes them, with their
+sums over each meter's lam samples, into step-major block buffers once,
+and the pre-track score, the chi-squared sample (its meter means) and the
+innovation norm read them from there. The engine's step
 loop then runs only the closed loop: algorithm 1's post filter and its
 CUSUM, on the (L, K) and (L,) arrays of the L trials still live in it,
 writing each step's g and GLLR into the block. A step predicts and scores,
@@ -78,13 +82,12 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import detector, kalman, robust
-from .attacks import AttackSpec, apply_attack, is_active, realize_attack, topology_fault
+from .attacks import AttackSpec, apply_attack, realize_attack, topology_fault
 from .expconfig import ConfigError, ExperimentConfig
 from .grid_model import (
     GridModel,
     build_model,
     load_topology,
-    matvec,
     simulate_block,
     simulate_step,
     transition,
@@ -630,19 +633,26 @@ class _Batch:
         block's pre-filter schedule entries: simulate and attack them, one
         call of each kernel for the whole block, then run the pre filter
         and every statistic that reads only it over the block, one call
-        each (the nonparametric CUSUM one per step, in its per-step order):
-        the statistics of the open-loop detectors, chi2, np_cusum,
-        euclidean and cosine, and the pre filter's MSE when steps are
-        logged. Then the closed loop's inputs, on its live trials alone:
-        their rows of the measurements and pre-filter states (one take of
-        each, none when every trial is live), the GLLR's clean term, and
-        the GLLR of the pre track unless no live trial starts the block on
-        it, that is, has a carried g of zero. The old block's measurements
-        are dropped first, so that two blocks of them never coexist. The
-        closed loop's ``g`` and ``beta`` (and the batch's ``mse1`` when
-        logged) are left for the caller to fill."""
+        each (the nonparametric CUSUM one per step, in its per-step order,
+        into one step-major (T, B) block): the statistics of the open-loop
+        detectors, chi2, np_cusum, euclidean and cosine, and the pre
+        filter's MSE when steps are logged. The chi-squared sample takes
+        its meter means from the pre filter's meter sums, and the block's
+        one whitening factor when every entry is the settled step
+        (``_block_white``). Then the closed loop's inputs, on its live
+        trials alone: their rows of the measurements and pre-filter states
+        (one take of each, none when every trial is live), the GLLR's clean
+        term, and the GLLR of the pre track unless no live trial starts the
+        block on it, that is, has a carried g of zero. The pre track's
+        costs are built from the pre filter's innovations and meter sums,
+        at most ``SCORE_TRIAL_STEPS`` trial-steps at a time, each chunk's
+        before the residuals against the filtered states (the clean term's)
+        take over its rows of the innovations' buffer. The old block's
+        measurements are dropped first, so that two blocks of them never
+        coexist. The closed loop's ``g`` and ``beta`` (and the batch's
+        ``mse1`` when logged) are left for the caller to fill."""
         model, attack, loop = ctx.model, ctx.cfg.attack, self.loop
-        _, faulted = _phase(attack, t)
+        faulted = attack.kind == "topology-fault" and t >= attack.tau
         sim_model = ctx.sim_model_post if faulted else model
         x, x_pre = self.X[:, -1], self.pre[:, -1]
         on_track = (loop.g[:, -1] == 0.0).any()
@@ -651,20 +661,19 @@ class _Batch:
         real = realize_attack(attack, t, len(pre_steps), self.atk, model.K)
         self.Y = Y = apply_attack(model, Y, real, self.jam)
 
-        X_pred, self.pre, R = kalman.pre_filter(model, x_pre, Y, pre_steps)
+        _, self.pre, R, D = kalman.pre_filter(model, x_pre, Y, pre_steps)
         r_flat = R.reshape(*R.shape[:2], -1)
         if ctx.np_q is not None or ctx.euclid_d is not None:
             dist = np.sqrt(vecdot(r_flat, r_flat))  # the 2-norm, as np.linalg.norm
             self.euclid = dist if ctx.euclid_d is not None else None
-        if ctx.np_q is not None:
-            S, self.np_S = self.np_S[:, -1], np.empty(dist.shape)
-            for s, column in enumerate(dist.T):
-                S = self.np_S[:, s] = robust.np_cusum_step(S, column, ctx.mu0, ctx.np_clamp)
+        if ctx.np_q is not None:  # step-major: each step writes one row
+            S, np_S = self.np_S[:, -1], np.empty(dist.shape[::-1])
+            for row, column in zip(np_S, dist.T):
+                S = robust.np_cusum_step(S, column, ctx.mu0, ctx.np_clamp, out=row)
+            self.np_S = np_S.T
         if ctx.chi2 is not None:
-            # each entry's whitening factor keeps its Fortran layout, as the
-            # BLAS kernel of its products and so their bits depend on it
-            white = np.stack([step.white.T for step in pre_steps]).swapaxes(-1, -2)
-            self.c = robust.chi2_sample_from_innovation(R, white, model.sigma_w2)
+            white = _block_white(pre_steps)
+            self.c = robust.chi2_sample_from_innovation(R, white, model.sigma_w2, sums=D)
             self.window, self.chi = robust.pearson_step(self.window, self.c)
         if ctx.cosine_d is not None:
             y_flat = Y.reshape(*Y.shape[:2], -1)
@@ -676,21 +685,21 @@ class _Batch:
         rows = detector.mask_rows(loop.live)
         loop.Y, loop.pre = Y, pre = Y[rows], self.pre[rows]
         shape = pre.shape[:2]
-        loop.g, loop.beta = np.empty(shape), np.empty(shape)
-        # the residuals against the filtered states, in the innovations' buffer
-        r_pre = np.subtract(Y, matvec(model.meter_rows, pre)[..., None], out=R[: len(pre)])
-        loop.clean = clean = detector.clean_term(r_pre, model)
-        # Algorithm 1's GLLR for a post filter that holds the pre estimate
-        loop.beta_pre = None
-        if on_track:
-            X_pred = X_pred[rows]
-            loop.beta_pre = np.empty(shape)
-            n = max(1, SCORE_TRIAL_STEPS // len(clean))
-            for s in range(0, len(pre_steps), n):
-                cut = np.s_[:, s : s + n]
-                loop.beta_pre[cut] = detector.score(
-                    model, ctx.det_cfg, Y[cut], X_pred[cut], clean[cut]
-                )[2]
+        loop.g, loop.beta, loop.clean = np.empty(shape), np.empty(shape), np.empty(shape)
+        # Algorithm 1's GLLR for a post filter that holds the pre estimate:
+        # its residuals are the pre filter's innovations
+        loop.beta_pre = np.empty(shape) if on_track else None
+        n = max(1, SCORE_TRIAL_STEPS // len(pre)) if on_track else len(pre_steps)
+        for s in range(0, len(pre_steps), n):
+            span = slice(s, s + n)
+            if on_track:
+                costs = detector.pre_track_costs(model, ctx.det_cfg, R[rows, span], D[rows, span])
+            # the residuals against the filtered states, in the innovations'
+            # buffer once the costs have read it
+            r_pre = kalman.residuals(model, Y[:, span], pre[:, span], out=R[: len(pre), span])
+            loop.clean[:, span] = detector.clean_term(r_pre, model)
+            if on_track:
+                loop.beta_pre[:, span] = detector.gllr(loop.clean[:, span], costs)
 
     def take(self, keep: np.ndarray) -> "_Batch":
         """The trials where the boolean mask ``keep`` is true."""
@@ -721,20 +730,31 @@ class _Batch:
         )
 
 
-def _phase(attack: AttackSpec, t: int) -> "tuple[bool, bool]":
-    """What a block must not change: whether the attack is on, and whether a
-    topology fault has begun."""
-    return is_active(attack, t), attack.kind == "topology-fault" and t >= attack.tau
-
-
 def _block_steps(attack: AttackSpec, t: int, most: int) -> int:
-    """The length of the block from step t: at most ``most`` steps, all in
-    step t's phase."""
-    phase = _phase(attack, t)
-    steps = 1
-    while steps < most and _phase(attack, t + steps) == phase:
-        steps += 1
-    return steps
+    """The length of the block from step t: at most ``most`` steps, up to
+    the next step at which the attack switches on or off or a topology
+    fault begins (the onset, or an on/off boundary of the duty cycle)."""
+    if attack.kind == "none" or attack.tau == INF:
+        return most  # never switches
+    onset = int(attack.tau)
+    if t < onset:
+        return min(most, onset - t)
+    if attack.kind == "topology-fault" or attack.t_on is None or attack.t_off == 0:
+        return most  # on, or faulted, from the onset on
+    period = attack.t_on + attack.t_off
+    phase = (t - onset) % period
+    return min(most, (attack.t_on if phase < attack.t_on else period) - phase)
+
+
+def _block_white(steps: "list[kalman.GainStep]") -> np.ndarray:
+    """The whitening factors of a block's schedule entries, for the
+    chi-squared sample: the entry's own (K, K) when every entry is the same
+    (the settled step), else stacked as (T, K, K). Each keeps its Fortran
+    layout, as the BLAS kernel of its products and so their bits depend on
+    it."""
+    if all(step is steps[0] for step in steps):
+        return steps[0].white
+    return np.stack([step.white.T for step in steps]).swapaxes(-1, -2)
 
 
 def _new_paths(B: int, horizon: int, log_steps: bool) -> TrialPaths:

@@ -45,8 +45,13 @@ the pre filter's covariance is always the schedule's shared entry and its
 update is one stacked matrix-vector product. The pre filter never reads
 the post filter or the detector, so ``pre_filter`` runs it over a whole
 block of measurements ahead of them: one A x and one ``kf_update_pre_full``
-per step, on that step's entry, with the bits of a step at a time. With A
-the identity, A x and A P A^T are x and P themselves (plus 0.0, as
+per step, on that step's entry, with the bits of a step at a time. That
+call writes the step's innovation y - H x_pred (``residuals``), its sums
+over the lam samples of each meter and the filtered state into step-major
+block buffers, and the block's statistics that read the innovation reuse
+them: Algorithm 1's score of the pre track, whose residuals they are, and
+the chi-squared sample's meter means. With A the identity, A x and
+A P A^T are x and P themselves (plus 0.0, as
 ``grid_model.transition`` explains) and take no BLAS call, and the
 predicted covariance is not symmetrized either: every covariance the
 filters hold is bit-symmetric, and 0.5 (P + P^T) would return it as it is
@@ -268,39 +273,57 @@ def kf_update_pre(model: GridModel, pred: KalmanState, y: np.ndarray) -> KalmanS
     return kf_update_pre_full(model, pred, y, pre_gain_step(model, pred.P))[0]
 
 
-def kf_update_pre_full(model: GridModel, pred: KalmanState, y: np.ndarray, step: GainStep):
+def residuals(model: GridModel, y: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """The residuals y - H x of (..., K, lam) measurements ``y`` against the
+    (..., N) states ``x``: one M x per vector, broadcast over the lam
+    samples of each meter. ``out``, when given, receives them."""
+    return np.subtract(y, matvec(model.meter_rows, x)[..., None], out=out)
+
+
+def kf_update_pre_full(
+    model: GridModel, pred: KalmanState, y: np.ndarray, step: GainStep, out=None
+):
     """Pre-attack update of the prediction ``pred`` on (..., K, lam)
     measurements ``y``, returning (filtered estimate, innovation y - H x as
     (..., K, lam)).
 
     ``step`` is the schedule entry for this step, shared by every trial.
+    ``out``, when given, is a tuple of arrays (x, innovation, sums) that
+    receive the filtered state, the innovation and its per-meter sums over
+    the lam samples, (..., K).
     """
-    innovation = y - matvec(model.meter_rows, pred.x)[..., None]
-    x = pred.x + matvec(step.gain, innovation.sum(axis=-1) / model.lam)
-    return KalmanState(x, step.P_upd), innovation
+    x, r, sums = (None, None, None) if out is None else out
+    r = residuals(model, y, pred.x, out=r)
+    sums = r.sum(axis=-1, out=sums)
+    x = np.add(pred.x, matvec(step.gain, sums / model.lam), out=x)
+    return KalmanState(x, step.P_upd), r
 
 
 def pre_filter(
     model: GridModel, x: np.ndarray, Y: np.ndarray, steps: "Sequence[GainStep]"
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """The pre filter over a block of (B, T, K, lam) measurements Y from the
     (B, N) filtered states x, with ``steps`` the T schedule entries of the
     block; returns the predicted states A x (B, T, N), the filtered states
-    (B, T, N) and the innovations y - H x_pred (B, T, K, lam).
+    (B, T, N), the innovations y - H x_pred (B, T, K, lam) and their
+    per-meter sums over the lam samples (B, T, K).
 
-    Each step predicts A x and updates with ``kf_update_pre_full`` on its
-    entry, the arithmetic of a step at a time; only the recursion on x is
-    sequential, and it reads nothing but the measurements.
+    Each step predicts A x and updates with one ``kf_update_pre_full`` on its
+    entry, which writes the step's innovation, sums and filtered state into
+    their rows: the arithmetic of a step at a time; only the recursion on x
+    is sequential, and it reads nothing but the measurements. The arrays
+    are held step-major, (T, B, ...), so each step's rows are contiguous,
+    and returned as (B, T, ...) views.
     """
-    X_pred = np.empty(Y.shape[:2] + x.shape[-1:])
+    X_pred = np.empty((len(steps),) + x.shape)
     X = np.empty_like(X_pred)
-    R = np.empty_like(Y)
+    R = np.empty(X.shape[:2] + Y.shape[2:])
+    D = np.empty(R.shape[:-1])
     for s, step in enumerate(steps):
-        pred = KalmanState(transition(model, x), step.P_pred)
-        X_pred[:, s] = pred.x
-        filtered, R[:, s] = kf_update_pre_full(model, pred, Y[:, s], step)
-        x = X[:, s] = filtered.x
-    return X_pred, X, R
+        X_pred[s] = transition(model, x)
+        pred = KalmanState(X_pred[s], step.P_pred)
+        x = kf_update_pre_full(model, pred, Y[:, s], step, out=(X[s], R[s], D[s]))[0].x
+    return tuple(a.swapaxes(0, 1) for a in (X_pred, X, R, D))
 
 
 def kf_update_post(
@@ -311,6 +334,7 @@ def kf_update_post(
     sigma_hat: np.ndarray,
     pre_step: GainStep,
     shares,
+    jammed=None,
 ) -> KalmanState:
     """Measurement update of the prediction ``pred`` against the estimated
     attack, returning the filtered estimate.
@@ -322,12 +346,15 @@ def kf_update_post(
     equals the pre covariance (a mask, or True for all): those with
     sigma_hat all zero reuse its gain and covariance, and only the rest run
     the K x K update, stacked. With ``shares=False`` every trial runs its own.
+    ``jammed``, when the caller has it, is ``sigma_hat.any(axis=-1)``.
     """
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if (sigma_hat < 0).any():
         raise ValueError("sigma_hat must be >= 0")
     innovation = residual_mean - a_hat
-    own = sigma_hat.any(axis=-1) | ~np.asarray(shares, dtype=bool)
+    if jammed is None:
+        jammed = sigma_hat.any(axis=-1)
+    own = jammed | ~np.asarray(shares, dtype=bool)
     if not own.any():
         return KalmanState(pred.x + matvec(pre_step.gain, innovation), pre_step.P_upd)
     batch = pred.x.shape[:-1]

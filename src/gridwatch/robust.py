@@ -18,14 +18,15 @@ All of them read only the pre filter's innovations and the measurements,
 so the harness runs them once per block of T steps, next to the
 innovation norm, which it forms itself. c_t and the cosine take any
 leading axes, (B, T, ...) for a block; c_t then takes the block's T
-whitening factors stacked as (T, K, K), each in its own Fortran layout,
-and every product stays one BLAS call per vector, so a block has the bits
-of its steps one by one. The Pearson window slides over a block in one
-call, its counts exact small integers either way; each window holds its
-cells in time order, oldest first, so a block evicts the window's first
-cells and then, past L steps, its own.
+whitening factors stacked as (T, K, K), or the one (K, K) of a block whose
+entries are all the settled step, each in its own Fortran layout, and the
+pre filter's meter sums, and every product stays one BLAS call per vector,
+so a block has the bits of its steps one by one. The Pearson window
+slides over a block in one call, its counts exact small integers either
+way; each window holds its cells in time order, oldest first, so a block
+evicts the window's first cells and then, past L steps, its own.
 The nonparametric CUSUM steps through the block on the trial axis, in its
-per-step order. The Shewhart statistic is the GLLR itself, and the
+per-step order, each step written into its row of a step-major block. The Shewhart statistic is the GLLR itself, and the
 harness applies every threshold with one first-crossing rule.
 """
 
@@ -112,7 +113,7 @@ def _pearson(counts: np.ndarray, cfg: Chi2Config) -> np.ndarray:
 
 
 def chi2_sample_from_innovation(
-    r: np.ndarray, white: np.ndarray, sigma_w2: float
+    r: np.ndarray, white: np.ndarray, sigma_w2: float, sums=None
 ) -> np.ndarray:
     """Normalized innovation energy c_t = r^T Q^{-1} r against the pre-filter
     prediction; chi-squared with K*lam degrees of freedom under no attack.
@@ -123,8 +124,10 @@ def chi2_sample_from_innovation(
     Sbar = M P_pred M^T + (sigma_w2/lam) I. Q = H P_pred H^T + sigma_w2 I acts
     as sigma_w2 I on the within-meter deviations and as lam Sbar on the
     meter means, so c_t = ||r - rbar kron 1||^2 / sigma_w2 + ||W rbar||^2.
+    ``sums``, when given, holds r's per-meter sums r.sum(axis=-1), which the
+    pre filter forms anyway (``kalman.pre_filter``); rbar is sums / lam.
     """
-    rbar = r.sum(axis=-1) / r.shape[-1]
+    rbar = (r.sum(axis=-1) if sums is None else sums) / r.shape[-1]
     spread = r - rbar[..., None]
     spread = spread.reshape(spread.shape[:-2] + (-1,))
     z = matvec(white, rbar)
@@ -154,11 +157,13 @@ def pearson_step(st: Chi2State, c) -> "tuple[Chi2State, np.ndarray]":
     return Chi2State(cfg, order[..., T:], counts[..., -1, :]), _pearson(counts, cfg)
 
 
-def np_cusum_step(S, dist, mu0: float, clamp: bool):
+def np_cusum_step(S, dist, mu0: float, clamp: bool, out=None):
     """One step of the nonparametric CUSUM on the innovation norm: S + dist
-    - mu0, floored at 0 when clamp is set."""
-    S = S + dist - mu0
-    return np.maximum(0.0, S) if clamp else S
+    - mu0, floored at 0 when clamp is set. ``out``, when given, is the
+    array that receives the step (and each partial result); without it the
+    step takes floats and 0-d arrays too."""
+    S = np.subtract(np.add(S, dist, out=out), mu0, out=out)
+    return np.maximum(0.0, S, out=out) if clamp else S
 
 
 def cosine_similarity(y: np.ndarray, y_pred: np.ndarray) -> np.ndarray:

@@ -291,20 +291,52 @@ def predict(model, x, P):
 
 
 def pre_filter(model, x, Y, steps):
-    """``kalman.pre_filter`` a trial and a step at a time, each prediction
-    the one-vector product A @ x: from the (B, N) filtered states x over the
-    (B, T, K, lam) measurements Y on the T schedule entries ``steps``, the
-    predicted and filtered states (B, T, N) and the innovations."""
+    """``kalman.pre_filter`` a trial and a step at a time, written out: the
+    one-vector products A @ x, M @ x_pred and G @ mean, from the (B, N)
+    filtered states x over the (B, T, K, lam) measurements Y on the T
+    schedule entries ``steps``. Returns the predicted and filtered states
+    (B, T, N), the innovations y - H x_pred and their per-meter sums."""
     X_pred = np.empty(Y.shape[:2] + x.shape[-1:])
     X = np.empty_like(X_pred)
     R = np.empty_like(Y)
+    D = np.empty(Y.shape[:-1])
     for j, x_j in enumerate(x):
         for s, step in enumerate(steps):
             X_pred[j, s] = x_pred = model.A @ x_j
-            pred = KalmanState(x_pred, step.P_pred)
-            filtered, R[j, s] = kalman.kf_update_pre_full(model, pred, Y[j, s], step)
-            X[j, s] = x_j = filtered.x
-    return X_pred, X, R
+            R[j, s] = r = Y[j, s] - (model.meter_rows @ x_pred)[:, None]
+            D[j, s] = d = r.sum(axis=-1)
+            X[j, s] = x_j = x_pred + step.gain @ (d / model.lam)
+    return X_pred, X, R, D
+
+
+def pre_track_gllr(model, cfg, Y, X_pred, clean):
+    """The pre track's GLLR of a block as the engine scored it before it
+    reused the pre filter's innovations: ``detector.score`` on the pre
+    filter's predictions X_pred (B, T, N), its residuals recomputed from
+    the measurements Y."""
+    return detector.score(model, cfg, Y, X_pred, clean)[2]
+
+
+def chi2_block(R, steps, sigma_w2):
+    """The chi-squared samples of a block of (B, T, K, lam) innovations R as
+    the engine formed them before it reused the pre filter's meter sums:
+    r.sum over the lam samples, and the T entries' whitening factors
+    stacked, each in its Fortran layout."""
+    white = np.stack([step.white.T for step in steps]).swapaxes(-1, -2)
+    return robust.chi2_sample_from_innovation(R, white, sigma_w2)
+
+
+def block_steps(attack, t, most):
+    """``harness._block_steps`` as the step walk it replaced: the block from
+    step t runs while each step has step t's phase, whether the attack is on
+    and whether a topology fault has begun, for at most ``most`` steps."""
+    def phase(t):
+        return is_active(attack, t), attack.kind == "topology-fault" and t >= attack.tau
+
+    steps = 1
+    while steps < most and phase(t + steps) == phase(t):
+        steps += 1
+    return steps
 
 
 def dense_update(model, pred, y_flat, bias, noise_diag):
@@ -618,7 +650,7 @@ def pre_half(model, cfg, pre, y, pre_step=None):
     if pre_step is None:
         own = kalman.kf_predict(model, pre, None, shares=False)
         pre_step = kalman.pre_gain_step(model, own.P)
-    X_pred, X, _ = kalman.pre_filter(model, pre.x, y[:, None], [pre_step])
+    X_pred, X, _, _ = kalman.pre_filter(model, pre.x, y[:, None], [pre_step])
     clean = detector.clean_term(y - matvec(model.meter_rows, X[:, 0])[..., None], model)
     return pre_step, X[:, 0], clean, detector.score(model, cfg, y, X_pred[:, 0], clean)[2]
 

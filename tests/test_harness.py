@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridwatch import detector, harness, kalman, load_config
+from gridwatch import detector, harness, kalman, load_config, robust
+from gridwatch.attacks import AttackSpec
 from gridwatch.detector import cusum_step
 from gridwatch.expconfig import ConfigError
-from gridwatch.grid_model import build_model
+from gridwatch.grid_model import build_model, matvec
 from gridwatch.harness import BLOCK_STEPS
 from gridwatch.robust import ShewhartConfig
 
@@ -991,6 +992,109 @@ def test_batch_take_compacts_every_field(tmp_path, mu0_cache):
         block[:] = rng.standard_normal(block.shape)
     loop.post = kalman.KalmanState(loop.post.x, np.stack([loop.post.P * k for k in (1, 2, 3)]))
     assert_taken(batch, batch.take(np.array([True, False, True])), [0, 2])
+
+
+@pytest.mark.parametrize("B, retired", [(1, ()), (3, (1,)), (20, (0, 7, 19))])
+def test_pre_track_score_matches_score_on_predictions(tmp_path, mu0_cache, B, retired):
+    # next_block scores the pre track on the pre filter's innovations and
+    # meter sums: its GLLR has the bits of detector.score on the pre
+    # filter's predictions, and the clean term those of the residuals
+    # against the filtered states. Blocks before and after the onset, all
+    # trials live or some retired (rows taken by index), in one chunk or,
+    # at 17 live trials, in chunks of 15 steps; the last block starts off
+    # the track, so it has no pre-track score
+    cfg = make_cfg(tmp_path, attack=HYBRID, tau=20, horizon=200, cache=mu0_cache, trials=B)
+    ctx = harness.prepare(cfg)
+    model = ctx.model
+    batch = harness._Batch.spawn(ctx, [(3, i) for i in range(B)])
+    batch.loop = batch.loop.retire(np.isin(np.arange(B), retired))
+    live = batch.loop.live
+    steps = iter(ctx.schedule)
+    for t, length, on_track in ((1, 19, True), (20, 32, True), (52, 32, True), (84, 32, False)):
+        block = list(itertools.islice(steps, length))
+        x_pre = batch.pre[:, -1].copy()
+        batch.loop.g[:, -1] = 0.0 if on_track else 1.0
+        batch.next_block(ctx, t, block, log_steps=False)
+        loop = batch.loop
+        X_pred, X, _, _ = oracles.pre_filter(model, x_pre, batch.Y, block)
+        Y, X_pred, X = batch.Y[live], X_pred[live], X[live]
+        clean = detector.clean_term(Y - matvec(model.meter_rows, X)[..., None], model)
+        oracles.assert_same_bits(loop.clean, clean)
+        if on_track:
+            want = oracles.pre_track_gllr(model, ctx.det_cfg, Y, X_pred, clean)
+            oracles.assert_same_bits(loop.beta_pre, want)
+        else:
+            assert loop.beta_pre is None
+
+
+def test_pre_track_nonfinite_cost_raises_the_classify_error(tmp_path, mu0_cache, monkeypatch):
+    # measurements so large that the squared residuals overflow: the pre
+    # track's score raises the FloatingPointError that classify_meters
+    # raises on a non-finite table, with the same message; a block that no
+    # trial starts on the track has no pre-track score, so it raises nothing
+    ctx = harness.prepare(make_cfg(tmp_path, trials=2, cache=mu0_cache))
+    apply = harness.apply_attack
+    monkeypatch.setattr(harness, "apply_attack", lambda *args: apply(*args) * 1e160)
+    with pytest.raises(FloatingPointError) as want:
+        detector.classify_meters(np.full((2, 4, 23), np.inf))
+    for on_track in (True, False):
+        batch = harness._Batch.spawn(ctx, [(3, 0), (3, 1)])
+        batch.loop.g[:, -1] = 0.0 if on_track else 1.0
+        block = list(itertools.islice(ctx.schedule, 8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not on_track:
+                batch.next_block(ctx, 1, block, log_steps=False)
+                continue
+            with pytest.raises(FloatingPointError) as raised:
+                batch.next_block(ctx, 1, block, log_steps=False)
+        assert str(raised.value) == str(want.value)
+
+
+def test_chi2_block_from_sums_and_shared_white_matches_stacked_form(ieee14_model):
+    # the chi-squared samples of a block from the pre filter's meter sums,
+    # with the settled entry's own whitening factor when every entry of the
+    # block is that step, have the bits of the r.sum form with the block's
+    # factors stacked: a block before the settle point, one straddling it
+    # and one after it
+    model = ieee14_model
+    schedule = kalman.PreSchedule(model, 1e-4)
+    settle = len(schedule.steps) - 1  # the settled entry repeats from this step on
+    assert schedule.settled and settle > 40
+    rng = np.random.default_rng(25)
+    B = 3
+    x = 1e-2 * rng.standard_normal((B, model.N))
+    for start, shared in ((0, False), (settle - 10, False), (settle + 5, True)):
+        steps = list(itertools.islice(schedule, start, start + 32))
+        Y = 1e-2 * rng.standard_normal((B, 32, model.K, model.lam))
+        _, _, R, D = kalman.pre_filter(model, x, Y, steps)
+        white = harness._block_white(steps)
+        assert (white is steps[0].white) == shared
+        assert all(w.flags.f_contiguous for w in white.reshape(-1, model.K, model.K))
+        got = robust.chi2_sample_from_innovation(R, white, model.sigma_w2, sums=D)
+        oracles.assert_same_bits(got, oracles.chi2_block(R, steps, model.sigma_w2))
+
+
+def attack_grid():
+    """Attack programs for the block-length test: every kind, onsets from
+    the first step to never, and duty cycles with and without an off
+    period."""
+    yield AttackSpec()
+    cycles = ((None, None), (1, 0), (1, 1), (1, 3), (3, 1), (5, 0), (4, 7), (32, 33))
+    for kind in ("fdi", "jamming", "hybrid", "topology-fault"):
+        for tau in (1, 2, 7, 40, math.inf):
+            for t_on, t_off in cycles:
+                meters = (3,) if kind == "topology-fault" else ()
+                yield AttackSpec(tau=tau, kind=kind, t_on=t_on, t_off=t_off, fault_meters=meters)
+
+
+def test_block_steps_match_the_step_walk():
+    # the block length from the next switch (the onset, an on/off boundary
+    # or the fault onset) equals the old walk over the steps' phases
+    for attack in attack_grid():
+        for t in range(1, 90):
+            for most in (1, 2, 5, 32, 33):
+                want = oracles.block_steps(attack, t, most)
+                assert harness._block_steps(attack, t, most) == want, (attack, t, most)
 
 
 def test_closed_loop_take_follows_the_live_trials(tmp_path, mu0_cache):

@@ -495,6 +495,28 @@ def test_batched_filter_matches_single_trial_calls(ieee14_model, ieee14_topology
         shares = shares & ~sigma_hat.any(axis=1)
 
 
+def test_post_update_takes_the_callers_jammed_flags(ieee14_model):
+    # kf_update_post reads sigma_hat.any(axis=-1) from ``jammed`` when the
+    # caller has it: the same bits as forming it itself, for every mix of
+    # shares-pre flags and jammed trials
+    model = ieee14_model
+    rng = np.random.default_rng(12)
+    step = next(iter(PreSchedule(model, 1e-4)))
+    B = 4
+    pred = KalmanState(1e-3 * rng.standard_normal((B, 13)), np.stack([step.P_pred] * B))
+    means = 1e-2 * rng.standard_normal((B, 23))
+    a_hat = np.where(rng.random((B, 23)) < 0.3, 0.05, 0.0)
+    for jammed in ([False] * 4, [True, False, True, False], [True] * 4):
+        sigma_hat = np.where(np.array(jammed)[:, None] & (rng.random((B, 23)) < 0.5), 1.5, 0.0)
+        for shares in (np.array([True, True, False, False]), np.ones(B, dtype=bool)):
+            want = kf_update_post(model, pred, means, a_hat, sigma_hat, step, shares)
+            got = kf_update_post(
+                model, pred, means, a_hat, sigma_hat, step, shares, jammed=sigma_hat.any(axis=-1)
+            )
+            assert_same_bits(got.x, want.x)
+            assert_same_bits(got.P, want.P)
+
+
 def a_model(topology, dense):
     """ieee14 with A = I, whose products kalman skips, or a dense A."""
     A = dense_stable_A(topology.n_states) if dense else "identity"
@@ -545,9 +567,11 @@ def test_predict_matches_one_trial_oracle(ieee14_topology, dense):
 @pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense_A"])
 def test_pre_filter_matches_one_trial_oracle(ieee14_topology, dense):
     # the pre filter over a block of 33 schedule entries, from states with
-    # -0.0 entries: predictions, filtered states and innovations have the
-    # bits of the oracle's one-vector A @ x a trial and a step at a time,
-    # and neither the states nor the measurements are written into
+    # -0.0 entries: predictions, filtered states, innovations and their
+    # meter sums have the bits of the oracle's one-vector products a trial
+    # and a step at a time, each step's rows are contiguous (the arrays
+    # are step-major views), and neither the states nor the measurements
+    # are written into
     model = a_model(ieee14_topology, dense)
     steps = list(islice(PreSchedule(model, 1e-4), 33))
     B = 3
@@ -557,7 +581,8 @@ def test_pre_filter_matches_one_trial_oracle(ieee14_topology, dense):
     got = pre_filter(model, x, Y_in, steps)
     assert_same_bits(x, xs)
     assert_same_bits(Y_in, Y)
-    for g, w in zip(got, oracles.pre_filter(model, xs, Y, steps)):
+    for g, w in zip(got, oracles.pre_filter(model, xs, Y, steps), strict=True):
         assert_same_bits(g, w)
+        assert g.swapaxes(0, 1).flags.c_contiguous
     if model.identity_A:  # the -0.0 entries came back as +0.0
         assert_same_bits(got[0][:, 0, :3], np.zeros((B, 3)))

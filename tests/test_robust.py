@@ -262,6 +262,24 @@ def test_np_cusum_zero_drift_and_stopping():
     assert np_cusum_step(0.0, 0.0, mu0=2.0, clamp=True) == 0.0
 
 
+@pytest.mark.parametrize("clamp", [False, True])
+def test_np_cusum_step_writes_into_out(clamp):
+    # the engine writes each step into a row of a step-major block: the
+    # same bits as the step without ``out``, and as (S + dist) - mu0 in that
+    # order (0.1 + (0.2 - 0.3) differs in the last bits), with the floor,
+    # -0.0 and a clamped negative among them
+    start = [0.1, -0.0, -3.0, 1e-300, 2.0]
+    S, dist = np.array(start), np.array([0.2, 0.0, 1.0, 0.3, np.inf])
+    out = np.full(5, np.nan)
+    got = np_cusum_step(S, dist, 0.3, clamp, out=out)
+    assert got is out
+    want = (S + dist) - 0.3
+    want = np.maximum(0.0, want) if clamp else want
+    assert_same_bits(out, want)
+    assert_same_bits(np_cusum_step(S, dist, 0.3, clamp), want)
+    assert_same_bits(S, np.array(start))  # S is not written
+
+
 def test_euclidean_and_cosine_trivial_geometry():
     # the Euclidean detector's statistic is the innovation norm, formed in
     # the harness; its thresholding is tested with every path detector's
