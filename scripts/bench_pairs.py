@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Run the benchmark in a parent tree and a changed tree, in pairs, and
+summarize the end-to-end metrics.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
+        --seeds A-B [--seconds S] [--out FILE]
+
+For each seed from A to B inclusive, ``perfbench/run.py --workload W
+--seed SEED --seconds S --trace 0`` runs once in each tree, one after the
+other: the parent first on odd seeds and the change first on even ones, so
+neither side always runs on the warmer machine. The run's last line of
+standard output is its result. The JSON written to FILE (standard output
+by default) holds every run, the machine block of the first run (its
+``env`` line) and, for each end-to-end metric of BENCHMARK.json next
+to this script, both sides' medians and inclusive quartiles, the pairs the
+change won (ties count for neither side), and whether a gain may be
+claimed: the change won at least nine in ten pairs, and its median is
+better than the parent's by more than the parent's interquartile distance.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MACHINE_KEYS = ("nproc", "affinity_cpus", "blas", "blas_threads", "python", "numpy", "scipy")
+
+
+def summarize(parent: "list[float]", change: "list[float]", better: str) -> dict:
+    """The pairwise summary of one metric: parent[i] and change[i] are the
+    runs of pair i, and ``better`` is "higher" or "lower"."""
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need two equal-length lists of at least two runs")
+    sign = 1.0 if better == "higher" else -1.0
+    parent_q = statistics.quantiles(parent, n=4, method="inclusive")
+    change_q = statistics.quantiles(change, n=4, method="inclusive")
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    iqr = parent_q[2] - parent_q[0]
+    gain = sign * (change_q[1] - parent_q[1])
+    return {
+        "better": better,
+        "parent_median": parent_q[1],
+        "change_median": change_q[1],
+        "ratio": change_q[1] / parent_q[1] if parent_q[1] else None,
+        "parent_quartiles": parent_q,
+        "change_quartiles": change_q,
+        "parent_iqr": iqr,
+        "change_won": f"{wins} of {len(parent)}",
+        "gain_holds": 10 * wins >= 9 * len(parent) and gain > iqr,
+    }
+
+
+def seed_range(text: str) -> "list[int]":
+    first, _, last = text.partition("-")
+    seeds = list(range(int(first), int(last or first) + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r}: need at least two seeds, as A-B")
+    return seeds
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> "tuple[dict, dict]":
+    """One benchmark run in ``tree``: its result and its machine block."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    lines = proc.stdout.splitlines()
+    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    result = json.loads(lines[-1])
+    run = {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+    return run, {key: env.get(key) for key in MACHINE_KEYS}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=seed_range, required=True)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--out", type=Path)
+    args = ap.parse_args(argv)
+
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs, machine = {"parent": [], "change": []}, {}
+    for seed in args.seeds:
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for side in order:
+            run, env = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            runs[side].append(run)
+            machine = machine or env
+            print(f"{args.workload} seed {seed} {side}: {run['metrics']}", file=sys.stderr)
+    summary = {
+        "workload": args.workload,
+        "seeds": f"{args.seeds[0]}-{args.seeds[-1]}",
+        "seconds": args.seconds,
+        "machine": machine,
+        "all_correct": all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side),
+        "end_to_end": {
+            m["name"]: summarize(
+                [r["metrics"][m["name"]] for r in runs["parent"]],
+                [r["metrics"][m["name"]] for r in runs["change"]],
+                m["better"],
+            )
+            for m in end_to_end
+        },
+        "runs": runs,
+    }
+    text = json.dumps(summary, indent=1) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import os
 import stat
 import struct
@@ -90,7 +89,6 @@ from .grid_model import (
     load_topology,
     simulate_block,
     simulate_step,
-    transition,
     vecdot,
 )
 from .robust import Chi2Config, Chi2State, ShewhartConfig
@@ -375,37 +373,48 @@ def _mu0_monte_carlo(model: GridModel, x0, p0, samples: int) -> float:
     (``grid_model.simulate_block``): one draw of the MU0_SEED stream, one
     A @ x per sample (with A the identity, one running sum over the block)
     and the block's measurements, checked for divergence once per block.
-    The filter then runs over the block's rows, and the block's innovation
-    norms are added to the running total in sample order. None of this
-    changes a bit of the step-at-a-time loop it replaced
-    (``tests/oracles.py``): the Generator fills any request from one
-    sequence, so every sample gets the same normals; every product is the
-    same one-vector BLAS call on the same operands, or, for the identity,
-    the input itself as that call returns it (``grid_model.transition``);
-    and the norms, taken as one dot product per row, are summed in the same
-    order.
+    The filter then runs over the block's rows as bare in-place BLAS calls
+    and ufuncs: H x_hat into a buffer, the innovation over its measurement
+    row, the gain times it, and that added to x_hat, after A @ x_hat unless
+    A is the identity. The block's innovation norms are then added to the
+    running total in sample order. None of this changes a bit of the
+    step-at-a-time loop it replaced (``tests/oracles.py``): the Generator
+    fills any request from one sequence, so every sample gets the same
+    normals; every product is the same one-vector BLAS call on the same
+    operands; and the norms, taken as one dot product per row, are summed
+    in the same order. The identity's x_hat + 0.0 is left out: it only
+    turns -0.0 entries into +0.0, and a zero's sign, carried through sums
+    and products, can only flip the sign of other zeros, never a magnitude,
+    so every innovation entry keeps its magnitude and every norm its bits.
+
+    The loop stays in H's dense form over the lam samples of each meter:
+    the meter-mean form of ``kalman.pre_filter`` sums in another order,
+    which would change mu0's last bits and the np-CUSUM stops that read it.
     """
     steps = islice(kalman.PreSchedule(model, p0), samples)
     rng = np.random.default_rng(MU0_SEED)
-    x = x_hat = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float)
+    x_hat = x.copy()
+    H, A = model.H, None if model.identity_A else model.A
+    hx, u = np.empty(H.shape[0]), np.empty(model.N)
     total = 0.0
     step = gain = None
     for start in range(0, samples, BLOCK_STEPS):
         X, Y = simulate_block(model, x, rng, min(BLOCK_STEPS, samples - start))
         x = X[-1]
-        innovations = []
-        for y, next_step in zip(Y, steps):
+        for y, next_step in zip(Y, steps):  # each row of Y becomes its innovation
             if next_step is not step:
                 # the meter-mean gain spread over the lam samples of each meter:
                 # one matrix-vector product per sample once the schedule settles
                 step = next_step
                 gain = np.repeat(step.gain / model.lam, model.lam, axis=1)
-            x_pred = transition(model, x_hat, operator.matmul)
-            innovation = y - model.H @ x_pred
-            x_hat = x_pred + gain @ innovation
-            innovations.append(innovation)
-        I = np.array(innovations)
-        for norm in np.sqrt(vecdot(I, I)).tolist():
+            if A is not None:
+                x_hat = A @ x_hat
+            H.dot(x_hat, out=hx)
+            y -= hx
+            gain.dot(y, out=u)
+            x_hat += u
+        for norm in np.sqrt(vecdot(Y, Y)).tolist():
             total += norm  # the 2-norm, as np.linalg.norm, summed in sample order
     return total / samples
 
@@ -661,7 +670,7 @@ class _Batch:
         real = realize_attack(attack, t, len(pre_steps), self.atk, model.K)
         self.Y = Y = apply_attack(model, Y, real, self.jam)
 
-        _, self.pre, R, D = kalman.pre_filter(model, x_pre, Y, pre_steps)
+        self.pre, R, D = kalman.pre_filter(model, x_pre, Y, pre_steps)
         r_flat = R.reshape(*R.shape[:2], -1)
         if ctx.np_q is not None or ctx.euclid_d is not None:
             dist = np.sqrt(vecdot(r_flat, r_flat))  # the 2-norm, as np.linalg.norm

@@ -44,14 +44,15 @@ lock-step, so a state holds x as (B, N) and P as (B, N, N), or as one
 the pre filter's covariance is always the schedule's shared entry and its
 update is one stacked matrix-vector product. The pre filter never reads
 the post filter or the detector, so ``pre_filter`` runs it over a whole
-block of measurements ahead of them: one A x and one ``kf_update_pre_full``
-per step, on that step's entry, with the bits of a step at a time. That
-call writes the step's innovation y - H x_pred (``residuals``), its sums
-over the lam samples of each meter and the filtered state into step-major
-block buffers, and the block's statistics that read the innovation reuse
-them: Algorithm 1's score of the pre track, whose residuals they are, and
-the chi-squared sample's meter means. With A the identity, A x and
-A P A^T are x and P themselves (plus 0.0, as
+block of measurements ahead of them, with the bits of a step at a time:
+per step, one ``kf_update_pre_full`` on that step's entry, of a prediction
+A x that is used once and not kept. The call writes the step's
+innovation y - H A x (``residuals``), its sums over the lam samples of
+each meter and the filtered state straight into their rows of step-major
+block buffers (numpy's ``out=``). The block's statistics that read the
+innovation reuse them: Algorithm 1's score of the pre track, whose
+residuals they are, and the chi-squared sample's meter means. With A the
+identity, A x and A P A^T are x and P themselves (plus 0.0, as
 ``grid_model.transition`` explains) and take no BLAS call, and the
 predicted covariance is not symmetrized either: every covariance the
 filters hold is bit-symmetric, and 0.5 (P + P^T) would return it as it is
@@ -61,8 +62,9 @@ set from the start or the last sync until sigma_hat is first nonzero (the
 keeps the flags next to the post filter's estimate): trials with the flag
 set take the pre entry's covariance and gain, and only the others run the
 K x K update, on their stacked covariances. A single trial is a batch of
-one. Products go through ``grid_model.matvec``, so each trial's numbers
-have the bits of an unbatched run.
+one. Products go through ``grid_model.matvec`` (or its ``np.matmul`` on
+a column, kept as a column), so each trial's numbers have the bits of an
+unbatched run.
 """
 
 from __future__ import annotations
@@ -126,13 +128,13 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
 
 
 def _add_diagonal(S: np.ndarray, d) -> None:
-    """S[..., i, i] += d[..., i] in place."""
+    """S[..., i, i] += d[..., i] in place, for a C-contiguous S: every
+    n+1-th element of each flattened matrix. Any other layout raises
+    ValueError, since the reshape would then write into a copy."""
+    if not S.flags.c_contiguous:
+        raise ValueError("_add_diagonal needs a C-contiguous S")
     n = S.shape[-1]
-    if S.flags.c_contiguous:  # every n+1-th element of each flattened matrix
-        diagonal = S.reshape(S.shape[:-2] + (n * n,))[..., :: n + 1]
-    else:
-        diagonal = np.einsum("...ii->...i", S)  # a writeable view whatever the layout of S
-    diagonal += d
+    S.reshape(S.shape[:-2] + (n * n,))[..., :: n + 1] += d
 
 
 def _per_trial(P: np.ndarray, batch: tuple) -> np.ndarray:
@@ -275,9 +277,10 @@ def kf_update_pre(model: GridModel, pred: KalmanState, y: np.ndarray) -> KalmanS
 
 def residuals(model: GridModel, y: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     """The residuals y - H x of (..., K, lam) measurements ``y`` against the
-    (..., N) states ``x``: one M x per vector, broadcast over the lam
-    samples of each meter. ``out``, when given, receives them."""
-    return np.subtract(y, matvec(model.meter_rows, x)[..., None], out=out)
+    (..., N) states ``x``: one M x per vector, as a (..., K, 1) column
+    broadcast over the lam samples of each meter. ``out``, when given,
+    receives them."""
+    return np.subtract(y, np.matmul(model.meter_rows, x[..., None]), out=out)
 
 
 def kf_update_pre_full(
@@ -294,36 +297,35 @@ def kf_update_pre_full(
     """
     x, r, sums = (None, None, None) if out is None else out
     r = residuals(model, y, pred.x, out=r)
-    sums = r.sum(axis=-1, out=sums)
+    sums = np.add.reduce(r, axis=-1, out=sums)  # ndarray.sum without its Python wrapper
     x = np.add(pred.x, matvec(step.gain, sums / model.lam), out=x)
     return KalmanState(x, step.P_upd), r
 
 
 def pre_filter(
     model: GridModel, x: np.ndarray, Y: np.ndarray, steps: "Sequence[GainStep]"
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """The pre filter over a block of (B, T, K, lam) measurements Y from the
     (B, N) filtered states x, with ``steps`` the T schedule entries of the
-    block; returns the predicted states A x (B, T, N), the filtered states
-    (B, T, N), the innovations y - H x_pred (B, T, K, lam) and their
-    per-meter sums over the lam samples (B, T, K).
+    block; returns the filtered states (B, T, N), the innovations
+    y - H A x (B, T, K, lam) and their per-meter sums over the lam samples
+    (B, T, K).
 
-    Each step predicts A x and updates with one ``kf_update_pre_full`` on its
-    entry, which writes the step's innovation, sums and filtered state into
-    their rows: the arithmetic of a step at a time; only the recursion on x
-    is sequential, and it reads nothing but the measurements. The arrays
+    Each step updates the prediction A x (``transition``) with one
+    ``kf_update_pre_full`` on its entry, which writes the step's
+    innovation, sums and filtered state into their rows: the arithmetic of
+    a step at a time; only the recursion on x is sequential, and it reads
+    nothing but the measurements. The predictions are not kept. The arrays
     are held step-major, (T, B, ...), so each step's rows are contiguous,
     and returned as (B, T, ...) views.
     """
-    X_pred = np.empty((len(steps),) + x.shape)
-    X = np.empty_like(X_pred)
+    X = np.empty((len(steps),) + x.shape)
     R = np.empty(X.shape[:2] + Y.shape[2:])
     D = np.empty(R.shape[:-1])
     for s, step in enumerate(steps):
-        X_pred[s] = transition(model, x)
-        pred = KalmanState(X_pred[s], step.P_pred)
+        pred = KalmanState(transition(model, x), step.P_pred)
         x = kf_update_pre_full(model, pred, Y[:, s], step, out=(X[s], R[s], D[s]))[0].x
-    return tuple(a.swapaxes(0, 1) for a in (X_pred, X, R, D))
+    return tuple(a.swapaxes(0, 1) for a in (X, R, D))
 
 
 def kf_update_post(

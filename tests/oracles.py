@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from gridwatch import detector, harness, kalman, robust
 from gridwatch.attacks import AttackRealization, is_active
-from gridwatch.grid_model import matvec, vecdot
+from gridwatch.grid_model import matvec, transition, vecdot
 from gridwatch.kalman import KalmanState, _symmetrize, initial_state
 
 
@@ -650,9 +650,10 @@ def pre_half(model, cfg, pre, y, pre_step=None):
     if pre_step is None:
         own = kalman.kf_predict(model, pre, None, shares=False)
         pre_step = kalman.pre_gain_step(model, own.P)
-    X_pred, X, _, _ = kalman.pre_filter(model, pre.x, y[:, None], [pre_step])
+    X, _, _ = kalman.pre_filter(model, pre.x, y[:, None], [pre_step])
     clean = detector.clean_term(y - matvec(model.meter_rows, X[:, 0])[..., None], model)
-    return pre_step, X[:, 0], clean, detector.score(model, cfg, y, X_pred[:, 0], clean)[2]
+    gllr = detector.score(model, cfg, y, transition(model, pre.x), clean)[2]
+    return pre_step, X[:, 0], clean, gllr
 
 
 def whole_step_run(ctx, seeds):

@@ -1066,7 +1066,7 @@ def test_chi2_block_from_sums_and_shared_white_matches_stacked_form(ieee14_model
     for start, shared in ((0, False), (settle - 10, False), (settle + 5, True)):
         steps = list(itertools.islice(schedule, start, start + 32))
         Y = 1e-2 * rng.standard_normal((B, 32, model.K, model.lam))
-        _, _, R, D = kalman.pre_filter(model, x, Y, steps)
+        _, R, D = kalman.pre_filter(model, x, Y, steps)
         white = harness._block_white(steps)
         assert (white is steps[0].white) == shared
         assert all(w.flags.f_contiguous for w in white.reshape(-1, model.K, model.K))
@@ -1268,6 +1268,7 @@ def test_mu0_cache_write_failure_is_config_error(tmp_path, ieee14_model, ieee14_
         pytest.param(1.0, 100_000, 5, False, id="1.0-100000"),
         pytest.param(1e4, 10_000, 5, False, id="10000.0-10000"),
         pytest.param(1.0, 10_000, 5, True, id="dense_A-10000"),
+        pytest.param(1e4, 10_000, 5, True, id="dense_A-10000.0-10000"),
         pytest.param(1.0, 10_000, 1, False, id="lam1-10000"),
         *(
             pytest.param(1.0, n, 5, True, id=f"dense_A-{n}")
@@ -1278,7 +1279,8 @@ def test_mu0_cache_write_failure_is_config_error(tmp_path, ieee14_model, ieee14_
 def test_mu0_matches_step_by_step_oracle(ieee14_topology, ratio, samples, lam, dense_A):
     # the block-wise baseline against the loop that simulates and filters a
     # step at a time; at sigma_w2 / sigma_v2 = 1e4 the pre schedule does not
-    # settle within its cap, so the gain changes on every sample it covers;
+    # settle within its cap, so the gain changes on every sample it covers,
+    # with A the identity and with a dense A;
     # the short runs end inside, at the end of and just past the first block
     n = ieee14_topology.n_states
     A = dense_stable_A(n) if dense_A else "identity"

@@ -95,18 +95,22 @@ ADD_DIAGONAL_LAYOUTS = {
 
 
 @pytest.mark.parametrize("layout", ADD_DIAGONAL_LAYOUTS)
-def test_add_diagonal_writes_through_any_layout(layout):
-    # the strided view of a C-contiguous S and einsum's view of any other
-    # add d where the einsum form adds it, with the same bits, and write
-    # through into the array S is a view of
+def test_add_diagonal_writes_through_or_rejects_layout(layout):
+    # the strided view of a C-contiguous S adds d where the einsum form adds
+    # it, with the same bits, and writes through into the array S is a view
+    # of; any other layout raises ValueError and leaves S as it was
     shape, order, take, c_contiguous = ADD_DIAGONAL_LAYOUTS[layout]
     rng = np.random.default_rng(0)
     base = np.array(rng.standard_normal(shape), order=order)
     assert take(base).flags.c_contiguous == c_contiguous
     for d in (rng.standard_normal(take(base).shape[:-1]), 0.25):
         want = base.copy(order="K")
-        oracles.add_diagonal(take(want), d)
-        _add_diagonal(take(base), d)
+        if c_contiguous:
+            oracles.add_diagonal(take(want), d)
+            _add_diagonal(take(base), d)
+        else:
+            with pytest.raises(ValueError, match="C-contiguous"):
+                _add_diagonal(take(base), d)
         assert_same_bits(base, want)
 
 
@@ -567,11 +571,10 @@ def test_predict_matches_one_trial_oracle(ieee14_topology, dense):
 @pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense_A"])
 def test_pre_filter_matches_one_trial_oracle(ieee14_topology, dense):
     # the pre filter over a block of 33 schedule entries, from states with
-    # -0.0 entries: predictions, filtered states, innovations and their
-    # meter sums have the bits of the oracle's one-vector products a trial
-    # and a step at a time, each step's rows are contiguous (the arrays
-    # are step-major views), and neither the states nor the measurements
-    # are written into
+    # -0.0 entries: filtered states, innovations and their meter sums have
+    # the bits of the oracle's one-vector products a trial and a step at a
+    # time, each step's rows are contiguous (the arrays are step-major
+    # views), and neither the states nor the measurements are written into
     model = a_model(ieee14_topology, dense)
     steps = list(islice(PreSchedule(model, 1e-4), 33))
     B = 3
@@ -581,8 +584,7 @@ def test_pre_filter_matches_one_trial_oracle(ieee14_topology, dense):
     got = pre_filter(model, x, Y_in, steps)
     assert_same_bits(x, xs)
     assert_same_bits(Y_in, Y)
-    for g, w in zip(got, oracles.pre_filter(model, xs, Y, steps), strict=True):
+    _, *want = oracles.pre_filter(model, xs, Y, steps)
+    for g, w in zip(got, want, strict=True):
         assert_same_bits(g, w)
         assert g.swapaxes(0, 1).flags.c_contiguous
-    if model.identity_A:  # the -0.0 entries came back as +0.0
-        assert_same_bits(got[0][:, 0, :3], np.zeros((B, 3)))
