@@ -15,7 +15,8 @@ noise from its own jamming stream (standard normals); a batch passes each
 as a list of ``np.random.Generator``, one per trial. Both kernels take a
 whole block at once and leave each stream where a step at a time would:
 the draws of step t, in the documented order, then those of step t + 1.
-A block never crosses an on/off switch of the attack.
+A block never crosses an on/off switch of the attack; ``block_steps`` finds
+the next one.
 
 A denial-of-service style topology fault is modeled separately as zeroed
 rows of the *true* measurement matrix while the detector-side model stays
@@ -106,6 +107,8 @@ class AttackSpec:
                 raise ValueError(f"selection probability p must be in [0, 1], got {p}")
         elif mode != "fixed":
             raise ValueError(f"unknown selection mode {mode!r}")
+        elif not self.selection[1]:
+            raise ValueError("meters: a fixed selection needs at least one meter index")
         if self.kind == "topology-fault" and not self.fault_meters:
             raise ValueError("topology-fault needs a nonempty meter set")
         jam = self.jam_law
@@ -144,11 +147,36 @@ def is_active(spec: AttackSpec, t: int) -> bool:
     return (t - int(spec.tau)) % (spec.t_on + spec.t_off) < spec.t_on
 
 
+def is_faulted(spec: AttackSpec, t: int) -> bool:
+    """Whether step t measures through the faulted model: a topology fault
+    from its onset on."""
+    return spec.kind == "topology-fault" and t >= spec.tau
+
+
+def block_steps(spec: AttackSpec, t: int, most: int) -> int:
+    """The length of the block from step t: at most ``most`` steps, up to
+    the next step at which the attack switches on or off (``is_active``)
+    or a topology fault begins (``is_faulted``): the onset, or an on/off
+    boundary of the duty cycle."""
+    if spec.kind == "none" or spec.tau == math.inf:
+        return most  # never switches
+    onset = int(spec.tau)
+    if t < onset:
+        return min(most, onset - t)
+    if spec.kind == "topology-fault" or spec.t_on is None or spec.t_off == 0:
+        return most  # on, or faulted, from the onset on
+    period = spec.t_on + spec.t_off
+    phase = (t - onset) % period
+    return min(most, (spec.t_on if phase < spec.t_on else period) - phase)
+
+
 def realize_attack(
     spec: AttackSpec, t: int, steps: int, atk: "list[np.random.Generator]", K: int
 ) -> AttackRealization:
     """Sample the attack parameters of every trial of the batch for the
-    block of times t .. t + steps - 1, which must all be on or all off.
+    block of times t .. t + steps - 1, which must all be on or all off:
+    the block may not run past ``block_steps`` (a topology fault is never
+    on, so its onset is no switch here).
 
     Draw order per trial and step (documented for reproducibility): FDI
     selection bits, jamming selection bits, FDI magnitudes for selected
@@ -174,9 +202,9 @@ def realize_attack(
     """
     if t < 1:
         raise ValueError("time index must be >= 1")
-    active = is_active(spec, t)
-    if any(is_active(spec, u) != active for u in range(t + 1, t + steps)):
+    if spec.kind != "topology-fault" and block_steps(spec, t, steps) < steps:
         raise ValueError("a block must not cross an on/off switch of the attack")
+    active = is_active(spec, t)
     B = len(atk)
     a = np.zeros((B, steps, K))
     jam = np.zeros((B, steps, K))

@@ -48,15 +48,11 @@ def _out_dir(text: str) -> Path:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args.out)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        if args.seed < 0:
-            raise ConfigError(f"bad value for 'seed': {args.seed} (must be >= 0)")
-        cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"bad value for 'seed': {args.seed} (must be >= 0)")
     ctx = harness.prepare(cfg)
     log_steps = args.log_steps or cfg.run.log_steps
-    results = harness.run_trials(ctx, log_steps=log_steps)
+    results = harness.run_trials(ctx, master_seed=args.seed, log_steps=log_steps)
     tau = cfg.run.tau
 
     rows = []

@@ -83,8 +83,6 @@ import numpy as np
 from .grid_model import GridModel, vecdot
 from . import kalman
 
-HYPOTHESES = ("clean", "fdi", "jam", "both")
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -132,7 +130,7 @@ class ResidualBlock:
 
 @dataclass
 class MeterClassification:
-    labels: np.ndarray  # (..., K) ints indexing HYPOTHESES
+    labels: np.ndarray  # (..., K) ints: 0 clean, 1 fdi, 2 jam, 3 both
 
 
 def residual_block(

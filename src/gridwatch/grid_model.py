@@ -22,7 +22,6 @@ product A @ x.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -144,8 +143,8 @@ def load_topology(path) -> GridTopology:
         <id> flow <branch> <+|->
         <id> injection <bus>
 
-    Angles must be finite and susceptances finite and > 0; errors carry the
-    offending line number.
+    A bus has at most one angle, which must be finite; susceptances must be
+    finite and > 0. Errors carry the offending line number.
     """
     sections = read_sections(path, ("buses", "branches", "meters"), TopologyError)
     buses: list = []
@@ -172,6 +171,8 @@ def load_topology(path) -> GridTopology:
         buses.append(bus)
         for tok in rest:
             if tok.lower() != "ref":
+                if bus in angles:
+                    raise TopologyError(f"line {lineno}: second angle {tok!r} for bus {bus}")
                 angles[bus] = number(finite, tok, "bus token", lineno)
             elif reference is not None:
                 raise TopologyError(
@@ -370,8 +371,8 @@ def vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def transition(model: GridModel, x: np.ndarray, product=matvec) -> np.ndarray:
-    """A x for every vector along the last axis of x: ``product(A, x)``, or
+def transition(model: GridModel, x: np.ndarray) -> np.ndarray:
+    """A x for every vector along the last axis of x: ``matvec(A, x)``, or
     x + 0.0 when A is the identity. An identity product returns each finite
     vector as it is but for -0.0, which comes back as +0.0, and so does
     x + 0.0, without a BLAS call. The two differ only at a non-finite entry,
@@ -379,53 +380,7 @@ def transition(model: GridModel, x: np.ndarray, product=matvec) -> np.ndarray:
     raises on a non-finite state, and a filter's state turns non-finite only
     on overflowing measurements, which Algorithm 1's cost check reports
     wherever it scores them. The result is a new array."""
-    return x + 0.0 if model.identity_A else product(model.A, x)
-
-
-def _state_noise(model: GridModel, z: np.ndarray) -> np.ndarray:
-    """The state noise v of each step's normals z: the first N of them,
-    scaled (the draws of a step are state noise first, then measurement
-    noise)."""
-    return z[..., : model.N] * np.sqrt(model.sigma_v2)
-
-
-def _measurements(model: GridModel, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """H x + w for every state along the last axis of x, in H's row layout;
-    w is the last K*lam normals of the step's z, scaled."""
-    return matvec(model.H, x) + z[..., model.N :] * np.sqrt(model.sigma_w2)
-
-
-def _check_finite(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
-        raise FloatingPointError("state diverged; check the model configuration")
-
-
-def _trajectory(
-    model: GridModel, x: np.ndarray, z: np.ndarray, product
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The states and measurements (in H's row layout) of the steps whose
-    normals are z (..., T, N + K*lam), from the state x: each step's state
-    is ``product(A, x)`` of the one before plus its state noise.
-
-    With A the identity that is one running sum along the step axis, x
-    first; np.add.accumulate adds in step order, so each state is the one
-    before plus its noise, as a step at a time. The identity product's +0.0
-    for -0.0 (``transition``) is kept by adding 0.0 to the noise: a sum
-    then differs from the product's only where both terms are -0.0.
-    Divergence is checked once, over all T steps."""
-    V = _state_noise(model, z)
-    if model.identity_A:
-        V += 0.0
-        V[..., 0, :] += x  # exact: floating-point addition commutes
-        X = np.add.accumulate(V, axis=-2)
-    else:
-        X = np.empty_like(V)
-        states = X.swapaxes(0, -2)  # a view: states[s] is step s
-        for s, v in enumerate(V.swapaxes(0, -2)):
-            x = states[s] = product(model.A, x) + v
-    Y = _measurements(model, X, z)
-    _check_finite(X)
-    return X, Y
+    return x + 0.0 if model.identity_A else matvec(model.A, x)
 
 
 def simulate_step(
@@ -435,7 +390,8 @@ def simulate_step(
     intervals; return the states as a (B, steps, N) array and the
     measurements as a (B, steps, K, lam) array: y[j, s, k, i] is sample i
     of meter k in trial j at the block's step s, so y[j, s].reshape(-1)
-    follows H's row layout.
+    follows H's row layout. This is the only simulation kernel: the trial
+    engine runs it on its batch, and the mu0 baseline on a batch of one.
 
     Trial j uses the next N + K*lam standard normals of its stream
     ``noise[j]`` per step. Draw order is part of the determinism contract:
@@ -444,33 +400,31 @@ def simulate_step(
     normals for the whole block come from one draw of its stream; numpy's
     Generator fills any request from one sequence, so every step receives
     exactly the values that drawing N and then K*lam normals at that step
-    would give. The state advances one A @ x per step (``matvec``), or,
-    with A the identity, by one running sum over the block
-    (``_trajectory``); the measurements take one ``matvec`` over the block.
-    So every vector gets the bits of its own unbatched product. Divergence
-    is checked once per block.
+    would give.
+
+    Each step's state is A x of the one before (``transition``) plus its
+    state noise: one ``matvec`` per step, or, with A the identity, one
+    running sum along the step axis, the start state first. np.add.accumulate
+    adds in step order, so each state is the one before plus its noise, as a
+    step at a time; the identity product's +0.0 for -0.0 is kept by adding
+    0.0 to the noise, so a sum differs from the product's only where both
+    terms are -0.0. The measurements take one ``matvec`` over the block. So
+    every vector gets the bits of its own unbatched product. Divergence is
+    checked once per block.
     """
     z = np.empty((len(x), steps, model.N + model.K * model.lam))
     for rng, z_j in zip(noise, z):
         rng.standard_normal(out=z_j)
-    X, Y = _trajectory(model, x, z, matvec)
+    V = z[..., : model.N] * np.sqrt(model.sigma_v2)
+    if model.identity_A:
+        V += 0.0
+        V[:, 0] += x  # exact: floating-point addition commutes
+        X = np.add.accumulate(V, axis=1)
+    else:
+        X = np.empty_like(V)
+        for s, v in enumerate(V.swapaxes(0, 1)):
+            x = X[:, s] = matvec(model.A, x) + v
+    if not np.isfinite(X).all():
+        raise FloatingPointError("state diverged; check the model configuration")
+    Y = matvec(model.H, X) + z[..., model.N :] * np.sqrt(model.sigma_w2)
     return X, Y.reshape(*Y.shape[:2], model.K, model.lam)
-
-
-def simulate_block(
-    model: GridModel, x: np.ndarray, rng: np.random.Generator, steps: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The next ``steps`` intervals of one trajectory from state x (N,):
-    its states as a (steps, N) array and its measurements as a
-    (steps, K*lam) array in H's row layout.
-
-    The block's normals come from one draw of ``rng``, in the draw order of
-    ``simulate_step``, so the values equal those of a call of it on a
-    one-trial batch with this stream. The state advances one A @ x per
-    step (the bits ``matvec`` gives a batch, without its cost on one
-    vector), or as one running sum when A is the identity; the measurements
-    take one matrix-vector product per row, which gives each row the bits
-    of the unbatched H @ x.
-    """
-    z = rng.standard_normal((steps, model.N + model.K * model.lam))
-    return _trajectory(model, x, z, operator.matmul)

@@ -20,12 +20,13 @@ giving the whole batch's (B, T, ...) block. Each trial's streams are plain
 block's draws end, so every step receives the values that drawing at that
 step would give and no draws are held from one block to the next. A block
 ends where the attack switches on or off and where a topology fault
-begins. The pre filter reads only the measurements, so it runs over the
-block as well, on the block's schedule entries, and so does every
-statistic built on it alone, one call each for the block: the innovation
-norm, the chi-squared sample, the cosine similarity and the GLLR's clean
-term, and the open-loop detectors' statistics, the Pearson window over the
-chi-squared samples and the nonparametric CUSUM over the innovation norms.
+begins (``attacks.block_steps``). The pre filter reads only the
+measurements, so it runs over the block as well, on the block's schedule
+entries, and so does every statistic built on it alone, one call each
+for the block: the innovation norm, the chi-squared sample, the cosine
+similarity and the GLLR's clean term, and the open-loop detectors'
+statistics, the Pearson window over the chi-squared samples and the
+nonparametric CUSUM over the innovation norms.
 So does algorithm 1's score of the pre track: a trial whose CUSUM g is
 zero re-synced its post filter to the pre filter at the last step (or has
 not left it), so its post prediction is the pre filter's, bit for bit,
@@ -80,14 +81,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import detector, kalman, robust
+from . import attacks, detector, kalman, robust
 from .attacks import AttackSpec, apply_attack, realize_attack, topology_fault
 from .expconfig import ConfigError, ExperimentConfig
 from .grid_model import (
     GridModel,
     build_model,
     load_topology,
-    simulate_block,
     simulate_step,
     vecdot,
 )
@@ -369,10 +369,13 @@ def _mu0_monte_carlo(model: GridModel, x0, p0, samples: int) -> float:
     of model and p0, so once its covariance has settled each sample is
     matrix-vector work only.
 
-    The trajectory is simulated BLOCK_STEPS samples at a time
-    (``grid_model.simulate_block``): one draw of the MU0_SEED stream, one
-    A @ x per sample (with A the identity, one running sum over the block)
-    and the block's measurements, checked for divergence once per block.
+    The trajectory is simulated BLOCK_STEPS samples at a time by the trial
+    engine's kernel, ``simulate_step``, on a batch of one: one draw of the
+    MU0_SEED stream, one A @ x per sample (with A the identity, one running
+    sum over the block) and the block's measurements, checked for
+    divergence once per block. It is called through this module's name, as
+    the engine calls it, so a tracer that wraps it there sees these calls
+    inside the baseline's own span.
     The filter then runs over the block's rows as bare in-place BLAS calls
     and ufuncs: H x_hat into a buffer, the innovation over its measurement
     row, the gain times it, and that added to x_hat, after A @ x_hat unless
@@ -400,8 +403,8 @@ def _mu0_monte_carlo(model: GridModel, x0, p0, samples: int) -> float:
     total = 0.0
     step = gain = None
     for start in range(0, samples, BLOCK_STEPS):
-        X, Y = simulate_block(model, x, rng, min(BLOCK_STEPS, samples - start))
-        x = X[-1]
+        X, Y = simulate_step(model, x[None], [rng], min(BLOCK_STEPS, samples - start))
+        x, Y = X[0, -1], Y[0].reshape(len(X[0]), -1)  # Y in H's row layout
         for y, next_step in zip(Y, steps):  # each row of Y becomes its innovation
             if next_step is not step:
                 # the meter-mean gain spread over the lam samples of each meter:
@@ -661,8 +664,7 @@ class _Batch:
         coexist. The closed loop's ``g`` and ``beta`` (and the batch's
         ``mse1`` when logged) are left for the caller to fill."""
         model, attack, loop = ctx.model, ctx.cfg.attack, self.loop
-        faulted = attack.kind == "topology-fault" and t >= attack.tau
-        sim_model = ctx.sim_model_post if faulted else model
+        sim_model = ctx.sim_model_post if attacks.is_faulted(attack, t) else model
         x, x_pre = self.X[:, -1], self.pre[:, -1]
         on_track = (loop.g[:, -1] == 0.0).any()
         self.Y = self.euclid = self.c = self.cosine = loop.Y = loop.pre = None
@@ -737,22 +739,6 @@ class _Batch:
             paths=own_paths,
             syncs=int(self.syncs[j]),
         )
-
-
-def _block_steps(attack: AttackSpec, t: int, most: int) -> int:
-    """The length of the block from step t: at most ``most`` steps, up to
-    the next step at which the attack switches on or off or a topology
-    fault begins (the onset, or an on/off boundary of the duty cycle)."""
-    if attack.kind == "none" or attack.tau == INF:
-        return most  # never switches
-    onset = int(attack.tau)
-    if t < onset:
-        return min(most, onset - t)
-    if attack.kind == "topology-fault" or attack.t_on is None or attack.t_off == 0:
-        return most  # on, or faulted, from the onset on
-    period = attack.t_on + attack.t_off
-    phase = (t - onset) % period
-    return min(most, (attack.t_on if phase < attack.t_on else period) - phase)
 
 
 def _block_white(steps: "list[kalman.GainStep]") -> np.ndarray:
@@ -868,7 +854,7 @@ def run_trial(
     pre_steps = iter(ctx.schedule)
     t = 1
     while True:
-        length = _block_steps(cfg.attack, t, min(BLOCK_STEPS, horizon + 1 - t))
+        length = attacks.block_steps(cfg.attack, t, min(BLOCK_STEPS, horizon + 1 - t))
         block_steps = list(islice(pre_steps, length))
         loop = batch.loop
         g = loop.g[:, -1].tolist()

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from gridwatch.attacks import AttackSpec, MagnitudeLaw
 from gridwatch.grid_model import build_model, load_topology
 from gridwatch.expconfig import resolve_topology
 
@@ -81,3 +84,18 @@ def write_config(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def attack_grid():
+    """Attack programs for the attack-clock tests: every kind, onsets from
+    the first step to never, and duty cycles with and without an off
+    period. Each carries both magnitude laws, so any of them can be
+    realized."""
+    yield AttackSpec()
+    cycles = ((None, None), (1, 0), (1, 1), (1, 3), (3, 1), (5, 0), (4, 7), (32, 33))
+    laws = {"fdi_law": MagnitudeLaw.uniform(-0.02, 0.02), "jam_law": MagnitudeLaw.uniform(2e-4, 4e-4)}
+    for kind in ("fdi", "jamming", "hybrid", "topology-fault"):
+        for tau in (1, 2, 7, 40, math.inf):
+            for t_on, t_off in cycles:
+                meters = (3,) if kind == "topology-fault" else ()
+                yield AttackSpec(tau=tau, kind=kind, t_on=t_on, t_off=t_off, fault_meters=meters, **laws)

@@ -327,7 +327,7 @@ def chi2_block(R, steps, sigma_w2):
 
 
 def block_steps(attack, t, most):
-    """``harness._block_steps`` as the step walk it replaced: the block from
+    """``attacks.block_steps`` as the step walk it replaced: the block from
     step t runs while each step has step t's phase, whether the attack is on
     and whether a topology fault has begun, for at most ``most`` steps."""
     def phase(t):
@@ -337,6 +337,14 @@ def block_steps(attack, t, most):
     while steps < most and phase(t + steps) == phase(t):
         steps += 1
     return steps
+
+
+def crosses_switch(attack, t, steps):
+    """Whether the block of steps t .. t + steps - 1 crosses an on/off
+    switch of the attack, as ``attacks.realize_attack`` found it before it
+    used ``attacks.block_steps``: one ``is_active`` call per step."""
+    active = is_active(attack, t)
+    return any(is_active(attack, u) != active for u in range(t + 1, t + steps))
 
 
 def dense_update(model, pred, y_flat, bias, noise_diag):

@@ -16,7 +16,7 @@ from gridwatch.grid_model import simulate_step
 from gridwatch.harness import BLOCK_STEPS
 
 import oracles
-from conftest import SIGMA_W2
+from conftest import SIGMA_W2, attack_grid
 from oracles import assert_same_bits
 
 
@@ -61,16 +61,22 @@ def test_onoff_schedule_case4_pattern():
     assert is_active(spec, 104)
 
 
-def test_block_across_an_on_off_switch_is_refused():
-    # one realization carries one active flag, so its steps share one state
-    atk, _ = streams(1, 23, 5)
-    spec = hybrid_spec(tau=100, t_on=1, t_off=3)
-    for t, steps in ((90, 11), (100, 2), (101, 4)):
-        with pytest.raises(ValueError, match="on/off switch"):
-            realize_attack(spec, t, steps, atk, K=23)
-    assert realize_attack(spec, 90, 10, atk, K=23).active is False
-    assert realize_attack(spec, 101, 3, atk, K=23).active is False
-    assert realize_attack(spec, 104, 1, atk, K=23).active is True
+@pytest.mark.parametrize(
+    "attack", list(attack_grid()), ids=lambda a: f"{a.kind}-{a.tau}-{a.t_on}-{a.t_off}"
+)
+def test_block_across_an_on_off_switch_is_refused(attack):
+    # one realization carries one active flag, so its steps share one state:
+    # a block is refused exactly where a scan of its steps finds a switch
+    # (a topology fault's onset is none), and an accepted one is on or off
+    # as its first step
+    atk, _ = streams(1, 5, 1)
+    for t in range(1, 90):
+        for steps in (1, 2, 5, 32, 33):
+            if oracles.crosses_switch(attack, t, steps):
+                with pytest.raises(ValueError, match="on/off switch"):
+                    realize_attack(attack, t, steps, atk, K=5)
+            else:
+                assert realize_attack(attack, t, steps, atk, K=5).active == is_active(attack, t)
 
 
 def test_onoff_duty_cycle_fraction():

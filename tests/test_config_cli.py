@@ -135,6 +135,7 @@ def test_attack_requires_matching_law(tmp_path, two_bus_path):
         ("kind = jamming\njam_uniform = 1e-4", 20, "jam_uniform"),
         ("kind = jamming\njam_uniform = 4e-4,2e-4", 20, "jam_uniform"),
         ("kind = fdi\nfdi_fixed = 0.1\nmeters = x", 20, "meters"),
+        ("kind = fdi\nfdi_fixed = 0.5\nmeters =", 20, "meters"),
         ("kind = fdi\nfdi_fixed = 0.1\np = 2", 20, "p"),
         ("kind = bogus", 20, "kind"),
         ("kind = onoff\ninner = fdi\nfdi_fixed = 0.1\nt_on = 0\nt_off = 1", 20, "t_on"),

@@ -10,7 +10,6 @@ from gridwatch.grid_model import (
     TopologyError,
     build_model,
     load_topology,
-    simulate_block,
     simulate_step,
 )
 from gridwatch.harness import BLOCK_STEPS
@@ -101,6 +100,14 @@ def test_bad_topology_names_its_line(tmp_path, old, new, line):
     p = tmp_path / "bad.grid"
     p.write_bytes(GOOD.replace(old, new))
     with pytest.raises(TopologyError, match=f"line {line}:"):
+        load_topology(p)
+
+
+def test_bus_with_two_angles_names_its_line(tmp_path):
+    # the second angle silently replaced the first
+    p = tmp_path / "angles.grid"
+    p.write_bytes(GOOD.replace(b"1 ref", b"1 0.1 0.2 ref"))
+    with pytest.raises(TopologyError, match="line 2: second angle '0.2' for bus 1"):
         load_topology(p)
 
 
@@ -266,24 +273,24 @@ def test_simulation_matches_one_trial_oracle(ieee14_model, ieee14_topology, B):
                 live = [j for j, k in zip(live, keep) if k]
 
 
-def test_simulate_block_matches_one_trial_oracle(ieee14_topology):
-    # the one-trajectory block kernel against the one-trial kernel drawing a
-    # step at a time, state and measurements bit for bit, over consecutive
-    # blocks of several lengths; with a dense A a change in how the products
-    # are formed would show
+def test_batch_of_one_matches_one_trial_oracle(ieee14_topology):
+    # one trajectory as the mu0 baseline draws it, a batch of one, against
+    # the one-trial kernel drawing a step at a time, state and measurements
+    # bit for bit, over consecutive blocks of several lengths; with a dense
+    # A a change in how the products are formed would show
     n = ieee14_topology.n_states
     model = build_model(ieee14_topology, 5, SIGMA_V2, SIGMA_W2, dense_stable_A(n))
     x0 = ieee14_topology.initial_state()
     ref = oracles.initial_sim_state(model, x0, 9)
     rng, x = np.random.default_rng(9), x0
     for steps in (1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1):
-        X, Y = simulate_block(model, x, rng, steps)
-        assert X.shape == (steps, n) and Y.shape == (steps, model.K * model.lam)
-        for x_t, y_t in zip(X, Y):
+        X, Y = simulate_step(model, x[None], [rng], steps)
+        assert X.shape == (1, steps, n) and Y.shape == (1, steps, model.K, model.lam)
+        for x_t, y_t in zip(X[0], Y[0]):
             ref, want = oracles.simulate_step(model, ref)
             assert_same_bits(x_t, ref.x)
-            assert_same_bits(y_t, want.reshape(-1))
-        x = X[-1]
+            assert_same_bits(y_t, want)
+        x = X[0, -1]
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense_A"])
@@ -292,8 +299,8 @@ def test_state_steps_match_one_trial_oracle(ieee14_topology, dense, sigma_v2):
     # with A = I the kernels sum a block's states in one pass, with a dense
     # A they take one product per step; either way every state and
     # measurement has the bits of the one-trial oracle's A @ x + v, over
-    # consecutive blocks of 1, 31, 32 and 33 steps of a batch (simulate_step)
-    # and of one trajectory (simulate_block). The start state has -0.0
+    # consecutive blocks of 1, 31, 32 and 33 steps of a batch and of a
+    # batch of one (one trajectory). The start state has -0.0
     # entries, which an identity product returns as +0.0: without state
     # noise they stay zeros, so their sign shows. No kernel writes into the
     # state it is given.
@@ -312,7 +319,7 @@ def test_state_steps_match_one_trial_oracle(ieee14_topology, dense, sigma_v2):
         x, x_one = read_only(x), read_only(x_one)
         before = x.copy(), x_one.copy()
         X, Y = simulate_step(model, x, noise, steps)
-        X_one, Y_one = simulate_block(model, x_one, rng, steps)
+        X_one, Y_one = simulate_step(model, x_one[None], [rng], steps)
         assert_same_bits(x, before[0])
         assert_same_bits(x_one, before[1])
         for j, trial in enumerate(ref):
@@ -323,9 +330,9 @@ def test_state_steps_match_one_trial_oracle(ieee14_topology, dense, sigma_v2):
             ref[j] = trial
         for s in range(steps):
             one, want = oracles.simulate_step(model, one)
-            assert_same_bits(X_one[s], one.x)
-            assert_same_bits(Y_one[s], want.reshape(-1))
-        x, x_one = X[:, -1], X_one[-1]
+            assert_same_bits(X_one[0, s], one.x)
+            assert_same_bits(Y_one[0, s], want)
+        x, x_one = X[:, -1], X_one[0, -1]
     if sigma_v2 == 0.0:
         # some first state entry is +0.0 where x0 + v would give -0.0
         first = oracles.simulate_step(model, oracles.initial_sim_state(model, x0, seeds[0]))[0].x

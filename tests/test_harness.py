@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridwatch import detector, harness, kalman, load_config, robust
-from gridwatch.attacks import AttackSpec
+from gridwatch import attacks, detector, harness, kalman, load_config, robust
 from gridwatch.detector import cusum_step
 from gridwatch.expconfig import ConfigError
 from gridwatch.grid_model import build_model, matvec
@@ -23,7 +22,7 @@ from gridwatch.harness import BLOCK_STEPS
 from gridwatch.robust import ShewhartConfig
 
 import oracles
-from conftest import dense_stable_A
+from conftest import attack_grid, dense_stable_A
 from oracles import dense_trial
 
 BASE = """
@@ -621,7 +620,7 @@ def test_block_ahead_clean_half_matches_whole_step_oracle(tmp_path, mu0_cache, m
     starts, t = [], 1
     while t <= 200:
         starts.append(t)
-        t += harness._block_steps(ctx.cfg.attack, t, min(block, 201 - t))
+        t += attacks.block_steps(ctx.cfg.attack, t, min(block, 201 - t))
     open_loop_last = []
     for i, (res, fast, trial_hashes) in enumerate(zip(full, quick, hashes)):
         own = {name: values[i] for name, values in paths.items()}
@@ -813,7 +812,7 @@ def test_logged_mse_of_mixed_blocks_matches_whole_step_oracle(tmp_path, mu0_cach
     starts, t = [], 1
     while t <= 200:
         starts.append(t)
-        t += harness._block_steps(ctx.cfg.attack, t, min(BLOCK_STEPS, 201 - t))
+        t += attacks.block_steps(ctx.cfg.attack, t, min(BLOCK_STEPS, 201 - t))
     block = np.searchsorted(starts, np.arange(1, 201), side="right") - 1
     before = np.concatenate([np.zeros((B, 1)), g[:, :-1]], axis=1)
     pre_track = (before[:, np.array(starts) - 1] == 0.0).any(axis=0)
@@ -1074,19 +1073,6 @@ def test_chi2_block_from_sums_and_shared_white_matches_stacked_form(ieee14_model
         oracles.assert_same_bits(got, oracles.chi2_block(R, steps, model.sigma_w2))
 
 
-def attack_grid():
-    """Attack programs for the block-length test: every kind, onsets from
-    the first step to never, and duty cycles with and without an off
-    period."""
-    yield AttackSpec()
-    cycles = ((None, None), (1, 0), (1, 1), (1, 3), (3, 1), (5, 0), (4, 7), (32, 33))
-    for kind in ("fdi", "jamming", "hybrid", "topology-fault"):
-        for tau in (1, 2, 7, 40, math.inf):
-            for t_on, t_off in cycles:
-                meters = (3,) if kind == "topology-fault" else ()
-                yield AttackSpec(tau=tau, kind=kind, t_on=t_on, t_off=t_off, fault_meters=meters)
-
-
 def test_block_steps_match_the_step_walk():
     # the block length from the next switch (the onset, an on/off boundary
     # or the fault onset) equals the old walk over the steps' phases
@@ -1094,7 +1080,7 @@ def test_block_steps_match_the_step_walk():
         for t in range(1, 90):
             for most in (1, 2, 5, 32, 33):
                 want = oracles.block_steps(attack, t, most)
-                assert harness._block_steps(attack, t, most) == want, (attack, t, most)
+                assert attacks.block_steps(attack, t, most) == want, (attack, t, most)
 
 
 def test_closed_loop_take_follows_the_live_trials(tmp_path, mu0_cache):
@@ -1252,7 +1238,7 @@ def test_mu0_cache_write_failure_is_config_error(tmp_path, ieee14_model, ieee14_
         raise AssertionError("the baseline ran before the cache was checked")
 
     monkeypatch.setattr(tempfile, "mkstemp", refuse)
-    monkeypatch.setattr(harness, "simulate_block", baseline)
+    monkeypatch.setattr(harness, "simulate_step", baseline)
     x0 = ieee14_topology.initial_state()
     cache = tmp_path / "mu0.txt"
     reason = f"bad value for 'mu0_cache': {str(cache)!r} (Permission denied)"
