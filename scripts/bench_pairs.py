@@ -13,9 +13,14 @@ standard output is its result. The JSON written to FILE (standard output
 by default) holds every run, the machine block of the first run (its
 ``env`` line) and, for each end-to-end metric of BENCHMARK.json next
 to this script, both sides' medians and inclusive quartiles, the pairs the
-change won (ties count for neither side), and whether a gain may be
-claimed: the change won at least nine in ten pairs, and its median is
-better than the parent's by more than the parent's interquartile distance.
+change won (ties count for neither side), whether a gain may be
+claimed (the change won at least nine in ten pairs, and its median is
+better than the parent's by more than the parent's interquartile
+distance) and a ``no_regression`` verdict against the metric's bound:
+"worse" when the change's median is worse than the parent's by more than
+bound x |parent median|; else "unresolved" when the parent's
+interquartile distance is wider than that margin, unless every run of
+the change beats every run of the parent; else "held".
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ ROOT = Path(__file__).resolve().parent.parent
 MACHINE_KEYS = ("nproc", "affinity_cpus", "blas", "blas_threads", "python", "numpy", "scipy")
 
 
-def summarize(parent: "list[float]", change: "list[float]", better: str) -> dict:
+def summarize(parent: "list[float]", change: "list[float]", better: str, bound: float) -> dict:
     """The pairwise summary of one metric: parent[i] and change[i] are the
-    runs of pair i, and ``better`` is "higher" or "lower"."""
+    runs of pair i, ``better`` is "higher" or "lower" and ``bound`` the
+    largest relative worsening of the median that still holds."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two equal-length lists of at least two runs")
     sign = 1.0 if better == "higher" else -1.0
@@ -42,6 +48,14 @@ def summarize(parent: "list[float]", change: "list[float]", better: str) -> dict
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     iqr = parent_q[2] - parent_q[0]
     gain = sign * (change_q[1] - parent_q[1])
+    margin = bound * abs(parent_q[1])
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if gain < -margin:
+        verdict = "worse"
+    elif iqr > margin and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "held"
     return {
         "better": better,
         "parent_median": parent_q[1],
@@ -52,6 +66,8 @@ def summarize(parent: "list[float]", change: "list[float]", better: str) -> dict
         "parent_iqr": iqr,
         "change_won": f"{wins} of {len(parent)}",
         "gain_holds": 10 * wins >= 9 * len(parent) and gain > iqr,
+        "bound": bound,
+        "no_regression": verdict,
     }
 
 
@@ -113,6 +129,7 @@ def main(argv=None) -> int:
                 [r["metrics"][m["name"]] for r in runs["parent"]],
                 [r["metrics"][m["name"]] for r in runs["change"]],
                 m["better"],
+                m["bound"],
             )
             for m in end_to_end
         },

@@ -110,7 +110,7 @@ class AttackSpec:
         elif not self.selection[1]:
             raise ValueError("meters: a fixed selection needs at least one meter index")
         if self.kind == "topology-fault" and not self.fault_meters:
-            raise ValueError("topology-fault needs a nonempty meter set")
+            raise ValueError("fault_meters: topology-fault needs a nonempty meter set")
         jam = self.jam_law
         least = None if jam is None else jam.lo if jam.mode == "uniform" else jam.value
         if least is not None and least < 0:

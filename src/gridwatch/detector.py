@@ -69,7 +69,7 @@ trials with a positive pre-track GLLR, takes the pre-track GLLR for the
 rest, and runs the post update only for the trials that do not re-sync: a
 re-synced filter takes the step's pre estimate, whatever its update would
 have been. A step that would score no trial is not called at all: the
-harness fills such idle steps itself (``harness._idle_steps``).
+harness fills such idle steps itself (``harness._ClosedLoop.run``).
 """
 
 from __future__ import annotations

@@ -9,13 +9,17 @@ one recorded path per trial. Aggregation uses sums and counts only, making
 trial order irrelevant.
 
 The trial engine, ``run_trial``, takes a sequence of seeds and advances
-their trials in lock-step on a leading trial axis B, every per-trial thing
-held in one batch state (``_Batch``) whose ``take`` is the engine's only
-compaction. Each trial keeps its own random streams, draw order and
-measurement hash. The measurements are open-loop: the simulation, the
-attack realization and its application never read the detector. So they
-run a block of up to ``BLOCK_STEPS`` steps ahead, one call of each kernel
-giving the whole batch's (B, T, ...) block. Each trial's streams are plain
+their trials in lock-step on a leading trial axis B, one block of steps at
+a time. What a trial carries from one block to the next is held in one
+batch state (``_Batch``) whose ``take`` is the engine's only compaction;
+a block's arrays are not carried: ``_Batch.next_block`` returns the
+block's true states, measurements and (B, T) statistics, the last as one
+``TrialPaths``, and the block's epilogue reads and drops them. Each trial
+keeps its own random streams, draw order and measurement hash. The
+measurements are open-loop: the simulation, the attack realization and
+its application never read the detector. So they run a block of up to
+``BLOCK_STEPS`` steps ahead, one call of each kernel giving the whole
+batch's (B, T, ...) block. Each trial's streams are plain
 ``np.random.Generator`` objects, and each kernel leaves them where the
 block's draws end, so every step receives the values that drawing at that
 step would give and no draws are held from one block to the next. A block
@@ -34,8 +38,8 @@ and its GLLR is the one scored on the pre predictions. Its residuals are
 then the pre filter's innovations: the pre filter writes them, with their
 sums over each meter's lam samples, into step-major block buffers once,
 and the pre-track score, the chi-squared sample (its meter means) and the
-innovation norm read them from there. The engine's step
-loop then runs only the closed loop: algorithm 1's post filter and its
+innovation norm read them from there. The closed loop
+(``_ClosedLoop.run``) then steps only algorithm 1's post filter and its
 CUSUM, on the (L, K) and (L,) arrays of the L trials still live in it,
 writing each step's g and GLLR into the block. A step predicts and scores,
 once, the trials off the pre track and those on it whose pre-track GLLR is
@@ -57,10 +61,10 @@ recorded paths, a trial retires from the closed loop at the end of the
 block that holds the later of its alg1 and Shewhart stops, as the paper's
 Algorithm 1 ends at its alarm: nothing it reports but the re-syncs up to
 those stops reads the closed loop, so from the next block neither the
-step loop nor the pre-track score runs for it, and its g and GLLR columns
-hold NaN. It leaves the batch at the end of the block that holds its
-latest stop, which is its steps_run; the steps it ran after that stop
-are dropped. The engine then holds O(B) state; (B, horizon) path arrays
+closed loop nor the pre-track score runs for it, and its g and GLLR
+columns hold NaN. It leaves the batch at the end of the block that holds
+its latest stop, which is its steps_run; the steps it ran after that
+stop are dropped. The engine then holds O(B) state; (B, horizon) path arrays
 exist only when paths are requested.
 ``run_trials`` derives the seeds of a run, (master seed, trial index),
 and runs them as one batch; a single trial is the batch of one seed.
@@ -428,16 +432,19 @@ def _mu0_monte_carlo(model: GridModel, x0, p0, samples: int) -> float:
 
 @dataclass
 class TrialPaths:
-    """Per-step statistic paths; arrays indexed by t-1 over steps actually run."""
+    """Per-step statistic paths, in three roles: a run's recorded (B,
+    horizon) paths, a block's (B, T) statistics (``_Batch.next_block``),
+    and one trial's paths, indexed by t-1 over the steps it ran. A field
+    is None where nothing computes it."""
 
-    g: np.ndarray
-    beta: np.ndarray
-    c: np.ndarray
-    chi: np.ndarray
-    np_S: np.ndarray
-    euclid: np.ndarray
-    cosine: np.ndarray
-    tau_hat: np.ndarray
+    g: Optional[np.ndarray] = None
+    beta: Optional[np.ndarray] = None
+    c: Optional[np.ndarray] = None
+    chi: Optional[np.ndarray] = None
+    np_S: Optional[np.ndarray] = None
+    euclid: Optional[np.ndarray] = None
+    cosine: Optional[np.ndarray] = None
+    tau_hat: Optional[np.ndarray] = None
     mse0: Optional[np.ndarray] = None
     mse1: Optional[np.ndarray] = None
 
@@ -501,13 +508,10 @@ def _take(item, keep):
 @dataclass
 class _ClosedLoop:
     """Algorithm 1's closed loop on the live trials of a batch, those where
-    the (B,) mask ``live`` is true: their post filter and its shares-pre
-    flags (see ``kalman``), and their rows of the current block's inputs
-    (measurements, pre-filter states, the GLLR's clean term and pre-track
-    GLLR) and outputs (g and the GLLR). Every field but ``live`` is on the
-    live trials alone; with every trial live the inputs are the batch's
-    own block arrays. Between blocks, the last column of ``g`` is the
-    CUSUM each live trial carries on from (at spawn, zero).
+    the (B,) mask ``live`` is true: their post filter, its shares-pre flags
+    (see ``kalman``) and the CUSUM g each carries from one block to the
+    next (at spawn, zero). Every field but ``live`` is on the live trials
+    alone.
 
     A trial retires from the loop once nothing reads it any more: no path
     is recorded and every configured rule of ``CLOSED_LOOP`` has stopped.
@@ -516,14 +520,7 @@ class _ClosedLoop:
     live: np.ndarray  # (B,) the trial runs the closed loop
     post: kalman.KalmanState  # Algorithm 1's post filter, filtered
     shares: np.ndarray  # (L,) the post covariance is the pre filter's
-    g: np.ndarray  # (L, T) Algorithm 1's CUSUM
-    beta: np.ndarray  # (L, T) its GLLR
-    Y: Optional[np.ndarray] = None  # (L, T, K, lam) measurements
-    pre: Optional[np.ndarray] = None  # (L, T, N) the pre filter's filtered states
-    clean: Optional[np.ndarray] = None  # (L, T) the GLLR's clean term
-    # (L, T) the GLLR of a trial on the pre track; None for a block that no
-    # live trial starts on the track
-    beta_pre: Optional[np.ndarray] = None
+    g: np.ndarray  # (L,) Algorithm 1's CUSUM
 
     def take(self, keep: np.ndarray) -> "_ClosedLoop":
         """The loop of the batch's trials where ``keep`` is true."""
@@ -548,17 +545,70 @@ class _ClosedLoop:
         full[self.live] = block
         return full
 
+    def run(
+        self, ctx: RunContext, steps: "list[kalman.GainStep]", Y: np.ndarray, pre: np.ndarray,
+        clean: np.ndarray, beta_pre: Optional[np.ndarray], post_x: Optional[np.ndarray],
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The block's steps of the closed loop, on the live trials' rows of
+        its inputs: the (L, T, K, lam) measurements Y, the pre filter's
+        (L, T, N) filtered states, the GLLR's (L, T) clean term and the
+        (L, T) GLLR of the pre track (None for a block that no live trial
+        starts on it), T = len(steps), the block's schedule entries.
+        Returns the (L, T) g and GLLR; the post filter, its flags and g
+        carry on. ``post_x``, when given, is the (B, T, N) block of the pre
+        filter's states, which receives the post filter's filtered states
+        (steps are logged only when every trial is live).
+
+        Each step is one ``detector.algorithm1_step`` (post filter, GLLR
+        and one CUSUM step per trial, on g as a list of floats), but where
+        every live trial is at g = 0: the loop then jumps to the next step
+        at which some trial's pre-track GLLR is positive, or to the block's
+        end. The steps in between are idle: ``algorithm1_step`` would score
+        none of them (every GLLR of at most zero, NaN included) and every
+        CUSUM step would clamp to zero and re-sync, so the GLLR is the pre
+        track's, g the CUSUM stepped on it (``detector.cusum_step``, once
+        per trial and step), and the post filter the pre filter's estimate
+        after the last of them, with shares-pre set."""
+        model, T = ctx.model, len(steps)
+        G, beta = np.empty((len(Y), T)), np.empty((len(Y), T))
+        # the steps at which some trial has a positive pre-track GLLR
+        busy = None if beta_pre is None else (beta_pre > 0.0).any(axis=0)
+        g, s = self.g.tolist(), 0
+        while g and s < T:
+            if busy is not None and not any(g):
+                idle = s + int(np.argmax(np.append(busy[s:], True)))
+                if idle > s:
+                    betas = beta[:, s:idle] = beta_pre[:, s:idle]
+                    G[:, s:idle] = [
+                        [detector.cusum_step(0.0, b)[0] for b in row] for row in betas.tolist()
+                    ]
+                    self.post = kalman.KalmanState(pre[:, idle - 1], steps[idle - 1].P_upd)
+                    self.shares = np.ones(len(G), dtype=bool)
+                    g, s = G[:, idle - 1].tolist(), idle
+                    continue
+            step = detector.algorithm1_step(
+                self.post, self.shares, g, model, ctx.det_cfg, Y[:, s], steps[s], pre[:, s],
+                clean[:, s], None if beta_pre is None else beta_pre[:, s],
+            )
+            self.post, self.shares, g = step.post, step.shares, step.g
+            G[:, s] = g
+            beta[:, s] = step.beta
+            if post_x is not None:
+                post_x[:, s] = step.post.x
+            s += 1
+        self.g = np.array(g, dtype=float)
+        return G, beta
+
 
 @dataclass
 class _Batch:
-    """Every per-trial thing of a batch: its place in the run, seed,
-    measurement hash and random streams; Algorithm 1's closed loop
-    (``_ClosedLoop``); the stops, the re-sync count and tau_hat at alg1's
-    stop; and the current block of true states, measurements and every
-    statistic on them. Between blocks, the last column of a block array is
-    what the next block carries on from: the true and pre-filter states,
-    tau_hat and the nonparametric CUSUM (at spawn, one column of start
-    values).
+    """What each trial of a batch carries from one block to the next: its
+    place in the run, seed, measurement hash and random streams;
+    Algorithm 1's closed loop (``_ClosedLoop``); the stops, the re-sync
+    count and tau_hat at alg1's stop; and the states the next block starts
+    from, the true and pre-filter states, tau_hat, the Pearson windows and
+    the nonparametric CUSUM. No field has a step axis: a block's arrays
+    are made and returned by ``next_block``.
 
     Each trial derives four child streams from its seed, in their documented
     order: simulation, attack realization, attack application (jamming
@@ -570,9 +620,9 @@ class _Batch:
     chi-squared draws per trial, and held as one batch.
 
     Every field is per trial, a list, an array on a leading trial axis or
-    an object with its own ``take`` (the statistics no detector reads are
-    None), so ``take`` filters them all alike. The block's statistics are
-    named after their ``TrialPaths`` fields.
+    an object with its own ``take`` (the windows and the nonparametric
+    CUSUM are None when their detector is not configured), so ``take``
+    filters them all alike.
     """
 
     index: list
@@ -585,20 +635,11 @@ class _Batch:
     stops: np.ndarray  # (B, R) first crossing of each path detector, in ``thresholds`` order
     syncs: np.ndarray  # (B,) re-syncs counted so far (see ``TrialResult.syncs``)
     tau_at_alg1: np.ndarray  # (B,) tau_hat at alg1's stop
-    X: np.ndarray  # (B, T, N) true states of the current block
-    Y: np.ndarray  # (B, T, K, lam) measurements of the current block
-    pre: np.ndarray  # (B, T, N) the pre filter's filtered states
-    g: np.ndarray  # (B, T) Algorithm 1's CUSUM, NaN at retired trials
-    beta: np.ndarray  # (B, T) its GLLR, NaN at retired trials
-    tau_hat: np.ndarray  # (B, T) the last step g was zero (1 before any)
-    window: Optional[Chi2State] = None  # the Pearson windows after the block
-    np_S: Optional[np.ndarray] = None  # (B, T) the nonparametric CUSUM
-    euclid: Optional[np.ndarray] = None  # (B, T) innovation norms
-    c: Optional[np.ndarray] = None  # (B, T) chi-squared samples
-    chi: Optional[np.ndarray] = None  # (B, T) Pearson statistics
-    cosine: Optional[np.ndarray] = None  # (B, T) cosine similarities
-    mse0: Optional[np.ndarray] = None  # (B, T) the pre filter's MSE, when logged
-    mse1: Optional[np.ndarray] = None  # (B, T) the post filter's MSE, when logged
+    x: np.ndarray  # (B, N) the true states
+    x_pre: np.ndarray  # (B, N) the pre filter's filtered states
+    tau_hat: np.ndarray  # (B,) the last step g was zero (1 before any)
+    window: Optional[Chi2State] = None  # the Pearson windows
+    np_S: Optional[np.ndarray] = None  # (B,) the nonparametric CUSUM
 
     @classmethod
     def spawn(cls, ctx: RunContext, seeds: Sequence) -> "_Batch":
@@ -610,7 +651,7 @@ class _Batch:
             samples = [np.random.default_rng(ss).chisquare(dof, ctx.chi2.L) for ss in chi2_ss]
             window = Chi2State.from_samples(ctx.chi2, samples)
         B = len(seeds)
-        start = np.tile(ctx.x0, (B, 1, 1))  # a block of one step: the start state
+        start = np.tile(ctx.x0, (B, 1))
         return cls(
             index=list(range(B)),
             seeds=list(seeds),
@@ -620,97 +661,107 @@ class _Batch:
             jam=[np.random.default_rng(ss) for ss in jam_ss],
             loop=_ClosedLoop(
                 live=np.ones(B, dtype=bool),
-                post=kalman.initial_state(start[:, 0], ctx.p0),
+                post=kalman.initial_state(start, ctx.p0),
                 shares=np.ones(B, dtype=bool),
-                g=np.zeros((B, 1)),
-                beta=np.empty((B, 0)),
+                g=np.zeros(B),
             ),
             stops=np.full((B, len(ctx.thresholds)), INF),
             syncs=np.zeros(B, dtype=np.int64),
             tau_at_alg1=np.ones(B, dtype=np.int64),
-            X=start,
-            Y=np.empty((B, 0, model.K, model.lam)),
-            pre=start,
-            g=np.empty((B, 0)),
-            beta=np.empty((B, 0)),
-            tau_hat=np.ones((B, 1), dtype=np.int64),
+            x=start,
+            x_pre=start,
+            tau_hat=np.ones(B, dtype=np.int64),
             window=window,
-            np_S=None if ctx.np_q is None else np.zeros((B, 1)),
+            np_S=None if ctx.np_q is None else np.zeros(B),
         )
 
     def next_block(
         self, ctx: RunContext, t: int, pre_steps: "list[kalman.GainStep]", log_steps: bool
-    ) -> None:
+    ) -> "tuple[np.ndarray, np.ndarray, TrialPaths]":
         """The steps t .. t + T - 1 of every trial, T = len(pre_steps), the
-        block's pre-filter schedule entries: simulate and attack them, one
-        call of each kernel for the whole block, then run the pre filter
-        and every statistic that reads only it over the block, one call
-        each (the nonparametric CUSUM one per step, in its per-step order,
-        into one step-major (T, B) block): the statistics of the open-loop
-        detectors, chi2, np_cusum, euclidean and cosine, and the pre
-        filter's MSE when steps are logged. The chi-squared sample takes
-        its meter means from the pre filter's meter sums, and the block's
-        one whitening factor when every entry is the settled step
-        (``_block_white``). Then the closed loop's inputs, on its live
-        trials alone: their rows of the measurements and pre-filter states
-        (one take of each, none when every trial is live), the GLLR's clean
-        term, and the GLLR of the pre track unless no live trial starts the
-        block on it, that is, has a carried g of zero. The pre track's
-        costs are built from the pre filter's innovations and meter sums,
-        at most ``SCORE_TRIAL_STEPS`` trial-steps at a time, each chunk's
-        before the residuals against the filtered states (the clean term's)
-        take over its rows of the innovations' buffer. The old block's
-        measurements are dropped first, so that two blocks of them never
-        coexist. The closed loop's ``g`` and ``beta`` (and the batch's
-        ``mse1`` when logged) are left for the caller to fill."""
+        block's pre-filter schedule entries; returns the block's (B, T, N)
+        true states, (B, T, K, lam) measurements and (B, T) statistics, a
+        ``TrialPaths`` whose ``tau_hat`` is left for the caller.
+
+        Simulate and attack the block, one call of each kernel for the
+        whole block, then run the pre filter and every statistic that reads
+        only it over the block, one call each (the nonparametric CUSUM one
+        per step, in its per-step order, into one step-major (T, B) block):
+        the statistics of the open-loop detectors, chi2, np_cusum,
+        euclidean and cosine, and the pre filter's MSE when steps are
+        logged. The chi-squared sample takes its meter means from the pre
+        filter's meter sums, and the block's one whitening factor when
+        every entry is the settled step (``_block_white``). Then the closed
+        loop's inputs, on its live trials alone: their rows of the
+        measurements and pre-filter states (one take of each, none when
+        every trial is live), the GLLR's clean term, and the GLLR of the
+        pre track unless no live trial starts the block on it, that is,
+        has a carried g of zero. The pre track's costs are built from the
+        pre filter's innovations and meter sums, at most
+        ``SCORE_TRIAL_STEPS`` trial-steps at a time, each chunk's before
+        the residuals against the filtered states (the clean term's) take
+        over its rows of the innovations' buffer. Last, the closed loop
+        runs the block (``_ClosedLoop.run``), and, when steps are logged,
+        the post filter's MSE is taken once for the block (an idle step's
+        filtered state is the pre filter's, and each row is reduced over
+        its own N entries, as one step alone would reduce it)."""
         model, attack, loop = ctx.model, ctx.cfg.attack, self.loop
         sim_model = ctx.sim_model_post if attacks.is_faulted(attack, t) else model
-        x, x_pre = self.X[:, -1], self.pre[:, -1]
-        on_track = (loop.g[:, -1] == 0.0).any()
-        self.Y = self.euclid = self.c = self.cosine = loop.Y = loop.pre = None
-        self.X, Y = simulate_step(sim_model, x, self.sim, len(pre_steps))
-        real = realize_attack(attack, t, len(pre_steps), self.atk, model.K)
-        self.Y = Y = apply_attack(model, Y, real, self.jam)
+        T = len(pre_steps)
+        X, Y = simulate_step(sim_model, self.x, self.sim, T)
+        real = realize_attack(attack, t, T, self.atk, model.K)
+        Y = apply_attack(model, Y, real, self.jam)
+        block = TrialPaths()
 
-        self.pre, R, D = kalman.pre_filter(model, x_pre, Y, pre_steps)
+        pre, R, D = kalman.pre_filter(model, self.x_pre, Y, pre_steps)
+        self.x, self.x_pre = X[:, -1].copy(), pre[:, -1].copy()
         r_flat = R.reshape(*R.shape[:2], -1)
         if ctx.np_q is not None or ctx.euclid_d is not None:
             dist = np.sqrt(vecdot(r_flat, r_flat))  # the 2-norm, as np.linalg.norm
-            self.euclid = dist if ctx.euclid_d is not None else None
+            block.euclid = dist if ctx.euclid_d is not None else None
         if ctx.np_q is not None:  # step-major: each step writes one row
-            S, np_S = self.np_S[:, -1], np.empty(dist.shape[::-1])
+            S, np_S = self.np_S, np.empty(dist.shape[::-1])
             for row, column in zip(np_S, dist.T):
                 S = robust.np_cusum_step(S, column, ctx.mu0, ctx.np_clamp, out=row)
-            self.np_S = np_S.T
+            self.np_S, block.np_S = S.copy(), np_S.T
         if ctx.chi2 is not None:
             white = _block_white(pre_steps)
-            self.c = robust.chi2_sample_from_innovation(R, white, model.sigma_w2, sums=D)
-            self.window, self.chi = robust.pearson_step(self.window, self.c)
+            block.c = robust.chi2_sample_from_innovation(R, white, model.sigma_w2, sums=D)
+            self.window, block.chi = robust.pearson_step(self.window, block.c)
         if ctx.cosine_d is not None:
             y_flat = Y.reshape(*Y.shape[:2], -1)
-            self.cosine = robust.cosine_similarity(y_flat, y_flat - r_flat)
-        self.mse0 = self.mse1 = None
+            block.cosine = robust.cosine_similarity(y_flat, y_flat - r_flat)
         if log_steps:
-            self.mse0 = np.mean((self.pre - self.X) ** 2, axis=-1)
+            block.mse0 = np.mean((pre - X) ** 2, axis=-1)
 
+        on_track = (loop.g == 0.0).any()
         rows = detector.mask_rows(loop.live)
-        loop.Y, loop.pre = Y, pre = Y[rows], self.pre[rows]
-        shape = pre.shape[:2]
-        loop.g, loop.beta, loop.clean = np.empty(shape), np.empty(shape), np.empty(shape)
+        Y_live, pre_live = Y[rows], pre[rows]
+        L = len(pre_live)
+        clean = np.empty((L, T))
         # Algorithm 1's GLLR for a post filter that holds the pre estimate:
         # its residuals are the pre filter's innovations
-        loop.beta_pre = np.empty(shape) if on_track else None
-        n = max(1, SCORE_TRIAL_STEPS // len(pre)) if on_track else len(pre_steps)
-        for s in range(0, len(pre_steps), n):
+        beta_pre = np.empty((L, T)) if on_track else None
+        n = max(1, SCORE_TRIAL_STEPS // L) if on_track else T
+        for s in range(0, T, n):
             span = slice(s, s + n)
             if on_track:
                 costs = detector.pre_track_costs(model, ctx.det_cfg, R[rows, span], D[rows, span])
             # the residuals against the filtered states, in the innovations'
             # buffer once the costs have read it
-            r_pre = kalman.residuals(model, Y[:, span], pre[:, span], out=R[: len(pre), span])
-            loop.clean[:, span] = detector.clean_term(r_pre, model)
+            r_pre = kalman.residuals(model, Y_live[:, span], pre_live[:, span], out=R[:L, span])
+            clean[:, span] = detector.clean_term(r_pre, model)
             if on_track:
-                loop.beta_pre[:, span] = detector.gllr(loop.clean[:, span], costs)
+                beta_pre[:, span] = detector.gllr(clean[:, span], costs)
+
+        # the post filter's filtered states, when logged; an idle step's is
+        # the pre filter's
+        post_x = pre.copy() if log_steps else None
+        g, beta = loop.run(ctx, pre_steps, Y_live, pre_live, clean, beta_pre, post_x)
+        block.g, block.beta = loop.spread(g), loop.spread(beta)
+        if log_steps:
+            block.mse1 = np.mean((post_x - X) ** 2, axis=-1)
+        return X, Y, block
 
     def take(self, keep: np.ndarray) -> "_Batch":
         """The trials where the boolean mask ``keep`` is true."""
@@ -768,22 +819,6 @@ def _new_paths(B: int, horizon: int, log_steps: bool) -> TrialPaths:
     )
 
 
-def _idle_steps(loop: _ClosedLoop, start: int, end: int, last: kalman.GainStep) -> None:
-    """The block's steps start .. end - 1 of a closed loop whose trials are
-    all on the pre track (g = 0) with a pre-track GLLR of at most zero at
-    every one of them (NaN included), ``last`` the schedule entry of step
-    end - 1: ``detector.algorithm1_step`` would score none of them, and
-    every CUSUM step would clamp to zero and re-sync. So the GLLR is the
-    pre track's, g the CUSUM stepped on it (``detector.cusum_step``, once
-    per trial and step), the post filter the pre filter's estimate after
-    the last of the steps, and shares-pre set."""
-    betas = loop.beta_pre[:, start:end]
-    loop.beta[:, start:end] = betas
-    loop.g[:, start:end] = [[detector.cusum_step(0.0, b)[0] for b in row] for row in betas.tolist()]
-    loop.post = kalman.KalmanState(loop.pre[:, end - 1], last.P_upd)
-    loop.shares = np.ones(len(betas), dtype=bool)
-
-
 def run_trial(
     ctx: RunContext,
     seeds: Sequence,
@@ -797,27 +832,16 @@ def run_trial(
     ``_Batch``), whatever the batch it runs in, so a single trial is
     ``run_trial(ctx, [seed])[0]``.
 
-    The engine runs blocks of at most BLOCK_STEPS steps. First
-    ``_Batch.next_block`` makes the block's measurements and everything
-    that reads only them, one call each for the batch. The step loop then
-    runs algorithm 1's closed loop, ``detector.algorithm1_step`` (post
-    filter, GLLR and one CUSUM step per trial, on g carried as a list of
-    floats from the last column of the previous block), on the trials
-    still live in it (``_ClosedLoop``), and writes each step's g and GLLR
-    (and, when steps are logged, the post filter's filtered state) into
-    the block; nothing else runs per step, and with no live trial the loop
-    is skipped. Once every live trial is at g = 0, the loop jumps to the
-    next step at which some trial's pre-track GLLR is positive, or to the
-    block's end: the steps in between are idle (``_idle_steps``) and
-    ``algorithm1_step`` is not called for them; ``detector.cusum_step``
-    still runs once per trial and step. Last, the block's epilogue settles
-    the rest on the (B, T) arrays: the post filter's MSE when steps are
-    logged, once per block (an idle step's filtered state is the pre
-    filter's, and each row is reduced over its own N entries, as one step
-    alone would reduce it), tau_hat (the last step g was zero), the first
-    crossing in the block of every stopping rule, the re-syncs
-    (``TrialResult.syncs``), each trial's measurement hash (SHA-256 does
-    not depend on how its input is cut) and the recorded paths.
+    The engine runs blocks of at most BLOCK_STEPS steps. ``_Batch.next_block``
+    makes each block: its measurements, everything that reads only them,
+    one call each for the batch, and the closed loop's steps
+    (``_ClosedLoop.run``) on the trials still live in it. Here only the
+    block's epilogue runs, on the block's (B, T) statistics: tau_hat (the
+    last step g was zero), the first crossing in the block of every
+    stopping rule, the re-syncs (``TrialResult.syncs``), each trial's
+    measurement hash (SHA-256 does not depend on how its input is cut) and
+    the recorded paths. The block's arrays are then dropped, so that two
+    blocks of them never coexist.
 
     Unless paths are recorded (full paths or step logging), the epilogue
     also retires a trial from the closed loop once every configured rule of
@@ -834,7 +858,7 @@ def run_trial(
     stop; once the trial has retired neither scores it, so a non-finite
     cost after retirement is no longer raised.
     """
-    cfg, model = ctx.cfg, ctx.model
+    cfg = ctx.cfg
     horizon = cfg.run.horizon
     if log_steps is None:
         log_steps = cfg.run.log_steps
@@ -855,50 +879,18 @@ def run_trial(
     t = 1
     while True:
         length = attacks.block_steps(cfg.attack, t, min(BLOCK_STEPS, horizon + 1 - t))
-        block_steps = list(islice(pre_steps, length))
-        loop = batch.loop
-        g = loop.g[:, -1].tolist()
-        batch.next_block(ctx, t, block_steps, log_steps)
-        # the post filter's filtered states, when logged; an idle step's is
-        # the pre filter's
-        post_x = batch.pre.copy() if log_steps else None
-        # the steps at which some trial has a positive pre-track GLLR
-        busy = None if loop.beta_pre is None else (loop.beta_pre > 0.0).any(axis=0)
-        s = 0
-        while g and s < length:
-            if busy is not None and not any(g):
-                # every trial is on the pre track: it stays there up to the
-                # next busy step, its GLLR the pre track's
-                idle = s + int(np.argmax(np.append(busy[s:], True)))
-                if idle > s:
-                    _idle_steps(loop, s, idle, block_steps[idle - 1])
-                    g, s = loop.g[:, idle - 1].tolist(), idle
-                    continue
-            step = detector.algorithm1_step(
-                loop.post, loop.shares, g, model, ctx.det_cfg, loop.Y[:, s], block_steps[s],
-                loop.pre[:, s], loop.clean[:, s],
-                None if loop.beta_pre is None else loop.beta_pre[:, s],
-            )
-            loop.post, loop.shares, g = step.post, step.shares, step.g
-            loop.g[:, s] = g
-            loop.beta[:, s] = step.beta
-            if log_steps:  # steps are logged into paths, so every trial is live
-                post_x[:, s] = step.post.x
-            s += 1
-        batch.g, batch.beta = loop.spread(loop.g), loop.spread(loop.beta)
-        if log_steps:
-            batch.mse1 = np.mean((post_x - batch.X) ** 2, axis=-1)
-
+        X, Y, block = batch.next_block(ctx, t, list(islice(pre_steps, length)), log_steps)
         end = t + length - 1
         ts = np.arange(t, end + 1)
-        synced = batch.g == 0.0
-        batch.tau_hat = np.maximum.accumulate(np.where(synced, ts, batch.tau_hat[:, -1:]), axis=1)
+        synced = block.g == 0.0
+        block.tau_hat = np.maximum.accumulate(np.where(synced, ts, batch.tau_hat[:, None]), axis=1)
+        batch.tau_hat = block.tau_hat[:, -1].copy()
         for r, (field, direction, thr) in enumerate(rules):
-            hits = crossed(getattr(batch, field), thr, direction)
+            hits = crossed(getattr(block, field), thr, direction)
             first = hits.any(axis=1) & (batch.stops[:, r] == INF)
             batch.stops[first, r] = t + hits[first].argmax(axis=1)
         alg1 = np.flatnonzero((t <= batch.stops[:, 0]) & (batch.stops[:, 0] <= end))
-        batch.tau_at_alg1[alg1] = batch.tau_hat[alg1, batch.stops[alg1, 0].astype(np.int64) - t]
+        batch.tau_at_alg1[alg1] = block.tau_hat[alg1, batch.stops[alg1, 0].astype(np.int64) - t]
 
         # each trial runs to its latest stop, or to the horizon with paths;
         # n holds the steps of this block it keeps. Its re-syncs count to
@@ -907,20 +899,20 @@ def run_trial(
         n = (np.minimum(leave, end) - t + 1).astype(np.int64)
         closed = batch.stops[:, closing].max(axis=1)
         batch.syncs += (synced & (ts <= np.minimum(leave, closed)[:, None])).sum(axis=1)
-        # indexed, so that no view of Y outlives the loop and next_block frees it
         for j, hasher in enumerate(batch.hashers):
-            hasher.update(batch.Y[j, : n[j]])
+            hasher.update(Y[j, : n[j]])
         if paths is not None:
             for name, path in vars(paths).items():
-                if getattr(batch, name) is not None:
-                    path[:, t - 1 : end] = getattr(batch, name)
+                if getattr(block, name) is not None:
+                    path[:, t - 1 : end] = getattr(block, name)
         done = leave <= end
         for j in np.flatnonzero(done):
             last = int(n[j]) - 1
-            tau = batch.tau_at_alg1[j] if batch.stops[j, 0] < INF else batch.tau_hat[j, last]
+            tau = batch.tau_at_alg1[j] if batch.stops[j, 0] < INF else block.tau_hat[j, last]
             results[batch.index[j]] = batch.result(ctx, j, t + last, int(tau), paths)
         if done.all():
             return results
+        del X, Y, block  # before the next block is made
         if not want_paths:
             batch.loop = batch.loop.retire(closed <= end)
         if done.any():

@@ -144,6 +144,7 @@ def test_attack_requires_matching_law(tmp_path, two_bus_path):
         ("kind = fdi\nfdi_fixed = inf", 20, "fdi_fixed"),
         ("kind = jamming\njam_uniform = -1,-0.5", 20, "jam_uniform"),
         ("kind = hybrid\nfdi_fixed = 0.1\njam_fixed = -1e-4", 20, "jam_fixed"),
+        ("kind = topology-fault", 20, "fault_meters"),
     ],
 )
 def test_bad_attack_value_names_its_key(tmp_path, two_bus_path, attack, tau, key):

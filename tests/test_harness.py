@@ -977,76 +977,105 @@ def assert_taken(full, got, rows, skip=(), name=""):
 
 def test_batch_take_compacts_every_field(tmp_path, mu0_cache):
     # every detector and step logging are on, so no field of the batch or of
-    # its closed loop is None; after one block, take keeps rows 0 and 2 of
-    # every field
+    # its closed loop is None, and none has a step axis; after one block,
+    # take keeps rows 0 and 2 of every field
     cfg = make_cfg(tmp_path, attack=HYBRID, tau=5, horizon=40, cache=mu0_cache, trials=3)
     ctx = harness.prepare(cfg)
     batch = harness._Batch.spawn(ctx, [(3, i) for i in range(3)])
-    batch.next_block(ctx, 1, list(itertools.islice(ctx.schedule, 4)), log_steps=True)
+    X, _, _ = batch.next_block(ctx, 1, list(itertools.islice(ctx.schedule, 4)), log_steps=True)
+    np.testing.assert_array_equal(batch.x, X[:, -1])
     rng = np.random.default_rng(0)
     loop = batch.loop
-    # the closed loop's columns and the post filter's MSE, filled by the step loop
-    batch.g, batch.beta, batch.mse1 = rng.standard_normal((3, 3, 4))
-    for block in (loop.g, loop.beta):
-        block[:] = rng.standard_normal(block.shape)
+    # the fields the epilogue fills, and a loop with a distinct row per trial
+    batch.stops = rng.standard_normal(batch.stops.shape)
+    batch.syncs, batch.tau_at_alg1, batch.tau_hat = rng.integers(1, 99, (3, 3))
+    loop.g, loop.shares = rng.standard_normal(3), np.array([False, True, True])
     loop.post = kalman.KalmanState(loop.post.x, np.stack([loop.post.P * k for k in (1, 2, 3)]))
+    two_axes = {"stops": len(ctx.thresholds), "x": ctx.model.N, "x_pre": ctx.model.N}
+    for field in fields(batch):  # no field has a step axis
+        value = getattr(batch, field.name)
+        if isinstance(value, np.ndarray):
+            want = (3, two_axes[field.name]) if field.name in two_axes else (3,)
+            assert value.shape == want, field.name
+    assert [f.name for f in fields(loop)] == ["live", "post", "shares", "g"]
     assert_taken(batch, batch.take(np.array([True, False, True])), [0, 2])
 
 
+def spy_closed_loop(monkeypatch) -> list:
+    """Wrap ``_ClosedLoop.run`` so that each call appends its arguments to
+    the returned list before it runs."""
+    calls = []
+    run = harness._ClosedLoop.run
+
+    def spy(loop, ctx, steps, Y, pre, clean, beta_pre, post_x):
+        calls.append(dict(steps=steps, Y=Y, pre=pre, clean=clean, beta_pre=beta_pre))
+        return run(loop, ctx, steps, Y, pre, clean, beta_pre, post_x)
+
+    monkeypatch.setattr(harness._ClosedLoop, "run", spy)
+    return calls
+
+
 @pytest.mark.parametrize("B, retired", [(1, ()), (3, (1,)), (20, (0, 7, 19))])
-def test_pre_track_score_matches_score_on_predictions(tmp_path, mu0_cache, B, retired):
+def test_pre_track_score_matches_score_on_predictions(tmp_path, mu0_cache, monkeypatch, B, retired):
     # next_block scores the pre track on the pre filter's innovations and
-    # meter sums: its GLLR has the bits of detector.score on the pre
-    # filter's predictions, and the clean term those of the residuals
-    # against the filtered states. Blocks before and after the onset, all
-    # trials live or some retired (rows taken by index), in one chunk or,
-    # at 17 live trials, in chunks of 15 steps; the last block starts off
-    # the track, so it has no pre-track score
+    # meter sums: the GLLR it hands the closed loop has the bits of
+    # detector.score on the pre filter's predictions, and the clean term
+    # those of the residuals against the filtered states. Blocks before and
+    # after the onset, all trials live or some retired (rows taken by
+    # index), in one chunk or, at 17 live trials, in chunks of 15 steps;
+    # the last block starts off the track, so it has no pre-track score
     cfg = make_cfg(tmp_path, attack=HYBRID, tau=20, horizon=200, cache=mu0_cache, trials=B)
     ctx = harness.prepare(cfg)
     model = ctx.model
+    calls = spy_closed_loop(monkeypatch)
     batch = harness._Batch.spawn(ctx, [(3, i) for i in range(B)])
     batch.loop = batch.loop.retire(np.isin(np.arange(B), retired))
     live = batch.loop.live
     steps = iter(ctx.schedule)
+    x_pre = np.tile(ctx.x0, (B, 1))  # the oracle's own carry from block to block
     for t, length, on_track in ((1, 19, True), (20, 32, True), (52, 32, True), (84, 32, False)):
         block = list(itertools.islice(steps, length))
-        x_pre = batch.pre[:, -1].copy()
-        batch.loop.g[:, -1] = 0.0 if on_track else 1.0
-        batch.next_block(ctx, t, block, log_steps=False)
-        loop = batch.loop
-        X_pred, X, _, _ = oracles.pre_filter(model, x_pre, batch.Y, block)
-        Y, X_pred, X = batch.Y[live], X_pred[live], X[live]
+        batch.loop.g[:] = 0.0 if on_track else 1.0
+        _, Y, _ = batch.next_block(ctx, t, block, log_steps=False)
+        call = calls.pop()
+        assert not calls and call["steps"] == block
+        X_pred, X, _, _ = oracles.pre_filter(model, x_pre, Y, block)
+        x_pre = X[:, -1]
+        np.testing.assert_array_equal(batch.x_pre, x_pre)
+        Y, X_pred, X = Y[live], X_pred[live], X[live]
+        np.testing.assert_array_equal(call["Y"], Y)
+        np.testing.assert_array_equal(call["pre"], X)
         clean = detector.clean_term(Y - matvec(model.meter_rows, X)[..., None], model)
-        oracles.assert_same_bits(loop.clean, clean)
+        oracles.assert_same_bits(call["clean"], clean)
         if on_track:
             want = oracles.pre_track_gllr(model, ctx.det_cfg, Y, X_pred, clean)
-            oracles.assert_same_bits(loop.beta_pre, want)
+            oracles.assert_same_bits(call["beta_pre"], want)
         else:
-            assert loop.beta_pre is None
+            assert call["beta_pre"] is None
 
 
 def test_pre_track_nonfinite_cost_raises_the_classify_error(tmp_path, mu0_cache, monkeypatch):
     # measurements so large that the squared residuals overflow: the pre
     # track's score raises the FloatingPointError that classify_meters
-    # raises on a non-finite table, with the same message; a block that no
-    # trial starts on the track has no pre-track score, so it raises nothing
+    # raises on a non-finite table, with the same message, before the
+    # closed loop runs; a block that no trial starts on the track has no
+    # pre-track score, so only the closed loop's own score raises it
     ctx = harness.prepare(make_cfg(tmp_path, trials=2, cache=mu0_cache))
     apply = harness.apply_attack
     monkeypatch.setattr(harness, "apply_attack", lambda *args: apply(*args) * 1e160)
+    calls = spy_closed_loop(monkeypatch)
     with pytest.raises(FloatingPointError) as want:
         detector.classify_meters(np.full((2, 4, 23), np.inf))
     for on_track in (True, False):
         batch = harness._Batch.spawn(ctx, [(3, 0), (3, 1)])
-        batch.loop.g[:, -1] = 0.0 if on_track else 1.0
+        batch.loop.g[:] = 0.0 if on_track else 1.0
         block = list(itertools.islice(ctx.schedule, 8))
         with np.errstate(over="ignore", invalid="ignore"):
-            if not on_track:
-                batch.next_block(ctx, 1, block, log_steps=False)
-                continue
             with pytest.raises(FloatingPointError) as raised:
                 batch.next_block(ctx, 1, block, log_steps=False)
         assert str(raised.value) == str(want.value)
+        assert [call["beta_pre"] for call in calls] == ([] if on_track else [None])
+        calls.clear()
 
 
 def test_chi2_block_from_sums_and_shared_white_matches_stacked_form(ieee14_model):
@@ -1091,6 +1120,7 @@ def test_closed_loop_take_follows_the_live_trials(tmp_path, mu0_cache):
     batch = harness._Batch.spawn(ctx, [(3, i) for i in range(3)])
     batch.next_block(ctx, 1, list(itertools.islice(ctx.schedule, 4)), log_steps=False)
     full = batch.loop
+    full.g[:] = [1.0, 2.0, 3.0]
     full.post = kalman.KalmanState(full.post.x, np.stack([full.post.P * k for k in (1, 2, 3)]))
     loop = full.retire(np.array([False, True, False]))
     np.testing.assert_array_equal(loop.live, [True, False, True])
