@@ -9,14 +9,17 @@ For each seed from A to B inclusive, ``perfbench/run.py --workload W
 --seed SEED --seconds S --trace 0`` runs once in each tree, one after the
 other: the parent first on odd seeds and the change first on even ones, so
 neither side always runs on the warmer machine. The run's last line of
-standard output is its result. The JSON written to FILE (standard output
-by default) holds every run, the machine block of the first run (its
-``env`` line) and, for each end-to-end metric of BENCHMARK.json next
-to this script, both sides' medians and inclusive quartiles, the pairs the
-change won (ties count for neither side), whether a gain may be
-claimed (the change won at least nine in ten pairs, and its median is
-better than the parent's by more than the parent's interquartile
-distance) and a ``no_regression`` verdict against the metric's bound:
+standard output is its result; a run that exits non-zero or ends without
+one stops the script with status 1, naming the tree, workload, seed and
+exit code, followed by the last lines of the run's standard error. The
+JSON written to FILE (standard output by default) holds every run, the
+machine block of the first run (its ``env`` line) and, for each
+end-to-end metric of BENCHMARK.json next to this script, both sides'
+medians and inclusive quartiles, the pairs the change won (ties count
+for neither side), whether a gain may be claimed (the change won at
+least nine in ten pairs, and its median is better than the parent's by
+more than the parent's interquartile distance) and a ``no_regression``
+verdict against the metric's bound:
 "worse" when the change's median is worse than the parent's by more than
 bound x |parent median|; else "unresolved" when the parent's
 interquartile distance is wider than that margin, unless every run of
@@ -34,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MACHINE_KEYS = ("nproc", "affinity_cpus", "blas", "blas_threads", "python", "numpy", "scipy")
+# the lines of a failed run's standard error that the script's message repeats
+STDERR_TAIL = 20
 
 
 def summarize(parent: "list[float]", change: "list[float]", better: str, bound: float) -> dict:
@@ -84,11 +89,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> "tuple[dic
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True,
+        cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 else None
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if not isinstance(result, dict):
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        raise SystemExit(
+            f"{tree}: perfbench/run.py --workload {workload} --seed {seed} exited "
+            f"{proc.returncode} without a JSON result; the end of its standard error:\n{tail}"
+        )
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
-    result = json.loads(lines[-1])
     run = {
         "seed": seed,
         "correct": result["correct"],

@@ -41,13 +41,13 @@ Every statistic takes leading trial (and step) axes: residual blocks of B
 trials are (B, K, lam) and the per-meter statistics (B, K). ``score`` chains
 them from the measurements and a post prediction to the GLLR.
 ``algorithm1_step`` is the closed-loop half of one step: it takes the post
-filter of a whole batch with its shares-pre flags (see ``kalman``),
-returns them advanced, and applies the scalar CUSUM recursion
-``cusum_step`` once per trial to its g, a plain float. The recursion has
-no threshold and no step index: the harness reads g from the step, and
-once per block finds the first step it reaches h, like every other
-detector's, and the change-point estimate tau_hat, the last step g was
-zero.
+filter of a whole batch (when it reuses the pre filter's covariance is
+``kalman``'s to decide), returns it advanced, and applies the scalar CUSUM
+recursion ``cusum_step`` once per trial to its g, a plain float. The
+recursion has no threshold and no step index: the harness reads g from
+the step, and once per block finds the first step it reaches h, like
+every other detector's, and the change-point estimate tau_hat, the last
+step g was zero.
 
 The pre track. The post filter is re-synced to the pre filter exactly when
 g is clamped to zero, so a trial whose g is zero (or that has not taken a
@@ -293,14 +293,12 @@ def mask_rows(mask: np.ndarray):
 @dataclass
 class Algorithm1Step:
     post: kalman.KalmanState
-    shares: np.ndarray
     g: "list[float]"
     beta: np.ndarray
 
 
 def algorithm1_step(
     post: kalman.KalmanState,
-    shares: np.ndarray,
     g: "Sequence[float]",
     model: GridModel,
     cfg: DetectorConfig,
@@ -320,8 +318,8 @@ def algorithm1_step(
     ``beta_pre``, the GLLR scored on the pre filter's prediction. Order
     matters here: predict the post filter, build residuals on its
     prediction, classify and estimate, score the GLLR, advance the CUSUM,
-    then update the post filter, or re-sync it to the step's pre estimate
-    if the statistic hit zero.
+    then update the post filter, or re-sync it to a copy of the step's pre
+    estimate if the statistic hit zero (``kalman.resync``).
 
     A trial whose g is zero is on the pre track: its post filter was
     re-synced at the last step (or holds the start state), so its
@@ -333,15 +331,14 @@ def algorithm1_step(
     the CUSUM.
 
     ``post`` is the post filter's filtered estimate with a leading trial
-    axis, ``shares`` its (B,) shares-pre flags (see ``kalman``), ``y`` the
-    (B, K, lam) measurements and ``g`` the CUSUM of each trial (a single
-    trial is a batch of one); the returned step holds the post filter's
-    estimate and flags and the CUSUM after the step.
+    axis, ``y`` the (B, K, lam) measurements and ``g`` the CUSUM of each
+    trial (a single trial is a batch of one); the returned step holds the
+    post filter's estimate and the CUSUM after the step.
     """
     beta = beta_pre
     if beta_pre is None:  # every trial is scored
         rows = slice(None)
-        pred = kalman.kf_predict(model, post, pre_step, shares)
+        pred = kalman.kf_predict(model, post, pre_step)
         rb, labels, beta = score(model, cfg, y, pred.x, clean)
         a_hat, sigma_hat = mle_attack_params(rb, labels, cfg, model)
         betas = beta.tolist()
@@ -350,8 +347,7 @@ def algorithm1_step(
         pick = [v != 0.0 or b > 0.0 for v, b in zip(g, betas, strict=True)]
         if any(pick):
             rows = mask_rows(np.array(pick))
-            shares = shares[rows]
-            pred = kalman.kf_predict(model, post.take(rows), pre_step, shares)
+            pred = kalman.kf_predict(model, post.take(rows), pre_step)
             rb, labels, scored = score(model, cfg, y[rows], pred.x, clean[rows])
             a_hat, sigma_hat = mle_attack_params(rb, labels, cfg, model)
             beta = beta.copy()
@@ -362,39 +358,15 @@ def algorithm1_step(
     g = [v for v, _ in stepped]
     stay = [not flag for _, flag in stepped]
     if all(stay):  # every trial was scored and is updated
-        jammed = sigma_hat.any(axis=-1)
-        post = kalman.kf_update_post(
-            model, pred, rb.mean, a_hat, sigma_hat, pre_step, shares, jammed=jammed
-        )
-        return Algorithm1Step(post=post, shares=shares & ~jammed, g=g, beta=beta)
-    pre = kalman.KalmanState(pre_x, pre_step.P_upd)
+        post = kalman.kf_update_post(model, pred, rb.mean, a_hat, sigma_hat, pre_step)
+        return Algorithm1Step(post=post, g=g, beta=beta)
     if not any(stay):
-        return Algorithm1Step(post=pre, shares=np.ones(len(g), dtype=bool), g=g, beta=beta)
+        return Algorithm1Step(post=kalman.resync(pre_x, pre_step), g=g, beta=beta)
     stay = np.array(stay)
     mean, keep = rb.mean, stay[rows]  # the trials that stay are all scored
     if not keep.all():
         keep = np.flatnonzero(keep)
         pred, mean, a_hat, sigma_hat = pred.take(keep), mean[keep], a_hat[keep], sigma_hat[keep]
-        shares = shares[keep]
-    jammed = sigma_hat.any(axis=-1)
-    post = kalman.kf_update_post(
-        model, pred, mean, a_hat, sigma_hat, pre_step, shares, jammed=jammed
-    )
+    post = kalman.kf_update_post(model, pred, mean, a_hat, sigma_hat, pre_step)
     # the rest re-sync: post := pre
-    post, shares = _merge(pre, post, shares & ~jammed, stay)
-    return Algorithm1Step(post=post, shares=shares, g=g, beta=beta)
-
-
-def _merge(pre, post, shares, stay):
-    """The post filter of the whole batch: the updated estimates ``post``
-    and their shares-pre flags for the trials ``stay``, the pre estimate
-    ``pre`` for the rest."""
-    x = pre.x.copy()
-    x[stay] = post.x
-    P = pre.P
-    if post.P.ndim > 2:
-        P = np.broadcast_to(P, x.shape + x.shape[-1:]).copy()
-        P[stay] = post.P
-    flags = np.ones(len(stay), dtype=bool)
-    flags[stay] = shares
-    return kalman.KalmanState(x, P), flags
+    return Algorithm1Step(post=kalman.resync(pre_x, pre_step, post, stay), g=g, beta=beta)

@@ -434,8 +434,14 @@ def _mu0_monte_carlo(model: GridModel, x0, p0, samples: int) -> float:
 class TrialPaths:
     """Per-step statistic paths, in three roles: a run's recorded (B,
     horizon) paths, a block's (B, T) statistics (``_Batch.next_block``),
-    and one trial's paths, indexed by t-1 over the steps it ran. A field
-    is None where nothing computes it."""
+    and one trial's paths, indexed by t-1 over the steps it ran.
+
+    A run's recorded paths (``_new_paths``), and so each trial's, hold an
+    array in every field but mse0 and mse1, which are None unless steps
+    are logged: c, chi, np_S, euclid and cosine stay all NaN when their
+    detector is not configured. A block's statistics are None where the
+    block computes nothing: those of an unconfigured detector, the MSE
+    without step logging, and tau_hat, which the block's epilogue fills."""
 
     g: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
@@ -508,10 +514,10 @@ def _take(item, keep):
 @dataclass
 class _ClosedLoop:
     """Algorithm 1's closed loop on the live trials of a batch, those where
-    the (B,) mask ``live`` is true: their post filter, its shares-pre flags
-    (see ``kalman``) and the CUSUM g each carries from one block to the
-    next (at spawn, zero). Every field but ``live`` is on the live trials
-    alone.
+    the (B,) mask ``live`` is true: their post filter and the CUSUM g each
+    carries from one block to the next (at spawn, ``kalman.initial_state``
+    and zero). Every field but ``live`` is on the live trials alone, and
+    none is a view of a block's arrays.
 
     A trial retires from the loop once nothing reads it any more: no path
     is recorded and every configured rule of ``CLOSED_LOOP`` has stopped.
@@ -519,7 +525,6 @@ class _ClosedLoop:
 
     live: np.ndarray  # (B,) the trial runs the closed loop
     post: kalman.KalmanState  # Algorithm 1's post filter, filtered
-    shares: np.ndarray  # (L,) the post covariance is the pre filter's
     g: np.ndarray  # (L,) Algorithm 1's CUSUM
 
     def take(self, keep: np.ndarray) -> "_ClosedLoop":
@@ -554,10 +559,10 @@ class _ClosedLoop:
         (L, T, N) filtered states, the GLLR's (L, T) clean term and the
         (L, T) GLLR of the pre track (None for a block that no live trial
         starts on it), T = len(steps), the block's schedule entries.
-        Returns the (L, T) g and GLLR; the post filter, its flags and g
-        carry on. ``post_x``, when given, is the (B, T, N) block of the pre
-        filter's states, which receives the post filter's filtered states
-        (steps are logged only when every trial is live).
+        Returns the (L, T) g and GLLR; the post filter and g carry on.
+        ``post_x``, when given, is the (B, T, N) block of the pre filter's
+        states, which receives the post filter's filtered states (steps are
+        logged only when every trial is live).
 
         Each step is one ``detector.algorithm1_step`` (post filter, GLLR
         and one CUSUM step per trial, on g as a list of floats), but where
@@ -567,8 +572,8 @@ class _ClosedLoop:
         none of them (every GLLR of at most zero, NaN included) and every
         CUSUM step would clamp to zero and re-sync, so the GLLR is the pre
         track's, g the CUSUM stepped on it (``detector.cusum_step``, once
-        per trial and step), and the post filter the pre filter's estimate
-        after the last of them, with shares-pre set."""
+        per trial and step), and the post filter re-synced to the pre
+        filter's estimate after the last of them (``kalman.resync``)."""
         model, T = ctx.model, len(steps)
         G, beta = np.empty((len(Y), T)), np.empty((len(Y), T))
         # the steps at which some trial has a positive pre-track GLLR
@@ -582,15 +587,14 @@ class _ClosedLoop:
                     G[:, s:idle] = [
                         [detector.cusum_step(0.0, b)[0] for b in row] for row in betas.tolist()
                     ]
-                    self.post = kalman.KalmanState(pre[:, idle - 1], steps[idle - 1].P_upd)
-                    self.shares = np.ones(len(G), dtype=bool)
+                    self.post = kalman.resync(pre[:, idle - 1], steps[idle - 1])
                     g, s = G[:, idle - 1].tolist(), idle
                     continue
             step = detector.algorithm1_step(
-                self.post, self.shares, g, model, ctx.det_cfg, Y[:, s], steps[s], pre[:, s],
+                self.post, g, model, ctx.det_cfg, Y[:, s], steps[s], pre[:, s],
                 clean[:, s], None if beta_pre is None else beta_pre[:, s],
             )
-            self.post, self.shares, g = step.post, step.shares, step.g
+            self.post, g = step.post, step.g
             G[:, s] = g
             beta[:, s] = step.beta
             if post_x is not None:
@@ -662,7 +666,6 @@ class _Batch:
             loop=_ClosedLoop(
                 live=np.ones(B, dtype=bool),
                 post=kalman.initial_state(start, ctx.p0),
-                shares=np.ones(B, dtype=bool),
                 g=np.zeros(B),
             ),
             stops=np.full((B, len(ctx.thresholds)), INF),

@@ -5,13 +5,14 @@ explains measurements with the current maximum-likelihood attack estimates:
 its innovation is y - H x_pred - a_hat and its innovation covariance is
 inflated by the estimated per-meter jamming variances. Whenever the
 detection statistic is clamped to zero the post filter is re-synchronized
-to the pre filter, in ``detector.algorithm1_step`` (the change-point
-estimate that moves with it is settled by the harness once per block).
+to the pre filter (``resync``, which ``detector.algorithm1_step`` calls;
+the change-point estimate that moves with it is settled by the harness
+once per block).
 
-Each filter carries one Gaussian estimate, ``KalmanState(x, P)``: between
-steps it holds its filtered estimate, ``kf_predict`` maps that to the
-prediction, and the updates map the prediction back to a filtered
-estimate. A sync gives the post filter the pre filter's
+Each filter carries one Gaussian estimate, ``KalmanState(x, P, shares)``:
+between steps it holds its filtered estimate, ``kf_predict`` maps that to
+the prediction, and the updates map the prediction back to a filtered
+estimate. A sync gives the post filter a copy of the pre filter's
 filtered estimate in place of its own update.
 
 Both updates work in meter-mean form. H = M kron 1_lam and the lam noise
@@ -56,15 +57,15 @@ identity, A x and A P A^T are x and P themselves (plus 0.0, as
 ``grid_model.transition`` explains) and take no BLAS call, and the
 predicted covariance is not symmetrized either: every covariance the
 filters hold is bit-symmetric, and 0.5 (P + P^T) would return it as it is
-(``_predict_cov``). The post filter carries a per-trial "shares pre" flag,
-set from the start or the last sync until sigma_hat is first nonzero (the
-``shares`` argument of ``kf_predict`` and ``kf_update_post``; the harness
-keeps the flags next to the post filter's estimate): trials with the flag
-set take the pre entry's covariance and gain, and only the others run the
-K x K update, on their stacked covariances. A single trial is a batch of
-one. Products go through ``grid_model.matvec`` (or its ``np.matmul`` on
-a column, kept as a column), so each trial's numbers have the bits of an
-unbatched run.
+(``_predict_cov``). The post filter's state carries a per-trial "shares
+pre" flag (``KalmanState.shares``), and this module alone sets and reads
+it: ``initial_state`` and ``resync`` set it, ``kf_update_post`` clears it
+where sigma_hat is nonzero, so it holds from the start or the last sync
+until sigma_hat is first nonzero. Trials with the flag set take the pre
+entry's covariance and gain, and only the others run the K x K update, on
+their stacked covariances. A single trial is a batch of one. Products go
+through ``grid_model.matvec`` (or its ``np.matmul`` on a column, kept as a
+column), so each trial's numbers have the bits of an unbatched run.
 """
 
 from __future__ import annotations
@@ -96,14 +97,20 @@ class InnovationSolveError(RuntimeError):
 @dataclass
 class KalmanState:
     """One Gaussian estimate: x is (..., N) and P (..., N, N), or (N, N)
-    when shared by every trial of a batch."""
+    when shared by every trial of a batch. ``shares`` flags the trials
+    whose covariance is the pre filter's schedule entry for their step (a
+    mask on the trial axes, or one bool for all): ``kf_predict`` gives
+    them the entry's predicted covariance in place of their own P."""
 
     x: np.ndarray
     P: np.ndarray
+    shares: "np.ndarray | bool" = False
 
     def take(self, keep) -> "KalmanState":
-        """The trials selected by ``keep`` (an index or mask on the trial axis)."""
-        return KalmanState(self.x[keep], self.P[keep] if self.P.ndim > 2 else self.P)
+        """The trials selected by ``keep`` (an index or mask on the trial
+        axis), of a state whose flags are a mask."""
+        P = self.P[keep] if self.P.ndim > 2 else self.P
+        return KalmanState(self.x[keep], P, self.shares[keep])
 
 
 @dataclass(frozen=True)
@@ -118,9 +125,31 @@ class GainStep:
 
 def initial_state(x0: np.ndarray, p0: float) -> KalmanState:
     """Filters start converged at the configured state with P = p0 * I, one
-    covariance that every trial shares; x0 may carry a trial axis."""
+    covariance that every trial shares and the pre filter's, so every flag
+    is set; x0 may carry a trial axis."""
     x0 = np.array(x0, dtype=float)
-    return KalmanState(x0, float(p0) * np.eye(x0.shape[-1]))
+    return KalmanState(x0, float(p0) * np.eye(x0.shape[-1]), np.ones(x0.shape[:-1], dtype=bool))
+
+
+def resync(
+    pre_x: np.ndarray, step: GainStep, post: "KalmanState | None" = None, stay=None
+) -> KalmanState:
+    """The post filter re-synced to the pre filter: a copy of the pre
+    filter's filtered states ``pre_x`` (..., N) with the schedule entry
+    ``step``'s covariance, every flag set. With ``post``, the trials where
+    the mask ``stay`` is true keep their rows of ``post`` (x, P and flags),
+    which holds those trials alone, in order."""
+    x = pre_x.copy()
+    shares = np.ones(x.shape[:-1], dtype=bool)
+    if post is None:
+        return KalmanState(x, step.P_upd, shares)
+    x[stay] = post.x
+    shares[stay] = post.shares
+    P = step.P_upd
+    if post.P is not P:
+        P = _per_trial(P, x.shape[:-1]).copy()
+        P[stay] = post.P
+    return KalmanState(x, P, shares)
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -143,19 +172,20 @@ def _per_trial(P: np.ndarray, batch: tuple) -> np.ndarray:
     return P if P.shape[:-2] == batch else np.broadcast_to(P, batch + P.shape[-2:])
 
 
-def kf_predict(model: GridModel, ks: KalmanState, step: GainStep, shares) -> KalmanState:
-    """The prediction of the filtered estimate ks: A x and A P A^T + sigma_v2 I.
+def kf_predict(model: GridModel, ks: KalmanState, step: GainStep) -> KalmanState:
+    """The prediction of the filtered estimate ks: A x and A P A^T + sigma_v2 I,
+    with ks's flags.
 
     ``step`` is the pre-filter schedule's entry for this step: the trials
-    flagged in ``shares`` (a mask, or True for all) have its covariance and
-    take the predicted covariance from it; the others predict their own,
-    and with ``shares=False`` every trial does. With A the identity, P must
-    be bit-symmetric, as every covariance the filters hold is
-    (``_predict_cov``).
+    flagged in ``ks.shares`` have its covariance and take the predicted
+    covariance from it; the others predict their own, and with
+    ``shares=False`` every trial does (``step`` is then not read). With A
+    the identity, P must be bit-symmetric, as every covariance the filters
+    hold is (``_predict_cov``).
     """
     x = transition(model, ks.x)
     batch = x.shape[:-1]
-    own = ~np.asarray(shares, dtype=bool)
+    own = ~np.asarray(ks.shares, dtype=bool)
     if own.all():
         P = _predict_cov(model, _per_trial(ks.P, batch))
     elif own.any():
@@ -163,7 +193,7 @@ def kf_predict(model: GridModel, ks: KalmanState, step: GainStep, shares) -> Kal
         P[own] = _predict_cov(model, _per_trial(ks.P, batch)[own])
     else:
         P = step.P_pred
-    return KalmanState(x, P)
+    return KalmanState(x, P, ks.shares)
 
 
 def _predict_cov(model: GridModel, P_upd: np.ndarray) -> np.ndarray:
@@ -290,16 +320,16 @@ def kf_update_pre_full(
     measurements ``y``, returning (filtered estimate, innovation y - H x as
     (..., K, lam)).
 
-    ``step`` is the schedule entry for this step, shared by every trial.
-    ``out``, when given, is a tuple of arrays (x, innovation, sums) that
-    receive the filtered state, the innovation and its per-meter sums over
-    the lam samples, (..., K).
+    ``step`` is the schedule entry for this step, shared by every trial;
+    the estimate keeps the prediction's flags. ``out``, when given, is a
+    tuple of arrays (x, innovation, sums) that receive the filtered state,
+    the innovation and its per-meter sums over the lam samples, (..., K).
     """
     x, r, sums = (None, None, None) if out is None else out
     r = residuals(model, y, pred.x, out=r)
     sums = np.add.reduce(r, axis=-1, out=sums)  # ndarray.sum without its Python wrapper
     x = np.add(pred.x, matvec(step.gain, sums / model.lam), out=x)
-    return KalmanState(x, step.P_upd), r
+    return KalmanState(x, step.P_upd, pred.shares), r
 
 
 def pre_filter(
@@ -335,39 +365,35 @@ def kf_update_post(
     a_hat: np.ndarray,
     sigma_hat: np.ndarray,
     pre_step: GainStep,
-    shares,
-    jammed=None,
 ) -> KalmanState:
     """Measurement update of the prediction ``pred`` against the estimated
-    attack, returning the filtered estimate.
+    attack, returning the filtered estimate and its flags.
 
     ``residual_mean`` holds the per-meter means of y - H x against this
     prediction (``ResidualBlock.mean``); a_hat and sigma_hat are per-meter
     (length K), all with the trial axes of pred. ``pre_step`` is the pre
-    filter's step, and ``shares`` flags the trials whose post covariance
-    equals the pre covariance (a mask, or True for all): those with
-    sigma_hat all zero reuse its gain and covariance, and only the rest run
-    the K x K update, stacked. With ``shares=False`` every trial runs its own.
-    ``jammed``, when the caller has it, is ``sigma_hat.any(axis=-1)``.
+    filter's step. The trials flagged in ``pred.shares`` whose sigma_hat is
+    all zero keep the flag and reuse the step's gain and covariance, the
+    values of their own update; the rest lose it and run the K x K update,
+    stacked.
     """
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if (sigma_hat < 0).any():
         raise ValueError("sigma_hat must be >= 0")
     innovation = residual_mean - a_hat
-    if jammed is None:
-        jammed = sigma_hat.any(axis=-1)
-    own = jammed | ~np.asarray(shares, dtype=bool)
+    shares = pred.shares & ~sigma_hat.any(axis=-1)
+    own = ~shares
     if not own.any():
-        return KalmanState(pred.x + matvec(pre_step.gain, innovation), pre_step.P_upd)
+        return KalmanState(pred.x + matvec(pre_step.gain, innovation), pre_step.P_upd, shares)
     batch = pred.x.shape[:-1]
     P = _per_trial(pred.P, batch)
     noise = model.sigma_w2 + sigma_hat
     if own.all():
         step = gain_step(model, P, noise)
-        return KalmanState(pred.x + matvec(step.gain, innovation), step.P_upd)
+        return KalmanState(pred.x + matvec(step.gain, innovation), step.P_upd, shares)
     step = gain_step(model, P[own], noise[own])
     x = pred.x + matvec(pre_step.gain, innovation)
     x[own] = pred.x[own] + matvec(step.gain, innovation[own])
     P = _per_trial(pre_step.P_upd, batch).copy()
     P[own] = step.P_upd
-    return KalmanState(x, P)
+    return KalmanState(x, P, shares)

@@ -14,7 +14,7 @@ cells one at a time) close the module.
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -617,21 +617,22 @@ def sync_count(ctx, seed, steps):
 # that need it; each trial must get the same bits.
 
 
-def algorithm1_step(pre, post, shares, g, model, cfg, y, pre_step):
+def algorithm1_step(pre, post, g, model, cfg, y, pre_step):
     """One full detection-and-estimation iteration on the step's schedule
-    entry ``pre_step`` from the filtered estimates ``pre`` and ``post``,
-    the post filter's shares-pre flags ``shares`` and the CUSUM ``g`` of
-    each trial, returning the pre filter's filtered estimate, the step and
-    the pre filter's innovation y - H x_pre_pred as (B, K, lam)."""
-    pre = kalman.kf_predict(model, pre, pre_step, True)
-    post = kalman.kf_predict(model, post, pre_step, shares)
+    entry ``pre_step`` from the filtered estimates ``pre`` and ``post``
+    (their flags included) and the CUSUM ``g`` of each trial, returning the
+    pre filter's filtered estimate, the step and the pre filter's
+    innovation y - H x_pre_pred as (B, K, lam)."""
+    shares = post.shares
+    pre = kalman.kf_predict(model, pre, pre_step)
+    post = kalman.kf_predict(model, post, pre_step)
 
     rb = detector.residual_block(model, y, post.x, cfg)
     costs = detector.hypothesis_costs(rb, model, cfg)
     a_hat, sigma_hat = detector.mle_attack_params(rb, detector.classify_meters(costs), cfg, model)
 
     pre, pre_innovation = kalman.kf_update_pre_full(model, pre, y, pre_step)
-    post = kalman.kf_update_post(model, post, rb.mean, a_hat, sigma_hat, pre_step, shares)
+    post = kalman.kf_update_post(model, post, rb.mean, a_hat, sigma_hat, pre_step)
 
     K, lam, sw2 = model.K, model.lam, model.sigma_w2
     r = (y - matvec(model.meter_rows, pre.x)[..., None]).reshape(len(y), K * lam)
@@ -642,10 +643,11 @@ def algorithm1_step(pre, post, shares, g, model, cfg, y, pre_step):
     sync = np.array([flag for _, flag in stepped], dtype=bool)
     # reset coupling: post := pre for the trials whose statistic hit zero
     post = KalmanState(
-        np.where(sync[:, None], pre.x, post.x), np.where(sync[:, None, None], pre.P, post.P)
+        np.where(sync[:, None], pre.x, post.x),
+        np.where(sync[:, None, None], pre.P, post.P),
+        sync | (shares & ~sigma_hat.any(axis=-1)),
     )
-    shares = sync | (shares & ~sigma_hat.any(axis=-1))
-    step = detector.Algorithm1Step(post, shares, [v for v, _ in stepped], beta)
+    step = detector.Algorithm1Step(post, [v for v, _ in stepped], beta)
     return pre, step, pre_innovation
 
 
@@ -656,7 +658,7 @@ def pre_half(model, cfg, pre, y, pre_step=None):
     GLLR's clean term and the GLLR scored on the pre filter's prediction.
     The pre filter's next estimate is ``KalmanState(state, entry.P_upd)``."""
     if pre_step is None:
-        own = kalman.kf_predict(model, pre, None, shares=False)
+        own = kalman.kf_predict(model, own_covariance(pre), None)
         pre_step = kalman.pre_gain_step(model, own.P)
     X, _, _ = kalman.pre_filter(model, pre.x, y[:, None], [pre_step])
     clean = detector.clean_term(y - matvec(model.meter_rows, X[:, 0])[..., None], model)
@@ -688,7 +690,6 @@ def whole_step_run(ctx, seeds):
         window = robust.Chi2State.from_samples(ctx.chi2, samples)
     x = np.tile(ctx.x0, (B, 1))
     pre = post = kalman.initial_state(x, ctx.p0)
-    shares = np.ones(B, dtype=bool)
     g = [0.0] * B
     tau_hat = np.ones(B, dtype=np.int64)
     np_S = np.zeros(B)
@@ -705,10 +706,8 @@ def whole_step_run(ctx, seeds):
             hasher.update(rows)
             trail.append(hasher.hexdigest())
 
-        pre, step, innovation = algorithm1_step(
-            pre, post, shares, g, model, ctx.det_cfg, y, pre_step
-        )
-        post, shares, g = step.post, step.shares, step.g
+        pre, step, innovation = algorithm1_step(pre, post, g, model, ctx.det_cfg, y, pre_step)
+        post, g = step.post, step.g
         tau_hat = np.where(np.array(g) == 0.0, t, tau_hat)
         r = innovation.reshape(B, -1)
         dist = np.sqrt(vecdot(r, r))
@@ -800,6 +799,11 @@ def read_only(a):
 def copy_state(ks):
     """A KalmanState holding copies of the arrays of ks."""
     return KalmanState(ks.x.copy(), ks.P.copy())
+
+
+def own_covariance(ks):
+    """ks with no flag set: every trial predicts its own covariance."""
+    return replace(ks, shares=False)
 
 
 def expand(model, per_meter):

@@ -404,7 +404,6 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
     atk = [np.random.default_rng(a_ss)]
     jam = [np.random.default_rng(j_ss)]
     pre = post = initial_state(ctx2.x0[None], ctx2.p0)
-    shares = np.ones(1, dtype=bool)
     g = [0.0]
     det = DetectorConfig(GAMMA, SIGMA2_MIN)
     psd_ok = True
@@ -413,9 +412,9 @@ def test_criterion_7_structural_invariants(tmp_path_factory, calibration, cache_
         Y = apply_attack(model, Y, realize_attack(ctx2.cfg.attack, t, 1, atk, model.K), jam)
         x, y = X[:, 0], Y[:, 0]
         pre_step, pre_x, clean, beta_pre = pre_half(model, det, pre, y)
-        step = algorithm1_step(post, shares, g, model, det, y, pre_step, pre_x, clean, beta_pre)
+        step = algorithm1_step(post, g, model, det, y, pre_step, pre_x, clean, beta_pre)
         pre = KalmanState(pre_x, pre_step.P_upd)
-        post, shares, g = step.post, step.shares, step.g
+        post, g = step.post, step.g
         if t % 200 == 0:
             psd_ok &= min_eigenvalue_ratio(pre.P[0]) >= -1e-10
             psd_ok &= min_eigenvalue_ratio(post.P[0]) >= -1e-10

@@ -1,5 +1,7 @@
 import argparse
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,29 @@ def test_seed_range_needs_two_seeds():
     assert bench_pairs.seed_range("81-90") == list(range(81, 91))
     with pytest.raises(argparse.ArgumentTypeError, match="two seeds"):
         bench_pairs.seed_range("81")
+
+
+@pytest.mark.parametrize(
+    "body, code",
+    [
+        ("import sys\nprint('boom', file=sys.stderr)\nsys.exit(3)\n", 3),
+        ("import sys\nprint('no result')\nprint('boom', file=sys.stderr)\n", 0),
+    ],
+    ids=["exit_3", "no_json"],
+)
+def test_failed_run_stops_with_its_stderr(tmp_path, body, code):
+    # a run that exits non-zero, or exits 0 without a JSON result line,
+    # stops the script with status 1 and a message naming the tree, the
+    # workload, the seed and the exit code, then the run's standard error
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(body)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path), str(tmp_path), "--workload", "fdi_detect",
+         "--seeds", "7-8", "--seconds", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    first, _, rest = proc.stderr.partition("\n")
+    assert str(tmp_path) in first and "--workload fdi_detect --seed 7" in first
+    assert f"exited {code} without a JSON result" in first
+    assert rest.strip() == "boom"

@@ -26,6 +26,7 @@ from oracles import (
     brute_force_costs,
     four_array_statistics,
     gather_gllr,
+    own_covariance,
     pre_half,
     random_residual_blocks,
 )
@@ -422,15 +423,14 @@ def test_algorithm1_residuals_use_post_prediction(ieee14_model, ieee14_topology)
     model = ieee14_model
     x0 = ieee14_topology.initial_state()
     pre = post = initial_state(x0[None], 1e-4)  # a batch of one trial
-    shares = np.ones(1, dtype=bool)
     y_flat = model.H @ x0
     y_flat = y_flat.copy()
     y_flat[0:5] += 0.5
     y = y_flat.reshape(1, 23, 5)
     # A = I, so the post prediction the residuals are built on is x0
-    np.testing.assert_array_equal(kf_predict(model, post, None, shares=False).x[0], x0)
+    np.testing.assert_array_equal(kf_predict(model, own_covariance(post), None).x[0], x0)
     pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, pre, y)
-    step = algorithm1_step(post, shares, [0.0], model, CFG, y, pre_step, pre_x, clean, beta_pre)
+    step = algorithm1_step(post, [0.0], model, CFG, y, pre_step, pre_x, clean, beta_pre)
     (g,) = step.g
     assert g > 0.0  # no re-sync: the post filter ran its own update
     # scored against the prediction x0, meter 0 is explained by a_hat = 0.5
@@ -455,7 +455,6 @@ def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
     model = ieee14_model
     x0 = ieee14_topology.initial_state()
     pre = post = initial_state(x0[None], 1e-4)  # a batch of one trial
-    shares = np.ones(1, dtype=bool)
     g = [0.0]
     rng = np.random.default_rng(0)
     apart = False
@@ -463,9 +462,9 @@ def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
         y = (model.H @ x0).reshape(1, 23, 5) + 0.01 * rng.standard_normal((1, 23, 5))
         y[0, 0] += 0.05 if t == 1 else 0.0
         pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, pre, y)
-        step = algorithm1_step(post, shares, g, model, CFG, y, pre_step, pre_x, clean, beta_pre)
+        step = algorithm1_step(post, g, model, CFG, y, pre_step, pre_x, clean, beta_pre)
         pre = KalmanState(pre_x, pre_step.P_upd)
-        post, shares, g = step.post, step.shares, step.g
+        post, g = step.post, step.g
         if g[0] > 0.0:
             apart = bool(np.any(post.x != pre.x))
             continue
@@ -474,7 +473,7 @@ def test_algorithm1_sync_resets_post_and_tau(ieee14_model, ieee14_topology):
     assert g == [0.0]
     np.testing.assert_array_equal(post.x, pre.x)
     np.testing.assert_array_equal(post.P, pre.P)
-    assert shares.tolist() == [True]
+    assert post.shares.tolist() == [True]
 
 
 def test_algorithm1_step_matches_whole_step_oracle(ieee14_model, ieee14_topology):
@@ -486,7 +485,6 @@ def test_algorithm1_step_matches_whole_step_oracle(ieee14_model, ieee14_topology
     x0 = ieee14_topology.initial_state()
     B = 4
     pre = post = want_pre = want_post = initial_state(np.tile(x0, (B, 1)), 1e-4)
-    shares = want_shares = np.ones(B, dtype=bool)
     g = want_g = [0.0] * B
     rng = np.random.default_rng(5)
     seen = dict.fromkeys(("mixed", "on_stays", "some_sync"), False)
@@ -496,17 +494,17 @@ def test_algorithm1_step_matches_whole_step_oracle(ieee14_model, ieee14_topology
         y[:, :3] += np.where(rng.random((B, 1, 1)) < 0.3, 0.03, 0.0)
         pre_step, pre_x, clean, beta_pre = pre_half(model, CFG, pre, y, schedule_step)
         on = np.array(g) == 0.0
-        step = algorithm1_step(post, shares, g, model, CFG, y, pre_step, pre_x, clean, beta_pre)
+        step = algorithm1_step(post, g, model, CFG, y, pre_step, pre_x, clean, beta_pre)
         want_pre, want, _ = oracle_algorithm1_step(
-            want_pre, want_post, want_shares, want_g, model, CFG, y, pre_step
+            want_pre, want_post, want_g, model, CFG, y, pre_step
         )
         assert_same_bits(step.beta, want.beta)
         assert_same_bits(np.array(step.g), np.array(want.g))
         pre = KalmanState(pre_x, pre_step.P_upd)
         assert_same_bits(pre.x, want_pre.x)
         assert_same_bits(step.post.x, want.post.x)
-        assert step.shares.tolist() == want.shares.tolist()
-        own = ~step.shares
+        assert step.post.shares.tolist() == want.post.shares.tolist()
+        own = ~step.post.shares
         assert_same_bits(
             np.broadcast_to(step.post.P, (B, 13, 13))[own],
             np.broadcast_to(want.post.P, (B, 13, 13))[own],
@@ -515,6 +513,6 @@ def test_algorithm1_step_matches_whole_step_oracle(ieee14_model, ieee14_topology
         seen["mixed"] |= bool(on.any() and not on.all())
         seen["on_stays"] |= bool((on & ~sync).any())
         seen["some_sync"] |= bool(sync.any() and not sync.all())
-        post, shares, g = step.post, step.shares, step.g
-        want_post, want_shares, want_g = want.post, want.shares, want.g
+        post, g = step.post, step.g
+        want_post, want_g = want.post, want.g
     assert seen == dict.fromkeys(seen, True)

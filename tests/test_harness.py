@@ -716,7 +716,7 @@ def test_algorithm1_step_scores_each_trial_once(tmp_path, monkeypatch):
         nonlocal scored
         scored = []
         out = step(*args)
-        g, y, beta_pre = args[2], args[5], args[9]
+        g, y, beta_pre = args[1], args[4], args[8]
         calls.append((np.array(g), y.copy(), None if beta_pre is None else beta_pre.copy(), scored))
         scored = None
         return out
@@ -916,7 +916,7 @@ def test_retired_trials_leave_the_closed_loop(tmp_path, monkeypatch):
     seen, blocks = [], []
 
     def spy(*args):
-        seen.append(args[5].copy())
+        seen.append(args[4].copy())
         return step(*args)
 
     def spy_attack(*args):
@@ -968,6 +968,7 @@ def assert_taken(full, got, rows, skip=(), name=""):
         elif isinstance(a, kalman.KalmanState):
             np.testing.assert_array_equal(b.x, a.x[rows], err_msg=what)
             np.testing.assert_array_equal(b.P, a.P[rows], err_msg=what)
+            np.testing.assert_array_equal(b.shares, a.shares[rows], err_msg=what)
         elif isinstance(a, harness._ClosedLoop):
             assert_taken(a, b, rows, name=what)
         else:  # the Pearson windows
@@ -989,16 +990,41 @@ def test_batch_take_compacts_every_field(tmp_path, mu0_cache):
     # the fields the epilogue fills, and a loop with a distinct row per trial
     batch.stops = rng.standard_normal(batch.stops.shape)
     batch.syncs, batch.tau_at_alg1, batch.tau_hat = rng.integers(1, 99, (3, 3))
-    loop.g, loop.shares = rng.standard_normal(3), np.array([False, True, True])
-    loop.post = kalman.KalmanState(loop.post.x, np.stack([loop.post.P * k for k in (1, 2, 3)]))
+    loop.g = rng.standard_normal(3)
+    loop.post = kalman.KalmanState(
+        loop.post.x, np.stack([loop.post.P * k for k in (1, 2, 3)]), np.array([False, True, True])
+    )
     two_axes = {"stops": len(ctx.thresholds), "x": ctx.model.N, "x_pre": ctx.model.N}
     for field in fields(batch):  # no field has a step axis
         value = getattr(batch, field.name)
         if isinstance(value, np.ndarray):
             want = (3, two_axes[field.name]) if field.name in two_axes else (3,)
             assert value.shape == want, field.name
-    assert [f.name for f in fields(loop)] == ["live", "post", "shares", "g"]
+    assert [f.name for f in fields(loop)] == ["live", "post", "g"]
     assert_taken(batch, batch.take(np.array([True, False, True])), [0, 2])
+
+
+def test_closed_loop_carries_no_block_view(tmp_path):
+    # the post filter that the closed loop carries from one block to the
+    # next owns its memory: a block that ends on an idle stretch or a
+    # re-sync leaves no view of its (T, B, N) pre-filter states alive
+    # through it. The first blocks of case1_fdi (B = 200), cut where the
+    # attack switches on
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "configs" / "case1_fdi.cfg").read_text()
+    text = text.replace("[shewhart]", "mu0_samples = 2000\nmu0_cache = none\n\n[shewhart]")
+    (tmp_path / "case1.cfg").write_text(text)
+    ctx = harness.prepare(load_config(tmp_path / "case1.cfg"))
+    B = ctx.cfg.run.trials
+    assert B == 200
+    batch = harness._Batch.spawn(ctx, [(ctx.cfg.run.seed, i) for i in range(B)])
+    steps, t = iter(ctx.schedule), 1
+    for _ in range(6):
+        length = attacks.block_steps(ctx.cfg.attack, t, BLOCK_STEPS)
+        batch.next_block(ctx, t, list(itertools.islice(steps, length)), log_steps=False)
+        base = batch.loop.post.x.base
+        assert base is None, f"the block at step {t} leaves a view of {base.nbytes} bytes"
+        t += length
 
 
 def spy_closed_loop(monkeypatch) -> list:
@@ -1121,7 +1147,9 @@ def test_closed_loop_take_follows_the_live_trials(tmp_path, mu0_cache):
     batch.next_block(ctx, 1, list(itertools.islice(ctx.schedule, 4)), log_steps=False)
     full = batch.loop
     full.g[:] = [1.0, 2.0, 3.0]
-    full.post = kalman.KalmanState(full.post.x, np.stack([full.post.P * k for k in (1, 2, 3)]))
+    full.post = kalman.KalmanState(
+        full.post.x, np.stack([full.post.P * k for k in (1, 2, 3)]), np.array([False, True, True])
+    )
     loop = full.retire(np.array([False, True, False]))
     np.testing.assert_array_equal(loop.live, [True, False, True])
     assert loop.retire(np.array([False, True, False])) is loop  # no trial left it

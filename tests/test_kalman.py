@@ -25,6 +25,7 @@ from gridwatch.kalman import (
     kf_update_pre_full,
     pre_filter,
     pre_gain_step,
+    resync,
 )
 from gridwatch.robust import chi2_sample_from_innovation
 
@@ -39,6 +40,7 @@ from oracles import (
     expand,
     initial_sim_state,
     min_eigenvalue_ratio,
+    own_covariance,
     read_only,
     simulate_step,
 )
@@ -65,16 +67,16 @@ def scalar_model(sigma_w2=1.0, sigma_v2=1.0):
 
 def test_predict_identity_dynamics_no_noise():
     model = scalar_model(sigma_v2=0.0)
-    ks = initial_state(np.array([0.7]), 0.3)
-    out = kf_predict(model, ks, None, shares=False)
+    ks = own_covariance(initial_state(np.array([0.7]), 0.3))
+    out = kf_predict(model, ks, None)
     np.testing.assert_array_equal(out.x, ks.x)
     np.testing.assert_array_equal(out.P, ks.P)
 
 
 def test_predict_additive_noise_only():
     model = scalar_model(sigma_v2=1e-4)
-    ks = initial_state(np.array([0.0]), 0.0)
-    out = kf_predict(model, ks, None, shares=False)
+    ks = own_covariance(initial_state(np.array([0.0]), 0.0))
+    out = kf_predict(model, ks, None)
     np.testing.assert_allclose(out.P, 1e-4 * np.eye(1))
 
 
@@ -222,8 +224,8 @@ def test_predict_matches_dense_oracle():
         N=3,
         K=1,
     )
-    ks = KalmanState(rng.standard_normal(3), P)
-    out = kf_predict(model, ks, None, shares=False)
+    ks = KalmanState(rng.standard_normal(3), P, shares=False)
+    out = kf_predict(model, ks, None)
     np.testing.assert_allclose(out.P, dense_predict_oracle(A, P, 2.5e-3), atol=1e-12)
 
 
@@ -248,7 +250,7 @@ def test_zero_innovation_keeps_state():
 def test_uninformative_measurements(ieee14_model, ieee14_topology):
     model = dataclasses.replace(ieee14_model, sigma_w2=1e12)
     x0 = ieee14_topology.initial_state()
-    ks = kf_predict(model, initial_state(x0, 1e-4), None, shares=False)
+    ks = kf_predict(model, own_covariance(initial_state(x0, 1e-4)), None)
     y = np.ones((23, 5))
     out = kf_update_pre(model, ks, y)
     assert np.linalg.norm(out.x - ks.x) <= 1e-6
@@ -256,12 +258,12 @@ def test_uninformative_measurements(ieee14_model, ieee14_topology):
 
 def test_post_with_zero_estimates_is_bitwise_pre(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
-    ks = kf_predict(ieee14_model, initial_state(x0, 1e-4), None, shares=False)
+    ks = kf_predict(ieee14_model, own_covariance(initial_state(x0, 1e-4)), None)
     rng = np.random.default_rng(3)
     y = (ieee14_model.H @ x0 + rng.standard_normal(115) * 0.01).reshape(23, 5)
     pre = kf_update_pre(ieee14_model, ks, y)
     post = kf_update_post(
-        ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), np.zeros(23), None, shares=False
+        ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), np.zeros(23), None
     )
     np.testing.assert_array_equal(pre.x, post.x)
     np.testing.assert_array_equal(pre.P, post.P)
@@ -272,7 +274,7 @@ def test_post_perfectly_explained_bias():
     ks = KalmanState(np.array([0.2]), np.eye(1))
     a_hat = np.array([0.6])
     y = (model.H @ ks.x + a_hat).reshape(1, 1)
-    out = kf_update_post(model, ks, post_mean(model, ks, y), a_hat, np.zeros(1), None, shares=False)
+    out = kf_update_post(model, ks, post_mean(model, ks, y), a_hat, np.zeros(1), None)
     np.testing.assert_allclose(out.x, ks.x, atol=1e-12)
 
 
@@ -281,7 +283,7 @@ def test_post_scalar_inflated_gain_third():
     ks = KalmanState(np.array([0.0]), np.eye(1))
     y = np.array([[3.0]])
     out = kf_update_post(
-        model, ks, post_mean(model, ks, y), np.zeros(1), np.array([1.0]), None, shares=False
+        model, ks, post_mean(model, ks, y), np.zeros(1), np.array([1.0]), None
     )
     # gain = P / (P + sigma_w2 + sigma_hat) = 1/3
     assert out.x[0] == pytest.approx(1.0)
@@ -291,7 +293,7 @@ def test_post_expansion_convention(ieee14_model, ieee14_topology):
     # sigma_hat on meter k must inflate exactly rows k*lam..k*lam+lam-1:
     # with a huge variance on one meter, its innovation is ignored.
     x0 = ieee14_topology.initial_state()
-    ks = kf_predict(ieee14_model, initial_state(x0, 1e-4), None, shares=False)
+    ks = kf_predict(ieee14_model, own_covariance(initial_state(x0, 1e-4)), None)
     y_flat = ieee14_model.H @ x0
     y_flat = y_flat.copy()
     y_flat[3 * 5 : 4 * 5] += 5.0  # corrupt meter 3 only
@@ -299,7 +301,7 @@ def test_post_expansion_convention(ieee14_model, ieee14_topology):
     sigma = np.zeros(23)
     sigma[3] = 1e9
     out = kf_update_post(
-        ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), sigma, None, shares=False
+        ieee14_model, ks, post_mean(ieee14_model, ks, y), np.zeros(23), sigma, None
     )
     assert np.linalg.norm(out.x - x0) < 1e-3
     out_bad = kf_update_pre(ieee14_model, ks, y)
@@ -311,15 +313,15 @@ def test_pre_post_trajectories_identical_with_zero_estimates(ieee14_model, ieee1
     # filter bitwise over a whole trajectory
     x0 = ieee14_topology.initial_state()
     state = initial_sim_state(ieee14_model, x0, seed=13)
-    pre = initial_state(x0, 1e-4)
-    post = initial_state(x0, 1e-4)
+    pre = own_covariance(initial_state(x0, 1e-4))
+    post = own_covariance(initial_state(x0, 1e-4))
     zeros = np.zeros(23)
     for _ in range(50):
         state, y = simulate_step(ieee14_model, state)
-        pre = kf_update_pre(ieee14_model, kf_predict(ieee14_model, pre, None, shares=False), y)
-        post = kf_predict(ieee14_model, post, None, shares=False)
+        pre = kf_update_pre(ieee14_model, kf_predict(ieee14_model, pre, None), y)
+        post = kf_predict(ieee14_model, post, None)
         post = kf_update_post(
-            ieee14_model, post, post_mean(ieee14_model, post, y), zeros, zeros, None, shares=False
+            ieee14_model, post, post_mean(ieee14_model, post, y), zeros, zeros, None
         )
         np.testing.assert_array_equal(pre.x, post.x)
         np.testing.assert_array_equal(pre.P, post.P)
@@ -328,10 +330,10 @@ def test_pre_post_trajectories_identical_with_zero_estimates(ieee14_model, ieee1
 def test_covariances_stay_psd_under_iteration(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
     state = initial_sim_state(ieee14_model, x0, seed=21)
-    ks = initial_state(x0, 1e-4)
+    ks = own_covariance(initial_state(x0, 1e-4))
     for t in range(1, 1001):
         state, y = simulate_step(ieee14_model, state)
-        ks = kf_update_pre(ieee14_model, kf_predict(ieee14_model, ks, None, shares=False), y)
+        ks = kf_update_pre(ieee14_model, kf_predict(ieee14_model, ks, None), y)
         if t % 100 == 0:
             assert min_eigenvalue_ratio(ks.P) >= -1e-10
     assert np.all(np.isfinite(ks.P))
@@ -339,7 +341,7 @@ def test_covariances_stay_psd_under_iteration(ieee14_model, ieee14_topology):
 
 def test_update_factors_expose_innovation(ieee14_model, ieee14_topology):
     x0 = ieee14_topology.initial_state()
-    ks = kf_predict(ieee14_model, initial_state(x0, 1e-4), None, shares=False)
+    ks = kf_predict(ieee14_model, own_covariance(initial_state(x0, 1e-4)), None)
     y = (ieee14_model.H @ x0 + 0.01).reshape(23, 5)
     step = pre_gain_step(ieee14_model, ks.P)
     _, innovation = kf_update_pre_full(ieee14_model, ks, y, step)
@@ -377,10 +379,11 @@ def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
         if rng.random() < 0.5:
             sigma_hat[:] = 0.0
 
-        pre, r = kf_update_pre_full(model, kf_predict(model, pre, step, True), y, step)
-        post = kf_predict(model, post, step, shares)
-        post = kf_update_post(model, post, post_mean(model, post, y), a_hat, sigma_hat, step, shares)
+        pre, r = kf_update_pre_full(model, kf_predict(model, pre, step), y, step)
+        post = kf_predict(model, post, step)
+        post = kf_update_post(model, post, post_mean(model, post, y), a_hat, sigma_hat, step)
         shares = shares and not sigma_hat.any()
+        assert pre.shares and post.shares == shares
         c = chi2_sample_from_innovation(r, step.white, model.sigma_w2)
 
         pre_d, factor, r_d = dense_update(
@@ -399,7 +402,7 @@ def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
         assert_rel_close(post.P, post_d.P)
         assert c == pytest.approx(c_d, rel=1e-9)
         if t % 40 == 0:
-            post, post_d, shares = copy_state(pre), copy_state(pre_d), True
+            post, post_d, shares = resync(pre.x, step), copy_state(pre_d), True
 
 
 def test_schedule_settles_at_riccati_fixed_point(ieee14_model):
@@ -425,9 +428,9 @@ def test_unsettled_schedule_covers_every_step(ieee14_topology):
     model = build_model(ieee14_topology, 5, 1e-4, 1.0)
     schedule = PreSchedule(model, 1e-4)
     assert not schedule.settled and len(schedule.steps) < 3000
-    ks = initial_state(np.zeros(model.N), 1e-4)
+    ks = own_covariance(initial_state(np.zeros(model.N), 1e-4))
     for step in islice(schedule, 3000):
-        ks = kf_predict(model, ks, None, shares=False)
+        ks = kf_predict(model, ks, None)
         expected = pre_gain_step(model, ks.P)
         np.testing.assert_array_equal(step.P_pred, expected.P_pred)
         np.testing.assert_array_equal(step.P_upd, expected.P_upd)
@@ -451,7 +454,7 @@ def test_failed_factorization_raises_typed_error(ieee14_model, ieee14_topology):
     with pytest.raises(InnovationSolveError):
         kf_update_post(
             ieee14_model, broken, post_mean(ieee14_model, broken, y), np.zeros(23),
-            np.full(23, 1.0), None, shares=False,
+            np.full(23, 1.0), None,
         )
     # a stacked post update where one trial of three is broken, alone among
     # the trials that run their own update or together with all of them
@@ -463,8 +466,9 @@ def test_failed_factorization_raises_typed_error(ieee14_model, ieee14_topology):
     sigma_hat = np.zeros((3, 23))
     sigma_hat[1:, 0] = 1.0
     for shares in (np.array([True, False, False]), np.array([False, False, False])):
+        pred = dataclasses.replace(stacked, shares=shares)
         with pytest.raises(InnovationSolveError):
-            kf_update_post(ieee14_model, stacked, mean, np.zeros((3, 23)), sigma_hat, step, shares)
+            kf_update_post(ieee14_model, pred, mean, np.zeros((3, 23)), sigma_hat, step)
 
 
 def test_batched_filter_matches_single_trial_calls(ieee14_model, ieee14_topology):
@@ -479,46 +483,95 @@ def test_batched_filter_matches_single_trial_calls(ieee14_model, ieee14_topology
     xs = x0 + 1e-3 * rng.standard_normal((B, 13))
     own_P = np.stack([steps[0].P_upd * (1.0 + 0.1 * i) for i in range(B)])
     shares = np.array([True, False, True, False, True])
-    post = KalmanState(xs, own_P)
+    post = KalmanState(xs, own_P, shares)
     for step in steps[1:]:
         means = 1e-2 * rng.standard_normal((B, 23))
         a_hat = np.where(rng.random((B, 23)) < 0.3, 0.05, 0.0)
         sigma_hat = np.where(rng.random((B, 23)) < 0.2, 1.5, 0.0)
         sigma_hat[0] = sigma_hat[3] = 0.0
-        pred = kf_predict(model, post, step, shares)
-        upd = kf_update_post(model, pred, means, a_hat, sigma_hat, step, shares)
+        pred = kf_predict(model, post, step)
+        upd = kf_update_post(model, pred, means, a_hat, sigma_hat, step)
         for i in range(B):
-            alone = KalmanState(post.x[i], post.P[i])
-            want_pred = kf_predict(model, alone, step, shares[i])
-            want = kf_update_post(model, want_pred, means[i], a_hat[i], sigma_hat[i], step, shares[i])
+            alone = KalmanState(post.x[i], post.P[i], shares[i])
+            want_pred = kf_predict(model, alone, step)
+            want = kf_update_post(model, want_pred, means[i], a_hat[i], sigma_hat[i], step)
             np.testing.assert_array_equal(np.broadcast_to(pred.P, (B, 13, 13))[i], want_pred.P)
             np.testing.assert_array_equal(pred.x[i], want_pred.x)
             np.testing.assert_array_equal(upd.x[i], want.x)
             np.testing.assert_array_equal(np.broadcast_to(upd.P, (B, 13, 13))[i], want.P)
+            assert upd.shares[i] == want.shares
+        assert pred.shares.tolist() == shares.tolist()
         post = upd
         shares = shares & ~sigma_hat.any(axis=1)
+        assert post.shares.tolist() == shares.tolist()
 
 
-def test_post_update_takes_the_callers_jammed_flags(ieee14_model):
-    # kf_update_post reads sigma_hat.any(axis=-1) from ``jammed`` when the
-    # caller has it: the same bits as forming it itself, for every mix of
-    # shares-pre flags and jammed trials
+def test_post_update_clears_the_flags_of_jammed_trials(ieee14_model, monkeypatch):
+    # flags [T, T, F, F] with sigma_hat zero on rows 0 and 2: only row 0
+    # keeps its flag and the step's gain and covariance; rows 1-3 run their
+    # own K x K update, as one stacked call, and every row has the bits of
+    # the same call on that trial alone
     model = ieee14_model
     rng = np.random.default_rng(12)
     step = next(iter(PreSchedule(model, 1e-4)))
     B = 4
-    pred = KalmanState(1e-3 * rng.standard_normal((B, 13)), np.stack([step.P_pred] * B))
+    P = np.stack([step.P_pred * (1.0 + 0.1 * i * (i >= 2)) for i in range(B)])
+    pred = KalmanState(1e-3 * rng.standard_normal((B, 13)), P, np.array([True, True, False, False]))
     means = 1e-2 * rng.standard_normal((B, 23))
     a_hat = np.where(rng.random((B, 23)) < 0.3, 0.05, 0.0)
-    for jammed in ([False] * 4, [True, False, True, False], [True] * 4):
-        sigma_hat = np.where(np.array(jammed)[:, None] & (rng.random((B, 23)) < 0.5), 1.5, 0.0)
-        for shares in (np.array([True, True, False, False]), np.ones(B, dtype=bool)):
-            want = kf_update_post(model, pred, means, a_hat, sigma_hat, step, shares)
-            got = kf_update_post(
-                model, pred, means, a_hat, sigma_hat, step, shares, jammed=sigma_hat.any(axis=-1)
-            )
-            assert_same_bits(got.x, want.x)
-            assert_same_bits(got.P, want.P)
+    sigma_hat = np.where(rng.random((B, 23)) < 0.5, 1.5, 0.0)
+    sigma_hat[[0, 2]] = 0.0
+    sigma_hat[[1, 3], 0] = 1.5
+    own = []
+    real_gain_step = kalman.gain_step
+
+    def spy(model, P_pred, noise):
+        own.append(P_pred.copy())
+        return real_gain_step(model, P_pred, noise)
+
+    monkeypatch.setattr(kalman, "gain_step", spy)
+    got = kf_update_post(model, pred, means, a_hat, sigma_hat, step)
+    assert got.shares.tolist() == [True, False, False, False]
+    assert len(own) == 1
+    assert_same_bits(own[0], P[1:])
+    assert_same_bits(got.P[0], step.P_upd)
+    for i in range(B):
+        alone = KalmanState(pred.x[i], P[i], pred.shares[i])
+        want = kf_update_post(model, alone, means[i], a_hat[i], sigma_hat[i], step)
+        assert_same_bits(got.x[i], want.x)
+        assert_same_bits(got.P[i], want.P)
+        assert got.shares[i] == want.shares
+    assert len(own) == 4  # one own update for each of rows 1-3 alone
+
+
+def test_resync_copies_the_pre_rows_and_sets_their_flags(ieee14_model):
+    # in full, a copy of the pre filter's states with the entry's
+    # covariance and every flag set; in part, on a stacked P, the trials
+    # that stay keep the post filter's x, P and flags, and the rest take
+    # the pre filter's
+    model = ieee14_model
+    rng = np.random.default_rng(5)
+    step = next(iter(PreSchedule(model, 1e-4)))
+    B = 4
+    pre_x = read_only(rng.standard_normal((B, model.N)))
+    full = resync(pre_x, step)
+    assert_same_bits(full.x, pre_x)
+    assert not np.shares_memory(full.x, pre_x)
+    assert full.P is step.P_upd
+    assert full.shares.tolist() == [True] * B
+
+    stay = np.array([False, True, False, True])
+    P = read_only(np.stack([step.P_upd * 1.1, step.P_upd * 1.2]))
+    post = KalmanState(read_only(rng.standard_normal((2, model.N))), P, np.array([True, False]))
+    part = resync(pre_x, step, post, stay)
+    assert not np.shares_memory(part.x, pre_x) and not np.shares_memory(part.x, post.x)
+    assert part.shares.tolist() == [True, True, True, False]
+    for i, j in ((1, 0), (3, 1)):
+        assert_same_bits(part.x[i], post.x[j])
+        assert_same_bits(part.P[i], P[j])
+    for i in (0, 2):
+        assert_same_bits(part.x[i], pre_x[i])
+        assert_same_bits(part.P[i], step.P_upd)
 
 
 def a_model(topology, dense):
@@ -556,8 +609,9 @@ def test_predict_matches_one_trial_oracle(ieee14_topology, dense):
         (stacked, np.array([True, False, True, False])),
     ]
     for P, shares in cases:
-        ks = KalmanState(read_only(xs), read_only(P))
-        got = kf_predict(model, ks, steps[1], shares)
+        ks = KalmanState(read_only(xs), read_only(P), shares)
+        got = kf_predict(model, ks, steps[1])
+        assert got.shares is shares
         assert_same_bits(ks.x, xs)
         assert_same_bits(ks.P, P)
         got_P = np.broadcast_to(got.P, (B, model.N, model.N))
