@@ -9,9 +9,10 @@ For each seed from A to B inclusive, ``perfbench/run.py --workload W
 --seed SEED --seconds S --trace 0`` runs once in each tree, one after the
 other: the parent first on odd seeds and the change first on even ones, so
 neither side always runs on the warmer machine. The run's last line of
-standard output is its result; a run that exits non-zero or ends without
-one stops the script with status 1, naming the tree, workload, seed and
-exit code, followed by the last lines of the run's standard error. The
+standard output is its result and its ``env`` line its machine block; a
+run that exits non-zero or ends without both stops the script with status
+1, naming the tree, workload, seed and exit code, followed by the last
+lines of the run's standard error. The
 JSON written to FILE (standard output by default) holds every run, the
 machine block of the first run (its ``env`` line) and, for each
 end-to-end metric of BENCHMARK.json next to this script, both sides'
@@ -23,7 +24,9 @@ verdict against the metric's bound:
 "worse" when the change's median is worse than the parent's by more than
 bound x |parent median|; else "unresolved" when the parent's
 interquartile distance is wider than that margin, unless every run of
-the change beats every run of the parent; else "held".
+the change beats every run of the parent; else "held". When some run is
+not correct or has failed operations, the script exits 1 after writing
+the summary, naming each such run's side, seed and failed count.
 """
 
 from __future__ import annotations
@@ -96,13 +99,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> "tuple[dic
         result = json.loads(lines[-1]) if proc.returncode == 0 else None
     except (IndexError, json.JSONDecodeError):
         result = None
-    if not isinstance(result, dict):
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    if not isinstance(result, dict) or env is None:
+        missing = "a JSON result" if not isinstance(result, dict) else "an env line"
         tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
         raise SystemExit(
             f"{tree}: perfbench/run.py --workload {workload} --seed {seed} exited "
-            f"{proc.returncode} without a JSON result; the end of its standard error:\n{tail}"
+            f"{proc.returncode} without {missing}; the end of its standard error:\n{tail}"
         )
-    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     run = {
         "seed": seed,
         "correct": result["correct"],
@@ -132,12 +136,17 @@ def main(argv=None) -> int:
             runs[side].append(run)
             machine = machine or env
             print(f"{args.workload} seed {seed} {side}: {run['metrics']}", file=sys.stderr)
+    bad = [
+        f"{side} seed {r['seed']}: correct {r['correct']}, failed {r['failed']}"
+        for side, side_runs in runs.items() for r in side_runs
+        if not (r["correct"] and r["failed"] == 0)
+    ]
     summary = {
         "workload": args.workload,
         "seeds": f"{args.seeds[0]}-{args.seeds[-1]}",
         "seconds": args.seconds,
         "machine": machine,
-        "all_correct": all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side),
+        "all_correct": not bad,
         "end_to_end": {
             m["name"]: summarize(
                 [r["metrics"][m["name"]] for r in runs["parent"]],
@@ -154,6 +163,8 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     else:
         args.out.write_text(text)
+    if bad:
+        raise SystemExit(f"{args.workload}: runs that failed their own checks: " + "; ".join(bad))
     return 0
 
 

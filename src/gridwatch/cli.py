@@ -47,9 +47,9 @@ def _out_dir(text: str) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args.out)
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"bad value for 'seed': {args.seed} (must be >= 0)")
+    out = _out_dir(args.out)
     ctx = harness.prepare(cfg)
     log_steps = args.log_steps or cfg.run.log_steps
     results = harness.run_trials(ctx, master_seed=args.seed, log_steps=log_steps)

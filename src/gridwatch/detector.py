@@ -11,6 +11,12 @@ statistics of the residuals e against the post-filter *prediction*:
     delta = sum_i e_i          zeta = sum_i e_i^2
     rho   = sum_i (e_i+gamma)^2    pi = sum_i (e_i-gamma)^2
 
+The constrained bias MLE is the mean delta/lam where it is interior,
+|delta/lam| >= gamma, else the boundary on the mean's side (+gamma at
+delta = 0), so of rho and pi only the one at that boundary is formed: pi
+on the upper side, rho on the lower. ``residual_stats`` decides the side
+once, for both that SSR and the bias MLE.
+
 The clean and bias costs share one expression and the two jamming costs
 another, each over the same pair of sums of squared residuals: zeta, and
 ssr_f, the SSR at the constrained bias MLE. So a batch step builds a (..., 2,
@@ -75,7 +81,7 @@ harness fills such idle steps itself (``harness._ClosedLoop.run``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,36 +102,23 @@ class DetectorConfig:
 
 @dataclass
 class ResidualBlock:
-    """Residuals vs the post-filter prediction plus sufficient statistics.
+    """The per-meter statistics of the residuals against the post-filter
+    prediction that the costs, the attack estimates and the post-filter
+    update read, each (..., K) over the residuals' (..., K, lam):
 
-    ``e`` is (..., K, lam); the statistics are (..., K). The derived blocks
-    are formed when the block is built and shared by the costs, the attack
-    estimates and the post-filter update:
-
-    * ``mean``: the per-meter residual mean delta/lam, the post filter's
-      meter-mean innovation;
-    * ``interior``: |mean| >= gamma, where the bias MLE is the mean itself;
-    * ``ssr``: the (..., 2, K) SSR block [zeta, ssr_f], where the
-      bias-constrained ssr_f is sum (e - mean)^2 when the mean is interior,
-      else the SSR at the nearer boundary +/- gamma.
+    * ``mean``: the residual mean delta/lam, the post filter's meter-mean
+      innovation;
+    * ``a``: the bias MLE under |a| >= gamma: the mean where it is
+      interior, |mean| >= gamma, else the nearer boundary +/- gamma
+      (+gamma at delta = 0);
+    * ``ssr``: the (..., 2, K) SSR block [zeta, ssr_f], where ssr_f is the
+      SSR at ``a``: sum (e - mean)^2 where the mean is interior, else pi
+      or rho.
     """
 
-    e: np.ndarray  # (..., K, lam)
-    delta: np.ndarray
-    zeta: np.ndarray
-    rho: np.ndarray  # sum (e + gamma)^2
-    pi: np.ndarray  # sum (e - gamma)^2
-    gamma: float
-    mean: np.ndarray = field(init=False)
-    interior: np.ndarray = field(init=False)
-    ssr: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.mean = mean = self.delta / self.e.shape[-1]
-        self.interior = np.abs(mean) >= self.gamma
-        centered = np.maximum(self.zeta - self.delta * mean, 0.0)  # >= 0 up to roundoff
-        ssr_f = np.where(self.interior, centered, np.where(mean >= 0.0, self.pi, self.rho))
-        self.ssr = np.concatenate((self.zeta[..., None, :], ssr_f[..., None, :]), axis=-2)
+    mean: np.ndarray
+    a: np.ndarray
+    ssr: np.ndarray
 
 
 @dataclass
@@ -150,14 +143,20 @@ def residual_stats(
     model: GridModel, e: np.ndarray, delta: np.ndarray, cfg: DetectorConfig
 ) -> ResidualBlock:
     """The residual block of the (..., K, lam) residuals ``e`` whose sums
-    over the lam samples of each meter are ``delta``."""
+    over the lam samples of each meter are ``delta``. The side of the
+    mean, ``upper``, picks both the boundary SSR and the boundary bias."""
     zeta = (e * e).sum(axis=-1)
     g = cfg.gamma
-    # Expansions of sum (e +/- gamma)^2; one pass over samples per meter.
+    mean = delta / model.lam
+    interior, upper = np.abs(mean) >= g, mean >= 0.0
+    centered = np.maximum(zeta - delta * mean, 0.0)  # >= 0 up to roundoff
+    # The SSR at the nearer boundary, pi = sum (e - gamma)^2 on the upper
+    # side and rho = sum (e + gamma)^2 on the lower, expanded: one pass
+    # over the samples per meter.
     cross, square = 2.0 * g * delta, model.lam * g * g
-    rho = zeta + cross + square
-    pi = zeta - cross + square
-    return ResidualBlock(e=e, delta=delta, zeta=zeta, rho=rho, pi=pi, gamma=g)
+    ssr_f = np.where(interior, centered, np.where(upper, zeta - cross, zeta + cross) + square)
+    ssr = np.concatenate((zeta[..., None, :], ssr_f[..., None, :]), axis=-2)
+    return ResidualBlock(mean, np.where(interior, mean, np.where(upper, g, -g)), ssr)
 
 
 def hypothesis_costs(rb: ResidualBlock, model: GridModel, cfg: DetectorConfig) -> np.ndarray:
@@ -221,16 +220,12 @@ def mle_attack_params(
     """Closed-form constrained MLEs (a_hat, sigma_hat) given the
     classification.
 
-    The bias estimate is the residual mean clamped outward to the boundary
-    (delta = 0 maps to +gamma); the variance estimate is the per-branch
+    The bias estimate is the block's constrained bias MLE ``rb.a`` where
+    the label carries a bias; the variance estimate is the per-branch
     sample variance minus sigma_w2, floored at sigma2_min.
     """
-    mean = rb.mean
     labels = classification.labels
-
-    a_hat = np.where(rb.interior, mean, np.where(mean >= 0.0, cfg.gamma, -cfg.gamma))
-    a_hat = np.where(labels & 1, a_hat, 0.0)  # odd labels carry a bias: fdi, both
-
+    a_hat = np.where(labels & 1, rb.a, 0.0)  # odd labels carry a bias: fdi, both
     var = np.maximum(rb.ssr / model.lam - model.sigma_w2, cfg.sigma2_min)  # [jam only, both]
     sigma_hat = np.where(labels == 2, var[..., 0, :], np.where(labels == 3, var[..., 1, :], 0.0))
     return a_hat, sigma_hat

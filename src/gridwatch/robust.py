@@ -113,7 +113,7 @@ def _pearson(counts: np.ndarray, cfg: Chi2Config) -> np.ndarray:
 
 
 def chi2_sample_from_innovation(
-    r: np.ndarray, white: np.ndarray, sigma_w2: float, sums=None
+    r: np.ndarray, white: np.ndarray, sigma_w2: float, sums: np.ndarray
 ) -> np.ndarray:
     """Normalized innovation energy c_t = r^T Q^{-1} r against the pre-filter
     prediction; chi-squared with K*lam degrees of freedom under no attack.
@@ -124,10 +124,10 @@ def chi2_sample_from_innovation(
     Sbar = M P_pred M^T + (sigma_w2/lam) I. Q = H P_pred H^T + sigma_w2 I acts
     as sigma_w2 I on the within-meter deviations and as lam Sbar on the
     meter means, so c_t = ||r - rbar kron 1||^2 / sigma_w2 + ||W rbar||^2.
-    ``sums``, when given, holds r's per-meter sums r.sum(axis=-1), which the
-    pre filter forms anyway (``kalman.pre_filter``); rbar is sums / lam.
+    ``sums`` holds r's per-meter sums r.sum(axis=-1), which the pre filter
+    forms anyway (``kalman.pre_filter``); rbar is sums / lam.
     """
-    rbar = (r.sum(axis=-1) if sums is None else sums) / r.shape[-1]
+    rbar = sums / r.shape[-1]
     spread = r - rbar[..., None]
     spread = spread.reshape(spread.shape[:-2] + (-1,))
     z = matvec(white, rbar)

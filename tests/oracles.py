@@ -174,15 +174,23 @@ def gather_gllr(r_pre, stacked, labels, model):
     return 0.5 * K * lam * math.log(sw2) + 0.5 * vecdot(r, r) / sw2 - 0.5 * chosen.sum(axis=-1)
 
 
-def four_array_statistics(rb, model, cfg, r_pre):
+def four_array_statistics(e, model, cfg, r_pre, tie=None):
     """Costs u0/uf/uj/ufj, labels, nested-where MLEs and gathered GLLR
-    computed from the constructor fields of ResidualBlock ``rb``."""
+    computed from the four sums delta, zeta, rho and pi of the (..., K,
+    lam) residuals ``e``. At the meter ``tie``, when given, pi is set to
+    zeta. ``clamp`` is the bias MLE before the labels mask it."""
     lam, sw2 = model.lam, model.sigma_w2
     floor = sw2 + cfg.sigma2_min
-    mean = rb.delta / rb.e.shape[-1]
-    interior = np.abs(mean) >= rb.gamma
-    centered = np.maximum(rb.zeta - rb.delta * mean, 0.0)
-    ssr_f = np.where(interior, centered, np.where(mean >= 0.0, rb.pi, rb.rho))
+    delta = e.sum(axis=-1)
+    zeta = (e * e).sum(axis=-1)
+    rho = zeta + 2.0 * cfg.gamma * delta + lam * cfg.gamma * cfg.gamma
+    pi = zeta - 2.0 * cfg.gamma * delta + lam * cfg.gamma * cfg.gamma
+    if tie is not None:
+        pi[..., tie] = zeta[..., tie]
+    mean = delta / e.shape[-1]
+    interior = np.abs(mean) >= cfg.gamma
+    centered = np.maximum(zeta - delta * mean, 0.0)
+    ssr_f = np.where(interior, centered, np.where(mean >= 0.0, pi, rho))
 
     def floored_fit(ssr):
         var = ssr / lam
@@ -192,21 +200,24 @@ def four_array_statistics(rb, model, cfg, r_pre):
             lam * math.log(floor) + ssr / floor,
         )
 
-    u0 = lam * math.log(sw2) + rb.zeta / sw2
+    u0 = lam * math.log(sw2) + zeta / sw2
     uf = lam * math.log(sw2) + ssr_f / sw2
-    uj = floored_fit(rb.zeta)
+    uj = floored_fit(zeta)
     ufj = floored_fit(ssr_f)
     stacked = np.stack([u0, uf, uj, ufj], axis=-2)
     labels = np.argmin(stacked, axis=-2)
 
-    a_hat = np.where(interior, mean, np.where(mean >= 0.0, cfg.gamma, -cfg.gamma))
-    a_hat = np.where((labels == 1) | (labels == 3), a_hat, 0.0)
-    var_jam_only = np.maximum(rb.zeta / lam - sw2, cfg.sigma2_min)
+    clamp = np.where(interior, mean, np.where(mean >= 0.0, cfg.gamma, -cfg.gamma))
+    a_hat = np.where((labels == 1) | (labels == 3), clamp, 0.0)
+    var_jam_only = np.maximum(zeta / lam - sw2, cfg.sigma2_min)
     var_both = np.maximum(ssr_f / lam - sw2, cfg.sigma2_min)
     sigma_hat = np.where(labels == 2, var_jam_only, np.where(labels == 3, var_both, 0.0))
     return {
+        "delta": delta,
+        "zeta": zeta,
         "mean": mean,
         "interior": interior,
+        "clamp": clamp,
         "ssr_f": ssr_f,
         "u0": u0,
         "uf": uf,
@@ -323,7 +334,7 @@ def chi2_block(R, steps, sigma_w2):
     r.sum over the lam samples, and the T entries' whitening factors
     stacked, each in its Fortran layout."""
     white = np.stack([step.white.T for step in steps]).swapaxes(-1, -2)
-    return robust.chi2_sample_from_innovation(R, white, sigma_w2)
+    return robust.chi2_sample_from_innovation(R, white, sigma_w2, R.sum(axis=-1))
 
 
 def block_steps(attack, t, most):
@@ -717,7 +728,9 @@ def whole_step_run(ctx, seeds):
             "mse1": np.mean((post.x - x) ** 2, axis=-1),
         }
         if window is not None:
-            c = robust.chi2_sample_from_innovation(innovation, pre_step.white, model.sigma_w2)
+            c = robust.chi2_sample_from_innovation(
+                innovation, pre_step.white, model.sigma_w2, innovation.sum(axis=-1)
+            )
             window, chi = pearson_step(window, c)
             rows.update(c=c, chi=chi)
         if ctx.np_q is not None:

@@ -15,7 +15,7 @@ import pytest
 
 from gridwatch import harness, load_config
 from gridwatch.detector import classify_meters, hypothesis_costs, mle_attack_params
-from gridwatch.detector import DetectorConfig, ResidualBlock
+from gridwatch.detector import DetectorConfig, residual_stats
 from gridwatch.stealth import (
     GaussianPdf,
     construct_stealthy_gaussian,
@@ -151,22 +151,12 @@ def test_criterion_1_mle_oracle_equivalence():
         E = random_residual_blocks(n, lam, rng)
         oracle = brute_force_costs(E, SIGMA_W2, GAMMA, SIGMA2_MIN)
 
-        delta = E.sum(axis=1)
-        zeta = (E * E).sum(axis=1)
-        rb = ResidualBlock(
-            e=E,
-            delta=delta,
-            zeta=zeta,
-            rho=zeta + 2 * GAMMA * delta + lam * GAMMA**2,
-            pi=zeta - 2 * GAMMA * delta + lam * GAMMA**2,
-            gamma=GAMMA,
-        )
-
         class _Model:
             pass
 
         model = _Model()
         model.lam, model.sigma_w2, model.K = lam, SIGMA_W2, n
+        rb = residual_stats(model, E, E.sum(axis=1), cfg)
         costs = hypothesis_costs(rb, model, cfg)
         cls = classify_meters(costs)
         a_hat, sigma_hat = mle_attack_params(rb, cls, cfg, model)

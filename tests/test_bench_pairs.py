@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -67,27 +68,67 @@ def test_seed_range_needs_two_seeds():
         bench_pairs.seed_range("81")
 
 
-@pytest.mark.parametrize(
-    "body, code",
-    [
-        ("import sys\nprint('boom', file=sys.stderr)\nsys.exit(3)\n", 3),
-        ("import sys\nprint('no result')\nprint('boom', file=sys.stderr)\n", 0),
-    ],
-    ids=["exit_3", "no_json"],
+FAKE_RESULT = (
+    '{"correct": %s, "attempted": 4, "failed": %d, "metrics": {"steps_per_s": {"value": 100.0}, '
+    '"run_s": {"value": 1.0}, "peak_rss_mb": {"value": 50.0}, "setup_s": {"value": 0.5}}}'
 )
-def test_failed_run_stops_with_its_stderr(tmp_path, body, code):
-    # a run that exits non-zero, or exits 0 without a JSON result line,
-    # stops the script with status 1 and a message naming the tree, the
-    # workload, the seed and the exit code, then the run's standard error
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text(body)
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), str(tmp_path), str(tmp_path), "--workload", "fdi_detect",
+
+
+def run_script(*args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), *map(str, args), "--workload", "fdi_detect",
          "--seeds", "7-8", "--seconds", "1"],
         capture_output=True, text=True, timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "body, code, missing",
+    [
+        ("import sys\nprint('boom', file=sys.stderr)\nsys.exit(3)\n", 3, "a JSON result"),
+        ("import sys\nprint('no result')\nprint('boom', file=sys.stderr)\n", 0, "a JSON result"),
+        (f"import sys\nprint({FAKE_RESULT % ('true', 0)!r})\nprint('boom', file=sys.stderr)\n",
+         0, "an env line"),
+    ],
+    ids=["exit_3", "no_json", "no_env"],
+)
+def test_failed_run_stops_with_its_stderr(tmp_path, body, code, missing):
+    # a run that exits non-zero, or exits 0 without a JSON result line or
+    # without an env line, stops the script with status 1 and a message
+    # naming the tree, the workload, the seed and the exit code, then the
+    # run's standard error
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(body)
+    proc = run_script(tmp_path, tmp_path)
     assert proc.returncode == 1
     first, _, rest = proc.stderr.partition("\n")
     assert str(tmp_path) in first and "--workload fdi_detect --seed 7" in first
-    assert f"exited {code} without a JSON result" in first
+    assert f"exited {code} without {missing}" in first
     assert rest.strip() == "boom"
+
+
+def fake_tree(tmp_path, name, lines):
+    """A tree whose perfbench/run.py prints ``lines`` and exits 0."""
+    tree = tmp_path / name
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text("".join(f"print({line!r})\n" for line in lines))
+    return tree
+
+
+def test_run_that_fails_its_checks_exits_1_after_the_summary(tmp_path):
+    # every run exits 0 with a result, but the change's runs report one
+    # failed operation and are not correct: the summary is still written,
+    # then the script exits 1 naming the side, the seed and the count
+    good = fake_tree(tmp_path, "parent", ['env {"nproc": 2}', FAKE_RESULT % ("true", 0)])
+    bad = fake_tree(tmp_path, "change", ['env {"nproc": 2}', FAKE_RESULT % ("false", 1)])
+    out = tmp_path / "summary.json"
+    proc = run_script(good, bad, "--out", out)
+    assert proc.returncode == 1
+    summary = json.loads(out.read_text())
+    assert summary["all_correct"] is False and summary["machine"]["nproc"] == 2
+    assert summary["end_to_end"]["steps_per_s"]["no_regression"] == "held"
+    last = proc.stderr.splitlines()[-1]
+    assert "change seed 7: correct False, failed 1" in last
+    assert "change seed 8: correct False, failed 1" in last and "parent" not in last
+    assert run_script(good, good, "--out", out).returncode == 0
+    assert json.loads(out.read_text())["all_correct"] is True

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -240,15 +242,18 @@ def test_horizon_must_exceed_tau(tmp_path, two_bus_path):
 
 
 def test_cli_simulate_rejects_negative_seed(tmp_path, two_bus_path, monkeypatch, capsys):
-    # --seed replaces the config's seed after load_config checked it
+    # --seed replaces the config's seed after load_config checked it; a bad
+    # seed is rejected before the --out directory is made
     text = MINIMAL.format(
         topology=two_bus_path, extra_detector="", attack="kind = none", trials=1, horizon=50,
     )
     monkeypatch.setattr(harness, "prepare", lambda *args, **kwargs: pytest.fail("prepare ran"))
+    out = tmp_path / "new"
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--config", str(write(tmp_path, text)), "--seed", "-1"])
+        main(["simulate", "--config", str(write(tmp_path, text)), "--out", str(out), "--seed", "-1"])
     assert exc.value.code == 2
     assert "gridwatch simulate: error: bad value for 'seed'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("thresholds", ["2,x", "5,2", "2,nan", ""])
@@ -454,6 +459,34 @@ def test_cli_simulate_and_sweep(tmp_path, two_bus_path, capsys):
     lines = (tmp_path / "tradeoff.csv").read_text().splitlines()
     assert lines[0] == "h,fap,fap_ci,delay,delay_ci,miss_ratio,fap_censored,delay_false_alarms,delay_missed"
     assert len(lines) == 3
+
+
+PRESETS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=[p.stem for p in PRESETS])
+def test_every_preset_simulates(tmp_path, monkeypatch, capsys, preset):
+    # each shipped preset, cut to 2 trials of 160 steps (past every onset
+    # tau of 100) with a small mu0 baseline and no cache, runs end to end:
+    # one metric row per enabled detector and the sync share, the first
+    # detector table when attacked and the step log when logged
+    text = re.sub(r"(?m)^trials = .*$", "trials = 2", preset.read_text())
+    text = re.sub(r"(?m)^horizon = .*$", "horizon = 160", text)
+    text = text.replace("[detector]\n", "[detector]\nmu0_samples = 2000\nmu0_cache = none\n")
+    cfg_path = write(tmp_path, text, preset.name)
+    cfg = load_config(cfg_path)
+    assert (cfg.run.trials, cfg.run.horizon, cfg.detector.mu0_samples) == (2, 160, 2000)
+    prepared, prepare = [], harness.prepare
+    monkeypatch.setattr(harness, "prepare", lambda c: prepared.append(prepare(c)) or prepared[-1])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "detector,metric,value,ci_half,extra"
+    metric = "false_alarm_period" if cfg.attack.kind == "none" else "delay"
+    rows = [tuple(line.split(",")[:2]) for line in lines[1:] if not line.startswith("wrote ")]
+    assert rows == [(name, metric) for name in prepared[0].enabled] + [("alg1", "sync_frac")]
+    assert (out / "first_detector.csv").exists() == (cfg.attack.kind != "none")
+    assert (out / "trial_log.csv").exists() == (preset.stem == "fig8_recovery")
 
 
 def test_cli_false_alarm(tmp_path, two_bus_path, capsys):

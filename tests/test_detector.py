@@ -17,8 +17,9 @@ from gridwatch.detector import (
     hypothesis_costs,
     mle_attack_params,
     residual_block,
+    residual_stats,
 )
-from gridwatch.kalman import KalmanState, PreSchedule, initial_state, kf_predict
+from gridwatch.kalman import KalmanState, PreSchedule, initial_state, kf_predict, residuals
 
 from conftest import GAMMA, SIGMA2_MIN, SIGMA_W2
 from oracles import (
@@ -46,30 +47,66 @@ def block_from_e(model, e_row, cfg=CFG):
 
 
 def test_zero_residuals(ieee14_model):
+    # delta = zeta = 0: the mean is not interior, so the bias MLE is
+    # +gamma and ssr_f is pi = 5 gamma^2 (which rho equals at delta = 0)
     x = np.zeros(13)
     y = np.zeros((23, 5))
     rb = residual_block(ieee14_model, y, x, CFG)
-    assert not rb.e.any()
-    assert not rb.delta.any()
-    assert not rb.zeta.any()
-    np.testing.assert_allclose(rb.pi, 5 * GAMMA**2)
-    np.testing.assert_allclose(rb.rho, 5 * GAMMA**2)
+    assert not rb.mean.any()
+    assert not rb.ssr[0].any()
+    np.testing.assert_allclose(rb.ssr[1], 5 * GAMMA**2)
+    assert (rb.a == GAMMA).all()
 
 
 def test_residual_sums(ieee14_model):
     rb = block_from_e(ieee14_model, np.full(5, 0.1))
-    np.testing.assert_allclose(rb.delta, 0.5)
-    np.testing.assert_allclose(rb.zeta, 0.05)
+    np.testing.assert_allclose(rb.mean, 0.1)
+    np.testing.assert_allclose(rb.ssr[0], 0.05)
+    assert_same_bits(rb.a, rb.mean)  # interior: the bias MLE is the mean
 
 
-def test_pi_identity_on_random_inputs(ieee14_model):
+def test_bias_mle_minimizes_the_constrained_ssr(ieee14_model):
+    # rb.a is the minimizer of sum (e - a)^2 over |a| >= gamma, checked
+    # against a grid of each half-line and the exact candidates, and ssr_f
+    # is the SSR there, to a relative error of 1e-12 of the terms the
+    # expansions cancel, which are at most zeta + lam gamma^2 (at |a| = gamma
+    # ssr_f cancels to a few 1e-19, of either sign). Bit for bit, an
+    # interior ssr_f is max(zeta - delta mean, 0) and a boundary one
+    # (zeta -/+ 2 gamma delta) + lam gamma^2 on the side of the mean. The
+    # hand rows: delta = 0, a mean of exactly +/-gamma (interior), and
+    # means just inside and just outside the interior on each side
     rng = np.random.default_rng(0)
-    y = rng.standard_normal((23, 5)) * 0.05
-    rb = residual_block(ieee14_model, y, rng.standard_normal(13) * 0.01, CFG)
-    expected = rb.zeta - 2 * GAMMA * rb.delta + 5 * GAMMA**2
-    np.testing.assert_allclose(rb.pi, expected, rtol=1e-10)
-    expected_rho = rb.zeta + 2 * GAMMA * rb.delta + 5 * GAMMA**2
-    np.testing.assert_allclose(rb.rho, expected_rho, rtol=1e-10)
+    g = GAMMA
+    hand = [
+        np.zeros(5), np.full(5, g), np.full(5, -g),
+        np.full(5, g * (1 - 1e-9)), np.full(5, -g * (1 - 1e-9)),
+        np.full(5, g * (1 + 1e-9)), np.full(5, -g * (1 + 1e-9)),
+    ]
+    E = np.concatenate((hand, random_residual_blocks(400, 5, rng)))
+    delta, zeta = E.sum(axis=-1), (E * E).sum(axis=-1)
+    mean = delta / 5
+    assert mean[0] == 0.0 and mean[1] == g and mean[2] == -g
+    interior = np.abs(mean) >= g
+    assert interior[:7].tolist() == [False, True, True, False, False, True, True]
+    assert 50 < interior.sum() < len(E) - 50  # both cases among the random blocks
+    rb = residual_stats(ieee14_model, E, delta, CFG)
+    ssr_f = rb.ssr[1]
+
+    def ssr_at(a):  # sum (e - a)^2 for each row at each of the columns of a
+        return ((E[:, None, :] - a[..., None]) ** 2).sum(axis=-1)
+
+    side = np.linspace(g, 1.0, 801)
+    grid = np.broadcast_to(np.concatenate((-side[::-1], side)), (len(E), 2 * side.size))
+    exact = np.stack((np.full(len(E), g), np.full(len(E), -g), np.where(interior, mean, g)), axis=-1)
+    at_a = ssr_at(rb.a[:, None])[:, 0]
+    assert (np.abs(rb.a) >= g).all()
+    assert (at_a <= ssr_at(grid).min(axis=-1)).all()
+    assert (at_a <= ssr_at(exact).min(axis=-1) * (1 + 1e-12)).all()
+    assert_same_bits(rb.a[:3], np.array([g, g, -g]))
+    assert (np.abs(ssr_f - at_a) <= 1e-12 * (zeta + 5 * g * g)).all()
+    boundary = np.where(mean >= 0.0, zeta - 2.0 * g * delta, zeta + 2.0 * g * delta) + 5 * g * g
+    assert_same_bits(ssr_f[~interior], boundary[~interior])
+    assert_same_bits(ssr_f[interior], np.maximum(zeta - delta * mean, 0.0)[interior])
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +139,6 @@ def test_costs_match_oracle_quick(ieee14_model):
     for lam in (1, 5):
         E = random_residual_blocks(4000, lam, rng)
         oracle = brute_force_costs(E, SIGMA_W2, GAMMA, SIGMA2_MIN)
-        model = ieee14_model if lam == 5 else None
-        # evaluate the closed forms directly on the raw blocks
-        delta = E.sum(axis=1)
-        zeta = (E * E).sum(axis=1)
-        rb = ResidualBlock(
-            e=E,
-            delta=delta,
-            zeta=zeta,
-            rho=zeta + 2 * GAMMA * delta + lam * GAMMA**2,
-            pi=zeta - 2 * GAMMA * delta + lam * GAMMA**2,
-            gamma=GAMMA,
-        )
 
         class _M:
             pass
@@ -121,6 +146,8 @@ def test_costs_match_oracle_quick(ieee14_model):
         m = _M()
         m.lam = lam
         m.sigma_w2 = SIGMA_W2
+        # the residual block of the raw blocks, one meter each
+        rb = residual_stats(m, E, E.sum(axis=1), CFG)
         costs = hypothesis_costs(rb, m, CFG)
         for row, key in enumerate(("u0", "uf", "uj", "ufj")):
             np.testing.assert_allclose(costs[row], oracle[key], atol=1e-6, rtol=0)
@@ -140,7 +167,8 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
     costs = hypothesis_costs(rb, ieee14_model, CFG)
     cls = classify_meters(costs)
     a_hat, sigma_hat = mle_attack_params(rb, cls, CFG, ieee14_model)
-    beta = gllr(clean_term(rb.e, ieee14_model), costs)
+    e = residuals(ieee14_model, y, x)
+    beta = gllr(clean_term(e, ieee14_model), costs)
     assert len(set(cls.labels.ravel())) == 4  # every hypothesis occurs
     for i in range(B):
         rb1 = residual_block(ieee14_model, y[i], x[i], CFG)
@@ -148,12 +176,13 @@ def test_batched_statistics_match_single_trial_calls(ieee14_model):
         cls1 = classify_meters(costs1)
         a_hat1, sigma_hat1 = mle_attack_params(rb1, cls1, CFG, ieee14_model)
         for got, want in [
-            (rb.e[i], rb1.e), (rb.mean[i], rb1.mean), (rb.ssr[i], rb1.ssr),
+            (e[i], residuals(ieee14_model, y[i], x[i])),
+            (rb.mean[i], rb1.mean), (rb.a[i], rb1.a), (rb.ssr[i], rb1.ssr),
             (costs[i], costs1), (cls.labels[i], cls1.labels),
             (a_hat[i], a_hat1), (sigma_hat[i], sigma_hat1),
         ]:
             np.testing.assert_array_equal(got, want)
-        assert beta[i] == gllr(clean_term(rb1.e, ieee14_model), costs1)
+        assert beta[i] == gllr(clean_term(e[i], ieee14_model), costs1)
 
 
 # Hand-made meter rows (lam = 5) for the oracle comparison below: an
@@ -180,19 +209,19 @@ def test_cost_table_matches_four_array_oracle(ieee14_model, B):
     y[:, :n] = HAND_ROWS
     y[:, n] = HAND_ROWS[4]
     rb = residual_block(ieee14_model, y, np.zeros((B, 13)), CFG)
-    # exact ties: at delta = 0 the boundary SSR is pi, so pi = zeta makes
-    # u0 == uf and uj == ufj on meter n
-    assert not rb.delta[:, 4].any() and not rb.delta[:, n].any()
-    pi = rb.pi.copy()
-    pi[:, n] = rb.zeta[:, n]
-    rb = ResidualBlock(e=rb.e, delta=rb.delta, zeta=rb.zeta, rho=rb.rho, pi=pi, gamma=GAMMA)
     r_pre = y - rng.standard_normal((B, 23, 1)) * 0.01
+    want = four_array_statistics(y, ieee14_model, CFG, r_pre, tie=n)
+    # exact ties: at delta = 0 the boundary SSR is pi, so pi = zeta makes
+    # u0 == uf and uj == ufj on meter n; the block takes ssr_f = zeta there
+    assert not want["delta"][:, 4].any() and not want["delta"][:, n].any()
+    ssr = rb.ssr.copy()
+    ssr[:, 1, n] = ssr[:, 0, n]
+    rb = ResidualBlock(rb.mean, rb.a, ssr)
 
     costs = hypothesis_costs(rb, ieee14_model, CFG)
     cls = classify_meters(costs)
     a_hat, sigma_hat = mle_attack_params(rb, cls, CFG, ieee14_model)
-    want = four_array_statistics(rb, ieee14_model, CFG, r_pre)
-    assert rb.interior[:, :2].all() and not rb.interior[:, 2:5].any()
+    assert want["interior"][:, :2].all() and not want["interior"][:, 2:5].any()
     floor = SIGMA_W2 + SIGMA2_MIN
     # rows 5-7 against the floor: [zeta, ssr_f] over [5, 6, 7]
     above = [[True, True, False], [False, True, False]]
@@ -200,14 +229,14 @@ def test_cost_table_matches_four_array_oracle(ieee14_model, B):
     assert (want["u0"][:, n] == want["uf"][:, n]).all() and (want["uj"][:, n] == want["ufj"][:, n]).all()
     assert set(cls.labels.ravel()) == {0, 1, 2, 3}
     for got, key in [
-        (rb.mean, "mean"), (rb.interior, "interior"), (rb.ssr[..., 1, :], "ssr_f"),
+        (rb.mean, "mean"), (rb.a, "clamp"), (rb.ssr[..., 1, :], "ssr_f"),
         (costs[..., 0, :], "u0"), (costs[..., 1, :], "uf"),
         (costs[..., 2, :], "uj"), (costs[..., 3, :], "ufj"),
         (cls.labels, "labels"), (a_hat, "a_hat"), (sigma_hat, "sigma_hat"),
         (gllr(clean_term(r_pre, ieee14_model), costs), "beta"),
     ]:
         assert_same_bits(got, want[key])
-    assert_same_bits(rb.ssr[..., 0, :], rb.zeta)
+    assert_same_bits(rb.ssr[..., 0, :], want["zeta"])
 
     # ties of every pattern, and signed zeros, straight in the table
     table = rng.integers(-2, 3, (B, 4, 23)) * rng.choice([-1.0, 1.0], (B, 4, 23))
@@ -295,7 +324,7 @@ def test_mle_zero_mean_maps_to_plus_gamma(ieee14_model):
     # delta = 0 falls in the 0 <= delta/lam < gamma branch
     e = np.array([0.01, -0.01, 0.02, -0.02, 0.0])
     rb = block_from_e(ieee14_model, e)
-    assert rb.delta[0] == pytest.approx(0.0, abs=1e-15)
+    assert rb.mean[0] == 0.0
     a_hat, _ = mle_attack_params(rb, forced_labels(ieee14_model, rb, 1), CFG, ieee14_model)
     np.testing.assert_allclose(a_hat, GAMMA)
 
@@ -304,7 +333,7 @@ def test_mle_jam_variance_interior(ieee14_model):
     # zeta/lam = 2e-2 >= sigma_w2 + sigma2_min -> sigma2 = 2e-2 - 1e-4
     e = np.full(5, math.sqrt(2e-2))
     rb = block_from_e(ieee14_model, e)
-    assert rb.zeta[0] / 5 == pytest.approx(2e-2)
+    assert rb.ssr[0, 0] / 5 == pytest.approx(2e-2)
     a_hat, sigma_hat = mle_attack_params(rb, forced_labels(ieee14_model, rb, 2), CFG, ieee14_model)
     np.testing.assert_allclose(sigma_hat, 2e-2 - SIGMA_W2, rtol=1e-12)
     assert not a_hat.any()

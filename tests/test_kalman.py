@@ -384,7 +384,7 @@ def test_structured_updates_match_dense_oracle(ieee14_topology, ratio, lam):
         post = kf_update_post(model, post, post_mean(model, post, y), a_hat, sigma_hat, step)
         shares = shares and not sigma_hat.any()
         assert pre.shares and post.shares == shares
-        c = chi2_sample_from_innovation(r, step.white, model.sigma_w2)
+        c = chi2_sample_from_innovation(r, step.white, model.sigma_w2, r.sum(axis=-1))
 
         pre_d, factor, r_d = dense_update(
             model, dense_predict(model, pre_d), y.reshape(-1), 0.0, clean_noise

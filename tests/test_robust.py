@@ -51,7 +51,7 @@ def test_chi2_sample_zero_residual(ieee14_model, ieee14_topology):
     assert chi2_sample(ieee14_model, ks, y) == pytest.approx(0.0, abs=1e-20)
     step = pre_gain_step(ieee14_model, ks.P)
     _, r = kf_update_pre_full(ieee14_model, ks, y, step)
-    c = chi2_sample_from_innovation(r, step.white, ieee14_model.sigma_w2)
+    c = chi2_sample_from_innovation(r, step.white, ieee14_model.sigma_w2, r.sum(axis=-1))
     assert c == pytest.approx(0.0, abs=1e-20)
 
 
@@ -72,7 +72,7 @@ def test_chi2_sample_scalar_arithmetic():
     assert chi2_sample(model, ks, y) == pytest.approx(4.5)
     step = pre_gain_step(model, ks.P)
     _, r = kf_update_pre_full(model, ks, y, step)
-    assert chi2_sample_from_innovation(r, step.white, model.sigma_w2) == pytest.approx(4.5)
+    assert chi2_sample_from_innovation(r, step.white, model.sigma_w2, r.sum(axis=-1)) == pytest.approx(4.5)
 
 
 def test_batched_statistics_match_single_windows(ieee14_model, ieee14_topology):
@@ -89,12 +89,14 @@ def test_batched_statistics_match_single_windows(ieee14_model, ieee14_topology):
     white = pre_gain_step(ieee14_model, ks.P).white
     for _ in range(200):
         r = rng.standard_normal((B, 23, 5)) * 0.01 * rng.uniform(0.5, 2.0)
-        c = chi2_sample_from_innovation(r, white, ieee14_model.sigma_w2)
+        c = chi2_sample_from_innovation(r, white, ieee14_model.sigma_w2, r.sum(axis=-1))
         batch, chi = pearson_step(batch, c[:, None])
         y = rng.standard_normal((B, 115))
         cos = cosine_similarity(y, y - r.reshape(B, -1))
         for i in range(B):
-            assert c[i] == chi2_sample_from_innovation(r[i], white, ieee14_model.sigma_w2)
+            assert c[i] == chi2_sample_from_innovation(
+                r[i], white, ieee14_model.sigma_w2, r[i].sum(axis=-1)
+            )
             windows[i], chi_i = pearson_step(windows[i], c[i, None])
             assert chi[i] == chi_i
             np.testing.assert_array_equal(batch.counts[i], windows[i].counts)
