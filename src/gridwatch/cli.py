@@ -138,29 +138,17 @@ def cmd_stealth_audit(args) -> int:
         f1p = stealth.construct_stealthy_gaussian(mu0, mu1, s2, args.phi)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    gap = stealth.persistent_stealth_gap(f1p, f0, f1)
     t_on, t_off = budget.integerized()
-    header = [
-        "kl_10",
-        "kl_01",
-        "t_on_max",
-        "t_off_min",
-        "t_on",
-        "t_off",
-        "duty_bound",
-        "common_kl",
-        "gap",
-    ]
-    row = (
-        budget.kl_10,
-        budget.kl_01,
-        budget.t_on_max,
-        budget.t_off_min,
-        t_on,
-        t_off,
-        budget.duty_bound,
-        stealth.kl_gaussian(f1p, f0),
-        gap,
+    header, row = zip(
+        ("kl_10", budget.kl_10),
+        ("kl_01", budget.kl_01),
+        ("t_on_max", budget.t_on_max),
+        ("t_off_min", budget.t_off_min),
+        ("t_on", t_on),
+        ("t_off", t_off),
+        ("duty_bound", budget.duty_bound),
+        ("common_kl", stealth.kl_gaussian(f1p, f0)),
+        ("gap", stealth.persistent_stealth_gap(f1p, f0, f1)),
     )
     harness.write_rows(sys.stdout, header, [row])
     return 0

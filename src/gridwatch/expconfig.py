@@ -5,6 +5,10 @@ Sections are [model] [detector] [shewhart] [chi2] [attack] [run] with
 keys are rejected. [shewhart] and [chi2] are optional; leaving them out
 disables those detectors. Benchmark detectors are enabled by giving their
 thresholds (np_q, euclid_d, cosine_d) under [detector].
+
+Each key is declared once, in its section's table below, with its converter
+and its default; the parser accepts exactly those keys, and [attack]'s
+``kind`` and ``inner``.
 """
 
 from __future__ import annotations
@@ -25,76 +29,13 @@ class ConfigError(ValueError):
 
 _BUNDLED = {"ieee14": "ieee14.grid"}
 
-_SCHEMA = {
-    "model": {"topology", "lambda", "sigma_v2", "sigma_w2", "a", "x0", "p0"},
-    "detector": {
-        "gamma",
-        "sigma2_min",
-        "h",
-        "np_q",
-        "euclid_d",
-        "cosine_d",
-        "np_clamp",
-        "mu0_samples",
-        "mu0_cache",
-    },
-    "shewhart": {"phi"},
-    "chi2": {"m", "l", "varphi"},
-    "attack": {
-        "kind",
-        "p",
-        "meters",
-        "fdi_uniform",
-        "fdi_fixed",
-        "jam_uniform",
-        "jam_fixed",
-        "inner",
-        "t_on",
-        "t_off",
-        "fault_meters",
-    },
-    "run": {"trials", "horizon", "tau", "eta", "seed", "log_steps", "workers"},
-}
-
-_REQUIRED_SECTIONS = ("model", "detector", "attack", "run")
-
-# The [attack] keys each kind reads besides ``kind``. kind = onoff reads
-# ``inner``, ``t_on`` and ``t_off`` and the keys of its inner kind.
-_SELECTION = ("p", "meters")
-_FDI = ("fdi_uniform", "fdi_fixed")
-_JAM = ("jam_uniform", "jam_fixed")
-_ATTACK_KEYS = {
-    "none": (),
-    "fdi": _SELECTION + _FDI,
-    "jamming": _SELECTION + _JAM,
-    "hybrid": _SELECTION + _FDI + _JAM,
-    "topology-fault": ("fault_meters",),
-}
+# The default of a key that must be given.
+REQUIRED = object()
 
 
-def _parse_sections(path: Path) -> dict:
-    sections: dict = {}
-    for name, lines in read_sections(path, _SCHEMA, ConfigError).items():
-        sec = sections[name] = {}
-        for lineno, line in lines:
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.lower()
-            if key not in _SCHEMA[name]:
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
-            if key in sec:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            sec[key] = value
-    for name in _REQUIRED_SECTIONS:
-        if name not in sections:
-            raise ConfigError(f"missing required section [{name}]")
-    return sections
-
-
-def _get(sec: dict, key: str, conv, default=None, required=False):
+def _get(sec: dict, key: str, conv, default):
     if key not in sec:
-        if required:
+        if default is REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
@@ -103,8 +44,13 @@ def _get(sec: dict, key: str, conv, default=None, required=False):
         raise ConfigError(f"bad value for {key!r}: {sec[key]!r} ({exc})") from None
 
 
+def _read(sec: dict, table: dict) -> dict:
+    """Each key of ``table`` converted, or its default, in table order."""
+    return {key: _get(sec, key, conv, default) for key, (conv, default) in table.items()}
+
+
 def _bool(text: str) -> bool:
-    t = text.strip().lower()
+    t = text.lower()
     if t in ("true", "yes", "on", "1"):
         return True
     if t in ("false", "no", "off", "0"):
@@ -124,20 +70,37 @@ def _at_least(least: int):
     return conv
 
 
-def _whole(text: str) -> float:
-    """A finite float that is a whole number, kept a float."""
+def _onset(text: str) -> float:
+    """The attack onset: a whole number >= 1, kept a float. The on-off
+    cycle counts from int(tau) and the attack starts at the first t >= tau,
+    so only a whole tau puts them at the same step."""
     value = finite(text)
     if value % 1:
         raise ValueError("must be a whole number")
+    if value < 1:
+        raise ValueError("must be >= 1")
     return value
+
+
+def _mu0_cache(text: str) -> str:
+    """``auto`` or ``none`` in any case, lower-cased; else a path as given."""
+    return text.lower() if text.lower() in ("auto", "none") else text
 
 
 def _floats(text: str) -> "list[float]":
     return [finite(tok) for tok in text.replace(",", " ").split()]
 
 
-def _ints(text: str) -> "list[int]":
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _ints(text: str) -> "tuple[int, ...]":
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _x0(text: str) -> tuple:
+    """(mode, values): ``topology`` or ``zeros`` in any case, else an
+    explicit comma list."""
+    if text.lower() in ("topology", "zeros"):
+        return text.lower(), None
+    return "explicit", _floats(text)
 
 
 def _symmetric_law(text: str) -> MagnitudeLaw:
@@ -151,6 +114,89 @@ def _interval_law(text: str) -> MagnitudeLaw:
 
 def _fixed_law(text: str) -> MagnitudeLaw:
     return MagnitudeLaw.fixed(finite(text))
+
+
+# Each section's keys: key -> (converter, default or REQUIRED), converted in
+# this order.
+_MODEL = {
+    "x0": (_x0, ("topology", None)),
+    "a": (str, "identity"),
+    "topology": (str, REQUIRED),
+    "lambda": (_at_least(1), 1),
+    "sigma_v2": (positive, REQUIRED),
+    "sigma_w2": (positive, REQUIRED),
+    "p0": (positive, None),
+}
+_DETECTOR = {
+    "gamma": (positive, REQUIRED),
+    "sigma2_min": (positive, REQUIRED),
+    "h": (finite, REQUIRED),
+    "np_q": (finite, None),
+    "euclid_d": (finite, None),
+    "cosine_d": (finite, None),
+    "np_clamp": (_bool, False),
+    "mu0_samples": (_at_least(1), 100_000),
+    "mu0_cache": (_mu0_cache, "auto"),
+}
+_SHEWHART = {"phi": (positive, REQUIRED)}
+_CHI2 = {"m": (_at_least(1), 5), "l": (int, 80), "varphi": (positive, REQUIRED)}
+_RUN = {
+    "trials": (_at_least(1), 1),
+    "horizon": (_at_least(1), REQUIRED),
+    "tau": (_onset, 100),
+    "eta": (_at_least(1), 50),
+    "seed": (_at_least(0), 0),
+    "log_steps": (_bool, False),
+    # accepted for existing configs and checked, but unused: every run is
+    # one batch of trials (see harness.run_trials)
+    "workers": (int, 1),
+}
+
+# The [attack] keys each kind reads besides ``kind``. kind = onoff reads
+# ``inner``, ``t_on`` and ``t_off`` and the keys of its inner kind. The two
+# keys of each of _SELECTION, _FDI and _JAM exclude each other.
+_SELECTION = {"p": (finite, 0.5), "meters": (_ints, None)}
+_FDI = {"fdi_uniform": (_symmetric_law, None), "fdi_fixed": (_fixed_law, None)}
+_JAM = {"jam_uniform": (_interval_law, None), "jam_fixed": (_fixed_law, None)}
+_FAULT = {"fault_meters": (_ints, ())}
+_ATTACK_KEYS = {
+    "none": {},
+    "fdi": {**_SELECTION, **_FDI},
+    "jamming": {**_SELECTION, **_JAM},
+    "hybrid": {**_SELECTION, **_FDI, **_JAM},
+    "topology-fault": _FAULT,
+}
+_ATTACK = {"t_on": (int, None), "t_off": (int, None), **_SELECTION, **_FDI, **_JAM, **_FAULT}
+
+_SECTIONS = {
+    "model": _MODEL,
+    "detector": _DETECTOR,
+    "shewhart": _SHEWHART,
+    "chi2": _CHI2,
+    "attack": {"kind", "inner", *_ATTACK},
+    "run": _RUN,
+}
+_REQUIRED_SECTIONS = ("model", "detector", "attack", "run")
+
+
+def _parse_sections(path: Path) -> dict:
+    sections: dict = {}
+    for name, lines in read_sections(path, _SECTIONS, ConfigError).items():
+        sec = sections[name] = {}
+        for lineno, line in lines:
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            key = key.lower()
+            if key not in _SECTIONS[name]:
+                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
+            if key in sec:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            sec[key] = value
+    for name in _REQUIRED_SECTIONS:
+        if name not in sections:
+            raise ConfigError(f"missing required section [{name}]")
+    return sections
 
 
 @dataclass
@@ -207,29 +253,23 @@ class ExperimentConfig:
 
 
 def resolve_topology(name: str, base: Optional[Path]) -> Path:
-    """Bundled names take priority; otherwise resolve against the config dir."""
+    """Bundled names take priority; otherwise resolve against the config dir
+    (an absolute path stays as it is)."""
     if name in _BUNDLED:
         return Path(str(resources.files("gridwatch").joinpath("data", _BUNDLED[name])))
-    p = Path(name)
-    if not p.is_absolute() and base is not None:
-        p = base / p
-    return p
+    return Path(name) if base is None else base / name
 
 
 def _attack_spec(sec: dict, tau: float) -> AttackSpec:
-    kind = _get(sec, "kind", str, required=True).strip().lower()
+    kind = _get(sec, "kind", str.lower, REQUIRED)
     read = {"kind"}
-    t_on = t_off = None
     if kind == "onoff":
-        inner = _get(sec, "inner", str, required=True).strip().lower()
-        if inner not in ("fdi", "jamming", "hybrid"):
-            raise ConfigError(f"onoff inner kind must be fdi/jamming/hybrid, got {inner!r}")
-        t_on = _get(sec, "t_on", int)
-        t_off = _get(sec, "t_off", int)
-        if t_on is None or t_off is None:
+        kind = _get(sec, "inner", str.lower, REQUIRED)
+        if kind not in ("fdi", "jamming", "hybrid"):
+            raise ConfigError(f"onoff inner kind must be fdi/jamming/hybrid, got {kind!r}")
+        if "t_on" not in sec or "t_off" not in sec:
             raise ConfigError("kind = onoff requires t_on and t_off")
         read |= {"inner", "t_on", "t_off"}
-        kind = inner
     if kind not in _ATTACK_KEYS:
         raise ConfigError(f"bad value for 'kind': {kind!r} (unknown attack kind)")
     read.update(_ATTACK_KEYS[kind])
@@ -239,31 +279,25 @@ def _attack_spec(sec: dict, tau: float) -> AttackSpec:
     for first, second in (_SELECTION, _FDI, _JAM):
         if first in sec and second in sec:
             raise ConfigError(f"[attack] keys {first!r} and {second!r} exclude each other")
-    if kind == "none":
-        return AttackSpec(tau=math.inf, kind="none")
 
-    if "meters" in sec:
-        selection = ("fixed", tuple(_get(sec, "meters", _ints)))
-    else:
-        selection = ("bernoulli", _get(sec, "p", finite, default=0.5))
-
-    fdi_law = _get(sec, "fdi_uniform", _symmetric_law) or _get(sec, "fdi_fixed", _fixed_law)
-    jam_law = _get(sec, "jam_uniform", _interval_law) or _get(sec, "jam_fixed", _fixed_law)
-    fault = tuple(_get(sec, "fault_meters", _ints, default=()))
+    # every key this kind does not read is absent, so it takes its default
+    v = _read(sec, _ATTACK)
+    fdi_law = v["fdi_uniform"] or v["fdi_fixed"]
+    jam_law = v["jam_uniform"] or v["jam_fixed"]
     if kind in ("fdi", "hybrid") and fdi_law is None:
         raise ConfigError(f"kind = {kind} requires fdi_uniform or fdi_fixed")
     if kind in ("jamming", "hybrid") and jam_law is None:
         raise ConfigError(f"kind = {kind} requires jam_uniform or jam_fixed")
     try:
         return AttackSpec(
-            tau=tau,
+            tau=math.inf if kind == "none" else tau,
             kind=kind,
-            selection=selection,
+            selection=("bernoulli", v["p"]) if v["meters"] is None else ("fixed", v["meters"]),
             fdi_law=fdi_law,
             jam_law=jam_law,
-            t_on=t_on,
-            t_off=t_off,
-            fault_meters=fault,
+            t_on=v["t_on"],
+            t_off=v["t_off"],
+            fault_meters=v["fault_meters"],
         )
     except ValueError as exc:  # its messages name the offending key
         raise ConfigError(str(exc)) from None
@@ -277,65 +311,29 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"bad value for '--config': {str(path)!r} ({exc.strerror})") from None
     base = path.parent
 
-    msec = sections["model"]
-    x0_raw = _get(msec, "x0", str, default="topology").strip()
-    if x0_raw.lower() in ("topology", "zeros"):
-        x0_mode, x0_values = x0_raw.lower(), None
-    else:
-        x0_mode, x0_values = "explicit", _get(msec, "x0", _floats)
-    a_raw = _get(msec, "a", str, default="identity").strip()
-    a_choice: "str | Path" = "identity" if a_raw.lower() == "identity" else (base / a_raw)
+    m = _read(sections["model"], _MODEL)
     model = ModelSection(
-        topology_path=resolve_topology(_get(msec, "topology", str, required=True), base),
-        lam=_get(msec, "lambda", _at_least(1), default=1),
-        sigma_v2=_get(msec, "sigma_v2", positive, required=True),
-        sigma_w2=_get(msec, "sigma_w2", positive, required=True),
-        a_choice=a_choice,
-        x0_mode=x0_mode,
-        x0_values=x0_values,
-        p0=_get(msec, "p0", positive),
+        topology_path=resolve_topology(m["topology"], base),
+        lam=m["lambda"],
+        sigma_v2=m["sigma_v2"],
+        sigma_w2=m["sigma_w2"],
+        a_choice="identity" if m["a"].lower() == "identity" else base / m["a"],
+        x0_mode=m["x0"][0],
+        x0_values=m["x0"][1],
+        p0=m["p0"],
     )
-
-    dsec = sections["detector"]
-    detector = DetectorSection(
-        gamma=_get(dsec, "gamma", positive, required=True),
-        sigma2_min=_get(dsec, "sigma2_min", positive, required=True),
-        h=_get(dsec, "h", finite, required=True),
-        np_q=_get(dsec, "np_q", finite),
-        euclid_d=_get(dsec, "euclid_d", finite),
-        cosine_d=_get(dsec, "cosine_d", finite),
-        np_clamp=_get(dsec, "np_clamp", _bool, default=False),
-        mu0_samples=_get(dsec, "mu0_samples", _at_least(1), default=100_000),
-        mu0_cache=_get(dsec, "mu0_cache", str, default="auto"),
-    )
-
+    detector = DetectorSection(**_read(sections["detector"], _DETECTOR))
     shewhart_phi = None
     if "shewhart" in sections:
-        shewhart_phi = _get(sections["shewhart"], "phi", positive, required=True)
-
+        shewhart_phi = _read(sections["shewhart"], _SHEWHART)["phi"]
     chi2_cfg = None
     if "chi2" in sections:
-        csec = sections["chi2"]
-        chi2_cfg = Chi2Section(
-            m=_get(csec, "m", _at_least(1), default=5),
-            l=_get(csec, "l", int, default=80),
-            varphi=_get(csec, "varphi", positive, required=True),
-        )
+        chi2_cfg = Chi2Section(**_read(sections["chi2"], _CHI2))
         if chi2_cfg.l < chi2_cfg.m:
             raise ConfigError(f"[chi2] l = {chi2_cfg.l} must be >= m = {chi2_cfg.m}")
-
-    rsec = sections["run"]
-    run = RunSection(
-        trials=_get(rsec, "trials", _at_least(1), default=1),
-        horizon=_get(rsec, "horizon", _at_least(1), required=True),
-        tau=_get(rsec, "tau", _whole, default=100),
-        eta=_get(rsec, "eta", _at_least(1), default=50),
-        seed=_get(rsec, "seed", _at_least(0), default=0),
-        log_steps=_get(rsec, "log_steps", _bool, default=False),
-    )
-    # accepted for existing configs and checked, but unused: every run is
-    # one batch of trials (see harness.run_trials)
-    _get(rsec, "workers", int, default=1)
+    r = _read(sections["run"], _RUN)
+    del r["workers"]
+    run = RunSection(**r)
 
     attack = _attack_spec(sections["attack"], run.tau)
     if attack.kind != "none" and run.horizon <= run.tau:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch import harness, load_config
+from gridwatch import expconfig, harness, load_config
 from gridwatch.cli import main
 from gridwatch.expconfig import ConfigError
 
@@ -173,6 +173,8 @@ FDI = "kind = fdi\nfdi_fixed = 0.1"
         (FDI, "tau = 20", "tau = nan", "tau"),
         ("kind = none", "tau = 20", "tau = inf", "tau"),
         ("kind = none", "tau = 20", "tau = 20.5", "tau"),
+        ("kind = none", "tau = 20", "tau = 0", "tau"),
+        ("kind = none", "tau = 20", "tau = -7", "tau"),
         (FDI, "h = 5", "h = nan", "h"),
         (FDI, "h = 5", "h = inf", "h"),
         (FDI, "h = 5", "h = 5\nnp_q = inf", "np_q"),
@@ -309,6 +311,19 @@ def test_unreadable_topology_names_topology_before_any_trial(tmp_path, monkeypat
     err = capsys.readouterr().err
     assert "gridwatch simulate: error: bad value for 'topology'" in err
     assert str(cfg.model.topology_path) in err
+
+
+@pytest.mark.parametrize(
+    "value, cache", [("None", "none"), ("AUTO", "auto"), ("None.txt", "None.txt")]
+)
+def test_mu0_cache_keywords_match_in_any_case(tmp_path, two_bus_path, value, cache):
+    # like every other keyword value; mu0_cache = None used to name a
+    # sidecar file called None in the working directory
+    text = MINIMAL.format(
+        topology=two_bus_path, extra_detector=f"mu0_cache = {value}", attack="kind = none",
+        trials=1, horizon=50,
+    )
+    assert load_config(write(tmp_path, text)).detector.mu0_cache == cache
 
 
 def test_unreadable_mu0_cache_is_a_usage_error(tmp_path, two_bus_path, monkeypatch, capsys):
@@ -582,6 +597,21 @@ def test_cli_stealth_audit_reports_range_errors(capsys, args, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "gridwatch stealth-audit: error: " in err and message in err
+
+
+def test_readme_config_reference_loads_and_names_every_key(tmp_path):
+    # the ini block under README's "Experiment configuration" is a config
+    # that loads, and each of its sections names every key the loader
+    # accepts there, as "key =" on a key line or in a comment, or in a
+    # comment's list ("plus t_on, t_off")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Experiment configuration\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+    load_config(write(tmp_path, block))
+    sections = dict(re.findall(r"(?ms)^\[(\w+)\]\n(.*?)(?=^\[|\Z)", block))
+    assert sections.keys() == expconfig._SECTIONS.keys()
+    for name, keys in expconfig._SECTIONS.items():
+        unnamed = [key for key in keys if not re.search(rf"(?m)\b{key}( =|,|$)", sections[name])]
+        assert not unnamed, f"README's [{name}] does not name {unnamed}"
 
 
 CONFIG_TOKENS = (
