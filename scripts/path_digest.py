@@ -42,9 +42,10 @@ WORKLOADS = ROOT / "perfbench" / "workloads"
 def parsed_digest(cfg_path: Path) -> str:
     """sha256 over the repr of the config ``load_config`` parses, of the
     topology it names, and over the fingerprint of the model built from
-    them. The config's paths enter as it names them: relative to its
-    directory, or a bundled file by its name; so copies of one config in two
-    places, read by two source trees, give one digest."""
+    them. The config's paths (topology, a and mu0_cache) enter as it names
+    them: relative to its directory, or a bundled file by its name; so
+    copies of one config in two places, read by two source trees, give one
+    digest."""
     from gridwatch.expconfig import load_config
     from gridwatch.grid_model import build_model, load_topology
 
@@ -60,7 +61,9 @@ def parsed_digest(cfg_path: Path) -> str:
         return p.relative_to(cfg_path.parent) if p.is_relative_to(cfg_path.parent) else p.name
 
     m = dataclasses.replace(m, topology_path=named(m.topology_path), a_choice=named(m.a_choice))
-    text = f"{dataclasses.replace(cfg, model=m, source=None)!r}\n{topology!r}\n{model.fingerprint()}"
+    d = dataclasses.replace(cfg.detector, mu0_cache=named(cfg.detector.mu0_cache))
+    cfg = dataclasses.replace(cfg, model=m, detector=d, source=None)
+    text = f"{cfg!r}\n{topology!r}\n{model.fingerprint()}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -77,7 +77,8 @@ class AttackSpec:
     meter, or ("fixed", indices) for a controlled meter set. For hybrid
     attacks the Bernoulli coins for the bias and jamming components are
     drawn independently of each other; with a fixed set the same set is
-    attacked by both components.
+    attacked by both components. A kind that injects false data needs
+    ``fdi_law``, and one that jams needs ``jam_law``.
     """
 
     tau: float = math.inf
@@ -109,6 +110,10 @@ class AttackSpec:
             raise ValueError(f"unknown selection mode {mode!r}")
         elif not self.selection[1]:
             raise ValueError("meters: a fixed selection needs at least one meter index")
+        if self.uses_fdi and self.fdi_law is None:
+            raise ValueError(f"kind = {self.kind} requires fdi_uniform or fdi_fixed")
+        if self.uses_jamming and self.jam_law is None:
+            raise ValueError(f"kind = {self.kind} requires jam_uniform or jam_fixed")
         if self.kind == "topology-fault" and not self.fault_meters:
             raise ValueError("fault_meters: topology-fault needs a nonempty meter set")
         jam = self.jam_law

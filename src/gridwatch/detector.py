@@ -38,10 +38,10 @@ attacked side) blocks same-step attack influence on the bias/variance
 estimates and is asserted by tests rather than symmetrized away. It is the
 clean term 0.5 K lam log sigma_w2 + 0.5 ||y - H x_pre_upd||^2 / sigma_w2
 (``clean_term``) less half the classified costs (``gllr``). The clean term
-reads only the pre filter and the measurements, so the harness computes it
-for a whole block of steps ahead of the costs; the subtraction per step is
-the last operation of the one-expression form either way, so the bits are
-the same.
+reads only the pre filter and the measurements, so the closed loop
+computes it for a whole block of steps ahead of the costs; the subtraction
+per step is the last operation of the one-expression form either way, so
+the bits are the same.
 
 Every statistic takes leading trial (and step) axes: residual blocks of B
 trials are (B, K, lam) and the per-meter statistics (B, K). ``score`` chains
@@ -50,32 +50,39 @@ them from the measurements and a post prediction to the GLLR.
 filter of a whole batch (when it reuses the pre filter's covariance is
 ``kalman``'s to decide), returns it advanced, and applies the scalar CUSUM
 recursion ``cusum_step`` once per trial to its g, a plain float. The
-recursion has no threshold and no step index: the harness reads g from
-the step, and once per block finds the first step it reaches h, like
-every other detector's, and the change-point estimate tau_hat, the last
-step g was zero.
+recursion has no threshold and no step index: the harness reads a block's
+g, and once per block finds the first step it reaches h, like every other
+detector's, and the change-point estimate tau_hat, the last step g was
+zero.
+
+Algorithm 1's closed loop, ``ClosedLoop``, holds what a batch's live
+trials carry from one block to the next, the post filter and g, and runs
+a whole block of them (``ClosedLoop.run``): it takes the block's
+measurements and the pre filter's outputs (``kalman.pre_filter``) from
+the harness, forms the clean term and the pre track's GLLR, and steps
+the block, returning the block's g and GLLR.
 
 The pre track. The post filter is re-synced to the pre filter exactly when
 g is clamped to zero, so a trial whose g is zero (or that has not taken a
 step) holds the pre filter's estimate and covariance in its post filter:
 its post prediction is the pre filter's prediction, bit for bit, and its
-scoring at the next step is open-loop. The harness therefore scores every
-trial on the pre filter's predictions a block ahead, on (B, T, ...)
+scoring at the next step is open-loop. The closed loop therefore scores
+every trial on the pre filter's predictions a block ahead, on (B, T, ...)
 slices; elementwise operations and reductions over the meter and sample
 axes give each entry the bits they give it in a (B, ...) step. Those
-residuals are the pre filter's innovations, bit for bit, so the harness
-builds the costs from the innovations and their meter sums, which the pre
-filter has formed (``kalman.pre_filter``), through the statistics half of
-``residual_block`` (``pre_track_costs``); it needs only the GLLR, so the
-table is checked finite, as classification checks it, and no labels are
-formed. An on-track trial's CUSUM steps to max(0, beta_pre), so it stays
-off the pre filter exactly when that GLLR is positive. ``algorithm1_step``
-therefore scores, in one pass, the trials off the track and the on-track
-trials with a positive pre-track GLLR, takes the pre-track GLLR for the
-rest, and runs the post update only for the trials that do not re-sync: a
+residuals are the pre filter's innovations, bit for bit, so the costs are
+built from the innovations and their meter sums, which the pre filter has
+formed, through the statistics half of ``residual_block``
+(``pre_track_costs``); only the GLLR is needed, so the table is checked
+finite, as classification checks it, and no labels are formed. An
+on-track trial's CUSUM steps to max(0, beta_pre), so it stays off the pre
+filter exactly when that GLLR is positive. ``algorithm1_step`` therefore
+scores, in one pass, the trials off the track and the on-track trials
+with a positive pre-track GLLR, takes the pre-track GLLR for the rest, and
+runs the post update only for the trials that do not re-sync: a
 re-synced filter takes the step's pre estimate, whatever its update would
 have been. A step that would score no trial is not called at all: the
-harness fills such idle steps itself (``harness._ClosedLoop.run``).
+closed loop fills such idle steps itself.
 """
 
 from __future__ import annotations
@@ -306,9 +313,10 @@ def algorithm1_step(
     """The closed-loop half of one detection-and-estimation iteration: what
     reads the post filter or the CUSUM.
 
-    The pre filter reads only the measurements, so the caller runs it, and
-    what reads it alone, ahead (``kalman.pre_filter``, ``clean_term``,
-    ``pre_track_costs``, ``gllr``) and passes the step's schedule entry
+    The pre filter reads only the measurements, so it runs, and what reads
+    it alone, ahead (``kalman.pre_filter``; ``clean_term``,
+    ``pre_track_costs`` and ``gllr`` in ``ClosedLoop.run``), and the
+    caller passes the step's schedule entry
     ``pre_step``, filtered state ``pre_x``, clean term ``clean`` and
     ``beta_pre``, the GLLR scored on the pre filter's prediction. Order
     matters here: predict the post filter, build residuals on its
@@ -365,3 +373,129 @@ def algorithm1_step(
     post = kalman.kf_update_post(model, pred, mean, a_hat, sigma_hat, pre_step)
     # the rest re-sync: post := pre
     return Algorithm1Step(post=kalman.resync(pre_x, pre_step, post, stay), g=g, beta=beta)
+
+
+# The most trial-steps of a block that the pre-track score takes at once:
+# the whole block for up to 8 trials, one step at a time from 256. The
+# score's per-meter arrays then stay small next to the block itself.
+SCORE_TRIAL_STEPS = 256
+
+
+@dataclass
+class ClosedLoop:
+    """Algorithm 1's closed loop on the live trials of a batch, those where
+    the (B,) mask ``live`` is true: their post filter and the CUSUM g each
+    carries from one block to the next (at the start,
+    ``kalman.initial_state`` and zero). Every field but ``live`` is on the
+    live trials alone, and none is a view of a block's arrays. A trial
+    retires from the loop once nothing reads it any more; the caller
+    decides when.
+    """
+
+    live: np.ndarray  # (B,) the trial runs the closed loop
+    post: kalman.KalmanState  # Algorithm 1's post filter, filtered
+    g: np.ndarray  # (L,) Algorithm 1's CUSUM
+
+    def take(self, keep: np.ndarray) -> "ClosedLoop":
+        """The loop of the batch's trials where ``keep`` is true."""
+        stay = keep[self.live]
+        return ClosedLoop(self.live[keep], self.post.take(stay), self.g[stay])
+
+    def retire(self, gone: np.ndarray) -> "ClosedLoop":
+        """The loop without the batch's trials where ``gone`` is true."""
+        stay, live = ~gone[self.live], self.live & ~gone
+        return self if stay.all() else ClosedLoop(live, self.post.take(stay), self.g[stay])
+
+    def spread(self, block: np.ndarray) -> np.ndarray:
+        """An (L, T) block of the live trials as the batch's (B, T), NaN at
+        the retired trials, so that a stray reader of them shows."""
+        if self.live.all():
+            return block
+        full = np.full((len(self.live), block.shape[1]), np.nan)
+        full[self.live] = block
+        return full
+
+    def run(
+        self, model: GridModel, cfg: DetectorConfig, steps: list, Y, pre, R, D, post_x
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The block's steps of the closed loop, T = len(steps), the block's
+        schedule entries, on the batch's (B, T, K, lam) measurements Y and
+        the pre filter's (B, T, N) filtered states, (B, T, K, lam)
+        innovations R and (B, T, K) meter sums D (``kalman.pre_filter``),
+        none of which it writes. Returns the (B, T) g and GLLR, NaN at the
+        retired trials; the post filter and g carry on. ``post_x``, when
+        given, is the (B, T, N) block of the pre filter's states, which
+        receives the post filter's filtered states (steps are logged only
+        when every trial is live).
+
+        It takes the live trials' rows of Y and the states (one take of
+        each, none when every trial is live), and forms their GLLR's clean
+        term, from the residuals against the filtered states, and the GLLR
+        of the pre track from their innovations and meter sums, unless no
+        live trial starts the block on it, that is, has a carried g of
+        zero. Both are formed at most ``SCORE_TRIAL_STEPS`` trial-steps at
+        a time, or the whole block at once without the pre track. Then it
+        steps the block (``_steps``)."""
+        rows = mask_rows(self.live)
+        Y, pre = Y[rows], pre[rows]
+        L, T = len(Y), len(steps)
+        on_track = (self.g == 0.0).any()
+        clean = np.empty((L, T))
+        # Algorithm 1's GLLR for a post filter that holds the pre estimate:
+        # its residuals are the pre filter's innovations
+        beta_pre = np.empty((L, T)) if on_track else None
+        n = max(1, SCORE_TRIAL_STEPS // L) if on_track else T
+        for s in range(0, T, n):
+            span = slice(s, s + n)
+            clean[:, span] = clean_term(kalman.residuals(model, Y[:, span], pre[:, span]), model)
+            if on_track:
+                costs = pre_track_costs(model, cfg, R[rows, span], D[rows, span])
+                beta_pre[:, span] = gllr(clean[:, span], costs)
+        G, beta = self._steps(model, cfg, steps, Y, pre, clean, beta_pre, post_x)
+        return self.spread(G), self.spread(beta)
+
+    def _steps(
+        self, model: GridModel, cfg: DetectorConfig, steps: list, Y, pre, clean, beta_pre, post_x
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The block's steps on the live trials' rows of its inputs: the
+        (L, T, K, lam) measurements Y, the pre filter's (L, T, N) filtered
+        states, the GLLR's (L, T) clean term and the (L, T) GLLR of the pre
+        track (None for a block that no live trial starts on it). Returns
+        the (L, T) g and GLLR.
+
+        Each step is one ``algorithm1_step`` (post filter, GLLR and one
+        CUSUM step per trial, on g as a list of floats), but where every
+        live trial is at g = 0: the loop then jumps to the next step at
+        which some trial's pre-track GLLR is positive, or to the block's
+        end. The steps in between are idle: ``algorithm1_step`` would score
+        none of them (every GLLR of at most zero, NaN included) and every
+        CUSUM step would clamp to zero and re-sync, so the GLLR is the pre
+        track's, g the CUSUM stepped on it (``cusum_step``, once per trial
+        and step), and the post filter re-synced to the pre filter's
+        estimate after the last of them (``kalman.resync``)."""
+        T = len(steps)
+        G, beta = np.empty((len(Y), T)), np.empty((len(Y), T))
+        # the steps at which some trial has a positive pre-track GLLR
+        busy = None if beta_pre is None else (beta_pre > 0.0).any(axis=0)
+        g, s = self.g.tolist(), 0
+        while g and s < T:
+            if busy is not None and not any(g):
+                idle = s + int(np.argmax(np.append(busy[s:], True)))
+                if idle > s:
+                    betas = beta[:, s:idle] = beta_pre[:, s:idle]
+                    G[:, s:idle] = [[cusum_step(0.0, b)[0] for b in row] for row in betas.tolist()]
+                    self.post = kalman.resync(pre[:, idle - 1], steps[idle - 1])
+                    g, s = G[:, idle - 1].tolist(), idle
+                    continue
+            step = algorithm1_step(
+                self.post, g, model, cfg, Y[:, s], steps[s], pre[:, s],
+                clean[:, s], None if beta_pre is None else beta_pre[:, s],
+            )
+            self.post, g = step.post, step.g
+            G[:, s] = g
+            beta[:, s] = step.beta
+            if post_x is not None:
+                post_x[:, s] = step.post.x
+            s += 1
+        self.g = np.array(g, dtype=float)
+        return G, beta

@@ -83,7 +83,8 @@ def _onset(text: str) -> float:
 
 
 def _mu0_cache(text: str) -> str:
-    """``auto`` or ``none`` in any case, lower-cased; else a path as given."""
+    """``auto`` or ``none`` in any case, lower-cased; else a path as given,
+    which ``load_config`` resolves against the config's directory."""
     return text.lower() if text.lower() in ("auto", "none") else text
 
 
@@ -221,7 +222,7 @@ class DetectorSection:
     cosine_d: Optional[float]
     np_clamp: bool
     mu0_samples: int
-    mu0_cache: str
+    mu0_cache: "str | Path"  # "auto", "none" or a path
 
 
 @dataclass
@@ -282,19 +283,13 @@ def _attack_spec(sec: dict, tau: float) -> AttackSpec:
 
     # every key this kind does not read is absent, so it takes its default
     v = _read(sec, _ATTACK)
-    fdi_law = v["fdi_uniform"] or v["fdi_fixed"]
-    jam_law = v["jam_uniform"] or v["jam_fixed"]
-    if kind in ("fdi", "hybrid") and fdi_law is None:
-        raise ConfigError(f"kind = {kind} requires fdi_uniform or fdi_fixed")
-    if kind in ("jamming", "hybrid") and jam_law is None:
-        raise ConfigError(f"kind = {kind} requires jam_uniform or jam_fixed")
     try:
         return AttackSpec(
             tau=math.inf if kind == "none" else tau,
             kind=kind,
             selection=("bernoulli", v["p"]) if v["meters"] is None else ("fixed", v["meters"]),
-            fdi_law=fdi_law,
-            jam_law=jam_law,
+            fdi_law=v["fdi_uniform"] or v["fdi_fixed"],
+            jam_law=v["jam_uniform"] or v["jam_fixed"],
             t_on=v["t_on"],
             t_off=v["t_off"],
             fault_meters=v["fault_meters"],
@@ -322,7 +317,10 @@ def load_config(path) -> ExperimentConfig:
         x0_values=m["x0"][1],
         p0=m["p0"],
     )
-    detector = DetectorSection(**_read(sections["detector"], _DETECTOR))
+    d = _read(sections["detector"], _DETECTOR)
+    if d["mu0_cache"] not in ("auto", "none"):  # a path, like topology and a
+        d["mu0_cache"] = base / d["mu0_cache"]
+    detector = DetectorSection(**d)
     shewhart_phi = None
     if "shewhart" in sections:
         shewhart_phi = _read(sections["shewhart"], _SHEWHART)["phi"]

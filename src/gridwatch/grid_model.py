@@ -147,12 +147,11 @@ def load_topology(path) -> GridTopology:
     finite and > 0. Errors carry the offending line number.
     """
     sections = read_sections(path, ("buses", "branches", "meters"), TopologyError)
-    buses: list = []
-    angles: dict = {}
+    # each section's records by id, in declaration order
+    buses: "dict[str, Optional[float]]" = {}  # the bus's angle, None if not given
+    branches: "dict[str, Branch]" = {}
+    meters: "dict[str, Meter]" = {}
     reference: Optional[str] = None
-    branches: list = []
-    meters: list = []
-    seen_bus, seen_branch, seen_meter = set(), set(), set()
     # (kind, target, direction) so duplicate meter definitions are caught
     # even under distinct ids.
     meter_defs = set()
@@ -165,15 +164,14 @@ def load_topology(path) -> GridTopology:
 
     for lineno, line in sections.get("buses", ()):
         bus, *rest = line.split()
-        if bus in seen_bus:
+        if bus in buses:
             raise TopologyError(f"line {lineno}: duplicate bus {bus}")
-        seen_bus.add(bus)
-        buses.append(bus)
+        buses[bus] = None
         for tok in rest:
             if tok.lower() != "ref":
-                if bus in angles:
+                if buses[bus] is not None:
                     raise TopologyError(f"line {lineno}: second angle {tok!r} for bus {bus}")
-                angles[bus] = number(finite, tok, "bus token", lineno)
+                buses[bus] = number(finite, tok, "bus token", lineno)
             elif reference is not None:
                 raise TopologyError(
                     f"line {lineno}: second reference bus {bus} (already {reference})"
@@ -187,18 +185,16 @@ def load_topology(path) -> GridTopology:
                 f"line {lineno}: branch needs '<id> <from> <to> <susceptance>'"
             )
         bid, fbus, tbus, sus = tokens
-        if bid in seen_branch:
+        if bid in branches:
             raise TopologyError(f"line {lineno}: duplicate branch {bid}")
-        seen_branch.add(bid)
-        branches.append(Branch(bid, fbus, tbus, number(positive, sus, "susceptance", lineno)))
+        branches[bid] = Branch(bid, fbus, tbus, number(positive, sus, "susceptance", lineno))
     for lineno, line in sections.get("meters", ()):
         tokens = line.split()
         if len(tokens) < 3:
             raise TopologyError(f"line {lineno}: incomplete meter line")
         mid, kind = tokens[0], tokens[1].lower()
-        if mid in seen_meter:
+        if mid in meters:
             raise TopologyError(f"line {lineno}: duplicate meter {mid}")
-        seen_meter.add(mid)
         if kind == "flow":
             if len(tokens) != 4 or tokens[3] not in ("+", "-"):
                 raise TopologyError(
@@ -218,17 +214,15 @@ def load_topology(path) -> GridTopology:
         if mdef in meter_defs:
             raise TopologyError(f"line {lineno}: duplicate meter definition {mid}")
         meter_defs.add(mdef)
-        meters.append(meter)
+        meters[mid] = meter
 
     if reference is None:
         raise TopologyError("no reference bus declared")
     if len(buses) < 2:
         raise TopologyError("need at least two buses")
-    bus_set = set(buses)
-    branch_ids = {br.branch_id for br in branches}
-    for br in branches:
+    for br in branches.values():
         for end in (br.from_bus, br.to_bus):
-            if end not in bus_set:
+            if end not in buses:
                 raise TopologyError(
                     f"branch {br.branch_id} references undeclared bus {end}"
                 )
@@ -236,18 +230,18 @@ def load_topology(path) -> GridTopology:
             raise TopologyError(f"branch {br.branch_id} is a self-loop")
     if not meters:
         raise TopologyError("at least one meter is required")
-    for m in meters:
-        if m.kind == "flow" and m.target not in branch_ids:
+    for m in meters.values():
+        if m.kind == "flow" and m.target not in branches:
             raise TopologyError(f"meter {m.meter_id} references undeclared branch {m.target}")
-        if m.kind == "injection" and m.target not in bus_set:
+        if m.kind == "injection" and m.target not in buses:
             raise TopologyError(f"meter {m.meter_id} references undeclared bus {m.target}")
 
     return GridTopology(
         buses=tuple(buses),
         reference=reference,
-        branches=tuple(branches),
-        meters=tuple(meters),
-        angles=dict(angles),
+        branches=tuple(branches.values()),
+        meters=tuple(meters.values()),
+        angles={bus: angle for bus, angle in buses.items() if angle is not None},
     )
 
 

@@ -26,33 +26,21 @@ step would give and no draws are held from one block to the next. A block
 ends where the attack switches on or off and where a topology fault
 begins (``attacks.block_steps``). The pre filter reads only the
 measurements, so it runs over the block as well, on the block's schedule
-entries, and so does every statistic built on it alone, one call each
-for the block: the innovation norm, the chi-squared sample, the cosine
-similarity and the GLLR's clean term, and the open-loop detectors'
-statistics, the Pearson window over the chi-squared samples and the
-nonparametric CUSUM over the innovation norms.
-So does algorithm 1's score of the pre track: a trial whose CUSUM g is
-zero re-synced its post filter to the pre filter at the last step (or has
-not left it), so its post prediction is the pre filter's, bit for bit,
-and its GLLR is the one scored on the pre predictions. Its residuals are
-then the pre filter's innovations: the pre filter writes them, with their
-sums over each meter's lam samples, into step-major block buffers once,
-and the pre-track score, the chi-squared sample (its meter means) and the
-innovation norm read them from there. The closed loop
-(``_ClosedLoop.run``) then steps only algorithm 1's post filter and its
-CUSUM, on the (L, K) and (L,) arrays of the L trials still live in it,
-writing each step's g and GLLR into the block. A step predicts and scores,
-once, the trials off the pre track and those on it whose pre-track GLLR is
-positive, the only on-track trials that do not re-sync, and updates the
-post filter of the trials that do not re-sync. A step that would score
-none, every live trial on the pre track with a GLLR of at most zero, is
-idle: its result is known (g stays zero, the post filter takes the pre
-filter's estimate), so the loop jumps over a stretch of them at once and
-steps only the CUSUM through it. Each product is one BLAS call per vector
-(none where A is the identity, see ``grid_model.transition``), every
-reduction runs over the same axis in either half, the Pearson counts are
-exact small integers and the nonparametric CUSUM keeps its per-step order,
-so every trial gets the bits of a step at a time.
+entries, and so does every statistic of the open-loop detectors, one call
+each for the block: the innovation norm, the chi-squared sample, the
+cosine similarity, the Pearson window over the chi-squared samples and
+the nonparametric CUSUM over the innovation norms. The pre filter writes
+its innovations, with their sums over each meter's lam samples, into
+step-major block buffers once, and the chi-squared sample (its meter
+means) and the innovation norm read them from there. Then the block goes
+to Algorithm 1's closed loop, ``detector.ClosedLoop``, which the batch
+carries: one ``run`` call, on the block's measurements and the pre
+filter's states, innovations and meter sums, steps the post filter and
+the CUSUM of the trials still live in it and returns the block's g and
+GLLR. Every product is one BLAS call per vector (none where A is the
+identity, see ``grid_model.transition``), the Pearson counts are exact
+small integers and the nonparametric CUSUM keeps its per-step order, so
+every trial gets the bits of a step at a time.
 
 Once per block an epilogue settles the rest on the block's (B, T) arrays:
 tau_hat, the first crossing in the block of every stopping rule, the
@@ -104,11 +92,6 @@ INF = math.inf
 # each trial's normals take BLOCK_STEPS * (N + K*lam) doubles (32 KiB on
 # ieee14 at lam = 5); no stream keeps draws past its block.
 BLOCK_STEPS = 32
-
-# The most trial-steps of a block that Algorithm 1's pre-track score takes
-# at once: the whole block for up to 8 trials, one step at a time from 256.
-# The score's per-meter arrays then stay small next to the block itself.
-SCORE_TRIAL_STEPS = 256
 
 # The detectors that stop at the first step their statistic path reaches the
 # threshold (inclusive), as (name, TrialPaths field, direction): upward, or
@@ -512,103 +495,10 @@ def _take(item, keep):
 
 
 @dataclass
-class _ClosedLoop:
-    """Algorithm 1's closed loop on the live trials of a batch, those where
-    the (B,) mask ``live`` is true: their post filter and the CUSUM g each
-    carries from one block to the next (at spawn, ``kalman.initial_state``
-    and zero). Every field but ``live`` is on the live trials alone, and
-    none is a view of a block's arrays.
-
-    A trial retires from the loop once nothing reads it any more: no path
-    is recorded and every configured rule of ``CLOSED_LOOP`` has stopped.
-    """
-
-    live: np.ndarray  # (B,) the trial runs the closed loop
-    post: kalman.KalmanState  # Algorithm 1's post filter, filtered
-    g: np.ndarray  # (L,) Algorithm 1's CUSUM
-
-    def take(self, keep: np.ndarray) -> "_ClosedLoop":
-        """The loop of the batch's trials where ``keep`` is true."""
-        return self._select(self.live[keep], keep[self.live])
-
-    def retire(self, gone: np.ndarray) -> "_ClosedLoop":
-        """The loop without the batch's trials where ``gone`` is true."""
-        stay = ~gone[self.live]
-        return self if stay.all() else self._select(self.live & ~gone, stay)
-
-    def _select(self, live, stay) -> "_ClosedLoop":
-        # the mask ``live`` and, at every other field, the live trials
-        # where ``stay`` is true
-        return _ClosedLoop(live, *(_take(getattr(self, f.name), stay) for f in fields(self)[1:]))
-
-    def spread(self, block: np.ndarray) -> np.ndarray:
-        """An (L, T) block of the live trials as the batch's (B, T), NaN at
-        the retired trials, so that a stray reader of them shows."""
-        if self.live.all():
-            return block
-        full = np.full((len(self.live), block.shape[1]), np.nan)
-        full[self.live] = block
-        return full
-
-    def run(
-        self, ctx: RunContext, steps: "list[kalman.GainStep]", Y: np.ndarray, pre: np.ndarray,
-        clean: np.ndarray, beta_pre: Optional[np.ndarray], post_x: Optional[np.ndarray],
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """The block's steps of the closed loop, on the live trials' rows of
-        its inputs: the (L, T, K, lam) measurements Y, the pre filter's
-        (L, T, N) filtered states, the GLLR's (L, T) clean term and the
-        (L, T) GLLR of the pre track (None for a block that no live trial
-        starts on it), T = len(steps), the block's schedule entries.
-        Returns the (L, T) g and GLLR; the post filter and g carry on.
-        ``post_x``, when given, is the (B, T, N) block of the pre filter's
-        states, which receives the post filter's filtered states (steps are
-        logged only when every trial is live).
-
-        Each step is one ``detector.algorithm1_step`` (post filter, GLLR
-        and one CUSUM step per trial, on g as a list of floats), but where
-        every live trial is at g = 0: the loop then jumps to the next step
-        at which some trial's pre-track GLLR is positive, or to the block's
-        end. The steps in between are idle: ``algorithm1_step`` would score
-        none of them (every GLLR of at most zero, NaN included) and every
-        CUSUM step would clamp to zero and re-sync, so the GLLR is the pre
-        track's, g the CUSUM stepped on it (``detector.cusum_step``, once
-        per trial and step), and the post filter re-synced to the pre
-        filter's estimate after the last of them (``kalman.resync``)."""
-        model, T = ctx.model, len(steps)
-        G, beta = np.empty((len(Y), T)), np.empty((len(Y), T))
-        # the steps at which some trial has a positive pre-track GLLR
-        busy = None if beta_pre is None else (beta_pre > 0.0).any(axis=0)
-        g, s = self.g.tolist(), 0
-        while g and s < T:
-            if busy is not None and not any(g):
-                idle = s + int(np.argmax(np.append(busy[s:], True)))
-                if idle > s:
-                    betas = beta[:, s:idle] = beta_pre[:, s:idle]
-                    G[:, s:idle] = [
-                        [detector.cusum_step(0.0, b)[0] for b in row] for row in betas.tolist()
-                    ]
-                    self.post = kalman.resync(pre[:, idle - 1], steps[idle - 1])
-                    g, s = G[:, idle - 1].tolist(), idle
-                    continue
-            step = detector.algorithm1_step(
-                self.post, g, model, ctx.det_cfg, Y[:, s], steps[s], pre[:, s],
-                clean[:, s], None if beta_pre is None else beta_pre[:, s],
-            )
-            self.post, g = step.post, step.g
-            G[:, s] = g
-            beta[:, s] = step.beta
-            if post_x is not None:
-                post_x[:, s] = step.post.x
-            s += 1
-        self.g = np.array(g, dtype=float)
-        return G, beta
-
-
-@dataclass
 class _Batch:
     """What each trial of a batch carries from one block to the next: its
     place in the run, seed, measurement hash and random streams;
-    Algorithm 1's closed loop (``_ClosedLoop``); the stops, the re-sync
+    Algorithm 1's closed loop (``detector.ClosedLoop``); the stops, the re-sync
     count and tau_hat at alg1's stop; and the states the next block starts
     from, the true and pre-filter states, tau_hat, the Pearson windows and
     the nonparametric CUSUM. No field has a step axis: a block's arrays
@@ -635,7 +525,7 @@ class _Batch:
     sim: list
     atk: list
     jam: list
-    loop: _ClosedLoop
+    loop: detector.ClosedLoop
     stops: np.ndarray  # (B, R) first crossing of each path detector, in ``thresholds`` order
     syncs: np.ndarray  # (B,) re-syncs counted so far (see ``TrialResult.syncs``)
     tau_at_alg1: np.ndarray  # (B,) tau_hat at alg1's stop
@@ -663,7 +553,7 @@ class _Batch:
             sim=[np.random.default_rng(ss) for ss in sim_ss],
             atk=[np.random.default_rng(ss) for ss in atk_ss],
             jam=[np.random.default_rng(ss) for ss in jam_ss],
-            loop=_ClosedLoop(
+            loop=detector.ClosedLoop(
                 live=np.ones(B, dtype=bool),
                 post=kalman.initial_state(start, ctx.p0),
                 g=np.zeros(B),
@@ -694,21 +584,13 @@ class _Batch:
         euclidean and cosine, and the pre filter's MSE when steps are
         logged. The chi-squared sample takes its meter means from the pre
         filter's meter sums, and the block's one whitening factor when
-        every entry is the settled step (``_block_white``). Then the closed
-        loop's inputs, on its live trials alone: their rows of the
-        measurements and pre-filter states (one take of each, none when
-        every trial is live), the GLLR's clean term, and the GLLR of the
-        pre track unless no live trial starts the block on it, that is,
-        has a carried g of zero. The pre track's costs are built from the
-        pre filter's innovations and meter sums, at most
-        ``SCORE_TRIAL_STEPS`` trial-steps at a time, each chunk's before
-        the residuals against the filtered states (the clean term's) take
-        over its rows of the innovations' buffer. Last, the closed loop
-        runs the block (``_ClosedLoop.run``), and, when steps are logged,
-        the post filter's MSE is taken once for the block (an idle step's
-        filtered state is the pre filter's, and each row is reduced over
-        its own N entries, as one step alone would reduce it)."""
-        model, attack, loop = ctx.model, ctx.cfg.attack, self.loop
+        every entry is the settled step (``_block_white``). Last, Algorithm
+        1's closed loop runs the block (``detector.ClosedLoop.run``), and,
+        when steps are logged, the post filter's MSE is taken once for the
+        block (an idle step's filtered state is the pre filter's, and each
+        row is reduced over its own N entries, as one step alone would
+        reduce it)."""
+        model, attack = ctx.model, ctx.cfg.attack
         sim_model = ctx.sim_model_post if attacks.is_faulted(attack, t) else model
         T = len(pre_steps)
         X, Y = simulate_step(sim_model, self.x, self.sim, T)
@@ -737,31 +619,10 @@ class _Batch:
         if log_steps:
             block.mse0 = np.mean((pre - X) ** 2, axis=-1)
 
-        on_track = (loop.g == 0.0).any()
-        rows = detector.mask_rows(loop.live)
-        Y_live, pre_live = Y[rows], pre[rows]
-        L = len(pre_live)
-        clean = np.empty((L, T))
-        # Algorithm 1's GLLR for a post filter that holds the pre estimate:
-        # its residuals are the pre filter's innovations
-        beta_pre = np.empty((L, T)) if on_track else None
-        n = max(1, SCORE_TRIAL_STEPS // L) if on_track else T
-        for s in range(0, T, n):
-            span = slice(s, s + n)
-            if on_track:
-                costs = detector.pre_track_costs(model, ctx.det_cfg, R[rows, span], D[rows, span])
-            # the residuals against the filtered states, in the innovations'
-            # buffer once the costs have read it
-            r_pre = kalman.residuals(model, Y_live[:, span], pre_live[:, span], out=R[:L, span])
-            clean[:, span] = detector.clean_term(r_pre, model)
-            if on_track:
-                beta_pre[:, span] = detector.gllr(clean[:, span], costs)
-
         # the post filter's filtered states, when logged; an idle step's is
         # the pre filter's
         post_x = pre.copy() if log_steps else None
-        g, beta = loop.run(ctx, pre_steps, Y_live, pre_live, clean, beta_pre, post_x)
-        block.g, block.beta = loop.spread(g), loop.spread(beta)
+        block.g, block.beta = self.loop.run(model, ctx.det_cfg, pre_steps, Y, pre, R, D, post_x)
         if log_steps:
             block.mse1 = np.mean((post_x - X) ** 2, axis=-1)
         return X, Y, block
@@ -838,8 +699,8 @@ def run_trial(
     The engine runs blocks of at most BLOCK_STEPS steps. ``_Batch.next_block``
     makes each block: its measurements, everything that reads only them,
     one call each for the batch, and the closed loop's steps
-    (``_ClosedLoop.run``) on the trials still live in it. Here only the
-    block's epilogue runs, on the block's (B, T) statistics: tau_hat (the
+    (``detector.ClosedLoop.run``) on the trials still live in it. Here only
+    the block's epilogue runs, on the block's (B, T) statistics: tau_hat (the
     last step g was zero), the first crossing in the block of every
     stopping rule, the re-syncs (``TrialResult.syncs``), each trial's
     measurement hash (SHA-256 does not depend on how its input is cut) and

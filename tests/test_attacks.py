@@ -201,6 +201,24 @@ def test_spec_validation_errors():
         MagnitudeLaw.fixed(math.inf)
 
 
+@pytest.mark.parametrize(
+    "kind, laws, missing",
+    [
+        ("fdi", {}, "fdi_uniform or fdi_fixed"),
+        ("jamming", {}, "jam_uniform or jam_fixed"),
+        ("hybrid", {}, "fdi_uniform or fdi_fixed"),
+        ("hybrid", {"fdi_law": MagnitudeLaw.fixed(0.1)}, "jam_uniform or jam_fixed"),
+        ("hybrid", {"jam_law": MagnitudeLaw.fixed(1e-4)}, "fdi_uniform or fdi_fixed"),
+    ],
+    ids=["fdi", "jamming", "hybrid", "hybrid_without_jam", "hybrid_without_fdi"],
+)
+def test_spec_without_its_law_fails_at_construction(kind, laws, missing):
+    # a spec whose kind needs a magnitude law it lacks is rejected when it
+    # is made, with the config's message, not at the onset by the kernel
+    with pytest.raises(ValueError, match=f"^kind = {kind} requires {missing}$"):
+        AttackSpec(tau=3, kind=kind, **laws)
+
+
 def test_spec_rejects_fractional_onset():
     # is_active counts the on-off cycle from int(tau) while the attack
     # starts at the first t >= tau: tau = 100.5 would first attack at 104

@@ -323,7 +323,28 @@ def test_mu0_cache_keywords_match_in_any_case(tmp_path, two_bus_path, value, cac
         topology=two_bus_path, extra_detector=f"mu0_cache = {value}", attack="kind = none",
         trials=1, horizon=50,
     )
-    assert load_config(write(tmp_path, text)).detector.mu0_cache == cache
+    want = cache if cache in ("none", "auto") else tmp_path / cache  # the config's directory
+    assert load_config(write(tmp_path, text)).detector.mu0_cache == want
+
+
+def test_relative_mu0_cache_is_the_configs_sibling(tmp_path, two_bus_path, monkeypatch):
+    # like topology and a, a relative mu0_cache names a file next to the
+    # config, wherever the run starts: prepared from a sibling directory,
+    # the baseline is written into the config's directory, not the cwd
+    cfg_dir, cwd = tmp_path / "cfgdir", tmp_path / "cwd"
+    cfg_dir.mkdir()
+    cwd.mkdir()
+    cfg_path = write(cfg_dir, MINIMAL.format(
+        topology=two_bus_path, extra_detector="np_q = 5\nmu0_samples = 10\nmu0_cache = mu0.txt",
+        attack="kind = none", trials=1, horizon=50,
+    ))
+    monkeypatch.chdir(cwd)
+    cfg = load_config(cfg_path)
+    assert cfg.detector.mu0_cache == cfg_dir / "mu0.txt"
+    mu0 = harness.prepare(cfg).mu0
+    assert list(cwd.iterdir()) == []
+    _, value = (cfg_dir / "mu0.txt").read_text().split()
+    assert float(value) == mu0
 
 
 def test_unreadable_mu0_cache_is_a_usage_error(tmp_path, two_bus_path, monkeypatch, capsys):

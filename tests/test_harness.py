@@ -969,7 +969,7 @@ def assert_taken(full, got, rows, skip=(), name=""):
             np.testing.assert_array_equal(b.x, a.x[rows], err_msg=what)
             np.testing.assert_array_equal(b.P, a.P[rows], err_msg=what)
             np.testing.assert_array_equal(b.shares, a.shares[rows], err_msg=what)
-        elif isinstance(a, harness._ClosedLoop):
+        elif isinstance(a, detector.ClosedLoop):
             assert_taken(a, b, rows, name=what)
         else:  # the Pearson windows
             np.testing.assert_array_equal(b.cells, a.cells[rows], err_msg=what)
@@ -1028,23 +1028,24 @@ def test_closed_loop_carries_no_block_view(tmp_path):
 
 
 def spy_closed_loop(monkeypatch) -> list:
-    """Wrap ``_ClosedLoop.run`` so that each call appends its arguments to
-    the returned list before it runs."""
+    """Wrap ``detector.ClosedLoop._steps``, where the closed loop steps the
+    block on the inputs it has formed, so that each call appends its
+    arguments to the returned list before it runs."""
     calls = []
-    run = harness._ClosedLoop.run
+    run = detector.ClosedLoop._steps
 
-    def spy(loop, ctx, steps, Y, pre, clean, beta_pre, post_x):
+    def spy(loop, model, cfg, steps, Y, pre, clean, beta_pre, post_x):
         calls.append(dict(steps=steps, Y=Y, pre=pre, clean=clean, beta_pre=beta_pre))
-        return run(loop, ctx, steps, Y, pre, clean, beta_pre, post_x)
+        return run(loop, model, cfg, steps, Y, pre, clean, beta_pre, post_x)
 
-    monkeypatch.setattr(harness._ClosedLoop, "run", spy)
+    monkeypatch.setattr(detector.ClosedLoop, "_steps", spy)
     return calls
 
 
 @pytest.mark.parametrize("B, retired", [(1, ()), (3, (1,)), (20, (0, 7, 19))])
 def test_pre_track_score_matches_score_on_predictions(tmp_path, mu0_cache, monkeypatch, B, retired):
-    # next_block scores the pre track on the pre filter's innovations and
-    # meter sums: the GLLR it hands the closed loop has the bits of
+    # the closed loop scores the pre track on the pre filter's innovations
+    # and meter sums: the GLLR it steps the block on has the bits of
     # detector.score on the pre filter's predictions, and the clean term
     # those of the residuals against the filtered states. Blocks before and
     # after the onset, all trials live or some retired (rows taken by
@@ -1084,8 +1085,9 @@ def test_pre_track_nonfinite_cost_raises_the_classify_error(tmp_path, mu0_cache,
     # measurements so large that the squared residuals overflow: the pre
     # track's score raises the FloatingPointError that classify_meters
     # raises on a non-finite table, with the same message, before the
-    # closed loop runs; a block that no trial starts on the track has no
-    # pre-track score, so only the closed loop's own score raises it
+    # closed loop steps the block; a block that no trial starts on the
+    # track has no pre-track score, so only the closed loop's own score
+    # raises it
     ctx = harness.prepare(make_cfg(tmp_path, trials=2, cache=mu0_cache))
     apply = harness.apply_attack
     monkeypatch.setattr(harness, "apply_attack", lambda *args: apply(*args) * 1e160)
@@ -1429,6 +1431,24 @@ def test_tracer_probes_read_what_they_count(tmp_path, mu0_cache, attack):
         "cusum.calls", "cusum.sync", "labels.total", "labels.nonclean",
     )
     assert {name: counts[name] > 0 for name in counters} == dict.fromkeys(counters, True)
+
+
+def test_tracer_sees_the_closed_loop(tmp_path, mu0_cache):
+    # the closed loop calls Algorithm 1's step, the GLLR, the CUSUM and the
+    # post filter through their modules' names, where the tracer wraps
+    # them; a call through a local alias would leave no span
+    tracing = load_tracing()
+    cfg = make_cfg(tmp_path, attack=HYBRID, trials=2, tau=20, horizon=100, cache=mu0_cache)
+    ctx = harness.prepare(cfg)
+    tracer = tracing.Tracer()
+    with tracer:
+        harness.run_trials(ctx, full_paths=True)
+    names = {span[0] for span in tracer.spans}
+    closed_loop = {
+        "detector.algorithm1_step", "detector.gllr", "detector.cusum_step",
+        "kalman.kf_predict", "kalman.kf_update_post",
+    }
+    assert closed_loop - names == set()
 
 
 def _package_names(path: Path) -> "list[tuple[str, str]]":
